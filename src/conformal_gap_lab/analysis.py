@@ -171,13 +171,13 @@ def ae_residual_matrix(spec: MetricSpec, sigma: expr.Node, point) -> np.ndarray:
     """Trace-free part of (Hess sigma + P sigma) as a matrix."""
     fr = curvature.frame(spec, point, 2)
     j = fr.scalar_jet(sigma, 2)
-    grad = jets.gradient(j)
-    hess = jets.hessian(j)
+    grad = jets.gradient(j, spec.n)
+    hess = jets.hessian(j, spec.n)
     gamma = fr.values(fr.gamma)
     P = fr.values(fr.schouten)
     g = fr.values(fr.g)
     ginv = fr.values(fr.ginv)
-    H = hess - np.einsum("rab,r->ab", gamma, grad) + P * j.value
+    H = hess - np.einsum("rab,r->ab", gamma, grad) + P * j[0]
     trace = float(np.einsum("ab,ab->", ginv, H))
     return H - trace / spec.n * g
 
@@ -199,10 +199,8 @@ class KillingReport:
 def _field_jets(spec: MetricSpec, k_asts, point, order=1):
     env = jets.seed_jets(tuple(point), order)
     params = spec.params_dict
-    js = [expr.evaluate(a, env, params) for a in k_asts]
-    values = np.array([j.value for j in js])
-    dvals = np.stack([jets.gradient(j) for j in js], axis=1)   # [a, b] = d_a k^b
-    return values, dvals
+    js = np.stack([expr.evaluate(a, env, params) for a in k_asts])
+    return js[:, 0], jets.gradient(js, spec.n).T               # [a, b] = d_a k^b
 
 
 def ck_and_normality(spec: MetricSpec, k_asts, point,
@@ -306,14 +304,14 @@ def j_of_scale(spec: MetricSpec, sigma: expr.Node, point) -> float:
     """J of sigma^-2 g via -(n/2) g(ds,ds) + sigma Lap sigma + J sigma^2."""
     fr = curvature.frame(spec, point, 2)
     j = fr.scalar_jet(sigma, 2)
-    grad = jets.gradient(j)
-    hess = jets.hessian(j)
+    grad = jets.gradient(j, spec.n)
+    hess = jets.hessian(j, spec.n)
     gamma = fr.values(fr.gamma)
     ginv = fr.values(fr.ginv)
     lap = float(np.einsum("ab,ab->", ginv, hess - np.einsum("rab,r->ab", gamma, grad)))
     ds_sq = float(grad @ ginv @ grad)
     Jbg = float(fr.j[0])
-    s = j.value
+    s = j[0]
     return -spec.n / 2 * ds_sq + s * lap + Jbg * s * s
 
 
@@ -608,8 +606,8 @@ def _scale_family_checks(spec: MetricSpec, family, checks: list,
     for name, sigma in family:
         rows = []
         for p in points:
-            j = expr.evaluate(sigma, jets.seed_jets(p, 1), spec.params_dict)
-            rows.append(np.concatenate([[j.value], jets.gradient(j)]))
+            # an order-1 jet is (value, gradient)
+            rows.append(expr.evaluate(sigma, jets.seed_jets(p, 1), spec.params_dict))
         feats.append(np.concatenate(rows))
     gram = np.stack(feats)
     rank, marginal = matrix_rank(gram, 1e-7)
@@ -791,8 +789,8 @@ def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dic
         for pt in points:
             fr = curvature.frame(spec, pt, 2)
             j = fr.scalar_jet(tau, 2)
-            grad = jets.gradient(j)
-            hess = jets.hessian(j)
+            grad = jets.gradient(j, spec.n)
+            hess = jets.hessian(j, spec.n)
             gamma = fr.values(fr.gamma)
             ginv = fr.values(fr.ginv)
             lap = float(np.einsum("ab,ab->", ginv,

@@ -32,10 +32,11 @@ CHECK_ERRORS = (ConventionError, analysis.AnalysisError, tractor.TransportError)
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("CGL_SEED", "0")
     try:
-        return int(os.environ.get("CGL_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"CGL_SEED must be an integer, got {raw!r}") from None
 
 
 def _round_floats(obj):

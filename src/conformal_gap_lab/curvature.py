@@ -76,10 +76,7 @@ class CurvatureFrame:
         self.order = order
         n = self.n = spec.n
 
-        Gj, Ginvj, sig = geometry.metric_frame_at(spec, self.point, order)
-        self.signature = sig
-        self.g = np.stack([np.stack([Gj[i, j].coeffs for j in range(n)]) for i in range(n)])
-        self.ginv = np.stack([np.stack([Ginvj[i, j].coeffs for j in range(n)]) for i in range(n)])
+        self.g, self.ginv, self.signature = geometry.metric_frame_at(spec, self.point, order)
 
         # dg[i, a, b] = d_i g_ab, one jet order lower
         dg = np.stack([dcoeffs(self.g, i, n, order) for i in range(n)])
@@ -137,20 +134,18 @@ class CurvatureFrame:
             A = covP.transpose(2, 0, 1, 3)
             self.cotton = A - A.transpose(0, 2, 1, 3)     # [c, a, b] = Y_cab
 
-        gval = self.g[..., 0]
-        det = float(np.linalg.det(gval))
-        self.det_sign = 1.0 if det > 0 else -1.0
-        eps = np.zeros((n,) * n)
-        root = math.sqrt(abs(det))
-        for perm in itertools.permutations(range(n)):
-            eps[perm] = _perm_sign(perm) * root
-        self.eps = eps
+        self.det_sign = 1.0 if np.linalg.det(self.g[..., 0]) > 0 else -1.0
+
+        # frames are cached and shared, so nothing may write into them
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     # helpers ----------------------------------------------------------------
 
     def at(self, arr: np.ndarray, m: int) -> np.ndarray:
         """Truncate a coefficient array from this frame to jet order m."""
-        have = _order_of(arr.shape[-1], self.n)
+        have = jets.order_of(arr.shape[-1], self.n)
         return truncate_coeffs(arr, self.n, have, m)
 
     def values(self, arr: np.ndarray) -> np.ndarray:
@@ -178,8 +173,8 @@ class CurvatureFrame:
             out += np.moveaxis(signed, 1, 1 + k)
         return out
 
-    def scalar_jet(self, node, m: int | None = None):
-        """Evaluate an expression as a jet at this frame's point."""
+    def scalar_jet(self, node, m: int | None = None) -> np.ndarray:
+        """Evaluate an expression as a coefficient array at this frame's point."""
         m = self.order if m is None else m
         env = jets.seed_jets(self.point, m)
         return expr.evaluate(node, env, self.spec.params_dict)
@@ -188,33 +183,14 @@ class CurvatureFrame:
         return CurvaturePack(self)
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
-def _order_lookup(num_vars: int):
-    return {jets.tables(num_vars, m).size: m for m in range(jets.MAX_ORDER + 1)}
-
-
-def _order_of(size: int, num_vars: int) -> int:
-    try:
-        return _order_lookup(num_vars)[size]
-    except KeyError:
-        raise ValueError(f"coefficient count {size} matches no jet order") from None
+def _permutation_symbol(n: int) -> np.ndarray:
+    """Levi-Civita sign table: eps[perm] = sign(perm), 0 on repeated indices."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    eps = np.zeros((n,) * n)
+    eps[tuple(perms.T)] = np.rint(np.linalg.det(np.eye(n)[perms]))
+    eps.flags.writeable = False
+    return eps
 
 
 class CurvaturePack:
@@ -243,7 +219,8 @@ class CurvaturePack:
             TensorValue(v(frame.cotton), ("d", "d", "d"), 0, n)
             if frame.cotton is not None else None
         )
-        self.eps = TensorValue(frame.eps, ("d",) * n, n, n)
+        root = math.sqrt(abs(np.linalg.det(self.g.components)))
+        self.eps = TensorValue(root * _permutation_symbol(n), ("d",) * n, n, n)
         self._validate()
 
     def _validate(self) -> None:
@@ -271,12 +248,16 @@ class CurvaturePack:
         if frobenius(cyc) > 1e-9 * rnorm:
             problems.append("algebraic Bianchi identity fails")
 
+        # W is computed from R, so its roundoff scales with |R|; in n = 3 it
+        # vanishes identically and is pure roundoff
         W = self.weyl.components
-        wnorm = max(frobenius(W), 1e-30)
+        wnorm = frobenius(W)
         for axes in ((0, 2), (0, 3), (1, 2), (1, 3)):
-            if frobenius(_trace_pair(W, ginv, axes)) > 1e-9 * wnorm:
+            if frobenius(_trace_pair(W, ginv, axes)) > 1e-9 * max(wnorm, rnorm):
                 problems.append(f"Weyl trace over axes {axes} nonzero")
                 break
+        if n == 3 and wnorm > 1e-9 * rnorm:
+            problems.append("Weyl tensor nonzero in dimension 3")
 
         # raising the last index repeatedly leaves the index order intact
         # (tensordot prepends the fresh index each time)
@@ -343,12 +324,11 @@ def upsilon_jets(spec: MetricSpec, omega: expr.Node, point, order: int = 2):
     """
     env = jets.seed_jets(point, order)
     w = expr.evaluate(omega, env, spec.params_dict)
-    grad = jets.gradient(w)
-    val = w.value
-    ups = grad / val
+    val = w[0]
+    ups = jets.gradient(w, spec.n) / val
     dups = None
     if order >= 2:
-        dups = jets.hessian(w) / val - np.outer(ups, ups)
+        dups = jets.hessian(w, spec.n) / val - np.outer(ups, ups)
     return w, ups, dups
 
 
@@ -377,7 +357,7 @@ def j_transform_reference(pack: CurvaturePack, omega: expr.Node) -> float:
     div_ups = float(np.einsum("ab,ab->", ginv, cov_ups))
     ups_sq = float(ups @ ginv @ ups)
     n = pack.n
-    return (pack.j - div_ups - (n / 2 - 1) * ups_sq) / w.value ** 2
+    return (pack.j - div_ups - (n / 2 - 1) * ups_sq) / w[0] ** 2
 
 
 def dual_cotton_3d(pack: CurvaturePack, orientation: int = 1) -> np.ndarray:

@@ -12,8 +12,9 @@ declared coordinate names (x1..xn by default) or declared parameter names;
 anything else is rejected with the offset of the offending token.  Exponents
 are integer literals, optionally signed.
 
-ASTs are immutable; evaluation maps an AST onto coordinate jets, so every
-partial derivative of a parsed formula is available through the jets module.
+ASTs are immutable; evaluation maps an AST onto coordinate jets (coefficient
+arrays), so every partial derivative of a parsed formula is available through
+the jets module.
 The module also provides symbolic building blocks (derivative, simplification,
 matrix inverse via cofactors) used to assemble warped metrics and Killing
 field candidates, plus the reader for the "conformal-metric v1" text format.
@@ -24,8 +25,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jets
-from .jets import Jet
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "exp", "sqrt")
 
@@ -218,30 +220,34 @@ def parse(source: str, n: int, params=(), var_names=None) -> Node:
 
 # --- evaluation ---------------------------------------------------------------
 
-def evaluate(node: Node, coord_jets: list[Jet], params: dict | None = None) -> Jet:
-    """Evaluate on coordinate jets; the result carries all partials to their order."""
-    params = params or {}
-    proto = coord_jets[0]
+def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None) -> np.ndarray:
+    """Evaluate on coordinate jets (row i: the jet of x_i, as from ``jets.seed_jets``).
 
-    def run(nd: Node) -> Jet:
+    The result is one coefficient array carrying all partials to the jets' order.
+    """
+    params = params or {}
+    n = len(coord_jets)
+    order = jets.order_of(coord_jets.shape[-1], n)
+
+    def run(nd: Node) -> np.ndarray:
         if isinstance(nd, Const):
-            return Jet.constant(nd.value, proto.num_vars, proto.order)
+            return jets.constant(nd.value, n, order)
         if isinstance(nd, Var):
             return coord_jets[nd.index]
         if isinstance(nd, Param):
             if nd.name not in params:
                 raise EvalError(f"missing parameter {nd.name!r}")
-            return Jet.constant(float(params[nd.name]), proto.num_vars, proto.order)
+            return jets.constant(float(params[nd.name]), n, order)
         if isinstance(nd, Neg):
             return -run(nd.arg)
         if isinstance(nd, Call):
             try:
-                return jets.FUNCTIONS[nd.fn](run(nd.arg))
+                return jets.FUNCTIONS[nd.fn](run(nd.arg), n, order)
             except jets.JetError as err:
                 raise EvalError(f"{nd.fn}: {err}") from err
         if isinstance(nd, Pow):
             try:
-                return run(nd.base) ** nd.exponent
+                return jets.power(run(nd.base), nd.exponent, n, order)
             except jets.JetError as err:
                 raise EvalError(str(err)) from err
         if isinstance(nd, Bin):
@@ -252,9 +258,9 @@ def evaluate(node: Node, coord_jets: list[Jet], params: dict | None = None) -> J
             if nd.op == "-":
                 return a - b
             if nd.op == "*":
-                return a * b
+                return jets.conv(a, b, n, order)
             try:
-                return a / b
+                return jets.conv(a, jets.reciprocal(b, n, order), n, order)
             except jets.JetError as err:
                 raise EvalError(str(err)) from err
         raise TypeError(f"unknown node {nd!r}")
@@ -264,7 +270,7 @@ def evaluate(node: Node, coord_jets: list[Jet], params: dict | None = None) -> J
 
 def evaluate_at(node: Node, point, params: dict | None = None) -> float:
     """Plain value at a point (order-1 jets, value slot only)."""
-    return evaluate(node, jets.seed_jets(point, 1), params).value
+    return float(evaluate(node, jets.seed_jets(point, 1), params)[..., 0])
 
 
 # --- printing -----------------------------------------------------------------

@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import expr
 from .expr import Node
 from . import jets
-from .jets import Jet
 
 DOMAIN_MARGIN = 1e-3
 DET_FLOOR = 1e-10
@@ -497,50 +497,59 @@ def domain_ok(spec: MetricSpec, point, margin: float = DOMAIN_MARGIN) -> bool:
         return False
 
 
-def metric_jets(spec: MetricSpec, point, order: int):
-    """Component jets as an (n, n) object array."""
+def metric_jets(spec: MetricSpec, point, order: int) -> np.ndarray:
+    """Component jets as an (n, n, C) coefficient array."""
     pt = tuple(float(c) for c in point)
     if len(pt) != spec.n:
         raise DomainError(f"point has {len(pt)} coordinates, metric needs {spec.n}")
     env = jets.seed_jets(pt, order)
     params = spec.params_dict
-    G = np.empty((spec.n, spec.n), dtype=object)
+    G = np.empty((spec.n, spec.n, env.shape[-1]))
     for i in range(spec.n):
         for j in range(i, spec.n):
             G[i, j] = G[j, i] = expr.evaluate(spec.components[i][j], env, params)
     return G
 
 
-def jet_matrix_inverse(G):
-    """Gauss elimination over the jet ring with value-level partial pivoting."""
+@lru_cache(maxsize=None)
+def _inverse_steps(num_vars: int, order: int):
+    """Per degree d >= 1: product pairs (i, j) with deg i >= 1 landing in degree d.
+
+    Pairs are sorted by target slot; ``starts`` marks where each slot's run
+    begins, and the slots of degree d form the contiguous range ``slots``.
+    """
+    t = jets.tables(num_vars, order)
+    degree = np.searchsorted(t.sizes_by_order, np.arange(t.size), side="right")
+    keep = degree[t.mul_i] >= 1
+    by_slot = np.argsort(t.mul_k[keep], kind="stable")
+    i, j, k = (m[keep][by_slot] for m in (t.mul_i, t.mul_j, t.mul_k))
+    steps = []
+    for d in range(1, order + 1):
+        slots = slice(t.sizes_by_order[d - 1], t.sizes_by_order[d])
+        sel = (k >= slots.start) & (k < slots.stop)
+        starts = np.flatnonzero(np.diff(k[sel], prepend=-1))
+        steps.append((i[sel], j[sel], starts, slots))
+    return tuple(steps)
+
+
+def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
+    """Inverse of an (n, n, C) matrix of jets in n variables.
+
+    Degree by degree, X_0 = G_0^-1 and X_d = -G_0^-1 sum_{k=1..d} (G_k X_{d-k})_d
+    with G_k the degree-k part: the truncated Neumann series, each product-table
+    pair used once.
+    """
     n = G.shape[0]
-    proto: Jet = G[0, 0]
-    A = G.copy()
-    inv = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            inv[i, j] = Jet.constant(1.0 if i == j else 0.0, proto.num_vars, proto.order)
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(A[r, col].value))
-        if abs(A[pivot_row, col].value) <= 1e-12:
-            raise SingularMetricError("jet matrix inverse: zero pivot")
-        if pivot_row != col:
-            A[[col, pivot_row]] = A[[pivot_row, col]]
-            inv[[col, pivot_row]] = inv[[pivot_row, col]]
-        scale = A[col, col].reciprocal()
-        for j in range(n):
-            A[col, j] = A[col, j] * scale
-            inv[col, j] = inv[col, j] * scale
-        for r in range(n):
-            if r == col:
-                continue
-            factor = A[r, col]
-            if not factor.coeffs.any():
-                continue
-            for j in range(n):
-                A[r, j] = A[r, j] - factor * A[col, j]
-                inv[r, j] = inv[r, j] - factor * inv[col, j]
-    return inv
+    Gc = np.moveaxis(G, -1, 0)                      # (C, n, n)
+    try:
+        x0 = np.linalg.inv(Gc[0])
+    except np.linalg.LinAlgError:
+        raise SingularMetricError("jet matrix inverse: singular value matrix") from None
+    X = np.zeros_like(Gc)
+    X[0] = x0
+    for i, j, starts, slots in _inverse_steps(n, jets.order_of(G.shape[-1], n)):
+        X[slots] = -x0 @ np.add.reduceat(Gc[i] @ X[j], starts, axis=0)
+    return np.ascontiguousarray(np.moveaxis(X, 0, -1))
 
 
 def signature_of(values: np.ndarray) -> tuple[int, int]:
@@ -555,7 +564,7 @@ def metric_frame_at(spec: MetricSpec, point, order: int):
             f"point {tuple(point)} outside the domain of {spec.label!r}"
         )
     G = metric_jets(spec, point, order)
-    values = np.array([[G[i, j].value for j in range(spec.n)] for i in range(spec.n)])
+    values = G[..., 0]
     det = float(np.linalg.det(values))
     if abs(det) < DET_FLOOR:
         raise SingularMetricError(

@@ -1,20 +1,21 @@
-"""Truncated multivariate Taylor-jet arithmetic.
+"""Truncated multivariate Taylor-jet arithmetic on coefficient arrays.
 
-A :class:`Jet` holds the Taylor coefficients ``c_alpha = (d^alpha f)(x) / alpha!``
-of a smooth function at a fixed point, for every multi-index ``alpha`` with
-``|alpha| <= order``.  Arithmetic on jets is exact truncated-series arithmetic,
-so partial derivatives of any composite of the supported primitives come out
-exact to roundoff.  Coefficients are stored densely, ordered by total degree
-and lexicographically within a degree; the degree-0 slot is the value.
+A jet is a float array whose last axis holds the Taylor coefficients
+``c_alpha = (d^alpha f)(x) / alpha!`` of a smooth function at a fixed point,
+for every multi-index ``alpha`` with ``|alpha| <= order``; leading axes batch
+independent jets (tensor components, tractor sections).  Arithmetic on jets is
+exact truncated-series arithmetic, so partial derivatives of any composite of
+the supported primitives come out exact to roundoff.  Coefficients are stored
+densely, ordered by total degree and lexicographically within a degree; the
+degree-0 slot is the value, and the degree-1 block holds the first partials in
+coordinate order.
 
-Supported primitives: ``+ - * /``, integer powers, ``sin cos tan sinh cosh
+Operations take the jet shape ``(num_vars, order)`` explicitly and reject
+operands whose coefficient axis has the wrong length.  :func:`conv` is the one
+product; sums, differences and scalar multiples are plain numpy arithmetic.
+Primitives: :func:`reciprocal`, integer :func:`power`, ``sin cos tan sinh cosh
 exp sqrt``.  Division and ``sqrt`` refuse expansion points whose value is
 smaller than ``SINGULAR_VALUE`` in absolute value.
-
-The module also exposes a batched layer (:func:`conv`, :func:`dcoeffs`,
-:func:`truncate_coeffs`) that applies the same operations to numpy arrays
-whose last axis is the coefficient axis.  The curvature pipeline runs on that
-layer; the scalar :class:`Jet` class wraps it for expression evaluation.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ MAX_VARS = 8
 MAX_ORDER = 6
 SINGULAR_VALUE = 1e-12
 
-# dense scatter matrices above this entry count fall back to np.add.at
-_DENSE_TABLE_LIMIT = 8_000_000
+# batched products over product tables with at most this many (pair, slot)
+# entries use a dense 0/1 scatter matrix; larger tables and single jets use
+# np.bincount.  Measured on a 2-core Xeon, batches of 16-216 jets: the dense
+# scatter is faster up to (6, 3) = 38,220 entries and even with bincount at
+# (5, 4) = 126,126; for one (6, 4) product bincount takes 13 us against 121 us
+_DENSE_TABLE_LIMIT = 40_000
 
 
 class JetError(ValueError):
@@ -137,18 +142,39 @@ def tables(num_vars: int, order: int) -> JetTables:
     )
 
 
+@lru_cache(maxsize=None)
+def order_of(size: int, num_vars: int) -> int:
+    """The jet order whose coefficient count for num_vars variables is size."""
+    for m in range(MAX_ORDER + 1):
+        if math.comb(num_vars + m, m) == size:
+            return m
+    raise JetError(f"coefficient count {size} matches no jet order in {num_vars} vars")
+
+
+def _sized(a, t: JetTables) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (t.size,):
+        raise JetError(
+            f"expected {t.size} coefficients for {t.num_vars} vars at order "
+            f"{t.order}, got shape {a.shape}"
+        )
+    return a
+
+
 # ---------------------------------------------------------------------------
-# batched coefficient-array operations (last axis = coefficient axis)
+# structural operations
 
 def conv(a: np.ndarray, b: np.ndarray, num_vars: int, order: int) -> np.ndarray:
     """Truncated-series product of coefficient arrays, broadcasting leading axes."""
     t = tables(num_vars, order)
-    prods = a[..., t.mul_i] * b[..., t.mul_j]
-    if t.scatter is not None:
+    prods = _sized(a, t)[..., t.mul_i] * _sized(b, t)[..., t.mul_j]
+    if prods.ndim > 1 and t.scatter is not None:
         return prods @ t.scatter
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (t.size,))
-    np.add.at(out, (Ellipsis, t.mul_k), prods)
-    return out
+    lead = prods.shape[:-1]
+    rows = math.prod(lead)
+    slots = t.mul_k if rows == 1 else (np.arange(rows)[:, None] * t.size + t.mul_k).ravel()
+    out = np.bincount(slots, weights=prods.ravel(), minlength=rows * t.size)
+    return out.reshape(lead + (t.size,))
 
 
 def dcoeffs(a: np.ndarray, var: int, num_vars: int, order: int) -> np.ndarray:
@@ -156,271 +182,158 @@ def dcoeffs(a: np.ndarray, var: int, num_vars: int, order: int) -> np.ndarray:
     if order < 1:
         raise JetError("cannot differentiate an order-0 jet")
     t = tables(num_vars, order)
-    return a[..., t.diff_src[var]] * t.diff_fac[var]
+    return _sized(a, t)[..., t.diff_src[var]] * t.diff_fac[var]
 
 
 def truncate_coeffs(a: np.ndarray, num_vars: int, order: int, new_order: int) -> np.ndarray:
     """Drop coefficients above new_order (graded layout makes this a prefix slice)."""
     if new_order > order:
         raise JetError(f"cannot extend order {order} jet to order {new_order}")
-    return a[..., : tables(num_vars, order).sizes_by_order[new_order]]
+    t = tables(num_vars, order)
+    return _sized(a, t)[..., : t.sizes_by_order[new_order]]
 
 
-# ---------------------------------------------------------------------------
-# scalar jets
-
-class Jet:
-    """One truncated Taylor expansion: value plus scaled partials up to `order`."""
-
-    __slots__ = ("num_vars", "order", "coeffs")
-
-    def __init__(self, num_vars: int, order: int, coeffs: np.ndarray):
-        t = tables(num_vars, order)
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (t.size,):
-            raise JetError(
-                f"expected {t.size} coefficients for {num_vars} vars at order "
-                f"{order}, got shape {coeffs.shape}"
-            )
-        self.num_vars = num_vars
-        self.order = order
-        self.coeffs = coeffs
-
-    # construction ---------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: float, num_vars: int, order: int) -> "Jet":
-        c = np.zeros(tables(num_vars, order).size)
-        c[0] = value
-        return cls(num_vars, order, c)
-
-    @classmethod
-    def variable(cls, value: float, index: int, num_vars: int, order: int) -> "Jet":
-        t = tables(num_vars, order)
-        if not (0 <= index < num_vars):
-            raise JetError(f"variable index {index} out of range for {num_vars} vars")
-        c = np.zeros(t.size)
-        c[0] = value
-        if order >= 1:
-            unit = tuple(1 if k == index else 0 for k in range(num_vars))
-            c[t.position[unit]] = 1.0
-        return cls(num_vars, order, c)
-
-    # helpers ----------------------------------------------------------------
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    def _check_compatible(self, other: "Jet") -> None:
-        if self.num_vars != other.num_vars or self.order != other.order:
-            raise JetError(
-                f"jet mismatch: ({self.num_vars} vars, order {self.order}) vs "
-                f"({other.num_vars} vars, order {other.order})"
-            )
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            self._check_compatible(other)
-            return other
-        if isinstance(other, (int, float)):
-            return Jet.constant(float(other), self.num_vars, self.order)
-        return None
-
-    def truncated(self, new_order: int) -> "Jet":
-        return Jet(
-            self.num_vars,
-            new_order,
-            truncate_coeffs(self.coeffs, self.num_vars, self.order, new_order),
-        )
-
-    def derivative(self, var: int) -> "Jet":
-        return Jet(
-            self.num_vars,
-            self.order - 1,
-            dcoeffs(self.coeffs, var, self.num_vars, self.order),
-        )
-
-    # arithmetic -------------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.num_vars, self.order, self.coeffs + o.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.num_vars, self.order, self.coeffs - o.coeffs)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.num_vars, self.order, o.coeffs - self.coeffs)
-
-    def __neg__(self):
-        return Jet(self.num_vars, self.order, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.num_vars, self.order, self.coeffs * float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        t = tables(self.num_vars, self.order)
-        prods = self.coeffs[t.mul_i] * o.coeffs[t.mul_j]
-        c = np.bincount(t.mul_k, weights=prods, minlength=t.size)
-        return Jet(self.num_vars, self.order, c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            if abs(other) <= SINGULAR_VALUE:
-                raise JetError("division by (near-)zero constant")
-            return Jet(self.num_vars, self.order, self.coeffs / float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
-    def reciprocal(self) -> "Jet":
-        v = self.value
-        if abs(v) <= SINGULAR_VALUE:
-            raise JetError(f"division at (near-)singular value {v!r}")
-        series = [(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)]
-        return self.compose_series(series)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise JetError(f"jet powers require an integer exponent, got {exponent!r}")
-        if exponent < 0:
-            return self.reciprocal() ** (-exponent)
-        result = Jet.constant(1.0, self.num_vars, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    # composition with an analytic function of one variable -------------------
-
-    def compose_series(self, series: list[float]) -> "Jet":
-        """Evaluate f(self) given Taylor coefficients of f at self.value."""
-        shifted = self - self.value
-        out = Jet.constant(series[-1], self.num_vars, self.order)
-        for c in reversed(series[:-1]):
-            out = out * shifted + c
-        return out
+def constant(value: float, num_vars: int, order: int) -> np.ndarray:
+    c = np.zeros(tables(num_vars, order).size)
+    c[0] = value
+    return c
 
 
-def seed_jets(point, order: int) -> list[Jet]:
-    """Coordinate-function jets x_i at the point (unit first-order slots)."""
+def seed_jets(point, order: int) -> np.ndarray:
+    """Coordinate-function jets at the point: row i is the jet of x_i."""
     pt = np.atleast_1d(np.asarray(point, dtype=float))
     n = len(pt)
     if n < 1:
         raise JetError("seed_jets needs at least one coordinate")
     if not (1 <= order <= MAX_ORDER):
         raise JetError(f"order must be in 1..{MAX_ORDER}, got {order}")
-    return [Jet.variable(pt[i], i, n, order) for i in range(n)]
-
-
-def extract_partial(jet: Jet, multi_index) -> float:
-    """The plain partial derivative d^alpha f, recovered as alpha! * c_alpha."""
-    alpha = tuple(int(k) for k in multi_index)
-    if len(alpha) != jet.num_vars or any(k < 0 for k in alpha):
-        raise JetError(f"bad multi-index {alpha} for {jet.num_vars} variables")
-    if sum(alpha) > jet.order:
-        raise JetError(
-            f"multi-index order {sum(alpha)} exceeds jet order {jet.order}"
-        )
-    t = tables(jet.num_vars, jet.order)
-    pos = t.position[alpha]
-    return float(jet.coeffs[pos] * t.factorial[pos])
-
-
-def gradient(jet: Jet) -> np.ndarray:
-    """First partials as a vector (degree-1 block of the graded layout)."""
-    n = jet.num_vars
-    return jet.coeffs[1 : n + 1].copy() if jet.order >= 1 else np.zeros(n)
-
-
-def hessian(jet: Jet) -> np.ndarray:
-    """Second partials as a symmetric matrix."""
-    if jet.order < 2:
-        raise JetError("hessian needs jet order >= 2")
-    t = tables(jet.num_vars, jet.order)
-    n = jet.num_vars
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            alpha = tuple(
-                (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
-            )
-            out[i, j] = jet.coeffs[t.position[alpha]] * (2.0 if i == j else 1.0)
+    out = np.zeros((n, tables(n, order).size))
+    out[:, 0] = pt
+    out[np.arange(n), 1 + np.arange(n)] = 1.0
     return out
 
 
-# analytic primitives --------------------------------------------------------
-
-def _cycle_series(jet: Jet, table) -> Jet:
-    v = jet.value
-    series = [table(k, v) / math.factorial(k) for k in range(jet.order + 1)]
-    return jet.compose_series(series)
-
-
-def sin(jet: Jet) -> Jet:
-    cyc = (math.sin, math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x))
-    return _cycle_series(jet, lambda k, v: cyc[k % 4](v))
-
-
-def cos(jet: Jet) -> Jet:
-    cyc = (math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), math.sin)
-    return _cycle_series(jet, lambda k, v: cyc[k % 4](v))
+def extract_partial(a: np.ndarray, multi_index) -> float:
+    """The plain partial derivative d^alpha f, recovered as alpha! * c_alpha."""
+    alpha = tuple(int(k) for k in multi_index)
+    if not alpha or any(k < 0 for k in alpha):
+        raise JetError(f"bad multi-index {alpha}")
+    order = order_of(np.shape(a)[-1], len(alpha))
+    if sum(alpha) > order:
+        raise JetError(f"multi-index order {sum(alpha)} exceeds jet order {order}")
+    t = tables(len(alpha), order)
+    pos = t.position[alpha]
+    return a[..., pos] * t.factorial[pos]
 
 
-def tan(jet: Jet) -> Jet:
-    return sin(jet) / cos(jet)
+def gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
+    """First partials (degree-1 block of the graded layout), last axis the variable."""
+    if a.shape[-1] == 1:
+        return np.zeros(a.shape[:-1] + (num_vars,))
+    return a[..., 1 : num_vars + 1].copy()
 
 
-def sinh(jet: Jet) -> Jet:
-    return _cycle_series(jet, lambda k, v: math.sinh(v) if k % 2 == 0 else math.cosh(v))
+@lru_cache(maxsize=None)
+def _hessian_slots(num_vars: int):
+    t = tables(num_vars, 2)
+    unit = np.eye(num_vars, dtype=int)
+    slots = np.array([[t.position[tuple(unit[i] + unit[j])] for j in range(num_vars)]
+                      for i in range(num_vars)])
+    return slots, 1.0 + np.eye(num_vars), t.size
 
 
-def cosh(jet: Jet) -> Jet:
-    return _cycle_series(jet, lambda k, v: math.cosh(v) if k % 2 == 0 else math.sinh(v))
+def hessian(a: np.ndarray, num_vars: int) -> np.ndarray:
+    """Second partials as a symmetric matrix in the last two axes."""
+    slots, fac, need = _hessian_slots(num_vars)
+    if a.shape[-1] < need:
+        raise JetError("hessian needs jet order >= 2")
+    return a[..., slots] * fac
 
 
-def exp(jet: Jet) -> Jet:
-    e = math.exp(jet.value)
-    series = [e / math.factorial(k) for k in range(jet.order + 1)]
-    return jet.compose_series(series)
+# ---------------------------------------------------------------------------
+# analytic primitives
+
+def _compose(a: np.ndarray, series: list, num_vars: int, order: int) -> np.ndarray:
+    """f(a) from the Taylor coefficients series[k] of f at the value of a (Horner)."""
+    shifted = _sized(a, tables(num_vars, order)).copy()
+    shifted[..., 0] = 0.0
+    out = np.zeros(shifted.shape)
+    out[..., 0] = series[order]
+    for c in reversed(series[:order]):
+        out = conv(out, shifted, num_vars, order)
+        out[..., 0] += c
+    return out
 
 
-def sqrt(jet: Jet) -> Jet:
-    v = jet.value
-    if v <= SINGULAR_VALUE:
-        raise JetError(f"sqrt at non-positive or near-zero value {v!r}")
+def _cyclic(a, derivatives, num_vars: int, order: int) -> np.ndarray:
+    """Compose with f whose k-th derivative at the value is derivatives[k % len]."""
+    series = [derivatives[k % len(derivatives)] / math.factorial(k) for k in range(order + 1)]
+    return _compose(a, series, num_vars, order)
+
+
+def reciprocal(a: np.ndarray, num_vars: int, order: int) -> np.ndarray:
+    v = np.asarray(a)[..., 0]
+    if np.any(np.abs(v) <= SINGULAR_VALUE):
+        raise JetError(f"division at (near-)singular value {np.min(np.abs(v)):.3g}")
+    series = [(-1.0) ** k / v ** (k + 1) for k in range(order + 1)]
+    return _compose(a, series, num_vars, order)
+
+
+def power(a: np.ndarray, exponent, num_vars: int, order: int) -> np.ndarray:
+    if not isinstance(exponent, int):
+        raise JetError(f"jet powers require an integer exponent, got {exponent!r}")
+    base = _sized(a, tables(num_vars, order))
+    if exponent < 0:
+        base = reciprocal(base, num_vars, order)
+        exponent = -exponent
+    result = np.zeros(base.shape)
+    result[..., 0] = 1.0
+    while exponent:
+        if exponent & 1:
+            result = conv(result, base, num_vars, order)
+        exponent >>= 1
+        if exponent:
+            base = conv(base, base, num_vars, order)
+    return result
+
+
+def sin(a, num_vars: int, order: int) -> np.ndarray:
+    s, c = np.sin(a[..., 0]), np.cos(a[..., 0])
+    return _cyclic(a, (s, c, -s, -c), num_vars, order)
+
+
+def cos(a, num_vars: int, order: int) -> np.ndarray:
+    s, c = np.sin(a[..., 0]), np.cos(a[..., 0])
+    return _cyclic(a, (c, -s, -c, s), num_vars, order)
+
+
+def tan(a, num_vars: int, order: int) -> np.ndarray:
+    return conv(sin(a, num_vars, order),
+                reciprocal(cos(a, num_vars, order), num_vars, order), num_vars, order)
+
+
+def sinh(a, num_vars: int, order: int) -> np.ndarray:
+    return _cyclic(a, (np.sinh(a[..., 0]), np.cosh(a[..., 0])), num_vars, order)
+
+
+def cosh(a, num_vars: int, order: int) -> np.ndarray:
+    return _cyclic(a, (np.cosh(a[..., 0]), np.sinh(a[..., 0])), num_vars, order)
+
+
+def exp(a, num_vars: int, order: int) -> np.ndarray:
+    return _cyclic(a, (np.exp(a[..., 0]),), num_vars, order)
+
+
+def sqrt(a, num_vars: int, order: int) -> np.ndarray:
+    v = np.asarray(a)[..., 0]
+    if np.any(v <= SINGULAR_VALUE):
+        raise JetError(f"sqrt at non-positive or near-zero value {np.min(v):.3g}")
     series = []
     coeff = 1.0
-    for k in range(jet.order + 1):
+    for k in range(order + 1):
         series.append(coeff * v ** (0.5 - k))
         coeff *= (0.5 - k) / (k + 1)
-    return jet.compose_series(series)
+    return _compose(a, series, num_vars, order)
 
 
 FUNCTIONS = {

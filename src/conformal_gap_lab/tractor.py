@@ -115,11 +115,10 @@ def _tractor_deriv_jets(fr: CurvatureFrame, sig, mu, rho, m: int):
     return top, mid, bot
 
 
-def _einstein_jets(fr: CurvatureFrame, sigma_jet):
+def _einstein_jets(fr: CurvatureFrame, sig):
     """Coefficient arrays (sigma, mu^b, rho) of the scale tractor, order K-2."""
     n = fr.n
     K = fr.order
-    sig = sigma_jet.coeffs
     dsig = np.stack([dcoeffs(sig, a, n, K) for a in range(n)])        # (a, C_{K-1})
     ginv1 = fr.at(fr.ginv, K - 1)
     mu = np.zeros((n, dsig.shape[-1]))
@@ -164,9 +163,9 @@ def tractor_derivative(spec: MetricSpec, section, point, direction: int | None =
     n = fr.n
     sigma_ast, mu_asts, rho_ast = section
     m = fr.order - 1
-    sig = fr.scalar_jet(sigma_ast, m).coeffs[None, :]
-    mu = np.stack([fr.scalar_jet(a, m).coeffs for a in mu_asts])[None, :, :]
-    rho = fr.scalar_jet(rho_ast, m).coeffs[None, :]
+    sig = fr.scalar_jet(sigma_ast, m)[None, :]
+    mu = np.stack([fr.scalar_jet(a, m) for a in mu_asts])[None, :, :]
+    rho = fr.scalar_jet(rho_ast, m)[None, :]
     top, mid, bot = _tractor_deriv_jets(fr, sig, mu, rho, m)
     out = [
         TractorVector(

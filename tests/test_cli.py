@@ -114,6 +114,13 @@ def test_env_seed_default(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 11
 
 
+def test_env_seed_rejected_when_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("CGL_SEED", "abc")
+    code, _, err = run(capsys, "dims", "pp_split", "--json")
+    assert code == 2
+    assert "CGL_SEED" in err
+
+
 def test_rescale_invariance_cli(capsys):
     code, out, _ = run(capsys, "rescale", "pp_split", "--omega", "exp(x/9)",
                        "--point", "0.1,0.4,0.2,0.0", "--json")

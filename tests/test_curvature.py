@@ -1,5 +1,6 @@
 """Curvature pipeline: catalogue invariants, identities, transformation laws."""
 
+import copy
 import itertools
 import math
 
@@ -307,3 +308,35 @@ def test_warp_quantity_formulas_signed():
     assert np.allclose(hess, 2 * 0.3 * np.diag(sgn))
     assert lap == pytest.approx(2 * 2 * 0.3)
     assert df_sq == pytest.approx(4 * 0.09 * nrm)
+
+
+def test_cached_frame_rejects_in_place_write():
+    spec = builtin_metric("pp_wave")
+    pt = sample_points(spec, 1, seed=2)[0]
+    with pytest.raises(ValueError):
+        curvature.frame(spec, pt, 3).g[0, 0, 0] = 5.0
+
+
+def test_truncated_frame_view_rejects_in_place_write():
+    spec = builtin_metric("pp_wave")
+    fr = curvature.frame(spec, sample_points(spec, 1, seed=2)[0], 3)
+    with pytest.raises(ValueError):
+        fr.at(fr.gamma, 1)[...] += 1.0
+
+
+def test_lorentz3d_weyl_roundoff_passes_self_checks():
+    spec = builtin_metric("lorentz3d")
+    for pt in sample_points(spec, 200, seed=0):
+        curvature_pack(spec, pt)
+
+
+@pytest.mark.parametrize("name", ["pp_wave", "lorentz3d"])
+def test_weyl_with_trace_part_rejected(name):
+    spec = builtin_metric(name)
+    fr = copy.copy(curvature.frame(spec, sample_points(spec, 1, seed=4)[0], 3))
+    g = fr.values(fr.g)
+    weyl = fr.weyl.copy()
+    weyl[..., 0] += np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
+    fr.weyl = weyl
+    with pytest.raises(curvature.ConventionError, match="Weyl"):
+        curvature.CurvaturePack(fr)

@@ -56,14 +56,14 @@ def test_unbalanced_parenthesis():
 def test_evaluate_gradient():
     ast = parse("x1^2 + x2^2", n=2)
     j = evaluate(ast, jets.seed_jets((3.0, 4.0), 1))
-    assert j.value == pytest.approx(25.0)
-    assert np.allclose(jets.gradient(j), [6.0, 8.0])
+    assert j[0] == pytest.approx(25.0)
+    assert np.allclose(jets.gradient(j, 2), [6.0, 8.0])
 
 
 def test_evaluate_exp_sqrt2():
     ast = parse("exp(-sqrt(2)*x1)", n=1)
     j = evaluate(ast, jets.seed_jets((0.0,), 2))
-    assert j.value == pytest.approx(1.0)
+    assert j[0] == pytest.approx(1.0)
     assert jets.extract_partial(j, (1,)) == pytest.approx(-math.sqrt(2))
     assert jets.extract_partial(j, (2,)) == pytest.approx(2.0)
 
@@ -71,7 +71,7 @@ def test_evaluate_exp_sqrt2():
 def test_evaluate_fs_component_at_pi_over_4():
     ast = parse("1/2*cos(x1)^2*sin(x1)^2", n=4)
     j = evaluate(ast, jets.seed_jets((math.pi / 4, 0.0, 0.0, 0.0), 1))
-    assert j.value == pytest.approx(1 / 8)
+    assert j[0] == pytest.approx(1 / 8)
 
 
 def test_missing_parameter_raises():
@@ -110,16 +110,16 @@ def test_constant_fold_matches_raw_evaluation():
     env = jets.seed_jets((0.7, -1.3), 2)
     a = evaluate(ast, env)
     b = evaluate(folded, env)
-    assert np.allclose(a.coeffs, b.coeffs, atol=1e-14)
+    assert np.allclose(a, b, atol=1e-14)
 
 
 def test_symbolic_derivative_matches_jets():
     ast = parse("sin(x1*x2) + x2^3/x1", n=2)
     d0 = expr.derivative(ast, 0)
     env = jets.seed_jets((1.3, 0.4), 2)
-    via_jet = evaluate(ast, env).derivative(0)
+    via_jet = jets.dcoeffs(evaluate(ast, env), 0, 2, 2)
     via_sym = evaluate(d0, jets.seed_jets((1.3, 0.4), 1))
-    assert via_sym.value == pytest.approx(via_jet.value, rel=1e-12)
+    assert via_sym[0] == pytest.approx(via_jet[0], rel=1e-12)
 
 
 def test_matrix_inverse_symbolic():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformal_gap_lab import jets
-from conformal_gap_lab.jets import Jet, JetError, extract_partial, seed_jets
+from conformal_gap_lab.jets import JetError, conv, extract_partial, seed_jets
 
 COMPLEX_STEP = 1e-100
 
@@ -46,35 +46,35 @@ def central_difference(f, point, alpha, step=1e-5):
 
 def test_seed_square_matches_polynomial():
     (x,) = seed_jets((2.0,), order=2)
-    assert np.allclose(x.coeffs, [2.0, 1.0, 0.0])
-    sq = x * x
-    assert np.allclose(sq.coeffs, [4.0, 4.0, 1.0])
+    assert np.allclose(x, [2.0, 1.0, 0.0])
+    sq = conv(x, x, 1, 2)
+    assert np.allclose(sq, [4.0, 4.0, 1.0])
 
 
 def test_seed_two_vars_unit_slots():
     xs = seed_jets((0.0, 0.0), order=1)
-    assert np.allclose(xs[0].coeffs, [0.0, 1.0, 0.0])
-    assert np.allclose(xs[1].coeffs, [0.0, 0.0, 1.0])
+    assert np.allclose(xs[0], [0.0, 1.0, 0.0])
+    assert np.allclose(xs[1], [0.0, 0.0, 1.0])
 
 
 def test_sine_taylor_at_zero():
     (x,) = seed_jets((0.0,), order=3)
-    assert np.allclose(jets.sin(x).coeffs, [0.0, 1.0, 0.0, -1.0 / 6.0])
+    assert np.allclose(jets.sin(x, 1, 3), [0.0, 1.0, 0.0, -1.0 / 6.0])
 
 
 def test_extract_partial_product():
     x, y = seed_jets((1.0, 2.0), order=2)
-    assert extract_partial(x * y, (1, 1)) == pytest.approx(1.0)
+    assert extract_partial(conv(x, y, 2, 2), (1, 1)) == pytest.approx(1.0)
 
 
 def test_extract_partial_exp_third_order():
     (x,) = seed_jets((0.0,), order=3)
-    assert extract_partial(jets.exp(x), (3,)) == pytest.approx(1.0)
+    assert extract_partial(jets.exp(x, 1, 3), (3,)) == pytest.approx(1.0)
 
 
 def test_cosh_squared_second_partial_vs_finite_differences():
     (x,) = seed_jets((0.0,), order=2)
-    got = extract_partial(jets.cosh(x) ** 2, (2,))
+    got = extract_partial(jets.power(jets.cosh(x, 1, 2), 2, 1, 2), (2,))
     oracle = central_difference(lambda p: cmath.cosh(p[0]) ** 2, [0.0], (2,))
     assert got == pytest.approx(oracle, abs=1e-8)
     assert got == pytest.approx(2.0, abs=1e-12)
@@ -98,24 +98,28 @@ def test_mixed_shapes_rejected():
     b = seed_jets((1.0, 2.0), order=2)[0]
     c = seed_jets((1.0,), order=3)[0]
     with pytest.raises(JetError):
-        a + b
+        conv(a, b, 1, 2)
     with pytest.raises(JetError):
-        a * c
+        conv(a, c, 1, 2)
+    with pytest.raises(JetError):
+        jets.exp(c, 1, 2)
+    with pytest.raises(JetError):
+        jets.dcoeffs(b, 0, 1, 2)
 
 
 def test_division_and_sqrt_guards():
     (x,) = seed_jets((0.0,), order=2)
     with pytest.raises(JetError):
-        1.0 / x
+        jets.reciprocal(x, 1, 2)
     with pytest.raises(JetError):
-        jets.sqrt(x)
+        jets.sqrt(x, 1, 2)
     with pytest.raises(JetError):
-        jets.sqrt(seed_jets((-1.0,), order=2)[0])
+        jets.sqrt(seed_jets((-1.0,), order=2)[0], 1, 2)
 
 
-def _random_jet(rng, num_vars, order):
+def _random_jet(rng, num_vars, order, batch=()):
     size = jets.tables(num_vars, order).size
-    return Jet(num_vars, order, rng.uniform(-2.0, 2.0, size))
+    return rng.uniform(-2.0, 2.0, batch + (size,))
 
 
 @given(st.integers(0, 10_000))
@@ -125,10 +129,10 @@ def test_ring_distributivity(seed):
     a = _random_jet(rng, 3, 3)
     b = _random_jet(rng, 3, 3)
     c = _random_jet(rng, 3, 3)
-    lhs = (a + b) * c
-    rhs = a * c + b * c
-    scale = max(np.abs(lhs.coeffs).max(), 1.0)
-    assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12 * scale)
+    lhs = conv(a + b, c, 3, 3)
+    rhs = conv(a, c, 3, 3) + conv(b, c, 3, 3)
+    scale = max(np.abs(lhs).max(), 1.0)
+    assert np.allclose(lhs, rhs, atol=1e-12 * scale)
 
 
 @given(st.integers(0, 10_000))
@@ -136,15 +140,15 @@ def test_ring_distributivity(seed):
 def test_multiplicative_inverse(seed):
     rng = np.random.default_rng(seed)
     j = _random_jet(rng, 2, 4)
-    if abs(j.value) <= 1e-6:
-        j = j + 2.0
-    recip = j.reciprocal()
-    prod = j * recip
-    expected = np.zeros_like(prod.coeffs)
+    if abs(j[0]) <= 1e-6:
+        j[0] += 2.0
+    recip = jets.reciprocal(j, 2, 4)
+    prod = conv(j, recip, 2, 4)
+    expected = np.zeros_like(prod)
     expected[0] = 1.0
     # 1e-12 relative to the size of the intermediates that were multiplied
-    scale = max(1.0, np.abs(j.coeffs).max() * np.abs(recip.coeffs).max())
-    assert np.allclose(prod.coeffs, expected, atol=1e-12 * scale)
+    scale = max(1.0, np.abs(j).max() * np.abs(recip).max())
+    assert np.allclose(prod, expected, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize(
@@ -152,15 +156,20 @@ def test_multiplicative_inverse(seed):
     [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)],
 )
 def test_chain_rule_against_finite_differences(alpha):
+    n, K = 2, 2
+
     def f_jet(x, y):
-        return jets.exp(jets.sin(x) * 0.5 + x * y) + jets.cos(y) / (x + 2.0)
+        arg = 0.5 * jets.sin(x, n, K) + conv(x, y, n, K)
+        shifted = x + jets.constant(2.0, n, K)
+        quotient = conv(jets.cos(y, n, K), jets.reciprocal(shifted, n, K), n, K)
+        return jets.exp(arg, n, K) + quotient
 
     def f_num(p):
         x, y = p
         return cmath.exp(cmath.sin(x) * 0.5 + x * y) + cmath.cos(y) / (x + 2.0)
 
     point = (0.3, -0.7)
-    x, y = seed_jets(point, order=2)
+    x, y = seed_jets(point, order=K)
     got = extract_partial(f_jet(x, y), alpha)
     oracle = central_difference(f_num, list(point), alpha)
     rel = abs(got - oracle) / max(1.0, abs(oracle))
@@ -169,43 +178,64 @@ def test_chain_rule_against_finite_differences(alpha):
 
 def test_integer_powers_incl_negative():
     (x,) = seed_jets((1.5,), order=3)
-    p = (x + 0.5) ** 3
-    q = (x + 0.5) * (x + 0.5) * (x + 0.5)
-    assert np.allclose(p.coeffs, q.coeffs, atol=1e-13)
-    inv2 = x ** -2
-    ref = (x * x).reciprocal()
-    assert np.allclose(inv2.coeffs, ref.coeffs, atol=1e-13)
+    shifted = x + jets.constant(0.5, 1, 3)
+    p = jets.power(shifted, 3, 1, 3)
+    q = conv(conv(shifted, shifted, 1, 3), shifted, 1, 3)
+    assert np.allclose(p, q, atol=1e-13)
+    inv2 = jets.power(x, -2, 1, 3)
+    ref = jets.reciprocal(conv(x, x, 1, 3), 1, 3)
+    assert np.allclose(inv2, ref, atol=1e-13)
     with pytest.raises(JetError):
-        x ** 1.5  # type: ignore[operator]
+        jets.power(x, 1.5, 1, 3)
 
 
 def test_derivative_shifts_coefficients():
     x, y = seed_jets((0.5, 1.0), order=3)
-    f = x * x * y
-    fx = f.derivative(0)
-    assert fx.order == 2
-    assert fx.value == pytest.approx(2 * 0.5 * 1.0)
+    f = conv(conv(x, x, 2, 3), y, 2, 3)
+    fx = jets.dcoeffs(f, 0, 2, 3)
+    assert jets.order_of(fx.shape[-1], 2) == 2
+    assert fx[0] == pytest.approx(2 * 0.5 * 1.0)
     assert extract_partial(fx, (1, 0)) == pytest.approx(2.0)
 
 
 def test_truncation_is_prefix():
     x, y = seed_jets((0.2, 0.4), order=4)
-    f = jets.exp(x * y)
-    g = f.truncated(2)
-    assert g.order == 2
-    assert np.allclose(g.coeffs, f.coeffs[: len(g.coeffs)])
+    f = jets.exp(conv(x, y, 2, 4), 2, 4)
+    g = jets.truncate_coeffs(f, 2, 4, 2)
+    assert jets.order_of(g.shape[-1], 2) == 2
+    assert np.allclose(g, f[: len(g)])
 
 
 def test_batched_conv_matches_scalar():
     rng = np.random.default_rng(5)
     a = _random_jet(rng, 2, 3)
     b = _random_jet(rng, 2, 3)
-    batched = jets.conv(a.coeffs[None, :], b.coeffs[None, :], 2, 3)[0]
-    assert np.allclose(batched, (a * b).coeffs, atol=1e-14)
+    batched = conv(a[None, :], b[None, :], 2, 3)[0]
+    assert np.allclose(batched, conv(a, b, 2, 3), atol=1e-14)
+
+
+@pytest.mark.parametrize("num_vars, order", [(4, 2), (6, 4)])
+def test_conv_kernels_agree(num_vars, order):
+    # (4, 2) sits below the dense cut and (6, 4) above it; batched products
+    # take the dense scatter or the offset bincount, single jets the plain
+    # bincount, and both must match a dense reference built from the table
+    t = jets.tables(num_vars, order)
+    assert (t.scatter is not None) == ((num_vars, order) == (4, 2))
+    rng = np.random.default_rng(5)
+    a = _random_jet(rng, num_vars, order, (3,))
+    b = _random_jet(rng, num_vars, order, (3,))
+    batched = conv(a, b, num_vars, order)
+    single = np.stack([conv(a[r], b[r], num_vars, order) for r in range(3)])
+    reference = (a[:, t.mul_i] * b[:, t.mul_j]) @ np.eye(t.size)[t.mul_k]
+    assert np.allclose(batched, single, atol=1e-14)
+    assert np.allclose(batched, reference, atol=1e-13)
 
 
 def test_batched_diff_matches_scalar():
     rng = np.random.default_rng(6)
-    a = _random_jet(rng, 3, 3)
-    got = jets.dcoeffs(a.coeffs, 1, 3, 3)
-    assert np.allclose(got, a.derivative(1).coeffs, atol=1e-14)
+    a = _random_jet(rng, 3, 3, (2,))
+    got = jets.dcoeffs(a, 1, 3, 3)
+    assert np.allclose(got[1], jets.dcoeffs(a[1], 1, 3, 3), atol=1e-14)
+    for beta in jets.tables(3, 2).multis:
+        shifted = (beta[0], beta[1] + 1, beta[2])
+        assert np.allclose(extract_partial(got, beta), extract_partial(a, shifted), atol=1e-14)

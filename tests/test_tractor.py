@@ -67,9 +67,9 @@ def test_tractor_metric_compatibility():
     def vec_at(fields, x):
         env = jets.seed_jets(tuple(x), 1)
         params = spec.params_dict
-        sigma = expr.evaluate(fields[0], env, params).value
-        mu = np.array([expr.evaluate(m, env, params).value for m in fields[1]])
-        rho = expr.evaluate(fields[2], env, params).value
+        sigma = expr.evaluate(fields[0], env, params)[0]
+        mu = np.array([expr.evaluate(m, env, params)[0] for m in fields[1]])
+        rho = expr.evaluate(fields[2], env, params)[0]
         return TractorVector(sigma, mu, rho)
 
     def pair_at(x):
@@ -198,7 +198,7 @@ def test_scale_equivariance_of_scale_tractor():
     I_hat = einstein_tractor(hat_spec, hat_sigma, pt)
     w, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=1)
     g = curvature.curvature_pack(spec, pt, 3).g.components
-    expected = tractor.transform_tractor(I, w.value, ups, g)
+    expected = tractor.transform_tractor(I, w[0], ups, g)
     assert np.allclose(I_hat.as_array(), expected.as_array(), atol=1e-8)
 
 
