@@ -4,4 +4,4 @@ pseudo-Riemannian metrics."""
 
 __version__ = "0.1.0"
 
-JSON_SCHEMA = "conformal-gap-lab/1"
+JSON_SCHEMA = "conformal-gap-lab/2"

@@ -6,11 +6,16 @@ pointwise Weyl kernels with their signature bounds, constraint-based
 upper/lower estimation of d_aE and d_ncK, and the family verifiers for the
 warped-product constructions.
 
-Upper bounds come from a finite surrogate of the holonomy algebra: curvature
-endomorphisms at the basepoint, curvature at sampled points pulled back along
-transports, and logarithms of small-loop holonomies.  Lower bounds come from
-residual-verified witnesses.  A report is exact when the two sides meet and
-every rank decision survives scaling the tolerance by 10 either way.
+Upper bounds come from the infinitesimal holonomy algebra at the basepoint:
+the values there of the tractor curvature Omega_ab and of its covariant
+derivatives, read from one jet frame (``JET_ORDER``).  Each of them
+annihilates every parallel tractor, so their joint kernel bounds d_aE, and
+the joint kernel of their derived action on two-vectors bounds d_ncK.  For
+real-analytic metrics, such as the catalogue and the metric-file grammar
+produce, this algebra is the holonomy algebra (Kobayashi-Nomizu I, II.10).
+Lower bounds come from residual-verified witnesses, which must lie in those
+kernels.  A report is exact when the two sides meet and every rank decision
+survives scaling the tolerance by 10 either way.
 """
 
 from __future__ import annotations
@@ -35,38 +40,12 @@ class WitnessError(ValueError):
     """Input failed its verification precondition."""
 
 
-CONSTRAINT_FLOOR = 1e-8   # below the transport accuracy; drops pure-noise rows
+JET_ORDER = 4      # basepoint frame of the upper bound: values of Omega and nabla Omega
+FLAT_RATIO = 1e-9  # chain values below this times the terms that cancel in Omega are roundoff
 
 
 # ---------------------------------------------------------------------------
 # numerical kernels
-
-def _rref_rank(A: np.ndarray, tol: float):
-    """Row reduction with pivot threshold tol * max|entry|; returns pivots + reduced rows."""
-    R = np.array(A, dtype=float)
-    m, k = R.shape
-    scale = np.abs(R).max() if R.size else 0.0
-    if scale == 0.0:
-        return [], R
-    thresh = tol * scale
-    pivots = []
-    row = 0
-    for col in range(k):
-        if row >= m:
-            break
-        r = row + int(np.argmax(np.abs(R[row:, col])))
-        if abs(R[r, col]) <= thresh:
-            continue
-        if r != row:
-            R[[row, r]] = R[[r, row]]
-        R[row] = R[row] / R[row, col]
-        for other in range(m):
-            if other != row and R[other, col] != 0.0:
-                R[other] -= R[other, col] * R[row]
-        pivots.append(col)
-        row += 1
-    return pivots, R
-
 
 @dataclass
 class Subspace:
@@ -87,29 +66,24 @@ class Subspace:
         return float(np.linalg.norm(v - proj)) <= tol * max(1.0, float(np.linalg.norm(v)))
 
 
+def _ranks(s: np.ndarray, A: np.ndarray, tol: float) -> list[int]:
+    """Ranks at tol, 10 tol and tol / 10: singular values above t * max|A_ij|."""
+    cut = np.abs(A).max()
+    return [int(np.sum(s > t * cut)) for t in (tol, tol * 10, tol / 10)]
+
+
 def kernel(matrix, tol: float = 1e-7) -> Subspace:
-    """Null space by row reduction, deterministic under row order."""
+    """Null space from one SVD, flagged marginal if the rank moves with tol."""
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     if A.size == 0:
         raise ValueError("kernel of an empty matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("kernel needs finite entries")
     m, k = A.shape
-    pivots, R = _rref_rank(A, tol)
-    rank_lo = len(_rref_rank(A, tol * 10)[0])
-    rank_hi = len(_rref_rank(A, tol / 10)[0])
-    marginal = not (rank_lo == len(pivots) == rank_hi)
-
-    free = [c for c in range(k) if c not in pivots]
-    basis = np.zeros((len(free), k))
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1.0
-        for r, p in enumerate(pivots):
-            basis[idx, p] = -R[r, f]
-    if len(free):
-        q, _ = np.linalg.qr(basis.T)
-        basis = q.T[: len(free)]
-    return Subspace(basis=basis, ambient_dim=k, tol=tol, marginal=marginal)
+    _, s, vt = np.linalg.svd(A, full_matrices=m < k)
+    rank, *others = _ranks(s, A, tol)
+    return Subspace(basis=vt[rank:], ambient_dim=k, tol=tol,
+                    marginal=any(r != rank for r in others))
 
 
 def matrix_rank(rows, tol: float = 1e-7) -> tuple[int, bool]:
@@ -117,9 +91,8 @@ def matrix_rank(rows, tol: float = 1e-7) -> tuple[int, bool]:
     A = np.atleast_2d(np.asarray(rows, dtype=float))
     if A.size == 0:
         return 0, False
-    r = len(_rref_rank(A, tol)[0])
-    stable = len(_rref_rank(A, tol * 10)[0]) == r == len(_rref_rank(A, tol / 10)[0])
-    return r, not stable
+    rank, *others = _ranks(np.linalg.svd(A, compute_uv=False), A, tol)
+    return rank, any(r != rank for r in others)
 
 
 # ---------------------------------------------------------------------------
@@ -330,47 +303,26 @@ def sc_of_scale_direct(spec: MetricSpec, sigma: expr.Node, point) -> float:
 # ---------------------------------------------------------------------------
 # induced actions on the adjoint (two-form) tractor bundle
 
-def _lambda2_pairs(nb: int):
-    return list(itertools.combinations(range(nb), 2))
-
-
-def _skew_coords(A: np.ndarray, pairs) -> np.ndarray:
-    return np.array([A[i, j] for i, j in pairs])
-
+# two-vectors are stored by their components A[i, j], i < j, row by row
+# (the order of np.triu_indices)
 
 def derived_lambda2(X: np.ndarray) -> np.ndarray:
-    """Algebra-level action on two-vectors: X.(u^v) = Xu^v + u^Xv."""
-    nb = X.shape[0]
-    pairs = _lambda2_pairs(nb)
-    cols = []
-    for i, j in pairs:
-        A = np.outer(X[:, i], _unit(nb, j)) - np.outer(_unit(nb, j), X[:, i])
-        A += np.outer(_unit(nb, i), X[:, j]) - np.outer(X[:, j], _unit(nb, i))
-        cols.append(_skew_coords(A, pairs))
-    return np.stack(cols, axis=1)
+    """Algebra-level action on two-vectors, X.(u^v) = Xu^v + u^Xv, batched.
 
-
-def group_lambda2(T: np.ndarray) -> np.ndarray:
-    """Group-level action on two-vectors: T.(u^v) = Tu^Tv."""
-    nb = T.shape[0]
-    pairs = _lambda2_pairs(nb)
-    cols = []
-    for i, j in pairs:
-        A = np.outer(T[:, i], T[:, j]) - np.outer(T[:, j], T[:, i])
-        cols.append(_skew_coords(A, pairs))
-    return np.stack(cols, axis=1)
-
-
-def _unit(nb: int, i: int) -> np.ndarray:
-    e = np.zeros(nb)
-    e[i] = 1.0
-    return e
+    Column (k, l) is the action on e_k^e_l, read off at the pairs (i, j):
+    X_ik d_jl - X_il d_jk + d_ik X_jl - d_il X_jk.
+    """
+    rows, cols = np.triu_indices(X.shape[-1], 1)
+    i, j = rows[:, None], cols[:, None]
+    k, l = rows[None, :], cols[None, :]
+    d = np.eye(X.shape[-1])
+    return (X[..., i, k] * d[j, l] - X[..., i, l] * d[j, k]
+            + d[i, k] * X[..., j, l] - d[i, l] * X[..., j, k])
 
 
 def wedge_vector(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    nb = len(u)
     A = np.outer(u, v) - np.outer(v, u)
-    return _skew_coords(A, _lambda2_pairs(nb))
+    return A[np.triu_indices(len(u), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +335,7 @@ class DimReport:
     seed: int
     rank_tol: float
     residual_tol: float
-    num_points: int
-    num_loops: int
+    jet_order: int | None = None
     d_ae_lower: int = 0
     d_ae_upper: int = -1
     d_nck_lower: int = 0
@@ -405,8 +356,7 @@ class DimReport:
             "seed": self.seed,
             "rank_tol": self.rank_tol,
             "residual_tol": self.residual_tol,
-            "num_points": self.num_points,
-            "num_loops": self.num_loops,
+            "jet_order": self.jet_order,
             "d_ae": {
                 "lower": self.d_ae_lower,
                 "upper": self.d_ae_upper,
@@ -428,56 +378,51 @@ class DimReport:
         }
 
 
-def _upper_bound_constraints(spec: MetricSpec, basepoint, num_points: int,
-                             num_loops: int, seed: int, loop_size: float,
-                             notes: list):
-    """(algebra matrix, transport pullback) pairs for the joint-kernel bound."""
-    n = spec.n
-    out = []
-    omegas = tractor.tractor_curvature(spec, basepoint)
-    eye = np.eye(n + 2)
-    for endo in omegas.values():
-        out.append((endo.matrix, eye))
+def holonomy_constraints(spec: MetricSpec, basepoint) -> tuple[np.ndarray, float]:
+    """Curvature-chain values at the basepoint, and the size of what cancels in them.
 
-    targets = geometry.sample_points(spec, num_points, seed=seed + 1)
-    for y in targets:
-        try:
-            T = tractor.transport_matrix(spec, [basepoint, y])
-        except tractor.TransportError:
-            notes.append(f"transport to {tuple(round(c, 3) for c in y)} skipped (left domain)")
-            continue
-        for endo in tractor.tractor_curvature(spec, y).values():
-            out.append((endo.matrix, T))
-
-    planes = list(itertools.combinations(range(n), 2))
-    for k in range(num_loops):
-        a, b = planes[k % len(planes)]
-        h = loop_size * (1.0 if k < len(planes) else 0.5)
-        for attempt in range(4):
-            try:
-                hol = tractor.loop_holonomy(spec, basepoint, a, b, h)
-                out.append((tractor.matrix_log(hol), eye))
-                break
-            except tractor.TransportError:
-                h *= 0.5
-        else:
-            notes.append(f"loop in plane ({a},{b}) skipped (left domain)")
-    return out
+    Returns the (count, n + 2, n + 2) values of Omega_ab and of its first
+    covariant derivatives from the ``JET_ORDER`` frame, and
+    max(|d A(p)|, |A(p)|^2), the size of the terms that cancel to form Omega.
+    """
+    fr = curvature.frame(spec, basepoint, JET_ORDER)
+    X = np.concatenate(tractor.curvature_chain(fr, JET_ORDER - 2))
+    A = tractor.connection_jets(fr, 1)
+    cancel = max(np.abs(jets.gradient(A, spec.n)).max(), np.abs(A[..., 0]).max() ** 2)
+    return X, cancel
 
 
-def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *,
-                           num_points: int = 8, num_loops: int = 12,
-                           seed: int = 0, rank_tol: float = 1e-7,
-                           residual_tol: float = 1e-8,
-                           loop_size: float = 0.08,
+def _whole_space(dim: int, tol: float) -> Subspace:
+    return Subspace(np.eye(dim), dim, tol)
+
+
+def constraint_kernels(spec: MetricSpec, basepoint,
+                       rank_tol: float = 1e-7) -> tuple[Subspace, Subspace]:
+    """Joint kernels of the holonomy constraints on the standard fiber and on
+    its two-vectors (the derived action).
+
+    Rank cuts are relative to the largest entry over all levels.  When every
+    constraint is at most ``FLAT_RATIO`` times the terms that cancel to form
+    it, both kernels are the whole space: the flat-model bounds.
+    """
+    nb = spec.n + 2
+    pairs = nb * (nb - 1) // 2
+    X, cancel = holonomy_constraints(spec, basepoint)
+    if np.abs(X).max() <= FLAT_RATIO * cancel:
+        return _whole_space(nb, rank_tol), _whole_space(pairs, rank_tol)
+    return (kernel(X.reshape(-1, nb), rank_tol),
+            kernel(derived_lambda2(X).reshape(-1, pairs), rank_tol))
+
+
+def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
+                           rank_tol: float = 1e-7, residual_tol: float = 1e-8,
                            upper: bool = True) -> DimReport:
     """Bounds for the dimensions of parallel standard / adjoint tractors.
 
-    Upper bounds: joint kernel of curvature endomorphisms (basepoint and
-    transported samples) and small-loop holonomy logarithms, on the standard
-    fiber and on its two-forms.  Lower bounds: independent residual-verified
-    witnesses.  ``upper=False`` skips the constraint machinery and reports
-    witness counts only (the trivial flat-model upper bounds are used).
+    Upper bounds: the dimensions of ``constraint_kernels`` at the basepoint.
+    Lower bounds: independent residual-verified witnesses, which must lie in
+    those kernels.  ``upper=False`` skips the constraints and reports witness
+    counts against the flat-model upper bounds n + 2 and (n + 2)(n + 1)/2.
     """
     if basepoint is None:
         basepoint = geometry.default_point(spec)
@@ -487,40 +432,22 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *,
     report = DimReport(
         label=spec.label, basepoint=basepoint, seed=seed,
         rank_tol=rank_tol, residual_tol=residual_tol,
-        num_points=num_points, num_loops=num_loops,
         notes=list(spec.notes),
     )
 
-    max_ae = nb
-    max_nck = nb * (nb - 1) // 2
+    standard = _whole_space(nb, rank_tol)
+    adjoint = _whole_space(nb * (nb - 1) // 2, rank_tol)
     if upper:
-        pairs = _upper_bound_constraints(
-            spec, basepoint, num_points, num_loops, seed, loop_size, report.notes
-        )
-        std_rows, adj_rows = [], []
-        for X, T in pairs:
-            if frobenius(X) <= CONSTRAINT_FLOOR:
-                continue
-            C = X @ T
-            std_rows.append(C / frobenius(C))
-            C2 = derived_lambda2(X) @ group_lambda2(T)
-            adj_rows.append(C2 / max(frobenius(C2), 1e-300))
-        if std_rows:
-            ksp = kernel(np.vstack(std_rows), rank_tol)
-            report.d_ae_upper = ksp.dim
-            report.constraint_rank_standard = nb - ksp.dim
-            report.marginal |= ksp.marginal
-            ksp2 = kernel(np.vstack(adj_rows), rank_tol)
-            report.d_nck_upper = ksp2.dim
-            report.constraint_rank_adjoint = max_nck - ksp2.dim
-            report.marginal |= ksp2.marginal
-        else:
-            report.d_ae_upper = max_ae
-            report.d_nck_upper = max_nck
-            report.notes.append("no usable curvature constraints; flat-model upper bounds")
-    else:
-        report.d_ae_upper = max_ae
-        report.d_nck_upper = max_nck
+        report.jet_order = JET_ORDER
+        standard, adjoint = constraint_kernels(spec, basepoint, rank_tol)
+        if standard.dim == nb:      # a nonzero constraint has rank >= 1
+            report.notes.append("curvature vanishes to roundoff at the basepoint; "
+                                "flat-model upper bounds")
+    report.d_ae_upper = standard.dim
+    report.d_nck_upper = adjoint.dim
+    report.constraint_rank_standard = nb - standard.dim
+    report.constraint_rank_adjoint = adjoint.ambient_dim - adjoint.dim
+    report.marginal = standard.marginal or adjoint.marginal
 
     # lower bounds from verified witnesses
     check_pts = geometry.sample_points(spec, 6, seed=seed + 2)
@@ -539,6 +466,7 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *,
     if verified:
         vecs = [tractor.einstein_tractor(spec, s, basepoint).as_array()
                 for _, s in verified]
+        _require_inside(standard, vecs, report.ae_witnesses, "standard", spec)
         rank, marg = matrix_rank(np.stack(vecs), rank_tol)
         report.d_ae_lower = rank
         report.marginal |= marg
@@ -561,6 +489,7 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *,
                     f"wedge {ni}^{nj} failed Killing/normality verification"
                 )
         if wedge_vecs:
+            _require_inside(adjoint, wedge_vecs, report.nck_witnesses, "adjoint", spec)
             rank2, marg2 = matrix_rank(np.stack(wedge_vecs), rank_tol)
             report.d_nck_lower = rank2
             report.marginal |= marg2
@@ -579,6 +508,17 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *,
     report.exact_ae = (report.d_ae_lower == report.d_ae_upper) and not report.marginal
     report.exact_nck = (report.d_nck_lower == report.d_nck_upper) and not report.marginal
     return report
+
+
+def _require_inside(space: Subspace, vectors, names, bundle: str,
+                    spec: MetricSpec) -> None:
+    """A verified witness outside the constraint kernel refutes the certificate."""
+    for name, v in zip(names, vectors):
+        if not space.contains(v):
+            raise AnalysisError(
+                f"witness {name} of {spec.label!r} lies outside the {bundle} "
+                f"constraint kernel"
+            )
 
 
 # ---------------------------------------------------------------------------

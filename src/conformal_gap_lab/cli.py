@@ -210,10 +210,8 @@ def _cmd_dims(ns) -> tuple[dict, bool]:
     spec = _resolve_metric(ns.metric, _parse_params(ns.param))
     seed = ns.seed if ns.seed is not None else _default_seed()
     basepoint = (_parse_point(ns.base_point, spec.n) if ns.base_point else None)
-    rep = analysis.estimate_parallel_dims(
-        spec, basepoint, num_points=ns.samples, num_loops=ns.loops, seed=seed,
-        upper=not ns.lower_only,
-    )
+    rep = analysis.estimate_parallel_dims(spec, basepoint, seed=seed,
+                                          upper=not ns.lower_only)
     report = {"command": f"dims {ns.metric}", "dims": rep.as_dict(), "pass": True}
     return report, True
 
@@ -313,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", help="bounds for d_aE and d_ncK")
     p.add_argument("metric")
     p.add_argument("--base-point", dest="base_point")
-    p.add_argument("--samples", type=int, default=8,
-                   help="transported curvature constraints")
-    p.add_argument("--loops", type=int, default=12, help="holonomy loops")
     p.add_argument("--lower-only", action="store_true",
                    help="skip the upper-bound constraint machinery")
     common(p, with_point=False)

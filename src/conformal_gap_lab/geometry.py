@@ -24,7 +24,7 @@ from .expr import Node
 from . import jets
 
 DOMAIN_MARGIN = 1e-3
-DET_FLOOR = 1e-10
+DEGENERACY_RATIO = 1e-10   # smallest |eigenvalue| of g over the largest
 
 
 class DomainError(ValueError):
@@ -552,8 +552,12 @@ def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(X, 0, -1))
 
 
+def _eigenvalues(values: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(0.5 * (values + values.T))
+
+
 def signature_of(values: np.ndarray) -> tuple[int, int]:
-    eigs = np.linalg.eigvalsh(0.5 * (values + values.T))
+    eigs = _eigenvalues(values)
     return int(np.sum(eigs < 0)), int(np.sum(eigs > 0))
 
 
@@ -565,10 +569,11 @@ def metric_frame_at(spec: MetricSpec, point, order: int):
         )
     G = metric_jets(spec, point, order)
     values = G[..., 0]
-    det = float(np.linalg.det(values))
-    if abs(det) < DET_FLOOR:
+    size = np.abs(_eigenvalues(values))
+    if size.min() <= DEGENERACY_RATIO * size.max():
         raise SingularMetricError(
-            f"{spec.label!r} degenerate at {tuple(point)} (|det| = {abs(det):.2e})"
+            f"{spec.label!r} degenerate at {tuple(point)} (eigenvalues "
+            f"{size.min():.2e} to {size.max():.2e} in absolute value)"
         )
     sig = signature_of(values)
     if sig != spec.signature:

@@ -10,13 +10,20 @@ A tractor is stored in the splitting determined by the analyzed metric as
          d_a rho - P_ar mu^r)
 
 and the bundle metric is ``<U, V> = mu_a nu^a + sigma pi + rho tau``.  The
-curvature is obtained numerically as the commutator of two jet-level
-derivatives and cross-checked against its expected Weyl/Cotton block
-structure, so no sign convention for the Cotton block is hard-coded.
+connection is written once, as the jets of its matrices ``A_a``
+(:func:`connection_jets`, ``D_a = d_a + A_a``); section derivatives, the
+curvature ``Omega_ab = d_a A_b - d_b A_a + [A_a, A_b]`` and its covariant
+derivatives (:func:`curvature_chain`, whose values at a point span the
+infinitesimal holonomy algebra there) and the value-level matrices of RK4
+transport are all derived from it.  The curvature is cross-checked against
+its expected Weyl/Cotton block structure, so no sign convention for the
+Cotton block is hard-coded.  Transport is kept as an independent oracle for
+the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,46 +84,46 @@ def pairing(u: TractorVector, v: TractorVector, g_values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # connection at the jet level
 
-def _tractor_deriv_jets(fr: CurvatureFrame, sig, mu, rho, m: int):
-    """One derivative of batched tractor sections given as coefficient arrays.
+def connection_jets(fr: CurvatureFrame, m: int) -> np.ndarray:
+    """Jets of the connection matrices: D_a V = d_a V + A[a] V, to order m.
 
-    sig: (B, C_m), mu: (B, n, C_m), rho: (B, C_m).  Returns the same triple
-    with a direction axis inserted after the batch axis, at jet order m - 1.
+    Returns an (n, n + 2, n + 2, C_m) array; m may be at most fr.order - 2,
+    the order of the Schouten tensor.  This is the one place that writes the
+    block layout of the connection.
     """
     n = fr.n
-    m1 = m - 1
-    g1 = fr.at(fr.g, m1)
-    gam1 = fr.at(fr.gamma, m1)
-    p1 = fr.at(fr.schouten, m1)
-    pmix1 = fr.at(fr.schouten_mixed, m1)
-    mu1 = jets.truncate_coeffs(mu, n, m, m1)
-    sig1 = jets.truncate_coeffs(sig, n, m, m1)
-    rho1 = jets.truncate_coeffs(rho, n, m, m1)
-
-    dsig = np.stack([dcoeffs(sig, a, n, m) for a in range(n)], axis=1)
-    dmu = np.stack([dcoeffs(mu, a, n, m) for a in range(n)], axis=1)
-    drho = np.stack([dcoeffs(rho, a, n, m) for a in range(n)], axis=1)
-
-    top = dsig.copy()
-    for b in range(n):
-        top -= conv(g1[:, b][None, :, :], mu1[:, b][:, None, :], n, m1)
-
-    mid = dmu.copy()
-    for r in range(n):
-        left = gam1[:, :, r].transpose(1, 0, 2)          # (a, b, C)
-        mid += conv(left[None, :, :, :], mu1[:, r][:, None, None, :], n, m1)
-    eye = np.eye(n)
-    mid += eye[None, :, :, None] * rho1[:, None, None, :]
-    mid += conv(pmix1[None, :, :, :], sig1[:, None, None, :], n, m1)
-
-    bot = drho.copy()
-    for r in range(n):
-        bot -= conv(p1[:, r][None, :, :], mu1[:, r][:, None, :], n, m1)
-    return top, mid, bot
+    A = np.zeros((n, n + 2, n + 2, jets.tables(n, m).size))
+    A[:, 0, 1:-1] = -fr.at(fr.g, m)
+    A[:, 1:-1, 0] = fr.at(fr.schouten_mixed, m)
+    A[:, 1:-1, 1:-1] = fr.at(fr.gamma, m).transpose(1, 0, 2, 3)   # [a, b, r] = Gamma^b_ar
+    A[np.arange(n), 1 + np.arange(n), -1, 0] = 1.0
+    A[:, -1, 1:-1] = -fr.at(fr.schouten, m)
+    return A
 
 
-def _einstein_jets(fr: CurvatureFrame, sig):
-    """Coefficient arrays (sigma, mu^b, rho) of the scale tractor, order K-2."""
+def connection_matrices(fr: CurvatureFrame) -> np.ndarray:
+    """Value-level connection coefficients: D_a V = d_a V + A[a] V."""
+    return connection_jets(fr, 0)[..., 0]
+
+
+def _jet_bracket(P: np.ndarray, Q: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Commutator PQ - QP of jet matrices (..., k, k, C), leading axes broadcast."""
+    PQ = conv(P[..., :, :, None, :], Q[..., None, :, :, :], n, m).sum(axis=-3)
+    QP = conv(Q[..., :, :, None, :], P[..., None, :, :, :], n, m).sum(axis=-3)
+    return PQ - QP
+
+
+def _tractor_deriv_jets(fr: CurvatureFrame, V: np.ndarray, m: int) -> np.ndarray:
+    """D_a of batched tractor sections: (B, n + 2, C_m) -> (B, n, n + 2, C_{m-1})."""
+    n = fr.n
+    A = connection_jets(fr, m - 1)
+    dV = np.stack([dcoeffs(V, a, n, m) for a in range(n)], axis=1)
+    V1 = jets.truncate_coeffs(V, n, m, m - 1)
+    return dV + conv(A[None], V1[:, None, None], n, m - 1).sum(axis=-2)
+
+
+def _einstein_jets(fr: CurvatureFrame, sig) -> np.ndarray:
+    """Coefficient array (n + 2, C_{K-2}) of the scale tractor (sigma, mu^b, rho)."""
     n = fr.n
     K = fr.order
     dsig = np.stack([dcoeffs(sig, a, n, K) for a in range(n)])        # (a, C_{K-1})
@@ -130,27 +137,20 @@ def _einstein_jets(fr: CurvatureFrame, sig):
     sig2 = jets.truncate_coeffs(sig, n, K, K - 2)
     rho = -(lap + conv(fr.j, sig2, n, K - 2)) / n
     mu2 = jets.truncate_coeffs(mu, n, K - 1, K - 2)
-    return sig2, mu2, rho
+    return np.concatenate([sig2[None], mu2, rho[None]])
 
 
 def einstein_tractor(spec: MetricSpec, sigma: expr.Node, point) -> TractorVector:
     """(sigma, grad^a sigma, -(Lap sigma + J sigma)/n) at the point."""
     fr = curvature.frame(spec, point, 3)
-    sig, mu, rho = _einstein_jets(fr, fr.scalar_jet(sigma))
-    return TractorVector(float(sig[0]), mu[..., 0].copy(), float(rho[0]))
+    return TractorVector.from_array(_einstein_jets(fr, fr.scalar_jet(sigma))[:, 0])
 
 
 def scale_tractor_parallel_residual(spec: MetricSpec, sigma: expr.Node, point) -> float:
     """Norm of the tractor derivative of the scale tractor (0 for solutions)."""
     fr = curvature.frame(spec, point, 4)
-    sig, mu, rho = _einstein_jets(fr, fr.scalar_jet(sigma))
-    top, mid, bot = _tractor_deriv_jets(
-        fr, sig[None, :], mu[None, :, :], rho[None, :], fr.order - 2
-    )
-    parts = np.concatenate(
-        [top[0, :, 0].ravel(), mid[0, :, :, 0].ravel(), bot[0, :, 0].ravel()]
-    )
-    return float(np.linalg.norm(parts))
+    I = _einstein_jets(fr, fr.scalar_jet(sigma))
+    return float(np.linalg.norm(_tractor_deriv_jets(fr, I[None], fr.order - 2)[..., 0]))
 
 
 def tractor_derivative(spec: MetricSpec, section, point, direction: int | None = None):
@@ -160,70 +160,58 @@ def tractor_derivative(spec: MetricSpec, section, point, direction: int | None =
     TractorVector for one direction, or the list over all directions.
     """
     fr = curvature.frame(spec, point, 3)
-    n = fr.n
     sigma_ast, mu_asts, rho_ast = section
     m = fr.order - 1
-    sig = fr.scalar_jet(sigma_ast, m)[None, :]
-    mu = np.stack([fr.scalar_jet(a, m) for a in mu_asts])[None, :, :]
-    rho = fr.scalar_jet(rho_ast, m)[None, :]
-    top, mid, bot = _tractor_deriv_jets(fr, sig, mu, rho, m)
-    out = [
-        TractorVector(
-            float(top[0, a, 0]), mid[0, a, :, 0].copy(), float(bot[0, a, 0])
-        )
-        for a in range(n)
-    ]
+    V = np.stack([fr.scalar_jet(a, m) for a in (sigma_ast, *mu_asts, rho_ast)])
+    dV = _tractor_deriv_jets(fr, V[None], m)[0, ..., 0]
+    out = [TractorVector.from_array(row) for row in dV]
     return out if direction is None else out[direction]
 
 
 # ---------------------------------------------------------------------------
-# curvature as a commutator
+# curvature and its covariant derivatives
 
-def tractor_curvature(spec: MetricSpec, point, validate: bool = True) -> dict:
-    """Curvature endomorphisms Omega_ab for a < b, by jet commutator.
+def curvature_chain(fr: CurvatureFrame, m: int) -> list[np.ndarray]:
+    """Values at the frame's point of X_0 = Omega_ab (a < b) and of
+    X_{k+1} = d_c X_k + [A_c, X_k], from the connection jets to order m.
+
+    Omega_ab = d_a A_b - d_b A_a + [A_a, A_b] = [D_a, D_b].  Level k is an
+    array (count, n + 2, n + 2); there are m levels, the last from jets of
+    order 0.  Each X annihilates every parallel tractor at the point, and the
+    levels span the same space as Omega and its covariant derivatives up to
+    order m - 1, so they lie in the holonomy algebra.  Level 0 is checked
+    against its Weyl/Cotton block structure.
+    """
+    n = fr.n
+    nb = n + 2
+    A = connection_jets(fr, m)
+    a, b = np.array(list(itertools.combinations(range(n), 2))).T
+    dA = np.stack([dcoeffs(A, c, n, m) for c in range(n)])           # [c, a] = d_c A_a
+    A1 = jets.truncate_coeffs(A, n, m, m - 1)
+    X = dA[a, b] - dA[b, a] + _jet_bracket(A1[a], A1[b], n, m - 1)
+    _validate_tractor_curvature(fr, a, b, X[..., 0])
+    levels = [X[..., 0]]
+    for k in range(m - 1, 0, -1):
+        Ak = jets.truncate_coeffs(A, n, m, k - 1)[:, None]
+        Xk = jets.truncate_coeffs(X, n, k, k - 1)[None]
+        X = np.stack([dcoeffs(X, c, n, k) for c in range(n)]) + _jet_bracket(Ak, Xk, n, k - 1)
+        X = X.reshape(-1, nb, nb, X.shape[-1])
+        levels.append(X[..., 0])
+    return levels
+
+
+def tractor_curvature(spec: MetricSpec, point) -> dict:
+    """Curvature endomorphisms Omega_ab for a < b.
 
     The result is validated against the expected block structure: zero top
     row, Weyl middle block, Cotton bottom row and sigma-column.
     """
     fr = curvature.frame(spec, point, 4)
-    n = fr.n
-    m0 = fr.order - 2
-    size = jets.tables(n, m0).size
-    nb = n + 2
-    sig = np.zeros((nb, size))
-    mu = np.zeros((nb, n, size))
-    rho = np.zeros((nb, size))
-    sig[0, 0] = 1.0
-    for b in range(n):
-        mu[1 + b, b, 0] = 1.0
-    rho[-1, 0] = 1.0
-
-    top1, mid1, bot1 = _tractor_deriv_jets(fr, sig, mu, rho, m0)
-    B = nb * n
-    c1 = top1.shape[-1]
-    top2, mid2, bot2 = _tractor_deriv_jets(
-        fr, top1.reshape(B, c1), mid1.reshape(B, n, c1), bot1.reshape(B, c1), m0 - 1
-    )
-    # composite[phi, b, a] = D_a (D_b e_phi); commutator antisymmetrizes (a, b)
-    top2 = top2.reshape(nb, n, n, -1)[..., 0]
-    mid2 = mid2.reshape(nb, n, n, n, -1)[..., 0]
-    bot2 = bot2.reshape(nb, n, n, -1)[..., 0]
-
-    out = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            M = np.zeros((nb, nb))
-            M[0, :] = top2[:, b, a] - top2[:, a, b]
-            M[1:-1, :] = (mid2[:, b, a, :] - mid2[:, a, b, :]).T
-            M[-1, :] = bot2[:, b, a] - bot2[:, a, b]
-            out[(a, b)] = TractorEndo(M)
-
-    if validate:
-        _validate_tractor_curvature(fr, out)
-    return out
+    pairs = itertools.combinations(range(fr.n), 2)
+    return {ab: TractorEndo(M) for ab, M in zip(pairs, curvature_chain(fr, 1)[0])}
 
 
-def _validate_tractor_curvature(fr: CurvatureFrame, omegas: dict) -> None:
+def _validate_tractor_curvature(fr: CurvatureFrame, first, second, omegas) -> None:
     n = fr.n
     gv = fr.values(fr.g)
     ginv = fr.values(fr.ginv)
@@ -234,8 +222,7 @@ def _validate_tractor_curvature(fr: CurvatureFrame, omegas: dict) -> None:
     scale = max(frobenius(W), frobenius(Y), 1.0)
     B = tractor_metric_matrix(gv)
     problems = []
-    for (a, b), endo in omegas.items():
-        M = endo.matrix
+    for a, b, M in zip(first, second, omegas):
         if np.abs(M[0, :]).max() > 1e-8 * scale:
             problems.append(f"Omega_{a}{b} has a nonzero top row")
         if frobenius(M[1:-1, 1:-1] - Wmix[a, b]) > 1e-8 * scale:
@@ -259,24 +246,7 @@ def _validate_tractor_curvature(fr: CurvatureFrame, omegas: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parallel transport
-
-def connection_matrices(fr: CurvatureFrame) -> np.ndarray:
-    """Value-level connection coefficients: D_a V = d_a V + A[a] V."""
-    n = fr.n
-    gv = fr.values(fr.g)
-    gam = fr.values(fr.gamma)
-    P = fr.values(fr.schouten)
-    Pmix = fr.values(fr.schouten_mixed)
-    A = np.zeros((n, n + 2, n + 2))
-    for a in range(n):
-        A[a, 0, 1:-1] = -gv[a]
-        A[a, 1:-1, 0] = Pmix[a]
-        A[a, 1:-1, 1:-1] = gam[:, a, :]
-        A[a, 1 + a, -1] = 1.0
-        A[a, -1, 1:-1] = -P[a]
-    return A
-
+# parallel transport (a test oracle for the curvature chain)
 
 def _direction_matrix(spec: MetricSpec, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
     fr = curvature.frame(spec, tuple(x), 2)
@@ -341,33 +311,6 @@ def parallel_transport(spec: MetricSpec, path, v0: TractorVector,
                        tol: float = 1e-10, max_halvings: int = 12) -> TractorVector:
     """Solve the transport equation along the polyline with RK4 + halving."""
     return TractorVector.from_array(transport_matrix(spec, path, tol, max_halvings) @ v0.as_array())
-
-
-def rectangle_loop(point, axis_a: int, axis_b: int, h: float):
-    """Closed coordinate rectangle based at the point, sides h along two axes.
-
-    Traversed b-side first so the holonomy expands as I + h^2 Omega_ab + O(h^3).
-    """
-    p = np.asarray(point, dtype=float)
-    ea = np.zeros_like(p); ea[axis_a] = h
-    eb = np.zeros_like(p); eb[axis_b] = h
-    return [p, p + eb, p + ea + eb, p + ea, p]
-
-
-def loop_holonomy(spec: MetricSpec, point, axis_a: int, axis_b: int, h: float,
-                  tol: float = 1e-10) -> np.ndarray:
-    return transport_matrix(spec, rectangle_loop(point, axis_a, axis_b, h), tol=tol)
-
-
-def matrix_log(M: np.ndarray, terms: int = 12) -> np.ndarray:
-    """Series log for matrices near the identity (holonomies of small loops)."""
-    E = M - np.eye(M.shape[0])
-    out = np.zeros_like(E)
-    power = np.eye(M.shape[0])
-    for k in range(1, terms + 1):
-        power = power @ E
-        out += ((-1) ** (k + 1) / k) * power
-    return out
 
 
 # ---------------------------------------------------------------------------

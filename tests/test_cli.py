@@ -23,7 +23,7 @@ def test_analyze_fubini_study_point(capsys):
                        "--point", "0.3,0.7,0.5,0.9", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["schema"] == "conformal-gap-lab/1"
+    assert data["schema"] == "conformal-gap-lab/2"
     assert abs(data["points"][0]["scalar_curvature"] - 48.0) < 1e-7
 
 

@@ -170,6 +170,27 @@ def test_signature_mismatch_detected():
         metric_frame_at(wrong, (0.0, 0.0), 1)
 
 
+def _constant_metric(diagonal, signature):
+    n = len(diagonal)
+    comps = tuple(tuple(expr.const(diagonal[i]) if i == j else expr.ZERO
+                        for j in range(n)) for i in range(n))
+    return MetricSpec(n=n, signature=signature, components=comps, label="constant")
+
+
+def test_small_but_regular_metric_is_accepted():
+    # |det g| = 1e-12, but every eigenvalue is 1e-3
+    spec = _constant_metric([1e-3] * 4, (0, 4))
+    _, Ginv, sig = metric_frame_at(spec, (0.0, 0.0, 0.0, 0.0), 2)
+    assert sig == (0, 4)
+    assert np.allclose(Ginv[..., 0], 1e3 * np.eye(4))
+
+
+def test_rank_deficient_metric_is_rejected():
+    spec = _constant_metric([1.0, 1.0, 1.0, 0.0], (0, 4))
+    with pytest.raises(SingularMetricError, match="degenerate"):
+        metric_frame_at(spec, (0.0, 0.0, 0.0, 0.0), 2)
+
+
 def test_sampling_is_seeded_and_respects_domain():
     spec = builtin_metric("taub_nut")
     a = sample_points(spec, 5, seed=7)

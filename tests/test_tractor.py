@@ -8,10 +8,20 @@ import pytest
 from conformal_gap_lab import curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_points
 from conformal_gap_lab.tractor import (
-    TractorVector, TransportError, einstein_tractor, loop_holonomy,
-    parallel_transport, pairing, rectangle_loop, tractor_curvature,
-    tractor_derivative, transport_matrix,
+    TractorVector, TransportError, einstein_tractor, parallel_transport, pairing,
+    tractor_curvature, tractor_derivative, transport_matrix,
 )
+
+
+def rectangle_loop(point, axis_a: int, axis_b: int, h: float):
+    """Closed coordinate rectangle based at the point, sides h along two axes.
+
+    Traversed b-side first so the holonomy expands as I + h^2 Omega_ab + O(h^3).
+    """
+    p = np.asarray(point, dtype=float)
+    ea = np.zeros_like(p); ea[axis_a] = h
+    eb = np.zeros_like(p); eb[axis_b] = h
+    return [p, p + eb, p + ea + eb, p + ea, p]
 
 
 def test_flat_constant_top_section_is_parallel():
@@ -108,6 +118,27 @@ def test_tractor_curvature_middle_block_matches_weyl():
     assert any(endo.norm() > 1e-3 for endo in omegas.values())
 
 
+@pytest.mark.parametrize("name", ["pp_wave", "taub_nut", "product_split_n6", "lorentz3d"])
+def test_curvature_chain_matches_finite_differences(name):
+    # X_1 = d_c Omega + [A_c, Omega], with d_c Omega by central differences
+    spec = geometry.catalogue_metric(name)
+    pt = np.array(sample_points(spec, 1, seed=4)[0])
+    levels = tractor.curvature_chain(curvature.frame(spec, tuple(pt), 4), 2)
+
+    def omega(x):
+        return np.stack([e.matrix for e in tractor_curvature(spec, tuple(x)).values()])
+
+    A = tractor.connection_matrices(curvature.frame(spec, tuple(pt), 2))
+    h = 1e-4
+    expected = []
+    for c, step in enumerate(h * np.eye(spec.n)):
+        d_omega = (omega(pt + step) - omega(pt - step)) / (2 * h)
+        expected.append(d_omega + A[c] @ omega(pt) - omega(pt) @ A[c])
+    expected = np.concatenate(expected)
+    assert np.allclose(levels[0], omega(pt), atol=1e-14)
+    assert np.abs(levels[1] - expected).max() < 1e-6 * max(1.0, np.abs(expected).max())
+
+
 def test_tractor_curvature_annihilates_parallel_tractors():
     spec = builtin_metric("pp_wave")
     pt = sample_points(spec, 1, seed=7)[0]
@@ -175,13 +206,16 @@ def test_small_loop_holonomy_matches_curvature():
     spec = builtin_metric("taub_nut")
     pt = sample_points(spec, 1, seed=13)[0]
     omega = tractor_curvature(spec, pt)[(0, 1)].matrix
+
+    def holonomy(h):
+        return transport_matrix(spec, rectangle_loop(pt, 0, 1, h))
+
     errs = {}
     for h in (0.1, 0.01):
-        hol = loop_holonomy(spec, pt, 0, 1, h)
-        errs[h] = np.linalg.norm(hol - np.eye(6) - h * h * omega)
+        errs[h] = np.linalg.norm(holonomy(h) - np.eye(6) - h * h * omega)
         assert errs[h] < 10 * h ** 3 * max(1.0, np.linalg.norm(omega))
-    growth = np.linalg.norm(loop_holonomy(spec, pt, 0, 1, 0.1) - np.eye(6))
-    shrink = np.linalg.norm(loop_holonomy(spec, pt, 0, 1, 0.01) - np.eye(6))
+    growth = np.linalg.norm(holonomy(0.1) - np.eye(6))
+    shrink = np.linalg.norm(holonomy(0.01) - np.eye(6))
     slope = math.log10(growth / shrink)
     assert abs(slope - 2.0) < 0.3  # within 15% of quadratic
 
@@ -200,14 +234,3 @@ def test_scale_equivariance_of_scale_tractor():
     g = curvature.curvature_pack(spec, pt, 3).g.components
     expected = tractor.transform_tractor(I, w[0], ups, g)
     assert np.allclose(I_hat.as_array(), expected.as_array(), atol=1e-8)
-
-
-def test_matrix_log_inverts_exp():
-    rng = np.random.default_rng(1)
-    X = 0.01 * rng.normal(size=(5, 5))
-    E = np.eye(5)
-    term = np.eye(5)
-    for k in range(1, 12):
-        term = term @ X / k
-        E = E + term
-    assert np.allclose(tractor.matrix_log(E), X, atol=1e-12)
