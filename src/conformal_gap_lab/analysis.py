@@ -4,7 +4,10 @@ Residual checks for almost Einstein scales and (normal) conformal Killing
 fields, the skew pairing that turns two scales into a normal Killing field,
 pointwise Weyl kernels with their signature bounds, constraint-based
 upper/lower estimation of d_aE and d_ncK, and the family verifiers for the
-warped-product constructions.
+warped-product constructions.  A vector field is carried as the (n, C_1)
+array of order-1 jets of its components at a point: wedge fields are built
+from the scale jets and the inverse-metric jets of the order-2 frame, and
+fields given as formulas enter through ``field_jets``.
 
 Upper bounds come from the infinitesimal holonomy algebra at the basepoint:
 the values there of the tractor curvature Omega_ab and of its covariant
@@ -23,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,10 +36,6 @@ from .geometry import MetricSpec
 
 class AnalysisError(RuntimeError):
     """A claimed bound is violated or an estimate is inconsistent."""
-
-
-class WitnessError(ValueError):
-    """Input failed its verification precondition."""
 
 
 JET_ORDER = 4      # basepoint frame of the upper bound: values of Omega and nabla Omega
@@ -140,19 +138,21 @@ def kernel_of_weyl(spec: MetricSpec, point, tol: float = 1e-7) -> Subspace:
     return ksp
 
 
+def _scale_terms(fr: curvature.CurvatureFrame, sigma: expr.Node):
+    """(value, gradient, covariant Hessian) of a scale at the frame's point."""
+    j = fr.scalar_jet(sigma, 2)
+    grad = jets.gradient(j, fr.n)
+    hess = jets.hessian(j, fr.n) - np.einsum("rab,r->ab", fr.values(fr.gamma), grad)
+    return j[0], grad, hess
+
+
 def ae_residual_matrix(spec: MetricSpec, sigma: expr.Node, point) -> np.ndarray:
     """Trace-free part of (Hess sigma + P sigma) as a matrix."""
     fr = curvature.frame(spec, point, 2)
-    j = fr.scalar_jet(sigma, 2)
-    grad = jets.gradient(j, spec.n)
-    hess = jets.hessian(j, spec.n)
-    gamma = fr.values(fr.gamma)
-    P = fr.values(fr.schouten)
-    g = fr.values(fr.g)
-    ginv = fr.values(fr.ginv)
-    H = hess - np.einsum("rab,r->ab", gamma, grad) + P * j[0]
-    trace = float(np.einsum("ab,ab->", ginv, H))
-    return H - trace / spec.n * g
+    s, _, hess = _scale_terms(fr, sigma)
+    H = hess + fr.values(fr.schouten) * s
+    trace = float(np.einsum("ab,ab->", fr.values(fr.ginv), H))
+    return H - trace / spec.n * fr.values(fr.g)
 
 
 def ae_residual(spec: MetricSpec, sigma: expr.Node, point) -> float:
@@ -169,16 +169,15 @@ class KillingReport:
     null_res: float | None = None
 
 
-def _field_jets(spec: MetricSpec, k_asts, point, order=1):
-    env = jets.seed_jets(tuple(point), order)
-    params = spec.params_dict
-    js = np.stack([expr.evaluate(a, env, params) for a in k_asts])
-    return js[:, 0], jets.gradient(js, spec.n).T               # [a, b] = d_a k^b
+def field_jets(spec: MetricSpec, k_asts, point) -> np.ndarray:
+    """Order-1 jets (n, C_1) of the vector field with component formulas k_asts."""
+    env = jets.seed_jets(tuple(point), 1)
+    return np.stack([expr.evaluate(a, env, spec.params_dict) for a in k_asts])
 
 
-def ck_and_normality(spec: MetricSpec, k_asts, point,
+def ck_and_normality(spec: MetricSpec, k: np.ndarray, point,
                      with_extras: bool = False) -> KillingReport:
-    """Conformal-Killing residual plus the normality contraction(s).
+    """Conformal-Killing residual plus normality of the field with jets k (n, C_1).
 
     For n >= 4 normality is |W_abcr k^r|; for n = 3 it is the Cotton
     contraction on the last index, with the first-index contraction also
@@ -186,10 +185,9 @@ def ck_and_normality(spec: MetricSpec, k_asts, point,
     """
     n = spec.n
     fr = curvature.frame(spec, point, 2 if n >= 4 else 3)
-    kv, dk = _field_jets(spec, k_asts, point)
+    kv, dk = k[:, 0], jets.gradient(k, n).T                    # [a, b] = d_a k^b
     g = fr.values(fr.g)
     gamma = fr.values(fr.gamma)
-    ginv = fr.values(fr.ginv)
     nab_up = dk + np.einsum("bar,r->ab", gamma, kv)            # [a, b] = nabla_a k^b
     nab_low = nab_up @ g                                        # nabla_a k_b
     sym = 0.5 * (nab_low + nab_low.T)
@@ -213,57 +211,31 @@ def ck_and_normality(spec: MetricSpec, k_asts, point,
     return report
 
 
-@lru_cache(maxsize=64)
-def _symbolic_inverse(spec: MetricSpec):
-    rows = [list(row) for row in spec.components]
-    return expr.matrix_inverse(rows)
-
-
 def wedge_nckf(spec: MetricSpec, sigma: expr.Node, sigma_bar: expr.Node,
-               verify: bool = True, tol: float = 1e-6, seed: int = 33):
-    """k^a = g^{ab} (sigma d_b sigma_bar - sigma_bar d_b sigma), symbolically."""
-    if verify:
-        for pt in geometry.sample_points(spec, 5, seed=seed):
-            if ae_residual(spec, sigma, pt) > tol or ae_residual(spec, sigma_bar, pt) > tol:
-                raise WitnessError(
-                    "wedge inputs must verify as almost Einstein scales"
-                )
+               point) -> np.ndarray:
+    """Order-1 jets (n, C_1) of k^a = g^{ab} (sigma d_b sigma_bar - sigma_bar d_b sigma)."""
     n = spec.n
-    k_low = [
-        expr.sub(
-            expr.mul(sigma, expr.derivative(sigma_bar, b)),
-            expr.mul(sigma_bar, expr.derivative(sigma, b)),
-        )
-        for b in range(n)
-    ]
-    ginv_ast = _symbolic_inverse(spec)
-    k_up = []
-    for a in range(n):
-        acc: expr.Node = expr.ZERO
-        for b in range(n):
-            acc = expr.add(acc, expr.mul(ginv_ast[a][b], k_low[b]))
-        k_up.append(acc)
-    return tuple(k_up)
+    fr = curvature.frame(spec, point, 2)
+    s, sb = fr.scalar_jet(sigma, 2), fr.scalar_jet(sigma_bar, 2)
+    ds, dsb = (np.stack([jets.dcoeffs(f, b, n, 2) for b in range(n)]) for f in (s, sb))
+    k_low = (jets.conv(fr.at(s, 1), dsb, n, 1)
+             - jets.conv(fr.at(sb, 1), ds, n, 1))              # (n, C_1)
+    return jets.conv(fr.at(fr.ginv, 1), k_low[None], n, 1).sum(axis=1)
 
 
-def lie_bracket_values(spec: MetricSpec, k1_asts, k2_asts, point) -> np.ndarray:
-    v, dv = _field_jets(spec, k1_asts, point)
-    w, dw = _field_jets(spec, k2_asts, point)
-    return np.einsum("r,rb->b", v, dw) - np.einsum("r,rb->b", w, dv)
-
-
-def bracket_closure_residual(spec: MetricSpec, fields, points) -> float:
-    """Largest relative least-squares residual of [k_i, k_j] against span{k_m}."""
-    if len(fields) < 2:
+def bracket_closure_residual(fields: np.ndarray) -> float:
+    """Largest relative least-squares residual of [k_i, k_j] against span{k_m},
+    for order-1 jets ``fields`` (m, P, n, C_1) of m fields at P points."""
+    m, P, n, _ = fields.shape
+    if m < 2:
         return 0.0
-    samples = []
-    for k in fields:
-        samples.append(np.concatenate([_field_jets(spec, k, p)[0] for p in points]))
-    K = np.stack(samples, axis=1)                      # (P n, m)
+    vals = fields[..., 0]                                        # (m, P, n)
+    # D[i, j, p, b] = k_i^r d_r k_j^b at point p
+    D = np.einsum("ipr,jpbr->ijpb", vals, jets.gradient(fields, n))
+    K = vals.reshape(m, P * n).T                                 # (P n, m)
     worst = 0.0
-    for i, j in itertools.combinations(range(len(fields)), 2):
-        b = np.concatenate([lie_bracket_values(spec, fields[i], fields[j], p)
-                            for p in points])
+    for i, j in itertools.combinations(range(m), 2):
+        b = (D[i, j] - D[j, i]).ravel()
         coeffs, *_ = np.linalg.lstsq(K, b, rcond=None)
         res = float(np.linalg.norm(K @ coeffs - b)) / max(1.0, float(np.linalg.norm(b)))
         worst = max(worst, res)
@@ -276,15 +248,11 @@ def bracket_closure_residual(spec: MetricSpec, fields, points) -> float:
 def j_of_scale(spec: MetricSpec, sigma: expr.Node, point) -> float:
     """J of sigma^-2 g via -(n/2) g(ds,ds) + sigma Lap sigma + J sigma^2."""
     fr = curvature.frame(spec, point, 2)
-    j = fr.scalar_jet(sigma, 2)
-    grad = jets.gradient(j, spec.n)
-    hess = jets.hessian(j, spec.n)
-    gamma = fr.values(fr.gamma)
+    s, grad, hess = _scale_terms(fr, sigma)
     ginv = fr.values(fr.ginv)
-    lap = float(np.einsum("ab,ab->", ginv, hess - np.einsum("rab,r->ab", gamma, grad)))
+    lap = float(np.einsum("ab,ab->", ginv, hess))
     ds_sq = float(grad @ ginv @ grad)
     Jbg = float(fr.j[0])
-    s = j[0]
     return -spec.n / 2 * ds_sq + s * lap + Jbg * s * s
 
 
@@ -403,15 +371,18 @@ def constraint_kernels(spec: MetricSpec, basepoint,
 
     Rank cuts are relative to the largest entry over all levels.  When every
     constraint is at most ``FLAT_RATIO`` times the terms that cancel to form
-    it, both kernels are the whole space: the flat-model bounds.
+    it, both kernels are the whole space: the flat-model bounds.  Rows that
+    are exactly zero are dropped first; that leaves the singular values, the
+    cut and the kernel unchanged and keeps the SVD small (product metrics
+    give mostly zero rows).
     """
     nb = spec.n + 2
     pairs = nb * (nb - 1) // 2
     X, cancel = holonomy_constraints(spec, basepoint)
     if np.abs(X).max() <= FLAT_RATIO * cancel:
         return _whole_space(nb, rank_tol), _whole_space(pairs, rank_tol)
-    return (kernel(X.reshape(-1, nb), rank_tol),
-            kernel(derived_lambda2(X).reshape(-1, pairs), rank_tol))
+    rows = (X.reshape(-1, nb), derived_lambda2(X).reshape(-1, pairs))
+    return tuple(kernel(A[np.any(A != 0, axis=1)], rank_tol) for A in rows)
 
 
 def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
@@ -474,9 +445,9 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
         wedge_pts = check_pts[:3]
         wedge_vecs = []
         for (ni, si), (nj, sj) in itertools.combinations(verified, 2):
-            fields = wedge_nckf(spec, si, sj, verify=False)
             rep = max(
-                (ck_and_normality(spec, fields, p) for p in wedge_pts),
+                (ck_and_normality(spec, wedge_nckf(spec, si, sj, p), p)
+                 for p in wedge_pts),
                 key=lambda r: max(r.ck_res, r.normal_res),
             )
             if max(rep.ck_res, rep.normal_res) < 10 * residual_tol:
@@ -728,13 +699,9 @@ def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dic
         worst_lap, worst_null = 0.0, 0.0
         for pt in points:
             fr = curvature.frame(spec, pt, 2)
-            j = fr.scalar_jet(tau, 2)
-            grad = jets.gradient(j, spec.n)
-            hess = jets.hessian(j, spec.n)
-            gamma = fr.values(fr.gamma)
+            _, grad, hess = _scale_terms(fr, tau)
             ginv = fr.values(fr.ginv)
-            lap = float(np.einsum("ab,ab->", ginv,
-                                  hess - np.einsum("rab,r->ab", gamma, grad)))
+            lap = float(np.einsum("ab,ab->", ginv, hess))
             null = float(grad @ ginv @ grad)
             worst_lap = max(worst_lap, abs(lap))
             worst_null = max(worst_null, abs(null))

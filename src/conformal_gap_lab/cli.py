@@ -3,20 +3,21 @@
 Subcommands: ``catalogue``, ``analyze``, ``kerw``, ``dims``, ``verify``,
 ``rescale``.  Reports are deterministic for a fixed seed: keys are sorted and
 floats are printed with 12 significant digits.  Exit codes: 0 when every
-check passes, 1 when a check fails, 2 on usage or domain errors.
+check passes, 1 when a check fails, 2 on usage or domain errors (one line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import JSON_SCHEMA, __version__, analysis, curvature, expr, geometry, tractor
+from . import JSON_SCHEMA, __version__, analysis, curvature, expr, geometry
 from .curvature import ConventionError, frobenius
 
 USAGE_ERRORS = (
@@ -26,9 +27,10 @@ USAGE_ERRORS = (
     expr.ParseError,
     expr.EvalError,
     ValueError,
+    OSError,            # reading the metric file or writing --out
 )
 
-CHECK_ERRORS = (ConventionError, analysis.AnalysisError, tractor.TransportError)
+CHECK_ERRORS = (ConventionError, analysis.AnalysisError)
 
 
 def _default_seed() -> int:
@@ -115,12 +117,17 @@ def _parse_params(items):
             out[name] = float(value)
         except ValueError:
             out[name] = value.strip()
+        if isinstance(out[name], float) and not math.isfinite(out[name]):
+            raise geometry.CatalogueError(f"--param {name} must be finite, got {value!r}")
     return out
 
 
 def _resolve_metric(name: str, params: dict) -> geometry.MetricSpec:
     path = Path(name)
     if path.suffix in (".metric", ".txt") or path.exists():
+        if params:
+            raise geometry.CatalogueError(
+                "--param applies to catalogue metrics; a metric file declares its own")
         return geometry.load_metric(path.read_text(), label=path.stem)
     return geometry.catalogue_metric(name, params)
 
@@ -217,6 +224,8 @@ def _cmd_dims(ns) -> tuple[dict, bool]:
 
 
 def _cmd_verify(ns) -> tuple[dict, bool]:
+    if ns.param:
+        raise geometry.CatalogueError("verify takes no --param")
     seed = ns.seed if ns.seed is not None else _default_seed()
     kwargs = {"seed": seed}
     if ns.theorem in ("warpedSol", "t_riem", "t_lorentz", "t_gen"):
@@ -353,14 +362,13 @@ def main(argv=None) -> int:
 
     try:
         report, ok = COMMANDS[ns.command](ns)
+        _emit(report, ns)
     except CHECK_ERRORS as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
     except USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    _emit(report, ns)
     return 0 if ok else 1
 
 

@@ -14,10 +14,11 @@ are integer literals, optionally signed.
 
 ASTs are immutable; evaluation maps an AST onto coordinate jets (coefficient
 arrays), so every partial derivative of a parsed formula is available through
-the jets module.
-The module also provides symbolic building blocks (derivative, simplification,
-matrix inverse via cofactors) used to assemble warped metrics and Killing
-field candidates, plus the reader for the "conformal-metric v1" text format.
+the jets module, and derivatives are never taken symbolically.
+The module also provides the symbolic building blocks (simplifying
+constructors, variable shifts, parameter substitution) used to assemble
+warped and rescaled metrics, plus the reader for the "conformal-metric v1"
+text format.
 """
 
 from __future__ import annotations
@@ -415,50 +416,6 @@ def var(i: int) -> Node:
     return Var(i)
 
 
-def derivative(node: Node, index: int) -> Node:
-    """Symbolic partial derivative with respect to coordinate `index`."""
-    if isinstance(node, (Const, Param)):
-        return ZERO
-    if isinstance(node, Var):
-        return ONE if node.index == index else ZERO
-    if isinstance(node, Neg):
-        return simplify(Neg(derivative(node.arg, index)))
-    if isinstance(node, Pow):
-        inner = derivative(node.base, index)
-        if is_zero(inner):
-            return ZERO
-        return mul(
-            mul(const(node.exponent), Pow(node.base, node.exponent - 1)), inner
-        )
-    if isinstance(node, Bin):
-        da = derivative(node.left, index)
-        db = derivative(node.right, index)
-        if node.op == "+":
-            return add(da, db)
-        if node.op == "-":
-            return sub(da, db)
-        if node.op == "*":
-            return add(mul(da, node.right), mul(node.left, db))
-        return div(sub(mul(da, node.right), mul(node.left, db)),
-                   Pow(node.right, 2))
-    if isinstance(node, Call):
-        inner = derivative(node.arg, index)
-        if is_zero(inner):
-            return ZERO
-        u = node.arg
-        outer = {
-            "sin": Call("cos", u),
-            "cos": Neg(Call("sin", u)),
-            "tan": add(ONE, Pow(Call("tan", u), 2)),
-            "sinh": Call("cosh", u),
-            "cosh": Call("sinh", u),
-            "exp": Call("exp", u),
-            "sqrt": div(const(0.5), Call("sqrt", u)),
-        }[node.fn]
-        return mul(outer, inner)
-    raise TypeError(f"unknown node {node!r}")
-
-
 def shift_vars(node: Node, offset: int) -> Node:
     """Re-index every variable by +offset (embedding a factor in a product chart)."""
     if isinstance(node, Var):
@@ -511,41 +468,6 @@ def substitute_params(node: Node, values: dict) -> Node:
                    substitute_params(node.left, values),
                    substitute_params(node.right, values))
     raise TypeError(f"unknown node {node!r}")
-
-
-def matrix_determinant(rows: list[list[Node]]) -> Node:
-    """Cofactor expansion with zero pruning; fine for the sparse n<=8 metrics."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total: Node = ZERO
-    for j, entry in enumerate(rows[0]):
-        if is_zero(simplify(entry)):
-            continue
-        minor = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
-        term = mul(entry, matrix_determinant(minor))
-        total = add(total, term) if j % 2 == 0 else sub(total, term)
-    return total
-
-
-def matrix_inverse(rows: list[list[Node]]) -> list[list[Node]]:
-    """Symbolic inverse via adjugate / determinant."""
-    n = len(rows)
-    det = matrix_determinant(rows)
-    if is_zero(simplify(det)):
-        raise EvalError("symbolic inverse of an identically singular matrix")
-    inv = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            cof = matrix_determinant(minor) if n > 1 else ONE
-            if (i + j) % 2 == 1:
-                cof = simplify(Neg(cof))
-            inv[i][j] = div(cof, det)
-    return inv
 
 
 # --- "conformal-metric v1" text format -----------------------------------------

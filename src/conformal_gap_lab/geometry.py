@@ -192,8 +192,8 @@ def _fubini_study_hyperbolic() -> MetricSpec:
 
 
 def _taub_nut(m: float) -> MetricSpec:
-    if m <= 0:
-        raise CatalogueError(f"taub_nut needs m > 0, got {m}")
+    if not isinstance(m, (int, float)) or not 0 < m < math.inf:
+        raise CatalogueError(f"taub_nut needs a finite number m > 0, got {m!r}")
     params = (("m", float(m)),)
     comps = _parse_components(4, {
         (0, 0): "1 + m/x1",
@@ -277,14 +277,21 @@ def _lorentz3d(h) -> MetricSpec:
     )
 
 
+# name -> (factory, default of each parameter it takes)
 _BUILTINS = {
-    "fubini_study": lambda params: _fubini_study(),
-    "fubini_study_hyperbolic": lambda params: _fubini_study_hyperbolic(),
-    "taub_nut": lambda params: _taub_nut(params.get("m", 1.0)),
-    "pp_wave": lambda params: _pp_wave(),
-    "pp_split": lambda params: _pp_split(),
-    "lorentz3d": lambda params: _lorentz3d(params.get("h", 0.0)),
+    "fubini_study": (_fubini_study, {}),
+    "fubini_study_hyperbolic": (_fubini_study_hyperbolic, {}),
+    "taub_nut": (_taub_nut, {"m": 1.0}),
+    "pp_wave": (_pp_wave, {}),
+    "pp_split": (_pp_split, {}),
+    "lorentz3d": (_lorentz3d, {"h": 0.0}),
 }
+
+
+def _check_params(name: str, params: dict, takes) -> None:
+    if unknown := sorted(set(params) - set(takes)):
+        raise CatalogueError(f"{name} takes no parameter {unknown[0]!r} "
+                             f"(parameters: {', '.join(sorted(takes)) or 'none'})")
 
 
 def builtin_metric(name: str, params: dict | None = None) -> MetricSpec:
@@ -294,7 +301,9 @@ def builtin_metric(name: str, params: dict | None = None) -> MetricSpec:
         raise CatalogueError(
             f"unknown metric {name!r}; builtins: {sorted(_BUILTINS)}"
         )
-    return _BUILTINS[name](params)
+    factory, defaults = _BUILTINS[name]
+    _check_params(name, params, defaults)
+    return factory(**{**defaults, **params})
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +450,14 @@ def catalogue_names() -> list[str]:
 
 def catalogue_metric(name: str, params: dict | None = None) -> MetricSpec:
     """Resolve any catalogue name (builtins, flat_p_q, warped families)."""
-    params = params or {}
     if name in _BUILTINS:
         return builtin_metric(name, params)
+    spec = _family_metric(name)
+    _check_params(name, params or {}, ())
+    return spec
+
+
+def _family_metric(name: str) -> MetricSpec:
     if name == "flat_r4":
         return pseudo_euclidean(0, 4)
     if m := _FLAT_RE.match(name):

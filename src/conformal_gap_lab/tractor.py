@@ -60,9 +60,6 @@ class TractorVector:
 class TractorEndo:
     matrix: np.ndarray
 
-    def apply(self, v: TractorVector) -> TractorVector:
-        return TractorVector.from_array(self.matrix @ v.as_array())
-
     def norm(self) -> float:
         return frobenius(self.matrix)
 

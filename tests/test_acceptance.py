@@ -62,7 +62,8 @@ def test_criterion_03_three_dimensional_example():
                     frobenius(ytilde - expected), frobenius(ytilde + expected)
                 )
                 assert up_to_sign < 1e-8
-                rep = analysis.ck_and_normality(spec, k, pt, with_extras=True)
+                rep = analysis.ck_and_normality(
+                    spec, analysis.field_jets(spec, k, pt), pt, with_extras=True)
                 assert rep.ck_res < 1e-8
                 assert rep.normal_res < 1e-8
                 assert rep.normal_res_first_index < 1e-8

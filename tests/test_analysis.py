@@ -8,8 +8,8 @@ import pytest
 
 from conformal_gap_lab import analysis, curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.analysis import (
-    AnalysisError, WitnessError, ae_residual, ck_and_normality,
-    estimate_parallel_dims, kernel, kernel_of_weyl, verify_theorem, wedge_nckf,
+    AnalysisError, ae_residual, ck_and_normality, estimate_parallel_dims,
+    field_jets, kernel, kernel_of_weyl, verify_theorem, wedge_nckf,
 )
 from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_points
 
@@ -89,7 +89,7 @@ def test_lorentz3d_killing_field_full_report():
         spec = builtin_metric("lorentz3d", {"h": h})
         k = (expr.ZERO, expr.ZERO, expr.ONE)       # d/dt in (x, y, t)
         for pt in sample_points(spec, 4, seed=5):
-            rep = ck_and_normality(spec, k, pt, with_extras=True)
+            rep = ck_and_normality(spec, field_jets(spec, k, pt), pt, with_extras=True)
             assert rep.ck_res < 1e-9
             assert rep.normal_res < 1e-9
             assert rep.normal_res_first_index < 1e-9
@@ -101,7 +101,7 @@ def test_pp_wave_z_direction_is_normal_killing():
     spec = builtin_metric("pp_wave")
     k = (expr.ZERO, expr.ZERO, expr.ZERO, expr.ONE)
     for pt in sample_points(spec, 3, seed=6):
-        rep = ck_and_normality(spec, k, pt)
+        rep = ck_and_normality(spec, field_jets(spec, k, pt), pt)
         assert rep.ck_res < 1e-9
         assert rep.normal_res < 1e-9
 
@@ -110,37 +110,30 @@ def test_random_field_fails_killing_equation():
     spec = builtin_metric("taub_nut")
     k = (expr.var(1), expr.ZERO, expr.parse("sin(x1)", 4), expr.ZERO)
     pt = sample_points(spec, 1, seed=7)[0]
-    assert ck_and_normality(spec, k, pt).ck_res > 1e-3
+    assert ck_and_normality(spec, field_jets(spec, k, pt), pt).ck_res > 1e-3
 
 
 def test_wedge_of_scale_with_itself_vanishes():
     spec = builtin_metric("pp_wave")
     sigma = spec.known_scales[1][1]
-    fields = wedge_nckf(spec, sigma, sigma, verify=False)
     for pt in sample_points(spec, 2, seed=8):
-        vals, _ = analysis._field_jets(spec, fields, pt)
+        vals = wedge_nckf(spec, sigma, sigma, pt)[:, 0]
         assert np.abs(vals).max() < 1e-12
 
 
 def test_pp_wave_wedge_is_minus_sqrt2_dz():
     spec = builtin_metric("pp_wave")
-    fields = wedge_nckf(spec, expr.ONE, spec.known_scales[1][1])
     for pt in sample_points(spec, 3, seed=9):
-        vals, _ = analysis._field_jets(spec, fields, pt)
+        vals = wedge_nckf(spec, expr.ONE, spec.known_scales[1][1], pt)[:, 0]
         assert np.allclose(vals, [0, 0, 0, -math.sqrt(2)], atol=1e-10)
 
 
 def test_pp_split_wedges_span_expected_fields():
     spec = builtin_metric("pp_split")
     one, t, x = (s for _, s in spec.known_scales)
-    w_1t = wedge_nckf(spec, one, t)
-    w_1x = wedge_nckf(spec, one, x)
-    w_tx = wedge_nckf(spec, t, x)
     for pt in sample_points(spec, 3, seed=10):
         tval, xval = pt[0], pt[1]
-        v1, _ = analysis._field_jets(spec, w_1t, pt)
-        v2, _ = analysis._field_jets(spec, w_1x, pt)
-        v3, _ = analysis._field_jets(spec, w_tx, pt)
+        v1, v2, v3 = (wedge_nckf(spec, a, b, pt)[:, 0] for a, b in ((one, t), (one, x), (t, x)))
         assert np.allclose(v1, [0, 0, 0, 1], atol=1e-10)            # dz dual
         assert np.allclose(v2, [0, 0, 1, 0], atol=1e-10)            # dy dual
         assert np.allclose(v3, [0, 0, tval, -xval], atol=1e-10)     # t dy - x dz
@@ -151,17 +144,45 @@ def test_pp_split_wedges_span_expected_fields():
 
 def test_wedge_verification_rejects_non_solutions():
     spec = builtin_metric("pp_split")
-    with pytest.raises(WitnessError):
-        wedge_nckf(spec, expr.ONE, expr.parse("t^2", 4, var_names=spec.names))
+    t_sq = expr.parse("t^2", 4, var_names=spec.names)
+    pt = sample_points(spec, 1, seed=33)[0]
+    assert ck_and_normality(spec, wedge_nckf(spec, expr.ONE, t_sq, pt), pt).ck_res > 1e-3
+
+
+def _wedge_oracle(spec, s1, s2, pt):
+    """g^-1 (sigma grad sigma_bar - sigma_bar grad sigma), inverting the g values."""
+    g = geometry.metric_jets(spec, pt, 1)[..., 0]
+    a, b = (expr.evaluate(s, jets.seed_jets(pt, 1), spec.params_dict) for s in (s1, s2))
+    return np.linalg.inv(g) @ (a[0] * b[1:] - b[0] * a[1:])
+
+
+@pytest.mark.parametrize("name", ["warped_fs_n6", "product_lorentz_n6"])
+def test_wedge_jets_match_inverse_metric_oracle(name):
+    spec = geometry.catalogue_metric(name)
+    # the scales vary only along the base; a function of fiber coordinates
+    # makes g^-1 act on the off-diagonal fiber block too
+    fiber = expr.mul(expr.var(spec.n - 3), expr.Call("sin", expr.var(spec.n - 1)))
+    scales = [s for _, s in spec.known_scales] + [fiber]
+    h = 1e-4
+    for pt in sample_points(spec, 2, seed=34):
+        for s1, s2 in itertools.combinations(scales, 2):
+            k = wedge_nckf(spec, s1, s2, pt)
+            want = _wedge_oracle(spec, s1, s2, pt)
+            assert np.abs(k[:, 0] - want).max() <= 1e-12 * np.abs(want).max()
+            step = h * np.eye(spec.n)
+            fd = np.stack([(_wedge_oracle(spec, s1, s2, np.add(pt, e))
+                            - _wedge_oracle(spec, s1, s2, np.subtract(pt, e))) / (2 * h)
+                           for e in step], axis=-1)              # [a, r] = d_r k^a
+            # relative to the whole jet: some wedges are constant fields
+            assert np.abs(fd - jets.gradient(k, spec.n)).max() <= 1e-6 * np.abs(k).max()
 
 
 def test_wedge_fields_pass_killing_and_normality():
     spec = builtin_metric("pp_split")
     one, t, x = (s for _, s in spec.known_scales)
     for s1, s2 in ((one, t), (one, x), (t, x)):
-        fields = wedge_nckf(spec, s1, s2, verify=False)
         for pt in sample_points(spec, 3, seed=11):
-            rep = ck_and_normality(spec, fields, pt)
+            rep = ck_and_normality(spec, wedge_nckf(spec, s1, s2, pt), pt)
             assert rep.ck_res < 1e-8
             assert rep.normal_res < 1e-8
 
@@ -169,13 +190,10 @@ def test_wedge_fields_pass_killing_and_normality():
 def test_bracket_closure_of_pp_split_wedges():
     spec = builtin_metric("pp_split")
     one, t, x = (s for _, s in spec.known_scales)
-    fields = [
-        wedge_nckf(spec, one, t, verify=False),
-        wedge_nckf(spec, one, x, verify=False),
-        wedge_nckf(spec, t, x, verify=False),
-    ]
     points = sample_points(spec, 10, seed=12)
-    assert analysis.bracket_closure_residual(spec, fields, points) < 1e-6
+    fields = np.stack([[wedge_nckf(spec, a, b, p) for p in points]
+                       for a, b in ((one, t), (one, x), (t, x))])
+    assert analysis.bracket_closure_residual(fields) < 1e-6
 
 
 def test_ae_operator_conformal_invariance():
@@ -292,9 +310,8 @@ def test_pp_wedge_fields_are_null():
         spec = builtin_metric(name)
         scales = list(spec.known_scales)
         for (_, s1), (_, s2) in [(scales[0], scales[1])]:
-            fields = wedge_nckf(spec, s1, s2, verify=False)
             for pt in sample_points(spec, 5, seed=17):
-                vals, _ = analysis._field_jets(spec, fields, pt)
+                vals = wedge_nckf(spec, s1, s2, pt)[:, 0]
                 g = curvature.curvature_pack(spec, pt, 3).g.components
                 assert abs(vals @ g @ vals) < 1e-9
 
@@ -302,12 +319,12 @@ def test_pp_wedge_fields_are_null():
 def test_bracket_closure_on_lorentz_product_witnesses():
     spec = geometry.catalogue_metric("product_lorentz_n6")
     scales = list(spec.known_scales)
-    fields = [
-        wedge_nckf(spec, s1, s2, verify=False)
-        for (_, s1), (_, s2) in itertools.combinations(scales, 2)
-    ]
     points = sample_points(spec, 10, seed=18)
-    assert analysis.bracket_closure_residual(spec, fields, points) < 1e-6
+    fields = np.stack([
+        [wedge_nckf(spec, s1, s2, p) for p in points]
+        for (_, s1), (_, s2) in itertools.combinations(scales, 2)
+    ])
+    assert analysis.bracket_closure_residual(fields) < 1e-6
 
 
 def test_riemannian_4d_submaximal_scale_dimension():
@@ -404,6 +421,20 @@ def test_dims_table_holds_at_random_basepoints(name):
         got = (rep.d_ae_lower, rep.d_ae_upper, rep.d_nck_lower, rep.d_nck_upper)
         assert got == (d_ae, d_ae, d_nck, d_nck), pt
         assert rep.exact_ae and rep.exact_nck and not rep.marginal
+
+
+@pytest.mark.parametrize("name", ["product_split_n6", "product_lorentz_n6"])
+def test_zero_constraint_rows_do_not_change_kernels(name):
+    spec = geometry.catalogue_metric(name)
+    pt = geometry.default_point(spec)
+    X, _ = analysis.holonomy_constraints(spec, pt)
+    nb = spec.n + 2
+    rows = (X.reshape(-1, nb), analysis.derived_lambda2(X).reshape(-1, nb * (nb - 1) // 2))
+    assert (np.abs(rows[1]).max(axis=1) == 0).any()
+    for A, cut in zip(rows, analysis.constraint_kernels(spec, pt)):
+        full = kernel(A)
+        assert full.marginal == cut.marginal
+        assert np.abs(full.basis.T @ full.basis - cut.basis.T @ cut.basis).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["pp_split", "product_split_n6"])

@@ -150,3 +150,54 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["metric"] == "pp_wave"
+
+
+def usage_error(capsys, *argv) -> str:
+    """Run argv, expect exit 2 with one `error:` line and no report."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_missing_metric_file_exits_2(tmp_path, capsys):
+    err = usage_error(capsys, "analyze", str(tmp_path / "absent.metric"))
+    assert "absent.metric" in err
+
+
+def test_unreadable_metric_file_exits_2(tmp_path, capsys):
+    folder = tmp_path / "folder.metric"
+    folder.mkdir()
+    usage_error(capsys, "dims", str(folder))
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    usage_error(capsys, "analyze", "pp_wave", "--point", "0,1,0,0",
+                "--out", str(tmp_path / "no_such_dir" / "report.json"))
+
+
+def test_non_numeric_param_exits_2(capsys):
+    err = usage_error(capsys, "analyze", "taub_nut", "--param", "m=abc")
+    assert "'abc'" in err
+
+
+def test_nan_param_exits_2(capsys):
+    err = usage_error(capsys, "analyze", "taub_nut", "--param", "m=nan")
+    assert "finite" in err
+
+
+def test_unknown_param_name_exits_2(capsys):
+    err = usage_error(capsys, "analyze", "pp_wave", "--param", "bogus=1")
+    assert "'bogus'" in err
+
+
+def test_param_on_metric_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "line.metric"
+    path.write_text("dim = 3\nsignature = 0,3\ng 1 1 : 1\ng 2 2 : 1\ng 3 3 : 1\n")
+    err = usage_error(capsys, "analyze", str(path), "--param", "a=2")
+    assert "--param" in err
+
+
+def test_param_on_verify_exits_2(capsys):
+    usage_error(capsys, "verify", "bounds", "--metric", "taub_nut", "--param", "m=2")

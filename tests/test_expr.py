@@ -113,27 +113,6 @@ def test_constant_fold_matches_raw_evaluation():
     assert np.allclose(a, b, atol=1e-14)
 
 
-def test_symbolic_derivative_matches_jets():
-    ast = parse("sin(x1*x2) + x2^3/x1", n=2)
-    d0 = expr.derivative(ast, 0)
-    env = jets.seed_jets((1.3, 0.4), 2)
-    via_jet = jets.dcoeffs(evaluate(ast, env), 0, 2, 2)
-    via_sym = evaluate(d0, jets.seed_jets((1.3, 0.4), 1))
-    assert via_sym[0] == pytest.approx(via_jet[0], rel=1e-12)
-
-
-def test_matrix_inverse_symbolic():
-    g = [
-        [parse("x1^2", 2), expr.const(1.0)],
-        [expr.const(1.0), expr.const(0.0)],
-    ]
-    ginv = expr.matrix_inverse(g)
-    pt = (1.7, 0.2)
-    gv = np.array([[expr.evaluate_at(e, pt) for e in row] for row in g])
-    iv = np.array([[expr.evaluate_at(e, pt) for e in row] for row in ginv])
-    assert np.allclose(gv @ iv, np.eye(2), atol=1e-12)
-
-
 def test_shift_vars():
     ast = parse("x1*sin(x2)", n=2)
     shifted = expr.shift_vars(ast, 2)
