@@ -217,10 +217,10 @@ def wedge_nckf(spec: MetricSpec, sigma: expr.Node, sigma_bar: expr.Node,
     n = spec.n
     fr = curvature.frame(spec, point, 2)
     s, sb = fr.scalar_jet(sigma, 2), fr.scalar_jet(sigma_bar, 2)
-    ds, dsb = (np.stack([jets.dcoeffs(f, b, n, 2) for b in range(n)]) for f in (s, sb))
+    ds, dsb = (jets.partials(f, n, 2) for f in (s, sb))
     k_low = (jets.conv(fr.at(s, 1), dsb, n, 1)
              - jets.conv(fr.at(sb, 1), ds, n, 1))              # (n, C_1)
-    return jets.conv(fr.at(fr.ginv, 1), k_low[None], n, 1).sum(axis=1)
+    return jets.contract(fr.at(fr.ginv, 1), k_low[None], n, 1)
 
 
 def bracket_closure_residual(fields: np.ndarray) -> float:
@@ -444,15 +444,14 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
 
         wedge_pts = check_pts[:3]
         wedge_vecs = []
-        for (ni, si), (nj, sj) in itertools.combinations(verified, 2):
+        pairs = itertools.combinations(zip(verified, vecs), 2)
+        for ((ni, si), Ii), ((nj, sj), Ij) in pairs:
             rep = max(
                 (ck_and_normality(spec, wedge_nckf(spec, si, sj, p), p)
                  for p in wedge_pts),
                 key=lambda r: max(r.ck_res, r.normal_res),
             )
             if max(rep.ck_res, rep.normal_res) < 10 * residual_tol:
-                Ii = tractor.einstein_tractor(spec, si, basepoint).as_array()
-                Ij = tractor.einstein_tractor(spec, sj, basepoint).as_array()
                 wedge_vecs.append(wedge_vector(Ii, Ij))
                 report.nck_witnesses.append(f"{ni}^{nj}")
             else:

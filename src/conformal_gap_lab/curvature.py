@@ -31,7 +31,7 @@ import numpy as np
 
 from . import expr, geometry, jets
 from .geometry import MetricSpec, WarpedSpec
-from .jets import conv, dcoeffs, truncate_coeffs
+from .jets import contract, conv, partials, truncate_coeffs
 
 
 class ConventionError(RuntimeError):
@@ -79,54 +79,43 @@ class CurvatureFrame:
         self.g, self.ginv, self.signature = geometry.metric_frame_at(spec, self.point, order)
 
         # dg[i, a, b] = d_i g_ab, one jet order lower
-        dg = np.stack([dcoeffs(self.g, i, n, order) for i in range(n)])
+        dg = partials(self.g, n, order)
         m1 = order - 1
         ginv1 = self.at(self.ginv, m1)
-        T = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
-        gamma = np.zeros((n, n, n, T.shape[-1]))
-        for d in range(n):
-            gamma += conv(ginv1[:, d][:, None, None, :], T[d][None, :, :, :], n, m1)
-        self.gamma = 0.5 * gamma  # gamma[c, a, b] = Gamma^c_ab
+        T = dg + dg.transpose(1, 0, 2, 3) - dg.transpose(1, 2, 0, 3)   # [a, b, d]
+        # gamma[c, a, b] = Gamma^c_ab = g^cd T[a, b, d] / 2
+        self.gamma = 0.5 * contract(ginv1[:, None, None], T[None], n, m1)
 
         m2 = order - 2
-        dgamma = np.stack([dcoeffs(self.gamma, i, n, m1) for i in range(n)])
+        dgamma = partials(self.gamma, n, m1)
         g2 = self.at(self.g, m2)
         ginv2 = self.at(self.ginv, m2)
         gam2 = self.at(self.gamma, m2)
         B1 = dgamma.transpose(0, 2, 1, 3, 4)            # [a, b, c, d] = d_a Gamma^c_bd
-        gg = np.zeros((n, n, n, n, g2.shape[-1]))
-        for r in range(n):
-            left = np.moveaxis(gam2[:, :, r], 0, 1)      # [a, c]
-            gg += conv(left[:, None, :, None, :], gam2[r][None, :, None, :, :], n, m2)
+        # gg[a, b, c, d] = Gamma^c_ar Gamma^r_bd
+        left = gam2.transpose(1, 0, 2, 3)[:, None, :, None]          # [a, ., c, ., r]
+        gg = contract(left, gam2.transpose(1, 2, 0, 3)[None, :, None], n, m2)
         rm = B1 - B1.transpose(1, 0, 2, 3, 4) + gg - gg.transpose(1, 0, 2, 3, 4)
         self.riemann_mixed = rm                           # [a, b, c, d] = R_ab^c_d
 
-        rlow = np.zeros_like(rm)
-        for e in range(n):
-            rlow += conv(g2[:, e][None, None, :, None, :], rm[:, :, e, :, :][:, :, None, :, :], n, m2)
-        self.riemann = rlow                               # R_abcd
-
-        ricci = np.zeros((n, n, g2.shape[-1]))
-        for r in range(n):
-            ricci += rm[r, :, r, :, :]
-        self.ricci = ricci
-        self.sc = conv(ginv2, ricci, n, m2).sum(axis=(0, 1))
+        # R_abcd = g_ce R_ab^e_d
+        rlow = contract(g2[None, None, :, None], rm.transpose(0, 1, 3, 2, 4)[:, :, None], n, m2)
+        self.riemann = rlow
+        self.ricci = ricci = np.einsum("rbrdk->bdk", rm)
+        self.sc = contract(ginv2.reshape(n * n, -1), ricci.reshape(n * n, -1), n, m2)
         self.j = self.sc / (2.0 * (n - 1))
         self.schouten = (ricci - conv(self.j[None, None, :], g2, n, m2)) / (n - 2)
 
+        # R = W + g_ca P_bd - g_cb P_ad + g_db P_ac - g_da P_bc; with
+        # t[a, b, c, d] = g_ac P_bd and g symmetric the last three terms are
+        # transposes of the first
         P = self.schouten
-        t1 = conv(g2[:, None, :, None, :], P[None, :, None, :, :], n, m2)   # g_ca P_bd
-        t2 = conv(g2[None, :, :, None, :], P[:, None, None, :, :], n, m2)   # g_cb P_ad
-        t3 = conv(g2[None, :, None, :, :], P[:, None, :, None, :], n, m2)   # g_db P_ac
-        t4 = conv(g2[:, None, None, :, :], P[None, :, :, None, :], n, m2)   # g_da P_bc
-        self.weyl = rlow - t1 + t2 - t3 + t4
+        t = conv(g2[:, None, :, None, :], P[None, :, None, :, :], n, m2)
+        self.weyl = (rlow - t + t.transpose(1, 0, 2, 3, 4)
+                     - t.transpose(1, 0, 3, 2, 4) + t.transpose(0, 1, 3, 2, 4))
 
         # P with the second index raised (used by the tractor connection)
-        self.schouten_mixed = np.zeros_like(P)
-        for c in range(n):
-            self.schouten_mixed += conv(
-                ginv2[:, c][None, :, :], P[:, c][:, None, :], n, m2
-            )  # [a, b] = P_a^b
+        self.schouten_mixed = contract(P[:, None], ginv2[None], n, m2)   # [a, b] = P_a^b
 
         self.cotton = None
         if order >= 3:
@@ -153,24 +142,17 @@ class CurvatureFrame:
 
     def cov_deriv(self, T: np.ndarray, variance: str, m: int) -> np.ndarray:
         """Covariant derivative of a rank-k jet tensor: out[a, ...] = nabla_a T."""
-        n = self.n
-        out = np.stack([dcoeffs(T, a, n, m) for a in range(n)])
+        out = partials(T, self.n, m)
         G = self.at(self.gamma, m - 1)
         Tm = self.at(T, m - 1)
+        rest = (None,) * (Tm.ndim - 2)                    # the other indices of T
         for k, var_k in enumerate(variance):
-            Tk = np.moveaxis(Tm, k, 0)                    # (r, *rest, C)
-            rest = Tk.shape[1:-1]
-            acc = np.zeros((n, n) + rest + (Tk.shape[-1],))
-            for r in range(n):
-                if var_k == "u":
-                    left = np.moveaxis(G[:, :, r], 0, 1)  # (a, idx)
-                else:
-                    left = G[r]                            # (a, idx)
-                lx = left[(slice(None), slice(None)) + (None,) * len(rest) + (slice(None),)]
-                rx = Tk[r][(None, None) + (slice(None),) * len(rest) + (slice(None),)]
-                acc += conv(lx, rx, n, m - 1)
-            signed = acc if var_k == "u" else -acc
-            out += np.moveaxis(signed, 1, 1 + k)
+            # [a, i, r] = Gamma^i_ar (upper index) or Gamma^r_ai (lower index)
+            left = G.transpose(1, 0, 2, 3) if var_k == "u" else G.transpose(1, 2, 0, 3)
+            lx = left[(slice(None), slice(None)) + rest]  # (a, i, 1.., r, C)
+            rx = np.moveaxis(Tm, k, -2)[None, None]       # (1, 1, rest, r, C)
+            acc = contract(lx, rx, self.n, m - 1)
+            out += np.moveaxis(acc if var_k == "u" else -acc, 1, 1 + k)
         return out
 
     def scalar_jet(self, node, m: int | None = None) -> np.ndarray:

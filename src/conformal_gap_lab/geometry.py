@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -59,6 +59,12 @@ class MetricSpec:
             raise SingularMetricError(
                 f"signature {self.signature} does not sum to dimension {self.n}"
             )
+        # frame caches key on specs: hash the component ASTs once, not per lookup
+        key = tuple(getattr(self, f.name) for f in fields(self))
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def params_dict(self) -> dict:
@@ -303,6 +309,9 @@ def builtin_metric(name: str, params: dict | None = None) -> MetricSpec:
         )
     factory, defaults = _BUILTINS[name]
     _check_params(name, params, defaults)
+    for key, value in params.items():
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise CatalogueError(f"{name} parameter {key} must be finite, got {value!r}")
     return factory(**{**defaults, **params})
 
 
@@ -361,7 +370,6 @@ def warped_product(ws: WarpedSpec, negative_region: bool = False,
         components=_sym(m),
         domain=tuple(domain),
         label=label or f"warped[{ws.base.label}x{ws.fiber.label};a={ws.a},b={ws.b}]",
-        coord_names=tuple(f"x{i + 1}" for i in range(nb)) + tuple(ws.fiber.names),
         sample_box=base_box + fiber_box,
         known_scales=tuple(known_scales),
         notes=tuple(notes),
@@ -581,7 +589,10 @@ def metric_frame_at(spec: MetricSpec, point, order: int):
         raise DomainError(
             f"point {tuple(point)} outside the domain of {spec.label!r}"
         )
-    G = metric_jets(spec, point, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = metric_jets(spec, point, order)
+    if not np.all(np.isfinite(G)):
+        raise DomainError(f"{spec.label!r}: metric not finite at {tuple(point)}")
     values = G[..., 0]
     size = np.abs(_eigenvalues(values))
     if size.min() <= DEGENERACY_RATIO * size.max():

@@ -11,8 +11,10 @@ degree-0 slot is the value, and the degree-1 block holds the first partials in
 coordinate order.
 
 Operations take the jet shape ``(num_vars, order)`` explicitly and reject
-operands whose coefficient axis has the wrong length.  :func:`conv` is the one
-product; sums, differences and scalar multiples are plain numpy arithmetic.
+operands whose coefficient axis has the wrong length.  :func:`conv` is the
+product and :func:`contract` the product summed over one index; both scatter
+through one tail.  :func:`partials` gives all first partials in one gather.
+Sums, differences and scalar multiples are plain numpy arithmetic.
 Primitives: :func:`reciprocal`, integer :func:`power`, ``sin cos tan sinh cosh
 exp sqrt``.  Division and ``sqrt`` refuse expansion points whose value is
 smaller than ``SINGULAR_VALUE`` in absolute value.
@@ -20,6 +22,7 @@ smaller than ``SINGULAR_VALUE`` in absolute value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,18 +47,8 @@ class JetError(ValueError):
 
 def _multi_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
     """All exponent tuples with |alpha| <= order, graded-lexicographic."""
-    out: list[tuple[int, ...]] = []
-
-    def fill(prefix: tuple[int, ...], slots: int, total: int) -> None:
-        if slots == 1:
-            out.append(prefix + (total,))
-            return
-        for k in range(total, -1, -1):
-            fill(prefix + (k,), slots - 1, total - k)
-
-    for degree in range(order + 1):
-        fill((), num_vars, degree)
-    return out
+    return [tuple(c.count(v) for v in range(num_vars)) for d in range(order + 1)
+            for c in itertools.combinations_with_replacement(range(num_vars), d)]
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,8 @@ class JetTables:
     mul_j: np.ndarray
     mul_k: np.ndarray
     scatter: np.ndarray | None            # (T, size) dense 0/1 matrix, or None
-    diff_src: tuple[np.ndarray, ...]      # per variable: source slot in the parent jet
-    diff_fac: tuple[np.ndarray, ...]      # per variable: multiplier (alpha_i + 1)
+    diff_src: np.ndarray                  # [var, slot]: source slot in the parent jet
+    diff_fac: np.ndarray                  # [var, slot]: multiplier (alpha_var + 1)
 
 
 @lru_cache(maxsize=None)
@@ -87,43 +80,34 @@ def tables(num_vars: int, order: int) -> JetTables:
     multis = tuple(_multi_indices(num_vars, order))
     position = {m: i for i, m in enumerate(multis)}
     size = len(multis)
-    degrees = [sum(m) for m in multis]
-    sizes_by_order = tuple(
-        sum(1 for d in degrees if d <= m) for m in range(order + 1)
-    )
-    factorial = np.array(
-        [math.prod(math.factorial(k) for k in m) for m in multis], dtype=float
-    )
+    E = np.array(multis, dtype=np.intp)
+    degrees = E.sum(axis=1)
+    sizes_by_order = tuple(int(np.sum(degrees <= m)) for m in range(order + 1))
+    factorial = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+    factorial = factorial[E].prod(axis=1)
 
-    mi, mj, mk = [], [], []
-    for i, a in enumerate(multis):
-        da = degrees[i]
-        for j, b in enumerate(multis):
-            if da + degrees[j] > order:
-                continue
-            mi.append(i)
-            mj.append(j)
-            mk.append(position[tuple(x + y for x, y in zip(a, b))])
-    mul_i = np.array(mi, dtype=np.intp)
-    mul_j = np.array(mj, dtype=np.intp)
-    mul_k = np.array(mk, dtype=np.intp)
+    # an exponent sum with total degree <= order has every entry <= order, so
+    # the mixed-radix key (base order + 1) of a multi-index locates it
+    radix = (order + 1) ** np.arange(num_vars - 1, -1, -1)
+    keys = E @ radix
+    by_key = np.argsort(keys)
+
+    def locate(k):
+        return by_key[np.searchsorted(keys, k, sorter=by_key)]
+
+    # pairs in row-major (i, j) order: the order in which bincount sums a slot
+    mul_i, mul_j = np.nonzero(degrees[:, None] + degrees[None, :] <= order)
+    mul_k = locate(keys[mul_i] + keys[mul_j])
 
     scatter = None
     if len(mul_k) * size <= _DENSE_TABLE_LIMIT:
         scatter = np.zeros((len(mul_k), size))
         scatter[np.arange(len(mul_k)), mul_k] = 1.0
 
-    diff_src, diff_fac = [], []
-    lower = _multi_indices(num_vars, order - 1) if order >= 1 else []
-    for v in range(num_vars):
-        src = np.empty(len(lower), dtype=np.intp)
-        fac = np.empty(len(lower))
-        for r, beta in enumerate(lower):
-            shifted = tuple(b + (1 if t == v else 0) for t, b in enumerate(beta))
-            src[r] = position[shifted]
-            fac[r] = beta[v] + 1
-        diff_src.append(src)
-        diff_fac.append(fac)
+    # d/dx_v of the jet reads slot beta + e_v for every beta below the top degree
+    lower = E[: sizes_by_order[order - 1]] if order >= 1 else E[:0]
+    diff_src = locate(lower @ radix + radix[:, None])
+    diff_fac = lower.T + 1.0
 
     return JetTables(
         num_vars=num_vars,
@@ -137,8 +121,8 @@ def tables(num_vars: int, order: int) -> JetTables:
         mul_j=mul_j,
         mul_k=mul_k,
         scatter=scatter,
-        diff_src=tuple(diff_src),
-        diff_fac=tuple(diff_fac),
+        diff_src=diff_src,
+        diff_fac=diff_fac,
     )
 
 
@@ -164,10 +148,8 @@ def _sized(a, t: JetTables) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # structural operations
 
-def conv(a: np.ndarray, b: np.ndarray, num_vars: int, order: int) -> np.ndarray:
-    """Truncated-series product of coefficient arrays, broadcasting leading axes."""
-    t = tables(num_vars, order)
-    prods = _sized(a, t)[..., t.mul_i] * _sized(b, t)[..., t.mul_j]
+def _scatter(prods: np.ndarray, t: JetTables) -> np.ndarray:
+    """Sum per-pair products (..., T) into their coefficient slots (..., size)."""
     if prods.ndim > 1 and t.scatter is not None:
         return prods @ t.scatter
     lead = prods.shape[:-1]
@@ -175,6 +157,31 @@ def conv(a: np.ndarray, b: np.ndarray, num_vars: int, order: int) -> np.ndarray:
     slots = t.mul_k if rows == 1 else (np.arange(rows)[:, None] * t.size + t.mul_k).ravel()
     out = np.bincount(slots, weights=prods.ravel(), minlength=rows * t.size)
     return out.reshape(lead + (t.size,))
+
+
+def conv(a: np.ndarray, b: np.ndarray, num_vars: int, order: int) -> np.ndarray:
+    """Truncated-series product of coefficient arrays, broadcasting leading axes."""
+    t = tables(num_vars, order)
+    return _scatter(_sized(a, t)[..., t.mul_i] * _sized(b, t)[..., t.mul_j], t)
+
+
+def contract(a: np.ndarray, b: np.ndarray, num_vars: int, order: int) -> np.ndarray:
+    """Sum over the second-to-last axis of the truncated products of a and b.
+
+    Equals ``conv(a, b, num_vars, order).sum(axis=-2)``: the summed index and
+    the pair axis are contracted before the one scatter.
+    """
+    t = tables(num_vars, order)
+    a, b = _sized(a, t)[..., t.mul_i], _sized(b, t)[..., t.mul_j]
+    return _scatter(np.einsum("...rt,...rt->...t", a, b), t)
+
+
+def partials(a: np.ndarray, num_vars: int, order: int) -> np.ndarray:
+    """All first partials, derivative index first: (num_vars, ..., C_{order-1})."""
+    if order < 1:
+        raise JetError("cannot differentiate an order-0 jet")
+    t = tables(num_vars, order)
+    return np.moveaxis(_sized(a, t)[..., t.diff_src] * t.diff_fac, -2, 0)
 
 
 def dcoeffs(a: np.ndarray, var: int, num_vars: int, order: int) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from . import curvature, expr, geometry, jets
 from .curvature import ConventionError, CurvatureFrame, frobenius
 from .geometry import MetricSpec
-from .jets import conv, dcoeffs
+from .jets import contract, conv, partials
 
 
 class TransportError(RuntimeError):
@@ -105,8 +105,9 @@ def connection_matrices(fr: CurvatureFrame) -> np.ndarray:
 
 def _jet_bracket(P: np.ndarray, Q: np.ndarray, n: int, m: int) -> np.ndarray:
     """Commutator PQ - QP of jet matrices (..., k, k, C), leading axes broadcast."""
-    PQ = conv(P[..., :, :, None, :], Q[..., None, :, :, :], n, m).sum(axis=-3)
-    QP = conv(Q[..., :, :, None, :], P[..., None, :, :, :], n, m).sum(axis=-3)
+    Pt, Qt = np.swapaxes(P, -3, -2), np.swapaxes(Q, -3, -2)     # [..., k, i, C]
+    PQ = contract(P[..., :, None, :, :], Qt[..., None, :, :, :], n, m)
+    QP = contract(Q[..., :, None, :, :], Pt[..., None, :, :, :], n, m)
     return PQ - QP
 
 
@@ -114,23 +115,20 @@ def _tractor_deriv_jets(fr: CurvatureFrame, V: np.ndarray, m: int) -> np.ndarray
     """D_a of batched tractor sections: (B, n + 2, C_m) -> (B, n, n + 2, C_{m-1})."""
     n = fr.n
     A = connection_jets(fr, m - 1)
-    dV = np.stack([dcoeffs(V, a, n, m) for a in range(n)], axis=1)
+    dV = np.moveaxis(partials(V, n, m), 0, 1)
     V1 = jets.truncate_coeffs(V, n, m, m - 1)
-    return dV + conv(A[None], V1[:, None, None], n, m - 1).sum(axis=-2)
+    return dV + contract(A[None], V1[:, None, None], n, m - 1)
 
 
 def _einstein_jets(fr: CurvatureFrame, sig) -> np.ndarray:
     """Coefficient array (n + 2, C_{K-2}) of the scale tractor (sigma, mu^b, rho)."""
     n = fr.n
     K = fr.order
-    dsig = np.stack([dcoeffs(sig, a, n, K) for a in range(n)])        # (a, C_{K-1})
-    ginv1 = fr.at(fr.ginv, K - 1)
-    mu = np.zeros((n, dsig.shape[-1]))
-    for c in range(n):
-        mu += conv(ginv1[:, c], dsig[c][None, :], n, K - 1)
+    dsig = partials(sig, n, K)                                         # (a, C_{K-1})
+    mu = contract(fr.at(fr.ginv, K - 1), dsig[None], n, K - 1)
     hess = fr.cov_deriv(dsig, "d", K - 1)                              # (a, b, C_{K-2})
     ginv2 = fr.at(fr.ginv, K - 2)
-    lap = conv(ginv2, hess, n, K - 2).sum(axis=(0, 1))
+    lap = contract(ginv2.reshape(n * n, -1), hess.reshape(n * n, -1), n, K - 2)
     sig2 = jets.truncate_coeffs(sig, n, K, K - 2)
     rho = -(lap + conv(fr.j, sig2, n, K - 2)) / n
     mu2 = jets.truncate_coeffs(mu, n, K - 1, K - 2)
@@ -144,8 +142,9 @@ def einstein_tractor(spec: MetricSpec, sigma: expr.Node, point) -> TractorVector
 
 
 def scale_tractor_parallel_residual(spec: MetricSpec, sigma: expr.Node, point) -> float:
-    """Norm of the tractor derivative of the scale tractor (0 for solutions)."""
-    fr = curvature.frame(spec, point, 4)
+    """Norm of the values of D_a I for the scale tractor I (0 for solutions);
+    they need I only to order 1, which the order-3 frame gives."""
+    fr = curvature.frame(spec, point, 3)
     I = _einstein_jets(fr, fr.scalar_jet(sigma))
     return float(np.linalg.norm(_tractor_deriv_jets(fr, I[None], fr.order - 2)[..., 0]))
 
@@ -183,7 +182,7 @@ def curvature_chain(fr: CurvatureFrame, m: int) -> list[np.ndarray]:
     nb = n + 2
     A = connection_jets(fr, m)
     a, b = np.array(list(itertools.combinations(range(n), 2))).T
-    dA = np.stack([dcoeffs(A, c, n, m) for c in range(n)])           # [c, a] = d_c A_a
+    dA = partials(A, n, m)                                           # [c, a] = d_c A_a
     A1 = jets.truncate_coeffs(A, n, m, m - 1)
     X = dA[a, b] - dA[b, a] + _jet_bracket(A1[a], A1[b], n, m - 1)
     _validate_tractor_curvature(fr, a, b, X[..., 0])
@@ -191,7 +190,7 @@ def curvature_chain(fr: CurvatureFrame, m: int) -> list[np.ndarray]:
     for k in range(m - 1, 0, -1):
         Ak = jets.truncate_coeffs(A, n, m, k - 1)[:, None]
         Xk = jets.truncate_coeffs(X, n, k, k - 1)[None]
-        X = np.stack([dcoeffs(X, c, n, k) for c in range(n)]) + _jet_bracket(Ak, Xk, n, k - 1)
+        X = partials(X, n, k) + _jet_bracket(Ak, Xk, n, k - 1)
         X = X.reshape(-1, nb, nb, X.shape[-1])
         levels.append(X[..., 0])
     return levels

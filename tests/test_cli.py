@@ -201,3 +201,18 @@ def test_param_on_metric_file_exits_2(tmp_path, capsys):
 
 def test_param_on_verify_exits_2(capsys):
     usage_error(capsys, "verify", "bounds", "--metric", "taub_nut", "--param", "m=2")
+
+
+def test_nan_param_in_metric_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.metric"
+    path.write_text("dim = 3\nsignature = 0,3\nparam a = nan\n"
+                    "g 1 1 : 1\ng 2 2 : a*x1^2\ng 3 3 : 1\n")
+    err = usage_error(capsys, "analyze", str(path), "--point", "1,0,0")
+    assert "not finite at (1.0, 0.0, 0.0)" in err
+
+
+def test_overflowing_metric_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.metric"
+    path.write_text("dim = 3\nsignature = 0,3\ng 1 1 : exp(1000*x1)\ng 2 2 : 1\ng 3 3 : 1\n")
+    err = usage_error(capsys, "analyze", str(path), "--point", "1,0,0")
+    assert "not finite at (1.0, 0.0, 0.0)" in err

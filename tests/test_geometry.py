@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conformal_gap_lab import expr, geometry, jets
+from conformal_gap_lab import curvature, expr, geometry, jets
 from conformal_gap_lab.geometry import (
     CatalogueError, DomainError, MetricSpec, SingularMetricError, WarpedSpec,
     builtin_metric, catalogue_metric, metric_frame_at, pseudo_euclidean,
@@ -74,6 +74,48 @@ def test_unknown_builtin_and_bad_param():
         builtin_metric("nope")
     with pytest.raises(CatalogueError):
         builtin_metric("taub_nut", {"m": -1.0})
+
+
+def test_non_finite_params_rejected():
+    with pytest.raises(CatalogueError, match="finite"):
+        builtin_metric("lorentz3d", {"h": float("nan")})
+    with pytest.raises(CatalogueError, match="finite"):
+        builtin_metric("lorentz3d", {"h": float("inf")})
+
+
+def test_non_finite_metric_rejected_at_the_point():
+    spec = geometry.load_metric("dim = 3\nsignature = 0,3\n"
+                                "g 1 1 : exp(1000*x1)\ng 2 2 : 1\ng 3 3 : 1\n", label="big")
+    with np.errstate(all="raise"):
+        with pytest.raises(DomainError, match=r"not finite at \(1\.0, 0\.0, 0\.0\)"):
+            metric_frame_at(spec, (1.0, 0.0, 0.0), 2)
+    assert metric_frame_at(spec, (0.0, 0.0, 0.0), 2)[2] == (0, 3)
+
+
+def test_equal_specs_share_a_frame_cache_entry():
+    first, second = catalogue_metric("product_split_n6"), catalogue_metric("product_split_n6")
+    assert first is not second and first == second and hash(first) == hash(second)
+    curvature._cached_frame.cache_clear()
+    point = geometry.default_point(first)
+    assert curvature.frame(first, point, 2) is curvature.frame(second, point, 2)
+    assert curvature._cached_frame.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
+def test_catalogue_coordinate_names_are_distinct(name):
+    spec = catalogue_metric(name)
+    assert len(set(spec.names)) == spec.n
+
+
+@pytest.mark.parametrize("name", ["warped_fs_n6", "product_lorentz_n6", "product_split_n6"])
+def test_formulas_round_trip_through_coordinate_names(name):
+    # base x1 times the first fiber coordinate: with colliding names the
+    # source of one reads back as the other
+    spec = catalogue_metric(name)
+    node = expr.add(expr.mul(expr.var(0), expr.var(spec.n - 4)), expr.var(spec.n - 1))
+    back = expr.parse(expr.to_source(node, spec.names), spec.n, var_names=spec.names)
+    for pt in sample_points(spec, 3, seed=1):
+        assert expr.evaluate_at(back, pt) == pytest.approx(expr.evaluate_at(node, pt), abs=1e-14)
 
 
 def test_flat_inverse_is_itself():

@@ -1,6 +1,7 @@
 """Jet arithmetic: ring axioms, chain rule vs finite differences, primitives."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -239,3 +240,57 @@ def test_batched_diff_matches_scalar():
     for beta in jets.tables(3, 2).multis:
         shifted = (beta[0], beta[1] + 1, beta[2])
         assert np.allclose(extract_partial(got, beta), extract_partial(a, shifted), atol=1e-14)
+
+
+def _graded_lex(num_vars, order):
+    """Brute-force slot order: by degree, then descending exponents."""
+    multis = (m for m in itertools.product(range(order + 1), repeat=num_vars) if sum(m) <= order)
+    return sorted(multis, key=lambda m: (sum(m), tuple(-k for k in m)))
+
+
+@pytest.mark.parametrize("num_vars", range(1, 7))
+def test_tables_match_pair_loop_reference(num_vars):
+    for order in range(6):
+        t = jets.tables(num_vars, order)
+        multis = _graded_lex(num_vars, order)
+        position = {m: i for i, m in enumerate(multis)}
+        assert list(t.multis) == multis
+        pairs = [(i, j, position[tuple(x + y for x, y in zip(a, b))])
+                 for i, a in enumerate(multis) for j, b in enumerate(multis)
+                 if sum(a) + sum(b) <= order]
+        assert np.array_equal(np.stack([t.mul_i, t.mul_j, t.mul_k], axis=1),
+                              np.array(pairs, dtype=np.intp).reshape(-1, 3))
+        assert np.array_equal(t.factorial, [math.prod(map(math.factorial, m)) for m in multis])
+        lower = [m for m in multis if sum(m) < order]
+        for v in range(num_vars):
+            up = [tuple(k + (u == v) for u, k in enumerate(m)) for m in lower]
+            assert t.diff_src[v].tolist() == [position[m] for m in up]
+            assert t.diff_fac[v].tolist() == [m[v] + 1 for m in lower]
+
+
+@pytest.mark.parametrize("num_vars, order", [(4, 2), (6, 3), (6, 4)])
+def test_contract_matches_conv_sum(num_vars, order):
+    # (4, 2) and (6, 3) have the dense scatter, (6, 4) only bincount; an
+    # unbatched result takes bincount on every table
+    assert (jets.tables(num_vars, order).scatter is None) == (order == 4)
+    rng = np.random.default_rng(7)
+    a = _random_jet(rng, num_vars, order, (3, 1, 5))
+    b = _random_jet(rng, num_vars, order, (1, 4, 5))
+    got = jets.contract(a, b, num_vars, order)
+    assert got.shape == (3, 4, a.shape[-1])
+    assert np.allclose(got, conv(a, b, num_vars, order).sum(axis=-2), atol=1e-12)
+    single = jets.contract(a[0, 0], b[0, 0], num_vars, order)
+    assert np.allclose(single, conv(a[0, 0], b[0, 0], num_vars, order).sum(axis=0), atol=1e-12)
+    with pytest.raises(JetError):
+        jets.contract(a[..., :-1], b[..., :-1], num_vars, order)
+
+
+def test_partials_match_dcoeffs():
+    rng = np.random.default_rng(8)
+    for num_vars, order in [(1, 2), (3, 3), (6, 4)]:
+        a = _random_jet(rng, num_vars, order, (2, 3))
+        got = jets.partials(a, num_vars, order)
+        ref = np.stack([jets.dcoeffs(a, v, num_vars, order) for v in range(num_vars)])
+        assert np.array_equal(got, ref)
+    with pytest.raises(JetError):
+        jets.partials(_random_jet(rng, 2, 0), 2, 0)

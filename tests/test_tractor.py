@@ -47,6 +47,22 @@ def test_nonsolution_scale_is_not_parallel():
     assert tractor.scale_tractor_parallel_residual(spec, expr.var(0), pt) > 1e-3
 
 
+@pytest.mark.parametrize("name", ["fubini_study", "taub_nut", "pp_wave", "pp_split",
+                                  "warped_fs_n5", "warped_hfs_n6", "product_lorentz_n6",
+                                  "product_split_n6"])
+def test_parallel_residual_needs_only_the_order_3_frame(name):
+    # the residual reads the values of D I; the order-4 frame carries I to
+    # order 2 and must give the same values
+    spec = geometry.catalogue_metric(name)
+    for pt in sample_points(spec, 3, seed=4):
+        fr = curvature.frame(spec, pt, 4)
+        for _, sigma in (*spec.known_scales, ("x1", expr.var(0))):
+            I = tractor._einstein_jets(fr, fr.scalar_jet(sigma))
+            full = np.linalg.norm(tractor._tractor_deriv_jets(fr, I[None], 2)[..., 0])
+            got = tractor.scale_tractor_parallel_residual(spec, sigma, pt)
+            assert abs(got - full) <= 1e-12 * max(1.0, full)
+
+
 def test_einstein_tractor_constant_on_ricci_flat():
     spec = builtin_metric("pp_wave")
     pt = sample_points(spec, 1, seed=3)[0]
