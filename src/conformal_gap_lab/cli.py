@@ -33,12 +33,19 @@ USAGE_ERRORS = (
 CHECK_ERRORS = (ConventionError, analysis.AnalysisError)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("CGL_SEED", "0")
+def _seed(ns) -> int:
+    """``--seed``, else ``CGL_SEED``, else 0; a non-negative integer."""
+    if ns.seed is not None:
+        source, raw = "--seed", ns.seed
+    else:
+        source, raw = "CGL_SEED", os.environ.get("CGL_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ValueError(f"CGL_SEED must be an integer, got {raw!r}") from None
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _round_floats(obj):
@@ -144,7 +151,9 @@ def _cmd_catalogue(ns) -> tuple[dict, bool]:
 def _cmd_analyze(ns) -> tuple[dict, bool]:
     params = _parse_params(ns.param)
     spec = _resolve_metric(ns.metric, params)
-    seed = ns.seed if ns.seed is not None else _default_seed()
+    seed = _seed(ns)
+    if ns.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {ns.samples}")
     if ns.point:
         points = [_parse_point(ns.point, spec.n)]
     else:
@@ -215,7 +224,7 @@ def _cmd_kerw(ns) -> tuple[dict, bool]:
 
 def _cmd_dims(ns) -> tuple[dict, bool]:
     spec = _resolve_metric(ns.metric, _parse_params(ns.param))
-    seed = ns.seed if ns.seed is not None else _default_seed()
+    seed = _seed(ns)
     basepoint = (_parse_point(ns.base_point, spec.n) if ns.base_point else None)
     rep = analysis.estimate_parallel_dims(spec, basepoint, seed=seed,
                                           upper=not ns.lower_only)
@@ -226,7 +235,7 @@ def _cmd_dims(ns) -> tuple[dict, bool]:
 def _cmd_verify(ns) -> tuple[dict, bool]:
     if ns.param:
         raise geometry.CatalogueError("verify takes no --param")
-    seed = ns.seed if ns.seed is not None else _default_seed()
+    seed = _seed(ns)
     kwargs = {"seed": seed}
     if ns.theorem in ("warpedSol", "t_riem", "t_lorentz", "t_gen"):
         kwargs["n"] = ns.n

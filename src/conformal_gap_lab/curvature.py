@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,6 +140,28 @@ class CurvatureFrame:
 
     def values(self, arr: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(arr[..., 0])
+
+    def truncated(self, order: int) -> "CurvatureFrame":
+        """This frame at a lower jet order, every jet cut to its prefix.
+
+        Each coefficient of a jet depends only on coefficients of no higher
+        degree, so the cut equals a frame built at that order; nothing is
+        rebuilt (``__init__`` does not run).
+        """
+        if not 2 <= order <= self.order:
+            raise ValueError(f"cannot truncate an order-{self.order} frame to {order}")
+        fr = object.__new__(CurvatureFrame)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                m = order - (self.order - jets.order_of(value.shape[-1], self.n))
+                if m < 0:
+                    value = None                          # Cotton below order 3
+                else:
+                    value = np.ascontiguousarray(self.at(value, m))
+                    value.flags.writeable = False
+            setattr(fr, name, value)
+        fr.order = order
+        return fr
 
     def cov_deriv(self, T: np.ndarray, variance: str, m: int) -> np.ndarray:
         """Covariant derivative of a rank-k jet tensor: out[a, ...] = nabla_a T."""
@@ -270,9 +293,23 @@ def _trace_pair(W: np.ndarray, ginv: np.ndarray, axes) -> np.ndarray:
     return np.einsum(lhs, ginv, W)
 
 
+# the frames held by _cached_frame, by (spec, point, order); an entry lives as
+# long as its frame, so this is bounded by the cache
+_live_frames: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=512)
 def _cached_frame(spec: MetricSpec, point: tuple, order: int) -> CurvatureFrame:
-    return CurvatureFrame(spec, point, order)
+    """A frame built at this order, or cut from a cached one of higher order."""
+    for higher in range(order + 1, jets.MAX_ORDER + 1):
+        source = _live_frames.get((spec, point, higher))
+        if source is not None:
+            fr = source.truncated(order)
+            break
+    else:
+        fr = CurvatureFrame(spec, point, order)
+    _live_frames[spec, point, order] = fr
+    return fr
 
 
 def frame(spec: MetricSpec, point, order: int = 4) -> CurvatureFrame:

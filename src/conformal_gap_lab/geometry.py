@@ -13,6 +13,7 @@ as documented per entry (products: base coordinates first, then fiber).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -618,10 +619,98 @@ def default_point(spec: MetricSpec) -> tuple[float, ...]:
     raise DomainError(f"no admissible default point for {spec.label!r}")
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash constants and the PCG64 multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+class SeededRng:
+    """The stream of numpy's ``default_rng(seed).uniform``, bit for bit.
+
+    numpy's ``SeedSequence`` (a pool of four 32-bit words) seeds a PCG64
+    generator (128-bit LCG, XSL-RR output); a double is the top 53 bits of one
+    output and a draw is ``low + (high - low) * u``.  Written out here because
+    importing numpy's random module costs about 15 ms, a third of a small
+    ``dims`` call.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        entropy = [seed & _MASK32]
+        while seed >> 32:
+            seed >>= 32
+            entropy.append(seed & _MASK32)
+        hash_const = _INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * hash_const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+            return r ^ r >> 16
+
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+
+        # SeedSequence.generate_state(4, uint64): 8 words, little-endian pairs
+        hash_const = _INIT_B
+        words = []
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * hash_const & _MASK32
+            words.append(value ^ value >> 16)
+        s0, s1, i0, i1 = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        self._state = (self._inc + (s0 << 64 | s1)) & _MASK128   # one step from 0
+        self._step()
+
+    def _step(self) -> int:
+        self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        return self._state
+
+    def _double(self) -> float:
+        s = self._step()
+        x, rot = ((s >> 64) ^ s) & _MASK64, s >> 122
+        x = (x >> rot | x << (-rot & 63)) & _MASK64
+        return (x >> 11) * 2.0 ** -53
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """Draws from [low, high) with numpy's broadcasting and return types."""
+        if np.ndim(low) == np.ndim(high) == 0 and size is None:
+            low, high = float(low), float(high)
+            if not math.isfinite(high - low):
+                raise OverflowError("high - low range exceeds valid bounds")
+            return low + (high - low) * self._double()
+        low = np.asarray(low, dtype=float)
+        span = np.asarray(high, dtype=float) - low
+        if not np.all(np.isfinite(span)):
+            raise OverflowError("Range exceeds valid bounds")
+        shape = span.shape if size is None else size
+        u = np.array([self._double() for _ in range(int(np.prod(shape)))])
+        return low + span * u.reshape(shape)
+
+
 def sample_points(spec: MetricSpec, count: int, seed: int = 0,
                   margin: float = DOMAIN_MARGIN) -> list[tuple[float, ...]]:
     """Seeded rejection sampling from the metric's box against the domain predicate."""
-    rng = np.random.default_rng(seed)
+    rng = SeededRng(seed)
     box = spec.sample_box or tuple((-1.0, 1.0) for _ in range(spec.n))
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])

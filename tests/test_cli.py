@@ -1,8 +1,14 @@
 """CLI surface: subcommands, exit codes, JSON determinism, file input."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 
+import conformal_gap_lab
 from conformal_gap_lab.cli import main
 
 
@@ -216,3 +222,52 @@ def test_overflowing_metric_file_exits_2(tmp_path, capsys):
     path.write_text("dim = 3\nsignature = 0,3\ng 1 1 : exp(1000*x1)\ng 2 2 : 1\ng 3 3 : 1\n")
     err = usage_error(capsys, "analyze", str(path), "--point", "1,0,0")
     assert "not finite at (1.0, 0.0, 0.0)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dims", "pp_split", "--seed", "-1"),
+    ("dims", "pp_split", "--seed", "-3", "--json"),
+    ("analyze", "pp_split", "--seed", "-1"),
+    ("verify", "t_lorentz", "--n", "5", "--seed", "-2"),
+])
+def test_negative_seed_exits_2(capsys, argv):
+    assert "--seed must be a non-negative integer" in usage_error(capsys, *argv)
+
+
+def test_negative_env_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CGL_SEED", "-4")
+    assert "CGL_SEED must be a non-negative integer" in usage_error(capsys, "dims", "pp_split")
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_analyze_needs_one_sample(capsys, samples):
+    err = usage_error(capsys, "analyze", "pp_split", "--samples", samples)
+    assert "--samples must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "warpedSol", "--n", "9"),
+    ("verify", "warpedSol", "--n", "4"),
+    ("verify", "rflat", "--metric", "taub_nut"),
+    ("verify", "t_riem", "--n", "9"),
+])
+def test_verifier_parameter_out_of_range_exits_2(capsys, argv):
+    usage_error(capsys, *argv)
+
+
+def test_sampling_does_not_import_numpy_random():
+    script = (
+        "import contextlib, io, sys\n"
+        "from conformal_gap_lab import analysis, cli, geometry\n"
+        "analysis.estimate_parallel_dims(geometry.catalogue_metric('pp_split'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['analyze', 'fubini_study']) == 0\n"
+        "    assert cli.main(['verify', 't_riem', '--case', 'b', '--n', '5']) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+    )
+    src = str(Path(conformal_gap_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

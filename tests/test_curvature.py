@@ -340,3 +340,46 @@ def test_weyl_with_trace_part_rejected(name):
     fr.weyl = weyl
     with pytest.raises(curvature.ConventionError, match="Weyl"):
         curvature.CurvaturePack(fr)
+
+
+FRAME_TENSORS = ("g", "ginv", "gamma", "riemann_mixed", "riemann", "ricci", "sc", "j",
+                 "schouten", "weyl", "schouten_mixed", "cotton")
+
+
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
+def test_truncated_frame_equals_frame_built_at_that_order(name):
+    spec = geometry.catalogue_metric(name)
+    for pt in sample_points(spec, 3, seed=3):
+        top = curvature.CurvatureFrame(spec, pt, 4)
+        for order in (3, 2):
+            built, cut = curvature.CurvatureFrame(spec, pt, order), top.truncated(order)
+            assert cut.order == order and cut.point == built.point
+            assert cut.signature == built.signature and cut.det_sign == built.det_sign
+            for attr in FRAME_TENSORS:
+                a, b = getattr(built, attr), getattr(cut, attr)
+                if a is None:
+                    assert b is None
+                    continue
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), attr
+                assert not b.flags.writeable
+
+
+def test_lower_order_frame_is_cut_from_a_cached_one(monkeypatch):
+    spec = builtin_metric("pp_split")
+    pt = tuple(sample_points(spec, 1, seed=31)[0])
+    builds = []
+    init = curvature.CurvatureFrame.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
+    top = curvature.frame(spec, pt, 4)
+    assert len(builds) == 1
+    low = curvature.frame(spec, pt, 3)
+    assert curvature.frame(spec, pt, 2) is not None
+    assert len(builds) == 1 and low is not top and low.order == 3
+    assert curvature.frame(spec, pt, 3) is low
+    with pytest.raises(ValueError):
+        low.g[0, 0, 0] = 5.0

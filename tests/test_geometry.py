@@ -256,3 +256,68 @@ def test_load_metric_file():
     assert not geometry.domain_ok(spec, (0.05, 0.0))
     G, Ginv, sig = metric_frame_at(spec, (0.5, 0.0), 2)
     assert sig == (0, 2)
+
+
+ORACLE_SEEDS = list(range(300)) + [2**32 - 1, 2**32, 2**64 + 3, 123456789123456789,
+                                   2**128 + 7, 3**90]
+
+
+def _same(a, b) -> bool:
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+def test_seeded_rng_reproduces_numpy_stream():
+    # every call shape the library uses: array bounds, scalars, size=k; in sequence
+    lo, hi = np.array([0.1, 0.0, -1.0, 0.5]), np.array([1.2, 1.0, 1.0, math.pi])
+    draws = (
+        lambda r: r.uniform(lo, hi),
+        lambda r: r.uniform(0.6, 1.6),
+        lambda r: r.uniform(-0.8, 0.8, size=3),
+        lambda r: r.uniform(-1.0, 1.0, size=1),
+        lambda r: r.uniform(lo[:2], hi[:2]),
+        lambda r: r.uniform(0.0, hi, size=(2, 4)),
+        lambda r: r.uniform(0.2, 1.0),
+    )
+    for seed in ORACLE_SEEDS:
+        ours, theirs = geometry.SeededRng(seed), np.random.default_rng(seed)
+        for k, draw in enumerate(draws):
+            assert _same(draw(ours), draw(theirs)), (seed, k)
+
+
+def test_seeded_rng_keeps_numpy_checks():
+    with pytest.raises(ValueError, match="non-negative"):
+        geometry.SeededRng(-1)
+    with pytest.raises(TypeError):
+        geometry.SeededRng(1.5)
+    rng = geometry.SeededRng(0)
+    with pytest.raises(OverflowError):
+        rng.uniform(-math.inf, 0.0)
+    with pytest.raises(OverflowError):
+        rng.uniform(np.zeros(2), np.array([1.0, math.inf]))
+
+
+def _numpy_sample_points(spec, count, seed):
+    """sample_points as written against numpy's generator."""
+    rng = np.random.default_rng(seed)
+    box = spec.sample_box or tuple((-1.0, 1.0) for _ in range(spec.n))
+    lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
+    out = []
+    while len(out) < count:
+        pt = tuple(rng.uniform(lo, hi))
+        try:
+            if geometry.domain_value(spec, pt) > geometry.DOMAIN_MARGIN:
+                out.append(pt)
+        except expr.EvalError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
+def test_sample_points_match_numpy_generator(name):
+    spec = catalogue_metric(name)
+    for seed in (0, 2, 5, 7, 11, 20, 108):
+        ours = sample_points(spec, 6, seed=seed)
+        theirs = _numpy_sample_points(spec, 6, seed)
+        assert len(ours) == len(theirs)
+        assert all(_same(a, b) for p, q in zip(ours, theirs) for a, b in zip(p, q))
