@@ -40,6 +40,8 @@ class AnalysisError(RuntimeError):
 
 JET_ORDER = 4      # basepoint frame of the upper bound: values of Omega and nabla Omega
 FLAT_RATIO = 1e-9  # chain values below this times the terms that cancel in Omega are roundoff
+RANK_TOL = 1e-7    # a singular value counts when above this times the largest entry
+RESIDUAL_TOL = 1e-8  # a witness is verified when its residuals are below this
 
 
 # ---------------------------------------------------------------------------
@@ -47,31 +49,28 @@ FLAT_RATIO = 1e-9  # chain values below this times the terms that cancel in Omeg
 
 @dataclass
 class Subspace:
-    """An orthonormal basis with the tolerance that produced it."""
+    """An orthonormal basis (dim, ambient) of a subspace."""
 
-    basis: np.ndarray          # (dim, ambient)
-    ambient_dim: int
-    tol: float
+    basis: np.ndarray
     marginal: bool = False
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def contains(self, v: np.ndarray, tol: float = 1e-8) -> bool:
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[1]
+
+    def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=float)
         proj = self.basis.T @ (self.basis @ v)
-        return float(np.linalg.norm(v - proj)) <= tol * max(1.0, float(np.linalg.norm(v)))
+        return float(np.linalg.norm(v - proj)) <= 1e-8 * max(1.0, float(np.linalg.norm(v)))
 
 
-def _ranks(s: np.ndarray, A: np.ndarray, tol: float) -> list[int]:
-    """Ranks at tol, 10 tol and tol / 10: singular values above t * max|A_ij|."""
-    cut = np.abs(A).max()
-    return [int(np.sum(s > t * cut)) for t in (tol, tol * 10, tol / 10)]
-
-
-def kernel(matrix, tol: float = 1e-7) -> Subspace:
-    """Null space from one SVD, flagged marginal if the rank moves with tol."""
+def kernel(matrix) -> Subspace:
+    """Null space from one SVD, flagged marginal if the rank moves when
+    ``RANK_TOL`` is scaled by 10 either way; its rank is ambient_dim - dim."""
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     if A.size == 0:
         raise ValueError("kernel of an empty matrix")
@@ -79,18 +78,10 @@ def kernel(matrix, tol: float = 1e-7) -> Subspace:
         raise ValueError("kernel needs finite entries")
     m, k = A.shape
     _, s, vt = np.linalg.svd(A, full_matrices=m < k)
-    rank, *others = _ranks(s, A, tol)
-    return Subspace(basis=vt[rank:], ambient_dim=k, tol=tol,
-                    marginal=any(r != rank for r in others))
-
-
-def matrix_rank(rows, tol: float = 1e-7) -> tuple[int, bool]:
-    """Rank of stacked row vectors plus a tolerance-stability flag."""
-    A = np.atleast_2d(np.asarray(rows, dtype=float))
-    if A.size == 0:
-        return 0, False
-    rank, *others = _ranks(np.linalg.svd(A, compute_uv=False), A, tol)
-    return rank, any(r != rank for r in others)
+    cut = np.abs(A).max()
+    rank, *others = [int(np.sum(s > t * cut))
+                     for t in (RANK_TOL, RANK_TOL * 10, RANK_TOL / 10)]
+    return Subspace(basis=vt[rank:], marginal=any(r != rank for r in others))
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +112,13 @@ def nck_dim_bound(sig: tuple[int, int], n: int) -> int:
 # ---------------------------------------------------------------------------
 # pointwise residuals
 
-def kernel_of_weyl(spec: MetricSpec, point, tol: float = 1e-7) -> Subspace:
+def kernel_of_weyl(spec: MetricSpec, point) -> Subspace:
     """Null space of W_abcr v^r; enforces the signature bound when W != 0."""
     if spec.n < 4:
         raise ValueError("the Weyl kernel is defined for n >= 4")
     fr = curvature.frame(spec, point, 2)
     W = fr.values(fr.weyl)
-    ksp = kernel(W.reshape(spec.n ** 3, spec.n), tol)
+    ksp = kernel(W.reshape(spec.n ** 3, spec.n))
     if frobenius(W) > 1e-6:
         bound = weyl_kernel_bound(spec.signature, spec.n)
         if ksp.dim > bound:
@@ -360,12 +351,7 @@ def holonomy_constraints(spec: MetricSpec, basepoint) -> tuple[np.ndarray, float
     return X, cancel
 
 
-def _whole_space(dim: int, tol: float) -> Subspace:
-    return Subspace(np.eye(dim), dim, tol)
-
-
-def constraint_kernels(spec: MetricSpec, basepoint,
-                       rank_tol: float = 1e-7) -> tuple[Subspace, Subspace]:
+def constraint_kernels(spec: MetricSpec, basepoint) -> tuple[Subspace, Subspace]:
     """Joint kernels of the holonomy constraints on the standard fiber and on
     its two-vectors (the derived action).
 
@@ -380,13 +366,12 @@ def constraint_kernels(spec: MetricSpec, basepoint,
     pairs = nb * (nb - 1) // 2
     X, cancel = holonomy_constraints(spec, basepoint)
     if np.abs(X).max() <= FLAT_RATIO * cancel:
-        return _whole_space(nb, rank_tol), _whole_space(pairs, rank_tol)
+        return Subspace(np.eye(nb)), Subspace(np.eye(pairs))
     rows = (X.reshape(-1, nb), derived_lambda2(X).reshape(-1, pairs))
-    return tuple(kernel(A[np.any(A != 0, axis=1)], rank_tol) for A in rows)
+    return tuple(kernel(A[np.any(A != 0, axis=1)]) for A in rows)
 
 
 def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
-                           rank_tol: float = 1e-7, residual_tol: float = 1e-8,
                            upper: bool = True) -> DimReport:
     """Bounds for the dimensions of parallel standard / adjoint tractors.
 
@@ -395,6 +380,8 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     those kernels.  ``upper=False`` skips the constraints and reports witness
     counts against the flat-model upper bounds n + 2 and (n + 2)(n + 1)/2.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if basepoint is None:
         basepoint = geometry.default_point(spec)
     basepoint = tuple(float(c) for c in basepoint)
@@ -402,15 +389,15 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     nb = n + 2
     report = DimReport(
         label=spec.label, basepoint=basepoint, seed=seed,
-        rank_tol=rank_tol, residual_tol=residual_tol,
+        rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
         notes=list(spec.notes),
     )
 
-    standard = _whole_space(nb, rank_tol)
-    adjoint = _whole_space(nb * (nb - 1) // 2, rank_tol)
+    standard = Subspace(np.eye(nb))
+    adjoint = Subspace(np.eye(nb * (nb - 1) // 2))
     if upper:
         report.jet_order = JET_ORDER
-        standard, adjoint = constraint_kernels(spec, basepoint, rank_tol)
+        standard, adjoint = constraint_kernels(spec, basepoint)
         if standard.dim == nb:      # a nonzero constraint has rank >= 1
             report.notes.append("curvature vanishes to roundoff at the basepoint; "
                                 "flat-model upper bounds")
@@ -427,7 +414,7 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
         # the order-3 frame at check_pts[0] first: ae_residual's order 2 is cut from it
         par = tractor.scale_tractor_parallel_residual(spec, sigma, check_pts[0])
         res = max(ae_residual(spec, sigma, p) for p in check_pts)
-        if res < residual_tol and par < 10 * residual_tol:
+        if res < RESIDUAL_TOL and par < 10 * RESIDUAL_TOL:
             verified.append((name, sigma))
         else:
             report.notes.append(
@@ -436,12 +423,11 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
             )
     report.ae_witnesses = [name for name, _ in verified]
     if verified:
-        vecs = [tractor.einstein_tractor(spec, s, basepoint).as_array()
-                for _, s in verified]
+        vecs = [tractor.einstein_tractor(spec, s, basepoint) for _, s in verified]
         _require_inside(standard, vecs, report.ae_witnesses, "standard", spec)
-        rank, marg = matrix_rank(np.stack(vecs), rank_tol)
-        report.d_ae_lower = rank
-        report.marginal |= marg
+        span = kernel(np.stack(vecs))
+        report.d_ae_lower = span.ambient_dim - span.dim
+        report.marginal |= span.marginal
 
         wedge_pts = check_pts[:3]
         wedge_vecs = []
@@ -452,7 +438,7 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
                  for p in wedge_pts),
                 key=lambda r: max(r.ck_res, r.normal_res),
             )
-            if max(rep.ck_res, rep.normal_res) < 10 * residual_tol:
+            if max(rep.ck_res, rep.normal_res) < 10 * RESIDUAL_TOL:
                 wedge_vecs.append(wedge_vector(Ii, Ij))
                 report.nck_witnesses.append(f"{ni}^{nj}")
             else:
@@ -461,9 +447,9 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
                 )
         if wedge_vecs:
             _require_inside(adjoint, wedge_vecs, report.nck_witnesses, "adjoint", spec)
-            rank2, marg2 = matrix_rank(np.stack(wedge_vecs), rank_tol)
-            report.d_nck_lower = rank2
-            report.marginal |= marg2
+            span = kernel(np.stack(wedge_vecs))
+            report.d_nck_lower = span.ambient_dim - span.dim
+            report.marginal |= span.marginal
 
     if report.d_ae_lower > report.d_ae_upper or report.d_nck_lower > report.d_nck_upper:
         raise AnalysisError(
@@ -507,12 +493,11 @@ def _check(checks: list, name: str, value: float, tolerance: float,
 
 
 def _scale_family_checks(spec: MetricSpec, family, checks: list,
-                         expected_dim: int, seed: int,
-                         residual_tol: float = 1e-7) -> list:
+                         expected_dim: int, seed: int) -> list:
     points = geometry.sample_points(spec, 10, seed=seed)
     for name, sigma in family:
         worst = max(ae_residual(spec, sigma, p) for p in points)
-        _check(checks, f"ae_residual[{name}]", worst, residual_tol)
+        _check(checks, f"ae_residual[{name}]", worst, 1e-7)
     feats = []
     for name, sigma in family:
         rows = []
@@ -520,10 +505,10 @@ def _scale_family_checks(spec: MetricSpec, family, checks: list,
             # an order-1 jet is (value, gradient)
             rows.append(expr.evaluate(sigma, jets.seed_jets(p, 1), spec.params_dict))
         feats.append(np.concatenate(rows))
-    gram = np.stack(feats)
-    rank, marginal = matrix_rank(gram, 1e-7)
+    span = kernel(np.stack(feats))
+    rank = span.ambient_dim - span.dim
     _check(checks, "family_rank", rank - expected_dim, 0.5,
-           passed=(rank == expected_dim and not marginal))
+           passed=(rank == expected_dim and not span.marginal))
     return points
 
 
@@ -538,26 +523,6 @@ def _random_member(family, rng):
 def _weyl_norm(spec: MetricSpec, point) -> float:
     fr = curvature.frame(spec, point, 2)
     return frobenius(fr.values(fr.weyl))
-
-
-def verify_theorem(theorem_id: str, **params) -> dict:
-    """Build the prescribed family and run its dimension / curvature checks."""
-    dispatch = {
-        "warpedSol": _verify_warped_solution,
-        "t_riem": _verify_riemannian_family,
-        "t_lorentz": _verify_lorentzian_family,
-        "t_gen": _verify_general_family,
-        "rflat": _verify_ricci_flat_properties,
-        "bounds": _verify_bounds,
-    }
-    if theorem_id not in dispatch:
-        raise AnalysisError(
-            f"unknown theorem id {theorem_id!r}; choose from {sorted(dispatch)}"
-        )
-    report = dispatch[theorem_id](**params)
-    report["theorem"] = theorem_id
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
 
 
 def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
@@ -741,3 +706,26 @@ def _verify_bounds(metric: str = "taub_nut", seed: int = 0) -> dict:
            "checks": checks}
     out["dims"] = report.as_dict()
     return out
+
+
+# the family verifiers by theorem id; each takes seed and its own parameters
+VERIFIERS = {
+    "warpedSol": _verify_warped_solution,
+    "t_riem": _verify_riemannian_family,
+    "t_lorentz": _verify_lorentzian_family,
+    "t_gen": _verify_general_family,
+    "rflat": _verify_ricci_flat_properties,
+    "bounds": _verify_bounds,
+}
+
+
+def verify_theorem(theorem_id: str, **params) -> dict:
+    """Build the prescribed family and run its dimension / curvature checks."""
+    if theorem_id not in VERIFIERS:
+        raise AnalysisError(
+            f"unknown theorem id {theorem_id!r}; choose from {sorted(VERIFIERS)}"
+        )
+    report = VERIFIERS[theorem_id](**params)
+    report["theorem"] = theorem_id
+    report["passed"] = all(c["passed"] for c in report["checks"])
+    return report

@@ -9,6 +9,7 @@ check passes, 1 when a check fails, 2 on usage or domain errors (one line).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -165,9 +166,9 @@ def _cmd_analyze(ns) -> tuple[dict, bool]:
         row = {
             "point": list(pt),
             "scalar_curvature": pack.scalar,
-            "ricci_norm": pack.ricci.norm(),
-            "weyl_norm": pack.weyl.norm(),
-            "cotton_norm": pack.cotton.norm(),
+            "ricci_norm": frobenius(pack.ricci),
+            "weyl_norm": frobenius(pack.weyl),
+            "cotton_norm": frobenius(pack.cotton),
         }
         if spec.n >= 4:
             row["kerw_dim"] = analysis.kernel_of_weyl(spec, pt).dim
@@ -236,17 +237,8 @@ def _cmd_verify(ns) -> tuple[dict, bool]:
     if ns.param:
         raise geometry.CatalogueError("verify takes no --param")
     seed = _seed(ns)
-    kwargs = {"seed": seed}
-    if ns.theorem in ("warpedSol", "t_riem", "t_lorentz", "t_gen"):
-        kwargs["n"] = ns.n
-    if ns.theorem == "t_riem":
-        kwargs["case"] = ns.case
-    if ns.theorem == "t_gen":
-        kwargs["p"] = ns.p
-    if ns.theorem == "warpedSol":
-        kwargs["sc"] = ns.sc
-    if ns.theorem in ("rflat", "bounds"):
-        kwargs["metric"] = ns.metric
+    params = inspect.signature(analysis.VERIFIERS[ns.theorem]).parameters
+    kwargs = {name: seed if name == "seed" else getattr(ns, name) for name in params}
     report = analysis.verify_theorem(ns.theorem, **kwargs)
     report["command"] = f"verify {ns.theorem}"
     report["pass"] = report.pop("passed")
@@ -271,14 +263,14 @@ def _cmd_rescale(ns) -> tuple[dict, bool]:
 
     p_expected = curvature.schouten_transform_reference(pack, omega)
     add("schouten_transform",
-        frobenius(hat_pack.schouten.components - p_expected),
+        frobenius(hat_pack.schouten - p_expected),
         1e-8 * max(1.0, frobenius(p_expected)))
     j_expected = curvature.j_transform_reference(pack, omega)
     add("j_transform", hat_pack.j - j_expected, 1e-8 * max(1.0, abs(j_expected)))
     w = expr.evaluate_at(omega, pt, spec.params_dict)
     add("weyl_covariance",
-        frobenius(hat_pack.weyl.components - w ** 2 * pack.weyl.components),
-        1e-8 * max(1.0, pack.weyl.norm()))
+        frobenius(hat_pack.weyl - w ** 2 * pack.weyl),
+        1e-8 * max(1.0, frobenius(pack.weyl)))
     sigma = expr.add(expr.ONE, expr.var(0))
     base_res = analysis.ae_residual_matrix(spec, sigma, pt)
     hat_res = analysis.ae_residual_matrix(hatted, expr.mul(omega, sigma), pt)
@@ -306,14 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("catalogue", help="list built-in metrics")
+    def output(p):
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out", help="write the report to this path")
+
+    output(sub.add_parser("catalogue", help="list built-in metrics"))
 
     def common(p, with_point=True):
         if with_point:
             p.add_argument("--point", help="comma-separated coordinates")
         p.add_argument("--param", action="append", metavar="NAME=VALUE")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out", help="write the report to this path")
+        output(p)
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed (default: CGL_SEED or 0)")
 
@@ -334,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_point=False)
 
     p = sub.add_parser("verify", help="run a family verifier")
-    p.add_argument("theorem", choices=["warpedSol", "t_riem", "t_lorentz",
-                                       "t_gen", "rflat", "bounds"])
+    p.add_argument("theorem", choices=list(analysis.VERIFIERS))
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--case", choices=["a", "b", "c"], default="a")
     p.add_argument("--p", type=int, default=2)

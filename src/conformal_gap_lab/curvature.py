@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,27 +40,6 @@ class ConventionError(RuntimeError):
 
 def frobenius(arr) -> float:
     return float(np.sqrt(np.sum(np.asarray(arr, dtype=float) ** 2)))
-
-
-@dataclass
-class TensorValue:
-    """Dense component array tagged with index variance and conformal weight."""
-
-    components: np.ndarray
-    variance: tuple[str, ...]
-    weight: int
-    dim: int
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-        if self.components.shape != (self.dim,) * len(self.variance):
-            raise ValueError(
-                f"component shape {self.components.shape} does not match "
-                f"rank {len(self.variance)} in dimension {self.dim}"
-            )
-
-    def norm(self) -> float:
-        return frobenius(self.components)
 
 
 class CurvatureFrame:
@@ -184,9 +162,6 @@ class CurvatureFrame:
         env = jets.seed_jets(self.point, m)
         return expr.evaluate(node, env, self.spec.params_dict)
 
-    def pack(self) -> "CurvaturePack":
-        return CurvaturePack(self)
-
 
 @lru_cache(maxsize=None)
 def _permutation_symbol(n: int) -> np.ndarray:
@@ -199,7 +174,8 @@ def _permutation_symbol(n: int) -> np.ndarray:
 
 
 class CurvaturePack:
-    """Value-level curvature tensors with convention self-checks."""
+    """The values at the frame's point of its tensors, as plain arrays, with
+    convention self-checks; ``eps`` is the volume form."""
 
     def __init__(self, frame: CurvatureFrame):
         self.frame = frame
@@ -210,34 +186,28 @@ class CurvaturePack:
         self.signature = frame.signature
 
         v = frame.values
-        self.g = TensorValue(v(frame.g), ("d", "d"), 2, n)
-        self.ginv = TensorValue(v(frame.ginv), ("u", "u"), -2, n)
-        self.gamma = TensorValue(v(frame.gamma), ("u", "d", "d"), 0, n)
-        self.riemann_mixed = TensorValue(v(frame.riemann_mixed), ("d", "d", "u", "d"), 0, n)
-        self.riemann = TensorValue(v(frame.riemann), ("d", "d", "d", "d"), 2, n)
-        self.ricci = TensorValue(v(frame.ricci), ("d", "d"), 0, n)
+        self.g = v(frame.g)
+        self.ginv = v(frame.ginv)
+        self.gamma = v(frame.gamma)
+        self.riemann_mixed = v(frame.riemann_mixed)
+        self.riemann = v(frame.riemann)
+        self.ricci = v(frame.ricci)
         self.scalar = float(frame.sc[0])
         self.j = float(frame.j[0])
-        self.schouten = TensorValue(v(frame.schouten), ("d", "d"), 0, n)
-        self.weyl = TensorValue(v(frame.weyl), ("d", "d", "d", "d"), 2, n)
-        self.cotton = (
-            TensorValue(v(frame.cotton), ("d", "d", "d"), 0, n)
-            if frame.cotton is not None else None
-        )
-        root = math.sqrt(abs(np.linalg.det(self.g.components)))
-        self.eps = TensorValue(root * _permutation_symbol(n), ("d",) * n, n, n)
+        self.schouten = v(frame.schouten)
+        self.weyl = v(frame.weyl)
+        self.cotton = v(frame.cotton) if frame.cotton is not None else None
+        self.eps = math.sqrt(abs(np.linalg.det(self.g))) * _permutation_symbol(n)
         self._validate()
 
     def _validate(self) -> None:
         n = self.n
-        g = self.g.components
-        ginv = self.ginv.components
-        R = self.riemann.components
+        g, ginv, R = self.g, self.ginv, self.riemann
         problems = []
 
-        ric_ref = (n - 2) * self.schouten.components + self.j * g
-        scale = max(frobenius(self.ricci.components), 1.0)
-        if frobenius(self.ricci.components - ric_ref) > 1e-9 * scale:
+        ric_ref = (n - 2) * self.schouten + self.j * g
+        scale = max(frobenius(self.ricci), 1.0)
+        if frobenius(self.ricci - ric_ref) > 1e-9 * scale:
             problems.append("Ric != (n-2) P + J g")
         if abs(self.scalar - 2 * (n - 1) * self.j) > 1e-10 * max(1.0, abs(self.scalar)):
             problems.append("Sc != 2 (n-1) J")
@@ -255,7 +225,7 @@ class CurvaturePack:
 
         # W is computed from R, so its roundoff scales with |R|; in n = 3 it
         # vanishes identically and is pure roundoff
-        W = self.weyl.components
+        W = self.weyl
         wnorm = frobenius(W)
         for axes in ((0, 2), (0, 3), (1, 2), (1, 3)):
             if frobenius(_trace_pair(W, ginv, axes)) > 1e-9 * max(wnorm, rnorm):
@@ -266,8 +236,7 @@ class CurvaturePack:
 
         # raising the last index repeatedly leaves the index order intact
         # (tensordot prepends the fresh index each time)
-        eps = self.eps.components
-        eps_up = eps
+        eps = eps_up = self.eps
         for _ in range(n):
             eps_up = np.tensordot(ginv, eps_up, axes=([1], [n - 1]))
         total = float(np.tensordot(eps_up, eps, axes=n))
@@ -318,7 +287,7 @@ def frame(spec: MetricSpec, point, order: int = 4) -> CurvatureFrame:
 
 def curvature_pack(spec: MetricSpec, point, order: int = 4) -> CurvaturePack:
     """All curvature tensors at the point, with convention self-checks."""
-    return frame(spec, point, max(order, 3)).pack()
+    return CurvaturePack(frame(spec, point, max(order, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,25 +323,21 @@ def upsilon_jets(spec: MetricSpec, omega: expr.Node, point, order: int = 2):
 def schouten_transform_reference(pack: CurvaturePack, omega: expr.Node) -> np.ndarray:
     """Expected Schouten of omega^2 g from the transformation law."""
     _, ups, dups = upsilon_jets(pack.spec, omega, pack.point, order=2)
-    gamma = pack.gamma.components
-    g = pack.g.components
-    ginv = pack.ginv.components
-    cov_ups = dups - np.einsum("rab,r->ab", gamma, ups)
-    ups_up = ginv @ ups
+    cov_ups = dups - np.einsum("rab,r->ab", pack.gamma, ups)
+    ups_up = pack.ginv @ ups
     return (
-        pack.schouten.components
+        pack.schouten
         - cov_ups
         + np.outer(ups, ups)
-        - 0.5 * float(ups @ ups_up) * g
+        - 0.5 * float(ups @ ups_up) * pack.g
     )
 
 
 def j_transform_reference(pack: CurvaturePack, omega: expr.Node) -> float:
     """Expected J of omega^2 g; the omega^-2 factor is the weight -2 bookkeeping."""
     w, ups, dups = upsilon_jets(pack.spec, omega, pack.point, order=2)
-    gamma = pack.gamma.components
-    ginv = pack.ginv.components
-    cov_ups = dups - np.einsum("rab,r->ab", gamma, ups)
+    ginv = pack.ginv
+    cov_ups = dups - np.einsum("rab,r->ab", pack.gamma, ups)
     div_ups = float(np.einsum("ab,ab->", ginv, cov_ups))
     ups_sq = float(ups @ ginv @ ups)
     n = pack.n
@@ -386,10 +351,10 @@ def dual_cotton_3d(pack: CurvaturePack, orientation: int = 1) -> np.ndarray:
     """
     if pack.n != 3:
         raise ValueError("the Cotton dual is a 3-dimensional construction")
-    eps = orientation * pack.eps.components
-    ginv = pack.ginv.components
+    eps = orientation * pack.eps
+    ginv = pack.ginv
     eps_mixed = np.einsum("rsb,ri,sj->ijb", eps, ginv, ginv)  # eps^{ij}_b
-    return np.einsum("ars,rsb->ab", pack.cotton.components, eps_mixed)
+    return np.einsum("ars,rsb->ab", pack.cotton, eps_mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +393,8 @@ def warped_ricci_reference(ws: WarpedSpec, point) -> tuple[np.ndarray, float]:
     f, df, hess, lap, df_sq, signs = _warp_data(ws, point)
     fiber_pt = tuple(point[nb:])
     fiber_pack = curvature_pack(ws.fiber, fiber_pt, order=3)
-    gt = fiber_pack.g.components
-    ric_fiber = fiber_pack.ricci.components
+    gt = fiber_pack.g
+    ric_fiber = fiber_pack.ricci
 
     ric = np.zeros((nb + nf, nb + nf))
     ric[:nb, :nb] = -nf / f * hess
@@ -451,8 +416,8 @@ def warped_nabla_reference(ws: WarpedSpec, point, vector: np.ndarray,
     f, df, hess, lap, df_sq, signs = _warp_data(ws, point)
     fiber_pt = tuple(point[nb:])
     fiber_pack = curvature_pack(ws.fiber, fiber_pt, order=3)
-    gt = fiber_pack.g.components
-    gamma_t = fiber_pack.gamma.components
+    gt = fiber_pack.g
+    gamma_t = fiber_pack.gamma
     gbar_inv = np.diag(signs)                   # inverse equals itself for +-1 diagonal
     df_up = gbar_inv @ df
 

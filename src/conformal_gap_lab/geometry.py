@@ -513,9 +513,9 @@ def domain_value(spec: MetricSpec, point) -> float:
     return min(vals)
 
 
-def domain_ok(spec: MetricSpec, point, margin: float = DOMAIN_MARGIN) -> bool:
+def domain_ok(spec: MetricSpec, point) -> bool:
     try:
-        return domain_value(spec, point) > margin
+        return domain_value(spec, point) > DOMAIN_MARGIN
     except expr.EvalError:
         return False
 
@@ -707,8 +707,7 @@ class SeededRng:
         return low + span * u.reshape(shape)
 
 
-def sample_points(spec: MetricSpec, count: int, seed: int = 0,
-                  margin: float = DOMAIN_MARGIN) -> list[tuple[float, ...]]:
+def sample_points(spec: MetricSpec, count: int, seed: int = 0) -> list[tuple[float, ...]]:
     """Seeded rejection sampling from the metric's box against the domain predicate."""
     rng = SeededRng(seed)
     box = spec.sample_box or tuple((-1.0, 1.0) for _ in range(spec.n))
@@ -725,7 +724,7 @@ def sample_points(spec: MetricSpec, count: int, seed: int = 0,
             )
         pt = tuple(rng.uniform(lo, hi))
         try:
-            if domain_value(spec, pt) > margin:
+            if domain_value(spec, pt) > DOMAIN_MARGIN:
                 out.append(pt)
         except expr.EvalError:
             continue

@@ -24,7 +24,6 @@ the tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,32 +37,6 @@ class TransportError(RuntimeError):
     """Parallel transport failed to converge or left the domain."""
 
 
-@dataclass
-class TractorVector:
-    sigma: float
-    mu: np.ndarray
-    rho: float
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.sigma], np.asarray(self.mu, float), [self.rho]))
-
-    @classmethod
-    def from_array(cls, arr) -> "TractorVector":
-        arr = np.asarray(arr, dtype=float)
-        return cls(float(arr[0]), arr[1:-1].copy(), float(arr[-1]))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-
-@dataclass
-class TractorEndo:
-    matrix: np.ndarray
-
-    def norm(self) -> float:
-        return frobenius(self.matrix)
-
-
 def tractor_metric_matrix(g_values: np.ndarray) -> np.ndarray:
     """Block form ((0,0,1),(0,g,0),(1,0,0)) of the bundle metric."""
     n = g_values.shape[0]
@@ -73,9 +46,8 @@ def tractor_metric_matrix(g_values: np.ndarray) -> np.ndarray:
     return B
 
 
-def pairing(u: TractorVector, v: TractorVector, g_values: np.ndarray) -> float:
-    B = tractor_metric_matrix(g_values)
-    return float(u.as_array() @ B @ v.as_array())
+def pairing(u: np.ndarray, v: np.ndarray, g_values: np.ndarray) -> float:
+    return float(u @ tractor_metric_matrix(g_values) @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +107,10 @@ def _einstein_jets(fr: CurvatureFrame, sig) -> np.ndarray:
     return np.concatenate([sig2[None], mu2, rho[None]])
 
 
-def einstein_tractor(spec: MetricSpec, sigma: expr.Node, point) -> TractorVector:
-    """(sigma, grad^a sigma, -(Lap sigma + J sigma)/n) at the point."""
+def einstein_tractor(spec: MetricSpec, sigma: expr.Node, point) -> np.ndarray:
+    """(sigma, grad^a sigma, -(Lap sigma + J sigma)/n) at the point, shape (n + 2,)."""
     fr = curvature.frame(spec, point, 3)
-    return TractorVector.from_array(_einstein_jets(fr, fr.scalar_jet(sigma))[:, 0])
+    return _einstein_jets(fr, fr.scalar_jet(sigma))[:, 0]
 
 
 def scale_tractor_parallel_residual(spec: MetricSpec, sigma: expr.Node, point) -> float:
@@ -153,15 +125,14 @@ def tractor_derivative(spec: MetricSpec, section, point, direction: int | None =
     """Tractor derivative of an expression-valued section.
 
     section: (sigma_ast, [mu^1_ast..mu^n_ast], rho_ast).  Returns the
-    TractorVector for one direction, or the list over all directions.
+    (n, n + 2) array of D_a over all directions a, or its row for one.
     """
     fr = curvature.frame(spec, point, 3)
     sigma_ast, mu_asts, rho_ast = section
     m = fr.order - 1
     V = np.stack([fr.scalar_jet(a, m) for a in (sigma_ast, *mu_asts, rho_ast)])
     dV = _tractor_deriv_jets(fr, V[None], m)[0, ..., 0]
-    out = [TractorVector.from_array(row) for row in dV]
-    return out if direction is None else out[direction]
+    return dV if direction is None else dV[direction]
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +168,14 @@ def curvature_chain(fr: CurvatureFrame, m: int) -> list[np.ndarray]:
 
 
 def tractor_curvature(spec: MetricSpec, point) -> dict:
-    """Curvature endomorphisms Omega_ab for a < b.
+    """Curvature endomorphisms Omega_ab for a < b, as {(a, b): (n + 2, n + 2) array}.
 
     The result is validated against the expected block structure: zero top
     row, Weyl middle block, Cotton bottom row and sigma-column.
     """
     fr = curvature.frame(spec, point, 4)
     pairs = itertools.combinations(range(fr.n), 2)
-    return {ab: TractorEndo(M) for ab, M in zip(pairs, curvature_chain(fr, 1)[0])}
+    return dict(zip(pairs, curvature_chain(fr, 1)[0]))
 
 
 def _validate_tractor_curvature(fr: CurvatureFrame, first, second, omegas) -> None:
@@ -244,14 +215,17 @@ def _validate_tractor_curvature(fr: CurvatureFrame, first, second, omegas) -> No
 # ---------------------------------------------------------------------------
 # parallel transport (a test oracle for the curvature chain)
 
+TRANSPORT_TOL = 1e-10          # Frobenius change between halvings that ends RK4
+TRANSPORT_MAX_HALVINGS = 12
+
+
 def _direction_matrix(spec: MetricSpec, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
     fr = curvature.frame(spec, tuple(x), 2)
     A = connection_matrices(fr)
     return -np.einsum("a,aij->ij", direction, A)
 
 
-def _segment_transport(spec: MetricSpec, p: np.ndarray, q: np.ndarray,
-                       tol: float, max_halvings: int) -> np.ndarray:
+def _segment_transport(spec: MetricSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     direction = q - p
     for t in np.linspace(0.0, 1.0, 9):
         if not geometry.domain_ok(spec, p + t * direction):
@@ -278,19 +252,19 @@ def _segment_transport(spec: MetricSpec, p: np.ndarray, q: np.ndarray,
 
     steps = 4
     prev = integrate(steps)
-    for _ in range(max_halvings):
+    for _ in range(TRANSPORT_MAX_HALVINGS):
         steps *= 2
         cur = integrate(steps)
-        if frobenius(cur - prev) < tol:
+        if frobenius(cur - prev) < TRANSPORT_TOL:
             return cur
         prev = cur
     raise TransportError(
-        f"transport did not converge to {tol} within {max_halvings} halvings"
+        f"transport did not converge to {TRANSPORT_TOL} within "
+        f"{TRANSPORT_MAX_HALVINGS} halvings"
     )
 
 
-def transport_matrix(spec: MetricSpec, path, tol: float = 1e-10,
-                     max_halvings: int = 12) -> np.ndarray:
+def transport_matrix(spec: MetricSpec, path) -> np.ndarray:
     """Transport matrix along a coordinate polyline (fiber at start -> end)."""
     pts = [np.asarray(p, dtype=float) for p in path]
     if len(pts) < 2:
@@ -299,30 +273,26 @@ def transport_matrix(spec: MetricSpec, path, tol: float = 1e-10,
     for p, q in zip(pts[:-1], pts[1:]):
         if np.allclose(p, q):
             continue
-        M = _segment_transport(spec, p, q, tol, max_halvings) @ M
+        M = _segment_transport(spec, p, q) @ M
     return M
-
-
-def parallel_transport(spec: MetricSpec, path, v0: TractorVector,
-                       tol: float = 1e-10, max_halvings: int = 12) -> TractorVector:
-    """Solve the transport equation along the polyline with RK4 + halving."""
-    return TractorVector.from_array(transport_matrix(spec, path, tol, max_halvings) @ v0.as_array())
 
 
 # ---------------------------------------------------------------------------
 # scale changes
 
-def transform_tractor(v: TractorVector, omega_value: float, upsilon: np.ndarray,
-                      g_values: np.ndarray) -> TractorVector:
+def transform_tractor(v: np.ndarray, omega_value: float, upsilon: np.ndarray,
+                      g_values: np.ndarray) -> np.ndarray:
     """Components of the same tractor in the rescaled metric omega^2 g.
 
     Combines the splitting change (with Upsilon = d log omega) with the
     weight factors of the three slots (+1, -1, -1 on the trivialized
     functions).
     """
+    sigma, mu, rho = v[0], v[1:-1], v[-1]
     ginv = np.linalg.inv(g_values)
     ups_up = ginv @ upsilon
-    sigma = omega_value * v.sigma
-    mu = (v.mu + ups_up * v.sigma) / omega_value
-    rho = (v.rho - float(upsilon @ v.mu) - 0.5 * float(upsilon @ ups_up) * v.sigma) / omega_value
-    return TractorVector(sigma, mu, rho)
+    return np.concatenate((
+        [omega_value * sigma],
+        (mu + ups_up * sigma) / omega_value,
+        [(rho - float(upsilon @ mu) - 0.5 * float(upsilon @ ups_up) * sigma) / omega_value],
+    ))

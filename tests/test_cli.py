@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import conformal_gap_lab
+from conformal_gap_lab import geometry
 from conformal_gap_lab.cli import main
 
 
@@ -22,6 +24,14 @@ def test_catalogue_lists_metrics(capsys):
     code, out, _ = run(capsys, "catalogue")
     assert code == 0
     assert "fubini_study" in out and "pp_wave" in out
+
+
+def test_catalogue_json(capsys):
+    code, out, _ = run(capsys, "catalogue", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["schema"] == "conformal-gap-lab/2"
+    assert data["metrics"] == geometry.catalogue_names()
 
 
 def test_analyze_fubini_study_point(capsys):
@@ -269,5 +279,15 @@ def test_sampling_does_not_import_numpy_random():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_session_runs():
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -26,8 +26,8 @@ def pack_at(name, seed=1, order=4, params=None):
 def test_flat_curvature_vanishes():
     spec = pseudo_euclidean(2, 2)
     pack = curvature_pack(spec, (0.3, -0.2, 0.5, 0.1))
-    assert pack.riemann.norm() < 1e-14
-    assert pack.weyl.norm() < 1e-14
+    assert frobenius(pack.riemann) < 1e-14
+    assert frobenius(pack.weyl) < 1e-14
     assert abs(pack.scalar) < 1e-14
 
 
@@ -48,8 +48,8 @@ def test_hyperbolic_dual_scalar_curvature_is_minus_48():
 @pytest.mark.parametrize("name", ["taub_nut", "pp_wave", "pp_split"])
 def test_ricci_flat_but_not_conformally_flat(name):
     pack = pack_at(name, seed=4, order=3)
-    assert pack.ricci.norm() < 1e-8
-    assert pack.weyl.norm() > 1e-3
+    assert frobenius(pack.ricci) < 1e-8
+    assert frobenius(pack.weyl) > 1e-3
 
 
 def test_lorentz3d_dual_cotton_is_6_dydy_up_to_orientation():
@@ -71,8 +71,8 @@ def test_pp_wave_connection_lines():
     spec = builtin_metric("pp_wave")
     t, x = 0.25, 0.8
     pack = curvature_pack(spec, (t, x, -0.3, 0.6), order=3)
-    gamma = pack.gamma.components
-    g = pack.g.components
+    gamma = pack.gamma
+    g = pack.g
     # nabla d(coord mu) as a (0,2) tensor is -Gamma^mu_ab
     nabla_dt = -gamma[0]
     nabla_dx = -gamma[1]
@@ -99,7 +99,7 @@ def test_pp_split_connection_lines():
     spec = builtin_metric("pp_split")
     x = -0.7
     pack = curvature_pack(spec, (0.4, x, 0.2, -0.1), order=3)
-    gamma = pack.gamma.components
+    gamma = pack.gamma
     exp_dy = np.zeros((4, 4)); exp_dy[0, 0] = x
     exp_dz = np.zeros((4, 4)); exp_dz[0, 1] = exp_dz[1, 0] = -x
     assert np.allclose(-gamma[2], exp_dy, atol=1e-10)
@@ -113,9 +113,9 @@ def test_pp_split_connection_lines():
 ])
 def test_weyl_totally_trace_free(name):
     pack = pack_at(name, seed=6, order=3)
-    W = pack.weyl.components
-    ginv = pack.ginv.components
-    wnorm = max(pack.weyl.norm(), 1e-30)
+    W = pack.weyl
+    ginv = pack.ginv
+    wnorm = max(frobenius(pack.weyl), 1e-30)
     for axes in itertools.combinations(range(4), 2):
         letters = "abcd"
         spec_str = (
@@ -145,8 +145,8 @@ def test_divergence_identity_rejects_n3():
 def test_four_dim_weyl_square_identity(name):
     # |W| delta_c^a = 4 W^{rsta} W_{rstc} in dimension 4
     pack = pack_at(name, seed=8, order=3)
-    W = pack.weyl.components
-    ginv = pack.ginv.components
+    W = pack.weyl
+    ginv = pack.ginv
     Wup = np.einsum("abcd,ar,bs,ct,du->rstu", W, ginv, ginv, ginv, ginv)
     wsq = float(np.einsum("rstu,rstu->", Wup, W))
     rhs = 4.0 * np.einsum("rsta,rstc->ac", Wup, W)
@@ -156,8 +156,8 @@ def test_four_dim_weyl_square_identity(name):
 def _eh_contraction(pack, rng):
     """Antisymmetrized Weyl-delta expression contracted with random vectors."""
     n = pack.n
-    W = pack.weyl.components
-    ginv = pack.ginv.components
+    W = pack.weyl
+    ginv = pack.ginv
     Wmixed = np.einsum("abcd,ar,bs->rscd", W, ginv, ginv)  # W^{ab}_{cd}
     w = [rng.normal(size=n) for _ in range(n - 1)]  # lower the a-slots
     u = [rng.normal(size=n) for _ in range(n - 1)]  # raise the c-slots
@@ -192,7 +192,7 @@ def test_edgar_hoglund_contraction_n4(name, n):
     rng = np.random.default_rng(0)
     for _ in range(3):
         val = _eh_contraction(pack, rng)
-        assert abs(val) < 1e-8 * max(pack.weyl.norm(), 1.0)
+        assert abs(val) < 1e-8 * max(frobenius(pack.weyl), 1.0)
 
 
 def test_edgar_hoglund_contraction_n5():
@@ -203,7 +203,7 @@ def test_edgar_hoglund_contraction_n5():
     rng = np.random.default_rng(1)
     for _ in range(2):
         val = _eh_contraction(pack, rng)
-        assert abs(val) < 1e-8 * max(pack.weyl.norm(), 1.0)
+        assert abs(val) < 1e-8 * max(frobenius(pack.weyl), 1.0)
 
 
 def test_rescale_identity_leaves_pack_unchanged():
@@ -212,7 +212,7 @@ def test_rescale_identity_leaves_pack_unchanged():
     pt = sample_points(spec, 1, seed=11)[0]
     a = curvature_pack(spec, pt, order=3)
     b = curvature_pack(same, pt, order=3)
-    assert np.allclose(a.riemann.components, b.riemann.components, atol=1e-12)
+    assert np.allclose(a.riemann, b.riemann, atol=1e-12)
     assert a.scalar == pytest.approx(b.scalar, abs=1e-12)
 
 
@@ -226,7 +226,7 @@ def test_schouten_transformation_law():
         hatted = curvature_pack(rescale_metric(spec, omega), pt, order=3)
         expected = curvature.schouten_transform_reference(pack, omega)
         scale = max(frobenius(expected), 1.0)
-        assert frobenius(hatted.schouten.components - expected) < 1e-8 * scale
+        assert frobenius(hatted.schouten - expected) < 1e-8 * scale
         expected_j = curvature.j_transform_reference(pack, omega)
         assert hatted.j == pytest.approx(expected_j, abs=1e-8 * max(1.0, abs(expected_j)))
 
@@ -238,8 +238,8 @@ def test_weyl_conformal_covariance():
     pack = curvature_pack(spec, pt, order=3)
     hatted = curvature_pack(rescale_metric(spec, omega), pt, order=3)
     w = expr.evaluate_at(omega, pt, spec.params_dict)
-    expected = w ** 2 * pack.weyl.components
-    assert frobenius(hatted.weyl.components - expected) < 1e-8 * frobenius(expected)
+    expected = w ** 2 * pack.weyl
+    assert frobenius(hatted.weyl - expected) < 1e-8 * frobenius(expected)
 
 
 def test_vector_connection_transformation_law():
@@ -252,10 +252,10 @@ def test_vector_connection_transformation_law():
     _, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=2)
     rng = np.random.default_rng(2)
     mu = rng.normal(size=4)
-    nab = np.einsum("bar,r->ab", pack.gamma.components, mu)       # nabla_a mu^b for constant mu
-    nab_hat = np.einsum("bar,r->ab", hatted.gamma.components, mu)
-    mu_low = pack.g.components @ mu
-    ups_up = pack.ginv.components @ ups
+    nab = np.einsum("bar,r->ab", pack.gamma, mu)       # nabla_a mu^b for constant mu
+    nab_hat = np.einsum("bar,r->ab", hatted.gamma, mu)
+    mu_low = pack.g @ mu
+    ups_up = pack.ginv @ ups
     expected = (nab + np.outer(ups, mu) - np.outer(mu_low, ups_up)
                 + float(mu @ ups) * np.eye(4))
     assert np.allclose(nab_hat, expected, atol=1e-9)
@@ -275,7 +275,7 @@ def test_warped_ricci_reference_matches_jets():
     for pt in sample_points(spec, 5, seed=15):
         pack = curvature_pack(spec, pt, order=3)
         ric_ref, sc_ref = warped_ricci_reference(ws, pt)
-        assert frobenius(pack.ricci.components - ric_ref) < 1e-8 * max(1.0, frobenius(ric_ref))
+        assert frobenius(pack.ricci - ric_ref) < 1e-8 * max(1.0, frobenius(ric_ref))
         assert pack.scalar == pytest.approx(sc_ref, abs=1e-8 * max(1.0, abs(sc_ref)))
 
 
@@ -290,7 +290,7 @@ def test_warped_nabla_reference_matches_jets():
         vec = rng.normal(size=6)
         cov = rng.normal(size=6)
         nv_ref, np_ref = warped_nabla_reference(ws, pt, vec, cov)
-        gamma = pack.gamma.components
+        gamma = pack.gamma
         nv = np.einsum("bac,c->ab", gamma, vec)
         npv = -np.einsum("cab,c->ab", gamma, cov)
         assert np.allclose(nv, nv_ref, atol=1e-8 * max(1.0, frobenius(nv_ref)))

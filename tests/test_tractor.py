@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conformal_gap_lab import curvature, expr, geometry, jets, tractor
+from conformal_gap_lab.curvature import frobenius
 from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_points
 from conformal_gap_lab.tractor import (
-    TractorVector, TransportError, einstein_tractor, parallel_transport, pairing,
-    tractor_curvature, tractor_derivative, transport_matrix,
+    TransportError, einstein_tractor, pairing, tractor_curvature, tractor_derivative, transport_matrix,
 )
 
 
@@ -28,7 +28,7 @@ def test_flat_constant_top_section_is_parallel():
     spec = pseudo_euclidean(0, 4)
     section = (expr.ONE, [expr.ZERO] * 4, expr.ZERO)
     for d in tractor_derivative(spec, section, (0.2, -0.1, 0.4, 0.0)):
-        assert d.norm() < 1e-12
+        assert np.linalg.norm(d) < 1e-12
 
 
 def test_pp_wave_scale_tractor_is_parallel():
@@ -67,9 +67,9 @@ def test_einstein_tractor_constant_on_ricci_flat():
     spec = builtin_metric("pp_wave")
     pt = sample_points(spec, 1, seed=3)[0]
     I = einstein_tractor(spec, expr.ONE, pt)
-    assert I.sigma == pytest.approx(1.0)
-    assert np.linalg.norm(I.mu) < 1e-12
-    assert abs(I.rho) < 1e-12
+    assert I[0] == pytest.approx(1.0)
+    assert np.linalg.norm(I[1:-1]) < 1e-12
+    assert abs(I[-1]) < 1e-12
 
 
 def test_fubini_study_tractor_norm_is_minus_4():
@@ -77,7 +77,7 @@ def test_fubini_study_tractor_norm_is_minus_4():
     spec = builtin_metric("fubini_study")
     pt = sample_points(spec, 1, seed=4)[0]
     I = einstein_tractor(spec, expr.ONE, pt)
-    g = curvature.curvature_pack(spec, pt, 3).g.components
+    g = curvature.curvature_pack(spec, pt, 3).g
     assert pairing(I, I, g) == pytest.approx(-4.0, abs=1e-8)
 
 
@@ -96,7 +96,7 @@ def test_tractor_metric_compatibility():
         sigma = expr.evaluate(fields[0], env, params)[0]
         mu = np.array([expr.evaluate(m, env, params)[0] for m in fields[1]])
         rho = expr.evaluate(fields[2], env, params)[0]
-        return TractorVector(sigma, mu, rho)
+        return np.concatenate(([sigma], mu, [rho]))
 
     def pair_at(x):
         g = np.array([[expr.evaluate_at(spec.components[i][j], tuple(x), spec.params_dict)
@@ -109,7 +109,7 @@ def test_tractor_metric_compatibility():
     numeric = (pair_at(pt + ep) - pair_at(pt - ep)) / (2 * h)
     du = tractor_derivative(spec, u_fields, tuple(pt), direction)
     dv = tractor_derivative(spec, v_fields, tuple(pt), direction)
-    g = curvature.curvature_pack(spec, tuple(pt), 3).g.components
+    g = curvature.curvature_pack(spec, tuple(pt), 3).g
     leibniz = pairing(du, vec_at(v_fields, pt), g) + pairing(vec_at(u_fields, pt), dv, g)
     assert numeric == pytest.approx(leibniz, abs=1e-8 * max(1.0, abs(leibniz)))
 
@@ -118,7 +118,7 @@ def test_tractor_curvature_flat_vanishes():
     spec = pseudo_euclidean(1, 3)
     omegas = tractor_curvature(spec, (0.1, 0.2, 0.3, 0.4))
     for endo in omegas.values():
-        assert endo.norm() < 1e-12
+        assert frobenius(endo) < 1e-12
 
 
 def test_tractor_curvature_middle_block_matches_weyl():
@@ -126,12 +126,12 @@ def test_tractor_curvature_middle_block_matches_weyl():
     pt = sample_points(spec, 1, seed=6)[0]
     omegas = tractor_curvature(spec, pt)  # block validation runs inside
     pack = curvature.curvature_pack(spec, pt, 4)
-    W = pack.weyl.components
-    ginv = pack.ginv.components
+    W = pack.weyl
+    ginv = pack.ginv
     Wmix = np.einsum("ce,abed->abcd", ginv, W)
     for (a, b), endo in omegas.items():
-        assert np.allclose(endo.matrix[1:-1, 1:-1], Wmix[a, b], atol=1e-8)
-    assert any(endo.norm() > 1e-3 for endo in omegas.values())
+        assert np.allclose(endo[1:-1, 1:-1], Wmix[a, b], atol=1e-8)
+    assert any(frobenius(endo) > 1e-3 for endo in omegas.values())
 
 
 @pytest.mark.parametrize("name", ["pp_wave", "taub_nut", "product_split_n6", "lorentz3d"])
@@ -142,7 +142,7 @@ def test_curvature_chain_matches_finite_differences(name):
     levels = tractor.curvature_chain(curvature.frame(spec, tuple(pt), 4), 2)
 
     def omega(x):
-        return np.stack([e.matrix for e in tractor_curvature(spec, tuple(x)).values()])
+        return np.stack(list(tractor_curvature(spec, tuple(x)).values()))
 
     A = tractor.connection_matrices(curvature.frame(spec, tuple(pt), 2))
     h = 1e-4
@@ -160,19 +160,18 @@ def test_tractor_curvature_annihilates_parallel_tractors():
     pt = sample_points(spec, 1, seed=7)[0]
     omegas = tractor_curvature(spec, pt)
     for _, sigma in spec.known_scales:
-        I = einstein_tractor(spec, sigma, pt).as_array()
+        I = einstein_tractor(spec, sigma, pt)
         for endo in omegas.values():
-            assert np.linalg.norm(endo.matrix @ I) < 1e-8
+            assert np.linalg.norm(endo @ I) < 1e-8
 
 
 def test_wedge_of_parallel_tractors_killed_by_induced_action():
     spec = builtin_metric("pp_wave")
     pt = sample_points(spec, 1, seed=8)[0]
-    I1 = einstein_tractor(spec, spec.known_scales[0][1], pt).as_array()
-    I2 = einstein_tractor(spec, spec.known_scales[1][1], pt).as_array()
+    I1 = einstein_tractor(spec, spec.known_scales[0][1], pt)
+    I2 = einstein_tractor(spec, spec.known_scales[1][1], pt)
     wedge = np.outer(I1, I2) - np.outer(I2, I1)
-    for endo in tractor_curvature(spec, pt).values():
-        M = endo.matrix
+    for M in tractor_curvature(spec, pt).values():
         acted = M @ wedge + wedge @ M.T   # derived action on Lambda^2
         assert np.linalg.norm(acted) < 1e-8
 
@@ -197,15 +196,15 @@ def test_transport_preserves_tractor_pairing():
     a = np.array(sample_points(spec, 1, seed=10)[0])
     b = np.array(sample_points(spec, 1, seed=11)[0])
     M = transport_matrix(spec, [a, b])
-    ga = curvature.curvature_pack(spec, tuple(a), 3).g.components
-    gb = curvature.curvature_pack(spec, tuple(b), 3).g.components
+    ga = curvature.curvature_pack(spec, tuple(a), 3).g
+    gb = curvature.curvature_pack(spec, tuple(b), 3).g
     Ba = tractor.tractor_metric_matrix(ga)
     Bb = tractor.tractor_metric_matrix(gb)
     # <MV, MW>_b = <V, W>_a for all V, W
     assert np.allclose(M.T @ Bb @ M, Ba, atol=1e-9)
     rng = np.random.default_rng(0)
-    v = TractorVector.from_array(rng.normal(size=6))
-    w = parallel_transport(spec, [a, b], v)
+    v = rng.normal(size=6)
+    w = M @ v
     assert pairing(w, w, gb) == pytest.approx(pairing(v, v, ga), abs=1e-9)
 
 
@@ -221,7 +220,7 @@ def test_transport_rejects_paths_leaving_domain():
 def test_small_loop_holonomy_matches_curvature():
     spec = builtin_metric("taub_nut")
     pt = sample_points(spec, 1, seed=13)[0]
-    omega = tractor_curvature(spec, pt)[(0, 1)].matrix
+    omega = tractor_curvature(spec, pt)[(0, 1)]
 
     def holonomy(h):
         return transport_matrix(spec, rectangle_loop(pt, 0, 1, h))
@@ -247,6 +246,6 @@ def test_scale_equivariance_of_scale_tractor():
     hat_sigma = expr.mul(omega, sigma)
     I_hat = einstein_tractor(hat_spec, hat_sigma, pt)
     w, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=1)
-    g = curvature.curvature_pack(spec, pt, 3).g.components
+    g = curvature.curvature_pack(spec, pt, 3).g
     expected = tractor.transform_tractor(I, w[0], ups, g)
-    assert np.allclose(I_hat.as_array(), expected.as_array(), atol=1e-8)
+    assert np.allclose(I_hat, expected, atol=1e-8)
