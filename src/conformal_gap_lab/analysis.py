@@ -19,6 +19,14 @@ produce, this algebra is the holonomy algebra (Kobayashi-Nomizu I, II.10).
 Lower bounds come from residual-verified witnesses, which must lie in those
 kernels.  A report is exact when the two sides meet and every rank decision
 survives scaling the tolerance by 10 either way.
+
+Witness checks run once per check point: each known scale is evaluated there
+once, as one (S, C_2) stack of jets, and the almost-Einstein residuals of all
+scales, the wedge fields of all verified pairs and their Killing/normality
+residuals come from batched cores on that stack (leading axes batch, as in
+``jets``).  The single-scale functions (``ae_residual_matrix``,
+``wedge_nckf``, ``ck_and_normality``) are those cores on one scale, so both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -124,26 +132,36 @@ def kernel_of_weyl(spec: MetricSpec, point) -> Subspace:
         if ksp.dim > bound:
             raise AnalysisError(
                 f"Weyl kernel dimension {ksp.dim} exceeds the signature bound "
-                f"{bound} for {spec.label!r} at {tuple(point)}"
+                f"{bound} for {spec.label!r} at {geometry.format_point(point)}"
             )
     return ksp
 
 
-def _scale_terms(fr: curvature.CurvatureFrame, sigma: expr.Node):
-    """(value, gradient, covariant Hessian) of a scale at the frame's point."""
-    j = fr.scalar_jet(sigma, 2)
-    grad = jets.gradient(j, fr.n)
-    hess = jets.hessian(j, fr.n) - np.einsum("rab,r->ab", fr.values(fr.gamma), grad)
-    return j[0], grad, hess
+def _norms(arr: np.ndarray, k: int) -> np.ndarray:
+    """Frobenius norms over the last k axes, each equal to ``frobenius`` of its block."""
+    flat = arr.reshape(arr.shape[:arr.ndim - k] + (-1,))
+    return np.sqrt(np.sum(flat ** 2, axis=-1))
+
+
+def _scale_terms(fr: curvature.CurvatureFrame, s: np.ndarray):
+    """(values, gradients, covariant Hessians) of scale jets s (..., C_2) at the frame's point."""
+    grad = jets.gradient(s, fr.n)
+    hess = jets.hessian(s, fr.n) - np.einsum("rab,...r->...ab", fr.values(fr.gamma), grad)
+    return s[..., 0], grad, hess
+
+
+def _ae_residuals(fr: curvature.CurvatureFrame, s: np.ndarray) -> np.ndarray:
+    """Trace-free parts (..., n, n) of (Hess sigma + P sigma) for scale jets s (..., C_2)."""
+    val, _, hess = _scale_terms(fr, s)
+    H = hess + fr.values(fr.schouten) * val[..., None, None]
+    trace = np.einsum("ab,...ab->...", fr.values(fr.ginv), H)
+    return H - (trace / fr.n)[..., None, None] * fr.values(fr.g)
 
 
 def ae_residual_matrix(spec: MetricSpec, sigma: expr.Node, point) -> np.ndarray:
     """Trace-free part of (Hess sigma + P sigma) as a matrix."""
     fr = curvature.frame(spec, point, 2)
-    s, _, hess = _scale_terms(fr, sigma)
-    H = hess + fr.values(fr.schouten) * s
-    trace = float(np.einsum("ab,ab->", fr.values(fr.ginv), H))
-    return H - trace / spec.n * fr.values(fr.g)
+    return _ae_residuals(fr, fr.scalar_jet(sigma, 2))
 
 
 def ae_residual(spec: MetricSpec, sigma: expr.Node, point) -> float:
@@ -166,6 +184,31 @@ def field_jets(spec: MetricSpec, k_asts, point) -> np.ndarray:
     return np.stack([expr.evaluate(a, env, spec.params_dict) for a in k_asts])
 
 
+def _killing_terms(fr: curvature.CurvatureFrame, k: np.ndarray):
+    """For field jets k (..., n, C_1): nabla_a k^b (..., n, n) and the
+    conformal-Killing, normality and (n = 3) first-index normality residuals
+    (...), the last None for n >= 4.  See ``ck_and_normality``."""
+    n = fr.n
+    kv, dk = k[..., 0], np.swapaxes(jets.gradient(k, n), -1, -2)  # [a, b] = d_a k^b
+    g = fr.values(fr.g)
+    nab_up = dk + np.einsum("bar,...r->...ab", fr.values(fr.gamma), kv)   # nabla_a k^b
+    nab_low = nab_up @ g                                                # nabla_a k_b
+    sym = 0.5 * (nab_low + np.swapaxes(nab_low, -1, -2))
+    div = np.trace(nab_up, axis1=-2, axis2=-1)
+    ck = _norms(sym - (div / n)[..., None, None] * g, 2)
+    if n >= 4:
+        W = fr.values(fr.weyl)
+        return nab_up, ck, _norms(np.einsum("abcr,...r->...abc", W, kv), 3), None
+    Y = fr.values(fr.cotton)
+    return (nab_up, ck, _norms(np.einsum("cab,...b->...ca", Y, kv), 2),
+            _norms(np.einsum("cab,...c->...ab", Y, kv), 2))
+
+
+def _killing_frame(spec: MetricSpec, point) -> curvature.CurvatureFrame:
+    """Normality reads Weyl for n >= 4 and Cotton, an order-3 tensor, for n = 3."""
+    return curvature.frame(spec, point, 2 if spec.n >= 4 else 3)
+
+
 def ck_and_normality(spec: MetricSpec, k: np.ndarray, point,
                      with_extras: bool = False) -> KillingReport:
     """Conformal-Killing residual plus normality of the field with jets k (n, C_1).
@@ -174,44 +217,32 @@ def ck_and_normality(spec: MetricSpec, k: np.ndarray, point,
     contraction on the last index, with the first-index contraction also
     reported.  ``with_extras`` adds full-parallelism and nullity residuals.
     """
-    n = spec.n
-    fr = curvature.frame(spec, point, 2 if n >= 4 else 3)
-    kv, dk = k[:, 0], jets.gradient(k, n).T                    # [a, b] = d_a k^b
-    g = fr.values(fr.g)
-    gamma = fr.values(fr.gamma)
-    nab_up = dk + np.einsum("bar,r->ab", gamma, kv)            # [a, b] = nabla_a k^b
-    nab_low = nab_up @ g                                        # nabla_a k_b
-    sym = 0.5 * (nab_low + nab_low.T)
-    div = float(np.trace(nab_up))
-    ck_res = frobenius(sym - div / n * g)
-
-    if n >= 4:
-        W = fr.values(fr.weyl)
-        normal = frobenius(np.einsum("abcr,r->abc", W, kv))
-        normal_first = None
-    else:
-        Y = fr.values(fr.cotton)
-        normal = frobenius(np.einsum("cab,b->ca", Y, kv))
-        normal_first = frobenius(np.einsum("cab,c->ab", Y, kv))
-
-    report = KillingReport(ck_res=ck_res, normal_res=normal,
-                           normal_res_first_index=normal_first)
+    fr = _killing_frame(spec, point)
+    nab_up, ck, normal, first = _killing_terms(fr, k)
+    report = KillingReport(ck_res=float(ck), normal_res=float(normal),
+                           normal_res_first_index=None if first is None else float(first))
     if with_extras:
+        kv = k[:, 0]
         report.parallel_res = frobenius(nab_up)
-        report.null_res = abs(float(kv @ g @ kv))
+        report.null_res = abs(float(kv @ fr.values(fr.g) @ kv))
     return report
+
+
+def _wedge_jets(fr: curvature.CurvatureFrame, s: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Order-1 jets (..., n, C_1) of k^a = g^{ab} (sigma d_b sigma_bar - sigma_bar d_b sigma)
+    for scale jets s, sb (..., C_2) at an order-2 frame."""
+    n = fr.n
+    ds, dsb = (np.moveaxis(jets.partials(f, n, 2), 0, -2) for f in (s, sb))   # (..., n, C_1)
+    k_low = (jets.conv(fr.at(s, 1)[..., None, :], dsb, n, 1)
+             - jets.conv(fr.at(sb, 1)[..., None, :], ds, n, 1))
+    return jets.contract(fr.at(fr.ginv, 1), k_low[..., None, :, :], n, 1)
 
 
 def wedge_nckf(spec: MetricSpec, sigma: expr.Node, sigma_bar: expr.Node,
                point) -> np.ndarray:
     """Order-1 jets (n, C_1) of k^a = g^{ab} (sigma d_b sigma_bar - sigma_bar d_b sigma)."""
-    n = spec.n
     fr = curvature.frame(spec, point, 2)
-    s, sb = fr.scalar_jet(sigma, 2), fr.scalar_jet(sigma_bar, 2)
-    ds, dsb = (jets.partials(f, n, 2) for f in (s, sb))
-    k_low = (jets.conv(fr.at(s, 1), dsb, n, 1)
-             - jets.conv(fr.at(sb, 1), ds, n, 1))              # (n, C_1)
-    return jets.contract(fr.at(fr.ginv, 1), k_low[None], n, 1)
+    return _wedge_jets(fr, fr.scalar_jet(sigma, 2), fr.scalar_jet(sigma_bar, 2))
 
 
 def bracket_closure_residual(fields: np.ndarray) -> float:
@@ -239,7 +270,8 @@ def bracket_closure_residual(fields: np.ndarray) -> float:
 def j_of_scale(spec: MetricSpec, sigma: expr.Node, point) -> float:
     """J of sigma^-2 g via -(n/2) g(ds,ds) + sigma Lap sigma + J sigma^2."""
     fr = curvature.frame(spec, point, 2)
-    s, grad, hess = _scale_terms(fr, sigma)
+    s, grad, hess = _scale_terms(fr, fr.scalar_jet(sigma, 2))
+    s = float(s)
     ginv = fr.values(fr.ginv)
     lap = float(np.einsum("ab,ab->", ginv, hess))
     ds_sq = float(grad @ ginv @ grad)
@@ -385,6 +417,7 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     if basepoint is None:
         basepoint = geometry.default_point(spec)
     basepoint = tuple(float(c) for c in basepoint)
+    geometry.require_point(spec, basepoint)
     n = spec.n
     nb = n + 2
     report = DimReport(
@@ -408,48 +441,8 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     report.marginal = standard.marginal or adjoint.marginal
 
     # lower bounds from verified witnesses
-    check_pts = geometry.sample_points(spec, 6, seed=seed + 2)
-    verified = []
-    for name, sigma in spec.known_scales:
-        # the order-3 frame at check_pts[0] first: ae_residual's order 2 is cut from it
-        par = tractor.scale_tractor_parallel_residual(spec, sigma, check_pts[0])
-        res = max(ae_residual(spec, sigma, p) for p in check_pts)
-        if res < RESIDUAL_TOL and par < 10 * RESIDUAL_TOL:
-            verified.append((name, sigma))
-        else:
-            report.notes.append(
-                f"scale candidate {name!r} failed verification "
-                f"(residual {res:.2e}, parallel {par:.2e})"
-            )
-    report.ae_witnesses = [name for name, _ in verified]
-    if verified:
-        vecs = [tractor.einstein_tractor(spec, s, basepoint) for _, s in verified]
-        _require_inside(standard, vecs, report.ae_witnesses, "standard", spec)
-        span = kernel(np.stack(vecs))
-        report.d_ae_lower = span.ambient_dim - span.dim
-        report.marginal |= span.marginal
-
-        wedge_pts = check_pts[:3]
-        wedge_vecs = []
-        pairs = itertools.combinations(zip(verified, vecs), 2)
-        for ((ni, si), Ii), ((nj, sj), Ij) in pairs:
-            rep = max(
-                (ck_and_normality(spec, wedge_nckf(spec, si, sj, p), p)
-                 for p in wedge_pts),
-                key=lambda r: max(r.ck_res, r.normal_res),
-            )
-            if max(rep.ck_res, rep.normal_res) < 10 * RESIDUAL_TOL:
-                wedge_vecs.append(wedge_vector(Ii, Ij))
-                report.nck_witnesses.append(f"{ni}^{nj}")
-            else:
-                report.notes.append(
-                    f"wedge {ni}^{nj} failed Killing/normality verification"
-                )
-        if wedge_vecs:
-            _require_inside(adjoint, wedge_vecs, report.nck_witnesses, "adjoint", spec)
-            span = kernel(np.stack(wedge_vecs))
-            report.d_nck_lower = span.ambient_dim - span.dim
-            report.marginal |= span.marginal
+    if spec.known_scales:
+        _witnesses(spec, basepoint, seed, standard, adjoint, report)
 
     if report.d_ae_lower > report.d_ae_upper or report.d_nck_lower > report.d_nck_upper:
         raise AnalysisError(
@@ -465,6 +458,72 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     report.exact_ae = (report.d_ae_lower == report.d_ae_upper) and not report.marginal
     report.exact_nck = (report.d_nck_lower == report.d_nck_upper) and not report.marginal
     return report
+
+
+def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
+               adjoint: Subspace, report: DimReport) -> None:
+    """Verify the known scales and the wedges of verified pairs, and record the
+    ranks of their tractors as the lower bounds.
+
+    Each scale is evaluated once per check point, and all scales (all pairs
+    of verified scales) are checked at a point in one batched call.
+    """
+    names = [name for name, _ in spec.known_scales]
+    sigmas = [sigma for _, sigma in spec.known_scales]
+    check_pts = geometry.sample_points(spec, 6, seed=seed + 2)
+
+    def scale_jets(fr, m):
+        return np.stack([fr.scalar_jet(sigma, m) for sigma in sigmas])
+
+    # the order-3 frame at check_pts[0] first: the order-2 one is cut from it
+    fr = curvature.frame(spec, check_pts[0], 3)
+    par = tractor.parallel_residuals(fr, scale_jets(fr, 3))
+    at_pts = []                                # (frame, scale jets) per check point
+    for p in check_pts:
+        fr = curvature.frame(spec, p, 2)
+        at_pts.append((fr, scale_jets(fr, 2)))
+    res = np.max([_norms(_ae_residuals(fr, S), 2) for fr, S in at_pts], axis=0)
+    ok = (res < RESIDUAL_TOL) & (par < 10 * RESIDUAL_TOL)
+    for name, r, q, passed in zip(names, res, par, ok):
+        if not passed:
+            report.notes.append(
+                f"scale candidate {name!r} failed verification "
+                f"(residual {r:.2e}, parallel {q:.2e})"
+            )
+    verified = np.flatnonzero(ok)
+    report.ae_witnesses = [names[i] for i in verified]
+    if not len(verified):
+        return
+    fr = curvature.frame(spec, basepoint, 3)
+    vecs = tractor.einstein_tractors(fr, np.stack([fr.scalar_jet(sigmas[i]) for i in verified]))
+    _require_inside(standard, vecs, report.ae_witnesses, "standard", spec)
+    span = kernel(vecs)
+    report.d_ae_lower = span.ambient_dim - span.dim
+    report.marginal |= span.marginal
+
+    pairs = list(itertools.combinations(range(len(verified)), 2))
+    if not pairs:
+        return
+    first, second = np.array(pairs).T
+    worst = np.zeros(len(first))
+    for (fr, S), p in zip(at_pts[:3], check_pts):
+        V = S[verified]
+        _, ck, normal, _ = _killing_terms(_killing_frame(spec, p),
+                                          _wedge_jets(fr, V[first], V[second]))
+        worst = np.maximum(worst, np.maximum(ck, normal))
+    wedge_vecs = []
+    for i, j, w in zip(first, second, worst):
+        pair = f"{report.ae_witnesses[i]}^{report.ae_witnesses[j]}"
+        if w < 10 * RESIDUAL_TOL:
+            wedge_vecs.append(wedge_vector(vecs[i], vecs[j]))
+            report.nck_witnesses.append(pair)
+        else:
+            report.notes.append(f"wedge {pair} failed Killing/normality verification")
+    if wedge_vecs:
+        _require_inside(adjoint, wedge_vecs, report.nck_witnesses, "adjoint", spec)
+        span = kernel(np.stack(wedge_vecs))
+        report.d_nck_lower = span.ambient_dim - span.dim
+        report.marginal |= span.marginal
 
 
 def _require_inside(space: Subspace, vectors, names, bundle: str,
@@ -664,7 +723,7 @@ def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dic
         worst_lap, worst_null = 0.0, 0.0
         for pt in points:
             fr = curvature.frame(spec, pt, 2)
-            _, grad, hess = _scale_terms(fr, tau)
+            _, grad, hess = _scale_terms(fr, fr.scalar_jet(tau, 2))
             ginv = fr.values(fr.ginv)
             lap = float(np.einsum("ab,ab->", ginv, hess))
             null = float(grad @ ginv @ grad)

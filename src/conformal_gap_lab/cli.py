@@ -33,6 +33,10 @@ USAGE_ERRORS = (
 
 CHECK_ERRORS = (ConventionError, analysis.AnalysisError)
 
+# the verifier options and the values they take when not given; a verifier
+# is passed those among them that its signature names
+VERIFY_DEFAULTS = {"n": 6, "case": "a", "p": 2, "sc": 48, "metric": "pp_wave"}
+
 
 def _seed(ns) -> int:
     """``--seed``, else ``CGL_SEED``, else 0; a non-negative integer."""
@@ -111,7 +115,10 @@ def _parse_point(text: str, n: int):
         raise geometry.DomainError(
             f"point needs {n} comma-separated coordinates, got {len(parts)}"
         )
-    return tuple(float(p) for p in parts)
+    point = tuple(float(p) for p in parts)
+    if not all(math.isfinite(c) for c in point):
+        raise geometry.DomainError(f"point coordinates must be finite, got {text!r}")
+    return point
 
 
 def _parse_params(items):
@@ -238,7 +245,13 @@ def _cmd_verify(ns) -> tuple[dict, bool]:
         raise geometry.CatalogueError("verify takes no --param")
     seed = _seed(ns)
     params = inspect.signature(analysis.VERIFIERS[ns.theorem]).parameters
-    kwargs = {name: seed if name == "seed" else getattr(ns, name) for name in params}
+    given = {name: getattr(ns, name) for name in VERIFY_DEFAULTS
+             if getattr(ns, name) is not None}
+    for name in given:
+        if name not in params:
+            raise geometry.CatalogueError(f"verify {ns.theorem} takes no --{name}")
+    values = {**VERIFY_DEFAULTS, **given, "seed": seed}
+    kwargs = {name: values[name] for name in params}
     report = analysis.verify_theorem(ns.theorem, **kwargs)
     report["command"] = f"verify {ns.theorem}"
     report["pass"] = report.pop("passed")
@@ -330,11 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a family verifier")
     p.add_argument("theorem", choices=list(analysis.VERIFIERS))
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--case", choices=["a", "b", "c"], default="a")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--sc", type=int, choices=[48, -48, 0], default=48)
-    p.add_argument("--metric", default="pp_wave")
+    # unset options stay None, so options the verifier does not take are caught
+    kinds = {"n": {"type": int}, "case": {"choices": ["a", "b", "c"]}, "p": {"type": int},
+             "sc": {"type": int, "choices": [48, -48, 0]}, "metric": {}}
+    for name, kind in kinds.items():
+        takers = [theorem for theorem, verifier in analysis.VERIFIERS.items()
+                  if name in inspect.signature(verifier).parameters]
+        p.add_argument(f"--{name}", **kind, help=(
+            f"default {VERIFY_DEFAULTS[name]}; taken by {', '.join(takers)}"))
     common(p, with_point=False)
 
     p = sub.add_parser("rescale", help="conformal transformation-law checks")

@@ -15,9 +15,14 @@ Conventions (fixed throughout the package):
 Every tensor is carried as a numpy array of truncated Taylor coefficients,
 last axis the coefficient axis, so covariant derivatives of anything computed
 here are one :meth:`CurvatureFrame.cov_deriv` away.  A frame built at jet
-order ``K`` holds the metric to order ``K``, Christoffels to ``K-1``,
-curvature and Schouten to ``K-2``, and Cotton to ``K-3`` (so the default
-``K = 4`` supports divergence-of-Weyl and tractor-curvature derivatives).
+order ``K`` holds the metric and its inverse to order ``K``, Christoffels to
+``K-1``, and ``riemann_mixed``, Ricci, Sc, J, Schouten and ``schouten_mixed``
+to ``K-2``: what the tractor connection jets and their curvature chain read.
+The all-down Riemann, Weyl and Cotton tensors (``VALUE_TENSORS``) are held at
+jet order 0, their values, since no reader needs more; Cotton needs
+``K >= 3``.  :meth:`CurvatureFrame.riemann_and_weyl` gives Riemann and Weyl
+at any order up to ``K-2`` from the same formula (the divergence identity
+reads the Weyl jets to order ``K-2``).
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ import numpy as np
 from . import expr, geometry, jets
 from .geometry import MetricSpec, WarpedSpec
 from .jets import contract, conv, partials, truncate_coeffs
+
+
+# frame tensors held at jet order 0, kept whole by CurvatureFrame.truncated
+VALUE_TENSORS = ("riemann", "weyl", "cotton")
 
 
 class ConventionError(RuntimeError):
@@ -77,28 +86,19 @@ class CurvatureFrame:
         rm = B1 - B1.transpose(1, 0, 2, 3, 4) + gg - gg.transpose(1, 0, 2, 3, 4)
         self.riemann_mixed = rm                           # [a, b, c, d] = R_ab^c_d
 
-        # R_abcd = g_ce R_ab^e_d
-        rlow = contract(g2[None, None, :, None], rm.transpose(0, 1, 3, 2, 4)[:, :, None], n, m2)
-        self.riemann = rlow
         self.ricci = ricci = np.einsum("rbrdk->bdk", rm)
         self.sc = contract(ginv2.reshape(n * n, -1), ricci.reshape(n * n, -1), n, m2)
         self.j = self.sc / (2.0 * (n - 1))
-        self.schouten = (ricci - conv(self.j[None, None, :], g2, n, m2)) / (n - 2)
-
-        # R = W + g_ca P_bd - g_cb P_ad + g_db P_ac - g_da P_bc; with
-        # t[a, b, c, d] = g_ac P_bd and g symmetric the last three terms are
-        # transposes of the first
-        P = self.schouten
-        t = conv(g2[:, None, :, None, :], P[None, :, None, :, :], n, m2)
-        self.weyl = (rlow - t + t.transpose(1, 0, 2, 3, 4)
-                     - t.transpose(1, 0, 3, 2, 4) + t.transpose(0, 1, 3, 2, 4))
+        self.schouten = P = (ricci - conv(self.j[None, None, :], g2, n, m2)) / (n - 2)
 
         # P with the second index raised (used by the tractor connection)
         self.schouten_mixed = contract(P[:, None], ginv2[None], n, m2)   # [a, b] = P_a^b
 
+        # no reader needs more than the values of these three
+        self.riemann, self.weyl = self.riemann_and_weyl(0)
         self.cotton = None
         if order >= 3:
-            covP = self.cov_deriv(P, "dd", m2)            # [a, b, c] = nabla_a P_bc
+            covP = self.cov_deriv(self.at(P, 1), "dd", 1)  # [a, b, c] = nabla_a P_bc
             A = covP.transpose(2, 0, 1, 3)
             self.cotton = A - A.transpose(0, 2, 1, 3)     # [c, a, b] = Y_cab
 
@@ -119,26 +119,40 @@ class CurvatureFrame:
     def values(self, arr: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(arr[..., 0])
 
+    def riemann_and_weyl(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Jets to order m (at most order - 2) of R_abcd and of the Weyl tensor."""
+        n = self.n
+        g, rm, P = self.at(self.g, m), self.at(self.riemann_mixed, m), self.at(self.schouten, m)
+        # R_abcd = g_ce R_ab^e_d
+        R = contract(g[None, None, :, None], rm.transpose(0, 1, 3, 2, 4)[:, :, None], n, m)
+        # R = W + g_ca P_bd - g_cb P_ad + g_db P_ac - g_da P_bc; with
+        # t[a, b, c, d] = g_ac P_bd and g symmetric the last three terms are
+        # transposes of the first
+        t = conv(g[:, None, :, None, :], P[None, :, None, :, :], n, m)
+        W = (R - t + t.transpose(1, 0, 2, 3, 4)
+             - t.transpose(1, 0, 3, 2, 4) + t.transpose(0, 1, 3, 2, 4))
+        return R, W
+
     def truncated(self, order: int) -> "CurvatureFrame":
         """This frame at a lower jet order, every jet cut to its prefix.
 
         Each coefficient of a jet depends only on coefficients of no higher
         degree, so the cut equals a frame built at that order; nothing is
-        rebuilt (``__init__`` does not run).
+        rebuilt (``__init__`` does not run).  The ``VALUE_TENSORS`` stay as
+        they are, except Cotton, which a frame below order 3 does not hold.
         """
         if not 2 <= order <= self.order:
             raise ValueError(f"cannot truncate an order-{self.order} frame to {order}")
         fr = object.__new__(CurvatureFrame)
         for name, value in vars(self).items():
-            if isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray) and name not in VALUE_TENSORS:
                 m = order - (self.order - jets.order_of(value.shape[-1], self.n))
-                if m < 0:
-                    value = None                          # Cotton below order 3
-                else:
-                    value = np.ascontiguousarray(self.at(value, m))
-                    value.flags.writeable = False
+                value = np.ascontiguousarray(self.at(value, m))
+                value.flags.writeable = False
             setattr(fr, name, value)
         fr.order = order
+        if order < 3:
+            fr.cotton = None
         return fr
 
     def cov_deriv(self, T: np.ndarray, variance: str, m: int) -> np.ndarray:
@@ -297,7 +311,7 @@ def rescale_metric(spec: MetricSpec, omega: expr.Node) -> MetricSpec:
     """Same chart with components omega^2 g_ab; omega must be positive."""
     for pt in geometry.sample_points(spec, 12, seed=20):
         if expr.evaluate_at(omega, pt, spec.params_dict) <= 0.0:
-            raise ValueError(f"rescale factor is not positive at {pt}")
+            raise ValueError(f"rescale factor is not positive at {geometry.format_point(pt)}")
     w2 = expr.Pow(omega, 2)
     comps = tuple(
         tuple(expr.mul(w2, e) for e in row) for row in spec.components
@@ -365,7 +379,8 @@ def bianchi_check(spec: MetricSpec, point) -> float:
     if spec.n < 4:
         raise ValueError("the divergence identity check needs n >= 4")
     f = frame(spec, point, 4)
-    covW = f.cov_deriv(f.weyl, "dddd", f.order - 2)       # [s, r, c, a, b]
+    _, weyl = f.riemann_and_weyl(f.order - 2)
+    covW = f.cov_deriv(weyl, "dddd", f.order - 2)         # [s, r, c, a, b]
     div = np.einsum("sr,srcab->cab", f.values(f.ginv), covW[..., 0])
     y = f.values(f.cotton)
     return frobenius((spec.n - 3) * y - div)

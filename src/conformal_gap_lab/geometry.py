@@ -584,21 +584,33 @@ def signature_of(values: np.ndarray) -> tuple[int, int]:
     return int(np.sum(eigs < 0)), int(np.sum(eigs > 0))
 
 
-def metric_frame_at(spec: MetricSpec, point, order: int):
-    """(g jets, inverse jets, computed signature) with admissibility checks."""
+def format_point(point) -> str:
+    """A point as a tuple of plain floats, for messages."""
+    return str(tuple(float(c) for c in point))
+
+
+def require_point(spec: MetricSpec, point) -> None:
+    """Raise ``DomainError`` unless the point is finite and inside the domain."""
+    if not all(math.isfinite(c) for c in point):
+        raise DomainError(f"point {format_point(point)} is not finite")
     if not domain_ok(spec, point):
         raise DomainError(
-            f"point {tuple(point)} outside the domain of {spec.label!r}"
+            f"point {format_point(point)} outside the domain of {spec.label!r}"
         )
+
+
+def metric_frame_at(spec: MetricSpec, point, order: int):
+    """(g jets, inverse jets, computed signature) with admissibility checks."""
+    require_point(spec, point)
     with np.errstate(over="ignore", invalid="ignore"):
         G = metric_jets(spec, point, order)
     if not np.all(np.isfinite(G)):
-        raise DomainError(f"{spec.label!r}: metric not finite at {tuple(point)}")
+        raise DomainError(f"{spec.label!r}: metric not finite at {format_point(point)}")
     values = G[..., 0]
     size = np.abs(_eigenvalues(values))
     if size.min() <= DEGENERACY_RATIO * size.max():
         raise SingularMetricError(
-            f"{spec.label!r} degenerate at {tuple(point)} (eigenvalues "
+            f"{spec.label!r} degenerate at {format_point(point)} (eigenvalues "
             f"{size.min():.2e} to {size.max():.2e} in absolute value)"
         )
     sig = signature_of(values)

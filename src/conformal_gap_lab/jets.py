@@ -149,11 +149,16 @@ def _sized(a, t: JetTables) -> np.ndarray:
 # structural operations
 
 def _scatter(prods: np.ndarray, t: JetTables) -> np.ndarray:
-    """Sum per-pair products (..., T) into their coefficient slots (..., size)."""
-    if prods.ndim > 1 and t.scatter is not None:
-        return prods @ t.scatter
+    """Sum per-pair products (..., T) into their coefficient slots (..., size).
+
+    One row goes through ``bincount`` like an unbatched product: BLAS may sum
+    a one-row product in another order, and a jet must not depend on the
+    batch it is computed in.
+    """
     lead = prods.shape[:-1]
     rows = math.prod(lead)
+    if rows > 1 and t.scatter is not None:
+        return prods @ t.scatter
     slots = t.mul_k if rows == 1 else (np.arange(rows)[:, None] * t.size + t.mul_k).ravel()
     out = np.bincount(slots, weights=prods.ravel(), minlength=rows * t.size)
     return out.reshape(lead + (t.size,))

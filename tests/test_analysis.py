@@ -466,3 +466,54 @@ def test_constraint_kernels_survive_transport(name):
                 K[rows, cols] = coords
                 K = T @ (K - K.T) @ T.T
                 assert np.linalg.norm(M @ K + K @ M.T) < 1e-8 * size * np.linalg.norm(K)
+
+
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
+def test_batched_witness_checks_equal_the_single_scale_functions(name):
+    spec = geometry.catalogue_metric(name)
+    # the known scales plus a non-scale, so failing checks are covered too
+    sigmas = [s for _, s in spec.known_scales] + [expr.var(0), expr.add(expr.ONE, expr.var(1))]
+    first, second = np.array(list(itertools.combinations(range(len(sigmas)), 2))).T
+    for pt in sample_points(spec, 2, seed=13):
+        fr = curvature.frame(spec, pt, 2)
+        S = np.stack([fr.scalar_jet(s, 2) for s in sigmas])
+        R = analysis._ae_residuals(fr, S)
+        norms = analysis._norms(R, 2)
+        for i, s in enumerate(sigmas):
+            assert R[i].tobytes() == analysis.ae_residual_matrix(spec, s, pt).tobytes()
+            assert norms[i] == ae_residual(spec, s, pt)
+
+        K = analysis._wedge_jets(fr, S[first], S[second])
+        _, ck, normal, normal_first = analysis._killing_terms(
+            analysis._killing_frame(spec, pt), K)
+        for q, (i, j) in enumerate(zip(first, second)):
+            k = wedge_nckf(spec, sigmas[i], sigmas[j], pt)
+            assert K[q].tobytes() == k.tobytes()
+            rep = ck_and_normality(spec, k, pt)
+            assert (ck[q], normal[q]) == (rep.ck_res, rep.normal_res)
+            assert (rep.normal_res_first_index is None if normal_first is None
+                    else normal_first[q] == rep.normal_res_first_index)
+
+        fr3 = curvature.frame(spec, pt, 3)
+        S3 = np.stack([fr3.scalar_jet(s) for s in sigmas])
+        vecs = tractor.einstein_tractors(fr3, S3)
+        par = tractor.parallel_residuals(fr3, S3)
+        for i, s in enumerate(sigmas):
+            assert vecs[i].tobytes() == tractor.einstein_tractor(spec, s, pt).tobytes()
+            assert par[i] == tractor.scale_tractor_parallel_residual(spec, s, pt)
+
+
+@pytest.mark.parametrize("name", ["product_split_n6", "product_lorentz_n6", "pp_split",
+                                  "pp_wave", "warped_hfs_n5"])
+def test_each_scale_evaluated_at_most_eight_times_per_dims_call(name, monkeypatch):
+    spec = geometry.catalogue_metric(name)
+    calls = []
+    scalar_jet = curvature.CurvatureFrame.scalar_jet
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return scalar_jet(self, *args, **kwargs)
+
+    monkeypatch.setattr(curvature.CurvatureFrame, "scalar_jet", counted)
+    estimate_parallel_dims(spec, seed=0)
+    assert 0 < len(calls) <= 8 * len(spec.known_scales)

@@ -291,3 +291,39 @@ def test_readme_library_session_runs():
     proc = subprocess.run([sys.executable, "-c", blocks[0]], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("kerw", "pp_split", "--point", "inf,0,0,0"),
+    ("dims", "pp_split", "--base-point", "nan,0,0,0"),
+    ("analyze", "pp_wave", "--point", "0,-inf,0,0"),
+    ("rescale", "taub_nut", "--omega", "1", "--point", "1.0,nan,0.5,0.5"),
+])
+def test_non_finite_point_exits_2(capsys, argv):
+    assert "point coordinates must be finite" in usage_error(capsys, *argv)
+
+
+def test_points_in_messages_are_plain_floats(capsys):
+    err = usage_error(capsys, "rescale", "taub_nut", "--omega", "0")
+    assert "not positive at (" in err and "np.float64" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("verify", "rflat", "--metric", "pp_split", "--n", "9", "--case", "c", "--sc", "0"), "n"),
+    (("verify", "t_lorentz", "--metric", "taub_nut", "--p", "7"), "p"),
+    (("verify", "t_gen", "--case", "b"), "case"),
+    (("verify", "warpedSol", "--metric", "pp_wave"), "metric"),
+    (("verify", "bounds", "--sc", "0"), "sc"),
+])
+def test_verify_rejects_options_its_verifier_does_not_take(capsys, argv, option):
+    err = usage_error(capsys, *argv)
+    assert err == f"error: verify {argv[1]} takes no --{option}\n"
+
+
+def test_verify_keeps_defaults_for_unset_options(capsys):
+    code, out, _ = run(capsys, "verify", "bounds", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["params"] == {"metric": "pp_wave", "seed": 0}
+    code, out, _ = run(capsys, "verify", "t_gen", "--json")
+    assert json.loads(out)["params"] == {"n": 6, "p": 2, "seed": 0}

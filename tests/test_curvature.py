@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conformal_gap_lab import curvature, expr, geometry
+from conformal_gap_lab import curvature, expr, geometry, jets
 from conformal_gap_lab.curvature import (
     curvature_pack, frobenius, rescale_metric, warped_nabla_reference,
     warped_ricci_reference,
@@ -383,3 +383,47 @@ def test_lower_order_frame_is_cut_from_a_cached_one(monkeypatch):
     assert curvature.frame(spec, pt, 3) is low
     with pytest.raises(ValueError):
         low.g[0, 0, 0] = 5.0
+
+
+def _jet_order_riemann_weyl_cotton(fr):
+    """R_abcd and Weyl to jet order K - 2 and Cotton to K - 3, written out from
+    the frame's metric, mixed Riemann and Schouten jets."""
+    n, m = fr.n, fr.order - 2
+    g, rm, P = (fr.at(a, m) for a in (fr.g, fr.riemann_mixed, fr.schouten))
+    R = jets.contract(g[None, None, :, None], rm.transpose(0, 1, 3, 2, 4)[:, :, None], n, m)
+    t = jets.conv(g[:, None, :, None, :], P[None, :, None, :, :], n, m)   # g_ac P_bd
+    W = (R - t + t.transpose(1, 0, 2, 3, 4)
+         - t.transpose(1, 0, 3, 2, 4) + t.transpose(0, 1, 3, 2, 4))
+    Y = None
+    if fr.order >= 3:
+        covP = fr.cov_deriv(P, "dd", m)                   # [a, b, c] = nabla_a P_bc
+        Y = covP.transpose(2, 0, 1, 3) - covP.transpose(2, 1, 0, 3)
+    return R, W, Y
+
+
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
+def test_value_tensors_equal_the_value_slice_of_their_jets(name):
+    spec = geometry.catalogue_metric(name)
+    for pt in sample_points(spec, 3, seed=9):
+        for order in (2, 3, 4):
+            fr = curvature.CurvatureFrame(spec, pt, order)
+            R, W, Y = _jet_order_riemann_weyl_cotton(fr)
+            for attr, ref in (("riemann", R), ("weyl", W), ("cotton", Y)):
+                got = getattr(fr, attr)
+                if ref is None:
+                    assert got is None
+                    continue
+                assert got.shape == ref.shape[:-1] + (1,), attr
+                assert got.tobytes() == ref[..., :1].tobytes(), attr
+            # the divergence identity reads the Weyl jets from the same formula
+            R_jets, W_jets = fr.riemann_and_weyl(order - 2)
+            assert R_jets.tobytes() == R.tobytes() and W_jets.tobytes() == W.tobytes()
+
+
+def test_truncated_frame_keeps_value_tensors():
+    spec = builtin_metric("pp_split")
+    top = curvature.CurvatureFrame(spec, sample_points(spec, 1, seed=5)[0], 4)
+    cut3, cut2 = top.truncated(3), top.truncated(2)
+    for attr in curvature.VALUE_TENSORS:
+        assert getattr(cut3, attr) is getattr(top, attr)
+    assert cut2.weyl is top.weyl and cut2.riemann is top.riemann and cut2.cotton is None

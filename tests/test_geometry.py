@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conformal_gap_lab import curvature, expr, geometry, jets
+from conformal_gap_lab import analysis, curvature, expr, geometry, jets
 from conformal_gap_lab.geometry import (
     CatalogueError, DomainError, MetricSpec, SingularMetricError, WarpedSpec,
     builtin_metric, catalogue_metric, metric_frame_at, pseudo_euclidean,
@@ -321,3 +321,22 @@ def test_sample_points_match_numpy_generator(name):
         theirs = _numpy_sample_points(spec, 6, seed)
         assert len(ours) == len(theirs)
         assert all(_same(a, b) for p, q in zip(ours, theirs) for a, b in zip(p, q))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_rejected(bad):
+    spec = builtin_metric("pp_split")
+    point = (0.2, bad, 0.1, 0.3)
+    with pytest.raises(DomainError, match=r"point \(0\.2, .*\) is not finite"):
+        metric_frame_at(spec, point, 2)
+    with pytest.raises(DomainError, match="not finite"):
+        curvature.frame(spec, point, 2)
+    # the basepoint is checked even when no frame is built there
+    with pytest.raises(DomainError, match="not finite"):
+        analysis.estimate_parallel_dims(builtin_metric("lorentz3d"), (0.1, bad, 0.2),
+                                        upper=False)
+
+
+def test_format_point_prints_plain_floats():
+    point = tuple(np.array([1.5, -0.25, 3.0]))
+    assert geometry.format_point(point) == "(1.5, -0.25, 3.0)"

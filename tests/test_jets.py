@@ -215,6 +215,19 @@ def test_batched_conv_matches_scalar():
     assert np.allclose(batched, conv(a, b, 2, 3), atol=1e-14)
 
 
+@pytest.mark.parametrize("num_vars, order", [(3, 2), (3, 3), (4, 2), (6, 2)])
+def test_products_do_not_depend_on_the_batch(num_vars, order):
+    # small tables scatter batches through a dense matrix product; a one-row
+    # batch must still give the bits of the unbatched product
+    rng = np.random.default_rng(8)
+    a = _random_jet(rng, num_vars, order, (20,))
+    b = _random_jet(rng, num_vars, order)
+    single = np.stack([conv(r, b, num_vars, order) for r in a])
+    assert conv(a, b, num_vars, order).tobytes() == single.tobytes()
+    for r in range(len(a)):
+        assert conv(a[r:r + 1], b, num_vars, order)[0].tobytes() == single[r].tobytes()
+
+
 @pytest.mark.parametrize("num_vars, order", [(4, 2), (6, 4)])
 def test_conv_kernels_agree(num_vars, order):
     # (4, 2) sits below the dense cut and (6, 4) above it; batched products
