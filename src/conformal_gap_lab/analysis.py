@@ -25,8 +25,8 @@ once, as one (S, C_2) stack of jets, and the almost-Einstein residuals of all
 scales, the wedge fields of all verified pairs and their Killing/normality
 residuals come from batched cores on that stack (leading axes batch, as in
 ``jets``).  The single-scale functions (``ae_residual_matrix``,
-``wedge_nckf``, ``ck_and_normality``) are those cores on one scale, so both
-give the same bits.
+``wedge_nckf``, ``ck_and_normality``) are those cores on one scale: a batch
+of one gives their bits, a larger batch agrees with them to rounding.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curvature, expr, geometry, jets, tractor
-from .curvature import frobenius
+from .curvature import frobenius, norms
 from .geometry import MetricSpec
 
 
@@ -137,12 +137,6 @@ def kernel_of_weyl(spec: MetricSpec, point) -> Subspace:
     return ksp
 
 
-def _norms(arr: np.ndarray, k: int) -> np.ndarray:
-    """Frobenius norms over the last k axes, each equal to ``frobenius`` of its block."""
-    flat = arr.reshape(arr.shape[:arr.ndim - k] + (-1,))
-    return np.sqrt(np.sum(flat ** 2, axis=-1))
-
-
 def _scale_terms(fr: curvature.CurvatureFrame, s: np.ndarray):
     """(values, gradients, covariant Hessians) of scale jets s (..., C_2) at the frame's point."""
     grad = jets.gradient(s, fr.n)
@@ -195,13 +189,13 @@ def _killing_terms(fr: curvature.CurvatureFrame, k: np.ndarray):
     nab_low = nab_up @ g                                                # nabla_a k_b
     sym = 0.5 * (nab_low + np.swapaxes(nab_low, -1, -2))
     div = np.trace(nab_up, axis1=-2, axis2=-1)
-    ck = _norms(sym - (div / n)[..., None, None] * g, 2)
+    ck = norms(sym - (div / n)[..., None, None] * g, 2)
     if n >= 4:
         W = fr.values(fr.weyl)
-        return nab_up, ck, _norms(np.einsum("abcr,...r->...abc", W, kv), 3), None
+        return nab_up, ck, norms(np.einsum("abcr,...r->...abc", W, kv), 3), None
     Y = fr.values(fr.cotton)
-    return (nab_up, ck, _norms(np.einsum("cab,...b->...ca", Y, kv), 2),
-            _norms(np.einsum("cab,...c->...ab", Y, kv), 2))
+    return (nab_up, ck, norms(np.einsum("cab,...b->...ca", Y, kv), 2),
+            norms(np.einsum("cab,...c->...ab", Y, kv), 2))
 
 
 def _killing_frame(spec: MetricSpec, point) -> curvature.CurvatureFrame:
@@ -466,23 +460,22 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
     ranks of their tractors as the lower bounds.
 
     Each scale is evaluated once per check point, and all scales (all pairs
-    of verified scales) are checked at a point in one batched call.
+    of verified scales) are checked at a point in one batched call.  The
+    parallel residuals and the Einstein tractors, one point each, are
+    computed per scale.
     """
     names = [name for name, _ in spec.known_scales]
     sigmas = [sigma for _, sigma in spec.known_scales]
     check_pts = geometry.sample_points(spec, 6, seed=seed + 2)
 
-    def scale_jets(fr, m):
-        return np.stack([fr.scalar_jet(sigma, m) for sigma in sigmas])
-
     # the order-3 frame at check_pts[0] first: the order-2 one is cut from it
-    fr = curvature.frame(spec, check_pts[0], 3)
-    par = tractor.parallel_residuals(fr, scale_jets(fr, 3))
+    par = np.array([tractor.scale_tractor_parallel_residual(spec, sigma, check_pts[0])
+                    for sigma in sigmas])
     at_pts = []                                # (frame, scale jets) per check point
     for p in check_pts:
         fr = curvature.frame(spec, p, 2)
-        at_pts.append((fr, scale_jets(fr, 2)))
-    res = np.max([_norms(_ae_residuals(fr, S), 2) for fr, S in at_pts], axis=0)
+        at_pts.append((fr, np.stack([fr.scalar_jet(sigma, 2) for sigma in sigmas])))
+    res = np.max([norms(_ae_residuals(fr, S), 2) for fr, S in at_pts], axis=0)
     ok = (res < RESIDUAL_TOL) & (par < 10 * RESIDUAL_TOL)
     for name, r, q, passed in zip(names, res, par, ok):
         if not passed:
@@ -494,8 +487,7 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
     report.ae_witnesses = [names[i] for i in verified]
     if not len(verified):
         return
-    fr = curvature.frame(spec, basepoint, 3)
-    vecs = tractor.einstein_tractors(fr, np.stack([fr.scalar_jet(sigmas[i]) for i in verified]))
+    vecs = np.stack([tractor.einstein_tractor(spec, sigmas[i], basepoint) for i in verified])
     _require_inside(standard, vecs, report.ae_witnesses, "standard", spec)
     span = kernel(vecs)
     report.d_ae_lower = span.ambient_dim - span.dim

@@ -116,8 +116,7 @@ def _parse_point(text: str, n: int):
             f"point needs {n} comma-separated coordinates, got {len(parts)}"
         )
     point = tuple(float(p) for p in parts)
-    if not all(math.isfinite(c) for c in point):
-        raise geometry.DomainError(f"point coordinates must be finite, got {text!r}")
+    geometry.require_finite(point)
     return point
 
 

@@ -47,8 +47,14 @@ class ConventionError(RuntimeError):
     """A built-in consistency check of the curvature conventions failed."""
 
 
+def norms(arr, k: int) -> np.ndarray:
+    """Frobenius norms over the last k axes of arr; leading axes batch."""
+    sq = np.asarray(arr, dtype=float) ** 2
+    return np.sqrt(np.sum(sq, axis=tuple(range(sq.ndim - k, sq.ndim))))
+
+
 def frobenius(arr) -> float:
-    return float(np.sqrt(np.sum(np.asarray(arr, dtype=float) ** 2)))
+    return float(norms(arr, np.ndim(arr)))
 
 
 class CurvatureFrame:

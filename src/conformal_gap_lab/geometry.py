@@ -589,10 +589,15 @@ def format_point(point) -> str:
     return str(tuple(float(c) for c in point))
 
 
-def require_point(spec: MetricSpec, point) -> None:
-    """Raise ``DomainError`` unless the point is finite and inside the domain."""
+def require_finite(point) -> None:
+    """Raise ``DomainError`` unless every coordinate of the point is finite."""
     if not all(math.isfinite(c) for c in point):
         raise DomainError(f"point {format_point(point)} is not finite")
+
+
+def require_point(spec: MetricSpec, point) -> None:
+    """Raise ``DomainError`` unless the point is finite and inside the domain."""
+    require_finite(point)
     if not domain_ok(spec, point):
         raise DomainError(
             f"point {format_point(point)} outside the domain of {spec.label!r}"

@@ -152,8 +152,8 @@ def _scatter(prods: np.ndarray, t: JetTables) -> np.ndarray:
     """Sum per-pair products (..., T) into their coefficient slots (..., size).
 
     One row goes through ``bincount`` like an unbatched product: BLAS may sum
-    a one-row product in another order, and a jet must not depend on the
-    batch it is computed in.
+    a one-row product in another order, and a batch of one must give the
+    bits of the unbatched product.  Larger batches agree with it to rounding.
     """
     lead = prods.shape[:-1]
     rows = math.prod(lead)

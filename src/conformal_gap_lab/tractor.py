@@ -84,57 +84,41 @@ def _jet_bracket(P: np.ndarray, Q: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def _tractor_deriv_jets(fr: CurvatureFrame, V: np.ndarray, m: int) -> np.ndarray:
-    """D_a of tractor sections, leading axes batch: (..., n + 2, C_m) -> (..., n, n + 2, C_{m-1})."""
+    """D_a of batched tractor sections: (B, n + 2, C_m) -> (B, n, n + 2, C_{m-1})."""
     n = fr.n
     A = connection_jets(fr, m - 1)
-    dV = np.moveaxis(partials(V, n, m), 0, -3)
+    dV = np.moveaxis(partials(V, n, m), 0, 1)
     V1 = jets.truncate_coeffs(V, n, m, m - 1)
-    return dV + contract(A, V1[..., None, None, :, :], n, m - 1)
+    return dV + contract(A[None], V1[:, None, None], n, m - 1)
 
 
-def _einstein_jets(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
-    """Coefficient arrays (..., n + 2, C_{K-2}) of the scale tractors (sigma, mu^b, rho)
-    of scale jets sig (..., C_K), K the frame's order."""
+def _einstein_jets(fr: CurvatureFrame, sig) -> np.ndarray:
+    """Coefficient array (n + 2, C_{K-2}) of the scale tractor (sigma, mu^b, rho)."""
     n = fr.n
     K = fr.order
-    dsig = partials(sig, n, K)                                         # (a, ..., C_{K-1})
-    mu = contract(fr.at(fr.ginv, K - 1), np.moveaxis(dsig, 0, -2)[..., None, :, :], n, K - 1)
-    hess = fr.cov_deriv(dsig, "d", K - 1)                              # (a, b, ..., C_{K-2})
+    dsig = partials(sig, n, K)                                         # (a, C_{K-1})
+    mu = contract(fr.at(fr.ginv, K - 1), dsig[None], n, K - 1)
+    hess = fr.cov_deriv(dsig, "d", K - 1)                              # (a, b, C_{K-2})
     ginv2 = fr.at(fr.ginv, K - 2)
-    # batch axes first, each (n * n, C) block contiguous as in the unbatched case
-    hess = np.moveaxis(hess, (0, 1), (-3, -2)).reshape(sig.shape[:-1] + (n * n, -1))
-    lap = contract(ginv2.reshape(n * n, -1), hess, n, K - 2)
+    lap = contract(ginv2.reshape(n * n, -1), hess.reshape(n * n, -1), n, K - 2)
     sig2 = jets.truncate_coeffs(sig, n, K, K - 2)
     rho = -(lap + conv(fr.j, sig2, n, K - 2)) / n
     mu2 = jets.truncate_coeffs(mu, n, K - 1, K - 2)
-    return np.concatenate([sig2[..., None, :], mu2, rho[..., None, :]], axis=-2)
-
-
-def einstein_tractors(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
-    """Values (..., n + 2) of the scale tractors of scale jets sig (..., C_3) at an
-    order-3 frame: (sigma, grad^a sigma, -(Lap sigma + J sigma)/n)."""
-    return _einstein_jets(fr, sig)[..., 0]
+    return np.concatenate([sig2[None], mu2, rho[None]])
 
 
 def einstein_tractor(spec: MetricSpec, sigma: expr.Node, point) -> np.ndarray:
-    """The scale tractor of one scale at the point, shape (n + 2,)."""
+    """(sigma, grad^a sigma, -(Lap sigma + J sigma)/n) at the point, shape (n + 2,)."""
     fr = curvature.frame(spec, point, 3)
-    return einstein_tractors(fr, fr.scalar_jet(sigma))
-
-
-def parallel_residuals(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
-    """Norms (...) of the values of D_a I for the scale tractors I of scale jets
-    sig (..., C_3) at an order-3 frame (0 for solutions); they need I only to
-    order 1, which that frame gives."""
-    D = _tractor_deriv_jets(fr, _einstein_jets(fr, sig), fr.order - 2)[..., 0]
-    D = D.reshape(D.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(D, D))
+    return _einstein_jets(fr, fr.scalar_jet(sigma))[:, 0]
 
 
 def scale_tractor_parallel_residual(spec: MetricSpec, sigma: expr.Node, point) -> float:
-    """Norm of the values of D_a I for the scale tractor I of one scale."""
+    """Norm of the values of D_a I for the scale tractor I (0 for solutions);
+    they need I only to order 1, which the order-3 frame gives."""
     fr = curvature.frame(spec, point, 3)
-    return float(parallel_residuals(fr, fr.scalar_jet(sigma)))
+    I = _einstein_jets(fr, fr.scalar_jet(sigma))
+    return float(np.linalg.norm(_tractor_deriv_jets(fr, I[None], fr.order - 2)[..., 0]))
 
 
 def tractor_derivative(spec: MetricSpec, section, point, direction: int | None = None):
@@ -147,7 +131,7 @@ def tractor_derivative(spec: MetricSpec, section, point, direction: int | None =
     sigma_ast, mu_asts, rho_ast = section
     m = fr.order - 1
     V = np.stack([fr.scalar_jet(a, m) for a in (sigma_ast, *mu_asts, rho_ast)])
-    dV = _tractor_deriv_jets(fr, V, m)[..., 0]
+    dV = _tractor_deriv_jets(fr, V[None], m)[0, ..., 0]
     return dV if direction is None else dV[direction]
 
 

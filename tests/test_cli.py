@@ -300,7 +300,7 @@ def test_readme_library_session_runs():
     ("rescale", "taub_nut", "--omega", "1", "--point", "1.0,nan,0.5,0.5"),
 ])
 def test_non_finite_point_exits_2(capsys, argv):
-    assert "point coordinates must be finite" in usage_error(capsys, *argv)
+    assert "is not finite" in usage_error(capsys, *argv)
 
 
 def test_points_in_messages_are_plain_floats(capsys):
