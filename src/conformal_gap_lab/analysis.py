@@ -20,19 +20,21 @@ Lower bounds come from residual-verified witnesses, which must lie in those
 kernels.  A report is exact when the two sides meet and every rank decision
 survives scaling the tolerance by 10 either way.
 
-Witness checks run once per check point: each known scale is evaluated there
-once, as one (S, C_2) stack of jets, and the almost-Einstein residuals of all
-scales, the wedge fields of all verified pairs and their Killing/normality
-residuals come from batched cores on that stack (leading axes batch, as in
-``jets``).  The single-scale functions (``ae_residual_matrix``,
-``wedge_nckf``, ``ck_and_normality``) are those cores on one scale: a batch
-of one gives their bits, a larger batch agrees with them to rounding.
+Witness checks run on a batch of frames (``curvature.frames``, point axis
+first): each known scale is evaluated once at all check points, as one
+(S, P, C_2) stack of jets, and the almost-Einstein residuals of all scales,
+the wedge fields of all verified pairs and their Killing/normality residuals
+come from batched cores on that stack (leading axes batch, as in ``jets``;
+the frame's point axis is the last of them).  The family verifiers check
+their scales the same way.  The single-scale functions
+(``ae_residual_matrix``, ``wedge_nckf``, ``ck_and_normality``) are those
+cores on one scale at one point: a batch of one gives their bits, a larger
+batch agrees with them to rounding.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +142,7 @@ def kernel_of_weyl(spec: MetricSpec, point) -> Subspace:
 def _scale_terms(fr: curvature.CurvatureFrame, s: np.ndarray):
     """(values, gradients, covariant Hessians) of scale jets s (..., C_2) at the frame's point."""
     grad = jets.gradient(s, fr.n)
-    hess = jets.hessian(s, fr.n) - np.einsum("rab,...r->...ab", fr.values(fr.gamma), grad)
+    hess = jets.hessian(s, fr.n) - np.einsum("...rab,...r->...ab", fr.values(fr.gamma), grad)
     return s[..., 0], grad, hess
 
 
@@ -148,7 +150,7 @@ def _ae_residuals(fr: curvature.CurvatureFrame, s: np.ndarray) -> np.ndarray:
     """Trace-free parts (..., n, n) of (Hess sigma + P sigma) for scale jets s (..., C_2)."""
     val, _, hess = _scale_terms(fr, s)
     H = hess + fr.values(fr.schouten) * val[..., None, None]
-    trace = np.einsum("ab,...ab->...", fr.values(fr.ginv), H)
+    trace = np.einsum("...ab,...ab->...", fr.values(fr.ginv), H)
     return H - (trace / fr.n)[..., None, None] * fr.values(fr.g)
 
 
@@ -185,17 +187,17 @@ def _killing_terms(fr: curvature.CurvatureFrame, k: np.ndarray):
     n = fr.n
     kv, dk = k[..., 0], np.swapaxes(jets.gradient(k, n), -1, -2)  # [a, b] = d_a k^b
     g = fr.values(fr.g)
-    nab_up = dk + np.einsum("bar,...r->...ab", fr.values(fr.gamma), kv)   # nabla_a k^b
+    nab_up = dk + np.einsum("...bar,...r->...ab", fr.values(fr.gamma), kv)   # nabla_a k^b
     nab_low = nab_up @ g                                                # nabla_a k_b
     sym = 0.5 * (nab_low + np.swapaxes(nab_low, -1, -2))
     div = np.trace(nab_up, axis1=-2, axis2=-1)
     ck = norms(sym - (div / n)[..., None, None] * g, 2)
     if n >= 4:
         W = fr.values(fr.weyl)
-        return nab_up, ck, norms(np.einsum("abcr,...r->...abc", W, kv), 3), None
+        return nab_up, ck, norms(np.einsum("...abcr,...r->...abc", W, kv), 3), None
     Y = fr.values(fr.cotton)
-    return (nab_up, ck, norms(np.einsum("cab,...b->...ca", Y, kv), 2),
-            norms(np.einsum("cab,...c->...ab", Y, kv), 2))
+    return (nab_up, ck, norms(np.einsum("...cab,...b->...ca", Y, kv), 2),
+            norms(np.einsum("...cab,...c->...ab", Y, kv), 2))
 
 
 def _killing_frame(spec: MetricSpec, point) -> curvature.CurvatureFrame:
@@ -459,23 +461,22 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
     """Verify the known scales and the wedges of verified pairs, and record the
     ranks of their tractors as the lower bounds.
 
-    Each scale is evaluated once per check point, and all scales (all pairs
-    of verified scales) are checked at a point in one batched call.  The
-    parallel residuals and the Einstein tractors, one point each, are
-    computed per scale.
+    The frames at the check points are one order-2 batch.  Each scale is
+    evaluated there once, as a (point, C_2) stack, and the AE residuals of all
+    scales, and the wedge fields and Killing/normality residuals of all pairs
+    of verified scales, come from one batched call each.  The parallel
+    residuals (at the first check point) and the Einstein tractors (at the
+    basepoint) are computed per scale.
     """
     names = [name for name, _ in spec.known_scales]
     sigmas = [sigma for _, sigma in spec.known_scales]
     check_pts = geometry.sample_points(spec, 6, seed=seed + 2)
 
-    # the order-3 frame at check_pts[0] first: the order-2 one is cut from it
+    fr = curvature.frames(spec, check_pts, 2)
+    S = np.stack([fr.scalar_jet(sigma, 2) for sigma in sigmas])      # (scale, point, C_2)
+    res = norms(_ae_residuals(fr, S), 2).max(axis=1)
     par = np.array([tractor.scale_tractor_parallel_residual(spec, sigma, check_pts[0])
                     for sigma in sigmas])
-    at_pts = []                                # (frame, scale jets) per check point
-    for p in check_pts:
-        fr = curvature.frame(spec, p, 2)
-        at_pts.append((fr, np.stack([fr.scalar_jet(sigma, 2) for sigma in sigmas])))
-    res = np.max([norms(_ae_residuals(fr, S), 2) for fr, S in at_pts], axis=0)
     ok = (res < RESIDUAL_TOL) & (par < 10 * RESIDUAL_TOL)
     for name, r, q, passed in zip(names, res, par, ok):
         if not passed:
@@ -497,12 +498,11 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
     if not pairs:
         return
     first, second = np.array(pairs).T
-    worst = np.zeros(len(first))
-    for (fr, S), p in zip(at_pts[:3], check_pts):
-        V = S[verified]
-        _, ck, normal, _ = _killing_terms(_killing_frame(spec, p),
-                                          _wedge_jets(fr, V[first], V[second]))
-        worst = np.maximum(worst, np.maximum(ck, normal))
+    # Killing/normality at the first three check points
+    kfr = fr[:3] if spec.n >= 4 else curvature.frames(spec, check_pts[:3], 3)
+    V = S[verified, :3]
+    _, ck, normal, _ = _killing_terms(kfr, _wedge_jets(fr[:3], V[first], V[second]))
+    worst = np.maximum(ck, normal).max(axis=1)
     wedge_vecs = []
     for i, j, w in zip(first, second, worst):
         pair = f"{report.ae_witnesses[i]}^{report.ae_witnesses[j]}"
@@ -545,18 +545,16 @@ def _check(checks: list, name: str, value: float, tolerance: float,
 
 def _scale_family_checks(spec: MetricSpec, family, checks: list,
                          expected_dim: int, seed: int) -> list:
+    """AE residual of each scale of the family, the worst over sample points,
+    and the rank of the family; returns the points."""
     points = geometry.sample_points(spec, 10, seed=seed)
-    for name, sigma in family:
-        worst = max(ae_residual(spec, sigma, p) for p in points)
-        _check(checks, f"ae_residual[{name}]", worst, 1e-7)
-    feats = []
-    for name, sigma in family:
-        rows = []
-        for p in points:
-            # an order-1 jet is (value, gradient)
-            rows.append(expr.evaluate(sigma, jets.seed_jets(p, 1), spec.params_dict))
-        feats.append(np.concatenate(rows))
-    span = kernel(np.stack(feats))
+    fr = curvature.frames(spec, points, 2)
+    S = np.stack([fr.scalar_jet(sigma, 2) for _, sigma in family])   # (scale, point, C_2)
+    worst = norms(_ae_residuals(fr, S), 2).max(axis=1)
+    for (name, _), w in zip(family, worst):
+        _check(checks, f"ae_residual[{name}]", w, 1e-7)
+    # the order-1 prefix of a jet is (value, gradient)
+    span = kernel(fr.at(S, 1).reshape(len(family), -1))
     rank = span.ambient_dim - span.dim
     _check(checks, "family_rank", rank - expected_dim, 0.5,
            passed=(rank == expected_dim and not span.marginal))
@@ -599,6 +597,7 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
     _check(checks, "fiber_scalar_curvature", fiber_sc - (-48.0 * a * b), 1e-7)
 
     nb = n - 4
+    fr = curvature.frames(spec, points, 2)
     for trial in range(3):
         A = float(rng.uniform(0.2, 1.0))
         B = -b * A / a
@@ -609,7 +608,7 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
                                              geometry.signed_norm_sq(nb, ws.base_signs)))
         for i in range(nb):
             sigma = expr.add(sigma, expr.mul(expr.const(float(c[i])), expr.var(i)))
-        worst = max(ae_residual(spec, sigma, p) for p in points)
+        worst = norms(_ae_residuals(fr, fr.scalar_jet(sigma, 2)), 2).max()
         _check(checks, f"ae_residual[trial{trial}]", worst, 1e-7)
         c_sq = float(np.sum(c * c))          # Euclidean base here
         expected_j = 2 * n * A * B - n / 2 * c_sq
@@ -710,19 +709,14 @@ def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dic
     spec = geometry.builtin_metric(metric)
     checks: list = []
     points = geometry.sample_points(spec, 10, seed=seed)
-    taus = [(name, ast) for name, ast in spec.known_scales if name != "const"]
-    for name, tau in taus:
-        worst_lap, worst_null = 0.0, 0.0
-        for pt in points:
-            fr = curvature.frame(spec, pt, 2)
-            _, grad, hess = _scale_terms(fr, fr.scalar_jet(tau, 2))
-            ginv = fr.values(fr.ginv)
-            lap = float(np.einsum("ab,ab->", ginv, hess))
-            null = float(grad @ ginv @ grad)
-            worst_lap = max(worst_lap, abs(lap))
-            worst_null = max(worst_null, abs(null))
-        _check(checks, f"laplacian[{name}]", worst_lap, 1e-8)
-        _check(checks, f"null_gradient[{name}]", worst_null, 1e-8)
+    fr = curvature.frames(spec, points, 2)
+    ginv = fr.values(fr.ginv)
+    for name, tau in ((name, ast) for name, ast in spec.known_scales if name != "const"):
+        _, grad, hess = _scale_terms(fr, fr.scalar_jet(tau, 2))
+        lap = np.einsum("pab,pab->p", ginv, hess)
+        null = np.einsum("pa,pab,pb->p", grad, ginv, grad)
+        _check(checks, f"laplacian[{name}]", np.abs(lap).max(), 1e-8)
+        _check(checks, f"null_gradient[{name}]", np.abs(null).max(), 1e-8)
     rng = geometry.SeededRng(seed)
     _, sigma = _random_member(list(spec.known_scales), rng)
     worst_j = max(abs(j_of_scale(spec, sigma, pt)) for pt in points)
@@ -735,13 +729,10 @@ def _verify_bounds(metric: str = "taub_nut", seed: int = 0) -> dict:
     spec = geometry.catalogue_metric(metric)
     checks: list = []
     points = geometry.sample_points(spec, 10, seed=seed)
-    worst_kerw = -1
-    wmin = math.inf
-    for pt in points:
-        ksp = kernel_of_weyl(spec, pt)    # raises on a bound violation
-        worst_kerw = max(worst_kerw, ksp.dim)
-        fr = curvature.frame(spec, pt, 2)
-        wmin = min(wmin, frobenius(fr.values(fr.weyl)))
+    fr = curvature.frames(spec, points, 2)
+    # kernel_of_weyl raises on a bound violation
+    worst_kerw = max(kernel_of_weyl(spec, pt).dim for pt in points)
+    wmin = norms(fr.values(fr.weyl), 4).min()
     bound = weyl_kernel_bound(spec.signature, spec.n)
     _check(checks, "weyl_kernel_bound", worst_kerw - bound, 0.5,
            passed=(worst_kerw <= bound))

@@ -23,6 +23,19 @@ jet order 0, their values, since no reader needs more; Cotton needs
 ``K >= 3``.  :meth:`CurvatureFrame.riemann_and_weyl` gives Riemann and Weyl
 at any order up to ``K-2`` from the same formula (the divergence identity
 reads the Weyl jets to order ``K-2``).
+
+Point axis: a frame is built at one point or at a (P, n) stack of points in
+one ``CurvatureFrame`` call; at a stack every array carries the point axis
+first, before the tensor indices, so ``g`` is (P, n, n, C) where a frame at
+one point has (n, n, C).  Every product then keeps the trailing tensor and
+coefficient blocks of the one-point frame, and each point's slice has the
+bits of the frame built there alone (as long as the BLAS sums a dense
+product in index order, see ``jets._scatter``).  Indexing a batch
+(``frame[i]``, ``frame[:3]``) gives the frame at those points as views.
+:func:`frames` builds the uncached points of a sequence in one batch and
+caches each point's slice; :func:`frame` is its batch of one.  Data that a
+batch reads carries its own leading axes before the point axis (scale jets
+are (S, P, C)).
 """
 
 from __future__ import annotations
@@ -57,58 +70,75 @@ def frobenius(arr) -> float:
     return float(norms(arr, np.ndim(arr)))
 
 
-class CurvatureFrame:
-    """All curvature tensors of one metric at one point, as jets."""
+def _last(arr: np.ndarray, *axes: int) -> np.ndarray:
+    """arr with its last len(axes) axes permuted as ``transpose(*axes)`` permutes
+    an array of that many axes; leading (point) axes stay in front."""
+    return arr.transpose(_last_axes(arr.ndim, axes))
 
-    def __init__(self, spec: MetricSpec, point, order: int = 4):
+
+@lru_cache(maxsize=None)
+def _last_axes(ndim: int, axes: tuple) -> tuple:
+    lead = ndim - len(axes)
+    return tuple(range(lead)) + tuple(lead + a for a in axes)
+
+
+class CurvatureFrame:
+    """All curvature tensors of one metric as jets, at one point or at a stack
+    of points (the point axis first in every array)."""
+
+    def __init__(self, spec: MetricSpec, points, order: int = 4):
         if order < 2:
             raise ValueError("curvature needs jet order >= 2")
         if spec.n < 3:
             raise ValueError("curvature decompositions need dimension >= 3")
+        pts = np.asarray(points, dtype=float)
         self.spec = spec
-        self.point = tuple(float(c) for c in point)
+        self.point = tuple(map(tuple, pts.tolist())) if pts.ndim > 1 else tuple(pts.tolist())
         self.order = order
         n = self.n = spec.n
 
-        self.g, self.ginv, self.signature = geometry.metric_frame_at(spec, self.point, order)
+        self.g, self.ginv, self.signature = geometry.metric_frame_at(spec, pts, order)
 
         # dg[i, a, b] = d_i g_ab, one jet order lower
-        dg = partials(self.g, n, order)
+        dg = self.partials(self.g, order)
         m1 = order - 1
         ginv1 = self.at(self.ginv, m1)
-        T = dg + dg.transpose(1, 0, 2, 3) - dg.transpose(1, 2, 0, 3)   # [a, b, d]
+        T = dg + _last(dg, 1, 0, 2, 3) - _last(dg, 1, 2, 0, 3)   # [a, b, d]
         # gamma[c, a, b] = Gamma^c_ab = g^cd T[a, b, d] / 2
-        self.gamma = 0.5 * contract(ginv1[:, None, None], T[None], n, m1)
+        self.gamma = 0.5 * contract(ginv1[..., :, None, None, :, :], T[..., None, :, :, :, :],
+                                    n, m1)
 
         m2 = order - 2
-        dgamma = partials(self.gamma, n, m1)
+        dgamma = self.partials(self.gamma, m1)
         g2 = self.at(self.g, m2)
         ginv2 = self.at(self.ginv, m2)
         gam2 = self.at(self.gamma, m2)
-        B1 = dgamma.transpose(0, 2, 1, 3, 4)            # [a, b, c, d] = d_a Gamma^c_bd
+        B1 = _last(dgamma, 0, 2, 1, 3, 4)                # [a, b, c, d] = d_a Gamma^c_bd
         # gg[a, b, c, d] = Gamma^c_ar Gamma^r_bd
-        left = gam2.transpose(1, 0, 2, 3)[:, None, :, None]          # [a, ., c, ., r]
-        gg = contract(left, gam2.transpose(1, 2, 0, 3)[None, :, None], n, m2)
-        rm = B1 - B1.transpose(1, 0, 2, 3, 4) + gg - gg.transpose(1, 0, 2, 3, 4)
+        left = _last(gam2, 1, 0, 2, 3)[..., :, None, :, None, :, :]         # [a, ., c, ., r]
+        right = _last(gam2, 1, 2, 0, 3)[..., None, :, None, :, :, :]        # [., b, ., d, r]
+        gg = contract(left, right, n, m2)
+        rm = B1 - _last(B1, 1, 0, 2, 3, 4) + gg - _last(gg, 1, 0, 2, 3, 4)
         self.riemann_mixed = rm                           # [a, b, c, d] = R_ab^c_d
 
-        self.ricci = ricci = np.einsum("rbrdk->bdk", rm)
-        self.sc = contract(ginv2.reshape(n * n, -1), ricci.reshape(n * n, -1), n, m2)
+        self.ricci = ricci = np.einsum("...rbrdk->...bdk", rm)
+        lead = self.batch
+        self.sc = contract(ginv2.reshape(lead + (n * n, -1)), ricci.reshape(lead + (n * n, -1)),
+                           n, m2)
         self.j = self.sc / (2.0 * (n - 1))
-        self.schouten = P = (ricci - conv(self.j[None, None, :], g2, n, m2)) / (n - 2)
+        self.schouten = P = (ricci - conv(self.j[..., None, None, :], g2, n, m2)) / (n - 2)
 
         # P with the second index raised (used by the tractor connection)
-        self.schouten_mixed = contract(P[:, None], ginv2[None], n, m2)   # [a, b] = P_a^b
+        self.schouten_mixed = contract(P[..., :, None, :, :], ginv2[..., None, :, :, :],
+                                       n, m2)             # [a, b] = P_a^b
 
         # no reader needs more than the values of these three
         self.riemann, self.weyl = self.riemann_and_weyl(0)
         self.cotton = None
         if order >= 3:
             covP = self.cov_deriv(self.at(P, 1), "dd", 1)  # [a, b, c] = nabla_a P_bc
-            A = covP.transpose(2, 0, 1, 3)
-            self.cotton = A - A.transpose(0, 2, 1, 3)     # [c, a, b] = Y_cab
-
-        self.det_sign = 1.0 if np.linalg.det(self.g[..., 0]) > 0 else -1.0
+            A = _last(covP, 2, 0, 1, 3)
+            self.cotton = A - _last(A, 0, 2, 1, 3)        # [c, a, b] = Y_cab
 
         # frames are cached and shared, so nothing may write into them
         for value in vars(self).values():
@@ -116,6 +146,27 @@ class CurvatureFrame:
                 value.flags.writeable = False
 
     # helpers ----------------------------------------------------------------
+
+    @property
+    def batch(self) -> tuple:
+        """The shape of the point axis: () at one point, (P,) for P points."""
+        return self.g.shape[:-3]
+
+    @property
+    def det_sign(self):
+        """sign(det g) at the point (per point for a batch)."""
+        return np.where(np.linalg.det(self.values(self.g)) > 0, 1.0, -1.0)
+
+    def __getitem__(self, index) -> "CurvatureFrame":
+        """The frame at one point (an int) or at some points (a slice) of a
+        batch; its arrays are views of the batch's (``__init__`` does not run)."""
+        if not self.batch:
+            raise TypeError("a frame at one point has no point axis")
+        fr = object.__new__(CurvatureFrame)
+        for name, value in vars(self).items():
+            setattr(fr, name, value[index] if isinstance(value, np.ndarray) else value)
+        fr.point = self.point[index]
+        return fr
 
     def at(self, arr: np.ndarray, m: int) -> np.ndarray:
         """Truncate a coefficient array from this frame to jet order m."""
@@ -125,18 +176,24 @@ class CurvatureFrame:
     def values(self, arr: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(arr[..., 0])
 
+    def partials(self, arr: np.ndarray, m: int) -> np.ndarray:
+        """All first partials of order-m jets laid out like this frame's
+        arrays, the derivative index right after the point axis."""
+        return partials(arr, self.n, m, axis=len(self.batch))
+
     def riemann_and_weyl(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Jets to order m (at most order - 2) of R_abcd and of the Weyl tensor."""
         n = self.n
         g, rm, P = self.at(self.g, m), self.at(self.riemann_mixed, m), self.at(self.schouten, m)
         # R_abcd = g_ce R_ab^e_d
-        R = contract(g[None, None, :, None], rm.transpose(0, 1, 3, 2, 4)[:, :, None], n, m)
+        R = contract(g[..., None, None, :, None, :, :],
+                     _last(rm, 0, 1, 3, 2, 4)[..., :, :, None, :, :, :], n, m)
         # R = W + g_ca P_bd - g_cb P_ad + g_db P_ac - g_da P_bc; with
         # t[a, b, c, d] = g_ac P_bd and g symmetric the last three terms are
         # transposes of the first
-        t = conv(g[:, None, :, None, :], P[None, :, None, :, :], n, m)
-        W = (R - t + t.transpose(1, 0, 2, 3, 4)
-             - t.transpose(1, 0, 3, 2, 4) + t.transpose(0, 1, 3, 2, 4))
+        t = conv(g[..., :, None, :, None, :], P[..., None, :, None, :, :], n, m)
+        W = (R - t + _last(t, 1, 0, 2, 3, 4)
+             - _last(t, 1, 0, 3, 2, 4) + _last(t, 0, 1, 3, 2, 4))
         return R, W
 
     def truncated(self, order: int) -> "CurvatureFrame":
@@ -163,21 +220,26 @@ class CurvatureFrame:
 
     def cov_deriv(self, T: np.ndarray, variance: str, m: int) -> np.ndarray:
         """Covariant derivative of a rank-k jet tensor: out[a, ...] = nabla_a T."""
-        out = partials(T, self.n, m)
+        out = self.partials(T, m)
         G = self.at(self.gamma, m - 1)
         Tm = self.at(T, m - 1)
-        rest = (None,) * (Tm.ndim - 2)                    # the other indices of T
+        rank = len(variance)
+        rest = (None,) * (rank - 1)                       # the other indices of T
         for k, var_k in enumerate(variance):
             # [a, i, r] = Gamma^i_ar (upper index) or Gamma^r_ai (lower index)
-            left = G.transpose(1, 0, 2, 3) if var_k == "u" else G.transpose(1, 2, 0, 3)
-            lx = left[(slice(None), slice(None)) + rest]  # (a, i, 1.., r, C)
-            rx = np.moveaxis(Tm, k, -2)[None, None]       # (1, 1, rest, r, C)
-            acc = contract(lx, rx, self.n, m - 1)
-            out += np.moveaxis(acc if var_k == "u" else -acc, 1, 1 + k)
+            left = _last(G, 1, 0, 2, 3) if var_k == "u" else _last(G, 1, 2, 0, 3)
+            lx = left[(..., slice(None), slice(None)) + rest + (slice(None), slice(None))]
+            # (1, 1, other indices, r, C): T's index k moved next to the coefficients
+            others = [i for i in range(rank) if i != k]
+            rx = _last(Tm, *others, k, rank)[(..., None, None) + (slice(None),) * (rank + 1)]
+            acc = contract(lx, rx, self.n, m - 1)      # (a, i, other indices, C)
+            acc = _last(acc, 0, *range(2, 2 + k), 1, *range(2 + k, rank + 2))
+            out += acc if var_k == "u" else -acc
         return out
 
     def scalar_jet(self, node, m: int | None = None) -> np.ndarray:
-        """Evaluate an expression as a coefficient array at this frame's point."""
+        """Evaluate an expression as a coefficient array at this frame's
+        point, or as a (P, C) stack at the points of a batch."""
         m = self.order if m is None else m
         env = jets.seed_jets(self.point, m)
         return expr.evaluate(node, env, self.spec.params_dict)
@@ -287,22 +349,79 @@ def _trace_pair(W: np.ndarray, ginv: np.ndarray, axes) -> np.ndarray:
 _live_frames: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
+def _live(spec: MetricSpec, point: tuple, order: int) -> CurvatureFrame | None:
+    """The live frame at the point of the lowest order at or above this one."""
+    for have in range(order, jets.MAX_ORDER + 1):
+        fr = _live_frames.get((spec, point, have))
+        if fr is not None:
+            return fr
+    return None
+
+
 @lru_cache(maxsize=512)
 def _cached_frame(spec: MetricSpec, point: tuple, order: int) -> CurvatureFrame:
-    """A frame built at this order, or cut from a cached one of higher order."""
-    for higher in range(order + 1, jets.MAX_ORDER + 1):
-        source = _live_frames.get((spec, point, higher))
-        if source is not None:
-            fr = source.truncated(order)
-            break
-    else:
-        fr = CurvatureFrame(spec, point, order)
-    _live_frames[spec, point, order] = fr
+    """The live frame at this order, or one cut from a live frame of higher
+    order; ``_build`` has made sure that one of them exists."""
+    fr = _live(spec, point, order)
+    if fr.order > order:
+        fr = fr.truncated(order)
+        _live_frames[spec, point, order] = fr
     return fr
 
 
+def _build(spec: MetricSpec, points: list, order: int):
+    """Build the frames at the points without a live frame at this order or
+    above in one ``CurvatureFrame`` call, and register each point's slice.
+
+    Returns the batch (None if nothing was built) and the live frame at each
+    point.  The caller holds them until ``_cached_frame`` has cached every
+    point: caching one point may drop the only reference to another's frame.
+    """
+    held = {p: _live(spec, p, order) for p in points}
+    new = [p for p, fr in held.items() if fr is None]
+    if not new:
+        return None, held
+    batch = CurvatureFrame(spec, new, order)
+    for i, p in enumerate(new):
+        held[p] = _live_frames[spec, p, order] = batch[i]
+    return batch, held
+
+
 def frame(spec: MetricSpec, point, order: int = 4) -> CurvatureFrame:
-    return _cached_frame(spec, tuple(float(c) for c in point), order)
+    """The frame at one point, cached: built as a batch of one, or cut from a
+    cached frame of higher order, or the slice of a batch built by ``frames``."""
+    point = tuple(float(c) for c in point)
+    _, held = _build(spec, [point], order)    # held until cached
+    return _cached_frame(spec, point, order)
+
+
+def frames(spec: MetricSpec, points, order: int = 4) -> CurvatureFrame:
+    """The frames at a sequence of points as one batch, point axis first.
+
+    The points without a cached frame at this order or above are built in one
+    ``CurvatureFrame`` call, and each point's slice is cached, so ``frame``
+    at such a point returns its slice.  When every point is new the batch is
+    returned as built; otherwise the per-point frames are stacked.
+    """
+    points = [tuple(float(c) for c in p) for p in points]
+    batch, held = _build(spec, points, order)
+    per_point = [_cached_frame(spec, p, order) for p in points]
+    if batch is not None and len(batch.point) == len(points):
+        return batch
+    return _stacked(per_point)
+
+
+def _stacked(per_point: list) -> CurvatureFrame:
+    """One batch from frames at single points, each array stacked on a new
+    point axis."""
+    fr = object.__new__(CurvatureFrame)
+    for name, value in vars(per_point[0]).items():
+        if isinstance(value, np.ndarray):
+            value = np.stack([getattr(f, name) for f in per_point])
+            value.flags.writeable = False
+        setattr(fr, name, value)
+    fr.point = tuple(f.point for f in per_point)
+    return fr
 
 
 def curvature_pack(spec: MetricSpec, point, order: int = 4) -> CurvaturePack:

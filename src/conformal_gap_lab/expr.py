@@ -224,49 +224,75 @@ def parse(source: str, n: int, params=(), var_names=None) -> Node:
 def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None) -> np.ndarray:
     """Evaluate on coordinate jets (row i: the jet of x_i, as from ``jets.seed_jets``).
 
-    The result is one coefficient array carrying all partials to the jets' order.
+    The result is one coefficient array carrying all partials to the jets' order;
+    seeds of shape (n, P, C), at P points, give (P, C).  A constant subtree is
+    evaluated once, as an order-0 jet through the same primitives, and a
+    constant term, factor or divisor touches the value slot or scales the jet
+    instead of entering a product; the coefficients are those of the full
+    products up to the sign of zero.
     """
     params = params or {}
     n = len(coord_jets)
     order = jets.order_of(coord_jets.shape[-1], n)
 
+    def jet_order(a: np.ndarray) -> int:
+        return 0 if a.shape[-1] == 1 else order
+
     def run(nd: Node) -> np.ndarray:
+        """A jet, or the order-0 jet (shape (1,)) of a constant subtree."""
         if isinstance(nd, Const):
-            return jets.constant(nd.value, n, order)
+            return np.array([nd.value])
         if isinstance(nd, Var):
             return coord_jets[nd.index]
         if isinstance(nd, Param):
             if nd.name not in params:
                 raise EvalError(f"missing parameter {nd.name!r}")
-            return jets.constant(float(params[nd.name]), n, order)
+            return np.array([float(params[nd.name])])
         if isinstance(nd, Neg):
             return -run(nd.arg)
         if isinstance(nd, Call):
+            a = run(nd.arg)
             try:
-                return jets.FUNCTIONS[nd.fn](run(nd.arg), n, order)
+                return jets.FUNCTIONS[nd.fn](a, n, jet_order(a))
             except jets.JetError as err:
                 raise EvalError(f"{nd.fn}: {err}") from err
         if isinstance(nd, Pow):
+            a = run(nd.base)
             try:
-                return jets.power(run(nd.base), nd.exponent, n, order)
+                return jets.power(a, nd.exponent, n, jet_order(a))
             except jets.JetError as err:
                 raise EvalError(str(err)) from err
         if isinstance(nd, Bin):
             a = run(nd.left)
             b = run(nd.right)
-            if nd.op == "+":
-                return a + b
-            if nd.op == "-":
-                return a - b
-            if nd.op == "*":
+            if nd.op in "+-":
+                return _add(a, b if nd.op == "+" else -b)
+            if nd.op == "/":
+                try:
+                    b = jets.reciprocal(b, n, jet_order(b))
+                except jets.JetError as err:
+                    raise EvalError(str(err)) from err
+            if jet_order(a) and jet_order(b):
                 return jets.conv(a, b, n, order)
-            try:
-                return jets.conv(a, jets.reciprocal(b, n, order), n, order)
-            except jets.JetError as err:
-                raise EvalError(str(err)) from err
+            return a * b
         raise TypeError(f"unknown node {nd!r}")
 
-    return run(node)
+    out = run(node)
+    if out.shape[-1] == 1:
+        value, out = out, np.zeros(coord_jets.shape[1:])
+        out[..., 0] = value[0]
+    return out
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for jets and order-0 jets (shape (1,)): a constant adds to the
+    value slot only.  A difference comes here as a + (-b), which IEEE
+    arithmetic rounds as a - b."""
+    if a.shape[-1] == b.shape[-1]:
+        return a + b
+    out = (b if a.shape[-1] == 1 else a).copy()
+    out[..., 0] = a[..., 0] + b[..., 0]
+    return out
 
 
 def evaluate_at(node: Node, point, params: dict | None = None) -> float:

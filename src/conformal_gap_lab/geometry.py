@@ -520,17 +520,20 @@ def domain_ok(spec: MetricSpec, point) -> bool:
         return False
 
 
-def metric_jets(spec: MetricSpec, point, order: int) -> np.ndarray:
-    """Component jets as an (n, n, C) coefficient array."""
-    pt = tuple(float(c) for c in point)
-    if len(pt) != spec.n:
-        raise DomainError(f"point has {len(pt)} coordinates, metric needs {spec.n}")
-    env = jets.seed_jets(pt, order)
+def metric_jets(spec: MetricSpec, points, order: int) -> np.ndarray:
+    """Component jets as an (n, n, C) coefficient array, or (P, n, n, C) at a
+    (P, n) stack of points (leading axes batch)."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if pts.shape[-1] != spec.n:
+        raise DomainError(f"point has {pts.shape[-1]} coordinates, metric needs {spec.n}")
+    env = jets.seed_jets(pts, order)
     params = spec.params_dict
-    G = np.empty((spec.n, spec.n, env.shape[-1]))
+    G = np.zeros(pts.shape[:-1] + (spec.n, spec.n, env.shape[-1]))
     for i in range(spec.n):
         for j in range(i, spec.n):
-            G[i, j] = G[j, i] = expr.evaluate(spec.components[i][j], env, params)
+            if not expr.is_zero(spec.components[i][j]):
+                G[..., i, j, :] = G[..., j, i, :] = expr.evaluate(spec.components[i][j], env,
+                                                                  params)
     return G
 
 
@@ -556,14 +559,14 @@ def _inverse_steps(num_vars: int, order: int):
 
 
 def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
-    """Inverse of an (n, n, C) matrix of jets in n variables.
+    """Inverse of an (n, n, C) matrix of jets in n variables; leading axes batch.
 
     Degree by degree, X_0 = G_0^-1 and X_d = -G_0^-1 sum_{k=1..d} (G_k X_{d-k})_d
     with G_k the degree-k part: the truncated Neumann series, each product-table
     pair used once.
     """
-    n = G.shape[0]
-    Gc = np.moveaxis(G, -1, 0)                      # (C, n, n)
+    n = G.shape[-3]
+    Gc = np.moveaxis(G, -1, 0)                      # (C, ..., n, n)
     try:
         x0 = np.linalg.inv(Gc[0])
     except np.linalg.LinAlgError:
@@ -604,11 +607,9 @@ def require_point(spec: MetricSpec, point) -> None:
         )
 
 
-def metric_frame_at(spec: MetricSpec, point, order: int):
-    """(g jets, inverse jets, computed signature) with admissibility checks."""
-    require_point(spec, point)
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = metric_jets(spec, point, order)
+def _check_values(spec: MetricSpec, point, G: np.ndarray) -> None:
+    """Raise unless the metric jets G at the point are finite, nondegenerate
+    and of the declared signature."""
     if not np.all(np.isfinite(G)):
         raise DomainError(f"{spec.label!r}: metric not finite at {format_point(point)}")
     values = G[..., 0]
@@ -623,7 +624,30 @@ def metric_frame_at(spec: MetricSpec, point, order: int):
         raise SingularMetricError(
             f"{spec.label!r}: computed signature {sig} != declared {spec.signature}"
         )
-    return G, jet_matrix_inverse(G), sig
+
+
+def metric_frame_at(spec: MetricSpec, points, order: int):
+    """(g jets, inverse jets, computed signature) with admissibility checks.
+
+    ``points`` is one point or a (P, n) stack; the jets then carry the point
+    axis first.  Every point is checked, and a stack with a failing point
+    raises what the first failing point raises alone.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    stack = pts.reshape(-1, pts.shape[-1])
+    try:
+        for p in stack:
+            require_point(spec, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = metric_jets(spec, pts, order)
+        for p, g in zip(stack, G.reshape((-1,) + G.shape[-3:])):
+            _check_values(spec, p, g)
+        return G, jet_matrix_inverse(G), spec.signature
+    except ValueError:
+        if len(stack) > 1:
+            for p in stack:
+                metric_frame_at(spec, p, order)
+        raise
 
 
 def default_point(spec: MetricSpec) -> tuple[float, ...]:

@@ -181,12 +181,13 @@ def contract(a: np.ndarray, b: np.ndarray, num_vars: int, order: int) -> np.ndar
     return _scatter(np.einsum("...rt,...rt->...t", a, b), t)
 
 
-def partials(a: np.ndarray, num_vars: int, order: int) -> np.ndarray:
-    """All first partials, derivative index first: (num_vars, ..., C_{order-1})."""
+def partials(a: np.ndarray, num_vars: int, order: int, axis: int = 0) -> np.ndarray:
+    """All first partials, the derivative index at ``axis`` (first by default):
+    (num_vars, ..., C_{order-1})."""
     if order < 1:
         raise JetError("cannot differentiate an order-0 jet")
     t = tables(num_vars, order)
-    return np.moveaxis(_sized(a, t)[..., t.diff_src] * t.diff_fac, -2, 0)
+    return np.moveaxis(_sized(a, t)[..., t.diff_src] * t.diff_fac, -2, axis)
 
 
 def dcoeffs(a: np.ndarray, var: int, num_vars: int, order: int) -> np.ndarray:
@@ -212,16 +213,23 @@ def constant(value: float, num_vars: int, order: int) -> np.ndarray:
 
 
 def seed_jets(point, order: int) -> np.ndarray:
-    """Coordinate-function jets at the point: row i is the jet of x_i."""
+    """Coordinate-function jets at the point: row i is the jet of x_i.
+
+    For a (P, n) stack of points the result is (n, P, C): row i holds the
+    jets of x_i at every point, so expressions evaluate at all points at once.
+    """
     pt = np.atleast_1d(np.asarray(point, dtype=float))
-    n = len(pt)
+    n = pt.shape[-1]
     if n < 1:
         raise JetError("seed_jets needs at least one coordinate")
     if not (1 <= order <= MAX_ORDER):
         raise JetError(f"order must be in 1..{MAX_ORDER}, got {order}")
-    out = np.zeros((n, tables(n, order).size))
-    out[:, 0] = pt
-    out[np.arange(n), 1 + np.arange(n)] = 1.0
+    if pt.ndim > 2:
+        raise JetError(f"seed_jets takes a point or a (P, n) stack, got shape {pt.shape}")
+    out = np.zeros((n,) + pt.shape[:-1] + (tables(n, order).size,))
+    out[..., 0] = pt.T
+    for i in range(n):
+        out[i, ..., 1 + i] = 1.0
     return out
 
 

@@ -519,3 +519,36 @@ def test_each_scale_evaluated_at_most_eight_times_per_dims_call(name, monkeypatc
     monkeypatch.setattr(curvature.CurvatureFrame, "scalar_jet", counted)
     estimate_parallel_dims(spec, seed=0)
     assert 0 < len(calls) <= 8 * len(spec.known_scales)
+
+
+def _count_frame_builds(monkeypatch) -> list:
+    """The jet order of every CurvatureFrame.__init__ call from now on, with
+    the frame cache emptied first."""
+    orders = []
+    init = curvature.CurvatureFrame.__init__
+
+    def counted(self, spec, points, order=4):
+        orders.append(order)
+        init(self, spec, points, order)
+
+    curvature._cached_frame.cache_clear()
+    monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
+    return orders
+
+
+@pytest.mark.parametrize("name", ["pp_wave", "pp_split", "product_split_n6",
+                                  "product_lorentz_n6", "warped_fs_n6"])
+def test_dims_call_builds_at_most_three_frames(name, monkeypatch):
+    # one order-4 frame at the basepoint, one order-3 frame at the first check
+    # point, and one order-2 batch over all check points
+    spec = geometry.catalogue_metric(name)
+    orders = _count_frame_builds(monkeypatch)
+    estimate_parallel_dims(spec, seed=0)
+    assert sorted(orders) == [2, 3, 4]
+
+
+def test_family_verifier_builds_one_order_2_batch_per_point_set(monkeypatch):
+    # t_gen checks its family at 10 points and runs dims at 6 check points
+    orders = _count_frame_builds(monkeypatch)
+    assert verify_theorem("t_gen", n=6)["passed"]
+    assert orders.count(2) <= 2

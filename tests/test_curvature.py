@@ -3,9 +3,11 @@
 import copy
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conformal_gap_lab import curvature, expr, geometry, jets
 from conformal_gap_lab.curvature import (
@@ -427,3 +429,119 @@ def test_truncated_frame_keeps_value_tensors():
     for attr in curvature.VALUE_TENSORS:
         assert getattr(cut3, attr) is getattr(top, attr)
     assert cut2.weyl is top.weyl and cut2.riemann is top.riemann and cut2.cotton is None
+
+
+def _frame_arrays(fr):
+    return {name: v for name, v in vars(fr).items() if isinstance(v, np.ndarray)}
+
+
+def _assert_batch_is_per_point_frames(batch, spec, points, order):
+    assert batch.batch == (len(points),) and batch.point == tuple(map(tuple, points))
+    for i, pt in enumerate(points):
+        single = curvature.CurvatureFrame(spec, pt, order)
+        want = _frame_arrays(single)
+        got = _frame_arrays(batch)
+        assert set(got) == set(want)
+        for name, value in want.items():
+            assert got[name][i].shape == value.shape, name
+            assert got[name][i].tobytes() == value.tobytes(), name
+        assert (batch.cotton is None) == (single.cotton is None)
+
+
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
+def test_frames_batch_equals_the_per_point_frames(name):
+    # every array of a batch, at each point, has the bits of the frame built
+    # there alone; a later frame() at a batch point returns that point's slice
+    spec = geometry.catalogue_metric(name)
+    points = sample_points(spec, 3, seed=41)
+    for order in (2, 3, 4):
+        batch = curvature.frames(spec, points, order)
+        _assert_batch_is_per_point_frames(batch, spec, points, order)
+        for i, pt in enumerate(points):
+            fr = curvature.frame(spec, pt, order)
+            assert fr is curvature.frame(spec, pt, order)
+            assert fr.point == tuple(pt) and fr.batch == () and fr.order == order
+            for name_, value in _frame_arrays(fr).items():
+                assert np.shares_memory(value, getattr(batch, name_)), name_
+                assert value.tobytes() == getattr(batch, name_)[i].tobytes(), name_
+                assert not value.flags.writeable
+
+
+def test_frames_stacks_cached_frames_and_builds_the_rest_once(monkeypatch):
+    spec = builtin_metric("pp_wave")
+    points = sample_points(spec, 4, seed=42)
+    builds = []
+    init = curvature.CurvatureFrame.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
+    top = curvature.frame(spec, points[1], 3)
+    batch = curvature.frames(spec, points + points[:1], 2)
+    # points[1] is cut from its order-3 frame; the other three are one build
+    assert [len(args[1]) for args in builds] == [1, 3]
+    assert batch.batch == (5,)
+    cut = top.truncated(2)
+    assert batch.g[1].tobytes() == cut.g.tobytes()
+    assert batch.gamma[4].tobytes() == batch.gamma[0].tobytes()
+    assert curvature.frames(spec, points, 2).g.tobytes() == batch.g[:4].tobytes()
+    assert len(builds) == 2
+
+
+def test_frames_survive_the_cache_dropping_their_source():
+    # caching the points of a large batch evicts older cache entries; a
+    # higher-order frame that only the cache held must still serve its point
+    spec = pseudo_euclidean(0, 3)
+    early = sample_points(spec, 3, seed=43)
+    curvature.frames(spec, early, 3)
+    many = sample_points(spec, 600, seed=44)
+    batch = curvature.frames(spec, many + early, 2)
+    assert batch.batch == (603,)
+
+
+def _bad_point_metric():
+    # degenerate at x1 = 0, of signature (1, 2) for x1 < 0, outside the
+    # domain for x2 <= -0.5
+    return geometry.load_metric("dim = 3\nsignature = 0,3\ng 1 1 : x1\n"
+                                "g 2 2 : 1\ng 3 3 : 1\ndomain : x2 + 0.5\n", label="bad")
+
+
+BAD_POINTS = {
+    "non-finite": (0.5, math.inf, 0.0),
+    "outside": (0.5, -0.9, 0.0),
+    "degenerate": (0.0, 0.0, 0.0),
+    "signature": (-0.5, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("bad", list(itertools.permutations(BAD_POINTS, 2)))
+def test_frames_fail_as_the_first_failing_point(bad):
+    spec = _bad_point_metric()
+    points = [(0.5, 0.1, 0.2)] + [BAD_POINTS[b] for b in bad] + [(0.7, 0.0, 0.3)]
+    with pytest.raises(ValueError) as alone:
+        curvature.frame(spec, BAD_POINTS[bad[0]], 2)
+    with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+        curvature.frames(spec, points, 2)
+
+
+SAMPLE_BOX_POINTS = {
+    name: st.lists(st.tuples(*(st.floats(lo, hi) for lo, hi in
+                               geometry.catalogue_metric(name).sample_box)),
+                   min_size=2, max_size=4)
+    for name in ("pp_wave", "product_split_n6")
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_BOX_POINTS))
+def test_batched_frame_equals_per_point_frames_in_the_box(name):
+    spec = geometry.catalogue_metric(name)
+
+    @given(SAMPLE_BOX_POINTS[name], st.sampled_from((2, 3, 4)))
+    @settings(max_examples=15, deadline=None)
+    def check(points, order):
+        batch = curvature.CurvatureFrame(spec, points, order)
+        _assert_batch_is_per_point_frames(batch, spec, points, order)
+
+    check()

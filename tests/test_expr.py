@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conformal_gap_lab import expr, jets
+from conformal_gap_lab import expr, geometry, jets
 from conformal_gap_lab.expr import (
     Bin, Call, Const, EvalError, Param, ParseError, Pow, Var,
     evaluate, parse, to_source,
@@ -140,3 +140,68 @@ def test_metric_file_round_trip():
 def test_metric_file_requires_headers():
     with pytest.raises(ParseError):
         expr.parse_metric_source("g 1 1 : 1")
+
+
+def _unfolded(node, env, params=None):
+    """The evaluation of every node as a full jet, each product through
+    ``jets.conv``: the reference for the constant folding of ``evaluate``."""
+    n = len(env)
+    order = jets.order_of(env.shape[-1], n)
+
+    def run(nd):
+        if isinstance(nd, (Const, Param)):
+            value = nd.value if isinstance(nd, Const) else params[nd.name]
+            return np.broadcast_to(jets.constant(value, n, order), env.shape[1:])
+        if isinstance(nd, Var):
+            return env[nd.index]
+        if isinstance(nd, expr.Neg):
+            return -run(nd.arg)
+        if isinstance(nd, Call):
+            return jets.FUNCTIONS[nd.fn](run(nd.arg), n, order)
+        if isinstance(nd, Pow):
+            return jets.power(run(nd.base), nd.exponent, n, order)
+        a, b = run(nd.left), run(nd.right)
+        if nd.op in "+-":
+            return a + b if nd.op == "+" else a - b
+        return jets.conv(a, b if nd.op == "*" else jets.reciprocal(b, n, order), n, order)
+
+    return run(node)
+
+
+def _formulas(spec):
+    comps = [c for row in spec.components for c in row]
+    return comps + [s for _, s in spec.known_scales] + list(spec.domain)
+
+
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n]
+                         + ["taub_nut_m2"])
+def test_constant_folding_keeps_the_full_jet_values(name):
+    # bitwise equal up to the sign of zero (adding 0.0 turns -0.0 into 0.0),
+    # at single points and at a stack of points
+    spec = (geometry.builtin_metric("taub_nut", {"m": 2.0}) if name == "taub_nut_m2"
+            else geometry.catalogue_metric(name))
+    points = geometry.sample_points(spec, 3, seed=17)
+    params = spec.params_dict
+    for order in (1, 2, 4):
+        stacked = jets.seed_jets(points, order)
+        for node in _formulas(spec):
+            batch = evaluate(node, stacked, params) + 0.0
+            for i, pt in enumerate(points):
+                env = jets.seed_jets(pt, order)
+                ref = _unfolded(node, env, params) + 0.0
+                assert (evaluate(node, env, params) + 0.0).tobytes() == ref.tobytes()
+                assert batch[i].tobytes() == ref.tobytes()
+
+
+def test_metric_jets_make_no_product_of_two_constants(monkeypatch):
+    spec = geometry.builtin_metric("pp_wave")
+    products = []
+    conv = jets.conv
+
+    def counted(a, b, num_vars, order):
+        products.append([not np.any(np.asarray(x)[..., 1:]) for x in (a, b)])
+        return conv(a, b, num_vars, order)
+
+    monkeypatch.setattr(jets, "conv", counted)
+    geometry.metric_jets(spec, geometry.default_point(spec), 4)
+    assert products and not any(all(p) for p in products)
