@@ -404,6 +404,8 @@ def frames(spec: MetricSpec, points, order: int = 4) -> CurvatureFrame:
     returned as built; otherwise the per-point frames are stacked.
     """
     points = [tuple(float(c) for c in p) for p in points]
+    if not points:
+        raise ValueError("frames needs at least one point")
     batch, held = _build(spec, points, order)
     per_point = [_cached_frame(spec, p, order) for p in points]
     if batch is not None and len(batch.point) == len(points):

@@ -627,11 +627,12 @@ def _check_values(spec: MetricSpec, point, G: np.ndarray) -> None:
 
 
 def metric_frame_at(spec: MetricSpec, points, order: int):
-    """(g jets, inverse jets, computed signature) with admissibility checks.
+    """(g jets, inverse jets, signature) with admissibility checks.
 
     ``points`` is one point or a (P, n) stack; the jets then carry the point
-    axis first.  Every point is checked, and a stack with a failing point
-    raises what the first failing point raises alone.
+    axis first.  Every point is checked (the signature is the one computed
+    there), and a stack with a failing point raises what the first failing
+    point raises alone.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     stack = pts.reshape(-1, pts.shape[-1])
@@ -643,7 +644,7 @@ def metric_frame_at(spec: MetricSpec, points, order: int):
         for p, g in zip(stack, G.reshape((-1,) + G.shape[-3:])):
             _check_values(spec, p, g)
         return G, jet_matrix_inverse(G), spec.signature
-    except ValueError:
+    except (DomainError, SingularMetricError, expr.EvalError):
         if len(stack) > 1:
             for p in stack:
                 metric_frame_at(spec, p, order)

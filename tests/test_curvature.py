@@ -436,6 +436,10 @@ def _frame_arrays(fr):
 
 
 def _assert_batch_is_per_point_frames(batch, spec, points, order):
+    """Every array of the batch, at each point, has the bits of the frame
+    built there alone.  A batch scatters some products through a dense BLAS
+    product where one point uses bincount (``jets._scatter``); they agree bit
+    for bit while the BLAS sums in index order, as OpenBLAS does."""
     assert batch.batch == (len(points),) and batch.point == tuple(map(tuple, points))
     for i, pt in enumerate(points):
         single = curvature.CurvatureFrame(spec, pt, order)
@@ -450,8 +454,7 @@ def _assert_batch_is_per_point_frames(batch, spec, points, order):
 
 @pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
 def test_frames_batch_equals_the_per_point_frames(name):
-    # every array of a batch, at each point, has the bits of the frame built
-    # there alone; a later frame() at a batch point returns that point's slice
+    # a later frame() at a batch point returns that point's slice
     spec = geometry.catalogue_metric(name)
     points = sample_points(spec, 3, seed=41)
     for order in (2, 3, 4):
@@ -488,6 +491,8 @@ def test_frames_stacks_cached_frames_and_builds_the_rest_once(monkeypatch):
     assert batch.gamma[4].tobytes() == batch.gamma[0].tobytes()
     assert curvature.frames(spec, points, 2).g.tobytes() == batch.g[:4].tobytes()
     assert len(builds) == 2
+    with pytest.raises(ValueError, match="at least one point"):
+        curvature.frames(spec, [], 2)
 
 
 def test_frames_survive_the_cache_dropping_their_source():
