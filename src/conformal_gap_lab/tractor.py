@@ -28,7 +28,7 @@ import itertools
 import numpy as np
 
 from . import curvature, expr, geometry, jets
-from .curvature import ConventionError, CurvatureFrame, frobenius
+from .curvature import ConventionError, CurvatureFrame, frobenius, norms
 from .geometry import MetricSpec
 from .jets import contract, conv, partials
 
@@ -179,36 +179,36 @@ def tractor_curvature(spec: MetricSpec, point) -> dict:
 
 
 def _validate_tractor_curvature(fr: CurvatureFrame, first, second, omegas) -> None:
-    n = fr.n
+    """Check every Omega_ab (pairs, n + 2, n + 2) at once against its block
+    structure; the error lists the problems of the first failing pair."""
     gv = fr.values(fr.g)
     ginv = fr.values(fr.ginv)
     W = fr.values(fr.weyl)
     Y = fr.values(fr.cotton)
     Wmix = np.einsum("ce,abed->abcd", ginv, W)      # W_ab^c_d
-    Ymix = np.einsum("ce,eab->cab", ginv, Y)        # Y^c_ab
-    scale = max(frobenius(W), frobenius(Y), 1.0)
+    Ymix = np.einsum("ce,eab->abc", ginv, Y)        # Y^c_ab, pair first
+    tol = 1e-8 * max(frobenius(W), frobenius(Y), 1.0)
     B = tractor_metric_matrix(gv)
-    problems = []
-    for a, b, M in zip(first, second, omegas):
-        if np.abs(M[0, :]).max() > 1e-8 * scale:
-            problems.append(f"Omega_{a}{b} has a nonzero top row")
-        if frobenius(M[1:-1, 1:-1] - Wmix[a, b]) > 1e-8 * scale:
-            problems.append(f"Omega_{a}{b} middle block differs from Weyl")
-        if frobenius(M[1:-1, 0] - Ymix[:, a, b]) > 1e-8 * scale:
-            problems.append(f"Omega_{a}{b} sigma column differs from Cotton")
-        if frobenius(M[-1, 1:-1] + Y[:, a, b]) > 1e-8 * scale:
-            problems.append(f"Omega_{a}{b} bottom row differs from Cotton")
-        if abs(M[-1, 0]) > 1e-8 * scale or abs(M[0, -1]) > 1e-8 * scale:
-            problems.append(f"Omega_{a}{b} has corner entries")
-        skew = M.T @ B + B @ M
-        if frobenius(skew) > 1e-9 * max(frobenius(M) * frobenius(B), 1.0):
-            problems.append(f"Omega_{a}{b} not skew for the tractor metric")
-        if problems:
-            break
-    if problems:
+    M = np.asarray(omegas)
+    skew = np.swapaxes(M, -1, -2) @ B + B @ M
+    checks = (
+        ("has a nonzero top row", np.abs(M[:, 0, :]).max(axis=1) > tol),
+        ("middle block differs from Weyl", norms(M[:, 1:-1, 1:-1] - Wmix[first, second], 2) > tol),
+        ("sigma column differs from Cotton", norms(M[:, 1:-1, 0] - Ymix[first, second], 1) > tol),
+        ("bottom row differs from Cotton",
+         norms(M[:, -1, 1:-1] + Y[:, first, second].T, 1) > tol),
+        ("has corner entries", (np.abs(M[:, -1, 0]) > tol) | (np.abs(M[:, 0, -1]) > tol)),
+        ("not skew for the tractor metric",
+         norms(skew, 2) > 1e-9 * np.maximum(norms(M, 2) * frobenius(B), 1.0)),
+    )
+    failed = np.stack([bad for _, bad in checks], axis=1)       # (pair, check)
+    if failed.any():
+        i = int(np.flatnonzero(failed.any(axis=1))[0])
+        a, b = first[i], second[i]
         raise ConventionError(
             f"tractor curvature checks failed for {fr.spec.label!r} at "
-            f"{fr.point}: " + "; ".join(problems)
+            f"{fr.point}: " + "; ".join(f"Omega_{a}{b} {what}"
+                                        for (what, _), bad in zip(checks, failed[i]) if bad)
         )
 
 

@@ -432,18 +432,63 @@ def test_dims_table_holds_at_random_basepoints(name):
         assert rep.exact_ae and rep.exact_nck and not rep.marginal
 
 
-@pytest.mark.parametrize("name", ["product_split_n6", "product_lorentz_n6"])
-def test_zero_constraint_rows_do_not_change_kernels(name):
+@pytest.mark.parametrize("name", ["product_split_n6", "product_lorentz_n6", "warped_fs_n8",
+                                  "product_split_n8_p4", "product_lorentz_n8"])
+def test_constraint_kernels_equal_the_full_row_kernels(name):
+    # the kernels from the algebra basis are those of every chain value's rows
     spec = geometry.catalogue_metric(name)
     pt = geometry.default_point(spec)
     X, _ = analysis.holonomy_constraints(spec, pt)
     nb = spec.n + 2
     rows = (X.reshape(-1, nb), analysis.derived_lambda2(X).reshape(-1, nb * (nb - 1) // 2))
-    assert (np.abs(rows[1]).max(axis=1) == 0).any()
     for A, cut in zip(rows, analysis.constraint_kernels(spec, pt)):
         full = kernel(A)
         assert full.marginal == cut.marginal
         assert np.abs(full.basis.T @ full.basis - cut.basis.T @ cut.basis).max() < 1e-12
+
+
+# dimension of the infinitesimal holonomy algebra at the default basepoint
+HOL_DIMS = {
+    "fubini_study": 7, "taub_nut": 7, "warped_hfs_n5": 7, "warped_fs_n7": 7, "warped_fs_n8": 7,
+    "pp_wave": 5, "product_lorentz_n6": 5, "product_lorentz_n8": 5,
+    "pp_split": 3, "product_split_n6": 3, "product_split_n8_p4": 3, "lorentz3d": 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOL_DIMS))
+def test_constraint_kernels_act_on_a_basis_of_the_holonomy_algebra(name, monkeypatch):
+    # one kernel of the chain values, then hol_dim basis matrices on each side
+    # (on warped_fs_n8 the adjoint kernel gets 7 * 45 = 315 rows for 252 values)
+    spec = geometry.catalogue_metric(name)
+    nb = spec.n + 2
+    pairs = nb * (nb - 1) // 2
+    acted, shapes = [], []
+    lambda2, rank = analysis.derived_lambda2, analysis.kernel
+
+    def counted_lambda2(X):
+        acted.append(len(X))
+        return lambda2(X)
+
+    def counted_kernel(A):
+        shapes.append(np.shape(A))
+        return rank(A)
+
+    monkeypatch.setattr(analysis, "derived_lambda2", counted_lambda2)
+    monkeypatch.setattr(analysis, "kernel", counted_kernel)
+    analysis.constraint_kernels(spec, geometry.default_point(spec))
+    hol = HOL_DIMS[name]
+    assert acted == [hol]
+    assert [shape[1] for shape in shapes] == [nb * nb, nb, pairs]
+    assert shapes[1:] == [(hol * nb, nb), (hol * pairs, pairs)]
+
+
+def test_subspace_contains_is_relative_to_the_vector():
+    e = np.eye(3)
+    line = analysis.Subspace(e[:1])
+    assert not line.contains(1e-9 * e[1])
+    assert line.contains(np.zeros(3))
+    assert line.contains(1e-9 * e[0] + 1e-18 * e[1])
+    assert not line.contains(e[0] + 1e-6 * e[1])
 
 
 @pytest.mark.parametrize("name", ["pp_split", "product_split_n6"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import conformal_gap_lab
-from conformal_gap_lab import geometry
+from conformal_gap_lab import analysis, curvature, geometry
 from conformal_gap_lab.cli import main
 
 
@@ -327,3 +327,28 @@ def test_verify_keeps_defaults_for_unset_options(capsys):
     assert data["params"] == {"metric": "pp_wave", "seed": 0}
     code, out, _ = run(capsys, "verify", "t_gen", "--json")
     assert json.loads(out)["params"] == {"n": 6, "p": 2, "seed": 0}
+
+
+def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
+    # one order-3 batch over the 10 sample points serves the packs, the Weyl
+    # kernels and the scale residuals
+    orders = []
+    init = curvature.CurvatureFrame.__init__
+
+    def counted(self, spec, points, order=4):
+        orders.append(order)
+        init(self, spec, points, order)
+
+    residuals = []
+    ae_residual = analysis.ae_residual
+
+    def counted_residual(*args):
+        residuals.append(args)
+        return ae_residual(*args)
+
+    monkeypatch.setattr(analysis, "ae_residual", counted_residual)
+    curvature._cached_frame.cache_clear()
+    monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
+    code, out, _ = run(capsys, "analyze", "pp_wave", "--samples", "10", "--json")
+    assert code == 0 and len(json.loads(out)["points"]) == 10
+    assert orders == [3] and not residuals

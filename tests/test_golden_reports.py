@@ -2,10 +2,11 @@
 
 ``golden_reports.json`` holds the exit code and the ``--json`` report of every
 ``cgl`` line in the README's command-line block, and of ``cgl dims --json`` on
-each metric of the README dims table and on ``lorentz3d``.  Keys, integers,
-strings and booleans must match exactly and floats to 1e-12 * max(1, |x|), so
-any drift in a reported number fails here.  Byte identity of stdout against
-the parent revision is still compared by hand on each change.
+each metric of the README dims table, on ``lorentz3d`` and on four n = 6/8
+family entries.  Keys, integers, strings and booleans must match exactly and
+floats to 1e-12 * max(1, |x|), so any drift in a reported number fails here.
+Byte identity of the output against another revision is checked by
+``tests/compare_reports.py``.
 
 Regenerate, only when a report is meant to change, with
 ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -27,7 +28,8 @@ from conformal_gap_lab.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 DIMS_METRICS = ("flat_r4", "fubini_study", "taub_nut", "pp_wave", "pp_split",
-                "warped_hfs_n5", "product_lorentz_n6", "product_split_n6", "lorentz3d")
+                "warped_hfs_n5", "product_lorentz_n6", "product_split_n6", "lorentz3d",
+                "warped_fs_n6", "warped_fs_n8", "product_split_n8_p4", "product_lorentz_n8")
 FLOAT_TOL = 1e-12
 
 

@@ -1,12 +1,13 @@
 """Tractor connection, scale tractors, curvature blocks, transport."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conformal_gap_lab import curvature, expr, geometry, jets, tractor
-from conformal_gap_lab.curvature import frobenius
+from conformal_gap_lab.curvature import ConventionError, frobenius
 from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_points
 from conformal_gap_lab.tractor import (
     TransportError, einstein_tractor, pairing, tractor_curvature, tractor_derivative, transport_matrix,
@@ -249,3 +250,17 @@ def test_scale_equivariance_of_scale_tractor():
     g = curvature.curvature_pack(spec, pt, 3).g
     expected = tractor.transform_tractor(I, w[0], ups, g)
     assert np.allclose(I_hat, expected, atol=1e-8)
+
+
+def test_corrupted_tractor_curvature_is_rejected():
+    spec = builtin_metric("pp_split")
+    fr = curvature.frame(spec, sample_points(spec, 1, seed=3)[0], 4)
+    first, second = np.array(list(itertools.combinations(range(spec.n), 2))).T
+    omegas = tractor.curvature_chain(fr, 1)[0]
+    tractor._validate_tractor_curvature(fr, first, second, omegas)
+    bad = omegas.copy()
+    bad[4, 0, 2] = 1.0        # a top-row entry of Omega_13
+    bad[5, -1, 0] = 1.0       # a corner of Omega_23, a later pair
+    with pytest.raises(ConventionError, match="Omega_13 has a nonzero top row") as err:
+        tractor._validate_tractor_curvature(fr, first, second, bad)
+    assert "Omega_23" not in str(err.value)
