@@ -398,6 +398,9 @@ def constraint_kernels(spec: MetricSpec, basepoint) -> tuple[Subspace, Subspace]
     catalogue, against 105 values at n = 6).  The kernel of a set is the
     kernel of its span and the derived action is linear, so both kernels are
     taken from the basis matrices alone; a marginal span marks both marginal.
+    Their cuts are relative to the orthonormal basis, not to the raw values:
+    a weak direction of the algebra counts at full weight once it passes the
+    span cut, where a cut on the raw values' rows could drop its action.
     """
     nb = spec.n + 2
     pairs = nb * (nb - 1) // 2

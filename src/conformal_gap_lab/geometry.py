@@ -431,6 +431,9 @@ def warped_catalogue_entry(kind: str, n: int, p: int = 2) -> MetricSpec:
 # catalogue facade for the CLI
 
 _FLAT_RE = re.compile(r"flat_(\d+)_(\d+)$")
+FLAT_EXAMPLE = "flat_1_3"
+# families named KIND_nN; product_split also takes _pP
+WARPED_KINDS = ("warped_fs", "warped_hfs", "product_ricci_flat", "product_lorentz")
 
 
 def _bad_einstein_claim() -> MetricSpec:
@@ -445,16 +448,21 @@ def _bad_einstein_claim() -> MetricSpec:
     )
 
 
-def catalogue_names() -> list[str]:
+def catalogue_names(examples: bool = False) -> list[str]:
+    """Catalogue entries as ``cgl catalogue`` lists them; with ``examples`` the
+    flat_p_q pattern is given by its example, so every name resolves."""
     names = sorted(_BUILTINS)
-    names += ["flat_r4", "flat_p_q (e.g. flat_1_3)"]
+    names += ["flat_r4", FLAT_EXAMPLE if examples else f"flat_p_q (e.g. {FLAT_EXAMPLE})"]
     for n in (5, 6):
-        names += [
-            f"warped_fs_n{n}", f"warped_hfs_n{n}",
-            f"product_ricci_flat_n{n}", f"product_lorentz_n{n}",
-        ]
+        names += [f"{kind}_n{n}" for kind in WARPED_KINDS]
     names += ["product_split_n6", "bad_einstein_claim"]
     return names
+
+
+def family_names(n: int) -> list[str]:
+    """Every warped/product family entry at dimension n, product_split at each p."""
+    names = [f"{kind}_n{n}" for kind in WARPED_KINDS]
+    return names + [f"product_split_n{n}_p{p}" for p in range(2, n // 2 + 1)]
 
 
 def catalogue_metric(name: str, params: dict | None = None) -> MetricSpec:
@@ -471,7 +479,7 @@ def _family_metric(name: str) -> MetricSpec:
         return pseudo_euclidean(0, 4)
     if m := _FLAT_RE.match(name):
         return pseudo_euclidean(int(m.group(1)), int(m.group(2)))
-    if m := re.match(r"(warped_fs|warped_hfs|product_ricci_flat|product_lorentz)_n(\d+)$", name):
+    if m := re.match(rf"({'|'.join(WARPED_KINDS)})_n(\d+)$", name):
         return warped_catalogue_entry(m.group(1), int(m.group(2)))
     if m := re.match(r"product_split_n(\d+)(?:_p(\d+))?$", name):
         return warped_catalogue_entry(

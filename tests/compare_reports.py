@@ -7,10 +7,11 @@ and once against the ``src/`` given on the command line (for example an
 export of the parent revision).  Prints each command whose stdout, stderr or
 exit code differ and exits 1 if any do, 0 otherwise.
 
-    python tests/compare_reports.py PATH/TO/OTHER/src [--jobs 2]
+    python tests/compare_reports.py PATH/TO/OTHER/src
 
 Standard library only; pytest does not collect this file.  Every command runs
-in a fresh interpreter, in an empty directory, without ``CGL_SEED``.
+in a fresh interpreter, in an empty directory, without ``CGL_SEED``, two at
+a time.  The metric names come from this tree's ``geometry``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 3)
-FAMILY_NS = (7, 8)
+WORKERS = 2  # commands run at once, each against both trees in turn
+NAMES = ("import json; from conformal_gap_lab import geometry as g; print(json.dumps("
+         "g.catalogue_names(examples=True) + g.family_names(7) + g.family_names(8)))")
 
 
 def readme_commands() -> list[list[str]]:
@@ -36,34 +39,23 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cgl ")]
 
 
-def family_entries() -> list[str]:
-    names = []
-    for n in FAMILY_NS:
-        names += [f"{kind}_n{n}" for kind in
-                  ("warped_fs", "warped_hfs", "product_ricci_flat", "product_lorentz")]
-        names += [f"product_split_n{n}_p{p}" for p in range(2, n // 2 + 1)]
-    return names
-
-
-def run(src: Path, argv: list[str], cwd: str) -> tuple[int, str, str]:
+def python(src: Path, args: list[str], cwd: str) -> tuple[int, str, str]:
     env = {k: v for k, v in os.environ.items() if k != "CGL_SEED"}
     env["PYTHONPATH"] = str(src)
-    proc = subprocess.run([sys.executable, "-m", "conformal_gap_lab.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def catalogue_entries(src: Path, cwd: str) -> list[str]:
-    code, out, err = run(src, ["catalogue", "--json"], cwd)
-    if code != 0:
-        raise SystemExit(f"cgl catalogue failed:\n{err}")
-    # the flat_p_q pattern is listed with an example in parentheses
-    return [name.split("(e.g. ")[1].rstrip(")") if "(" in name else name
-            for name in json.loads(out)["metrics"]]
+def cgl(src: Path, argv: list[str], cwd: str) -> tuple[int, str, str]:
+    return python(src, ["-m", "conformal_gap_lab.cli", *argv], cwd)
 
 
 def commands(src: Path, cwd: str) -> list[list[str]]:
-    names = catalogue_entries(src, cwd) + family_entries()
+    code, out, err = python(src, ["-c", NAMES], cwd)
+    if code != 0:
+        raise SystemExit(f"listing the metric names failed:\n{err}")
+    names = json.loads(out)
     dims = [["dims", name, "--seed", str(seed), "--json"] for name in names for seed in SEEDS]
     return readme_commands() + dims
 
@@ -71,7 +63,6 @@ def commands(src: Path, cwd: str) -> list[list[str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_src", type=Path, help="the src/ directory to compare against")
-    parser.add_argument("--jobs", type=int, default=2, help="commands run at once (default 2)")
     ns = parser.parse_args(argv)
     here, other = ROOT / "src", ns.other_src.resolve()
     if not (other / "conformal_gap_lab").is_dir():
@@ -80,9 +71,9 @@ def main(argv=None) -> int:
         cmds = commands(here, cwd)
 
         def both(argv):
-            return run(here, argv, cwd), run(other, argv, cwd)
+            return cgl(here, argv, cwd), cgl(other, argv, cwd)
 
-        with ThreadPoolExecutor(max(1, ns.jobs)) as pool:
+        with ThreadPoolExecutor(WORKERS) as pool:
             results = list(pool.map(both, cmds))
     differ = 0
     for argv, (mine, theirs) in zip(cmds, results):

@@ -447,6 +447,23 @@ def test_constraint_kernels_equal_the_full_row_kernels(name):
         assert np.abs(full.basis.T @ full.basis - cut.basis.T @ cut.basis).max() < 1e-12
 
 
+def test_weak_algebra_direction_counts_once_it_passes_the_span_cut(monkeypatch):
+    # chain values E and 1e-5 F, where F acts with singular values 1 and 1e-4:
+    # the span cut keeps F, whose basis matrix then cuts both of its rows,
+    # while the raw rows' cut drops the 1e-9 one
+    spec = builtin_metric("pp_split")
+    E, F = np.zeros((2, 6, 6))
+    E[0, 1] = F[2, 3] = 1.0
+    F[4, 5] = 1e-4
+    X = np.stack([E, 1e-5 * F])
+    monkeypatch.setattr(analysis, "holonomy_constraints", lambda s, p: (X, 0.0))
+    standard, _ = analysis.constraint_kernels(spec, geometry.default_point(spec))
+    raw = kernel(X.reshape(-1, 6))
+    assert (standard.dim, raw.dim) == (3, 4)
+    assert not standard.marginal and not raw.marginal
+    assert np.abs(standard.basis[:, [1, 3, 5]]).max() < 1e-12
+
+
 # dimension of the infinitesimal holonomy algebra at the default basepoint
 HOL_DIMS = {
     "fubini_study": 7, "taub_nut": 7, "warped_hfs_n5": 7, "warped_fs_n7": 7, "warped_fs_n8": 7,

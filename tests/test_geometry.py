@@ -118,6 +118,16 @@ def test_formulas_round_trip_through_coordinate_names(name):
         assert expr.evaluate_at(back, pt) == pytest.approx(expr.evaluate_at(node, pt), abs=1e-14)
 
 
+def test_example_and_family_names_resolve_to_their_labels():
+    names = geometry.catalogue_names(examples=True)
+    assert len(names) == len(geometry.catalogue_names()) and "flat_1_3" in names
+    for name in names + geometry.family_names(7) + geometry.family_names(8):
+        spec = geometry.catalogue_metric(name)
+        assert spec.label == {"flat_r4": "flat_0_4", "product_split_n6": "product_split_n6_p2"}.get(
+            name, name)
+    assert geometry.family_names(8)[-3:] == [f"product_split_n8_p{p}" for p in (2, 3, 4)]
+
+
 def test_flat_inverse_is_itself():
     spec = pseudo_euclidean(2, 2)
     G, Ginv, _ = metric_frame_at(spec, (0.1, 0.2, 0.3, 0.4), 2)
