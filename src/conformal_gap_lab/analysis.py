@@ -133,7 +133,7 @@ def kernel_of_weyl(spec: MetricSpec, point) -> Subspace:
     """Null space of W_abcr v^r; enforces the signature bound when W != 0."""
     if spec.n < 4:
         raise ValueError("the Weyl kernel is defined for n >= 4")
-    fr = curvature.frame(spec, point, 2)
+    fr = curvature.frame_at_least(spec, point, 2)
     W = fr.values(fr.weyl)
     ksp = kernel(W.reshape(spec.n ** 3, spec.n))
     if frobenius(W) > 1e-6:

@@ -16,13 +16,17 @@ Every tensor is carried as a numpy array of truncated Taylor coefficients,
 last axis the coefficient axis, so covariant derivatives of anything computed
 here are one :meth:`CurvatureFrame.cov_deriv` away.  A frame built at jet
 order ``K`` holds the metric and its inverse to order ``K``, Christoffels to
-``K-1``, and ``riemann_mixed``, Ricci, Sc, J, Schouten and ``schouten_mixed``
-to ``K-2``: what the tractor connection jets and their curvature chain read.
-The all-down Riemann, Weyl and Cotton tensors (``VALUE_TENSORS``) are held at
-jet order 0, their values, since no reader needs more; Cotton needs
-``K >= 3``.  :meth:`CurvatureFrame.riemann_and_weyl` gives Riemann and Weyl
-at any order up to ``K-2`` from the same formula (the divergence identity
-reads the Weyl jets to order ``K-2``).
+``K-1``, and Ricci, Sc, J, Schouten and ``schouten_mixed`` to ``K-2``: what
+the tractor connection jets and their curvature chain read.  The mixed and
+all-down Riemann, Weyl and Cotton tensors (``VALUE_TENSORS``) are held at jet
+order 0, their values, since no reader needs more; Cotton needs ``K >= 3``.
+Christoffels are contracted for the index pairs ``a <= b`` only and mirrored,
+and Ricci is summed from the trace rows ``R_rb^r_d`` alone, so no product
+of the build above jet order 0 forms ``n^4`` jets; every array keeps the
+bits of the full construction.  :meth:`CurvatureFrame.riemann_mixed_jets`
+builds the mixed Riemann jets to any order up to ``K-2`` on demand, and
+:meth:`CurvatureFrame.riemann_and_weyl` gives Riemann and Weyl from them by
+one formula (the divergence identity reads the Weyl jets to order ``K-2``).
 
 Point axis: a frame is built at one point or at a (P, n) stack of points in
 one ``CurvatureFrame`` call; at a stack every array carries the point axis
@@ -53,7 +57,7 @@ from .jets import contract, conv, partials, truncate_coeffs
 
 
 # frame tensors held at jet order 0, kept whole by CurvatureFrame.truncated
-VALUE_TENSORS = ("riemann", "weyl", "cotton")
+VALUE_TENSORS = ("riemann_mixed", "riemann", "weyl", "cotton")
 
 
 class ConventionError(RuntimeError):
@@ -74,6 +78,29 @@ def _last(arr: np.ndarray, *axes: int) -> np.ndarray:
     """arr with its last len(axes) axes permuted as ``transpose(*axes)`` permutes
     an array of that many axes; leading (point) axes stay in front."""
     return arr.transpose(_last_axes(arr.ndim, axes))
+
+
+@lru_cache(maxsize=None)
+def _symmetric_pairs(n: int):
+    """The index pairs a <= b as two arrays (``triu_indices`` order), and the
+    (n, n) map from (a, b) to the position of its pair."""
+    upper = np.triu_indices(n)
+    mirror = np.empty((n, n), dtype=np.intp)
+    mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
+    return upper, mirror
+
+
+@lru_cache(maxsize=None)
+def _trace_partials(n: int, order: int):
+    """Gathers of d_r Gamma^r_bd and of d_b Gamma^r_rd as [r, b, d] jets of
+    order - 1 from the Christoffel jets of this order: for each, an index
+    tuple over the (c, a, b, coefficient) axes and the factors, the slots and
+    factors that ``jets.partials`` reads."""
+    t = jets.tables(n, order)
+    r, b, d = (i[..., None] for i in np.ogrid[:n, :n, :n])
+    src, fac = t.diff_src, t.diff_fac
+    return (((r, b, d, src[:, None, None, :]), fac[:, None, None, :]),
+            ((r, r, d, src[None, :, None, :]), fac[None, :, None, :]))
 
 
 @lru_cache(maxsize=None)
@@ -103,25 +130,26 @@ class CurvatureFrame:
         dg = self.partials(self.g, order)
         m1 = order - 1
         ginv1 = self.at(self.ginv, m1)
-        T = dg + _last(dg, 1, 0, 2, 3) - _last(dg, 1, 2, 0, 3)   # [a, b, d]
-        # gamma[c, a, b] = Gamma^c_ab = g^cd T[a, b, d] / 2
-        self.gamma = 0.5 * contract(ginv1[..., :, None, None, :, :], T[..., None, :, :, :, :],
-                                    n, m1)
+        # gamma[c, a, b] = Gamma^c_ab = g^cd T[a, b, d] / 2 with
+        # T[a, b, d] = d_a g_bd + d_b g_ad - d_d g_ab, symmetric in (a, b) bit
+        # for bit (g is stored symmetric and + commutes), so T and Gamma are
+        # formed for the pairs a <= b only and Gamma is mirrored
+        (a, b), mirror = _symmetric_pairs(n)
+        T = dg[..., a, b, :, :] + dg[..., b, a, :, :] - _last(dg[..., :, a, b, :], 1, 0, 2)
+        half = contract(ginv1[..., :, None, :, :], T[..., None, :, :, :], n, m1)  # [c, ab]
+        self.gamma = np.ascontiguousarray(0.5 * half[..., mirror, :])
 
         m2 = order - 2
-        dgamma = self.partials(self.gamma, m1)
         g2 = self.at(self.g, m2)
         ginv2 = self.at(self.ginv, m2)
-        gam2 = self.at(self.gamma, m2)
-        B1 = _last(dgamma, 0, 2, 1, 3, 4)                # [a, b, c, d] = d_a Gamma^c_bd
-        # gg[a, b, c, d] = Gamma^c_ar Gamma^r_bd
-        left = _last(gam2, 1, 0, 2, 3)[..., :, None, :, None, :, :]         # [a, ., c, ., r]
-        right = _last(gam2, 1, 2, 0, 3)[..., None, :, None, :, :, :]        # [., b, ., d, r]
-        gg = contract(left, right, n, m2)
-        rm = B1 - _last(B1, 1, 0, 2, 3, 4) + gg - _last(gg, 1, 0, 2, 3, 4)
-        self.riemann_mixed = rm                           # [a, b, c, d] = R_ab^c_d
-
-        self.ricci = ricci = np.einsum("...rbrdk->...bdk", rm)
+        # Ricci is the trace of the mixed Riemann tensor over its first and
+        # third indices; the frame holds that tensor's value, which at jet
+        # order 2 is the whole jet, and above that forms only the trace rows
+        self.riemann_mixed = rm = self.riemann_mixed_jets(0)
+        if m2 == 0:
+            self.ricci = ricci = np.einsum("...rbrdk->...bdk", rm)
+        else:
+            self.ricci = ricci = np.einsum("...rbdk->...bdk", self._ricci_rows(m2))
         lead = self.batch
         self.sc = contract(ginv2.reshape(lead + (n * n, -1)), ricci.reshape(lead + (n * n, -1)),
                            n, m2)
@@ -181,10 +209,42 @@ class CurvatureFrame:
         arrays, the derivative index right after the point axis."""
         return partials(arr, self.n, m, axis=len(self.batch))
 
+    def riemann_mixed_jets(self, m: int) -> np.ndarray:
+        """Jets to order m (at most order - 2) of R_ab^c_d, from the Christoffel
+        jets; the frame holds the value (m = 0) as ``riemann_mixed``."""
+        n = self.n
+        dgamma = self.partials(self.at(self.gamma, m + 1), m + 1)
+        gam = self.at(self.gamma, m)
+        B1 = _last(dgamma, 0, 2, 1, 3, 4)                # [a, b, c, d] = d_a Gamma^c_bd
+        # gg[a, b, c, d] = Gamma^c_ar Gamma^r_bd
+        left = _last(gam, 1, 0, 2, 3)[..., :, None, :, None, :, :]          # [a, ., c, ., r]
+        right = _last(gam, 1, 2, 0, 3)[..., None, :, None, :, :, :]         # [., b, ., d, r]
+        gg = contract(left, right, n, m)
+        return B1 - _last(B1, 1, 0, 2, 3, 4) + gg - _last(gg, 1, 0, 2, 3, 4)
+
+    def _ricci_rows(self, m: int) -> np.ndarray:
+        """rows[r, b, d] = R_rb^r_d to jet order m >= 1: the terms of
+        ``riemann_mixed_jets`` at the trace indices, each formed alone."""
+        n = self.n
+        gam1, gam = self.at(self.gamma, m + 1), self.at(self.gamma, m)
+        (rb, rb_fac), (br, br_fac) = _trace_partials(n, m + 1)
+        d_rb = gam1[(...,) + rb] * rb_fac               # d_r Gamma^r_bd
+        d_br = gam1[(...,) + br] * br_fac               # d_b Gamma^r_rd
+        diag = np.arange(n)
+        below = _last(gam, 1, 2, 0, 3)                   # [b, d, s] = Gamma^s_bd
+        gg_rb = contract(gam[..., diag, diag, :, :][..., :, None, None, :, :],   # Gamma^r_rs
+                         below[..., None, :, :, :, :], n, m)
+        gg_br = contract(gam[..., :, :, None, :, :],    # [r, b, ., s] = Gamma^r_bs
+                         below[..., :, None, :, :, :], n, m)
+        # in C order: Ricci keeps the layout of the rows, and Sc contracted
+        # from a strided Ricci would be summed in another order
+        return np.ascontiguousarray(d_rb - d_br + gg_rb - gg_br)
+
     def riemann_and_weyl(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Jets to order m (at most order - 2) of R_abcd and of the Weyl tensor."""
         n = self.n
-        g, rm, P = self.at(self.g, m), self.at(self.riemann_mixed, m), self.at(self.schouten, m)
+        rm = self.riemann_mixed if m == 0 else self.riemann_mixed_jets(m)
+        g, P = self.at(self.g, m), self.at(self.schouten, m)
         # R_abcd = g_ce R_ab^e_d
         R = contract(g[..., None, None, :, None, :, :],
                      _last(rm, 0, 1, 3, 2, 4)[..., :, :, None, :, :, :], n, m)
@@ -393,6 +453,15 @@ def frame(spec: MetricSpec, point, order: int = 4) -> CurvatureFrame:
     point = tuple(float(c) for c in point)
     _, held = _build(spec, [point], order)    # held until cached
     return _cached_frame(spec, point, order)
+
+
+def frame_at_least(spec: MetricSpec, point, order: int = 2) -> CurvatureFrame:
+    """A cached frame at the point of this jet order or above, for readers of
+    values, which every such frame holds alike: the lowest-order live one,
+    used as it is, or else ``frame(spec, point, order)``."""
+    point = tuple(float(c) for c in point)
+    fr = _live(spec, point, order)
+    return fr if fr is not None else frame(spec, point, order)
 
 
 def frames(spec: MetricSpec, points, order: int = 4) -> CurvatureFrame:

@@ -221,7 +221,8 @@ def parse(source: str, n: int, params=(), var_names=None) -> Node:
 
 # --- evaluation ---------------------------------------------------------------
 
-def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None) -> np.ndarray:
+def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None,
+             memo: dict | None = None) -> np.ndarray:
     """Evaluate on coordinate jets (row i: the jet of x_i, as from ``jets.seed_jets``).
 
     The result is one coefficient array carrying all partials to the jets' order;
@@ -229,7 +230,10 @@ def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None) -> 
     evaluated once, as an order-0 jet through the same primitives, and a
     constant term, factor or divisor touches the value slot or scales the jet
     instead of entering a product; the coefficients are those of the full
-    products up to the sign of zero.
+    products up to the sign of zero.  A ``memo`` dict shared by calls on the
+    same seeds and parameters holds each call, power and operator subtree
+    evaluated, so a subtree equal to one evaluated before is not expanded
+    again (the caller must not write into the results).
     """
     params = params or {}
     n = len(coord_jets)
@@ -239,6 +243,14 @@ def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None) -> 
         return 0 if a.shape[-1] == 1 else order
 
     def run(nd: Node) -> np.ndarray:
+        if memo is None or not isinstance(nd, (Call, Pow, Bin)):
+            return expand(nd)
+        out = memo.get(nd)
+        if out is None:
+            out = memo[nd] = expand(nd)
+        return out
+
+    def expand(nd: Node) -> np.ndarray:
         """A jet, or the order-0 jet (shape (1,)) of a constant subtree."""
         if isinstance(nd, Const):
             return np.array([nd.value])

@@ -536,12 +536,13 @@ def metric_jets(spec: MetricSpec, points, order: int) -> np.ndarray:
         raise DomainError(f"point has {pts.shape[-1]} coordinates, metric needs {spec.n}")
     env = jets.seed_jets(pts, order)
     params = spec.params_dict
+    memo = {}                                  # subtrees shared by components expand once
     G = np.zeros(pts.shape[:-1] + (spec.n, spec.n, env.shape[-1]))
     for i in range(spec.n):
         for j in range(i, spec.n):
             if not expr.is_zero(spec.components[i][j]):
                 G[..., i, j, :] = G[..., j, i, :] = expr.evaluate(spec.components[i][j], env,
-                                                                  params)
+                                                                  params, memo)
     return G
 
 

@@ -45,10 +45,16 @@ class JetError(ValueError):
     """Unsupported jet combination or singular expansion point."""
 
 
-def _multi_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
-    """All exponent tuples with |alpha| <= order, graded-lexicographic."""
-    return [tuple(c.count(v) for v in range(num_vars)) for d in range(order + 1)
-            for c in itertools.combinations_with_replacement(range(num_vars), d)]
+def _multi_indices(num_vars: int, order: int) -> np.ndarray:
+    """All exponent vectors with |alpha| <= order as rows, graded-lexicographic
+    (by degree, then as ``combinations_with_replacement`` lists the variables
+    of each monomial)."""
+    # monomials as sorted variable tuples of length order, padded with the
+    # extra symbol num_vars; within a degree these come in that order
+    picks = list(itertools.combinations_with_replacement(range(num_vars + 1), order))
+    picks = np.array(picks, dtype=np.intp).reshape(len(picks), order)
+    E = (picks[:, :, None] == np.arange(num_vars)).sum(axis=1)
+    return E[np.argsort(E.sum(axis=1), kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -70,17 +76,38 @@ class JetTables:
     diff_fac: np.ndarray                  # [var, slot]: multiplier (alpha_var + 1)
 
 
+# per number of variables, the tables of the highest order built so far;
+# tables of a lower order are cut from them
+_top_tables: dict[int, JetTables] = {}
+
+
 @lru_cache(maxsize=None)
 def tables(num_vars: int, order: int) -> JetTables:
     if not (1 <= num_vars <= MAX_VARS):
         raise JetError(f"num_vars must be in 1..{MAX_VARS}, got {num_vars}")
     if not (0 <= order <= MAX_ORDER):
         raise JetError(f"order must be in 0..{MAX_ORDER}, got {order}")
+    top = _top_tables.get(num_vars)
+    if top is not None and top.order > order:
+        return _cut_tables(top, order)
+    _top_tables[num_vars] = t = _build_tables(num_vars, order)
+    return t
 
-    multis = tuple(_multi_indices(num_vars, order))
-    position = {m: i for i, m in enumerate(multis)}
-    size = len(multis)
-    E = np.array(multis, dtype=np.intp)
+
+def _with_scatter(**fields) -> JetTables:
+    """JetTables from its index arrays, with the dense scatter matrix where
+    the table is small enough (``_DENSE_TABLE_LIMIT``)."""
+    mul_k, size = fields["mul_k"], fields["size"]
+    scatter = None
+    if len(mul_k) * size <= _DENSE_TABLE_LIMIT:
+        scatter = np.zeros((len(mul_k), size))
+        scatter[np.arange(len(mul_k)), mul_k] = 1.0
+    return JetTables(scatter=scatter, **fields)
+
+
+def _build_tables(num_vars: int, order: int) -> JetTables:
+    E = _multi_indices(num_vars, order)
+    multis = tuple(map(tuple, E.tolist()))
     degrees = E.sum(axis=1)
     sizes_by_order = tuple(int(np.sum(degrees <= m)) for m in range(order + 1))
     factorial = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
@@ -99,30 +126,33 @@ def tables(num_vars: int, order: int) -> JetTables:
     mul_i, mul_j = np.nonzero(degrees[:, None] + degrees[None, :] <= order)
     mul_k = locate(keys[mul_i] + keys[mul_j])
 
-    scatter = None
-    if len(mul_k) * size <= _DENSE_TABLE_LIMIT:
-        scatter = np.zeros((len(mul_k), size))
-        scatter[np.arange(len(mul_k)), mul_k] = 1.0
-
     # d/dx_v of the jet reads slot beta + e_v for every beta below the top degree
     lower = E[: sizes_by_order[order - 1]] if order >= 1 else E[:0]
     diff_src = locate(lower @ radix + radix[:, None])
     diff_fac = lower.T + 1.0
 
-    return JetTables(
-        num_vars=num_vars,
-        order=order,
-        multis=multis,
-        position=position,
-        size=size,
-        sizes_by_order=sizes_by_order,
-        factorial=factorial,
-        mul_i=mul_i,
-        mul_j=mul_j,
-        mul_k=mul_k,
-        scatter=scatter,
-        diff_src=diff_src,
-        diff_fac=diff_fac,
+    return _with_scatter(
+        num_vars=num_vars, order=order, multis=multis,
+        position={m: i for i, m in enumerate(multis)}, size=len(multis),
+        sizes_by_order=sizes_by_order, factorial=factorial,
+        mul_i=mul_i, mul_j=mul_j, mul_k=mul_k, diff_src=diff_src, diff_fac=diff_fac,
+    )
+
+
+def _cut_tables(top: JetTables, order: int) -> JetTables:
+    """The tables of a lower order, cut from higher-order ones: the graded
+    layout makes every slot array a prefix, and the product pairs are those
+    of total degree <= order, in the same row-major order."""
+    size = top.sizes_by_order[order]
+    degree = np.searchsorted(top.sizes_by_order, np.arange(top.size), side="right")
+    keep = degree[top.mul_i] + degree[top.mul_j] <= order
+    below = top.sizes_by_order[order - 1] if order >= 1 else 0
+    return _with_scatter(
+        num_vars=top.num_vars, order=order, multis=top.multis[:size],
+        position=dict(itertools.islice(top.position.items(), size)), size=size,
+        sizes_by_order=top.sizes_by_order[: order + 1], factorial=top.factorial[:size].copy(),
+        mul_i=top.mul_i[keep], mul_j=top.mul_j[keep], mul_k=top.mul_k[keep],
+        diff_src=top.diff_src[:, :below].copy(), diff_fac=top.diff_fac[:, :below].copy(),
     )
 
 

@@ -609,6 +609,30 @@ def test_dims_call_builds_at_most_three_frames(name, monkeypatch):
     assert sorted(orders) == [2, 3, 4]
 
 
+@pytest.mark.parametrize("name", ["pp_wave", "product_split_n6"])
+def test_kernel_of_weyl_reads_the_cached_higher_order_frame(name, monkeypatch):
+    # after an order-3 batch (as in cgl analyze) no order-2 frame is built or
+    # cut; the Weyl value is the one an order-2 frame holds
+    spec = geometry.catalogue_metric(name)
+    points = sample_points(spec, 4, seed=53)
+    want = [kernel(curvature.CurvatureFrame(spec, p, 2).weyl[..., 0].reshape(spec.n ** 3, spec.n))
+            for p in points]
+    orders = _count_frame_builds(monkeypatch)
+    curvature.frames(spec, points, 3)
+    cuts = []
+    truncated = curvature.CurvatureFrame.truncated
+
+    def counted(self, order):
+        cuts.append(order)
+        return truncated(self, order)
+
+    monkeypatch.setattr(curvature.CurvatureFrame, "truncated", counted)
+    got = [kernel_of_weyl(spec, p) for p in points]
+    assert orders == [3] and not cuts
+    for g, w in zip(got, want):
+        assert g.basis.tobytes() == w.basis.tobytes()
+
+
 def test_family_verifier_builds_one_order_2_batch_per_point_set(monkeypatch):
     # t_gen checks its family at 10 points and runs dims at 6 check points
     orders = _count_frame_builds(monkeypatch)

@@ -389,9 +389,11 @@ def test_lower_order_frame_is_cut_from_a_cached_one(monkeypatch):
 
 def _jet_order_riemann_weyl_cotton(fr):
     """R_abcd and Weyl to jet order K - 2 and Cotton to K - 3, written out from
-    the frame's metric, mixed Riemann and Schouten jets."""
+    the frame's metric, mixed Riemann and Schouten jets (the frame holds the
+    mixed Riemann value; its jets come from ``riemann_mixed_jets``)."""
     n, m = fr.n, fr.order - 2
-    g, rm, P = (fr.at(a, m) for a in (fr.g, fr.riemann_mixed, fr.schouten))
+    g, P = (fr.at(a, m) for a in (fr.g, fr.schouten))
+    rm = fr.riemann_mixed_jets(m)
     R = jets.contract(g[None, None, :, None], rm.transpose(0, 1, 3, 2, 4)[:, :, None], n, m)
     t = jets.conv(g[:, None, :, None, :], P[None, :, None, :, :], n, m)   # g_ac P_bd
     W = (R - t + t.transpose(1, 0, 2, 3, 4)
@@ -420,6 +422,72 @@ def test_value_tensors_equal_the_value_slice_of_their_jets(name):
             # the divergence identity reads the Weyl jets from the same formula
             R_jets, W_jets = fr.riemann_and_weyl(order - 2)
             assert R_jets.tobytes() == R.tobytes() and W_jets.tobytes() == W.tobytes()
+
+
+def _tail(arr, *axes):
+    """arr with its last len(axes) axes transposed; leading axes stay."""
+    lead = arr.ndim - len(axes)
+    return arr.transpose(tuple(range(lead)) + tuple(lead + a for a in axes))
+
+
+def _through_full_riemann_jets(fr):
+    """Christoffels contracted for every (a, b), the full mixed Riemann jets
+    [a, b, c, d] = R_ab^c_d to jet order K - 2 and Ricci as their trace over
+    the first and third indices, from the frame's metric jets."""
+    n, K, lead = fr.n, fr.order, len(fr.batch)
+    dg = jets.partials(fr.g, n, K, axis=lead)            # [i, a, b] = d_i g_ab
+    T = dg + _tail(dg, 1, 0, 2, 3) - _tail(dg, 1, 2, 0, 3)
+    gamma = 0.5 * jets.contract(fr.at(fr.ginv, K - 1)[..., :, None, None, :, :],
+                                T[..., None, :, :, :, :], n, K - 1)
+    m = K - 2
+    B1 = _tail(jets.partials(gamma, n, K - 1, axis=lead), 0, 2, 1, 3, 4)
+    gam = gamma[..., :jets.tables(n, m).size]
+    gg = jets.contract(_tail(gam, 1, 0, 2, 3)[..., :, None, :, None, :, :],
+                       _tail(gam, 1, 2, 0, 3)[..., None, :, None, :, :, :], n, m)
+    rm = B1 - _tail(B1, 1, 0, 2, 3, 4) + gg - _tail(gg, 1, 0, 2, 3, 4)
+    return gamma, rm, np.einsum("...rbrdk->...bdk", rm)
+
+
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
+def test_frame_equals_the_full_mixed_riemann_construction(name):
+    # Christoffels formed for a <= b and mirrored, Ricci from the trace rows,
+    # the mixed Riemann value and its on-demand jets: bit for bit, at single
+    # points and in a batch
+    spec = geometry.catalogue_metric(name)
+    points = sample_points(spec, 2, seed=43)
+    for order in (2, 3, 4):
+        for fr in [curvature.CurvatureFrame(spec, p, order) for p in points] + [
+                curvature.CurvatureFrame(spec, points, order)]:
+            gamma, rm, ricci = _through_full_riemann_jets(fr)
+            assert fr.gamma.shape == gamma.shape and fr.gamma.tobytes() == gamma.tobytes()
+            assert fr.ricci.shape == ricci.shape and fr.ricci.tobytes() == ricci.tobytes()
+            assert fr.riemann_mixed.shape == rm.shape[:-1] + (1,)
+            assert fr.riemann_mixed.tobytes() == rm[..., :1].tobytes()
+            assert fr.riemann_mixed_jets(order - 2).tobytes() == rm.tobytes()
+
+
+def test_frame_contractions_form_fewer_than_n4_jets(monkeypatch):
+    # above jet order 0 no product summed in a frame build has n^4 output
+    # jets per point, as the full mixed Riemann jets had
+    formed = []
+    contract = curvature.contract
+
+    def counted(a, b, num_vars, order):
+        out = contract(a, b, num_vars, order)
+        if order >= 1:
+            formed.append(math.prod(out.shape[:-1]))
+        return out
+
+    monkeypatch.setattr(curvature, "contract", counted)
+    for name in ("pp_wave", "product_split_n6", "warped_fs_n5"):
+        spec = geometry.catalogue_metric(name)
+        points = sample_points(spec, 3, seed=47)
+        for order in (3, 4):
+            for pts in (points[0], points):
+                formed.clear()
+                curvature.CurvatureFrame(spec, pts, order)
+                per_point = len(pts) if isinstance(pts, list) else 1
+                assert formed and max(formed) < per_point * spec.n ** 4
 
 
 def test_truncated_frame_keeps_value_tensors():

@@ -205,3 +205,34 @@ def test_metric_jets_make_no_product_of_two_constants(monkeypatch):
     monkeypatch.setattr(jets, "conv", counted)
     geometry.metric_jets(spec, geometry.default_point(spec), 4)
     assert products and not any(all(p) for p in products)
+
+
+def test_metric_jets_expand_shared_subtrees_once(monkeypatch):
+    # the four pp_wave components share exp(-sqrt(2)*t): one order-4 exp
+    # (4 products), x^2 (2) and their product (1)
+    spec = geometry.builtin_metric("pp_wave")
+    calls = []
+    conv = jets.conv
+
+    def counted(*args):
+        calls.append(args)
+        return conv(*args)
+
+    monkeypatch.setattr(jets, "conv", counted)
+    geometry.metric_jets(spec, geometry.default_point(spec), 4)
+    assert 0 < len(calls) <= 7
+
+
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
+def test_metric_jets_equal_the_components_evaluated_alone(name):
+    spec = geometry.catalogue_metric(name)
+    points = geometry.sample_points(spec, 2, seed=23)
+    for order in (1, 2, 4):
+        for pts in (points[0], points):
+            G = geometry.metric_jets(spec, pts, order)
+            env = jets.seed_jets(pts, order)
+            for i, row in enumerate(spec.components):
+                for j, node in enumerate(row):
+                    want = (np.zeros(G.shape[:-3] + G.shape[-1:]) if expr.is_zero(node)
+                            else evaluate(node, env, spec.params_dict))
+                    assert G[..., i, j, :].tobytes() == want.tobytes(), (i, j)

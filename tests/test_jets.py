@@ -286,6 +286,64 @@ def test_tables_match_pair_loop_reference(num_vars):
             assert t.diff_fac[v].tolist() == [m[v] + 1 for m in lower]
 
 
+def _direct_tables(num_vars, order):
+    """Every JetTables field but the scatter matrix, built at this order alone:
+    multi-indices from ``combinations_with_replacement``, slots located by
+    mixed-radix keys, pairs from a row-major scan."""
+    multis = [tuple(c.count(v) for v in range(num_vars)) for d in range(order + 1)
+              for c in itertools.combinations_with_replacement(range(num_vars), d)]
+    E = np.array(multis, dtype=np.intp)
+    degrees = E.sum(axis=1)
+    radix = (order + 1) ** np.arange(num_vars - 1, -1, -1)
+    keys = E @ radix
+    by_key = np.argsort(keys)
+
+    def locate(k):
+        return by_key[np.searchsorted(keys, k, sorter=by_key)]
+
+    mul_i, mul_j = np.nonzero(degrees[:, None] + degrees[None, :] <= order)
+    lower = E[degrees < order]
+    factorial = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+    return {
+        "num_vars": num_vars, "order": order, "multis": tuple(multis),
+        "position": {m: i for i, m in enumerate(multis)}, "size": len(multis),
+        "sizes_by_order": tuple(int(np.sum(degrees <= m)) for m in range(order + 1)),
+        "factorial": factorial[E].prod(axis=1), "mul_i": mul_i, "mul_j": mul_j,
+        "mul_k": locate(keys[mul_i] + keys[mul_j]),
+        "diff_src": locate(lower @ radix + radix[:, None]), "diff_fac": lower.T + 1.0,
+    }
+
+
+def _assert_tables_equal(t, want):
+    for name, value in want.items():
+        got = getattr(t, name)
+        if isinstance(value, np.ndarray):
+            assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert got == value, name
+    assert all(type(k) is int for m in t.multis for k in m)
+    pairs = len(want["mul_k"])
+    if pairs * want["size"] > jets._DENSE_TABLE_LIMIT:
+        assert t.scatter is None
+    else:
+        dense = np.zeros((pairs, want["size"]))
+        dense[np.arange(pairs), want["mul_k"]] = 1.0
+        assert t.scatter.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
+def test_tables_equal_the_direct_construction_in_any_request_order(num_vars, monkeypatch):
+    # a table is built, or cut from the highest-order one built so far; every
+    # field has the bytes of the table built at its order alone
+    want = [_direct_tables(num_vars, order) for order in range(jets.MAX_ORDER + 1)]
+    top = jets.MAX_ORDER
+    for requests in (range(top + 1), range(top, -1, -1), (3, 0, top, 1, 5, 2, 4)):
+        monkeypatch.setattr(jets, "_top_tables", {})
+        for order in requests:
+            _assert_tables_equal(jets.tables.__wrapped__(num_vars, order), want[order])
+
+
 @pytest.mark.parametrize("num_vars, order", [(4, 2), (6, 3), (6, 4)])
 def test_contract_matches_conv_sum(num_vars, order):
     # (4, 2) and (6, 3) have the dense scatter, (6, 4) only bincount; an
