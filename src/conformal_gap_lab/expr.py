@@ -45,40 +45,57 @@ class EvalError(ValueError):
 
 # --- AST nodes ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass whose hash is computed once per node: ``evaluate``
+    looks each subtree up in its memo, and the generated hash would hash the
+    whole subtree again at every lookup."""
+    cls = dataclass(frozen=True)(cls)
+    fields = cls.__match_args__
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(tuple(getattr(self, f) for f in fields))
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class Param:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Call:
     fn: str
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Bin:
     op: str  # one of + - * /
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Pow:
     base: "Node"
     exponent: int
@@ -230,12 +247,13 @@ def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None,
     evaluated once, as an order-0 jet through the same primitives, and a
     constant term, factor or divisor touches the value slot or scales the jet
     instead of entering a product; the coefficients are those of the full
-    products up to the sign of zero.  A ``memo`` dict shared by calls on the
-    same seeds and parameters holds each call, power and operator subtree
-    evaluated, so a subtree equal to one evaluated before is not expanded
-    again (the caller must not write into the results).
+    products up to the sign of zero.  Each call, power and operator subtree is
+    expanded once: ``memo`` holds the results by subtree, and a dict passed by
+    the caller is shared by calls on the same seeds and parameters (the
+    caller must not write into the results).
     """
     params = params or {}
+    memo = {} if memo is None else memo
     n = len(coord_jets)
     order = jets.order_of(coord_jets.shape[-1], n)
 
@@ -243,25 +261,23 @@ def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None,
         return 0 if a.shape[-1] == 1 else order
 
     def run(nd: Node) -> np.ndarray:
-        if memo is None or not isinstance(nd, (Call, Pow, Bin)):
-            return expand(nd)
-        out = memo.get(nd)
-        if out is None:
-            out = memo[nd] = expand(nd)
-        return out
-
-    def expand(nd: Node) -> np.ndarray:
         """A jet, or the order-0 jet (shape (1,)) of a constant subtree."""
-        if isinstance(nd, Const):
-            return np.array([nd.value])
         if isinstance(nd, Var):
             return coord_jets[nd.index]
+        if isinstance(nd, Const):
+            return np.array([nd.value])
         if isinstance(nd, Param):
             if nd.name not in params:
                 raise EvalError(f"missing parameter {nd.name!r}")
             return np.array([float(params[nd.name])])
         if isinstance(nd, Neg):
             return -run(nd.arg)
+        out = memo.get(nd)
+        if out is None:
+            out = memo[nd] = expand(nd)
+        return out
+
+    def expand(nd: Call | Pow | Bin) -> np.ndarray:
         if isinstance(nd, Call):
             a = run(nd.arg)
             try:

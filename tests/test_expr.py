@@ -236,3 +236,29 @@ def test_metric_jets_equal_the_components_evaluated_alone(name):
                     want = (np.zeros(G.shape[:-3] + G.shape[-1:]) if expr.is_zero(node)
                             else evaluate(node, env, spec.params_dict))
                     assert G[..., i, j, :].tobytes() == want.tobytes(), (i, j)
+
+
+def test_evaluate_expands_an_equal_subtree_once(monkeypatch):
+    calls = []
+    exp = jets.FUNCTIONS["exp"]
+
+    def counted(*args):
+        calls.append(args)
+        return exp(*args)
+
+    monkeypatch.setitem(jets.FUNCTIONS, "exp", counted)
+    env = jets.seed_jets((0.3, -0.2), 3)
+    shared = evaluate(parse("exp(x1)*exp(x1) + exp(x1)/x2", n=2), env)
+    assert len(calls) == 1
+    monkeypatch.setitem(jets.FUNCTIONS, "exp", exp)
+    square = jets.conv(evaluate(parse("exp(x1)", n=2), env), evaluate(parse("exp(x1)", n=2), env),
+                       2, 3)
+    quotient = jets.conv(evaluate(parse("exp(x1)", n=2), env),
+                         jets.reciprocal(env[1], 2, 3), 2, 3)
+    assert shared.tobytes() == (square + quotient).tobytes()
+
+
+def test_equal_nodes_hash_equal_once_hashed():
+    a, b = parse("sin(x1)^2 + x2*m", n=2, params={"m"}), parse("sin(x1)^2 + x2*m", n=2, params={"m"})
+    assert a is not b and hash(a) == hash(b) and a == b
+    assert len({a, b, a.left, b.left}) == 2
