@@ -482,8 +482,9 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
     evaluated there once, as a (point, C_2) stack, and the AE residuals of all
     scales, and the wedge fields and Killing/normality residuals of all pairs
     of verified scales, come from one batched call each.  The parallel
-    residuals (at the first check point) and the Einstein tractors (at the
-    basepoint) are computed per scale.
+    residuals of all scales (at the first check point) and the Einstein
+    tractors of all verified scales (at the basepoint) are one batched
+    ``tractor`` call each, on the scales' order-3 jets there.
     """
     names = [name for name, _ in spec.known_scales]
     sigmas = [sigma for _, sigma in spec.known_scales]
@@ -492,8 +493,9 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
     fr = curvature.frames(spec, check_pts, 2)
     S = np.stack([fr.scalar_jet(sigma, 2) for sigma in sigmas])      # (scale, point, C_2)
     res = norms(_ae_residuals(fr, S), 2).max(axis=1)
-    par = np.array([tractor.scale_tractor_parallel_residual(spec, sigma, check_pts[0])
-                    for sigma in sigmas])
+    first_fr = curvature.frame(spec, check_pts[0], 3)
+    at_first = np.stack([first_fr.scalar_jet(sigma) for sigma in sigmas])
+    par = norms(tractor._parallel_values(first_fr, at_first), 2)
     ok = (res < RESIDUAL_TOL) & (par < 10 * RESIDUAL_TOL)
     for name, r, q, passed in zip(names, res, par, ok):
         if not passed:
@@ -505,7 +507,9 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
     report.ae_witnesses = [names[i] for i in verified]
     if not len(verified):
         return
-    vecs = np.stack([tractor.einstein_tractor(spec, sigmas[i], basepoint) for i in verified])
+    base_fr = curvature.frame(spec, basepoint, 3)
+    at_base = np.stack([base_fr.scalar_jet(sigmas[i]) for i in verified])
+    vecs = tractor._einstein_jets(base_fr, at_base)[..., 0]
     _require_inside(standard, vecs, report.ae_witnesses, "standard", spec)
     span = kernel(vecs)
     report.d_ae_lower = span.ambient_dim - span.dim

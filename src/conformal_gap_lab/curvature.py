@@ -15,8 +15,8 @@ Conventions (fixed throughout the package):
 Every tensor is carried as a numpy array of truncated Taylor coefficients,
 last axis the coefficient axis, so covariant derivatives of anything computed
 here are one :meth:`CurvatureFrame.cov_deriv` away.  A frame built at jet
-order ``K`` holds the metric and its inverse to order ``K``, Christoffels to
-``K-1``, and Ricci, Sc, J, Schouten and ``schouten_mixed`` to ``K-2``: what
+order ``K`` holds the metric to order ``K``, its inverse and the Christoffels
+to ``K-1``, and Ricci, Sc, J, Schouten and ``schouten_mixed`` to ``K-2``: what
 the tractor connection jets and their curvature chain read.  The mixed and
 all-down Riemann, Weyl and Cotton tensors (``VALUE_TENSORS``) are held at jet
 order 0, their values, since no reader needs more; Cotton needs ``K >= 3``.
@@ -39,7 +39,8 @@ product in index order, see ``jets._scatter``).  Indexing a batch
 :func:`frames` builds the uncached points of a sequence in one batch and
 caches each point's slice; :func:`frame` is its batch of one.  Data that a
 batch reads carries its own leading axes before the point axis (scale jets
-are (S, P, C)).
+are (S, P, C)), and :meth:`CurvatureFrame.cov_deriv` takes such axes alike
+at a frame of one point (a stack of scale gradients is (S, n, C)).
 """
 
 from __future__ import annotations
@@ -129,14 +130,13 @@ class CurvatureFrame:
         # dg[i, a, b] = d_i g_ab, one jet order lower
         dg = self.partials(self.g, order)
         m1 = order - 1
-        ginv1 = self.at(self.ginv, m1)
         # gamma[c, a, b] = Gamma^c_ab = g^cd T[a, b, d] / 2 with
         # T[a, b, d] = d_a g_bd + d_b g_ad - d_d g_ab, symmetric in (a, b) bit
         # for bit (g is stored symmetric and + commutes), so T and Gamma are
         # formed for the pairs a <= b only and Gamma is mirrored
         (a, b), mirror = _symmetric_pairs(n)
         T = dg[..., a, b, :, :] + dg[..., b, a, :, :] - _last(dg[..., :, a, b, :], 1, 0, 2)
-        half = contract(ginv1[..., :, None, :, :], T[..., None, :, :, :], n, m1)  # [c, ab]
+        half = contract(self.ginv[..., :, None, :, :], T[..., None, :, :, :], n, m1)  # [c, ab]
         self.gamma = np.ascontiguousarray(0.5 * half[..., mirror, :])
 
         m2 = order - 2
@@ -279,11 +279,16 @@ class CurvatureFrame:
         return fr
 
     def cov_deriv(self, T: np.ndarray, variance: str, m: int) -> np.ndarray:
-        """Covariant derivative of a rank-k jet tensor: out[a, ...] = nabla_a T."""
-        out = self.partials(T, m)
+        """Covariant derivative of a rank-k jet tensor: out[a, ...] = nabla_a T.
+
+        The derivative index goes just before T's own indices, so leading
+        axes of T batch: a frame's point axis, or a stack of tensors at a
+        frame of one point.
+        """
+        rank = len(variance)
+        out = partials(T, self.n, m, axis=T.ndim - rank - 1)
         G = self.at(self.gamma, m - 1)
         Tm = self.at(T, m - 1)
-        rank = len(variance)
         rest = (None,) * (rank - 1)                       # the other indices of T
         for k, var_k in enumerate(variance):
             # [a, i, r] = Gamma^i_ar (upper index) or Gamma^r_ai (lower index)

@@ -16,7 +16,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -546,13 +545,21 @@ def metric_jets(spec: MetricSpec, points, order: int) -> np.ndarray:
     return G
 
 
-@lru_cache(maxsize=None)
+# per number of variables, the inverse steps of the highest order built so
+# far; a degree's steps are the same at every order that holds it, so a lower
+# order takes their prefix
+_top_steps: dict[int, tuple] = {}
+
+
 def _inverse_steps(num_vars: int, order: int):
     """Per degree d >= 1: product pairs (i, j) with deg i >= 1 landing in degree d.
 
     Pairs are sorted by target slot; ``starts`` marks where each slot's run
     begins, and the slots of degree d form the contiguous range ``slots``.
     """
+    top = _top_steps.get(num_vars, ())
+    if len(top) >= order:
+        return top[:order]
     t = jets.tables(num_vars, order)
     degree = np.searchsorted(t.sizes_by_order, np.arange(t.size), side="right")
     keep = degree[t.mul_i] >= 1
@@ -564,7 +571,8 @@ def _inverse_steps(num_vars: int, order: int):
         sel = (k >= slots.start) & (k < slots.stop)
         starts = np.flatnonzero(np.diff(k[sel], prepend=-1))
         steps.append((i[sel], j[sel], starts, slots))
-    return tuple(steps)
+    _top_steps[num_vars] = steps = tuple(steps)
+    return steps
 
 
 def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
@@ -591,9 +599,12 @@ def _eigenvalues(values: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (values + values.T))
 
 
-def signature_of(values: np.ndarray) -> tuple[int, int]:
-    eigs = _eigenvalues(values)
+def _signs(eigs: np.ndarray) -> tuple[int, int]:
     return int(np.sum(eigs < 0)), int(np.sum(eigs > 0))
+
+
+def signature_of(values: np.ndarray) -> tuple[int, int]:
+    return _signs(_eigenvalues(values))
 
 
 def format_point(point) -> str:
@@ -621,14 +632,14 @@ def _check_values(spec: MetricSpec, point, G: np.ndarray) -> None:
     and of the declared signature."""
     if not np.all(np.isfinite(G)):
         raise DomainError(f"{spec.label!r}: metric not finite at {format_point(point)}")
-    values = G[..., 0]
-    size = np.abs(_eigenvalues(values))
+    eigs = _eigenvalues(G[..., 0])
+    size = np.abs(eigs)
     if size.min() <= DEGENERACY_RATIO * size.max():
         raise SingularMetricError(
             f"{spec.label!r} degenerate at {format_point(point)} (eigenvalues "
             f"{size.min():.2e} to {size.max():.2e} in absolute value)"
         )
-    sig = signature_of(values)
+    sig = _signs(eigs)
     if sig != spec.signature:
         raise SingularMetricError(
             f"{spec.label!r}: computed signature {sig} != declared {spec.signature}"
@@ -636,8 +647,12 @@ def _check_values(spec: MetricSpec, point, G: np.ndarray) -> None:
 
 
 def metric_frame_at(spec: MetricSpec, points, order: int):
-    """(g jets, inverse jets, signature) with admissibility checks.
+    """(g jets to ``order``, inverse jets to ``order - 1``, signature) with
+    admissibility checks.
 
+    No reader of a frame reads the inverse above ``order - 1`` (Christoffels
+    and the scale tractor's gradient read it there), and its coefficients to
+    that order are the prefix of the order-``order`` inverse, bit for bit.
     ``points`` is one point or a (P, n) stack; the jets then carry the point
     axis first.  Every point is checked (the signature is the one computed
     there), and a stack with a failing point raises what the first failing
@@ -652,7 +667,8 @@ def metric_frame_at(spec: MetricSpec, points, order: int):
             G = metric_jets(spec, pts, order)
         for p, g in zip(stack, G.reshape((-1,) + G.shape[-3:])):
             _check_values(spec, p, g)
-        return G, jet_matrix_inverse(G), spec.signature
+        G1 = jets.truncate_coeffs(G, spec.n, order, order - 1)
+        return G, jet_matrix_inverse(G1), spec.signature
     except (DomainError, SingularMetricError, expr.EvalError):
         if len(stack) > 1:
             for p in stack:

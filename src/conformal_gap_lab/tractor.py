@@ -92,33 +92,41 @@ def _tractor_deriv_jets(fr: CurvatureFrame, V: np.ndarray, m: int) -> np.ndarray
     return dV + contract(A[None], V1[:, None, None], n, m - 1)
 
 
-def _einstein_jets(fr: CurvatureFrame, sig) -> np.ndarray:
-    """Coefficient array (n + 2, C_{K-2}) of the scale tractor (sigma, mu^b, rho)."""
+def _einstein_jets(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
+    """Coefficient arrays (..., n + 2, C_{K-2}) of the scale tractors
+    (sigma, mu^b, rho) of scale jets sig (..., C_K) at a frame of one point;
+    leading axes batch.  A stack of one has the bits of the scale alone."""
     n = fr.n
     K = fr.order
-    dsig = partials(sig, n, K)                                         # (a, C_{K-1})
-    mu = contract(fr.at(fr.ginv, K - 1), dsig[None], n, K - 1)
-    hess = fr.cov_deriv(dsig, "d", K - 1)                              # (a, b, C_{K-2})
+    dsig = partials(sig, n, K, axis=sig.ndim - 1)                      # (..., a, C_{K-1})
+    mu = contract(fr.ginv, dsig[..., None, :, :], n, K - 1)
+    hess = fr.cov_deriv(dsig, "d", K - 1)                              # (..., a, b, C_{K-2})
     ginv2 = fr.at(fr.ginv, K - 2)
-    lap = contract(ginv2.reshape(n * n, -1), hess.reshape(n * n, -1), n, K - 2)
+    lap = contract(ginv2.reshape(n * n, -1), hess.reshape(hess.shape[:-3] + (n * n, -1)),
+                   n, K - 2)
     sig2 = jets.truncate_coeffs(sig, n, K, K - 2)
     rho = -(lap + conv(fr.j, sig2, n, K - 2)) / n
     mu2 = jets.truncate_coeffs(mu, n, K - 1, K - 2)
-    return np.concatenate([sig2[None], mu2, rho[None]])
+    return np.concatenate([sig2[..., None, :], mu2, rho[..., None, :]], axis=-2)
+
+
+def _parallel_values(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
+    """Values (S, n, n + 2) of D_a I for the scale tractors I of a stack of
+    scale jets sig (S, C_K) at a frame of one point; they need I only to
+    order 1, which an order-3 frame gives."""
+    return _tractor_deriv_jets(fr, _einstein_jets(fr, sig), fr.order - 2)[..., 0]
 
 
 def einstein_tractor(spec: MetricSpec, sigma: expr.Node, point) -> np.ndarray:
     """(sigma, grad^a sigma, -(Lap sigma + J sigma)/n) at the point, shape (n + 2,)."""
     fr = curvature.frame(spec, point, 3)
-    return _einstein_jets(fr, fr.scalar_jet(sigma))[:, 0]
+    return _einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
 
 
 def scale_tractor_parallel_residual(spec: MetricSpec, sigma: expr.Node, point) -> float:
-    """Norm of the values of D_a I for the scale tractor I (0 for solutions);
-    they need I only to order 1, which the order-3 frame gives."""
+    """Norm of the values of D_a I for the scale tractor I (0 for solutions)."""
     fr = curvature.frame(spec, point, 3)
-    I = _einstein_jets(fr, fr.scalar_jet(sigma))
-    return float(np.linalg.norm(_tractor_deriv_jets(fr, I[None], fr.order - 2)[..., 0]))
+    return float(np.linalg.norm(_parallel_values(fr, fr.scalar_jet(sigma)[None])[0]))
 
 
 def tractor_derivative(spec: MetricSpec, section, point, direction: int | None = None):

@@ -1,0 +1,122 @@
+"""Compare the curvature frames of this tree with those of another ``src/``.
+
+Builds ``CurvatureFrame`` at orders 2, 3 and 4 for every catalogue entry and
+every n = 7 and n = 8 family entry, at three sample points one at a time and
+as one batch of the three, once with this tree's ``src/`` and once with the
+``src/`` given on the command line (for example an export of the parent
+revision).  Every array a frame holds is dumped, and at single points of
+order 3 and above also the values of ``tractor.curvature_chain`` to order
+``K - 2``.  Prints each array whose shape, dtype or bytes differ and exits 1
+if any do, 0 otherwise.
+
+    python tests/compare_frames.py PATH/TO/OTHER/src [--prefix ginv]
+
+``--prefix NAME`` (repeatable) compares the frame array NAME on the
+coefficients both trees hold: the shorter array against the prefix of the
+longer one, for a change that holds that array to a lower jet order.
+
+Standard library plus numpy; pytest does not collect this file.  Each tree is
+dumped by this script in a fresh interpreter, one tree at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SCRIPT = Path(__file__).resolve()
+ROOT = SCRIPT.parents[1]
+ORDERS = (2, 3, 4)
+POINTS, SEED = 3, 3
+
+
+def dump(out: Path) -> None:
+    """Write every frame array and chain value of the imported tree to out."""
+    from conformal_gap_lab import curvature, geometry, tractor
+
+    names = (geometry.catalogue_names(examples=True)
+             + geometry.family_names(7) + geometry.family_names(8))
+    arrays = {}
+    for name in names:
+        spec = geometry.catalogue_metric(name)
+        points = geometry.sample_points(spec, POINTS, seed=SEED)
+        for order in ORDERS:
+            built = [(f"p{i}", p) for i, p in enumerate(points)] + [("batch", points)]
+            for where, pts in built:
+                key = f"{name}|o{order}|{where}"
+                fr = curvature.CurvatureFrame(spec, pts, order)
+                for attr, value in vars(fr).items():
+                    if isinstance(value, np.ndarray):
+                        arrays[f"{key}|{attr}"] = value
+                if where != "batch" and order >= 3:
+                    for level, X in enumerate(tractor.curvature_chain(fr, order - 2)):
+                        arrays[f"{key}|chain{level}"] = X
+    np.savez(out, **arrays)
+
+
+def dump_tree(src: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--dump", str(out)], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"dumping the frames of {src} failed:\n{proc.stderr}")
+
+
+def differs(name: str, mine: np.ndarray, theirs: np.ndarray, prefixed: set) -> str | None:
+    """Why the two arrays differ, or None if their bytes agree."""
+    if name.rsplit("|", 1)[1] in prefixed and mine.shape[:-1] == theirs.shape[:-1]:
+        size = min(mine.shape[-1], theirs.shape[-1])
+        mine, theirs = mine[..., :size], theirs[..., :size]
+    if mine.shape != theirs.shape or mine.dtype != theirs.dtype:
+        return f"shape/dtype {mine.shape} {mine.dtype} vs {theirs.shape} {theirs.dtype}"
+    if np.ascontiguousarray(mine).tobytes() != np.ascontiguousarray(theirs).tobytes():
+        scale = max(float(np.abs(theirs).max(initial=0.0)), 1e-300)
+        return f"bytes (max |difference| {float(np.abs(mine - theirs).max()) / scale:.1e} relative)"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other_src", type=Path, nargs="?",
+                        help="the src/ directory to compare against")
+    parser.add_argument("--prefix", action="append", default=[], metavar="NAME",
+                        help="compare frame array NAME on the coefficients both trees hold")
+    parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
+    ns = parser.parse_args(argv)
+    if ns.dump is not None:
+        dump(ns.dump)
+        return 0
+    if ns.other_src is None:
+        parser.error("the other src/ directory is required")
+    other = ns.other_src.resolve()
+    if not (other / "conformal_gap_lab").is_dir():
+        parser.error(f"{other} holds no conformal_gap_lab package")
+    with tempfile.TemporaryDirectory() as tmp:
+        here_file, other_file = Path(tmp, "here.npz"), Path(tmp, "other.npz")
+        dump_tree(ROOT / "src", here_file)
+        dump_tree(other, other_file)
+        with np.load(here_file) as here_npz, np.load(other_file) as other_npz:
+            mine, theirs = dict(here_npz), dict(other_npz)
+    prefixed = set(ns.prefix)
+    differ = 0
+    for name in sorted(mine.keys() | theirs.keys()):
+        if name not in mine or name not in theirs:
+            why = f"only in {'this tree' if name in mine else 'the other tree'}"
+        else:
+            why = differs(name, mine[name], theirs[name], prefixed)
+        if why:
+            differ += 1
+            print(f"{name}: {why}")
+    total = len(mine.keys() | theirs.keys())
+    print(f"{total - differ} of {total} arrays identical", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -609,6 +609,25 @@ def test_dims_call_builds_at_most_three_frames(name, monkeypatch):
     assert sorted(orders) == [2, 3, 4]
 
 
+@pytest.mark.parametrize("name", ["pp_wave", "pp_split", "product_split_n6",
+                                  "product_lorentz_n6", "warped_fs_n6"])
+def test_dims_call_makes_two_batched_einstein_tractor_calls(name, monkeypatch):
+    # one for the parallel residuals of all scales at the first check point,
+    # one for the Einstein tractors of all verified scales at the basepoint
+    spec = geometry.catalogue_metric(name)
+    stacks = []
+    einstein_jets = tractor._einstein_jets
+
+    def counted(fr, sig):
+        stacks.append(np.shape(sig)[:-1])
+        return einstein_jets(fr, sig)
+
+    monkeypatch.setattr(tractor, "_einstein_jets", counted)
+    rep = estimate_parallel_dims(spec, seed=0)
+    assert rep.exact_ae
+    assert stacks == [(len(spec.known_scales),), (len(rep.ae_witnesses),)]
+
+
 @pytest.mark.parametrize("name", ["pp_wave", "product_split_n6"])
 def test_kernel_of_weyl_reads_the_cached_higher_order_frame(name, monkeypatch):
     # after an order-3 batch (as in cgl analyze) no order-2 frame is built or

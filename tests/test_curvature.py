@@ -366,6 +366,21 @@ def test_truncated_frame_equals_frame_built_at_that_order(name):
                 assert not b.flags.writeable
 
 
+@pytest.mark.parametrize("name", geometry.catalogue_names(examples=True))
+def test_frame_holds_the_inverse_metric_to_one_order_below(name):
+    # no reader reads g^-1 above K - 1; the frame holds the prefix of the
+    # inverse of its full-order metric jets, bit for bit
+    spec = geometry.catalogue_metric(name)
+    points = sample_points(spec, 2, seed=47)
+    for order in (2, 3, 4):
+        for fr in [curvature.CurvatureFrame(spec, p, order) for p in points] + [
+                curvature.CurvatureFrame(spec, points, order)]:
+            full = geometry.jet_matrix_inverse(fr.g)
+            want = jets.truncate_coeffs(full, spec.n, order, order - 1)
+            assert jets.order_of(fr.ginv.shape[-1], spec.n) == order - 1
+            assert fr.ginv.shape == want.shape and fr.ginv.tobytes() == want.tobytes()
+
+
 def test_lower_order_frame_is_cut_from_a_cached_one(monkeypatch):
     spec = builtin_metric("pp_split")
     pt = tuple(sample_points(spec, 1, seed=31)[0])

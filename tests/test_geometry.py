@@ -140,8 +140,12 @@ def test_g_times_ginv_is_identity_jets(name):
     spec = catalogue_metric(name)
     order = 4 if spec.n > 4 else 3    # (6, 4) products run on the bincount kernel
     point = sample_points(spec, 1, seed=3)[0]
-    G, Ginv, _ = metric_frame_at(spec, point, order)
+    G, frame_inv, _ = metric_frame_at(spec, point, order)
     n = spec.n
+    # the frame's inverse is the order - 1 prefix of the full-order inverse
+    Ginv = geometry.jet_matrix_inverse(G)
+    prefix = jets.truncate_coeffs(Ginv, n, order, order - 1)
+    assert frame_inv.shape == prefix.shape and frame_inv.tobytes() == prefix.tobytes()
     for i in range(n):
         for j in range(n):
             acc = sum(jets.conv(G[i, r], Ginv[r, j], n, order) for r in range(n))
@@ -149,6 +153,47 @@ def test_g_times_ginv_is_identity_jets(name):
             if i == j:
                 expected[0] = 1.0
             assert np.allclose(acc, expected, atol=1e-12)
+
+
+def _inverse_steps_alone(num_vars, order):
+    """The steps of ``jet_matrix_inverse`` at this order, from its product
+    table alone: per degree d >= 1, the pairs (i, j) with deg i >= 1 of each
+    slot of degree d in table order, slot by slot, and where each slot's run
+    starts."""
+    t = jets.tables(num_vars, order)
+    degree = [sum(m) for m in t.multis]
+    by_slot = {}
+    for i, j, k in zip(t.mul_i.tolist(), t.mul_j.tolist(), t.mul_k.tolist()):
+        if degree[i] >= 1:
+            by_slot.setdefault(k, []).append((i, j))
+    steps = []
+    for d in range(1, order + 1):
+        slots = slice(t.sizes_by_order[d - 1], t.sizes_by_order[d])
+        pairs = [by_slot[k] for k in range(slots.start, slots.stop)]
+        flat = [pair for run in pairs for pair in run]
+        starts = np.cumsum([0] + [len(run) for run in pairs[:-1]])
+        steps.append((np.array([i for i, _ in flat], dtype=np.intp),
+                      np.array([j for _, j in flat], dtype=np.intp),
+                      starts.astype(np.intp), slots))
+    return steps
+
+
+@pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
+def test_inverse_steps_equal_the_per_order_construction_in_any_request_order(
+        num_vars, monkeypatch):
+    # steps are built at the highest order asked so far and a lower order
+    # takes their prefix; every array has the bytes of the order built alone
+    top = jets.MAX_ORDER
+    want = {order: _inverse_steps_alone(num_vars, order) for order in range(1, top + 1)}
+    for requests in (range(1, top + 1), range(top, 0, -1), (3, 1, top, 2, 5, 4)):
+        monkeypatch.setattr(geometry, "_top_steps", {})
+        for order in requests:
+            got = geometry._inverse_steps(num_vars, order)
+            assert len(got) == order
+            for step, ref in zip(got, want[order]):
+                for a, b in zip(step[:3], ref[:3]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert step[3] == ref[3]
 
 
 def test_warped_product_plain_product_when_b_zero():

@@ -64,6 +64,32 @@ def test_parallel_residual_needs_only_the_order_3_frame(name):
             assert abs(got - full) <= 1e-12 * max(1.0, full)
 
 
+@pytest.mark.parametrize("name", [n for n in geometry.catalogue_names(examples=True)
+                                  if geometry.catalogue_metric(n).known_scales])
+def test_einstein_jets_batch_over_a_stack_of_scales(name):
+    # a one-scale stack has the bits of one scale alone and of the per-scale
+    # functions; the whole stack agrees with it to rounding
+    spec = geometry.catalogue_metric(name)
+    sigmas = [sigma for _, sigma in spec.known_scales]
+    for pt in sample_points(spec, 2, seed=5):
+        fr = curvature.frame(spec, pt, 3)
+        S = np.stack([fr.scalar_jet(sigma) for sigma in sigmas])
+        stack = tractor._einstein_jets(fr, S)
+        values = tractor._parallel_values(fr, S)
+        assert stack.shape == (len(sigmas), spec.n + 2, jets.tables(spec.n, 1).size)
+        for i, sigma in enumerate(sigmas):
+            one = tractor._einstein_jets(fr, S[i:i + 1])
+            assert one[0].tobytes() == tractor._einstein_jets(fr, S[i]).tobytes()
+            assert one[0, :, 0].tobytes() == einstein_tractor(spec, sigma, pt).tobytes()
+            D = tractor._parallel_values(fr, S[i:i + 1])[0]
+            assert D.tobytes() == tractor._tractor_deriv_jets(fr, one, 1)[0, ..., 0].tobytes()
+            assert float(np.linalg.norm(D)) == tractor.scale_tractor_parallel_residual(
+                spec, sigma, pt)
+            scale = max(np.abs(stack).max(), np.abs(values).max())
+            assert np.abs(stack[i] - one[0]).max() <= 1e-12 * scale
+            assert np.abs(values[i] - D).max() <= 1e-12 * scale
+
+
 def test_einstein_tractor_constant_on_ricci_flat():
     spec = builtin_metric("pp_wave")
     pt = sample_points(spec, 1, seed=3)[0]
