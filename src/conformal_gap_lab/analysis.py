@@ -713,14 +713,13 @@ def _verify_general_family(n: int = 6, p: int = 2, seed: int = 0) -> dict:
     _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     out = {"label": spec.label, "params": {"n": n, "p": p, "seed": seed},
            "checks": checks}
-    if n <= 6:
-        # sharpness: the constraint machinery certifies the bound values
-        rep = estimate_parallel_dims(spec, seed=seed)
-        _check(checks, "d_ae_exact", rep.d_ae_upper - (n - 1), 0.5,
-               passed=(rep.exact_ae and rep.d_ae_upper == n - 1))
-        _check(checks, "d_nck_upper", rep.d_nck_upper - nck_dim_bound(spec.signature, n),
-               0.5, passed=(rep.d_nck_upper == nck_dim_bound(spec.signature, n)))
-        out["dims"] = rep.as_dict()
+    # sharpness: the constraint machinery certifies the bound values
+    rep = estimate_parallel_dims(spec, seed=seed)
+    _check(checks, "d_ae_exact", rep.d_ae_upper - (n - 1), 0.5,
+           passed=(rep.exact_ae and rep.d_ae_upper == n - 1))
+    _check(checks, "d_nck_upper", rep.d_nck_upper - nck_dim_bound(spec.signature, n),
+           0.5, passed=(rep.d_nck_upper == nck_dim_bound(spec.signature, n)))
+    out["dims"] = rep.as_dict()
     return out
 
 

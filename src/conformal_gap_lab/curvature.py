@@ -36,8 +36,9 @@ coefficient blocks of the one-point frame, and each point's slice has the
 bits of the frame built there alone (as long as the BLAS sums a dense
 product in index order, see ``jets._scatter``).  Indexing a batch
 (``frame[i]``, ``frame[:3]``) gives the frame at those points as views.
-:func:`frames` builds the uncached points of a sequence in one batch and
-caches each point's slice; :func:`frame` is its batch of one.  Data that a
+:func:`frames` builds every point of a sequence in one batch and caches each
+point's slice; :func:`frame` returns a cached frame, or one cut from a cached
+frame of higher order, or else builds a batch of one.  Data that a
 batch reads carries its own leading axes before the point axis (scale jets
 are (S, P, C)), and :meth:`CurvatureFrame.cov_deriv` takes such axes alike
 at a frame of one point (a stack of scale gradients is (S, n, C)).
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -409,95 +409,59 @@ def _trace_pair(W: np.ndarray, ginv: np.ndarray, axes) -> np.ndarray:
     return np.einsum(lhs, ginv, W)
 
 
-# the frames held by _cached_frame, by (spec, point, order); an entry lives as
-# long as its frame, so this is bounded by the cache
-_live_frames: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# the frames handed out, by (spec, point, order), oldest first; past
+# _CACHE_SIZE entries the oldest is dropped
+_CACHE_SIZE = 512
+_frames: dict = {}
 
 
-def _live(spec: MetricSpec, point: tuple, order: int) -> CurvatureFrame | None:
-    """The live frame at the point of the lowest order at or above this one."""
+def _keep(key: tuple, fr: CurvatureFrame) -> None:
+    _frames[key] = fr
+    if len(_frames) > _CACHE_SIZE:
+        del _frames[next(iter(_frames))]
+
+
+def _lowest(spec: MetricSpec, point: tuple, order: int) -> CurvatureFrame | None:
+    """The cached frame at the point of the lowest order at or above this one."""
     for have in range(order, jets.MAX_ORDER + 1):
-        fr = _live_frames.get((spec, point, have))
+        fr = _frames.get((spec, point, have))
         if fr is not None:
             return fr
     return None
 
 
-@lru_cache(maxsize=512)
-def _cached_frame(spec: MetricSpec, point: tuple, order: int) -> CurvatureFrame:
-    """The live frame at this order, or one cut from a live frame of higher
-    order; ``_build`` has made sure that one of them exists."""
-    fr = _live(spec, point, order)
-    if fr.order > order:
-        fr = fr.truncated(order)
-        _live_frames[spec, point, order] = fr
-    return fr
-
-
-def _build(spec: MetricSpec, points: list, order: int):
-    """Build the frames at the points without a live frame at this order or
-    above in one ``CurvatureFrame`` call, and register each point's slice.
-
-    Returns the batch (None if nothing was built) and the live frame at each
-    point.  The caller holds them until ``_cached_frame`` has cached every
-    point: caching one point may drop the only reference to another's frame.
-    """
-    held = {p: _live(spec, p, order) for p in points}
-    new = [p for p, fr in held.items() if fr is None]
-    if not new:
-        return None, held
-    batch = CurvatureFrame(spec, new, order)
-    for i, p in enumerate(new):
-        held[p] = _live_frames[spec, p, order] = batch[i]
-    return batch, held
-
-
 def frame(spec: MetricSpec, point, order: int = 4) -> CurvatureFrame:
-    """The frame at one point, cached: built as a batch of one, or cut from a
-    cached frame of higher order, or the slice of a batch built by ``frames``."""
+    """The frame at one point, cached: the cached one, else a cut of the
+    lowest cached frame of higher order, else built as a batch of one."""
     point = tuple(float(c) for c in point)
-    _, held = _build(spec, [point], order)    # held until cached
-    return _cached_frame(spec, point, order)
+    fr = _lowest(spec, point, order)
+    if fr is None:
+        frames(spec, [point], order)
+    elif fr.order > order:
+        _keep((spec, point, order), fr.truncated(order))
+    return _frames[spec, point, order]
 
 
 def frame_at_least(spec: MetricSpec, point, order: int = 2) -> CurvatureFrame:
     """A cached frame at the point of this jet order or above, for readers of
-    values, which every such frame holds alike: the lowest-order live one,
+    values, which every such frame holds alike: the lowest-order cached one,
     used as it is, or else ``frame(spec, point, order)``."""
     point = tuple(float(c) for c in point)
-    fr = _live(spec, point, order)
+    fr = _lowest(spec, point, order)
     return fr if fr is not None else frame(spec, point, order)
 
 
 def frames(spec: MetricSpec, points, order: int = 4) -> CurvatureFrame:
-    """The frames at a sequence of points as one batch, point axis first.
-
-    The points without a cached frame at this order or above are built in one
-    ``CurvatureFrame`` call, and each point's slice is cached, so ``frame``
-    at such a point returns its slice.  When every point is new the batch is
-    returned as built; otherwise the per-point frames are stacked.
-    """
+    """The frames at a sequence of points as one batch, point axis first,
+    built in one ``CurvatureFrame`` call; each point's slice is cached, so
+    ``frame`` at such a point returns its slice."""
     points = [tuple(float(c) for c in p) for p in points]
     if not points:
         raise ValueError("frames needs at least one point")
-    batch, held = _build(spec, points, order)
-    per_point = [_cached_frame(spec, p, order) for p in points]
-    if batch is not None and len(batch.point) == len(points):
-        return batch
-    return _stacked(per_point)
-
-
-def _stacked(per_point: list) -> CurvatureFrame:
-    """One batch from frames at single points, each array stacked on a new
-    point axis."""
-    fr = object.__new__(CurvatureFrame)
-    for name, value in vars(per_point[0]).items():
-        if isinstance(value, np.ndarray):
-            value = np.stack([getattr(f, name) for f in per_point])
-            value.flags.writeable = False
-        setattr(fr, name, value)
-    fr.point = tuple(f.point for f in per_point)
-    return fr
+    batch = CurvatureFrame(spec, points, order)
+    for i, p in enumerate(points):
+        _keep((spec, p, order), batch[i])
+    return batch
 
 
 def curvature_pack(spec: MetricSpec, point, order: int = 4) -> CurvaturePack:

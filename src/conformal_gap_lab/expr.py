@@ -532,7 +532,9 @@ def parse_metric_source(text: str) -> dict:
     Lines: ``dim = n``, ``signature = p,q``, optional ``param NAME = value``,
     component lines ``g i j : <expr>`` (1-based, symmetric closure, missing
     entries are 0), optional ``domain : <expr>`` meaning "expression > 0".
-    Blank lines and lines starting with ``#`` are ignored.
+    Blank lines and lines starting with ``#`` are ignored.  A line is known by
+    its first word alone, and a second ``dim``, ``signature``, ``param NAME``
+    or component (``g j i`` after ``g i j``) is rejected.
     """
     dim = None
     signature = None
@@ -544,27 +546,28 @@ def parse_metric_source(text: str) -> dict:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("dim"):
-            _, _, rhs = line.partition("=")
-            dim = int(rhs.strip())
-            continue
-        if line.startswith("signature"):
-            _, _, rhs = line.partition("=")
-            p, q = (int(x) for x in rhs.split(","))
+        word = re.match(r"\w*", line).group()
+        rest = line[len(word):]
+        if word == "dim":
+            if dim is not None:
+                raise ParseError(f"line {lineno}: repeated dim", 0)
+            dim = int(rest.partition("=")[2].strip())
+        elif word == "signature":
+            if signature is not None:
+                raise ParseError(f"line {lineno}: repeated signature", 0)
+            p, q = (int(x) for x in rest.partition("=")[2].split(","))
             signature = (p, q)
-            continue
-        if line.startswith("param"):
-            body = line[len("param"):].strip()
-            name, _, value = body.partition("=")
-            params[name.strip()] = float(value.strip())
-            continue
-        if line.startswith("domain"):
-            _, _, rhs = line.partition(":")
+        elif word == "param":
+            name, _, value = rest.partition("=")
+            name = name.strip()
+            if name in params:
+                raise ParseError(f"line {lineno}: repeated param {name}", 0)
+            params[name] = float(value.strip())
+        elif word == "domain":
             if dim is None:
                 raise ParseError(f"line {lineno}: domain before dim", 0)
-            domain.append(parse(rhs.strip(), dim, params))
-            continue
-        if line.startswith("g"):
+            domain.append(parse(rest.partition(":")[2].strip(), dim, params))
+        elif word == "g":
             head, _, rhs = line.partition(":")
             parts = head.split()
             if len(parts) != 3 or dim is None:
@@ -572,9 +575,11 @@ def parse_metric_source(text: str) -> dict:
             i, j = int(parts[1]) - 1, int(parts[2]) - 1
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ParseError(f"line {lineno}: index out of range", 0)
+            if (i, j) in components or (j, i) in components:
+                raise ParseError(f"line {lineno}: repeated component g {i + 1} {j + 1}", 0)
             components[(i, j)] = parse(rhs.strip(), dim, params)
-            continue
-        raise ParseError(f"line {lineno}: unrecognized line {line!r}", 0)
+        else:
+            raise ParseError(f"line {lineno}: unrecognized line {line!r}", 0)
 
     if dim is None or signature is None:
         raise ParseError("metric file needs dim and signature headers", 0)

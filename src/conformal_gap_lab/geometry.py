@@ -59,7 +59,7 @@ class MetricSpec:
             raise SingularMetricError(
                 f"signature {self.signature} does not sum to dimension {self.n}"
             )
-        # frame caches key on specs: hash the component ASTs once, not per lookup
+        # the frame cache keys on specs: hash the component ASTs once, not per lookup
         key = tuple(getattr(self, f.name) for f in fields(self))
         object.__setattr__(self, "_hash", hash(key))
 

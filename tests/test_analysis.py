@@ -593,7 +593,7 @@ def _count_frame_builds(monkeypatch) -> list:
         orders.append(order)
         init(self, spec, points, order)
 
-    curvature._cached_frame.cache_clear()
+    curvature._frames.clear()
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
     return orders
 

@@ -227,6 +227,16 @@ def test_nan_param_in_metric_file_exits_2(tmp_path, capsys):
     assert "not finite at (1.0, 0.0, 0.0)" in err
 
 
+@pytest.mark.parametrize("line", ["dimension = 3", "params a = 1", "g 1 1 : 4"])
+def test_malformed_metric_file_line_exits_2(tmp_path, capsys, line):
+    # a keyword matched by its prefix, or a second component, was once accepted
+    path = tmp_path / "bad.metric"
+    path.write_text("dim = 3\nsignature = 0,3\ng 1 1 : 1\ng 2 2 : 1\ng 3 3 : 1\n"
+                    + line + "\n")
+    err = usage_error(capsys, "analyze", str(path), "--point", "1,0,0")
+    assert "line 6: " in err
+
+
 def test_overflowing_metric_file_exits_2(tmp_path, capsys):
     path = tmp_path / "big.metric"
     path.write_text("dim = 3\nsignature = 0,3\ng 1 1 : exp(1000*x1)\ng 2 2 : 1\ng 3 3 : 1\n")
@@ -329,6 +339,17 @@ def test_verify_keeps_defaults_for_unset_options(capsys):
     assert json.loads(out)["params"] == {"n": 6, "p": 2, "seed": 0}
 
 
+@pytest.mark.parametrize("n, p", [("7", "2"), ("7", "3"), ("8", "2"), ("8", "3"), ("8", "4")])
+def test_verify_t_gen_is_sharp_above_dimension_6(capsys, n, p):
+    code, out, _ = run(capsys, "verify", "t_gen", "--n", n, "--p", p, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert {c["name"] for c in data["checks"]} >= {"d_ae_exact", "d_nck_upper"}
+    bounds = {"7": (6, 15), "8": (7, 21)}[n]
+    dims = [data["dims"][key] for key in ("d_ae", "d_nck")]
+    assert [(d["lower"], d["upper"], d["exact"]) for d in dims] == [(b, b, True) for b in bounds]
+
+
 def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
     # one order-3 batch over the 10 sample points serves the packs, the Weyl
     # kernels and the scale residuals
@@ -347,7 +368,7 @@ def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
         return ae_residual(*args)
 
     monkeypatch.setattr(analysis, "ae_residual", counted_residual)
-    curvature._cached_frame.cache_clear()
+    curvature._frames.clear()
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
     code, out, _ = run(capsys, "analyze", "pp_wave", "--samples", "10", "--json")
     assert code == 0 and len(json.loads(out)["points"]) == 10

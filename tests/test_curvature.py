@@ -553,7 +553,7 @@ def test_frames_batch_equals_the_per_point_frames(name):
                 assert not value.flags.writeable
 
 
-def test_frames_stacks_cached_frames_and_builds_the_rest_once(monkeypatch):
+def test_frames_builds_every_point_in_one_call(monkeypatch):
     spec = builtin_metric("pp_wave")
     points = sample_points(spec, 4, seed=42)
     builds = []
@@ -566,27 +566,47 @@ def test_frames_stacks_cached_frames_and_builds_the_rest_once(monkeypatch):
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
     top = curvature.frame(spec, points[1], 3)
     batch = curvature.frames(spec, points + points[:1], 2)
-    # points[1] is cut from its order-3 frame; the other three are one build
-    assert [len(args[1]) for args in builds] == [1, 3]
+    # cached points are built again with the rest: one build per call
+    assert [len(args[1]) for args in builds] == [1, 5]
     assert batch.batch == (5,)
     cut = top.truncated(2)
     assert batch.g[1].tobytes() == cut.g.tobytes()
     assert batch.gamma[4].tobytes() == batch.gamma[0].tobytes()
     assert curvature.frames(spec, points, 2).g.tobytes() == batch.g[:4].tobytes()
-    assert len(builds) == 2
+    assert [len(args[1]) for args in builds] == [1, 5, 4]
     with pytest.raises(ValueError, match="at least one point"):
         curvature.frames(spec, [], 2)
 
 
+def test_frame_cache_drops_its_oldest_entry_past_the_bound():
+    spec = builtin_metric("pp_wave")
+    points = [tuple(p) for p in sample_points(spec, curvature._CACHE_SIZE + 1, seed=45)]
+    curvature._frames.clear()
+    oldest = curvature.frame(spec, points[0], 2)
+    curvature.frames(spec, points[1:], 2)
+    assert len(curvature._frames) == curvature._CACHE_SIZE
+    assert (spec, points[0], 2) not in curvature._frames
+    recent = [curvature.frame(spec, p, 2) for p in points[-3:]]
+    rebuilt = curvature.frame(spec, points[0], 2)
+    assert rebuilt is not oldest and rebuilt.point == oldest.point
+    want, got = _frame_arrays(oldest), _frame_arrays(rebuilt)
+    assert set(got) == set(want)
+    for name, value in want.items():
+        assert got[name].tobytes() == value.tobytes(), name
+    assert all(curvature.frame(spec, p, 2) is fr for p, fr in zip(points[-3:], recent))
+
+
 def test_frames_survive_the_cache_dropping_their_source():
-    # caching the points of a large batch evicts older cache entries; a
-    # higher-order frame that only the cache held must still serve its point
+    # a batch larger than the cache bound: keeping its slices drops the
+    # older entries and its own first slices, and the batch comes back whole
     spec = pseudo_euclidean(0, 3)
     early = sample_points(spec, 3, seed=43)
     curvature.frames(spec, early, 3)
     many = sample_points(spec, 600, seed=44)
     batch = curvature.frames(spec, many + early, 2)
     assert batch.batch == (603,)
+    assert len(curvature._frames) == curvature._CACHE_SIZE
+    assert curvature.frame(spec, early[0], 2).g.tobytes() == batch.g[600].tobytes()
 
 
 def _bad_point_metric():

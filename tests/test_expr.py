@@ -142,6 +142,32 @@ def test_metric_file_requires_headers():
         expr.parse_metric_source("g 1 1 : 1")
 
 
+METRIC_HEAD = "dim = 3\nsignature = 0,3\nparam a = 1\ng 1 1 : 1\ng 1 2 : 0\n"
+
+# each a well-formed file with one line changed or added, and the line's number
+MALFORMED_METRIC_LINES = {
+    "keyword_prefix_dim": ("dimension = 3\n" + METRIC_HEAD[8:], 1),
+    "keyword_prefix_param": (METRIC_HEAD + "params b = 1\n", 6),
+    "repeated_dim": (METRIC_HEAD + "dim = 3\n", 6),
+    "repeated_signature": (METRIC_HEAD + "signature = 1,2\n", 6),
+    "repeated_param": (METRIC_HEAD + "param a = 2\n", 6),
+    "repeated_component": (METRIC_HEAD + "g 1 1 : 4\n", 6),
+    "repeated_transposed_component": (METRIC_HEAD + "g 2 1 : 4\n", 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_METRIC_LINES))
+def test_metric_file_rejects_malformed_line(case):
+    text, lineno = MALFORMED_METRIC_LINES[case]
+    with pytest.raises(ParseError, match=rf"^line {lineno}: "):
+        expr.parse_metric_source(text)
+
+
+def test_metric_file_keywords_need_no_spaces():
+    data = expr.parse_metric_source("dim=3\nsignature=0,3\nparam a=2\ng 1 1 : a\n")
+    assert data["dim"] == 3 and data["signature"] == (0, 3) and data["params"] == {"a": 2.0}
+
+
 def _unfolded(node, env, params=None):
     """The evaluation of every node as a full jet, each product through
     ``jets.conv``: the reference for the constant folding of ``evaluate``."""
