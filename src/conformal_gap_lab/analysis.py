@@ -181,10 +181,10 @@ class KillingReport:
     null_res: float | None = None
 
 
-def field_jets(spec: MetricSpec, k_asts, point) -> np.ndarray:
+def field_jets(k_asts, point) -> np.ndarray:
     """Order-1 jets (n, C_1) of the vector field with component formulas k_asts."""
     env = jets.seed_jets(tuple(point), 1)
-    return np.stack([expr.evaluate(a, env, spec.params_dict) for a in k_asts])
+    return np.stack([expr.evaluate(a, env) for a in k_asts])
 
 
 def _killing_terms(fr: curvature.CurvatureFrame, k: np.ndarray):

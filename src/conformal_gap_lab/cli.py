@@ -263,7 +263,7 @@ def _cmd_rescale(ns) -> tuple[dict, bool]:
     spec = _resolve_metric(ns.metric, _parse_params(ns.param))
     pt = (_parse_point(ns.point, spec.n) if ns.point
           else geometry.default_point(spec))
-    omega = expr.parse(ns.omega, spec.n, params=set(spec.params_dict),
+    omega = expr.parse(ns.omega, spec.n, params=dict(spec.params),
                        var_names=spec.names)
     hatted = curvature.rescale_metric(spec, omega)
     pack = curvature.curvature_pack(spec, pt, order=3)
@@ -281,7 +281,7 @@ def _cmd_rescale(ns) -> tuple[dict, bool]:
         1e-8 * max(1.0, frobenius(p_expected)))
     j_expected = curvature.j_transform_reference(pack, omega)
     add("j_transform", hat_pack.j - j_expected, 1e-8 * max(1.0, abs(j_expected)))
-    w = expr.evaluate_at(omega, pt, spec.params_dict)
+    w = expr.evaluate_at(omega, pt)
     add("weyl_covariance",
         frobenius(hat_pack.weyl - w ** 2 * pack.weyl),
         1e-8 * max(1.0, frobenius(pack.weyl)))

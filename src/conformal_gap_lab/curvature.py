@@ -307,7 +307,7 @@ class CurvatureFrame:
         point, or as a (P, C) stack at the points of a batch."""
         m = self.order if m is None else m
         env = jets.seed_jets(self.point, m)
-        return expr.evaluate(node, env, self.spec.params_dict)
+        return expr.evaluate(node, env)
 
 
 @lru_cache(maxsize=None)
@@ -475,7 +475,7 @@ def curvature_pack(spec: MetricSpec, point, order: int = 4) -> CurvaturePack:
 def rescale_metric(spec: MetricSpec, omega: expr.Node) -> MetricSpec:
     """Same chart with components omega^2 g_ab; omega must be positive."""
     for pt in geometry.sample_points(spec, 12, seed=20):
-        if expr.evaluate_at(omega, pt, spec.params_dict) <= 0.0:
+        if expr.evaluate_at(omega, pt) <= 0.0:
             raise ValueError(f"rescale factor is not positive at {geometry.format_point(pt)}")
     w2 = expr.Pow(omega, 2)
     comps = tuple(
@@ -490,7 +490,7 @@ def upsilon_jets(spec: MetricSpec, omega: expr.Node, point, order: int = 2):
     Upsilon_a = d_a log omega; dUpsilon[a, b] = d_a d_b log omega (plain partials).
     """
     env = jets.seed_jets(point, order)
-    w = expr.evaluate(omega, env, spec.params_dict)
+    w = expr.evaluate(omega, env)
     val = w[0]
     ups = jets.gradient(w, spec.n) / val
     dups = None

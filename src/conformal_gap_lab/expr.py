@@ -8,21 +8,24 @@ Grammar (EBNF):
     atom   := number | ident | func "(" expr ")" | "(" expr ")" | "-" atom
 
 Functions: sin cos tan sinh cosh exp sqrt.  Identifiers resolve to the
-declared coordinate names (x1..xn by default) or declared parameter names;
-anything else is rejected with the offset of the offending token.  Exponents
+declared coordinate names (x1..xn by default) or to declared parameters, which
+read as their values: a parameter is a constant from the moment it is parsed.
+Anything else is rejected with the offset of the offending token.  Exponents
 are integer literals, optionally signed.
 
 ASTs are immutable; evaluation maps an AST onto coordinate jets (coefficient
 arrays), so every partial derivative of a parsed formula is available through
-the jets module, and derivatives are never taken symbolically.
-The module also provides the symbolic building blocks (simplifying
-constructors, variable shifts, parameter substitution) used to assemble
-warped and rescaled metrics, plus the reader for the "conformal-metric v1"
-text format.
+the jets module, and derivatives are never taken symbolically.  Evaluation
+fails (``EvalError``) only on a singular primitive, such as a division by a
+vanishing jet.  The module also provides the symbolic building blocks
+(simplifying constructors, variable shifts, one bottom-up rebuild) used
+to assemble warped and rescaled metrics, plus the reader for the
+"conformal-metric v1" text format.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -40,7 +43,7 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Evaluation failed: missing parameter or singular primitive."""
+    """Evaluation failed on a singular primitive."""
 
 
 # --- AST nodes ---------------------------------------------------------------
@@ -73,11 +76,6 @@ class Var:
 
 
 @_node
-class Param:
-    name: str
-
-
-@_node
 class Call:
     fn: str
     arg: "Node"
@@ -101,7 +99,7 @@ class Pow:
     exponent: int
 
 
-Node = Const | Var | Param | Call | Neg | Bin | Pow
+Node = Const | Var | Call | Neg | Bin | Pow
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -109,9 +107,10 @@ ONE = Const(1.0)
 
 # --- tokenizer / parser -------------------------------------------------------
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<op>[-+*/^()]))"
 )
 
@@ -137,11 +136,11 @@ def _tokenize(source: str):
 
 
 class _Parser:
-    def __init__(self, tokens, source_len: int, var_index: dict, params):
+    def __init__(self, tokens, source_len: int, var_index: dict, params: dict):
         self.tokens = tokens
         self.source_len = source_len
         self.var_index = var_index
-        self.params = set(params)
+        self.params = params
         self.k = 0
 
     def peek(self):
@@ -209,7 +208,7 @@ class _Parser:
             if text in self.var_index:
                 return Var(self.var_index[text])
             if text in self.params:
-                return Param(text)
+                return Const(float(self.params[text]))
             raise ParseError(f"unknown identifier {text!r}", pos)
         if text == "(":
             inner = self.parse_expr()
@@ -220,8 +219,9 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}", pos)
 
 
-def parse(source: str, n: int, params=(), var_names=None) -> Node:
-    """Parse a formula over n coordinates (named x1..xn unless overridden)."""
+def parse(source: str, n: int, params=None, var_names=None) -> Node:
+    """Parse a formula over n coordinates (named x1..xn unless overridden);
+    ``params`` maps parameter names to the values they read as."""
     if not source or not source.strip():
         raise ParseError("empty input", 0)
     if var_names is None:
@@ -229,7 +229,8 @@ def parse(source: str, n: int, params=(), var_names=None) -> Node:
     if len(var_names) != n:
         raise ValueError(f"expected {n} variable names, got {len(var_names)}")
     tokens = _tokenize(source)
-    parser = _Parser(tokens, len(source), {v: i for i, v in enumerate(var_names)}, params)
+    parser = _Parser(tokens, len(source), {v: i for i, v in enumerate(var_names)},
+                     params or {})
     node = parser.parse_expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing input {parser.peek()[1]!r}", parser.peek()[2])
@@ -238,8 +239,7 @@ def parse(source: str, n: int, params=(), var_names=None) -> Node:
 
 # --- evaluation ---------------------------------------------------------------
 
-def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None,
-             memo: dict | None = None) -> np.ndarray:
+def evaluate(node: Node, coord_jets: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Evaluate on coordinate jets (row i: the jet of x_i, as from ``jets.seed_jets``).
 
     The result is one coefficient array carrying all partials to the jets' order;
@@ -249,10 +249,9 @@ def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None,
     instead of entering a product; the coefficients are those of the full
     products up to the sign of zero.  Each call, power and operator subtree is
     expanded once: ``memo`` holds the results by subtree, and a dict passed by
-    the caller is shared by calls on the same seeds and parameters (the
-    caller must not write into the results).
+    the caller is shared by calls on the same seeds (the caller must not
+    write into the results).
     """
-    params = params or {}
     memo = {} if memo is None else memo
     n = len(coord_jets)
     order = jets.order_of(coord_jets.shape[-1], n)
@@ -266,10 +265,6 @@ def evaluate(node: Node, coord_jets: np.ndarray, params: dict | None = None,
             return coord_jets[nd.index]
         if isinstance(nd, Const):
             return np.array([nd.value])
-        if isinstance(nd, Param):
-            if nd.name not in params:
-                raise EvalError(f"missing parameter {nd.name!r}")
-            return np.array([float(params[nd.name])])
         if isinstance(nd, Neg):
             return -run(nd.arg)
         out = memo.get(nd)
@@ -323,9 +318,9 @@ def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_at(node: Node, point, params: dict | None = None) -> float:
+def evaluate_at(node: Node, point) -> float:
     """Plain value at a point (order-1 jets, value slot only)."""
-    return float(evaluate(node, jets.seed_jets(point, 1), params)[..., 0])
+    return float(evaluate(node, jets.seed_jets(point, 1))[..., 0])
 
 
 # --- printing -----------------------------------------------------------------
@@ -357,8 +352,6 @@ def to_source(node: Node, var_names=None) -> str:
             return repr(nd.value) if nd.value >= 0 else f"-{-nd.value!r}"
         if isinstance(nd, Var):
             return name(nd.index)
-        if isinstance(nd, Param):
-            return nd.name
         if isinstance(nd, Neg):
             return "-" + wrap(nd.arg, 4)
         if isinstance(nd, Call):
@@ -386,31 +379,42 @@ def is_one(node: Node) -> bool:
     return isinstance(node, Const) and node.value == 1.0
 
 
+def _rewrite(node: Node, fn) -> Node:
+    """Rebuild bottom-up: ``fn`` gets every node once its subtrees are
+    rewritten, and its result takes the node's place."""
+    if isinstance(node, Neg):
+        node = Neg(_rewrite(node.arg, fn))
+    elif isinstance(node, Call):
+        node = Call(node.fn, _rewrite(node.arg, fn))
+    elif isinstance(node, Pow):
+        node = Pow(_rewrite(node.base, fn), node.exponent)
+    elif isinstance(node, Bin):
+        node = Bin(node.op, _rewrite(node.left, fn), _rewrite(node.right, fn))
+    return fn(node)
+
+
 def simplify(node: Node) -> Node:
     """Constant folding plus the obvious 0/1 identities."""
-    if isinstance(node, (Const, Var, Param)):
-        return node
+    return _rewrite(node, _fold)
+
+
+def _fold(node: Node) -> Node:
+    """The rules of ``simplify`` at one node whose subtrees are simplified."""
     if isinstance(node, Neg):
-        a = simplify(node.arg)
+        a = node.arg
         if isinstance(a, Const):
             return Const(-a.value)
         if isinstance(a, Neg):
             return a.arg
-        return Neg(a)
-    if isinstance(node, Call):
-        return Call(node.fn, simplify(node.arg))
-    if isinstance(node, Pow):
-        base = simplify(node.base)
+    elif isinstance(node, Pow):
         if node.exponent == 0:
             return ONE
         if node.exponent == 1:
-            return base
-        if isinstance(base, Const):
-            return Const(base.value ** node.exponent)
-        return Pow(base, node.exponent)
-    if isinstance(node, Bin):
-        a = simplify(node.left)
-        b = simplify(node.right)
+            return node.base
+        if isinstance(node.base, Const):
+            return Const(node.base.value ** node.exponent)
+    elif isinstance(node, Bin):
+        a, b = node.left, node.right
         if isinstance(a, Const) and isinstance(b, Const):
             if node.op == "+":
                 return Const(a.value + b.value)
@@ -429,7 +433,7 @@ def simplify(node: Node) -> Node:
             if is_zero(b):
                 return a
             if is_zero(a):
-                return simplify(Neg(b))
+                return _fold(Neg(b))
         elif node.op == "*":
             if is_zero(a) or is_zero(b):
                 return ZERO
@@ -442,8 +446,7 @@ def simplify(node: Node) -> Node:
                 return ZERO
             if is_one(b):
                 return a
-        return Bin(node.op, a, b)
-    raise TypeError(f"unknown node {node!r}")
+    return node
 
 
 def add(a: Node, b: Node) -> Node:
@@ -472,59 +475,30 @@ def var(i: int) -> Node:
 
 def shift_vars(node: Node, offset: int) -> Node:
     """Re-index every variable by +offset (embedding a factor in a product chart)."""
-    if isinstance(node, Var):
-        return Var(node.index + offset)
-    if isinstance(node, (Const, Param)):
-        return node
-    if isinstance(node, Neg):
-        return Neg(shift_vars(node.arg, offset))
-    if isinstance(node, Call):
-        return Call(node.fn, shift_vars(node.arg, offset))
-    if isinstance(node, Pow):
-        return Pow(shift_vars(node.base, offset), node.exponent)
-    if isinstance(node, Bin):
-        return Bin(node.op, shift_vars(node.left, offset), shift_vars(node.right, offset))
-    raise TypeError(f"unknown node {node!r}")
+    return _rewrite(node, lambda nd: Var(nd.index + offset) if isinstance(nd, Var) else nd)
 
 
 def used_vars(node: Node) -> set[int]:
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, (Const, Param)):
-        return set()
-    if isinstance(node, Neg):
-        return used_vars(node.arg)
-    if isinstance(node, Call):
-        return used_vars(node.arg)
-    if isinstance(node, Pow):
-        return used_vars(node.base)
-    if isinstance(node, Bin):
-        return used_vars(node.left) | used_vars(node.right)
-    raise TypeError(f"unknown node {node!r}")
+    found = set()
 
+    def visit(nd: Node) -> Node:
+        if isinstance(nd, Var):
+            found.add(nd.index)
+        return nd
 
-def substitute_params(node: Node, values: dict) -> Node:
-    """Replace parameter leaves by constants."""
-    if isinstance(node, Param):
-        if node.name not in values:
-            raise EvalError(f"missing parameter {node.name!r}")
-        return Const(float(values[node.name]))
-    if isinstance(node, (Const, Var)):
-        return node
-    if isinstance(node, Neg):
-        return Neg(substitute_params(node.arg, values))
-    if isinstance(node, Call):
-        return Call(node.fn, substitute_params(node.arg, values))
-    if isinstance(node, Pow):
-        return Pow(substitute_params(node.base, values), node.exponent)
-    if isinstance(node, Bin):
-        return Bin(node.op,
-                   substitute_params(node.left, values),
-                   substitute_params(node.right, values))
-    raise TypeError(f"unknown node {node!r}")
+    _rewrite(node, visit)
+    return found
 
 
 # --- "conformal-metric v1" text format -----------------------------------------
+
+def _natural(text: str, lineno: int, what: str) -> int:
+    """The digits of a header value or index, or a ParseError naming the line."""
+    text = text.strip()
+    if not re.fullmatch(r"[0-9]+", text):
+        raise ParseError(f"line {lineno}: {what} must be an integer, got {text!r}", 0)
+    return int(text)
+
 
 def parse_metric_source(text: str) -> dict:
     """Read the conformal-metric v1 format into plain pieces.
@@ -534,7 +508,11 @@ def parse_metric_source(text: str) -> dict:
     entries are 0), optional ``domain : <expr>`` meaning "expression > 0".
     Blank lines and lines starting with ``#`` are ignored.  A line is known by
     its first word alone, and a second ``dim``, ``signature``, ``param NAME``
-    or component (``g j i`` after ``g i j``) is rejected.
+    or component (``g j i`` after ``g i j``) is rejected, as is a header or
+    index that is not an integer, a param value that is not a finite number
+    and a param name that is not an identifier or names a function or a
+    coordinate ``x1``, ``x2``, ...  A param reads as its value in the
+    component and domain lines after it.
     """
     dim = None
     signature = None
@@ -551,18 +529,30 @@ def parse_metric_source(text: str) -> dict:
         if word == "dim":
             if dim is not None:
                 raise ParseError(f"line {lineno}: repeated dim", 0)
-            dim = int(rest.partition("=")[2].strip())
+            dim = _natural(rest.partition("=")[2], lineno, "dim")
         elif word == "signature":
             if signature is not None:
                 raise ParseError(f"line {lineno}: repeated signature", 0)
-            p, q = (int(x) for x in rest.partition("=")[2].split(","))
-            signature = (p, q)
+            counts = rest.partition("=")[2].split(",")
+            if len(counts) != 2:
+                raise ParseError(f"line {lineno}: signature must be two integers p,q", 0)
+            signature = tuple(_natural(c, lineno, "signature") for c in counts)
         elif word == "param":
-            name, _, value = rest.partition("=")
-            name = name.strip()
+            name, _, given = (part.strip() for part in rest.partition("="))
+            if (not re.fullmatch(_IDENT, name) or name in FUNCTIONS
+                    or re.fullmatch(r"x[1-9][0-9]*", name)):
+                raise ParseError(f"line {lineno}: param name {name!r} must be an identifier "
+                                 "other than a function or coordinate name", 0)
             if name in params:
                 raise ParseError(f"line {lineno}: repeated param {name}", 0)
-            params[name] = float(value.strip())
+            try:
+                value = float(given)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(f"line {lineno}: param {name} needs a finite value, "
+                                 f"got {given!r}", 0)
+            params[name] = value
         elif word == "domain":
             if dim is None:
                 raise ParseError(f"line {lineno}: domain before dim", 0)
@@ -572,7 +562,7 @@ def parse_metric_source(text: str) -> dict:
             parts = head.split()
             if len(parts) != 3 or dim is None:
                 raise ParseError(f"line {lineno}: malformed component line", 0)
-            i, j = int(parts[1]) - 1, int(parts[2]) - 1
+            i, j = (_natural(k, lineno, "component index") - 1 for k in parts[1:])
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ParseError(f"line {lineno}: index out of range", 0)
             if (i, j) in components or (j, i) in components:

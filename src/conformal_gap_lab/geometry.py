@@ -67,20 +67,16 @@ class MetricSpec:
         return self._hash
 
     @property
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
-    @property
     def names(self) -> tuple[str, ...]:
         return self.coord_names or tuple(f"x{i + 1}" for i in range(self.n))
 
-    def with_components(self, components, label=None, extra_domain=()) -> "MetricSpec":
+    def with_components(self, components, label=None) -> "MetricSpec":
         return MetricSpec(
             n=self.n,
             signature=self.signature,
             components=components,
             params=self.params,
-            domain=self.domain + tuple(extra_domain),
+            domain=self.domain,
             label=label or self.label,
             coord_names=self.coord_names,
             sample_box=self.sample_box,
@@ -118,7 +114,7 @@ def _zeros(n: int) -> list[list[Node]]:
     return [[expr.ZERO for _ in range(n)] for _ in range(n)]
 
 
-def _parse_components(n, entries, var_names=None, params=()):
+def _parse_components(n, entries, var_names=None, params=None):
     """entries: {(i, j): source}; symmetric closure, unlisted components 0."""
     m = _zeros(n)
     for (i, j), src in entries.items():
@@ -200,18 +196,16 @@ def _fubini_study_hyperbolic() -> MetricSpec:
 def _taub_nut(m: float) -> MetricSpec:
     if not isinstance(m, (int, float)) or not 0 < m < math.inf:
         raise CatalogueError(f"taub_nut needs a finite number m > 0, got {m!r}")
-    params = (("m", float(m)),)
     comps = _parse_components(4, {
         (0, 0): "1 + m/x1",
         (1, 1): "(1 + m/x1)*x1^2",
         (2, 2): "(1 + m/x1)*x1^2*sin(x2)^2 + m^2*cos(x2)^2/(1 + m/x1)",
         (2, 3): "m*cos(x2)/(1 + m/x1)",
         (3, 3): "1/(1 + m/x1)",
-    }, params={"m"})
-    comps = tuple(tuple(expr.substitute_params(e, {"m": m}) for e in row) for row in comps)
+    }, params={"m": m})
     margin = [expr.parse(s, 4) for s in ("x1 - 0.2", "sin(x2) - 0.05")]
     return MetricSpec(
-        n=4, signature=(0, 4), components=comps, params=params,
+        n=4, signature=(0, 4), components=comps, params=(("m", float(m)),),
         domain=tuple(margin), label="taub_nut",
         sample_box=((0.5, 3.0), (0.3, math.pi - 0.3), (0.0, 1.0), (0.0, 1.0)),
         known_scales=(("const", expr.ONE),),
@@ -327,9 +321,8 @@ def warp_function(ws: WarpedSpec) -> Node:
     return expr.simplify(f)
 
 
-def warped_product(ws: WarpedSpec, negative_region: bool = False,
-                   label: str | None = None,
-                   known_scales=(), notes=()) -> MetricSpec:
+def warped_product(ws: WarpedSpec, label: str | None = None,
+                   known_scales=()) -> MetricSpec:
     """Block metric base (+) f^2 * fiber, base coordinates first."""
     nb, nf = ws.base.n, ws.fiber.n
     n = nb + nf
@@ -346,10 +339,9 @@ def warped_product(ws: WarpedSpec, negative_region: bool = False,
             m[nb + i][nb + j] = expr.mul(f2, comp)
 
     domain = [expr.shift_vars(d, nb) for d in ws.fiber.domain]
-    f_signed = expr.simplify(expr.Neg(f)) if negative_region else f
     if not isinstance(f, expr.Const):
-        domain.append(expr.sub(f_signed, expr.const(0.05)))
-    elif (f.value < 0) != negative_region:
+        domain.append(expr.sub(f, expr.const(0.05)))
+    elif f.value < 0:
         raise CatalogueError("constant warp lies in the excluded sign region")
 
     # f enters squared, so the block signature is the same on either side of f = 0
@@ -372,7 +364,6 @@ def warped_product(ws: WarpedSpec, negative_region: bool = False,
         label=label or f"warped[{ws.base.label}x{ws.fiber.label};a={ws.a},b={ws.b}]",
         sample_box=base_box + fiber_box,
         known_scales=tuple(known_scales),
-        notes=tuple(notes),
     )
 
 
@@ -495,7 +486,6 @@ def load_metric(text: str, label: str = "file") -> MetricSpec:
     n = data["dim"]
     m = _zeros(n)
     for (i, j), node in data["components"].items():
-        node = expr.substitute_params(node, data["params"]) if data["params"] else node
         m[i][j] = node
         m[j][i] = node
     return MetricSpec(
@@ -516,7 +506,7 @@ def domain_value(spec: MetricSpec, point) -> float:
     """Smallest domain-expression value (predicate: all must exceed the margin)."""
     if not spec.domain:
         return math.inf
-    vals = [expr.evaluate_at(d, point, spec.params_dict) for d in spec.domain]
+    vals = [expr.evaluate_at(d, point) for d in spec.domain]
     return min(vals)
 
 
@@ -534,14 +524,13 @@ def metric_jets(spec: MetricSpec, points, order: int) -> np.ndarray:
     if pts.shape[-1] != spec.n:
         raise DomainError(f"point has {pts.shape[-1]} coordinates, metric needs {spec.n}")
     env = jets.seed_jets(pts, order)
-    params = spec.params_dict
     memo = {}                                  # subtrees shared by components expand once
     G = np.zeros(pts.shape[:-1] + (spec.n, spec.n, env.shape[-1]))
     for i in range(spec.n):
         for j in range(i, spec.n):
             if not expr.is_zero(spec.components[i][j]):
                 G[..., i, j, :] = G[..., j, i, :] = expr.evaluate(spec.components[i][j], env,
-                                                                  params, memo)
+                                                                  memo)
     return G
 
 

@@ -220,14 +220,6 @@ def partials(a: np.ndarray, num_vars: int, order: int, axis: int = 0) -> np.ndar
     return np.moveaxis(_sized(a, t)[..., t.diff_src] * t.diff_fac, -2, axis)
 
 
-def dcoeffs(a: np.ndarray, var: int, num_vars: int, order: int) -> np.ndarray:
-    """Coefficients of d/dx_var applied to jets of the given order (result order-1)."""
-    if order < 1:
-        raise JetError("cannot differentiate an order-0 jet")
-    t = tables(num_vars, order)
-    return _sized(a, t)[..., t.diff_src[var]] * t.diff_fac[var]
-
-
 def truncate_coeffs(a: np.ndarray, num_vars: int, order: int, new_order: int) -> np.ndarray:
     """Drop coefficients above new_order (graded layout makes this a prefix slice)."""
     if new_order > order:

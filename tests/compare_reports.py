@@ -1,8 +1,11 @@
 """Compare the command-line output of this tree with that of another ``src/``.
 
-Runs every ``cgl`` line of the README's command-line block as written, and
-``cgl dims NAME --seed S --json`` on every catalogue entry and on the n = 7
-and n = 8 family entries at seeds 0 and 3, once against this tree's ``src/``
+Runs every ``cgl`` line of the README's command-line block as written,
+``analyze``, ``dims`` and ``rescale`` on the README's example metric file
+(which declares a parameter), a ``rescale taub_nut --param`` line whose
+``--omega`` reads the parameter, and ``cgl dims NAME --seed S --json`` on
+every catalogue entry and on the n = 7 and n = 8 family entries at seeds 0
+and 3, once against this tree's ``src/``
 and once against the ``src/`` given on the command line (for example an
 export of the parent revision).  Prints each command whose stdout, stderr or
 exit code differ and exits 1 if any do, 0 otherwise.
@@ -11,7 +14,8 @@ exit code differ and exits 1 if any do, 0 otherwise.
 
 Standard library only; pytest does not collect this file.  Every command runs
 in a fresh interpreter, in an empty directory, without ``CGL_SEED``, two at
-a time.  The metric names come from this tree's ``geometry``.
+a time.  The metric names come from this tree's ``geometry``, and the
+example file is written into that directory as ``example.metric``.
 """
 
 from __future__ import annotations
@@ -33,9 +37,24 @@ NAMES = ("import json; from conformal_gap_lab import geometry as g; print(json.d
          "g.catalogue_names(examples=True) + g.family_names(7) + g.family_names(8)))")
 
 
+EXAMPLE = "example.metric"
+PARAM_COMMANDS = [
+    ["analyze", EXAMPLE, "--point", "1.0,0.3,0.0", "--json"],
+    ["dims", EXAMPLE, "--json"],
+    ["rescale", EXAMPLE, "--omega", "1 + a*x1/8", "--point", "1.0,0.3,0.0", "--json"],
+    ["rescale", "taub_nut", "--param", "m=2.0", "--omega", "1 + x1/(8*m)",
+     "--point", "1.0,1.2,0.5,0.5", "--json"],
+]
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced block after a README heading."""
+    section = (ROOT / "README.md").read_text().split(heading, 1)[1]
+    return section.split("```", 2)[1]
+
+
 def readme_commands() -> list[list[str]]:
-    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
-    block = section.split("```", 2)[1]
+    block = readme_block("## Command line")
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cgl ")]
 
 
@@ -57,7 +76,7 @@ def commands(src: Path, cwd: str) -> list[list[str]]:
         raise SystemExit(f"listing the metric names failed:\n{err}")
     names = json.loads(out)
     dims = [["dims", name, "--seed", str(seed), "--json"] for name in names for seed in SEEDS]
-    return readme_commands() + dims
+    return readme_commands() + PARAM_COMMANDS + dims
 
 
 def main(argv=None) -> int:
@@ -68,6 +87,7 @@ def main(argv=None) -> int:
     if not (other / "conformal_gap_lab").is_dir():
         parser.error(f"{other} holds no conformal_gap_lab package")
     with tempfile.TemporaryDirectory() as cwd:
+        Path(cwd, EXAMPLE).write_text(readme_block("## Metric files").lstrip("\n"))
         cmds = commands(here, cwd)
 
         def both(argv):

@@ -63,7 +63,7 @@ def test_criterion_03_three_dimensional_example():
                 )
                 assert up_to_sign < 1e-8
                 rep = analysis.ck_and_normality(
-                    spec, analysis.field_jets(spec, k, pt), pt, with_extras=True)
+                    spec, analysis.field_jets(k, pt), pt, with_extras=True)
                 assert rep.ck_res < 1e-8
                 assert rep.normal_res < 1e-8
                 assert rep.normal_res_first_index < 1e-8
@@ -203,7 +203,7 @@ def test_criterion_09_identity_suite():
         assert frobenius(hat_pack.schouten - p_ref) < 1e-8 * max(
             1.0, frobenius(p_ref))
         assert abs(hat_pack.j - curvature.j_transform_reference(pack, omega)) < 1e-8
-        wval = expr.evaluate_at(omega, pt, spec.params_dict)
+        wval = expr.evaluate_at(omega, pt)
         assert frobenius(hat_pack.weyl
                          - wval ** 2 * pack.weyl) < 1e-8 * frobenius(pack.weyl)
         sigma = spec.known_scales[1][1]

@@ -90,7 +90,7 @@ def test_lorentz3d_killing_field_full_report():
         spec = builtin_metric("lorentz3d", {"h": h})
         k = (expr.ZERO, expr.ZERO, expr.ONE)       # d/dt in (x, y, t)
         for pt in sample_points(spec, 4, seed=5):
-            rep = ck_and_normality(spec, field_jets(spec, k, pt), pt, with_extras=True)
+            rep = ck_and_normality(spec, field_jets(k, pt), pt, with_extras=True)
             assert rep.ck_res < 1e-9
             assert rep.normal_res < 1e-9
             assert rep.normal_res_first_index < 1e-9
@@ -102,7 +102,7 @@ def test_pp_wave_z_direction_is_normal_killing():
     spec = builtin_metric("pp_wave")
     k = (expr.ZERO, expr.ZERO, expr.ZERO, expr.ONE)
     for pt in sample_points(spec, 3, seed=6):
-        rep = ck_and_normality(spec, field_jets(spec, k, pt), pt)
+        rep = ck_and_normality(spec, field_jets(k, pt), pt)
         assert rep.ck_res < 1e-9
         assert rep.normal_res < 1e-9
 
@@ -111,7 +111,7 @@ def test_random_field_fails_killing_equation():
     spec = builtin_metric("taub_nut")
     k = (expr.var(1), expr.ZERO, expr.parse("sin(x1)", 4), expr.ZERO)
     pt = sample_points(spec, 1, seed=7)[0]
-    assert ck_and_normality(spec, field_jets(spec, k, pt), pt).ck_res > 1e-3
+    assert ck_and_normality(spec, field_jets(k, pt), pt).ck_res > 1e-3
 
 
 def test_wedge_of_scale_with_itself_vanishes():
@@ -153,7 +153,7 @@ def test_wedge_verification_rejects_non_solutions():
 def _wedge_oracle(spec, s1, s2, pt):
     """g^-1 (sigma grad sigma_bar - sigma_bar grad sigma), inverting the g values."""
     g = geometry.metric_jets(spec, pt, 1)[..., 0]
-    a, b = (expr.evaluate(s, jets.seed_jets(pt, 1), spec.params_dict) for s in (s1, s2))
+    a, b = (expr.evaluate(s, jets.seed_jets(pt, 1)) for s in (s1, s2))
     return np.linalg.inv(g) @ (a[0] * b[1:] - b[0] * a[1:])
 
 
@@ -206,7 +206,7 @@ def test_ae_operator_conformal_invariance():
     for pt in sample_points(spec, 3, seed=13):
         base = analysis.ae_residual_matrix(spec, sigma, pt)
         lifted = analysis.ae_residual_matrix(hatted, expr.mul(omega, sigma), pt)
-        w = expr.evaluate_at(omega, pt, spec.params_dict)
+        w = expr.evaluate_at(omega, pt)
         assert np.allclose(lifted, w * base, atol=1e-8 * max(1.0, np.abs(base).max()))
 
 

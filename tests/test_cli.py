@@ -224,7 +224,7 @@ def test_nan_param_in_metric_file_exits_2(tmp_path, capsys):
     path.write_text("dim = 3\nsignature = 0,3\nparam a = nan\n"
                     "g 1 1 : 1\ng 2 2 : a*x1^2\ng 3 3 : 1\n")
     err = usage_error(capsys, "analyze", str(path), "--point", "1,0,0")
-    assert "not finite at (1.0, 0.0, 0.0)" in err
+    assert err.startswith("error: line 3: param a needs a finite value")
 
 
 @pytest.mark.parametrize("line", ["dimension = 3", "params a = 1", "g 1 1 : 4"])
@@ -235,6 +235,21 @@ def test_malformed_metric_file_line_exits_2(tmp_path, capsys, line):
                     + line + "\n")
     err = usage_error(capsys, "analyze", str(path), "--point", "1,0,0")
     assert "line 6: " in err
+
+
+@pytest.mark.parametrize("line, lineno", [
+    ("dim = three", 1), ("signature = 0,3,1", 2), ("param a", 3), ("param x1 = 2", 3),
+    ("g 1 x : 1", 4),
+])
+def test_malformed_metric_file_value_exits_2(tmp_path, capsys, line, lineno):
+    # these values once reached int() / float() and exited with Python's message
+    lines = ["dim = 3", "signature = 0,3", "param a = 2", "g 1 1 : 1", "g 2 2 : 1",
+             "g 3 3 : 1"]
+    lines[lineno - 1] = line
+    path = tmp_path / "bad.metric"
+    path.write_text("\n".join(lines) + "\n")
+    err = usage_error(capsys, "analyze", str(path), "--point", "1,0,0")
+    assert err.startswith(f"error: line {lineno}: ")
 
 
 def test_overflowing_metric_file_exits_2(tmp_path, capsys):

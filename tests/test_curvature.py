@@ -239,7 +239,7 @@ def test_weyl_conformal_covariance():
     pt = sample_points(spec, 1, seed=13)[0]
     pack = curvature_pack(spec, pt, order=3)
     hatted = curvature_pack(rescale_metric(spec, omega), pt, order=3)
-    w = expr.evaluate_at(omega, pt, spec.params_dict)
+    w = expr.evaluate_at(omega, pt)
     expected = w ** 2 * pack.weyl
     assert frobenius(hatted.weyl - expected) < 1e-8 * frobenius(expected)
 

@@ -7,7 +7,7 @@ import pytest
 
 from conformal_gap_lab import expr, geometry, jets
 from conformal_gap_lab.expr import (
-    Bin, Call, Const, EvalError, Param, ParseError, Pow, Var,
+    Bin, Call, Const, EvalError, ParseError, Pow, Var,
     evaluate, parse, to_source,
 )
 
@@ -18,8 +18,8 @@ def test_parse_power_of_function():
 
 
 def test_parse_with_parameter():
-    ast = parse("1 + m/x1", n=4, params={"m"})
-    assert ast == Bin("+", Const(1.0), Bin("/", Param("m"), Var(0)))
+    ast = parse("1 + m/x1", n=4, params={"m": 2.0})
+    assert ast == Bin("+", Const(1.0), Bin("/", Const(2.0), Var(0)))
 
 
 def test_malformed_input_reports_offset():
@@ -72,12 +72,6 @@ def test_evaluate_fs_component_at_pi_over_4():
     ast = parse("1/2*cos(x1)^2*sin(x1)^2", n=4)
     j = evaluate(ast, jets.seed_jets((math.pi / 4, 0.0, 0.0, 0.0), 1))
     assert j[0] == pytest.approx(1 / 8)
-
-
-def test_missing_parameter_raises():
-    ast = parse("m*x1", n=1, params={"m"})
-    with pytest.raises(EvalError):
-        evaluate(ast, jets.seed_jets((1.0,), 1))
 
 
 def test_division_by_zero_value_raises():
@@ -153,6 +147,16 @@ MALFORMED_METRIC_LINES = {
     "repeated_param": (METRIC_HEAD + "param a = 2\n", 6),
     "repeated_component": (METRIC_HEAD + "g 1 1 : 4\n", 6),
     "repeated_transposed_component": (METRIC_HEAD + "g 2 1 : 4\n", 6),
+    "dim_not_an_integer": ("dim = three\n" + METRIC_HEAD[8:], 1),
+    "signature_of_three_counts": (METRIC_HEAD.replace("0,3", "0,3,1"), 2),
+    "signature_not_integers": (METRIC_HEAD.replace("0,3", "0,x"), 2),
+    "param_without_value": (METRIC_HEAD + "param b\n", 6),
+    "param_not_a_number": (METRIC_HEAD + "param b = two\n", 6),
+    "param_not_finite": (METRIC_HEAD + "param b = inf\n", 6),
+    "param_name_not_identifier": (METRIC_HEAD + "param 2b = 1\n", 6),
+    "param_name_coordinate": (METRIC_HEAD + "param x1 = 2\n", 6),
+    "param_name_function": (METRIC_HEAD + "param sin = 2\n", 6),
+    "component_index_not_integer": (METRIC_HEAD + "g 1 x : 1\n", 6),
 }
 
 
@@ -163,21 +167,31 @@ def test_metric_file_rejects_malformed_line(case):
         expr.parse_metric_source(text)
 
 
+def test_metric_file_params_read_as_the_values_written_in():
+    body = "dim = 2\nsignature = 0,2\ng 1 1 : 1\ng 2 2 : {0}*x1^2 + x2/{0}\ndomain : x1 - {0}/20\n"
+    named = expr.parse_metric_source("param a = 2.0\n" + body.format("a"))
+    written = expr.parse_metric_source(body.format("2.0"))
+    assert named["components"] == written["components"]
+    assert named["domain"] == written["domain"]
+    spec = geometry.load_metric("param a = 2.0\n" + body.format("a"))
+    assert spec.components == geometry.load_metric(body.format("2.0")).components
+    assert spec.params == (("a", 2.0),)
+
+
 def test_metric_file_keywords_need_no_spaces():
     data = expr.parse_metric_source("dim=3\nsignature=0,3\nparam a=2\ng 1 1 : a\n")
     assert data["dim"] == 3 and data["signature"] == (0, 3) and data["params"] == {"a": 2.0}
 
 
-def _unfolded(node, env, params=None):
+def _unfolded(node, env):
     """The evaluation of every node as a full jet, each product through
     ``jets.conv``: the reference for the constant folding of ``evaluate``."""
     n = len(env)
     order = jets.order_of(env.shape[-1], n)
 
     def run(nd):
-        if isinstance(nd, (Const, Param)):
-            value = nd.value if isinstance(nd, Const) else params[nd.name]
-            return np.broadcast_to(jets.constant(value, n, order), env.shape[1:])
+        if isinstance(nd, Const):
+            return np.broadcast_to(jets.constant(nd.value, n, order), env.shape[1:])
         if isinstance(nd, Var):
             return env[nd.index]
         if isinstance(nd, expr.Neg):
@@ -207,15 +221,14 @@ def test_constant_folding_keeps_the_full_jet_values(name):
     spec = (geometry.builtin_metric("taub_nut", {"m": 2.0}) if name == "taub_nut_m2"
             else geometry.catalogue_metric(name))
     points = geometry.sample_points(spec, 3, seed=17)
-    params = spec.params_dict
     for order in (1, 2, 4):
         stacked = jets.seed_jets(points, order)
         for node in _formulas(spec):
-            batch = evaluate(node, stacked, params) + 0.0
+            batch = evaluate(node, stacked) + 0.0
             for i, pt in enumerate(points):
                 env = jets.seed_jets(pt, order)
-                ref = _unfolded(node, env, params) + 0.0
-                assert (evaluate(node, env, params) + 0.0).tobytes() == ref.tobytes()
+                ref = _unfolded(node, env) + 0.0
+                assert (evaluate(node, env) + 0.0).tobytes() == ref.tobytes()
                 assert batch[i].tobytes() == ref.tobytes()
 
 
@@ -260,7 +273,7 @@ def test_metric_jets_equal_the_components_evaluated_alone(name):
             for i, row in enumerate(spec.components):
                 for j, node in enumerate(row):
                     want = (np.zeros(G.shape[:-3] + G.shape[-1:]) if expr.is_zero(node)
-                            else evaluate(node, env, spec.params_dict))
+                            else evaluate(node, env))
                     assert G[..., i, j, :].tobytes() == want.tobytes(), (i, j)
 
 
@@ -285,6 +298,6 @@ def test_evaluate_expands_an_equal_subtree_once(monkeypatch):
 
 
 def test_equal_nodes_hash_equal_once_hashed():
-    a, b = parse("sin(x1)^2 + x2*m", n=2, params={"m"}), parse("sin(x1)^2 + x2*m", n=2, params={"m"})
+    a, b = (parse("sin(x1)^2 + x2*m", n=2, params={"m": 2.0}) for _ in range(2))
     assert a is not b and hash(a) == hash(b) and a == b
     assert len({a, b, a.left, b.left}) == 2

@@ -105,7 +105,7 @@ def test_mixed_shapes_rejected():
     with pytest.raises(JetError):
         jets.exp(c, 1, 2)
     with pytest.raises(JetError):
-        jets.dcoeffs(b, 0, 1, 2)
+        jets.partials(b, 1, 2)
 
 
 def test_division_and_sqrt_guards():
@@ -193,10 +193,12 @@ def test_integer_powers_incl_negative():
 def test_derivative_shifts_coefficients():
     x, y = seed_jets((0.5, 1.0), order=3)
     f = conv(conv(x, x, 2, 3), y, 2, 3)
-    fx = jets.dcoeffs(f, 0, 2, 3)
+    fx = jets.partials(f, 2, 3)[0]
     assert jets.order_of(fx.shape[-1], 2) == 2
     assert fx[0] == pytest.approx(2 * 0.5 * 1.0)
     assert extract_partial(fx, (1, 0)) == pytest.approx(2.0)
+    with pytest.raises(JetError):
+        jets.partials(jets.constant(1.0, 2, 0), 2, 0)
 
 
 def test_truncation_is_prefix():
@@ -253,8 +255,8 @@ def test_conv_kernels_agree(num_vars, order):
 def test_batched_diff_matches_scalar():
     rng = np.random.default_rng(6)
     a = _random_jet(rng, 3, 3, (2,))
-    got = jets.dcoeffs(a, 1, 3, 3)
-    assert np.allclose(got[1], jets.dcoeffs(a[1], 1, 3, 3), atol=1e-14)
+    got = jets.partials(a, 3, 3)[1]
+    assert np.allclose(got[1], jets.partials(a[1], 3, 3)[1], atol=1e-14)
     for beta in jets.tables(3, 2).multis:
         shifted = (beta[0], beta[1] + 1, beta[2])
         assert np.allclose(extract_partial(got, beta), extract_partial(a, shifted), atol=1e-14)
@@ -361,12 +363,3 @@ def test_contract_matches_conv_sum(num_vars, order):
         jets.contract(a[..., :-1], b[..., :-1], num_vars, order)
 
 
-def test_partials_match_dcoeffs():
-    rng = np.random.default_rng(8)
-    for num_vars, order in [(1, 2), (3, 3), (6, 4)]:
-        a = _random_jet(rng, num_vars, order, (2, 3))
-        got = jets.partials(a, num_vars, order)
-        ref = np.stack([jets.dcoeffs(a, v, num_vars, order) for v in range(num_vars)])
-        assert np.array_equal(got, ref)
-    with pytest.raises(JetError):
-        jets.partials(_random_jet(rng, 2, 0), 2, 0)

@@ -119,14 +119,13 @@ def test_tractor_metric_compatibility():
 
     def vec_at(fields, x):
         env = jets.seed_jets(tuple(x), 1)
-        params = spec.params_dict
-        sigma = expr.evaluate(fields[0], env, params)[0]
-        mu = np.array([expr.evaluate(m, env, params)[0] for m in fields[1]])
-        rho = expr.evaluate(fields[2], env, params)[0]
+        sigma = expr.evaluate(fields[0], env)[0]
+        mu = np.array([expr.evaluate(m, env)[0] for m in fields[1]])
+        rho = expr.evaluate(fields[2], env)[0]
         return np.concatenate(([sigma], mu, [rho]))
 
     def pair_at(x):
-        g = np.array([[expr.evaluate_at(spec.components[i][j], tuple(x), spec.params_dict)
+        g = np.array([[expr.evaluate_at(spec.components[i][j], tuple(x))
                        for j in range(4)] for i in range(4)])
         return pairing(vec_at(u_fields, x), vec_at(v_fields, x), g)
 
