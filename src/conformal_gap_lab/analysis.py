@@ -22,16 +22,22 @@ Lower bounds come from residual-verified witnesses, which must lie in those
 kernels.  A report is exact when the two sides meet and every rank decision
 survives scaling the tolerance by 10 either way.
 
-Witness checks run on a batch of frames (``curvature.frames``, point axis
-first): each known scale is evaluated once at all check points, as one
-(S, P, C_2) stack of jets, and the almost-Einstein residuals of all scales,
-the wedge fields of all verified pairs and their Killing/normality residuals
-come from batched cores on that stack (leading axes batch, as in ``jets``;
-the frame's point axis is the last of them).  The family verifiers check
+Every function here reads curvature from a frame its caller passes: a
+``curvature.CurvatureFrame`` at one point, a slice ``fr[i]`` of a batch, or
+a cut ``fr.truncated(k)``.  Readers of values take a frame of any order at or
+above the one they need.  ``estimate_parallel_dims`` and the family
+verifiers build every frame they use once and hand it down.
+
+Witness checks run on a batch of frames (point axis first): each known
+scale is evaluated once at all check points, as one (S, P, C_2) stack of
+jets, and the almost-Einstein residuals of all scales, the wedge fields of
+all verified pairs and their Killing/normality residuals come from batched
+cores on that stack (leading axes batch, as in ``jets``; the frame's point
+axis is the last of them).  The family verifiers check
 their scales the same way.  The single-scale functions
 (``ae_residual_matrix``, ``wedge_nckf``, ``ck_and_normality``) are those
-cores on one scale at one point: a batch of one gives their bits, a larger
-batch agrees with them to rounding.
+cores on one scale at a frame of one point: a batch of one gives their bits,
+a larger batch agrees with them to rounding.
 """
 
 from __future__ import annotations
@@ -129,11 +135,12 @@ def nck_dim_bound(sig: tuple[int, int], n: int) -> int:
 # ---------------------------------------------------------------------------
 # pointwise residuals
 
-def kernel_of_weyl(spec: MetricSpec, point) -> Subspace:
-    """Null space of W_abcr v^r; enforces the signature bound when W != 0."""
+def kernel_of_weyl(fr: curvature.CurvatureFrame) -> Subspace:
+    """Null space of W_abcr v^r at a frame of one point; enforces the
+    signature bound when W != 0."""
+    spec = fr.spec
     if spec.n < 4:
         raise ValueError("the Weyl kernel is defined for n >= 4")
-    fr = curvature.frame_at_least(spec, point, 2)
     W = fr.values(fr.weyl)
     ksp = kernel(W.reshape(spec.n ** 3, spec.n))
     if frobenius(W) > 1e-6:
@@ -141,7 +148,7 @@ def kernel_of_weyl(spec: MetricSpec, point) -> Subspace:
         if ksp.dim > bound:
             raise AnalysisError(
                 f"Weyl kernel dimension {ksp.dim} exceeds the signature bound "
-                f"{bound} for {spec.label!r} at {geometry.format_point(point)}"
+                f"{bound} for {spec.label!r} at {geometry.format_point(fr.point)}"
             )
     return ksp
 
@@ -161,15 +168,9 @@ def _ae_residuals(fr: curvature.CurvatureFrame, s: np.ndarray) -> np.ndarray:
     return H - (trace / fr.n)[..., None, None] * fr.values(fr.g)
 
 
-def ae_residual_matrix(spec: MetricSpec, sigma: expr.Node, point) -> np.ndarray:
-    """Trace-free part of (Hess sigma + P sigma) as a matrix."""
-    fr = curvature.frame(spec, point, 2)
+def ae_residual_matrix(fr: curvature.CurvatureFrame, sigma: expr.Node) -> np.ndarray:
+    """Trace-free part of (Hess sigma + P sigma) as a matrix, at a frame of one point."""
     return _ae_residuals(fr, fr.scalar_jet(sigma, 2))
-
-
-def ae_residual(spec: MetricSpec, sigma: expr.Node, point) -> float:
-    """Frobenius norm of the trace-free part of (Hess sigma + P sigma)."""
-    return frobenius(ae_residual_matrix(spec, sigma, point))
 
 
 @dataclass
@@ -207,20 +208,16 @@ def _killing_terms(fr: curvature.CurvatureFrame, k: np.ndarray):
             norms(np.einsum("...cab,...c->...ab", Y, kv), 2))
 
 
-def _killing_frame(spec: MetricSpec, point) -> curvature.CurvatureFrame:
-    """Normality reads Weyl for n >= 4 and Cotton, an order-3 tensor, for n = 3."""
-    return curvature.frame(spec, point, 2 if spec.n >= 4 else 3)
-
-
-def ck_and_normality(spec: MetricSpec, k: np.ndarray, point,
+def ck_and_normality(fr: curvature.CurvatureFrame, k: np.ndarray,
                      with_extras: bool = False) -> KillingReport:
-    """Conformal-Killing residual plus normality of the field with jets k (n, C_1).
+    """Conformal-Killing residual plus normality of the field with jets k (n, C_1)
+    at a frame of one point.
 
     For n >= 4 normality is |W_abcr k^r|; for n = 3 it is the Cotton
     contraction on the last index, with the first-index contraction also
-    reported.  ``with_extras`` adds full-parallelism and nullity residuals.
+    reported, so there the frame must be of order 3 or more.  ``with_extras``
+    adds full-parallelism and nullity residuals.
     """
-    fr = _killing_frame(spec, point)
     nab_up, ck, normal, first = _killing_terms(fr, k)
     report = KillingReport(ck_res=float(ck), normal_res=float(normal),
                            normal_res_first_index=None if first is None else float(first))
@@ -241,10 +238,10 @@ def _wedge_jets(fr: curvature.CurvatureFrame, s: np.ndarray, sb: np.ndarray) -> 
     return jets.contract(fr.at(fr.ginv, 1), k_low[..., None, :, :], n, 1)
 
 
-def wedge_nckf(spec: MetricSpec, sigma: expr.Node, sigma_bar: expr.Node,
-               point) -> np.ndarray:
-    """Order-1 jets (n, C_1) of k^a = g^{ab} (sigma d_b sigma_bar - sigma_bar d_b sigma)."""
-    fr = curvature.frame(spec, point, 2)
+def wedge_nckf(fr: curvature.CurvatureFrame, sigma: expr.Node,
+               sigma_bar: expr.Node) -> np.ndarray:
+    """Order-1 jets (n, C_1) of k^a = g^{ab} (sigma d_b sigma_bar - sigma_bar d_b sigma)
+    at a frame of one point."""
     return _wedge_jets(fr, fr.scalar_jet(sigma, 2), fr.scalar_jet(sigma_bar, 2))
 
 
@@ -270,21 +267,21 @@ def bracket_closure_residual(fields: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # scale-curvature bookkeeping
 
-def j_of_scale(spec: MetricSpec, sigma: expr.Node, point) -> float:
-    """J of sigma^-2 g via -(n/2) g(ds,ds) + sigma Lap sigma + J sigma^2."""
-    fr = curvature.frame(spec, point, 2)
+def j_of_scale(fr: curvature.CurvatureFrame, sigma: expr.Node) -> float:
+    """J of sigma^-2 g via -(n/2) g(ds,ds) + sigma Lap sigma + J sigma^2, at a
+    frame of one point."""
     s, grad, hess = _scale_terms(fr, fr.scalar_jet(sigma, 2))
     s = float(s)
     ginv = fr.values(fr.ginv)
     lap = float(np.einsum("ab,ab->", ginv, hess))
     ds_sq = float(grad @ ginv @ grad)
     Jbg = float(fr.j[0])
-    return -spec.n / 2 * ds_sq + s * lap + Jbg * s * s
+    return -fr.n / 2 * ds_sq + s * lap + Jbg * s * s
 
 
-def sc_of_scale(spec: MetricSpec, sigma: expr.Node, point) -> float:
+def sc_of_scale(fr: curvature.CurvatureFrame, sigma: expr.Node) -> float:
     """Scalar curvature of sigma^-2 g via the J formula; Sc = 2 (n-1) J."""
-    return 2.0 * (spec.n - 1) * j_of_scale(spec, sigma, point)
+    return 2.0 * (fr.n - 1) * j_of_scale(fr, sigma)
 
 
 def sc_of_scale_direct(spec: MetricSpec, sigma: expr.Node, point) -> float:
@@ -372,21 +369,21 @@ class DimReport:
         }
 
 
-def holonomy_constraints(spec: MetricSpec, basepoint) -> tuple[np.ndarray, float]:
-    """Curvature-chain values at the basepoint, and the size of what cancels in them.
+def holonomy_constraints(fr: curvature.CurvatureFrame) -> tuple[np.ndarray, float]:
+    """Curvature-chain values at a frame's point, and the size of what cancels in them.
 
-    Returns the (count, n + 2, n + 2) values of Omega_ab and of its first
-    covariant derivatives from the ``JET_ORDER`` frame, and
-    max(|d A(p)|, |A(p)|^2), the size of the terms that cancel to form Omega.
+    Returns the (count, n + 2, n + 2) values of Omega_ab and of its covariant
+    derivatives to order K - 3 from a frame of one point and order K (the
+    certificate reads a ``JET_ORDER`` frame), and max(|d A(p)|, |A(p)|^2),
+    the size of the terms that cancel to form Omega.
     """
-    fr = curvature.frame(spec, basepoint, JET_ORDER)
-    X = np.concatenate(tractor.curvature_chain(fr, JET_ORDER - 2))
+    X = np.concatenate(tractor.curvature_chain(fr, fr.order - 2))
     A = tractor.connection_jets(fr, 1)
-    cancel = max(np.abs(jets.gradient(A, spec.n)).max(), np.abs(A[..., 0]).max() ** 2)
+    cancel = max(np.abs(jets.gradient(A, fr.n)).max(), np.abs(A[..., 0]).max() ** 2)
     return X, cancel
 
 
-def constraint_kernels(spec: MetricSpec, basepoint) -> tuple[Subspace, Subspace]:
+def constraint_kernels(fr: curvature.CurvatureFrame) -> tuple[Subspace, Subspace]:
     """Joint kernels of the holonomy constraints on the standard fiber and on
     its two-vectors (the derived action).
 
@@ -402,9 +399,9 @@ def constraint_kernels(spec: MetricSpec, basepoint) -> tuple[Subspace, Subspace]
     a weak direction of the algebra counts at full weight once it passes the
     span cut, where a cut on the raw values' rows could drop its action.
     """
-    nb = spec.n + 2
+    nb = fr.n + 2
     pairs = nb * (nb - 1) // 2
-    X, cancel = holonomy_constraints(spec, basepoint)
+    X, cancel = holonomy_constraints(fr)
     if np.abs(X).max() <= FLAT_RATIO * cancel:
         return Subspace(np.eye(nb)), Subspace(np.eye(pairs))
     algebra = kernel(X.reshape(len(X), nb * nb))
@@ -420,10 +417,12 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
                            upper: bool = True) -> DimReport:
     """Bounds for the dimensions of parallel standard / adjoint tractors.
 
-    Upper bounds: the dimensions of ``constraint_kernels`` at the basepoint.
-    Lower bounds: independent residual-verified witnesses, which must lie in
-    those kernels.  ``upper=False`` skips the constraints and reports witness
-    counts against the flat-model upper bounds n + 2 and (n + 2)(n + 1)/2.
+    Upper bounds: the dimensions of ``constraint_kernels`` at the basepoint,
+    read from one ``JET_ORDER`` frame built there, whose order-3 cut gives
+    the witnesses their Einstein tractors.  Lower bounds: independent
+    residual-verified witnesses, which must lie in those kernels.
+    ``upper=False`` skips the constraints and reports witness counts against
+    the flat-model upper bounds n + 2 and (n + 2)(n + 1)/2.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -441,9 +440,11 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
 
     standard = Subspace(np.eye(nb))
     adjoint = Subspace(np.eye(nb * (nb - 1) // 2))
+    base = None
     if upper:
         report.jet_order = JET_ORDER
-        standard, adjoint = constraint_kernels(spec, basepoint)
+        base = curvature.CurvatureFrame(spec, basepoint, JET_ORDER)
+        standard, adjoint = constraint_kernels(base)
         if standard.dim == nb:      # a nonzero constraint has rank >= 1
             report.notes.append("curvature vanishes to roundoff at the basepoint; "
                                 "flat-model upper bounds")
@@ -455,7 +456,7 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
 
     # lower bounds from verified witnesses
     if spec.known_scales:
-        _witnesses(spec, basepoint, seed, standard, adjoint, report)
+        _witnesses(spec, base, seed, standard, adjoint, report)
 
     if report.d_ae_lower > report.d_ae_upper or report.d_nck_lower > report.d_nck_upper:
         raise AnalysisError(
@@ -473,15 +474,18 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     return report
 
 
-def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
-               adjoint: Subspace, report: DimReport) -> None:
+def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: int,
+               standard: Subspace, adjoint: Subspace, report: DimReport) -> None:
     """Verify the known scales and the wedges of verified pairs, and record the
     ranks of their tractors as the lower bounds.
 
-    The frames at the check points are one order-2 batch.  Each scale is
-    evaluated there once, as a (point, C_2) stack, and the AE residuals of all
-    scales, and the wedge fields and Killing/normality residuals of all pairs
-    of verified scales, come from one batched call each.  The parallel
+    ``base`` is the ``JET_ORDER`` frame at the basepoint, or None when no
+    upper bound was taken; the Einstein tractors read its order-3 cut, or an
+    order-3 frame built there.  The frames at the check points are one
+    order-2 batch.  Each scale is evaluated there once, as a (point, C_2)
+    stack, and the AE residuals of all scales, and the wedge fields and
+    Killing/normality residuals of all pairs of verified scales, come from
+    one batched call each.  The parallel
     residuals of all scales (at the first check point) and the Einstein
     tractors of all verified scales (at the basepoint) are one batched
     ``tractor`` call each, on the scales' order-3 jets there.
@@ -490,10 +494,10 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
     sigmas = [sigma for _, sigma in spec.known_scales]
     check_pts = geometry.sample_points(spec, 6, seed=seed + 2)
 
-    fr = curvature.frames(spec, check_pts, 2)
+    fr = curvature.CurvatureFrame(spec, check_pts, 2)
     S = np.stack([fr.scalar_jet(sigma, 2) for sigma in sigmas])      # (scale, point, C_2)
     res = norms(_ae_residuals(fr, S), 2).max(axis=1)
-    first_fr = curvature.frame(spec, check_pts[0], 3)
+    first_fr = curvature.CurvatureFrame(spec, check_pts[0], 3)
     at_first = np.stack([first_fr.scalar_jet(sigma) for sigma in sigmas])
     par = norms(tractor._parallel_values(first_fr, at_first), 2)
     ok = (res < RESIDUAL_TOL) & (par < 10 * RESIDUAL_TOL)
@@ -507,7 +511,8 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
     report.ae_witnesses = [names[i] for i in verified]
     if not len(verified):
         return
-    base_fr = curvature.frame(spec, basepoint, 3)
+    base_fr = (base.truncated(3) if base is not None
+               else curvature.CurvatureFrame(spec, report.basepoint, 3))
     at_base = np.stack([base_fr.scalar_jet(sigmas[i]) for i in verified])
     vecs = tractor._einstein_jets(base_fr, at_base)[..., 0]
     _require_inside(standard, vecs, report.ae_witnesses, "standard", spec)
@@ -520,7 +525,7 @@ def _witnesses(spec: MetricSpec, basepoint, seed: int, standard: Subspace,
         return
     first, second = np.array(pairs).T
     # Killing/normality at the first three check points
-    kfr = fr[:3] if spec.n >= 4 else curvature.frames(spec, check_pts[:3], 3)
+    kfr = fr[:3] if spec.n >= 4 else curvature.CurvatureFrame(spec, check_pts[:3], 3)
     V = S[verified, :3]
     _, ck, normal, _ = _killing_terms(kfr, _wedge_jets(fr[:3], V[first], V[second]))
     worst = np.maximum(ck, normal).max(axis=1)
@@ -565,11 +570,11 @@ def _check(checks: list, name: str, value: float, tolerance: float,
 
 
 def _scale_family_checks(spec: MetricSpec, family, checks: list,
-                         expected_dim: int, seed: int) -> list:
+                         expected_dim: int, seed: int) -> curvature.CurvatureFrame:
     """AE residual of each scale of the family, the worst over sample points,
-    and the rank of the family; returns the points."""
+    and the rank of the family; returns the order-2 batch at the points."""
     points = geometry.sample_points(spec, 10, seed=seed)
-    fr = curvature.frames(spec, points, 2)
+    fr = curvature.CurvatureFrame(spec, points, 2)
     S = np.stack([fr.scalar_jet(sigma, 2) for _, sigma in family])   # (scale, point, C_2)
     worst = norms(_ae_residuals(fr, S), 2).max(axis=1)
     for (name, _), w in zip(family, worst):
@@ -579,7 +584,12 @@ def _scale_family_checks(spec: MetricSpec, family, checks: list,
     rank = span.ambient_dim - span.dim
     _check(checks, "family_rank", rank - expected_dim, 0.5,
            passed=(rank == expected_dim and not span.marginal))
-    return points
+    return fr
+
+
+def _slices(fr: curvature.CurvatureFrame) -> list:
+    """The frames at the points of a batch, each a view of the batch."""
+    return [fr[i] for i in range(fr.batch[0])]
 
 
 def _random_member(family, rng):
@@ -588,11 +598,6 @@ def _random_member(family, rng):
     for c, (_, ast) in zip(coeffs, family):
         sigma = expr.add(sigma, expr.mul(expr.const(float(c)), ast))
     return coeffs, sigma
-
-
-def _weyl_norm(spec: MetricSpec, point) -> float:
-    fr = curvature.frame(spec, point, 2)
-    return frobenius(fr.values(fr.weyl))
 
 
 def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
@@ -618,7 +623,8 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
     _check(checks, "fiber_scalar_curvature", fiber_sc - (-48.0 * a * b), 1e-7)
 
     nb = n - 4
-    fr = curvature.frames(spec, points, 2)
+    fr = curvature.CurvatureFrame(spec, points, 2)
+    at = _slices(fr)
     for trial in range(3):
         A = float(rng.uniform(0.2, 1.0))
         B = -b * A / a
@@ -634,13 +640,13 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
         c_sq = float(np.sum(c * c))          # Euclidean base here
         expected_j = 2 * n * A * B - n / 2 * c_sq
         expected_sc = n * (n - 1) * (4 * A * B - c_sq)
-        worst_j = max(abs(j_of_scale(spec, sigma, p) - expected_j) for p in points)
+        worst_j = max(abs(j_of_scale(f, sigma) - expected_j) for f in at)
         _check(checks, f"j_of_scale[trial{trial}]", worst_j,
                1e-7 * max(1.0, abs(expected_j)))
-        sc_err = abs(sc_of_scale(spec, sigma, points[0]) - expected_sc)
+        sc_err = abs(sc_of_scale(at[0], sigma) - expected_sc)
         _check(checks, f"sc_of_scale[trial{trial}]", sc_err,
                1e-7 * max(1.0, abs(expected_sc)))
-    wnorm = _weyl_norm(spec, points[0])
+    wnorm = frobenius(fr.values(fr.weyl)[0])
     _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     return {"label": spec.label, "params": {"n": n, "sc": sc, "seed": seed},
             "checks": checks}
@@ -653,7 +659,7 @@ def _verify_riemannian_family(case: str = "a", n: int = 6, seed: int = 0) -> dic
     spec = geometry.warped_catalogue_entry(kind[case], n)
     checks: list = []
     family = list(spec.known_scales)
-    points = _scale_family_checks(spec, family, checks, n - 3, seed)
+    fr = _scale_family_checks(spec, family, checks, n - 3, seed)
 
     rng = geometry.SeededRng(seed)
     c = rng.uniform(-0.7, 0.7, size=n - 4)
@@ -667,12 +673,12 @@ def _verify_riemannian_family(case: str = "a", n: int = 6, seed: int = 0) -> dic
         "b": -n * (n - 1) * (4.0 + c_sq),
         "c": -n * (n - 1) * c_sq,
     }[case]
-    worst = max(abs(sc_of_scale(spec, sigma, p) - expected_sc) for p in points)
+    worst = max(abs(sc_of_scale(f, sigma) - expected_sc) for f in _slices(fr))
     _check(checks, "sc_of_scale_law", worst, 1e-7 * max(1.0, abs(expected_sc)))
-    direct = abs(sc_of_scale_direct(spec, family[0][1], points[0])
+    direct = abs(sc_of_scale_direct(spec, family[0][1], fr.point[0])
                  - {"a": n * (n - 1) * 4.0, "b": -n * (n - 1) * 4.0, "c": 0.0}[case])
     _check(checks, "sc_direct_rescale", direct, 1e-6 * n * n * 4)
-    wnorm = min(_weyl_norm(spec, p) for p in points[:3])
+    wnorm = min(frobenius(w) for w in fr.values(fr.weyl)[:3])
     _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     return {"label": spec.label, "params": {"case": case, "n": n, "seed": seed},
             "checks": checks}
@@ -682,15 +688,15 @@ def _verify_lorentzian_family(n: int = 6, seed: int = 0) -> dict:
     spec = geometry.warped_catalogue_entry("product_lorentz", n)
     checks: list = []
     family = list(spec.known_scales)
-    points = _scale_family_checks(spec, family, checks, n - 2, seed)
+    fr = _scale_family_checks(spec, family, checks, n - 2, seed)
     rng = geometry.SeededRng(seed)
     coeffs, sigma = _random_member(family, rng)
     c_linear = coeffs[1:n - 3]                       # the base-coordinate coefficients
     c_sq = float(np.sum(c_linear * c_linear))
     expected_sc = -n * (n - 1) * c_sq
-    worst = max(abs(sc_of_scale(spec, sigma, p) - expected_sc) for p in points)
+    worst = max(abs(sc_of_scale(f, sigma) - expected_sc) for f in _slices(fr))
     _check(checks, "sc_of_scale_law", worst, 1e-7 * max(1.0, abs(expected_sc)))
-    wnorm = _weyl_norm(spec, points[0])
+    wnorm = frobenius(fr.values(fr.weyl)[0])
     _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     return {"label": spec.label, "params": {"n": n, "seed": seed}, "checks": checks}
 
@@ -699,7 +705,7 @@ def _verify_general_family(n: int = 6, p: int = 2, seed: int = 0) -> dict:
     spec = geometry.warped_catalogue_entry("product_split", n, p)
     checks: list = []
     family = list(spec.known_scales)
-    points = _scale_family_checks(spec, family, checks, n - 1, seed)
+    fr = _scale_family_checks(spec, family, checks, n - 1, seed)
     rng = geometry.SeededRng(seed)
     coeffs, sigma = _random_member(family, rng)
     nb = n - 4
@@ -707,9 +713,9 @@ def _verify_general_family(n: int = 6, p: int = 2, seed: int = 0) -> dict:
     c_linear = coeffs[1:1 + nb]
     c_sq = float(sum(s * c * c for s, c in zip(signs, c_linear)))
     expected_sc = -n * (n - 1) * c_sq
-    worst = max(abs(sc_of_scale(spec, sigma, pt) - expected_sc) for pt in points)
+    worst = max(abs(sc_of_scale(f, sigma) - expected_sc) for f in _slices(fr))
     _check(checks, "sc_of_scale_law", worst, 1e-7 * max(1.0, abs(expected_sc)))
-    wnorm = _weyl_norm(spec, points[0])
+    wnorm = frobenius(fr.values(fr.weyl)[0])
     _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     out = {"label": spec.label, "params": {"n": n, "p": p, "seed": seed},
            "checks": checks}
@@ -729,7 +735,7 @@ def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dic
     spec = geometry.builtin_metric(metric)
     checks: list = []
     points = geometry.sample_points(spec, 10, seed=seed)
-    fr = curvature.frames(spec, points, 2)
+    fr = curvature.CurvatureFrame(spec, points, 2)
     ginv = fr.values(fr.ginv)
     for name, tau in ((name, ast) for name, ast in spec.known_scales if name != "const"):
         _, grad, hess = _scale_terms(fr, fr.scalar_jet(tau, 2))
@@ -739,7 +745,7 @@ def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dic
         _check(checks, f"null_gradient[{name}]", np.abs(null).max(), 1e-8)
     rng = geometry.SeededRng(seed)
     _, sigma = _random_member(list(spec.known_scales), rng)
-    worst_j = max(abs(j_of_scale(spec, sigma, pt)) for pt in points)
+    worst_j = max(abs(j_of_scale(f, sigma)) for f in _slices(fr))
     _check(checks, "j_of_scale_zero", worst_j, 1e-8)
     return {"label": spec.label, "params": {"metric": metric, "seed": seed},
             "checks": checks}
@@ -749,9 +755,9 @@ def _verify_bounds(metric: str = "taub_nut", seed: int = 0) -> dict:
     spec = geometry.catalogue_metric(metric)
     checks: list = []
     points = geometry.sample_points(spec, 10, seed=seed)
-    fr = curvature.frames(spec, points, 2)
+    fr = curvature.CurvatureFrame(spec, points, 2)
     # kernel_of_weyl raises on a bound violation
-    worst_kerw = max(kernel_of_weyl(spec, pt).dim for pt in points)
+    worst_kerw = max(kernel_of_weyl(f).dim for f in _slices(fr))
     wmin = norms(fr.values(fr.weyl), 4).min()
     bound = weyl_kernel_bound(spec.signature, spec.n)
     _check(checks, "weyl_kernel_bound", worst_kerw - bound, 0.5,

@@ -110,7 +110,9 @@ def _render_text(report: dict) -> str:
 
 
 def _parse_point(text: str, n: int):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise geometry.DomainError(f"point {text!r} has an empty coordinate")
     if len(parts) != n:
         raise geometry.DomainError(
             f"point needs {n} comma-separated coordinates, got {len(parts)}"
@@ -161,13 +163,13 @@ def _cmd_analyze(ns) -> tuple[dict, bool]:
     seed = _seed(ns)
     if ns.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {ns.samples}")
-    if ns.point:
+    if ns.point is not None:
         points = [_parse_point(ns.point, spec.n)]
     else:
         points = geometry.sample_points(spec, ns.samples, seed=seed)
 
     # one order-3 batch; each point's slice is the frame built there alone
-    fr = curvature.frames(spec, points, 3)
+    fr = curvature.CurvatureFrame(spec, points, 3)
     rows = []
     for i, pt in enumerate(points):
         pack = curvature.CurvaturePack(fr[i])
@@ -179,7 +181,7 @@ def _cmd_analyze(ns) -> tuple[dict, bool]:
             "cotton_norm": frobenius(pack.cotton),
         }
         if spec.n >= 4:
-            row["kerw_dim"] = analysis.kernel_of_weyl(spec, pt).dim
+            row["kerw_dim"] = analysis.kernel_of_weyl(pack.frame).dim
         rows.append(row)
 
     scale_checks = []
@@ -214,9 +216,9 @@ def _cmd_analyze(ns) -> tuple[dict, bool]:
 
 def _cmd_kerw(ns) -> tuple[dict, bool]:
     spec = _resolve_metric(ns.metric, _parse_params(ns.param))
-    pt = (_parse_point(ns.point, spec.n) if ns.point
+    pt = (_parse_point(ns.point, spec.n) if ns.point is not None
           else geometry.default_point(spec))
-    ksp = analysis.kernel_of_weyl(spec, pt)
+    ksp = analysis.kernel_of_weyl(curvature.CurvatureFrame(spec, pt, 2))
     bound = analysis.weyl_kernel_bound(spec.signature, spec.n)
     report = {
         "command": f"kerw {ns.metric}",
@@ -234,7 +236,7 @@ def _cmd_kerw(ns) -> tuple[dict, bool]:
 def _cmd_dims(ns) -> tuple[dict, bool]:
     spec = _resolve_metric(ns.metric, _parse_params(ns.param))
     seed = _seed(ns)
-    basepoint = (_parse_point(ns.base_point, spec.n) if ns.base_point else None)
+    basepoint = (_parse_point(ns.base_point, spec.n) if ns.base_point is not None else None)
     rep = analysis.estimate_parallel_dims(spec, basepoint, seed=seed,
                                           upper=not ns.lower_only)
     report = {"command": f"dims {ns.metric}", "dims": rep.as_dict(), "pass": True}
@@ -261,7 +263,7 @@ def _cmd_verify(ns) -> tuple[dict, bool]:
 
 def _cmd_rescale(ns) -> tuple[dict, bool]:
     spec = _resolve_metric(ns.metric, _parse_params(ns.param))
-    pt = (_parse_point(ns.point, spec.n) if ns.point
+    pt = (_parse_point(ns.point, spec.n) if ns.point is not None
           else geometry.default_point(spec))
     omega = expr.parse(ns.omega, spec.n, params=dict(spec.params),
                        var_names=spec.names)
@@ -286,8 +288,8 @@ def _cmd_rescale(ns) -> tuple[dict, bool]:
         frobenius(hat_pack.weyl - w ** 2 * pack.weyl),
         1e-8 * max(1.0, frobenius(pack.weyl)))
     sigma = expr.add(expr.ONE, expr.var(0))
-    base_res = analysis.ae_residual_matrix(spec, sigma, pt)
-    hat_res = analysis.ae_residual_matrix(hatted, expr.mul(omega, sigma), pt)
+    base_res = analysis.ae_residual_matrix(pack.frame, sigma)
+    hat_res = analysis.ae_residual_matrix(hat_pack.frame, expr.mul(omega, sigma))
     add("ae_operator_invariance",
         frobenius(hat_res - w * base_res),
         1e-8 * max(1.0, frobenius(base_res)))

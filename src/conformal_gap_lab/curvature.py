@@ -35,13 +35,16 @@ one point has (n, n, C).  Every product then keeps the trailing tensor and
 coefficient blocks of the one-point frame, and each point's slice has the
 bits of the frame built there alone (as long as the BLAS sums a dense
 product in index order, see ``jets._scatter``).  Indexing a batch
-(``frame[i]``, ``frame[:3]``) gives the frame at those points as views.
-:func:`frames` builds every point of a sequence in one batch and caches each
-point's slice; :func:`frame` returns a cached frame, or one cut from a cached
-frame of higher order, or else builds a batch of one.  Data that a
-batch reads carries its own leading axes before the point axis (scale jets
-are (S, P, C)), and :meth:`CurvatureFrame.cov_deriv` takes such axes alike
-at a frame of one point (a stack of scale gradients is (S, n, C)).
+(``frame[i]``, ``frame[:3]``) gives the frame at those points as views.  Data
+that a batch reads carries its own leading axes before the point axis (scale
+jets are (S, P, C)), and :meth:`CurvatureFrame.cov_deriv` takes such axes
+alike at a frame of one point (a stack of scale gradients is (S, n, C)).
+
+Frames are passed explicitly: a caller builds the frame it needs once and
+hands readers the frame, a batch slice ``frame[i]`` or a cut
+``frame.truncated(k)``.  Readers of values (Weyl, Schouten, Christoffels at
+the point) take a frame of any order at or above the one they need, since a
+higher-order frame holds the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -120,6 +123,8 @@ class CurvatureFrame:
         if spec.n < 3:
             raise ValueError("curvature decompositions need dimension >= 3")
         pts = np.asarray(points, dtype=float)
+        if not pts.size:
+            raise ValueError("a frame needs at least one point")
         self.spec = spec
         self.point = tuple(map(tuple, pts.tolist())) if pts.ndim > 1 else tuple(pts.tolist())
         self.order = order
@@ -168,7 +173,7 @@ class CurvatureFrame:
             A = _last(covP, 2, 0, 1, 3)
             self.cotton = A - _last(A, 0, 2, 1, 3)        # [c, a, b] = Y_cab
 
-        # frames are cached and shared, so nothing may write into them
+        # batch slices and cuts share these arrays, so nothing may write into them
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -409,64 +414,9 @@ def _trace_pair(W: np.ndarray, ginv: np.ndarray, axes) -> np.ndarray:
     return np.einsum(lhs, ginv, W)
 
 
-# the frames handed out, by (spec, point, order), oldest first; past
-# _CACHE_SIZE entries the oldest is dropped
-_CACHE_SIZE = 512
-_frames: dict = {}
-
-
-def _keep(key: tuple, fr: CurvatureFrame) -> None:
-    _frames[key] = fr
-    if len(_frames) > _CACHE_SIZE:
-        del _frames[next(iter(_frames))]
-
-
-def _lowest(spec: MetricSpec, point: tuple, order: int) -> CurvatureFrame | None:
-    """The cached frame at the point of the lowest order at or above this one."""
-    for have in range(order, jets.MAX_ORDER + 1):
-        fr = _frames.get((spec, point, have))
-        if fr is not None:
-            return fr
-    return None
-
-
-def frame(spec: MetricSpec, point, order: int = 4) -> CurvatureFrame:
-    """The frame at one point, cached: the cached one, else a cut of the
-    lowest cached frame of higher order, else built as a batch of one."""
-    point = tuple(float(c) for c in point)
-    fr = _lowest(spec, point, order)
-    if fr is None:
-        frames(spec, [point], order)
-    elif fr.order > order:
-        _keep((spec, point, order), fr.truncated(order))
-    return _frames[spec, point, order]
-
-
-def frame_at_least(spec: MetricSpec, point, order: int = 2) -> CurvatureFrame:
-    """A cached frame at the point of this jet order or above, for readers of
-    values, which every such frame holds alike: the lowest-order cached one,
-    used as it is, or else ``frame(spec, point, order)``."""
-    point = tuple(float(c) for c in point)
-    fr = _lowest(spec, point, order)
-    return fr if fr is not None else frame(spec, point, order)
-
-
-def frames(spec: MetricSpec, points, order: int = 4) -> CurvatureFrame:
-    """The frames at a sequence of points as one batch, point axis first,
-    built in one ``CurvatureFrame`` call; each point's slice is cached, so
-    ``frame`` at such a point returns its slice."""
-    points = [tuple(float(c) for c in p) for p in points]
-    if not points:
-        raise ValueError("frames needs at least one point")
-    batch = CurvatureFrame(spec, points, order)
-    for i, p in enumerate(points):
-        _keep((spec, p, order), batch[i])
-    return batch
-
-
 def curvature_pack(spec: MetricSpec, point, order: int = 4) -> CurvaturePack:
     """All curvature tensors at the point, with convention self-checks."""
-    return CurvaturePack(frame(spec, point, max(order, 3)))
+    return CurvaturePack(CurvatureFrame(spec, point, max(order, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -539,16 +489,18 @@ def dual_cotton_3d(pack: CurvaturePack, orientation: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # divergence identity
 
-def bianchi_check(spec: MetricSpec, point) -> float:
-    """Residual of (n-3) Y_cab = div^r W_rcab (covariant divergence via jets)."""
-    if spec.n < 4:
+def bianchi_check(f: CurvatureFrame) -> float:
+    """Residual of (n-3) Y_cab = div^r W_rcab (covariant divergence via jets)
+    at a frame of one point and order >= 3."""
+    if f.n < 4:
         raise ValueError("the divergence identity check needs n >= 4")
-    f = frame(spec, point, 4)
+    if f.order < 3:
+        raise ValueError("the divergence identity check needs a frame of order >= 3")
     _, weyl = f.riemann_and_weyl(f.order - 2)
     covW = f.cov_deriv(weyl, "dddd", f.order - 2)         # [s, r, c, a, b]
     div = np.einsum("sr,srcab->cab", f.values(f.ginv), covW[..., 0])
     y = f.values(f.cotton)
-    return frobenius((spec.n - 3) * y - div)
+    return frobenius((f.n - 3) * y - div)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "exp", "sqrt")
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (offset {position})")
+        self.message = message
         self.position = position
 
 
@@ -412,7 +413,10 @@ def _fold(node: Node) -> Node:
         if node.exponent == 1:
             return node.base
         if isinstance(node.base, Const):
-            return Const(node.base.value ** node.exponent)
+            try:
+                return Const(node.base.value ** node.exponent)
+            except (ZeroDivisionError, OverflowError):
+                pass        # left unfolded, for evaluation to report
     elif isinstance(node, Bin):
         a, b = node.left, node.right
         if isinstance(a, Const) and isinstance(b, Const):
@@ -500,6 +504,14 @@ def _natural(text: str, lineno: int, what: str) -> int:
     return int(text)
 
 
+def _parse_line(source: str, lineno: int, dim: int, params: dict) -> Node:
+    """``parse`` of a component or domain expression; an error names the line."""
+    try:
+        return parse(source.strip(), dim, params)
+    except ParseError as err:
+        raise ParseError(f"line {lineno}: {err.message}", err.position) from None
+
+
 def parse_metric_source(text: str) -> dict:
     """Read the conformal-metric v1 format into plain pieces.
 
@@ -556,7 +568,7 @@ def parse_metric_source(text: str) -> dict:
         elif word == "domain":
             if dim is None:
                 raise ParseError(f"line {lineno}: domain before dim", 0)
-            domain.append(parse(rest.partition(":")[2].strip(), dim, params))
+            domain.append(_parse_line(rest.partition(":")[2], lineno, dim, params))
         elif word == "g":
             head, _, rhs = line.partition(":")
             parts = head.split()
@@ -567,7 +579,7 @@ def parse_metric_source(text: str) -> dict:
                 raise ParseError(f"line {lineno}: index out of range", 0)
             if (i, j) in components or (j, i) in components:
                 raise ParseError(f"line {lineno}: repeated component g {i + 1} {j + 1}", 0)
-            components[(i, j)] = parse(rhs.strip(), dim, params)
+            components[(i, j)] = _parse_line(rhs, lineno, dim, params)
         else:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}", 0)
 

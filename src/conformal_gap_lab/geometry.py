@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class MetricSpec:
             raise SingularMetricError(
                 f"signature {self.signature} does not sum to dimension {self.n}"
             )
-        # the frame cache keys on specs: hash the component ASTs once, not per lookup
-        key = tuple(getattr(self, f.name) for f in fields(self))
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def names(self) -> tuple[str, ...]:

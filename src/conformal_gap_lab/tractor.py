@@ -17,8 +17,9 @@ derivatives (:func:`curvature_chain`, whose values at a point span the
 infinitesimal holonomy algebra there) and the value-level matrices of RK4
 transport are all derived from it.  The curvature is cross-checked against
 its expected Weyl/Cotton block structure, so no sign convention for the
-Cotton block is hard-coded.  Transport is kept as an independent oracle for
-the tests.
+Cotton block is hard-coded.  Every reader takes the curvature frame its
+caller built; transport, kept as an independent oracle for the tests, builds
+a frame at each point where it evaluates the connection.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 
 import numpy as np
 
-from . import curvature, expr, geometry, jets
+from . import geometry, jets
 from .curvature import ConventionError, CurvatureFrame, frobenius, norms
 from .geometry import MetricSpec
 from .jets import contract, conv, partials
@@ -117,25 +118,13 @@ def _parallel_values(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
     return _tractor_deriv_jets(fr, _einstein_jets(fr, sig), fr.order - 2)[..., 0]
 
 
-def einstein_tractor(spec: MetricSpec, sigma: expr.Node, point) -> np.ndarray:
-    """(sigma, grad^a sigma, -(Lap sigma + J sigma)/n) at the point, shape (n + 2,)."""
-    fr = curvature.frame(spec, point, 3)
-    return _einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
-
-
-def scale_tractor_parallel_residual(spec: MetricSpec, sigma: expr.Node, point) -> float:
-    """Norm of the values of D_a I for the scale tractor I (0 for solutions)."""
-    fr = curvature.frame(spec, point, 3)
-    return float(np.linalg.norm(_parallel_values(fr, fr.scalar_jet(sigma)[None])[0]))
-
-
-def tractor_derivative(spec: MetricSpec, section, point, direction: int | None = None):
-    """Tractor derivative of an expression-valued section.
+def tractor_derivative(fr: CurvatureFrame, section, direction: int | None = None):
+    """Tractor derivative of an expression-valued section at a frame of one
+    point and order >= 3.
 
     section: (sigma_ast, [mu^1_ast..mu^n_ast], rho_ast).  Returns the
     (n, n + 2) array of D_a over all directions a, or its row for one.
     """
-    fr = curvature.frame(spec, point, 3)
     sigma_ast, mu_asts, rho_ast = section
     m = fr.order - 1
     V = np.stack([fr.scalar_jet(a, m) for a in (sigma_ast, *mu_asts, rho_ast)])
@@ -173,17 +162,6 @@ def curvature_chain(fr: CurvatureFrame, m: int) -> list[np.ndarray]:
         X = X.reshape(-1, nb, nb, X.shape[-1])
         levels.append(X[..., 0])
     return levels
-
-
-def tractor_curvature(spec: MetricSpec, point) -> dict:
-    """Curvature endomorphisms Omega_ab for a < b, as {(a, b): (n + 2, n + 2) array}.
-
-    The result is validated against the expected block structure: zero top
-    row, Weyl middle block, Cotton bottom row and sigma-column.
-    """
-    fr = curvature.frame(spec, point, 4)
-    pairs = itertools.combinations(range(fr.n), 2)
-    return dict(zip(pairs, curvature_chain(fr, 1)[0]))
 
 
 def _validate_tractor_curvature(fr: CurvatureFrame, first, second, omegas) -> None:
@@ -228,8 +206,7 @@ TRANSPORT_MAX_HALVINGS = 12
 
 
 def _direction_matrix(spec: MetricSpec, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    fr = curvature.frame(spec, tuple(x), 2)
-    A = connection_matrices(fr)
+    A = connection_matrices(CurvatureFrame(spec, x, 2))
     return -np.einsum("a,aij->ij", direction, A)
 
 

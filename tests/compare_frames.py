@@ -6,11 +6,12 @@ as one batch of the three, once with this tree's ``src/`` and once with the
 ``src/`` given on the command line (for example an export of the parent
 revision).  Every array a frame holds is dumped, and at single points of
 order 3 and above also the values of ``tractor.curvature_chain`` to order
-``K - 2``.  So are the frames that callers read through the frame cache: the
-slices of a ``curvature.frames`` batch, the cuts to orders 3 and 2 that
-``curvature.frame`` makes after an order-4 ``frame``, and
-``curvature.frame_at_least`` after an order-3 batch.  Prints each array whose
-shape, dtype or bytes differ and exits 1 if any do, 0 otherwise.
+``K - 2``.  So are the frames that callers hand to readers: the slices
+``CurvatureFrame(spec, points, K)[i]`` of a batch, and the cuts
+``truncated(3)`` of an order-4 frame and ``truncated(2)`` of that cut.  Both
+trees have these, so either tree's frames can be dumped by this script.
+Prints each array whose shape, dtype or bytes differ and exits 1 if any do,
+0 otherwise.
 
     python tests/compare_frames.py PATH/TO/OTHER/src [--prefix ginv]
 
@@ -58,7 +59,7 @@ def dump(out: Path) -> None:
                 if where != "batch" and order >= 3:
                     for level, X in enumerate(tractor.curvature_chain(fr, order - 2)):
                         arrays[f"{key}|chain{level}"] = X
-        dump_cached(spec, name, arrays)
+        dump_handed(spec, name, arrays)
     np.savez(out, **arrays)
 
 
@@ -68,23 +69,22 @@ def put(arrays: dict, key: str, fr) -> None:
             arrays[f"{key}|{attr}"] = value
 
 
-def dump_cached(spec, name: str, arrays: dict) -> None:
-    """The frames read through the cache, each kind at points of its own so
-    that no kind finds the frames of another in the cache."""
+def dump_handed(spec, name: str, arrays: dict) -> None:
+    """The batch slices and cuts that callers hand to readers, at points of
+    their own."""
     from conformal_gap_lab import curvature, geometry
 
-    sliced, cut, least = (geometry.sample_points(spec, POINTS, seed=SEED + k)
-                          for k in (1, 2, 3))
+    sliced, cut = (geometry.sample_points(spec, POINTS, seed=SEED + k) for k in (1, 2))
     for order in ORDERS:
-        curvature.frames(spec, sliced, order)
-        for i, p in enumerate(sliced):
-            put(arrays, f"{name}|o{order}|slice{i}", curvature.frame(spec, p, order))
+        batch = curvature.CurvatureFrame(spec, sliced, order)
+        for i in range(len(sliced)):
+            put(arrays, f"{name}|o{order}|slice{i}", batch[i])
     for i, p in enumerate(cut):
-        for order in sorted(ORDERS, reverse=True):
-            put(arrays, f"{name}|o{order}|cut{i}", curvature.frame(spec, p, order))
-    curvature.frames(spec, least, 3)
-    for i, p in enumerate(least):
-        put(arrays, f"{name}|o2|at_least{i}", curvature.frame_at_least(spec, p, 2))
+        fr = curvature.CurvatureFrame(spec, p, 4)
+        put(arrays, f"{name}|o4|cut{i}", fr)
+        for order in (3, 2):
+            fr = fr.truncated(order)
+            put(arrays, f"{name}|o{order}|cut{i}", fr)
 
 
 def dump_tree(src: Path, out: Path) -> None:

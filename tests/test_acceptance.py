@@ -63,7 +63,7 @@ def test_criterion_03_three_dimensional_example():
                 )
                 assert up_to_sign < 1e-8
                 rep = analysis.ck_and_normality(
-                    spec, analysis.field_jets(k, pt), pt, with_extras=True)
+                    pack.frame, analysis.field_jets(k, pt), with_extras=True)
                 assert rep.ck_res < 1e-8
                 assert rep.normal_res < 1e-8
                 assert rep.normal_res_first_index < 1e-8
@@ -179,7 +179,7 @@ def test_criterion_09_identity_suite():
                 assert frobenius(np.einsum(sub, ginv, W)) < 1e-8 * wnorm
             # divergence identity (n - 3) Y = div W
             y = frobenius(pack.cotton)
-            assert curvature.bianchi_check(spec, pt) < 1e-8 * max(1.0, y)
+            assert curvature.bianchi_check(pack.frame) < 1e-8 * max(1.0, y)
 
         # n = 4 quadratic Weyl identity
         pack4 = curvature_pack(builtin_metric("taub_nut"),
@@ -207,8 +207,9 @@ def test_criterion_09_identity_suite():
         assert frobenius(hat_pack.weyl
                          - wval ** 2 * pack.weyl) < 1e-8 * frobenius(pack.weyl)
         sigma = spec.known_scales[1][1]
-        I = tractor.einstein_tractor(spec, sigma, pt)
-        I_hat = tractor.einstein_tractor(hatted, expr.mul(omega, sigma), pt)
+        I, I_hat = (tractor._einstein_jets(fr, fr.scalar_jet(s)[None])[0, :, 0]
+                    for fr, s in ((pack.frame, sigma),
+                                  (hat_pack.frame, expr.mul(omega, sigma))))
         _, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=1)
         expected = tractor.transform_tractor(I, wval, ups, pack.g)
         assert np.linalg.norm(I_hat - expected) < 1e-8

@@ -8,9 +8,10 @@ import pytest
 
 from conformal_gap_lab import analysis, curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.analysis import (
-    AnalysisError, ae_residual, ck_and_normality, estimate_parallel_dims,
+    AnalysisError, ae_residual_matrix, ck_and_normality, estimate_parallel_dims,
     field_jets, kernel, kernel_of_weyl, verify_theorem, wedge_nckf,
 )
+from conformal_gap_lab.curvature import CurvatureFrame, frobenius
 from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_points
 
 
@@ -42,20 +43,20 @@ def test_kernel_rejects_empty_and_nonfinite():
 
 def test_weyl_kernel_dims_on_catalogue():
     fs = builtin_metric("fubini_study")
-    assert kernel_of_weyl(fs, sample_points(fs, 1, seed=1)[0]).dim == 0
+    assert kernel_of_weyl(CurvatureFrame(fs, sample_points(fs, 1, seed=1)[0], 2)).dim == 0
     pw = builtin_metric("pp_wave")
-    ksp = kernel_of_weyl(pw, sample_points(pw, 1, seed=1)[0])
+    ksp = kernel_of_weyl(CurvatureFrame(pw, sample_points(pw, 1, seed=1)[0], 2))
     assert ksp.dim == 1
     direction = ksp.basis[0] / np.abs(ksp.basis[0]).max()
     assert np.allclose(np.abs(direction), [0, 0, 0, 1], atol=1e-9)  # z direction
     ps = builtin_metric("pp_split")
-    assert kernel_of_weyl(ps, sample_points(ps, 1, seed=1)[0]).dim == 2
+    assert kernel_of_weyl(CurvatureFrame(ps, sample_points(ps, 1, seed=1)[0], 2)).dim == 2
 
 
 def test_weyl_kernel_rejects_n3():
     spec = builtin_metric("lorentz3d")
     with pytest.raises(ValueError):
-        kernel_of_weyl(spec, (0.1, 0.2, 0.3))
+        kernel_of_weyl(CurvatureFrame(spec, (0.1, 0.2, 0.3), 2))
 
 
 @pytest.mark.parametrize("name", [
@@ -65,7 +66,7 @@ def test_weyl_kernel_rejects_n3():
 def test_einstein_metrics_have_constant_scale_solution(name):
     spec = builtin_metric(name)
     for pt in sample_points(spec, 5, seed=2):
-        assert ae_residual(spec, expr.ONE, pt) < 1e-9
+        assert frobenius(ae_residual_matrix(CurvatureFrame(spec, pt, 2), expr.ONE)) < 1e-9
 
 
 def test_pp_wave_two_parameter_family():
@@ -76,13 +77,13 @@ def test_pp_wave_two_parameter_family():
         c0, c1 = rng.uniform(-2, 2, size=2)
         sigma = expr.add(expr.const(c0), expr.mul(expr.const(c1), wave))
         for pt in sample_points(spec, 3, seed=3):
-            assert ae_residual(spec, sigma, pt) < 1e-8
+            assert frobenius(ae_residual_matrix(CurvatureFrame(spec, pt, 2), sigma)) < 1e-8
 
 
 def test_generic_function_is_not_a_scale():
     spec = builtin_metric("fubini_study")
     pt = sample_points(spec, 1, seed=4)[0]
-    assert ae_residual(spec, expr.var(0), pt) > 1e-3
+    assert frobenius(ae_residual_matrix(CurvatureFrame(spec, pt, 2), expr.var(0))) > 1e-3
 
 
 def test_lorentz3d_killing_field_full_report():
@@ -90,7 +91,8 @@ def test_lorentz3d_killing_field_full_report():
         spec = builtin_metric("lorentz3d", {"h": h})
         k = (expr.ZERO, expr.ZERO, expr.ONE)       # d/dt in (x, y, t)
         for pt in sample_points(spec, 4, seed=5):
-            rep = ck_and_normality(spec, field_jets(k, pt), pt, with_extras=True)
+            rep = ck_and_normality(CurvatureFrame(spec, pt, 3), field_jets(k, pt),
+                                   with_extras=True)
             assert rep.ck_res < 1e-9
             assert rep.normal_res < 1e-9
             assert rep.normal_res_first_index < 1e-9
@@ -102,7 +104,7 @@ def test_pp_wave_z_direction_is_normal_killing():
     spec = builtin_metric("pp_wave")
     k = (expr.ZERO, expr.ZERO, expr.ZERO, expr.ONE)
     for pt in sample_points(spec, 3, seed=6):
-        rep = ck_and_normality(spec, field_jets(k, pt), pt)
+        rep = ck_and_normality(CurvatureFrame(spec, pt, 2), field_jets(k, pt))
         assert rep.ck_res < 1e-9
         assert rep.normal_res < 1e-9
 
@@ -111,21 +113,21 @@ def test_random_field_fails_killing_equation():
     spec = builtin_metric("taub_nut")
     k = (expr.var(1), expr.ZERO, expr.parse("sin(x1)", 4), expr.ZERO)
     pt = sample_points(spec, 1, seed=7)[0]
-    assert ck_and_normality(spec, field_jets(k, pt), pt).ck_res > 1e-3
+    assert ck_and_normality(CurvatureFrame(spec, pt, 2), field_jets(k, pt)).ck_res > 1e-3
 
 
 def test_wedge_of_scale_with_itself_vanishes():
     spec = builtin_metric("pp_wave")
     sigma = spec.known_scales[1][1]
     for pt in sample_points(spec, 2, seed=8):
-        vals = wedge_nckf(spec, sigma, sigma, pt)[:, 0]
+        vals = wedge_nckf(CurvatureFrame(spec, pt, 2), sigma, sigma)[:, 0]
         assert np.abs(vals).max() < 1e-12
 
 
 def test_pp_wave_wedge_is_minus_sqrt2_dz():
     spec = builtin_metric("pp_wave")
     for pt in sample_points(spec, 3, seed=9):
-        vals = wedge_nckf(spec, expr.ONE, spec.known_scales[1][1], pt)[:, 0]
+        vals = wedge_nckf(CurvatureFrame(spec, pt, 2), expr.ONE, spec.known_scales[1][1])[:, 0]
         assert np.allclose(vals, [0, 0, 0, -math.sqrt(2)], atol=1e-10)
 
 
@@ -134,7 +136,8 @@ def test_pp_split_wedges_span_expected_fields():
     one, t, x = (s for _, s in spec.known_scales)
     for pt in sample_points(spec, 3, seed=10):
         tval, xval = pt[0], pt[1]
-        v1, v2, v3 = (wedge_nckf(spec, a, b, pt)[:, 0] for a, b in ((one, t), (one, x), (t, x)))
+        fr = CurvatureFrame(spec, pt, 2)
+        v1, v2, v3 = (wedge_nckf(fr, a, b)[:, 0] for a, b in ((one, t), (one, x), (t, x)))
         assert np.allclose(v1, [0, 0, 0, 1], atol=1e-10)            # dz dual
         assert np.allclose(v2, [0, 0, 1, 0], atol=1e-10)            # dy dual
         assert np.allclose(v3, [0, 0, tval, -xval], atol=1e-10)     # t dy - x dz
@@ -147,7 +150,8 @@ def test_wedge_verification_rejects_non_solutions():
     spec = builtin_metric("pp_split")
     t_sq = expr.parse("t^2", 4, var_names=spec.names)
     pt = sample_points(spec, 1, seed=33)[0]
-    assert ck_and_normality(spec, wedge_nckf(spec, expr.ONE, t_sq, pt), pt).ck_res > 1e-3
+    fr = CurvatureFrame(spec, pt, 2)
+    assert ck_and_normality(fr, wedge_nckf(fr, expr.ONE, t_sq)).ck_res > 1e-3
 
 
 def _wedge_oracle(spec, s1, s2, pt):
@@ -166,8 +170,9 @@ def test_wedge_jets_match_inverse_metric_oracle(name):
     scales = [s for _, s in spec.known_scales] + [fiber]
     h = 1e-4
     for pt in sample_points(spec, 2, seed=34):
+        fr = CurvatureFrame(spec, pt, 2)
         for s1, s2 in itertools.combinations(scales, 2):
-            k = wedge_nckf(spec, s1, s2, pt)
+            k = wedge_nckf(fr, s1, s2)
             want = _wedge_oracle(spec, s1, s2, pt)
             assert np.abs(k[:, 0] - want).max() <= 1e-12 * np.abs(want).max()
             step = h * np.eye(spec.n)
@@ -183,7 +188,8 @@ def test_wedge_fields_pass_killing_and_normality():
     one, t, x = (s for _, s in spec.known_scales)
     for s1, s2 in ((one, t), (one, x), (t, x)):
         for pt in sample_points(spec, 3, seed=11):
-            rep = ck_and_normality(spec, wedge_nckf(spec, s1, s2, pt), pt)
+            fr = CurvatureFrame(spec, pt, 2)
+            rep = ck_and_normality(fr, wedge_nckf(fr, s1, s2))
             assert rep.ck_res < 1e-8
             assert rep.normal_res < 1e-8
 
@@ -192,7 +198,8 @@ def test_bracket_closure_of_pp_split_wedges():
     spec = builtin_metric("pp_split")
     one, t, x = (s for _, s in spec.known_scales)
     points = sample_points(spec, 10, seed=12)
-    fields = np.stack([[wedge_nckf(spec, a, b, p) for p in points]
+    frames = [CurvatureFrame(spec, p, 2) for p in points]
+    fields = np.stack([[wedge_nckf(fr, a, b) for fr in frames]
                        for a, b in ((one, t), (one, x), (t, x))])
     assert analysis.bracket_closure_residual(fields) < 1e-6
 
@@ -204,8 +211,8 @@ def test_ae_operator_conformal_invariance():
     hatted = curvature.rescale_metric(spec, omega)
     sigma = expr.add(expr.ONE, expr.var(1))        # generic non-solution
     for pt in sample_points(spec, 3, seed=13):
-        base = analysis.ae_residual_matrix(spec, sigma, pt)
-        lifted = analysis.ae_residual_matrix(hatted, expr.mul(omega, sigma), pt)
+        base = ae_residual_matrix(CurvatureFrame(spec, pt, 2), sigma)
+        lifted = ae_residual_matrix(CurvatureFrame(hatted, pt, 2), expr.mul(omega, sigma))
         w = expr.evaluate_at(omega, pt)
         assert np.allclose(lifted, w * base, atol=1e-8 * max(1.0, np.abs(base).max()))
 
@@ -254,9 +261,10 @@ def test_scale_curvature_of_fs_unit_scale():
     spec = builtin_metric("fubini_study")
     pt = sample_points(spec, 1, seed=14)[0]
     # sigma = 1 reproduces the background J and the tractor-norm relation
-    j_sigma = analysis.j_of_scale(spec, expr.ONE, pt)
+    fr = CurvatureFrame(spec, pt, 3)
+    j_sigma = analysis.j_of_scale(fr, expr.ONE)
     assert j_sigma == pytest.approx(8.0, abs=1e-8)
-    I = tractor.einstein_tractor(spec, expr.ONE, pt)
+    I = tractor._einstein_jets(fr, fr.scalar_jet(expr.ONE)[None])[0, :, 0]
     g = curvature.curvature_pack(spec, pt, 3).g
     assert tractor.pairing(I, I, g) == pytest.approx(-2 / 4 * j_sigma, abs=1e-8)
 
@@ -265,7 +273,7 @@ def test_sc_direct_rescale_matches_formula():
     spec = geometry.warped_catalogue_entry("warped_fs", 5)
     sigma = spec.known_scales[0][1]                  # 1 + |x|^2, positive
     pt = sample_points(spec, 1, seed=15)[0]
-    via_formula = analysis.sc_of_scale(spec, sigma, pt)
+    via_formula = analysis.sc_of_scale(CurvatureFrame(spec, pt, 2), sigma)
     via_rescale = analysis.sc_of_scale_direct(spec, sigma, pt)
     assert via_formula == pytest.approx(via_rescale, rel=1e-8)
     assert via_formula == pytest.approx(5 * 4 * 4.0, abs=1e-7)   # n(n-1) * 4AB
@@ -307,10 +315,11 @@ def test_tractor_norm_matches_j_formula_on_warped_examples():
             sigma = expr.ZERO
             for c, (_, ast) in zip(coeffs, spec.known_scales):
                 sigma = expr.add(sigma, expr.mul(expr.const(float(c)), ast))
-            I = tractor.einstein_tractor(spec, sigma, pt)
+            fr = CurvatureFrame(spec, pt, 3)
+            I = tractor._einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
             g = curvature.curvature_pack(spec, pt, 3).g
             lhs = tractor.pairing(I, I, g)
-            rhs = -2.0 / spec.n * analysis.j_of_scale(spec, sigma, pt)
+            rhs = -2.0 / spec.n * analysis.j_of_scale(fr, sigma)
             assert lhs == pytest.approx(rhs, abs=1e-8 * max(1.0, abs(rhs)))
 
 
@@ -320,7 +329,7 @@ def test_pp_wedge_fields_are_null():
         scales = list(spec.known_scales)
         for (_, s1), (_, s2) in [(scales[0], scales[1])]:
             for pt in sample_points(spec, 5, seed=17):
-                vals = wedge_nckf(spec, s1, s2, pt)[:, 0]
+                vals = wedge_nckf(CurvatureFrame(spec, pt, 2), s1, s2)[:, 0]
                 g = curvature.curvature_pack(spec, pt, 3).g
                 assert abs(vals @ g @ vals) < 1e-9
 
@@ -330,7 +339,7 @@ def test_bracket_closure_on_lorentz_product_witnesses():
     scales = list(spec.known_scales)
     points = sample_points(spec, 10, seed=18)
     fields = np.stack([
-        [wedge_nckf(spec, s1, s2, p) for p in points]
+        [wedge_nckf(CurvatureFrame(spec, p, 2), s1, s2) for p in points]
         for (_, s1), (_, s2) in itertools.combinations(scales, 2)
     ])
     assert analysis.bracket_closure_residual(fields) < 1e-6
@@ -369,6 +378,12 @@ def test_warped_solution_with_small_metric_eigenvalues():
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
 
 
+def _base_frame(spec, point=None):
+    """The frame the upper bound reads, at the default basepoint unless given."""
+    point = geometry.default_point(spec) if point is None else point
+    return CurvatureFrame(spec, point, analysis.JET_ORDER)
+
+
 def _rotated(M):
     Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(M.shape[-1],) * 2))
     return M @ Q
@@ -379,13 +394,13 @@ def test_witness_outside_constraint_kernel_is_refuted(monkeypatch):
     spec = builtin_metric("pp_split")
     holonomy, lambda2 = analysis.holonomy_constraints, analysis.derived_lambda2
     fakes = {
-        "holonomy_constraints": lambda s, p: (_rotated(holonomy(s, p)[0]), holonomy(s, p)[1]),
+        "holonomy_constraints": lambda fr: (_rotated(holonomy(fr)[0]), holonomy(fr)[1]),
         "derived_lambda2": lambda X: _rotated(lambda2(X)),
     }
     for name, fake in fakes.items():
         with monkeypatch.context() as patch:
             patch.setattr(analysis, name, fake)
-            standard, adjoint = analysis.constraint_kernels(spec, geometry.default_point(spec))
+            standard, adjoint = analysis.constraint_kernels(_base_frame(spec))
             assert (standard.dim, adjoint.dim) == (3, 3)
             with pytest.raises(AnalysisError, match="outside the"):
                 estimate_parallel_dims(spec, seed=0)
@@ -437,11 +452,11 @@ def test_dims_table_holds_at_random_basepoints(name):
 def test_constraint_kernels_equal_the_full_row_kernels(name):
     # the kernels from the algebra basis are those of every chain value's rows
     spec = geometry.catalogue_metric(name)
-    pt = geometry.default_point(spec)
-    X, _ = analysis.holonomy_constraints(spec, pt)
+    fr = _base_frame(spec)
+    X, _ = analysis.holonomy_constraints(fr)
     nb = spec.n + 2
     rows = (X.reshape(-1, nb), analysis.derived_lambda2(X).reshape(-1, nb * (nb - 1) // 2))
-    for A, cut in zip(rows, analysis.constraint_kernels(spec, pt)):
+    for A, cut in zip(rows, analysis.constraint_kernels(fr)):
         full = kernel(A)
         assert full.marginal == cut.marginal
         assert np.abs(full.basis.T @ full.basis - cut.basis.T @ cut.basis).max() < 1e-12
@@ -456,8 +471,8 @@ def test_weak_algebra_direction_counts_once_it_passes_the_span_cut(monkeypatch):
     E[0, 1] = F[2, 3] = 1.0
     F[4, 5] = 1e-4
     X = np.stack([E, 1e-5 * F])
-    monkeypatch.setattr(analysis, "holonomy_constraints", lambda s, p: (X, 0.0))
-    standard, _ = analysis.constraint_kernels(spec, geometry.default_point(spec))
+    monkeypatch.setattr(analysis, "holonomy_constraints", lambda fr: (X, 0.0))
+    standard, _ = analysis.constraint_kernels(_base_frame(spec))
     raw = kernel(X.reshape(-1, 6))
     assert (standard.dim, raw.dim) == (3, 4)
     assert not standard.marginal and not raw.marginal
@@ -492,7 +507,7 @@ def test_constraint_kernels_act_on_a_basis_of_the_holonomy_algebra(name, monkeyp
 
     monkeypatch.setattr(analysis, "derived_lambda2", counted_lambda2)
     monkeypatch.setattr(analysis, "kernel", counted_kernel)
-    analysis.constraint_kernels(spec, geometry.default_point(spec))
+    analysis.constraint_kernels(_base_frame(spec))
     hol = HOL_DIMS[name]
     assert acted == [hol]
     assert [shape[1] for shape in shapes] == [nb * nb, nb, pairs]
@@ -513,12 +528,12 @@ def test_constraint_kernels_survive_transport(name):
     # transported kernel elements are annihilated by the curvature elsewhere
     spec = geometry.catalogue_metric(name)
     p = geometry.default_point(spec)
-    standard, adjoint = analysis.constraint_kernels(spec, p)
+    standard, adjoint = analysis.constraint_kernels(_base_frame(spec, p))
     nb = spec.n + 2
     rows, cols = np.array(list(itertools.combinations(range(nb), 2))).T
     for y in sample_points(spec, 2, seed=22):
         T = tractor.transport_matrix(spec, [p, y])
-        omegas = list(tractor.tractor_curvature(spec, y).values())
+        omegas = tractor.curvature_chain(CurvatureFrame(spec, y, 3), 1)[0]
         size = max(np.linalg.norm(M) for M in omegas)
         for M in omegas:
             for v in standard.basis:
@@ -545,22 +560,23 @@ def test_batched_witness_checks_equal_the_single_scale_functions(name):
     sigmas = [s for _, s in spec.known_scales] + [expr.var(0), expr.add(expr.ONE, expr.var(1))]
     first, second = np.array(list(itertools.combinations(range(len(sigmas)), 2))).T
     for pt in sample_points(spec, 2, seed=13):
-        fr = curvature.frame(spec, pt, 2)
+        fr = CurvatureFrame(spec, pt, 2)
         S = np.stack([fr.scalar_jet(s, 2) for s in sigmas])
         R = analysis._ae_residuals(fr, S)
         norms = curvature.norms(R, 2)
         for i, s in enumerate(sigmas):
-            single = analysis.ae_residual_matrix(spec, s, pt)
+            single = ae_residual_matrix(fr, s)
             assert analysis._ae_residuals(fr, S[i:i + 1])[0].tobytes() == single.tobytes()
-            assert _close(R[i], single) and _close(norms[i], ae_residual(spec, s, pt))
+            assert _close(R[i], single) and _close(norms[i], frobenius(single))
 
-        kfr = analysis._killing_frame(spec, pt)
+        # normality reads Cotton, an order-3 tensor, for n = 3
+        kfr = fr if spec.n >= 4 else CurvatureFrame(spec, pt, 3)
         K = analysis._wedge_jets(fr, S[first], S[second])
         _, ck, normal, normal_first = analysis._killing_terms(kfr, K)
         for q, (i, j) in enumerate(zip(first, second)):
-            k = wedge_nckf(spec, sigmas[i], sigmas[j], pt)
+            k = wedge_nckf(fr, sigmas[i], sigmas[j])
             assert analysis._wedge_jets(fr, S[i:i + 1], S[j:j + 1])[0].tobytes() == k.tobytes()
-            rep = ck_and_normality(spec, k, pt)
+            rep = ck_and_normality(kfr, k)
             assert _close(K[q], k)
             assert _close(ck[q], rep.ck_res) and _close(normal[q], rep.normal_res)
             assert (rep.normal_res_first_index is None if normal_first is None
@@ -584,8 +600,7 @@ def test_each_scale_evaluated_at_most_eight_times_per_dims_call(name, monkeypatc
 
 
 def _count_frame_builds(monkeypatch) -> list:
-    """The jet order of every CurvatureFrame.__init__ call from now on, with
-    the frame cache emptied first."""
+    """The jet order of every CurvatureFrame.__init__ call from now on."""
     orders = []
     init = curvature.CurvatureFrame.__init__
 
@@ -593,7 +608,6 @@ def _count_frame_builds(monkeypatch) -> list:
         orders.append(order)
         init(self, spec, points, order)
 
-    curvature._frames.clear()
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
     return orders
 
@@ -630,14 +644,14 @@ def test_dims_call_makes_two_batched_einstein_tractor_calls(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["pp_wave", "product_split_n6"])
 def test_kernel_of_weyl_reads_the_cached_higher_order_frame(name, monkeypatch):
-    # after an order-3 batch (as in cgl analyze) no order-2 frame is built or
-    # cut; the Weyl value is the one an order-2 frame holds
+    # the slices of an order-3 batch (as in cgl analyze) serve it with no
+    # order-2 frame built or cut; the Weyl value is the one an order-2 frame holds
     spec = geometry.catalogue_metric(name)
     points = sample_points(spec, 4, seed=53)
     want = [kernel(curvature.CurvatureFrame(spec, p, 2).weyl[..., 0].reshape(spec.n ** 3, spec.n))
             for p in points]
     orders = _count_frame_builds(monkeypatch)
-    curvature.frames(spec, points, 3)
+    batch = curvature.CurvatureFrame(spec, points, 3)
     cuts = []
     truncated = curvature.CurvatureFrame.truncated
 
@@ -646,7 +660,7 @@ def test_kernel_of_weyl_reads_the_cached_higher_order_frame(name, monkeypatch):
         return truncated(self, order)
 
     monkeypatch.setattr(curvature.CurvatureFrame, "truncated", counted)
-    got = [kernel_of_weyl(spec, p) for p in points]
+    got = [kernel_of_weyl(batch[i]) for i in range(len(points))]
     assert orders == [3] and not cuts
     for g, w in zip(got, want):
         assert g.basis.tobytes() == w.basis.tobytes()

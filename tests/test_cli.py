@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conformal_gap_lab
@@ -252,6 +253,31 @@ def test_malformed_metric_file_value_exits_2(tmp_path, capsys, line, lineno):
     assert err.startswith(f"error: line {lineno}: ")
 
 
+@pytest.mark.parametrize("line, lineno", [
+    ("g 1 1 : 1 +", 3), ("g 2 2 : (x1", 4), ("g 3 3 :", 5), ("domain : x1 *", 6),
+])
+def test_bad_metric_file_expression_names_its_line(tmp_path, capsys, line, lineno):
+    # a syntax error inside a component or domain expression once came
+    # without its line, only with the offset inside the expression
+    lines = ["dim = 3", "signature = 0,3", "g 1 1 : 1", "g 2 2 : 1", "g 3 3 : 1",
+             "domain : x1 + 2"]
+    lines[lineno - 1] = line
+    path = tmp_path / "bad.metric"
+    path.write_text("\n".join(lines) + "\n")
+    err = usage_error(capsys, "analyze", str(path), "--point", "1,0,0")
+    assert err.startswith(f"error: line {lineno}: ")
+
+
+@pytest.mark.parametrize("component, message", [
+    ("1 + 0^-1*x1", "singular value"), ("1 + (1e200)^2*x1", "not finite"),
+])
+def test_constant_power_that_cannot_fold_exits_2(tmp_path, capsys, component, message):
+    # folding these powers once raised ZeroDivisionError / OverflowError
+    path = tmp_path / "power.metric"
+    path.write_text(f"dim = 3\nsignature = 0,3\ng 1 1 : {component}\ng 2 2 : 1\ng 3 3 : 1\n")
+    assert message in usage_error(capsys, "analyze", str(path), "--point", "1,0,0")
+
+
 def test_overflowing_metric_file_exits_2(tmp_path, capsys):
     path = tmp_path / "big.metric"
     path.write_text("dim = 3\nsignature = 0,3\ng 1 1 : exp(1000*x1)\ng 2 2 : 1\ng 3 3 : 1\n")
@@ -328,6 +354,18 @@ def test_non_finite_point_exits_2(capsys, argv):
     assert "is not finite" in usage_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ("kerw", "pp_split", "--point", "0.2,,0.5,0.1,0.3"),
+    ("kerw", "pp_split", "--point", "0.2,0.5,0.1,0.3,,"),
+    ("analyze", "pp_wave", "--point", ""),
+    ("dims", "pp_split", "--base-point", "0.2,0.5,,0.3"),
+    ("rescale", "taub_nut", "--omega", "1", "--point", ",1.0,1.2,0.5,0.5"),
+])
+def test_empty_point_coordinate_exits_2(capsys, argv):
+    # empty fields were once dropped, so a 5-field point was read as a 4-point
+    assert "has an empty coordinate" in usage_error(capsys, *argv)
+
+
 def test_points_in_messages_are_plain_floats(capsys):
     err = usage_error(capsys, "rescale", "taub_nut", "--omega", "0")
     assert "not positive at (" in err and "np.float64" not in err
@@ -376,15 +414,47 @@ def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
         init(self, spec, points, order)
 
     residuals = []
-    ae_residual = analysis.ae_residual
+    ae_residual_matrix = analysis.ae_residual_matrix
 
     def counted_residual(*args):
         residuals.append(args)
-        return ae_residual(*args)
+        return ae_residual_matrix(*args)
 
-    monkeypatch.setattr(analysis, "ae_residual", counted_residual)
-    curvature._frames.clear()
+    monkeypatch.setattr(analysis, "ae_residual_matrix", counted_residual)
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
     code, out, _ = run(capsys, "analyze", "pp_wave", "--samples", "10", "--json")
     assert code == 0 and len(json.loads(out)["points"]) == 10
     assert orders == [3] and not residuals
+
+
+# (jet order, points) of every frame a command builds, in order, and the
+# orders of the cuts it makes
+FRAME_BUILDS = {
+    ("rescale", "taub_nut", "--omega", "1 + x1/8", "--point", "1.0,1.2,0.5,0.5"):
+        ([(3, 1), (3, 1)], []),
+    ("verify", "bounds", "--metric", "warped_fs_n6"):
+        ([(2, 10), (2, 6), (3, 1), (3, 1)], []),
+    ("verify", "t_riem", "--case", "b", "--n", "5"): ([(2, 10), (3, 1)], []),
+    ("verify", "warpedSol"): ([(3, 1), (2, 10)], []),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FRAME_BUILDS))
+def test_command_builds_each_frame_once(argv, capsys, monkeypatch):
+    builds, cuts = [], []
+    init, truncated = curvature.CurvatureFrame.__init__, curvature.CurvatureFrame.truncated
+
+    def counted_init(self, spec, points, order=4):
+        shape = np.shape(points)
+        builds.append((order, shape[0] if len(shape) > 1 else 1))
+        init(self, spec, points, order)
+
+    def counted_truncated(self, order):
+        cuts.append(order)
+        return truncated(self, order)
+
+    monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted_init)
+    monkeypatch.setattr(curvature.CurvatureFrame, "truncated", counted_truncated)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert (builds, cuts) == FRAME_BUILDS[argv]

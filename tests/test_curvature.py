@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conformal_gap_lab import curvature, expr, geometry, jets
 from conformal_gap_lab.curvature import (
-    curvature_pack, frobenius, rescale_metric, warped_nabla_reference,
+    CurvatureFrame, curvature_pack, frobenius, rescale_metric, warped_nabla_reference,
     warped_ricci_reference,
 )
 from conformal_gap_lab.geometry import (
@@ -131,16 +131,17 @@ def test_weyl_totally_trace_free(name):
 def test_divergence_of_weyl_identity(name):
     spec = builtin_metric(name)
     pt = sample_points(spec, 1, seed=7)[0]
-    assert curvature.bianchi_check(spec, pt) < 1e-7
+    assert curvature.bianchi_check(CurvatureFrame(spec, pt, 4)) < 1e-7
 
 
 def test_divergence_identity_flat_is_zero():
-    assert curvature.bianchi_check(pseudo_euclidean(0, 4), (0.1, 0.2, 0.3, 0.4)) < 1e-14
+    fr = CurvatureFrame(pseudo_euclidean(0, 4), (0.1, 0.2, 0.3, 0.4), 4)
+    assert curvature.bianchi_check(fr) < 1e-14
 
 
 def test_divergence_identity_rejects_n3():
     with pytest.raises(ValueError):
-        curvature.bianchi_check(builtin_metric("lorentz3d"), (0.1, 0.2, 0.3))
+        curvature.bianchi_check(CurvatureFrame(builtin_metric("lorentz3d"), (0.1, 0.2, 0.3), 4))
 
 
 @pytest.mark.parametrize("name", ["fubini_study", "taub_nut", "pp_wave", "pp_split"])
@@ -313,15 +314,18 @@ def test_warp_quantity_formulas_signed():
 
 
 def test_cached_frame_rejects_in_place_write():
+    # batch slices and cuts share a built frame's arrays, so none is writeable
     spec = builtin_metric("pp_wave")
-    pt = sample_points(spec, 1, seed=2)[0]
-    with pytest.raises(ValueError):
-        curvature.frame(spec, pt, 3).g[0, 0, 0] = 5.0
+    points = sample_points(spec, 2, seed=2)
+    batch = CurvatureFrame(spec, points, 3)
+    for fr in (CurvatureFrame(spec, points[0], 3), batch, batch[0], batch[0].truncated(2)):
+        with pytest.raises(ValueError):
+            fr.g[..., 0, 0, 0] = 5.0
 
 
 def test_truncated_frame_view_rejects_in_place_write():
     spec = builtin_metric("pp_wave")
-    fr = curvature.frame(spec, sample_points(spec, 1, seed=2)[0], 3)
+    fr = CurvatureFrame(spec, sample_points(spec, 1, seed=2)[0], 3)
     with pytest.raises(ValueError):
         fr.at(fr.gamma, 1)[...] += 1.0
 
@@ -335,7 +339,7 @@ def test_lorentz3d_weyl_roundoff_passes_self_checks():
 @pytest.mark.parametrize("name", ["pp_wave", "lorentz3d"])
 def test_weyl_with_trace_part_rejected(name):
     spec = builtin_metric(name)
-    fr = copy.copy(curvature.frame(spec, sample_points(spec, 1, seed=4)[0], 3))
+    fr = copy.copy(CurvatureFrame(spec, sample_points(spec, 1, seed=4)[0], 3))
     g = fr.values(fr.g)
     weyl = fr.weyl.copy()
     weyl[..., 0] += np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
@@ -379,27 +383,6 @@ def test_frame_holds_the_inverse_metric_to_one_order_below(name):
             want = jets.truncate_coeffs(full, spec.n, order, order - 1)
             assert jets.order_of(fr.ginv.shape[-1], spec.n) == order - 1
             assert fr.ginv.shape == want.shape and fr.ginv.tobytes() == want.tobytes()
-
-
-def test_lower_order_frame_is_cut_from_a_cached_one(monkeypatch):
-    spec = builtin_metric("pp_split")
-    pt = tuple(sample_points(spec, 1, seed=31)[0])
-    builds = []
-    init = curvature.CurvatureFrame.__init__
-
-    def counted(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
-    top = curvature.frame(spec, pt, 4)
-    assert len(builds) == 1
-    low = curvature.frame(spec, pt, 3)
-    assert curvature.frame(spec, pt, 2) is not None
-    assert len(builds) == 1 and low is not top and low.order == 3
-    assert curvature.frame(spec, pt, 3) is low
-    with pytest.raises(ValueError):
-        low.g[0, 0, 0] = 5.0
 
 
 def _jet_order_riemann_weyl_cotton(fr):
@@ -537,15 +520,14 @@ def _assert_batch_is_per_point_frames(batch, spec, points, order):
 
 @pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
 def test_frames_batch_equals_the_per_point_frames(name):
-    # a later frame() at a batch point returns that point's slice
+    # indexing a batch gives each point's frame as views of the batch
     spec = geometry.catalogue_metric(name)
     points = sample_points(spec, 3, seed=41)
     for order in (2, 3, 4):
-        batch = curvature.frames(spec, points, order)
+        batch = CurvatureFrame(spec, points, order)
         _assert_batch_is_per_point_frames(batch, spec, points, order)
         for i, pt in enumerate(points):
-            fr = curvature.frame(spec, pt, order)
-            assert fr is curvature.frame(spec, pt, order)
+            fr = batch[i]
             assert fr.point == tuple(pt) and fr.batch == () and fr.order == order
             for name_, value in _frame_arrays(fr).items():
                 assert np.shares_memory(value, getattr(batch, name_)), name_
@@ -564,49 +546,18 @@ def test_frames_builds_every_point_in_one_call(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
-    top = curvature.frame(spec, points[1], 3)
-    batch = curvature.frames(spec, points + points[:1], 2)
-    # cached points are built again with the rest: one build per call
-    assert [len(args[1]) for args in builds] == [1, 5]
+    top = CurvatureFrame(spec, points[1], 3)
+    batch = CurvatureFrame(spec, points + points[:1], 2)
+    # one build per call, a repeated point included
+    assert [np.shape(args[1]) for args in builds] == [(4,), (5, 4)]
     assert batch.batch == (5,)
     cut = top.truncated(2)
     assert batch.g[1].tobytes() == cut.g.tobytes()
     assert batch.gamma[4].tobytes() == batch.gamma[0].tobytes()
-    assert curvature.frames(spec, points, 2).g.tobytes() == batch.g[:4].tobytes()
-    assert [len(args[1]) for args in builds] == [1, 5, 4]
+    assert CurvatureFrame(spec, points, 2).g.tobytes() == batch.g[:4].tobytes()
+    assert len(builds) == 3
     with pytest.raises(ValueError, match="at least one point"):
-        curvature.frames(spec, [], 2)
-
-
-def test_frame_cache_drops_its_oldest_entry_past_the_bound():
-    spec = builtin_metric("pp_wave")
-    points = [tuple(p) for p in sample_points(spec, curvature._CACHE_SIZE + 1, seed=45)]
-    curvature._frames.clear()
-    oldest = curvature.frame(spec, points[0], 2)
-    curvature.frames(spec, points[1:], 2)
-    assert len(curvature._frames) == curvature._CACHE_SIZE
-    assert (spec, points[0], 2) not in curvature._frames
-    recent = [curvature.frame(spec, p, 2) for p in points[-3:]]
-    rebuilt = curvature.frame(spec, points[0], 2)
-    assert rebuilt is not oldest and rebuilt.point == oldest.point
-    want, got = _frame_arrays(oldest), _frame_arrays(rebuilt)
-    assert set(got) == set(want)
-    for name, value in want.items():
-        assert got[name].tobytes() == value.tobytes(), name
-    assert all(curvature.frame(spec, p, 2) is fr for p, fr in zip(points[-3:], recent))
-
-
-def test_frames_survive_the_cache_dropping_their_source():
-    # a batch larger than the cache bound: keeping its slices drops the
-    # older entries and its own first slices, and the batch comes back whole
-    spec = pseudo_euclidean(0, 3)
-    early = sample_points(spec, 3, seed=43)
-    curvature.frames(spec, early, 3)
-    many = sample_points(spec, 600, seed=44)
-    batch = curvature.frames(spec, many + early, 2)
-    assert batch.batch == (603,)
-    assert len(curvature._frames) == curvature._CACHE_SIZE
-    assert curvature.frame(spec, early[0], 2).g.tobytes() == batch.g[600].tobytes()
+        CurvatureFrame(spec, [], 2)
 
 
 def _bad_point_metric():
@@ -629,9 +580,9 @@ def test_frames_fail_as_the_first_failing_point(bad):
     spec = _bad_point_metric()
     points = [(0.5, 0.1, 0.2)] + [BAD_POINTS[b] for b in bad] + [(0.7, 0.0, 0.3)]
     with pytest.raises(ValueError) as alone:
-        curvature.frame(spec, BAD_POINTS[bad[0]], 2)
+        CurvatureFrame(spec, BAD_POINTS[bad[0]], 2)
     with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
-        curvature.frames(spec, points, 2)
+        CurvatureFrame(spec, points, 2)
 
 
 SAMPLE_BOX_POINTS = {

@@ -107,6 +107,13 @@ def test_constant_fold_matches_raw_evaluation():
     assert np.allclose(a, b, atol=1e-14)
 
 
+@pytest.mark.parametrize("source", ["0^-1", "(1e200)^2"])
+def test_constant_power_that_cannot_fold_is_left_for_evaluation(source):
+    # Python's float power raises on these; the Pow stays for evaluation to report
+    assert isinstance(expr.simplify(parse(source, n=1)), Pow)
+    assert expr.simplify(parse("2^-2", n=1)) == Const(0.25)
+
+
 def test_shift_vars():
     ast = parse("x1*sin(x2)", n=2)
     shifted = expr.shift_vars(ast, 2)

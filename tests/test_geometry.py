@@ -92,14 +92,6 @@ def test_non_finite_metric_rejected_at_the_point():
     assert metric_frame_at(spec, (0.0, 0.0, 0.0), 2)[2] == (0, 3)
 
 
-def test_equal_specs_share_a_frame_cache_entry():
-    first, second = catalogue_metric("product_split_n6"), catalogue_metric("product_split_n6")
-    assert first is not second and first == second and hash(first) == hash(second)
-    curvature._frames.clear()
-    point = geometry.default_point(first)
-    assert curvature.frame(first, point, 2) is curvature.frame(second, point, 2)
-
-
 @pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
 def test_catalogue_coordinate_names_are_distinct(name):
     spec = catalogue_metric(name)
@@ -384,7 +376,7 @@ def test_non_finite_point_rejected(bad):
     with pytest.raises(DomainError, match=r"point \(0\.2, .*\) is not finite"):
         metric_frame_at(spec, point, 2)
     with pytest.raises(DomainError, match="not finite"):
-        curvature.frame(spec, point, 2)
+        curvature.CurvatureFrame(spec, point, 2)
     # the basepoint is checked even when no frame is built there
     with pytest.raises(DomainError, match="not finite"):
         analysis.estimate_parallel_dims(builtin_metric("lorentz3d"), (0.1, bad, 0.2),

@@ -7,11 +7,31 @@ import numpy as np
 import pytest
 
 from conformal_gap_lab import curvature, expr, geometry, jets, tractor
-from conformal_gap_lab.curvature import ConventionError, frobenius
+from conformal_gap_lab.curvature import ConventionError, CurvatureFrame, frobenius
 from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_points
 from conformal_gap_lab.tractor import (
-    TransportError, einstein_tractor, pairing, tractor_curvature, tractor_derivative, transport_matrix,
+    TransportError, pairing, tractor_derivative, transport_matrix,
 )
+
+
+def einstein_tractor(spec, sigma, point):
+    """(sigma, grad^a sigma, -(Lap sigma + J sigma)/n) at the point: the
+    batched core on a stack of one scale at an order-3 frame."""
+    fr = CurvatureFrame(spec, point, 3)
+    return tractor._einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
+
+
+def parallel_residual(spec, sigma, point):
+    """Norm of the values of D_a I for the scale tractor I (0 for solutions)."""
+    fr = CurvatureFrame(spec, point, 3)
+    return float(np.linalg.norm(tractor._parallel_values(fr, fr.scalar_jet(sigma)[None])[0]))
+
+
+def tractor_curvature(spec, point):
+    """Omega_ab for a < b as {(a, b): (n + 2, n + 2) array}, from level 0 of
+    the curvature chain, which validates it against its block structure."""
+    fr = CurvatureFrame(spec, point, 4)
+    return dict(zip(itertools.combinations(range(spec.n), 2), tractor.curvature_chain(fr, 1)[0]))
 
 
 def rectangle_loop(point, axis_a: int, axis_b: int, h: float):
@@ -28,7 +48,7 @@ def rectangle_loop(point, axis_a: int, axis_b: int, h: float):
 def test_flat_constant_top_section_is_parallel():
     spec = pseudo_euclidean(0, 4)
     section = (expr.ONE, [expr.ZERO] * 4, expr.ZERO)
-    for d in tractor_derivative(spec, section, (0.2, -0.1, 0.4, 0.0)):
+    for d in tractor_derivative(CurvatureFrame(spec, (0.2, -0.1, 0.4, 0.0), 3), section):
         assert np.linalg.norm(d) < 1e-12
 
 
@@ -36,16 +56,16 @@ def test_pp_wave_scale_tractor_is_parallel():
     spec = builtin_metric("pp_wave")
     sigma = spec.known_scales[1][1]
     for pt in sample_points(spec, 4, seed=1):
-        res = tractor.scale_tractor_parallel_residual(spec, sigma, pt)
+        res = parallel_residual(spec, sigma, pt)
         assert res < 1e-8
-        res_const = tractor.scale_tractor_parallel_residual(spec, expr.ONE, pt)
+        res_const = parallel_residual(spec, expr.ONE, pt)
         assert res_const < 1e-10
 
 
 def test_nonsolution_scale_is_not_parallel():
     spec = builtin_metric("fubini_study")
     pt = sample_points(spec, 1, seed=2)[0]
-    assert tractor.scale_tractor_parallel_residual(spec, expr.var(0), pt) > 1e-3
+    assert parallel_residual(spec, expr.var(0), pt) > 1e-3
 
 
 @pytest.mark.parametrize("name", ["fubini_study", "taub_nut", "pp_wave", "pp_split",
@@ -56,11 +76,11 @@ def test_parallel_residual_needs_only_the_order_3_frame(name):
     # order 2 and must give the same values
     spec = geometry.catalogue_metric(name)
     for pt in sample_points(spec, 3, seed=4):
-        fr = curvature.frame(spec, pt, 4)
+        fr = CurvatureFrame(spec, pt, 4)
         for _, sigma in (*spec.known_scales, ("x1", expr.var(0))):
             I = tractor._einstein_jets(fr, fr.scalar_jet(sigma))
             full = np.linalg.norm(tractor._tractor_deriv_jets(fr, I[None], 2)[..., 0])
-            got = tractor.scale_tractor_parallel_residual(spec, sigma, pt)
+            got = parallel_residual(spec, sigma, pt)
             assert abs(got - full) <= 1e-12 * max(1.0, full)
 
 
@@ -72,7 +92,7 @@ def test_einstein_jets_batch_over_a_stack_of_scales(name):
     spec = geometry.catalogue_metric(name)
     sigmas = [sigma for _, sigma in spec.known_scales]
     for pt in sample_points(spec, 2, seed=5):
-        fr = curvature.frame(spec, pt, 3)
+        fr = CurvatureFrame(spec, pt, 3)
         S = np.stack([fr.scalar_jet(sigma) for sigma in sigmas])
         stack = tractor._einstein_jets(fr, S)
         values = tractor._parallel_values(fr, S)
@@ -83,7 +103,7 @@ def test_einstein_jets_batch_over_a_stack_of_scales(name):
             assert one[0, :, 0].tobytes() == einstein_tractor(spec, sigma, pt).tobytes()
             D = tractor._parallel_values(fr, S[i:i + 1])[0]
             assert D.tobytes() == tractor._tractor_deriv_jets(fr, one, 1)[0, ..., 0].tobytes()
-            assert float(np.linalg.norm(D)) == tractor.scale_tractor_parallel_residual(
+            assert float(np.linalg.norm(D)) == parallel_residual(
                 spec, sigma, pt)
             scale = max(np.abs(stack).max(), np.abs(values).max())
             assert np.abs(stack[i] - one[0]).max() <= 1e-12 * scale
@@ -133,8 +153,9 @@ def test_tractor_metric_compatibility():
     h = 1e-5
     ep = np.zeros(4); ep[direction] = h
     numeric = (pair_at(pt + ep) - pair_at(pt - ep)) / (2 * h)
-    du = tractor_derivative(spec, u_fields, tuple(pt), direction)
-    dv = tractor_derivative(spec, v_fields, tuple(pt), direction)
+    fr = CurvatureFrame(spec, pt, 3)
+    du = tractor_derivative(fr, u_fields, direction)
+    dv = tractor_derivative(fr, v_fields, direction)
     g = curvature.curvature_pack(spec, tuple(pt), 3).g
     leibniz = pairing(du, vec_at(v_fields, pt), g) + pairing(vec_at(u_fields, pt), dv, g)
     assert numeric == pytest.approx(leibniz, abs=1e-8 * max(1.0, abs(leibniz)))
@@ -165,12 +186,12 @@ def test_curvature_chain_matches_finite_differences(name):
     # X_1 = d_c Omega + [A_c, Omega], with d_c Omega by central differences
     spec = geometry.catalogue_metric(name)
     pt = np.array(sample_points(spec, 1, seed=4)[0])
-    levels = tractor.curvature_chain(curvature.frame(spec, tuple(pt), 4), 2)
+    levels = tractor.curvature_chain(CurvatureFrame(spec, pt, 4), 2)
 
     def omega(x):
         return np.stack(list(tractor_curvature(spec, tuple(x)).values()))
 
-    A = tractor.connection_matrices(curvature.frame(spec, tuple(pt), 2))
+    A = tractor.connection_matrices(CurvatureFrame(spec, pt, 2))
     h = 1e-4
     expected = []
     for c, step in enumerate(h * np.eye(spec.n)):
@@ -279,7 +300,7 @@ def test_scale_equivariance_of_scale_tractor():
 
 def test_corrupted_tractor_curvature_is_rejected():
     spec = builtin_metric("pp_split")
-    fr = curvature.frame(spec, sample_points(spec, 1, seed=3)[0], 4)
+    fr = CurvatureFrame(spec, sample_points(spec, 1, seed=3)[0], 4)
     first, second = np.array(list(itertools.combinations(range(spec.n), 2))).T
     omegas = tractor.curvature_chain(fr, 1)[0]
     tractor._validate_tractor_curvature(fr, first, second, omegas)
