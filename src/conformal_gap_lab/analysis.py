@@ -6,8 +6,7 @@ pointwise Weyl kernels with their signature bounds, constraint-based
 upper/lower estimation of d_aE and d_ncK, and the family verifiers for the
 warped-product constructions.  A vector field is carried as the (n, C_1)
 array of order-1 jets of its components at a point: wedge fields are built
-from the scale jets and the inverse-metric jets of the order-2 frame, and
-fields given as formulas enter through ``field_jets``.
+from the scale jets and the inverse-metric jets of the order-2 frame.
 
 Upper bounds come from the infinitesimal holonomy algebra at the basepoint:
 the values there of the tractor curvature Omega_ab and of its covariant
@@ -33,11 +32,8 @@ scale is evaluated once at all check points, as one (S, P, C_2) stack of
 jets, and the almost-Einstein residuals of all scales, the wedge fields of
 all verified pairs and their Killing/normality residuals come from batched
 cores on that stack (leading axes batch, as in ``jets``; the frame's point
-axis is the last of them).  The family verifiers check
-their scales the same way.  The single-scale functions
-(``ae_residual_matrix``, ``wedge_nckf``, ``ck_and_normality``) are those
-cores on one scale at a frame of one point: a batch of one gives their bits,
-a larger batch agrees with them to rounding.
+axis is the last of them).  The family verifiers check their scales the
+same way.
 """
 
 from __future__ import annotations
@@ -160,7 +156,7 @@ def _scale_terms(fr: curvature.CurvatureFrame, s: np.ndarray):
     return s[..., 0], grad, hess
 
 
-def _ae_residuals(fr: curvature.CurvatureFrame, s: np.ndarray) -> np.ndarray:
+def ae_residuals(fr: curvature.CurvatureFrame, s: np.ndarray) -> np.ndarray:
     """Trace-free parts (..., n, n) of (Hess sigma + P sigma) for scale jets s (..., C_2)."""
     val, _, hess = _scale_terms(fr, s)
     H = hess + fr.values(fr.schouten) * val[..., None, None]
@@ -170,28 +166,17 @@ def _ae_residuals(fr: curvature.CurvatureFrame, s: np.ndarray) -> np.ndarray:
 
 def ae_residual_matrix(fr: curvature.CurvatureFrame, sigma: expr.Node) -> np.ndarray:
     """Trace-free part of (Hess sigma + P sigma) as a matrix, at a frame of one point."""
-    return _ae_residuals(fr, fr.scalar_jet(sigma, 2))
+    return ae_residuals(fr, fr.scalar_jet(sigma, 2))
 
 
-@dataclass
-class KillingReport:
-    ck_res: float
-    normal_res: float
-    normal_res_first_index: float | None = None
-    parallel_res: float | None = None
-    null_res: float | None = None
-
-
-def field_jets(k_asts, point) -> np.ndarray:
-    """Order-1 jets (n, C_1) of the vector field with component formulas k_asts."""
-    env = jets.seed_jets(tuple(point), 1)
-    return np.stack([expr.evaluate(a, env) for a in k_asts])
-
-
-def _killing_terms(fr: curvature.CurvatureFrame, k: np.ndarray):
+def killing_terms(fr: curvature.CurvatureFrame, k: np.ndarray):
     """For field jets k (..., n, C_1): nabla_a k^b (..., n, n) and the
     conformal-Killing, normality and (n = 3) first-index normality residuals
-    (...), the last None for n >= 4.  See ``ck_and_normality``."""
+    (...), the last None for n >= 4.
+
+    Normality is |W_abcr k^r| for n >= 4; for n = 3 it is the Cotton
+    contraction on the last index, and the frame must be of order 3 or more.
+    """
     n = fr.n
     kv, dk = k[..., 0], np.swapaxes(jets.gradient(k, n), -1, -2)  # [a, b] = d_a k^b
     g = fr.values(fr.g)
@@ -208,27 +193,7 @@ def _killing_terms(fr: curvature.CurvatureFrame, k: np.ndarray):
             norms(np.einsum("...cab,...c->...ab", Y, kv), 2))
 
 
-def ck_and_normality(fr: curvature.CurvatureFrame, k: np.ndarray,
-                     with_extras: bool = False) -> KillingReport:
-    """Conformal-Killing residual plus normality of the field with jets k (n, C_1)
-    at a frame of one point.
-
-    For n >= 4 normality is |W_abcr k^r|; for n = 3 it is the Cotton
-    contraction on the last index, with the first-index contraction also
-    reported, so there the frame must be of order 3 or more.  ``with_extras``
-    adds full-parallelism and nullity residuals.
-    """
-    nab_up, ck, normal, first = _killing_terms(fr, k)
-    report = KillingReport(ck_res=float(ck), normal_res=float(normal),
-                           normal_res_first_index=None if first is None else float(first))
-    if with_extras:
-        kv = k[:, 0]
-        report.parallel_res = frobenius(nab_up)
-        report.null_res = abs(float(kv @ fr.values(fr.g) @ kv))
-    return report
-
-
-def _wedge_jets(fr: curvature.CurvatureFrame, s: np.ndarray, sb: np.ndarray) -> np.ndarray:
+def wedge_jets(fr: curvature.CurvatureFrame, s: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """Order-1 jets (..., n, C_1) of k^a = g^{ab} (sigma d_b sigma_bar - sigma_bar d_b sigma)
     for scale jets s, sb (..., C_2) at an order-2 frame."""
     n = fr.n
@@ -236,13 +201,6 @@ def _wedge_jets(fr: curvature.CurvatureFrame, s: np.ndarray, sb: np.ndarray) -> 
     k_low = (jets.conv(fr.at(s, 1)[..., None, :], dsb, n, 1)
              - jets.conv(fr.at(sb, 1)[..., None, :], ds, n, 1))
     return jets.contract(fr.at(fr.ginv, 1), k_low[..., None, :, :], n, 1)
-
-
-def wedge_nckf(fr: curvature.CurvatureFrame, sigma: expr.Node,
-               sigma_bar: expr.Node) -> np.ndarray:
-    """Order-1 jets (n, C_1) of k^a = g^{ab} (sigma d_b sigma_bar - sigma_bar d_b sigma)
-    at a frame of one point."""
-    return _wedge_jets(fr, fr.scalar_jet(sigma, 2), fr.scalar_jet(sigma_bar, 2))
 
 
 def bracket_closure_residual(fields: np.ndarray) -> float:
@@ -288,7 +246,7 @@ def sc_of_scale_direct(spec: MetricSpec, sigma: expr.Node, point) -> float:
     """Scalar curvature of sigma^-2 g by actually rescaling (sigma > 0 needed)."""
     omega = expr.div(expr.ONE, sigma)
     hatted = curvature.rescale_metric(spec, omega)
-    return curvature.curvature_pack(hatted, point, 3).scalar
+    return curvature.curvature_pack(hatted, point).scalar
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +454,10 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
 
     fr = curvature.CurvatureFrame(spec, check_pts, 2)
     S = np.stack([fr.scalar_jet(sigma, 2) for sigma in sigmas])      # (scale, point, C_2)
-    res = norms(_ae_residuals(fr, S), 2).max(axis=1)
+    res = norms(ae_residuals(fr, S), 2).max(axis=1)
     first_fr = curvature.CurvatureFrame(spec, check_pts[0], 3)
     at_first = np.stack([first_fr.scalar_jet(sigma) for sigma in sigmas])
-    par = norms(tractor._parallel_values(first_fr, at_first), 2)
+    par = norms(tractor.parallel_values(first_fr, at_first), 2)
     ok = (res < RESIDUAL_TOL) & (par < 10 * RESIDUAL_TOL)
     for name, r, q, passed in zip(names, res, par, ok):
         if not passed:
@@ -514,7 +472,7 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     base_fr = (base.truncated(3) if base is not None
                else curvature.CurvatureFrame(spec, report.basepoint, 3))
     at_base = np.stack([base_fr.scalar_jet(sigmas[i]) for i in verified])
-    vecs = tractor._einstein_jets(base_fr, at_base)[..., 0]
+    vecs = tractor.einstein_jets(base_fr, at_base)[..., 0]
     _require_inside(standard, vecs, report.ae_witnesses, "standard", spec)
     span = kernel(vecs)
     report.d_ae_lower = span.ambient_dim - span.dim
@@ -527,7 +485,7 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     # Killing/normality at the first three check points
     kfr = fr[:3] if spec.n >= 4 else curvature.CurvatureFrame(spec, check_pts[:3], 3)
     V = S[verified, :3]
-    _, ck, normal, _ = _killing_terms(kfr, _wedge_jets(fr[:3], V[first], V[second]))
+    _, ck, normal, _ = killing_terms(kfr, wedge_jets(fr[:3], V[first], V[second]))
     worst = np.maximum(ck, normal).max(axis=1)
     wedge_vecs = []
     for i, j, w in zip(first, second, worst):
@@ -576,7 +534,7 @@ def _scale_family_checks(spec: MetricSpec, family, checks: list,
     points = geometry.sample_points(spec, 10, seed=seed)
     fr = curvature.CurvatureFrame(spec, points, 2)
     S = np.stack([fr.scalar_jet(sigma, 2) for _, sigma in family])   # (scale, point, C_2)
-    worst = norms(_ae_residuals(fr, S), 2).max(axis=1)
+    worst = norms(ae_residuals(fr, S), 2).max(axis=1)
     for (name, _), w in zip(family, worst):
         _check(checks, f"ae_residual[{name}]", w, 1e-7)
     # the order-1 prefix of a jet is (value, gradient)
@@ -619,7 +577,7 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
     points = geometry.sample_points(spec, 10, seed=seed + 5)
 
     fiber_pt = geometry.default_point(ws.fiber)
-    fiber_sc = curvature.curvature_pack(ws.fiber, fiber_pt, 3).scalar
+    fiber_sc = curvature.curvature_pack(ws.fiber, fiber_pt).scalar
     _check(checks, "fiber_scalar_curvature", fiber_sc - (-48.0 * a * b), 1e-7)
 
     nb = n - 4
@@ -635,7 +593,7 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
                                              geometry.signed_norm_sq(nb, ws.base_signs)))
         for i in range(nb):
             sigma = expr.add(sigma, expr.mul(expr.const(float(c[i])), expr.var(i)))
-        worst = norms(_ae_residuals(fr, fr.scalar_jet(sigma, 2)), 2).max()
+        worst = norms(ae_residuals(fr, fr.scalar_jet(sigma, 2)), 2).max()
         _check(checks, f"ae_residual[trial{trial}]", worst, 1e-7)
         c_sq = float(np.sum(c * c))          # Euclidean base here
         expected_j = 2 * n * A * B - n / 2 * c_sq
@@ -751,7 +709,7 @@ def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dic
             "checks": checks}
 
 
-def _verify_bounds(metric: str = "taub_nut", seed: int = 0) -> dict:
+def _verify_bounds(metric: str = "pp_wave", seed: int = 0) -> dict:
     spec = geometry.catalogue_metric(metric)
     checks: list = []
     points = geometry.sample_points(spec, 10, seed=seed)

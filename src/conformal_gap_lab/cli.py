@@ -33,10 +33,6 @@ USAGE_ERRORS = (
 
 CHECK_ERRORS = (ConventionError, analysis.AnalysisError)
 
-# the verifier options and the values they take when not given; a verifier
-# is passed those among them that its signature names
-VERIFY_DEFAULTS = {"n": 6, "case": "a", "p": 2, "sc": 48, "metric": "pp_wave"}
-
 
 def _seed(ns) -> int:
     """``--seed``, else ``CGL_SEED``, else 0; a non-negative integer."""
@@ -187,7 +183,7 @@ def _cmd_analyze(ns) -> tuple[dict, bool]:
     scale_checks = []
     ok = True
     for name, sigma in spec.known_scales:
-        worst = float(norms(analysis._ae_residuals(fr, fr.scalar_jet(sigma, 2)), 2).max())
+        worst = float(norms(analysis.ae_residuals(fr, fr.scalar_jet(sigma, 2)), 2).max())
         passed = worst < 1e-8
         ok &= passed
         scale_checks.append({
@@ -243,19 +239,26 @@ def _cmd_dims(ns) -> tuple[dict, bool]:
     return report, True
 
 
+def _verifier_defaults() -> dict:
+    """Each verifier option with its default, read from the verifier signatures."""
+    return {name: param.default for verifier in analysis.VERIFIERS.values()
+            for name, param in inspect.signature(verifier).parameters.items()
+            if name != "seed"}
+
+
 def _cmd_verify(ns) -> tuple[dict, bool]:
     if ns.param:
         raise geometry.CatalogueError("verify takes no --param")
     seed = _seed(ns)
+    # an option the user did not give is None and takes the verifier's default
     params = inspect.signature(analysis.VERIFIERS[ns.theorem]).parameters
-    given = {name: getattr(ns, name) for name in VERIFY_DEFAULTS
-             if getattr(ns, name) is not None}
+    options = _verifier_defaults()
+    given = {name: value for name, value in vars(ns).items()
+             if name in options and value is not None}
     for name in given:
         if name not in params:
             raise geometry.CatalogueError(f"verify {ns.theorem} takes no --{name}")
-    values = {**VERIFY_DEFAULTS, **given, "seed": seed}
-    kwargs = {name: values[name] for name in params}
-    report = analysis.verify_theorem(ns.theorem, **kwargs)
+    report = analysis.verify_theorem(ns.theorem, **given, seed=seed)
     report["command"] = f"verify {ns.theorem}"
     report["pass"] = report.pop("passed")
     return report, report["pass"]
@@ -268,8 +271,8 @@ def _cmd_rescale(ns) -> tuple[dict, bool]:
     omega = expr.parse(ns.omega, spec.n, params=dict(spec.params),
                        var_names=spec.names)
     hatted = curvature.rescale_metric(spec, omega)
-    pack = curvature.curvature_pack(spec, pt, order=3)
-    hat_pack = curvature.curvature_pack(hatted, pt, order=3)
+    pack = curvature.curvature_pack(spec, pt)
+    hat_pack = curvature.curvature_pack(hatted, pt)
 
     checks = []
 
@@ -349,11 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     # unset options stay None, so options the verifier does not take are caught
     kinds = {"n": {"type": int}, "case": {"choices": ["a", "b", "c"]}, "p": {"type": int},
              "sc": {"type": int, "choices": [48, -48, 0]}, "metric": {}}
+    defaults = _verifier_defaults()
     for name, kind in kinds.items():
         takers = [theorem for theorem, verifier in analysis.VERIFIERS.items()
                   if name in inspect.signature(verifier).parameters]
         p.add_argument(f"--{name}", **kind, help=(
-            f"default {VERIFY_DEFAULTS[name]}; taken by {', '.join(takers)}"))
+            f"default {defaults[name]}; taken by {', '.join(takers)}"))
     common(p, with_point=False)
 
     p = sub.add_parser("rescale", help="conformal transformation-law checks")

@@ -130,7 +130,8 @@ class CurvatureFrame:
         self.order = order
         n = self.n = spec.n
 
-        self.g, self.ginv, self.signature = geometry.metric_frame_at(spec, pts, order)
+        self.signature = spec.signature
+        self.g, self.ginv = geometry.metric_frame_at(spec, pts, order)
 
         # dg[i, a, b] = d_i g_ab, one jet order lower
         dg = self.partials(self.g, order)
@@ -414,9 +415,10 @@ def _trace_pair(W: np.ndarray, ginv: np.ndarray, axes) -> np.ndarray:
     return np.einsum(lhs, ginv, W)
 
 
-def curvature_pack(spec: MetricSpec, point, order: int = 4) -> CurvaturePack:
-    """All curvature tensors at the point, with convention self-checks."""
-    return CurvaturePack(CurvatureFrame(spec, point, max(order, 3)))
+def curvature_pack(spec: MetricSpec, point) -> CurvaturePack:
+    """All curvature tensors at the point, from an order-3 frame, with
+    convention self-checks."""
+    return CurvaturePack(CurvatureFrame(spec, point, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +526,7 @@ def warped_ricci_reference(ws: WarpedSpec, point) -> tuple[np.ndarray, float]:
     nb, nf = ws.base.n, ws.fiber.n
     f, df, hess, lap, df_sq, signs = _warp_data(ws, point)
     fiber_pt = tuple(point[nb:])
-    fiber_pack = curvature_pack(ws.fiber, fiber_pt, order=3)
+    fiber_pack = curvature_pack(ws.fiber, fiber_pt)
     gt = fiber_pack.g
     ric_fiber = fiber_pack.ricci
 
@@ -547,7 +549,7 @@ def warped_nabla_reference(ws: WarpedSpec, point, vector: np.ndarray,
     n = nb + nf
     f, df, hess, lap, df_sq, signs = _warp_data(ws, point)
     fiber_pt = tuple(point[nb:])
-    fiber_pack = curvature_pack(ws.fiber, fiber_pt, order=3)
+    fiber_pack = curvature_pack(ws.fiber, fiber_pt)
     gt = fiber_pack.g
     gamma_t = fiber_pack.gamma
     gbar_inv = np.diag(signs)                   # inverse equals itself for +-1 diagonal

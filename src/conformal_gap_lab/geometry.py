@@ -586,10 +586,6 @@ def _signs(eigs: np.ndarray) -> tuple[int, int]:
     return int(np.sum(eigs < 0)), int(np.sum(eigs > 0))
 
 
-def signature_of(values: np.ndarray) -> tuple[int, int]:
-    return _signs(_eigenvalues(values))
-
-
 def format_point(point) -> str:
     """A point as a tuple of plain floats, for messages."""
     return str(tuple(float(c) for c in point))
@@ -630,16 +626,16 @@ def _check_values(spec: MetricSpec, point, G: np.ndarray) -> None:
 
 
 def metric_frame_at(spec: MetricSpec, points, order: int):
-    """(g jets to ``order``, inverse jets to ``order - 1``, signature) with
-    admissibility checks.
+    """(g jets to ``order``, inverse jets to ``order - 1``) with admissibility
+    checks.
 
     No reader of a frame reads the inverse above ``order - 1`` (Christoffels
     and the scale tractor's gradient read it there), and its coefficients to
     that order are the prefix of the order-``order`` inverse, bit for bit.
     ``points`` is one point or a (P, n) stack; the jets then carry the point
-    axis first.  Every point is checked (the signature is the one computed
-    there), and a stack with a failing point raises what the first failing
-    point raises alone.
+    axis first.  Every point is checked (the signature computed there must be
+    the declared one), and a stack with a failing point raises what the
+    first failing point raises alone.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     stack = pts.reshape(-1, pts.shape[-1])
@@ -651,7 +647,7 @@ def metric_frame_at(spec: MetricSpec, points, order: int):
         for p, g in zip(stack, G.reshape((-1,) + G.shape[-3:])):
             _check_values(spec, p, g)
         G1 = jets.truncate_coeffs(G, spec.n, order, order - 1)
-        return G, jet_matrix_inverse(G1), spec.signature
+        return G, jet_matrix_inverse(G1)
     except (DomainError, SingularMetricError, expr.EvalError):
         if len(stack) > 1:
             for p in stack:

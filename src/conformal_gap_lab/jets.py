@@ -63,11 +63,8 @@ class JetTables:
 
     num_vars: int
     order: int
-    multis: tuple[tuple[int, ...], ...]
-    position: dict
     size: int
     sizes_by_order: tuple[int, ...]       # coefficient count at each truncation order
-    factorial: np.ndarray                 # alpha! per slot
     mul_i: np.ndarray
     mul_j: np.ndarray
     mul_k: np.ndarray
@@ -107,11 +104,8 @@ def _with_scatter(**fields) -> JetTables:
 
 def _build_tables(num_vars: int, order: int) -> JetTables:
     E = _multi_indices(num_vars, order)
-    multis = tuple(map(tuple, E.tolist()))
     degrees = E.sum(axis=1)
     sizes_by_order = tuple(int(np.sum(degrees <= m)) for m in range(order + 1))
-    factorial = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
-    factorial = factorial[E].prod(axis=1)
 
     # an exponent sum with total degree <= order has every entry <= order, so
     # the mixed-radix key (base order + 1) of a multi-index locates it
@@ -132,9 +126,7 @@ def _build_tables(num_vars: int, order: int) -> JetTables:
     diff_fac = lower.T + 1.0
 
     return _with_scatter(
-        num_vars=num_vars, order=order, multis=multis,
-        position={m: i for i, m in enumerate(multis)}, size=len(multis),
-        sizes_by_order=sizes_by_order, factorial=factorial,
+        num_vars=num_vars, order=order, size=len(E), sizes_by_order=sizes_by_order,
         mul_i=mul_i, mul_j=mul_j, mul_k=mul_k, diff_src=diff_src, diff_fac=diff_fac,
     )
 
@@ -148,9 +140,8 @@ def _cut_tables(top: JetTables, order: int) -> JetTables:
     keep = degree[top.mul_i] + degree[top.mul_j] <= order
     below = top.sizes_by_order[order - 1] if order >= 1 else 0
     return _with_scatter(
-        num_vars=top.num_vars, order=order, multis=top.multis[:size],
-        position=dict(itertools.islice(top.position.items(), size)), size=size,
-        sizes_by_order=top.sizes_by_order[: order + 1], factorial=top.factorial[:size].copy(),
+        num_vars=top.num_vars, order=order, size=size,
+        sizes_by_order=top.sizes_by_order[: order + 1],
         mul_i=top.mul_i[keep], mul_j=top.mul_j[keep], mul_k=top.mul_k[keep],
         diff_src=top.diff_src[:, :below].copy(), diff_fac=top.diff_fac[:, :below].copy(),
     )
@@ -228,12 +219,6 @@ def truncate_coeffs(a: np.ndarray, num_vars: int, order: int, new_order: int) ->
     return _sized(a, t)[..., : t.sizes_by_order[new_order]]
 
 
-def constant(value: float, num_vars: int, order: int) -> np.ndarray:
-    c = np.zeros(tables(num_vars, order).size)
-    c[0] = value
-    return c
-
-
 def seed_jets(point, order: int) -> np.ndarray:
     """Coordinate-function jets at the point: row i is the jet of x_i.
 
@@ -255,19 +240,6 @@ def seed_jets(point, order: int) -> np.ndarray:
     return out
 
 
-def extract_partial(a: np.ndarray, multi_index) -> float:
-    """The plain partial derivative d^alpha f, recovered as alpha! * c_alpha."""
-    alpha = tuple(int(k) for k in multi_index)
-    if not alpha or any(k < 0 for k in alpha):
-        raise JetError(f"bad multi-index {alpha}")
-    order = order_of(np.shape(a)[-1], len(alpha))
-    if sum(alpha) > order:
-        raise JetError(f"multi-index order {sum(alpha)} exceeds jet order {order}")
-    t = tables(len(alpha), order)
-    pos = t.position[alpha]
-    return a[..., pos] * t.factorial[pos]
-
-
 def gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
     """First partials (degree-1 block of the graded layout), last axis the variable."""
     if a.shape[-1] == 1:
@@ -277,11 +249,9 @@ def gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _hessian_slots(num_vars: int):
+    # d/dx_i of the degree-1 slot of x_j reads the slot of x_i x_j
     t = tables(num_vars, 2)
-    unit = np.eye(num_vars, dtype=int)
-    slots = np.array([[t.position[tuple(unit[i] + unit[j])] for j in range(num_vars)]
-                      for i in range(num_vars)])
-    return slots, 1.0 + np.eye(num_vars), t.size
+    return t.diff_src[:, 1 : num_vars + 1], 1.0 + np.eye(num_vars), t.size
 
 
 def hessian(a: np.ndarray, num_vars: int) -> np.ndarray:

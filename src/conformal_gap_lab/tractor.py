@@ -19,7 +19,7 @@ transport are all derived from it.  The curvature is cross-checked against
 its expected Weyl/Cotton block structure, so no sign convention for the
 Cotton block is hard-coded.  Every reader takes the curvature frame its
 caller built; transport, kept as an independent oracle for the tests, builds
-a frame at each point where it evaluates the connection.
+one batch of frames per step count, at the grid points new to it.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ def tractor_metric_matrix(g_values: np.ndarray) -> np.ndarray:
     return B
 
 
-def pairing(u: np.ndarray, v: np.ndarray, g_values: np.ndarray) -> float:
-    return float(u @ tractor_metric_matrix(g_values) @ v)
-
-
 # ---------------------------------------------------------------------------
 # connection at the jet level
 
@@ -71,11 +67,6 @@ def connection_jets(fr: CurvatureFrame, m: int) -> np.ndarray:
     return A
 
 
-def connection_matrices(fr: CurvatureFrame) -> np.ndarray:
-    """Value-level connection coefficients: D_a V = d_a V + A[a] V."""
-    return connection_jets(fr, 0)[..., 0]
-
-
 def _jet_bracket(P: np.ndarray, Q: np.ndarray, n: int, m: int) -> np.ndarray:
     """Commutator PQ - QP of jet matrices (..., k, k, C), leading axes broadcast."""
     Pt, Qt = np.swapaxes(P, -3, -2), np.swapaxes(Q, -3, -2)     # [..., k, i, C]
@@ -84,7 +75,7 @@ def _jet_bracket(P: np.ndarray, Q: np.ndarray, n: int, m: int) -> np.ndarray:
     return PQ - QP
 
 
-def _tractor_deriv_jets(fr: CurvatureFrame, V: np.ndarray, m: int) -> np.ndarray:
+def tractor_deriv_jets(fr: CurvatureFrame, V: np.ndarray, m: int) -> np.ndarray:
     """D_a of batched tractor sections: (B, n + 2, C_m) -> (B, n, n + 2, C_{m-1})."""
     n = fr.n
     A = connection_jets(fr, m - 1)
@@ -93,7 +84,7 @@ def _tractor_deriv_jets(fr: CurvatureFrame, V: np.ndarray, m: int) -> np.ndarray
     return dV + contract(A[None], V1[:, None, None], n, m - 1)
 
 
-def _einstein_jets(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
+def einstein_jets(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
     """Coefficient arrays (..., n + 2, C_{K-2}) of the scale tractors
     (sigma, mu^b, rho) of scale jets sig (..., C_K) at a frame of one point;
     leading axes batch.  A stack of one has the bits of the scale alone."""
@@ -111,25 +102,11 @@ def _einstein_jets(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
     return np.concatenate([sig2[..., None, :], mu2, rho[..., None, :]], axis=-2)
 
 
-def _parallel_values(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
+def parallel_values(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
     """Values (S, n, n + 2) of D_a I for the scale tractors I of a stack of
     scale jets sig (S, C_K) at a frame of one point; they need I only to
     order 1, which an order-3 frame gives."""
-    return _tractor_deriv_jets(fr, _einstein_jets(fr, sig), fr.order - 2)[..., 0]
-
-
-def tractor_derivative(fr: CurvatureFrame, section, direction: int | None = None):
-    """Tractor derivative of an expression-valued section at a frame of one
-    point and order >= 3.
-
-    section: (sigma_ast, [mu^1_ast..mu^n_ast], rho_ast).  Returns the
-    (n, n + 2) array of D_a over all directions a, or its row for one.
-    """
-    sigma_ast, mu_asts, rho_ast = section
-    m = fr.order - 1
-    V = np.stack([fr.scalar_jet(a, m) for a in (sigma_ast, *mu_asts, rho_ast)])
-    dV = _tractor_deriv_jets(fr, V[None], m)[0, ..., 0]
-    return dV if direction is None else dV[direction]
+    return tractor_deriv_jets(fr, einstein_jets(fr, sig), fr.order - 2)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +182,6 @@ TRANSPORT_TOL = 1e-10          # Frobenius change between halvings that ends RK4
 TRANSPORT_MAX_HALVINGS = 12
 
 
-def _direction_matrix(spec: MetricSpec, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    A = connection_matrices(CurvatureFrame(spec, x, 2))
-    return -np.einsum("a,aij->ij", direction, A)
-
-
 def _segment_transport(spec: MetricSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     direction = q - p
     for t in np.linspace(0.0, 1.0, 9):
@@ -219,15 +191,17 @@ def _segment_transport(spec: MetricSpec, p: np.ndarray, q: np.ndarray) -> np.nda
                 f"{geometry.format_point(p + t * direction)}"
             )
 
-    def integrate(steps: int) -> np.ndarray:
+    def matrices(ts: np.ndarray) -> np.ndarray:
+        """-A(direction) at the points p + t direction, from one order-2 batch."""
+        fr = CurvatureFrame(spec, p + ts[:, None] * direction, 2)
+        return np.stack([-np.einsum("a,aij->ij", direction, connection_jets(fr[i], 0)[..., 0])
+                         for i in range(len(ts))])
+
+    def integrate(R: np.ndarray, steps: int) -> np.ndarray:
+        # R holds the matrices at t_j = j / (2 steps): step k reads j = 2k, 2k + 1, 2k + 2
         h = 1.0 / steps
         M = np.eye(spec.n + 2)
-        R_right = _direction_matrix(spec, p, direction)
-        for k in range(steps):
-            s = k * h
-            R0 = R_right
-            Rm = _direction_matrix(spec, p + (s + h / 2) * direction, direction)
-            R_right = _direction_matrix(spec, p + (s + h) * direction, direction)
+        for R0, Rm, R_right in zip(R[0:-1:2], R[1::2], R[2::2]):
             k1 = R0 @ M
             k2 = Rm @ (M + h / 2 * k1)
             k3 = Rm @ (M + h / 2 * k2)
@@ -235,11 +209,18 @@ def _segment_transport(spec: MetricSpec, p: np.ndarray, q: np.ndarray) -> np.nda
             M = M + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         return M
 
+    # j / (2 steps) for even j is the float (j / 2) / steps, so each halving
+    # keeps the matrices it has and evaluates the connection at the odd j only
     steps = 4
-    prev = integrate(steps)
+    R = matrices(np.arange(2 * steps + 1) / (2 * steps))
+    prev = integrate(R, steps)
     for _ in range(TRANSPORT_MAX_HALVINGS):
         steps *= 2
-        cur = integrate(steps)
+        finer = np.empty((2 * steps + 1,) + R.shape[1:])
+        finer[0::2] = R
+        finer[1::2] = matrices(np.arange(1, 2 * steps, 2) / (2 * steps))
+        R = finer
+        cur = integrate(R, steps)
         if frobenius(cur - prev) < TRANSPORT_TOL:
             return cur
         prev = cur

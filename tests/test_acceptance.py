@@ -12,9 +12,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conformal_gap_lab import analysis, curvature, expr, geometry, tractor
+from conformal_gap_lab import analysis, curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.cli import main as cli_main
-from conformal_gap_lab.curvature import curvature_pack, frobenius
+from conformal_gap_lab.curvature import CurvatureFrame, CurvaturePack, curvature_pack, frobenius
 from conformal_gap_lab.geometry import (
     WarpedSpec, builtin_metric, catalogue_metric, pseudo_euclidean, sample_points,
 )
@@ -34,7 +34,7 @@ def test_criterion_01_scalar_curvatures():
         with criterion(1, f"scalar curvature {name} = {target}", 1.0):
             spec = builtin_metric(name)
             for pt in sample_points(spec, 10, seed=101):
-                pack = curvature_pack(spec, pt, order=3)
+                pack = curvature_pack(spec, pt)
                 assert abs(pack.scalar - target) < 1e-7
 
 
@@ -43,7 +43,7 @@ def test_criterion_02_ricci_flat_conformally_nonflat():
         for name in ("taub_nut", "pp_wave", "pp_split"):
             spec = builtin_metric(name)
             for pt in sample_points(spec, 10, seed=102):
-                pack = curvature_pack(spec, pt, order=3)
+                pack = curvature_pack(spec, pt)
                 assert frobenius(pack.ricci) < 1e-8
                 assert frobenius(pack.weyl) > 1e-3
 
@@ -56,19 +56,20 @@ def test_criterion_03_three_dimensional_example():
         for h in ("0", "sin(y)"):
             spec = builtin_metric("lorentz3d", {"h": h})
             for pt in sample_points(spec, 5, seed=103):
-                pack = curvature_pack(spec, pt, order=4)
+                pack = CurvaturePack(CurvatureFrame(spec, pt, 4))
                 ytilde = curvature.dual_cotton_3d(pack)
                 up_to_sign = min(
                     frobenius(ytilde - expected), frobenius(ytilde + expected)
                 )
                 assert up_to_sign < 1e-8
-                rep = analysis.ck_and_normality(
-                    pack.frame, analysis.field_jets(k, pt), with_extras=True)
-                assert rep.ck_res < 1e-8
-                assert rep.normal_res < 1e-8
-                assert rep.normal_res_first_index < 1e-8
-                assert rep.parallel_res < 1e-8
-                assert rep.null_res < 1e-8
+                # the field's order-1 jets: constant components
+                kj = np.stack([expr.evaluate(c, jets.seed_jets(pt, 1)) for c in k])
+                nab_up, ck, normal, first = analysis.killing_terms(pack.frame, kj)
+                assert ck < 1e-8
+                assert normal < 1e-8
+                assert first < 1e-8
+                assert frobenius(nab_up) < 1e-8                          # parallel
+                assert abs(kj[:, 0] @ pack.g @ kj[:, 0]) < 1e-8          # null
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -142,7 +143,7 @@ def test_criterion_08_warped_oracles():
         spec = geometry.warped_product(ws)
         rng = np.random.default_rng(108)
         for pt in sample_points(spec, 5, seed=108):
-            pack = curvature_pack(spec, pt, order=3)
+            pack = curvature_pack(spec, pt)
             ric_ref, sc_ref = curvature.warped_ricci_reference(ws, pt)
             assert frobenius(pack.ricci - ric_ref) < 1e-8 * max(
                 1.0, frobenius(ric_ref))
@@ -163,7 +164,7 @@ def test_criterion_09_identity_suite():
         for name in ("taub_nut", "warped_fs_n5"):
             spec = catalogue_metric(name)
             pt = sample_points(spec, 1, seed=109)[0]
-            pack = curvature_pack(spec, pt, order=4)   # self-checks run inside
+            pack = CurvaturePack(CurvatureFrame(spec, pt, 4))   # self-checks run inside
             R = pack.riemann
             rnorm = max(frobenius(R), 1e-30)
             cyc = R + np.transpose(R, (1, 2, 0, 3)) + np.transpose(R, (2, 0, 1, 3))
@@ -183,8 +184,7 @@ def test_criterion_09_identity_suite():
 
         # n = 4 quadratic Weyl identity
         pack4 = curvature_pack(builtin_metric("taub_nut"),
-                               sample_points(builtin_metric("taub_nut"), 1, seed=110)[0],
-                               order=3)
+                               sample_points(builtin_metric("taub_nut"), 1, seed=110)[0])
         W = pack4.weyl
         ginv = pack4.ginv
         Wup = np.einsum("abcd,ar,bs,ct,du->rstu", W, ginv, ginv, ginv, ginv)
@@ -196,9 +196,9 @@ def test_criterion_09_identity_suite():
         spec = builtin_metric("pp_split")
         omega = expr.parse("exp(x/7)", 4, var_names=spec.names)
         pt = sample_points(spec, 1, seed=111)[0]
-        pack = curvature_pack(spec, pt, order=3)
+        pack = curvature_pack(spec, pt)
         hatted = curvature.rescale_metric(spec, omega)
-        hat_pack = curvature_pack(hatted, pt, order=3)
+        hat_pack = curvature_pack(hatted, pt)
         p_ref = curvature.schouten_transform_reference(pack, omega)
         assert frobenius(hat_pack.schouten - p_ref) < 1e-8 * max(
             1.0, frobenius(p_ref))
@@ -207,7 +207,7 @@ def test_criterion_09_identity_suite():
         assert frobenius(hat_pack.weyl
                          - wval ** 2 * pack.weyl) < 1e-8 * frobenius(pack.weyl)
         sigma = spec.known_scales[1][1]
-        I, I_hat = (tractor._einstein_jets(fr, fr.scalar_jet(s)[None])[0, :, 0]
+        I, I_hat = (tractor.einstein_jets(fr, fr.scalar_jet(s)[None])[0, :, 0]
                     for fr, s in ((pack.frame, sigma),
                                   (hat_pack.frame, expr.mul(omega, sigma))))
         _, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=1)
@@ -218,8 +218,8 @@ def test_criterion_09_identity_suite():
         a = np.array(sample_points(spec, 1, seed=112)[0])
         b = np.array(sample_points(spec, 1, seed=113)[0])
         M = tractor.transport_matrix(spec, [a, b])
-        Ba = tractor.tractor_metric_matrix(curvature_pack(spec, tuple(a), 3).g)
-        Bb = tractor.tractor_metric_matrix(curvature_pack(spec, tuple(b), 3).g)
+        Ba = tractor.tractor_metric_matrix(curvature_pack(spec, tuple(a)).g)
+        Bb = tractor.tractor_metric_matrix(curvature_pack(spec, tuple(b)).g)
         assert frobenius(M.T @ Bb @ M - Ba) < 1e-8 * max(1.0, frobenius(Ba))
 
 

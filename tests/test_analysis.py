@@ -8,11 +8,35 @@ import pytest
 
 from conformal_gap_lab import analysis, curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.analysis import (
-    AnalysisError, ae_residual_matrix, ck_and_normality, estimate_parallel_dims,
-    field_jets, kernel, kernel_of_weyl, verify_theorem, wedge_nckf,
+    AnalysisError, ae_residual_matrix, estimate_parallel_dims, kernel, kernel_of_weyl,
+    verify_theorem,
 )
 from conformal_gap_lab.curvature import CurvatureFrame, frobenius
 from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_points
+
+
+def field_jets(k_asts, point):
+    """Order-1 jets (n, C_1) of the vector field with component formulas k_asts."""
+    env = jets.seed_jets(tuple(point), 1)
+    return np.stack([expr.evaluate(a, env) for a in k_asts])
+
+
+def wedge_field(fr, sigma, sigma_bar):
+    """Order-1 jets (n, C_1) of the wedge field of two scales at a frame of
+    one point: the batched core on one pair."""
+    return analysis.wedge_jets(fr, fr.scalar_jet(sigma, 2), fr.scalar_jet(sigma_bar, 2))
+
+
+def killing_residuals(fr, k):
+    """(conformal-Killing, normality, first-index normality or None) of the
+    field with jets k (n, C_1) at a frame of one point."""
+    _, ck, normal, first = analysis.killing_terms(fr, k)
+    return float(ck), float(normal), None if first is None else float(first)
+
+
+def tractor_pairing(u, v, g):
+    """<u, v> in the tractor metric at a point where the metric is g."""
+    return float(u @ tractor.tractor_metric_matrix(g) @ v)
 
 
 def test_kernel_identity_and_zero():
@@ -91,43 +115,44 @@ def test_lorentz3d_killing_field_full_report():
         spec = builtin_metric("lorentz3d", {"h": h})
         k = (expr.ZERO, expr.ZERO, expr.ONE)       # d/dt in (x, y, t)
         for pt in sample_points(spec, 4, seed=5):
-            rep = ck_and_normality(CurvatureFrame(spec, pt, 3), field_jets(k, pt),
-                                   with_extras=True)
-            assert rep.ck_res < 1e-9
-            assert rep.normal_res < 1e-9
-            assert rep.normal_res_first_index < 1e-9
-            assert rep.parallel_res < 1e-9
-            assert rep.null_res < 1e-9
+            fr = CurvatureFrame(spec, pt, 3)
+            kj = field_jets(k, pt)
+            nab_up, ck, normal, first = analysis.killing_terms(fr, kj)
+            assert ck < 1e-9
+            assert normal < 1e-9
+            assert first < 1e-9
+            assert frobenius(nab_up) < 1e-9                              # parallel
+            assert abs(kj[:, 0] @ fr.values(fr.g) @ kj[:, 0]) < 1e-9     # null
 
 
 def test_pp_wave_z_direction_is_normal_killing():
     spec = builtin_metric("pp_wave")
     k = (expr.ZERO, expr.ZERO, expr.ZERO, expr.ONE)
     for pt in sample_points(spec, 3, seed=6):
-        rep = ck_and_normality(CurvatureFrame(spec, pt, 2), field_jets(k, pt))
-        assert rep.ck_res < 1e-9
-        assert rep.normal_res < 1e-9
+        ck, normal, _ = killing_residuals(CurvatureFrame(spec, pt, 2), field_jets(k, pt))
+        assert ck < 1e-9
+        assert normal < 1e-9
 
 
 def test_random_field_fails_killing_equation():
     spec = builtin_metric("taub_nut")
     k = (expr.var(1), expr.ZERO, expr.parse("sin(x1)", 4), expr.ZERO)
     pt = sample_points(spec, 1, seed=7)[0]
-    assert ck_and_normality(CurvatureFrame(spec, pt, 2), field_jets(k, pt)).ck_res > 1e-3
+    assert killing_residuals(CurvatureFrame(spec, pt, 2), field_jets(k, pt))[0] > 1e-3
 
 
 def test_wedge_of_scale_with_itself_vanishes():
     spec = builtin_metric("pp_wave")
     sigma = spec.known_scales[1][1]
     for pt in sample_points(spec, 2, seed=8):
-        vals = wedge_nckf(CurvatureFrame(spec, pt, 2), sigma, sigma)[:, 0]
+        vals = wedge_field(CurvatureFrame(spec, pt, 2), sigma, sigma)[:, 0]
         assert np.abs(vals).max() < 1e-12
 
 
 def test_pp_wave_wedge_is_minus_sqrt2_dz():
     spec = builtin_metric("pp_wave")
     for pt in sample_points(spec, 3, seed=9):
-        vals = wedge_nckf(CurvatureFrame(spec, pt, 2), expr.ONE, spec.known_scales[1][1])[:, 0]
+        vals = wedge_field(CurvatureFrame(spec, pt, 2), expr.ONE, spec.known_scales[1][1])[:, 0]
         assert np.allclose(vals, [0, 0, 0, -math.sqrt(2)], atol=1e-10)
 
 
@@ -137,11 +162,11 @@ def test_pp_split_wedges_span_expected_fields():
     for pt in sample_points(spec, 3, seed=10):
         tval, xval = pt[0], pt[1]
         fr = CurvatureFrame(spec, pt, 2)
-        v1, v2, v3 = (wedge_nckf(fr, a, b)[:, 0] for a, b in ((one, t), (one, x), (t, x)))
+        v1, v2, v3 = (wedge_field(fr, a, b)[:, 0] for a, b in ((one, t), (one, x), (t, x)))
         assert np.allclose(v1, [0, 0, 0, 1], atol=1e-10)            # dz dual
         assert np.allclose(v2, [0, 0, 1, 0], atol=1e-10)            # dy dual
         assert np.allclose(v3, [0, 0, tval, -xval], atol=1e-10)     # t dy - x dz
-        g = curvature.curvature_pack(spec, pt, 3).g
+        g = curvature.curvature_pack(spec, pt).g
         for v in (v1, v2, v3):
             assert abs(v @ g @ v) < 1e-9                            # all null
 
@@ -151,7 +176,7 @@ def test_wedge_verification_rejects_non_solutions():
     t_sq = expr.parse("t^2", 4, var_names=spec.names)
     pt = sample_points(spec, 1, seed=33)[0]
     fr = CurvatureFrame(spec, pt, 2)
-    assert ck_and_normality(fr, wedge_nckf(fr, expr.ONE, t_sq)).ck_res > 1e-3
+    assert killing_residuals(fr, wedge_field(fr, expr.ONE, t_sq))[0] > 1e-3
 
 
 def _wedge_oracle(spec, s1, s2, pt):
@@ -172,7 +197,7 @@ def test_wedge_jets_match_inverse_metric_oracle(name):
     for pt in sample_points(spec, 2, seed=34):
         fr = CurvatureFrame(spec, pt, 2)
         for s1, s2 in itertools.combinations(scales, 2):
-            k = wedge_nckf(fr, s1, s2)
+            k = wedge_field(fr, s1, s2)
             want = _wedge_oracle(spec, s1, s2, pt)
             assert np.abs(k[:, 0] - want).max() <= 1e-12 * np.abs(want).max()
             step = h * np.eye(spec.n)
@@ -189,9 +214,9 @@ def test_wedge_fields_pass_killing_and_normality():
     for s1, s2 in ((one, t), (one, x), (t, x)):
         for pt in sample_points(spec, 3, seed=11):
             fr = CurvatureFrame(spec, pt, 2)
-            rep = ck_and_normality(fr, wedge_nckf(fr, s1, s2))
-            assert rep.ck_res < 1e-8
-            assert rep.normal_res < 1e-8
+            ck, normal, _ = killing_residuals(fr, wedge_field(fr, s1, s2))
+            assert ck < 1e-8
+            assert normal < 1e-8
 
 
 def test_bracket_closure_of_pp_split_wedges():
@@ -199,7 +224,7 @@ def test_bracket_closure_of_pp_split_wedges():
     one, t, x = (s for _, s in spec.known_scales)
     points = sample_points(spec, 10, seed=12)
     frames = [CurvatureFrame(spec, p, 2) for p in points]
-    fields = np.stack([[wedge_nckf(fr, a, b) for fr in frames]
+    fields = np.stack([[wedge_field(fr, a, b) for fr in frames]
                        for a, b in ((one, t), (one, x), (t, x))])
     assert analysis.bracket_closure_residual(fields) < 1e-6
 
@@ -264,9 +289,9 @@ def test_scale_curvature_of_fs_unit_scale():
     fr = CurvatureFrame(spec, pt, 3)
     j_sigma = analysis.j_of_scale(fr, expr.ONE)
     assert j_sigma == pytest.approx(8.0, abs=1e-8)
-    I = tractor._einstein_jets(fr, fr.scalar_jet(expr.ONE)[None])[0, :, 0]
-    g = curvature.curvature_pack(spec, pt, 3).g
-    assert tractor.pairing(I, I, g) == pytest.approx(-2 / 4 * j_sigma, abs=1e-8)
+    I = tractor.einstein_jets(fr, fr.scalar_jet(expr.ONE)[None])[0, :, 0]
+    g = curvature.curvature_pack(spec, pt).g
+    assert tractor_pairing(I, I, g) == pytest.approx(-2 / 4 * j_sigma, abs=1e-8)
 
 
 def test_sc_direct_rescale_matches_formula():
@@ -316,9 +341,9 @@ def test_tractor_norm_matches_j_formula_on_warped_examples():
             for c, (_, ast) in zip(coeffs, spec.known_scales):
                 sigma = expr.add(sigma, expr.mul(expr.const(float(c)), ast))
             fr = CurvatureFrame(spec, pt, 3)
-            I = tractor._einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
-            g = curvature.curvature_pack(spec, pt, 3).g
-            lhs = tractor.pairing(I, I, g)
+            I = tractor.einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
+            g = curvature.curvature_pack(spec, pt).g
+            lhs = tractor_pairing(I, I, g)
             rhs = -2.0 / spec.n * analysis.j_of_scale(fr, sigma)
             assert lhs == pytest.approx(rhs, abs=1e-8 * max(1.0, abs(rhs)))
 
@@ -329,8 +354,8 @@ def test_pp_wedge_fields_are_null():
         scales = list(spec.known_scales)
         for (_, s1), (_, s2) in [(scales[0], scales[1])]:
             for pt in sample_points(spec, 5, seed=17):
-                vals = wedge_nckf(CurvatureFrame(spec, pt, 2), s1, s2)[:, 0]
-                g = curvature.curvature_pack(spec, pt, 3).g
+                vals = wedge_field(CurvatureFrame(spec, pt, 2), s1, s2)[:, 0]
+                g = curvature.curvature_pack(spec, pt).g
                 assert abs(vals @ g @ vals) < 1e-9
 
 
@@ -339,7 +364,7 @@ def test_bracket_closure_on_lorentz_product_witnesses():
     scales = list(spec.known_scales)
     points = sample_points(spec, 10, seed=18)
     fields = np.stack([
-        [wedge_nckf(CurvatureFrame(spec, p, 2), s1, s2) for p in points]
+        [wedge_field(CurvatureFrame(spec, p, 2), s1, s2) for p in points]
         for (_, s1), (_, s2) in itertools.combinations(scales, 2)
     ])
     assert analysis.bracket_closure_residual(fields) < 1e-6
@@ -562,25 +587,25 @@ def test_batched_witness_checks_equal_the_single_scale_functions(name):
     for pt in sample_points(spec, 2, seed=13):
         fr = CurvatureFrame(spec, pt, 2)
         S = np.stack([fr.scalar_jet(s, 2) for s in sigmas])
-        R = analysis._ae_residuals(fr, S)
+        R = analysis.ae_residuals(fr, S)
         norms = curvature.norms(R, 2)
         for i, s in enumerate(sigmas):
             single = ae_residual_matrix(fr, s)
-            assert analysis._ae_residuals(fr, S[i:i + 1])[0].tobytes() == single.tobytes()
+            assert analysis.ae_residuals(fr, S[i:i + 1])[0].tobytes() == single.tobytes()
             assert _close(R[i], single) and _close(norms[i], frobenius(single))
 
         # normality reads Cotton, an order-3 tensor, for n = 3
         kfr = fr if spec.n >= 4 else CurvatureFrame(spec, pt, 3)
-        K = analysis._wedge_jets(fr, S[first], S[second])
-        _, ck, normal, normal_first = analysis._killing_terms(kfr, K)
+        K = analysis.wedge_jets(fr, S[first], S[second])
+        _, ck, normal, normal_first = analysis.killing_terms(kfr, K)
         for q, (i, j) in enumerate(zip(first, second)):
-            k = wedge_nckf(fr, sigmas[i], sigmas[j])
-            assert analysis._wedge_jets(fr, S[i:i + 1], S[j:j + 1])[0].tobytes() == k.tobytes()
-            rep = ck_and_normality(kfr, k)
+            k = wedge_field(fr, sigmas[i], sigmas[j])
+            assert analysis.wedge_jets(fr, S[i:i + 1], S[j:j + 1])[0].tobytes() == k.tobytes()
+            ck_one, normal_one, first_one = killing_residuals(kfr, k)
             assert _close(K[q], k)
-            assert _close(ck[q], rep.ck_res) and _close(normal[q], rep.normal_res)
-            assert (rep.normal_res_first_index is None if normal_first is None
-                    else _close(normal_first[q], rep.normal_res_first_index))
+            assert _close(ck[q], ck_one) and _close(normal[q], normal_one)
+            assert (first_one is None if normal_first is None
+                    else _close(normal_first[q], first_one))
 
 
 @pytest.mark.parametrize("name", ["product_split_n6", "product_lorentz_n6", "pp_split",
@@ -630,13 +655,13 @@ def test_dims_call_makes_two_batched_einstein_tractor_calls(name, monkeypatch):
     # one for the Einstein tractors of all verified scales at the basepoint
     spec = geometry.catalogue_metric(name)
     stacks = []
-    einstein_jets = tractor._einstein_jets
+    einstein_jets = tractor.einstein_jets
 
     def counted(fr, sig):
         stacks.append(np.shape(sig)[:-1])
         return einstein_jets(fr, sig)
 
-    monkeypatch.setattr(tractor, "_einstein_jets", counted)
+    monkeypatch.setattr(tractor, "einstein_jets", counted)
     rep = estimate_parallel_dims(spec, seed=0)
     assert rep.exact_ae
     assert stacks == [(len(spec.known_scales),), (len(rep.ae_witnesses),)]

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON determinism, file input."""
 
+import inspect
 import json
 import os
 import re
@@ -458,3 +459,19 @@ def test_command_builds_each_frame_once(argv, capsys, monkeypatch):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert (builds, cuts) == FRAME_BUILDS[argv]
+
+
+def test_verifiers_share_each_option_default(capsys):
+    # cgl verify passes only the options given, so the verifier signatures
+    # hold the defaults, and the help text reads them there
+    defaults = {}
+    for verifier in analysis.VERIFIERS.values():
+        for name, param in inspect.signature(verifier).parameters.items():
+            assert param.default is not inspect.Parameter.empty, name
+            defaults.setdefault(name, set()).add(param.default)
+    assert {name: len(values) for name, values in defaults.items()} == dict.fromkeys(defaults, 1)
+    report = analysis.verify_theorem("bounds")
+    assert report["label"] == "pp_wave" and report["params"]["metric"] == "pp_wave"
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert "--metric METRIC default pp_wave; taken by rflat, bounds" in " ".join(out.split())

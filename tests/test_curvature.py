@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conformal_gap_lab import curvature, expr, geometry, jets
 from conformal_gap_lab.curvature import (
-    CurvatureFrame, curvature_pack, frobenius, rescale_metric, warped_nabla_reference,
+    CurvatureFrame, CurvaturePack, curvature_pack, frobenius, rescale_metric, warped_nabla_reference,
     warped_ricci_reference,
 )
 from conformal_gap_lab.geometry import (
@@ -22,12 +22,12 @@ from conformal_gap_lab.geometry import (
 def pack_at(name, seed=1, order=4, params=None):
     spec = builtin_metric(name, params)
     pt = sample_points(spec, 1, seed=seed)[0]
-    return curvature_pack(spec, pt, order)
+    return CurvaturePack(CurvatureFrame(spec, pt, order))
 
 
 def test_flat_curvature_vanishes():
     spec = pseudo_euclidean(2, 2)
-    pack = curvature_pack(spec, (0.3, -0.2, 0.5, 0.1))
+    pack = CurvaturePack(CurvatureFrame(spec, (0.3, -0.2, 0.5, 0.1), 4))
     assert frobenius(pack.riemann) < 1e-14
     assert frobenius(pack.weyl) < 1e-14
     assert abs(pack.scalar) < 1e-14
@@ -36,14 +36,14 @@ def test_flat_curvature_vanishes():
 def test_fubini_study_scalar_curvature_is_48():
     spec = builtin_metric("fubini_study")
     for pt in sample_points(spec, 5, seed=2):
-        pack = curvature_pack(spec, pt, order=3)
+        pack = curvature_pack(spec, pt)
         assert pack.scalar == pytest.approx(48.0, abs=1e-8)
 
 
 def test_hyperbolic_dual_scalar_curvature_is_minus_48():
     spec = builtin_metric("fubini_study_hyperbolic")
     for pt in sample_points(spec, 5, seed=2):
-        pack = curvature_pack(spec, pt, order=3)
+        pack = curvature_pack(spec, pt)
         assert pack.scalar == pytest.approx(-48.0, abs=1e-8)
 
 
@@ -60,7 +60,7 @@ def test_lorentz3d_dual_cotton_is_6_dydy_up_to_orientation():
     for h in ("0", "sin(y)"):
         spec = builtin_metric("lorentz3d", {"h": h})
         for pt in sample_points(spec, 3, seed=5):
-            pack = curvature_pack(spec, pt, order=4)
+            pack = CurvaturePack(CurvatureFrame(spec, pt, 4))
             ytilde = curvature.dual_cotton_3d(pack)
             expected = np.zeros((3, 3))
             expected[1, 1] = 6.0
@@ -72,7 +72,7 @@ def test_lorentz3d_dual_cotton_is_6_dydy_up_to_orientation():
 def test_pp_wave_connection_lines():
     spec = builtin_metric("pp_wave")
     t, x = 0.25, 0.8
-    pack = curvature_pack(spec, (t, x, -0.3, 0.6), order=3)
+    pack = curvature_pack(spec, (t, x, -0.3, 0.6))
     gamma = pack.gamma
     g = pack.g
     # nabla d(coord mu) as a (0,2) tensor is -Gamma^mu_ab
@@ -100,7 +100,7 @@ def test_pp_wave_connection_lines():
 def test_pp_split_connection_lines():
     spec = builtin_metric("pp_split")
     x = -0.7
-    pack = curvature_pack(spec, (0.4, x, 0.2, -0.1), order=3)
+    pack = curvature_pack(spec, (0.4, x, 0.2, -0.1))
     gamma = pack.gamma
     exp_dy = np.zeros((4, 4)); exp_dy[0, 0] = x
     exp_dz = np.zeros((4, 4)); exp_dz[0, 1] = exp_dz[1, 0] = -x
@@ -202,7 +202,7 @@ def test_edgar_hoglund_contraction_n5():
     ws = WarpedSpec(pseudo_euclidean(0, 1), builtin_metric("fubini_study"), 1.0, -1.0)
     spec = geometry.warped_product(ws)
     pt = sample_points(spec, 1, seed=10)[0]
-    pack = curvature_pack(spec, pt, order=3)
+    pack = curvature_pack(spec, pt)
     rng = np.random.default_rng(1)
     for _ in range(2):
         val = _eh_contraction(pack, rng)
@@ -213,8 +213,8 @@ def test_rescale_identity_leaves_pack_unchanged():
     spec = builtin_metric("taub_nut")
     same = rescale_metric(spec, expr.ONE)
     pt = sample_points(spec, 1, seed=11)[0]
-    a = curvature_pack(spec, pt, order=3)
-    b = curvature_pack(same, pt, order=3)
+    a = curvature_pack(spec, pt)
+    b = curvature_pack(same, pt)
     assert np.allclose(a.riemann, b.riemann, atol=1e-12)
     assert a.scalar == pytest.approx(b.scalar, abs=1e-12)
 
@@ -225,8 +225,8 @@ def test_schouten_transformation_law():
         spec = pseudo_euclidean(0, 4) if name == "flat" else builtin_metric("taub_nut")
         omega = expr.parse("exp(x1)", 4) if name == "flat" else expr.parse("1 + x1/9", 4)
         pt = sample_points(spec, 1, seed=12)[0]
-        pack = curvature_pack(spec, pt, order=3)
-        hatted = curvature_pack(rescale_metric(spec, omega), pt, order=3)
+        pack = curvature_pack(spec, pt)
+        hatted = curvature_pack(rescale_metric(spec, omega), pt)
         expected = curvature.schouten_transform_reference(pack, omega)
         scale = max(frobenius(expected), 1.0)
         assert frobenius(hatted.schouten - expected) < 1e-8 * scale
@@ -238,8 +238,8 @@ def test_weyl_conformal_covariance():
     spec = builtin_metric("taub_nut")
     omega = expr.parse("1 + x2/7 + x1/11", 4)
     pt = sample_points(spec, 1, seed=13)[0]
-    pack = curvature_pack(spec, pt, order=3)
-    hatted = curvature_pack(rescale_metric(spec, omega), pt, order=3)
+    pack = curvature_pack(spec, pt)
+    hatted = curvature_pack(rescale_metric(spec, omega), pt)
     w = expr.evaluate_at(omega, pt)
     expected = w ** 2 * pack.weyl
     assert frobenius(hatted.weyl - expected) < 1e-8 * frobenius(expected)
@@ -250,8 +250,8 @@ def test_vector_connection_transformation_law():
     spec = builtin_metric("pp_split")
     omega = expr.parse("exp(x1/5 + x3/7)", 4)
     pt = sample_points(spec, 1, seed=14)[0]
-    pack = curvature_pack(spec, pt, order=3)
-    hatted = curvature_pack(rescale_metric(spec, omega), pt, order=3)
+    pack = curvature_pack(spec, pt)
+    hatted = curvature_pack(rescale_metric(spec, omega), pt)
     _, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=2)
     rng = np.random.default_rng(2)
     mu = rng.normal(size=4)
@@ -276,7 +276,7 @@ def test_warped_ricci_reference_matches_jets():
     ws = WarpedSpec(base, fiber, 1.0, -1.0)
     spec = geometry.warped_product(ws)
     for pt in sample_points(spec, 5, seed=15):
-        pack = curvature_pack(spec, pt, order=3)
+        pack = curvature_pack(spec, pt)
         ric_ref, sc_ref = warped_ricci_reference(ws, pt)
         assert frobenius(pack.ricci - ric_ref) < 1e-8 * max(1.0, frobenius(ric_ref))
         assert pack.scalar == pytest.approx(sc_ref, abs=1e-8 * max(1.0, abs(sc_ref)))
@@ -289,7 +289,7 @@ def test_warped_nabla_reference_matches_jets():
     spec = geometry.warped_product(ws)
     rng = np.random.default_rng(3)
     for pt in sample_points(spec, 5, seed=16):
-        pack = curvature_pack(spec, pt, order=3)
+        pack = curvature_pack(spec, pt)
         vec = rng.normal(size=6)
         cov = rng.normal(size=6)
         nv_ref, np_ref = warped_nabla_reference(ws, pt, vec, cov)
@@ -333,7 +333,7 @@ def test_truncated_frame_view_rejects_in_place_write():
 def test_lorentz3d_weyl_roundoff_passes_self_checks():
     spec = builtin_metric("lorentz3d")
     for pt in sample_points(spec, 200, seed=0):
-        curvature_pack(spec, pt)
+        CurvaturePack(CurvatureFrame(spec, pt, 4))
 
 
 @pytest.mark.parametrize("name", ["pp_wave", "lorentz3d"])

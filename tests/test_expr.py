@@ -64,8 +64,8 @@ def test_evaluate_exp_sqrt2():
     ast = parse("exp(-sqrt(2)*x1)", n=1)
     j = evaluate(ast, jets.seed_jets((0.0,), 2))
     assert j[0] == pytest.approx(1.0)
-    assert jets.extract_partial(j, (1,)) == pytest.approx(-math.sqrt(2))
-    assert jets.extract_partial(j, (2,)) == pytest.approx(2.0)
+    assert jets.gradient(j, 1)[0] == pytest.approx(-math.sqrt(2))
+    assert jets.hessian(j, 1)[0, 0] == pytest.approx(2.0)
 
 
 def test_evaluate_fs_component_at_pi_over_4():
@@ -198,7 +198,9 @@ def _unfolded(node, env):
 
     def run(nd):
         if isinstance(nd, Const):
-            return np.broadcast_to(jets.constant(nd.value, n, order), env.shape[1:])
+            c = np.zeros(env.shape[1:])
+            c[..., 0] = nd.value
+            return c
         if isinstance(nd, Var):
             return env[nd.index]
         if isinstance(nd, expr.Neg):

@@ -17,6 +17,12 @@ def values_of(Gjets):
     return Gjets[..., 0]
 
 
+def signature_of(values):
+    """(negative, positive) eigenvalue counts of a symmetric matrix."""
+    eigs = np.linalg.eigvalsh(values)
+    return int(np.sum(eigs < 0)), int(np.sum(eigs > 0))
+
+
 def test_pseudo_euclidean_diagonals():
     assert values_of(geometry.metric_jets(pseudo_euclidean(0, 3), (0, 0, 0), 1)).tolist() == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -28,8 +34,8 @@ def test_pseudo_euclidean_diagonals():
 
 def test_fubini_study_signature_at_default_point():
     spec = builtin_metric("fubini_study")
-    _, _, sig = metric_frame_at(spec, geometry.default_point(spec), 2)
-    assert sig == (0, 4)
+    G, _ = metric_frame_at(spec, geometry.default_point(spec), 2)
+    assert signature_of(values_of(G)) == (0, 4)
 
 
 def test_pp_wave_components_match_display():
@@ -48,7 +54,7 @@ def test_pp_wave_components_match_display():
 def test_pp_wave_inverse_matches_display():
     spec = builtin_metric("pp_wave")
     point = (0.0, 1.0, 0.0, 0.0)
-    G, Ginv, _ = metric_frame_at(spec, point, 2)
+    G, Ginv = metric_frame_at(spec, point, 2)
     inv = values_of(Ginv)
     # e^{sqrt2 t} (-x^2 dz dz + dz dt + dt dz + dx^2 + dy^2) at t=0, x=1
     expected = np.zeros((4, 4))
@@ -89,7 +95,7 @@ def test_non_finite_metric_rejected_at_the_point():
     with np.errstate(all="raise"):
         with pytest.raises(DomainError, match=r"not finite at \(1\.0, 0\.0, 0\.0\)"):
             metric_frame_at(spec, (1.0, 0.0, 0.0), 2)
-    assert metric_frame_at(spec, (0.0, 0.0, 0.0), 2)[2] == (0, 3)
+    assert signature_of(values_of(metric_frame_at(spec, (0.0, 0.0, 0.0), 2)[0])) == (0, 3)
 
 
 @pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
@@ -121,7 +127,7 @@ def test_example_and_family_names_resolve_to_their_labels():
 
 def test_flat_inverse_is_itself():
     spec = pseudo_euclidean(2, 2)
-    G, Ginv, _ = metric_frame_at(spec, (0.1, 0.2, 0.3, 0.4), 2)
+    G, Ginv = metric_frame_at(spec, (0.1, 0.2, 0.3, 0.4), 2)
     assert np.allclose(values_of(G), values_of(Ginv), atol=1e-14)
 
 
@@ -131,7 +137,7 @@ def test_g_times_ginv_is_identity_jets(name):
     spec = catalogue_metric(name)
     order = 4 if spec.n > 4 else 3    # (6, 4) products run on the bincount kernel
     point = sample_points(spec, 1, seed=3)[0]
-    G, frame_inv, _ = metric_frame_at(spec, point, order)
+    G, frame_inv = metric_frame_at(spec, point, order)
     n = spec.n
     # the frame's inverse is the order - 1 prefix of the full-order inverse
     Ginv = geometry.jet_matrix_inverse(G)
@@ -152,7 +158,7 @@ def _inverse_steps_alone(num_vars, order):
     slot of degree d in table order, slot by slot, and where each slot's run
     starts."""
     t = jets.tables(num_vars, order)
-    degree = [sum(m) for m in t.multis]
+    degree = np.searchsorted(t.sizes_by_order, np.arange(t.size), side="right").tolist()
     by_slot = {}
     for i, j, k in zip(t.mul_i.tolist(), t.mul_j.tolist(), t.mul_k.tolist()):
         if degree[i] >= 1:
@@ -244,7 +250,7 @@ def test_catalogue_signature_stable_over_samples(name):
     spec = catalogue_metric(name)
     for pt in sample_points(spec, 20, seed=11):
         vals = values_of(geometry.metric_jets(spec, pt, 1))
-        assert geometry.signature_of(vals) == spec.signature
+        assert signature_of(vals) == spec.signature
 
 
 def test_signature_mismatch_detected():
@@ -268,8 +274,8 @@ def _constant_metric(diagonal, signature):
 def test_small_but_regular_metric_is_accepted():
     # |det g| = 1e-12, but every eigenvalue is 1e-3
     spec = _constant_metric([1e-3] * 4, (0, 4))
-    _, Ginv, sig = metric_frame_at(spec, (0.0, 0.0, 0.0, 0.0), 2)
-    assert sig == (0, 4)
+    G, Ginv = metric_frame_at(spec, (0.0, 0.0, 0.0, 0.0), 2)
+    assert signature_of(values_of(G)) == (0, 4)
     assert np.allclose(Ginv[..., 0], 1e3 * np.eye(4))
 
 
@@ -300,8 +306,8 @@ def test_load_metric_file():
     assert spec.n == 2
     assert geometry.domain_ok(spec, (0.5, 0.0))
     assert not geometry.domain_ok(spec, (0.05, 0.0))
-    G, Ginv, sig = metric_frame_at(spec, (0.5, 0.0), 2)
-    assert sig == (0, 2)
+    G, Ginv = metric_frame_at(spec, (0.5, 0.0), 2)
+    assert signature_of(values_of(G)) == (0, 2)
 
 
 ORACLE_SEEDS = list(range(300)) + [2**32 - 1, 2**32, 2**64 + 3, 123456789123456789,

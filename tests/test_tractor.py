@@ -9,22 +9,35 @@ import pytest
 from conformal_gap_lab import curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.curvature import ConventionError, CurvatureFrame, frobenius
 from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_points
-from conformal_gap_lab.tractor import (
-    TransportError, pairing, tractor_derivative, transport_matrix,
-)
+from conformal_gap_lab.tractor import TransportError, transport_matrix
+
+
+def pairing(u, v, g):
+    """<u, v> in the tractor metric at a point where the metric is g."""
+    return float(u @ tractor.tractor_metric_matrix(g) @ v)
+
+
+def tractor_derivative(fr, section, direction):
+    """Row D_direction of the tractor derivative of an expression-valued
+    section (sigma_ast, [mu^1_ast..mu^n_ast], rho_ast) at a frame of one
+    point and order >= 3: the batched core on a stack of one section."""
+    sigma_ast, mu_asts, rho_ast = section
+    m = fr.order - 1
+    V = np.stack([fr.scalar_jet(a, m) for a in (sigma_ast, *mu_asts, rho_ast)])
+    return tractor.tractor_deriv_jets(fr, V[None], m)[0, direction, :, 0]
 
 
 def einstein_tractor(spec, sigma, point):
     """(sigma, grad^a sigma, -(Lap sigma + J sigma)/n) at the point: the
     batched core on a stack of one scale at an order-3 frame."""
     fr = CurvatureFrame(spec, point, 3)
-    return tractor._einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
+    return tractor.einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
 
 
 def parallel_residual(spec, sigma, point):
     """Norm of the values of D_a I for the scale tractor I (0 for solutions)."""
     fr = CurvatureFrame(spec, point, 3)
-    return float(np.linalg.norm(tractor._parallel_values(fr, fr.scalar_jet(sigma)[None])[0]))
+    return float(np.linalg.norm(tractor.parallel_values(fr, fr.scalar_jet(sigma)[None])[0]))
 
 
 def tractor_curvature(spec, point):
@@ -48,8 +61,9 @@ def rectangle_loop(point, axis_a: int, axis_b: int, h: float):
 def test_flat_constant_top_section_is_parallel():
     spec = pseudo_euclidean(0, 4)
     section = (expr.ONE, [expr.ZERO] * 4, expr.ZERO)
-    for d in tractor_derivative(CurvatureFrame(spec, (0.2, -0.1, 0.4, 0.0), 3), section):
-        assert np.linalg.norm(d) < 1e-12
+    fr = CurvatureFrame(spec, (0.2, -0.1, 0.4, 0.0), 3)
+    for direction in range(4):
+        assert np.linalg.norm(tractor_derivative(fr, section, direction)) < 1e-12
 
 
 def test_pp_wave_scale_tractor_is_parallel():
@@ -78,8 +92,8 @@ def test_parallel_residual_needs_only_the_order_3_frame(name):
     for pt in sample_points(spec, 3, seed=4):
         fr = CurvatureFrame(spec, pt, 4)
         for _, sigma in (*spec.known_scales, ("x1", expr.var(0))):
-            I = tractor._einstein_jets(fr, fr.scalar_jet(sigma))
-            full = np.linalg.norm(tractor._tractor_deriv_jets(fr, I[None], 2)[..., 0])
+            I = tractor.einstein_jets(fr, fr.scalar_jet(sigma))
+            full = np.linalg.norm(tractor.tractor_deriv_jets(fr, I[None], 2)[..., 0])
             got = parallel_residual(spec, sigma, pt)
             assert abs(got - full) <= 1e-12 * max(1.0, full)
 
@@ -94,15 +108,15 @@ def test_einstein_jets_batch_over_a_stack_of_scales(name):
     for pt in sample_points(spec, 2, seed=5):
         fr = CurvatureFrame(spec, pt, 3)
         S = np.stack([fr.scalar_jet(sigma) for sigma in sigmas])
-        stack = tractor._einstein_jets(fr, S)
-        values = tractor._parallel_values(fr, S)
+        stack = tractor.einstein_jets(fr, S)
+        values = tractor.parallel_values(fr, S)
         assert stack.shape == (len(sigmas), spec.n + 2, jets.tables(spec.n, 1).size)
         for i, sigma in enumerate(sigmas):
-            one = tractor._einstein_jets(fr, S[i:i + 1])
-            assert one[0].tobytes() == tractor._einstein_jets(fr, S[i]).tobytes()
+            one = tractor.einstein_jets(fr, S[i:i + 1])
+            assert one[0].tobytes() == tractor.einstein_jets(fr, S[i]).tobytes()
             assert one[0, :, 0].tobytes() == einstein_tractor(spec, sigma, pt).tobytes()
-            D = tractor._parallel_values(fr, S[i:i + 1])[0]
-            assert D.tobytes() == tractor._tractor_deriv_jets(fr, one, 1)[0, ..., 0].tobytes()
+            D = tractor.parallel_values(fr, S[i:i + 1])[0]
+            assert D.tobytes() == tractor.tractor_deriv_jets(fr, one, 1)[0, ..., 0].tobytes()
             assert float(np.linalg.norm(D)) == parallel_residual(
                 spec, sigma, pt)
             scale = max(np.abs(stack).max(), np.abs(values).max())
@@ -124,7 +138,7 @@ def test_fubini_study_tractor_norm_is_minus_4():
     spec = builtin_metric("fubini_study")
     pt = sample_points(spec, 1, seed=4)[0]
     I = einstein_tractor(spec, expr.ONE, pt)
-    g = curvature.curvature_pack(spec, pt, 3).g
+    g = curvature.curvature_pack(spec, pt).g
     assert pairing(I, I, g) == pytest.approx(-4.0, abs=1e-8)
 
 
@@ -156,7 +170,7 @@ def test_tractor_metric_compatibility():
     fr = CurvatureFrame(spec, pt, 3)
     du = tractor_derivative(fr, u_fields, direction)
     dv = tractor_derivative(fr, v_fields, direction)
-    g = curvature.curvature_pack(spec, tuple(pt), 3).g
+    g = curvature.curvature_pack(spec, tuple(pt)).g
     leibniz = pairing(du, vec_at(v_fields, pt), g) + pairing(vec_at(u_fields, pt), dv, g)
     assert numeric == pytest.approx(leibniz, abs=1e-8 * max(1.0, abs(leibniz)))
 
@@ -172,7 +186,7 @@ def test_tractor_curvature_middle_block_matches_weyl():
     spec = builtin_metric("taub_nut")
     pt = sample_points(spec, 1, seed=6)[0]
     omegas = tractor_curvature(spec, pt)  # block validation runs inside
-    pack = curvature.curvature_pack(spec, pt, 4)
+    pack = curvature.CurvaturePack(CurvatureFrame(spec, pt, 4))
     W = pack.weyl
     ginv = pack.ginv
     Wmix = np.einsum("ce,abed->abcd", ginv, W)
@@ -191,7 +205,7 @@ def test_curvature_chain_matches_finite_differences(name):
     def omega(x):
         return np.stack(list(tractor_curvature(spec, tuple(x)).values()))
 
-    A = tractor.connection_matrices(CurvatureFrame(spec, pt, 2))
+    A = tractor.connection_jets(CurvatureFrame(spec, pt, 2), 0)[..., 0]
     h = 1e-4
     expected = []
     for c, step in enumerate(h * np.eye(spec.n)):
@@ -243,8 +257,8 @@ def test_transport_preserves_tractor_pairing():
     a = np.array(sample_points(spec, 1, seed=10)[0])
     b = np.array(sample_points(spec, 1, seed=11)[0])
     M = transport_matrix(spec, [a, b])
-    ga = curvature.curvature_pack(spec, tuple(a), 3).g
-    gb = curvature.curvature_pack(spec, tuple(b), 3).g
+    ga = curvature.curvature_pack(spec, tuple(a)).g
+    gb = curvature.curvature_pack(spec, tuple(b)).g
     Ba = tractor.tractor_metric_matrix(ga)
     Bb = tractor.tractor_metric_matrix(gb)
     # <MV, MW>_b = <V, W>_a for all V, W
@@ -293,7 +307,7 @@ def test_scale_equivariance_of_scale_tractor():
     hat_sigma = expr.mul(omega, sigma)
     I_hat = einstein_tractor(hat_spec, hat_sigma, pt)
     w, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=1)
-    g = curvature.curvature_pack(spec, pt, 3).g
+    g = curvature.curvature_pack(spec, pt).g
     expected = tractor.transform_tractor(I, w[0], ups, g)
     assert np.allclose(I_hat, expected, atol=1e-8)
 
