@@ -39,7 +39,7 @@ same way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -527,12 +527,35 @@ def _check(checks: list, name: str, value: float, tolerance: float,
     })
 
 
-def _scale_family_checks(spec: MetricSpec, family, checks: list,
-                         expected_dim: int, seed: int) -> curvature.CurvatureFrame:
-    """AE residual of each scale of the family, the worst over sample points,
-    and the rank of the family; returns the order-2 batch at the points."""
-    points = geometry.sample_points(spec, 10, seed=seed)
-    fr = curvature.CurvatureFrame(spec, points, 2)
+def scale_law(n: int, A: float, B: float, c, signs) -> tuple[float, float]:
+    """(J, Sc) = (2nAB - (n/2)<c, c>, n(n - 1)(4AB - <c, c>)) of sigma^-2 g for
+    sigma = A + B|x|^2 + <c, x> on a warped product whose warp a + b|x|^2 has
+    aB = -bA, with <c, c> summed over the pseudo-Euclidean base's signs."""
+    cc = sum(s * ci * ci for s, ci in zip(signs, c))
+    return 2 * n * A * B - n / 2 * cc, n * (n - 1) * (4 * A * B - cc)
+
+
+def _member(family, coeffs) -> expr.Node:
+    """sum_i coeffs_i sigma_i over the scales of a family."""
+    sigma: expr.Node = expr.ZERO
+    for c, (_, ast) in zip(coeffs, family):
+        sigma = expr.add(sigma, expr.mul(expr.const(float(c)), ast))
+    return sigma
+
+
+def _uniform(rng, size):
+    return rng.uniform(-1.0, 1.0, size=size)
+
+
+def _family_checks(kind: str, n: int, p: int, seed: int, draw):
+    """The checks every family verifier makes at 10 sample points: the AE
+    residual of each scale, the family rank against ``ae_dim_bound``, and
+    ``scale_law`` for the member with coefficients ``draw(rng, count)``.
+    Returns (warp data, spec, checks, order-2 batch at the points)."""
+    ws, spec = geometry.warped_family(kind, n, p)
+    family = spec.known_scales
+    checks: list = []
+    fr = curvature.CurvatureFrame(spec, geometry.sample_points(spec, 10, seed=seed), 2)
     S = np.stack([fr.scalar_jet(sigma, 2) for _, sigma in family])   # (scale, point, C_2)
     worst = norms(ae_residuals(fr, S), 2).max(axis=1)
     for (name, _), w in zip(family, worst):
@@ -540,9 +563,17 @@ def _scale_family_checks(spec: MetricSpec, family, checks: list,
     # the order-1 prefix of a jet is (value, gradient)
     span = kernel(fr.at(S, 1).reshape(len(family), -1))
     rank = span.ambient_dim - span.dim
-    _check(checks, "family_rank", rank - expected_dim, 0.5,
-           passed=(rank == expected_dim and not span.marginal))
-    return fr
+    bound = ae_dim_bound(spec.signature, n)
+    _check(checks, "family_rank", rank - bound, 0.5,
+           passed=(rank == bound and not span.marginal))
+    # the first scale is a - b|x|^2, then the base coordinates
+    coeffs = draw(geometry.SeededRng(seed), len(family))
+    k = coeffs[0]
+    _, expected_sc = scale_law(n, k * ws.a, -k * ws.b, coeffs[1:n - 3], ws.base_signs)
+    sigma = _member(family, coeffs)
+    worst = max(abs(sc_of_scale(f, sigma) - expected_sc) for f in _slices(fr))
+    _check(checks, "sc_of_scale_law", worst, 1e-7 * max(1.0, abs(expected_sc)))
+    return ws, spec, checks, fr
 
 
 def _slices(fr: curvature.CurvatureFrame) -> list:
@@ -550,28 +581,17 @@ def _slices(fr: curvature.CurvatureFrame) -> list:
     return [fr[i] for i in range(fr.batch[0])]
 
 
-def _random_member(family, rng):
-    coeffs = rng.uniform(-1.0, 1.0, size=len(family))
-    sigma: expr.Node = expr.ZERO
-    for c, (_, ast) in zip(coeffs, family):
-        sigma = expr.add(sigma, expr.mul(expr.const(float(c)), ast))
-    return coeffs, sigma
-
-
 def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
-    if n < 5 or n > 8:
-        raise geometry.CatalogueError("warped solutions cover 5 <= n <= 8")
-    fiber_name = {48: "fubini_study", -48: "fubini_study_hyperbolic", 0: "taub_nut"}
-    if sc not in fiber_name:
+    if n < 5:
+        raise geometry.CatalogueError(f"warped solutions cover 5 <= n <= {jets.MAX_VARS}")
+    kind = {48: "warped_fs", -48: "warped_hfs", 0: "product_ricci_flat"}
+    if sc not in kind:
         raise geometry.CatalogueError("sc must be one of 48, -48, 0")
     rng = geometry.SeededRng(seed)
-    # any warp with fiber_sc = -48 a b works; draw a generic admissible one
+    # the family's base and fiber with a generic warp: any with fiber_sc = -48ab
     a = float(rng.uniform(0.6, 1.6))
     b = -sc / 48.0 / a
-    ws = geometry.WarpedSpec(
-        geometry.pseudo_euclidean(0, n - 4), geometry.builtin_metric(fiber_name[sc]),
-        a, b,
-    )
+    ws = replace(geometry.family_warp(kind[sc], n, 2), a=a, b=b)
     spec = geometry.warped_product(ws, label=f"warpedSol_n{n}_sc{sc}")
     checks: list = []
     points = geometry.sample_points(spec, 10, seed=seed + 5)
@@ -595,9 +615,7 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
             sigma = expr.add(sigma, expr.mul(expr.const(float(c[i])), expr.var(i)))
         worst = norms(ae_residuals(fr, fr.scalar_jet(sigma, 2)), 2).max()
         _check(checks, f"ae_residual[trial{trial}]", worst, 1e-7)
-        c_sq = float(np.sum(c * c))          # Euclidean base here
-        expected_j = 2 * n * A * B - n / 2 * c_sq
-        expected_sc = n * (n - 1) * (4 * A * B - c_sq)
+        expected_j, expected_sc = scale_law(n, A, B, c, ws.base_signs)
         worst_j = max(abs(j_of_scale(f, sigma) - expected_j) for f in at)
         _check(checks, f"j_of_scale[trial{trial}]", worst_j,
                1e-7 * max(1.0, abs(expected_j)))
@@ -614,27 +632,11 @@ def _verify_riemannian_family(case: str = "a", n: int = 6, seed: int = 0) -> dic
     kind = {"a": "warped_fs", "b": "warped_hfs", "c": "product_ricci_flat"}
     if case not in kind:
         raise geometry.CatalogueError("case must be one of a, b, c")
-    spec = geometry.warped_catalogue_entry(kind[case], n)
-    checks: list = []
-    family = list(spec.known_scales)
-    fr = _scale_family_checks(spec, family, checks, n - 3, seed)
-
-    rng = geometry.SeededRng(seed)
-    c = rng.uniform(-0.7, 0.7, size=n - 4)
-    coeffs = np.concatenate([[1.0], c])
-    sigma: expr.Node = expr.ZERO
-    for cc, (_, ast) in zip(coeffs, family):
-        sigma = expr.add(sigma, expr.mul(expr.const(float(cc)), ast))
-    c_sq = float(np.sum(c * c))
-    expected_sc = {
-        "a": n * (n - 1) * (4.0 - c_sq),
-        "b": -n * (n - 1) * (4.0 + c_sq),
-        "c": -n * (n - 1) * c_sq,
-    }[case]
-    worst = max(abs(sc_of_scale(f, sigma) - expected_sc) for f in _slices(fr))
-    _check(checks, "sc_of_scale_law", worst, 1e-7 * max(1.0, abs(expected_sc)))
-    direct = abs(sc_of_scale_direct(spec, family[0][1], fr.point[0])
-                 - {"a": n * (n - 1) * 4.0, "b": -n * (n - 1) * 4.0, "c": 0.0}[case])
+    # the member: 1 times the radial (or const) scale plus a random linear part
+    ws, spec, checks, fr = _family_checks(kind[case], n, 2, seed, lambda rng, size: (
+        np.concatenate([[1.0], rng.uniform(-0.7, 0.7, size=size - 1)])))
+    _, expected = scale_law(n, ws.a, -ws.b, (), ())
+    direct = abs(sc_of_scale_direct(spec, spec.known_scales[0][1], fr.point[0]) - expected)
     _check(checks, "sc_direct_rescale", direct, 1e-6 * n * n * 4)
     wnorm = min(frobenius(w) for w in fr.values(fr.weyl)[:3])
     _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
@@ -643,36 +645,14 @@ def _verify_riemannian_family(case: str = "a", n: int = 6, seed: int = 0) -> dic
 
 
 def _verify_lorentzian_family(n: int = 6, seed: int = 0) -> dict:
-    spec = geometry.warped_catalogue_entry("product_lorentz", n)
-    checks: list = []
-    family = list(spec.known_scales)
-    fr = _scale_family_checks(spec, family, checks, n - 2, seed)
-    rng = geometry.SeededRng(seed)
-    coeffs, sigma = _random_member(family, rng)
-    c_linear = coeffs[1:n - 3]                       # the base-coordinate coefficients
-    c_sq = float(np.sum(c_linear * c_linear))
-    expected_sc = -n * (n - 1) * c_sq
-    worst = max(abs(sc_of_scale(f, sigma) - expected_sc) for f in _slices(fr))
-    _check(checks, "sc_of_scale_law", worst, 1e-7 * max(1.0, abs(expected_sc)))
+    _, spec, checks, fr = _family_checks("product_lorentz", n, 2, seed, _uniform)
     wnorm = frobenius(fr.values(fr.weyl)[0])
     _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     return {"label": spec.label, "params": {"n": n, "seed": seed}, "checks": checks}
 
 
 def _verify_general_family(n: int = 6, p: int = 2, seed: int = 0) -> dict:
-    spec = geometry.warped_catalogue_entry("product_split", n, p)
-    checks: list = []
-    family = list(spec.known_scales)
-    fr = _scale_family_checks(spec, family, checks, n - 1, seed)
-    rng = geometry.SeededRng(seed)
-    coeffs, sigma = _random_member(family, rng)
-    nb = n - 4
-    signs = [-1.0 if i < p - 2 else 1.0 for i in range(nb)]
-    c_linear = coeffs[1:1 + nb]
-    c_sq = float(sum(s * c * c for s, c in zip(signs, c_linear)))
-    expected_sc = -n * (n - 1) * c_sq
-    worst = max(abs(sc_of_scale(f, sigma) - expected_sc) for f in _slices(fr))
-    _check(checks, "sc_of_scale_law", worst, 1e-7 * max(1.0, abs(expected_sc)))
+    _, spec, checks, fr = _family_checks("product_split", n, p, seed, _uniform)
     wnorm = frobenius(fr.values(fr.weyl)[0])
     _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     out = {"label": spec.label, "params": {"n": n, "p": p, "seed": seed},
@@ -701,8 +681,8 @@ def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dic
         null = np.einsum("pa,pab,pb->p", grad, ginv, grad)
         _check(checks, f"laplacian[{name}]", np.abs(lap).max(), 1e-8)
         _check(checks, f"null_gradient[{name}]", np.abs(null).max(), 1e-8)
-    rng = geometry.SeededRng(seed)
-    _, sigma = _random_member(list(spec.known_scales), rng)
+    family = spec.known_scales
+    sigma = _member(family, _uniform(geometry.SeededRng(seed), len(family)))
     worst_j = max(abs(j_of_scale(f, sigma)) for f in _slices(fr))
     _check(checks, "j_of_scale_zero", worst_j, 1e-8)
     return {"label": spec.label, "params": {"metric": metric, "seed": seed},

@@ -125,6 +125,8 @@ def _parse_params(items):
         if not _:
             raise geometry.CatalogueError(f"--param expects NAME=VALUE, got {item!r}")
         name = name.strip()
+        if name in out:
+            raise geometry.CatalogueError(f"--param {name} given twice")
         try:
             out[name] = float(value)
         except ValueError:
@@ -184,13 +186,13 @@ def _cmd_analyze(ns) -> tuple[dict, bool]:
     ok = True
     for name, sigma in spec.known_scales:
         worst = float(norms(analysis.ae_residuals(fr, fr.scalar_jet(sigma, 2)), 2).max())
-        passed = worst < 1e-8
+        passed = worst < analysis.RESIDUAL_TOL
         ok &= passed
         scale_checks.append({
             "scale": name,
             "source": expr.to_source(sigma, spec.names),
             "max_residual": worst,
-            "tolerance": 1e-8,
+            "tolerance": analysis.RESIDUAL_TOL,
             "passed": passed,
         })
 

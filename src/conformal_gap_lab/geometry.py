@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,11 @@ class CatalogueError(ValueError):
     """Unknown metric name or invalid parameter."""
 
 
+def _check_dimension(n: int) -> None:
+    if n > jets.MAX_VARS:
+        raise CatalogueError(f"dimension {n} exceeds the supported maximum {jets.MAX_VARS}")
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """A coordinate-chart metric description."""
@@ -55,6 +60,7 @@ class MetricSpec:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _check_dimension(self.n)
         if self.signature[0] + self.signature[1] != self.n:
             raise SingularMetricError(
                 f"signature {self.signature} does not sum to dimension {self.n}"
@@ -105,6 +111,7 @@ def _sym(matrix: list[list[Node]]) -> tuple[tuple[Node, ...], ...]:
 
 
 def _zeros(n: int) -> list[list[Node]]:
+    _check_dimension(n)
     return [[expr.ZERO for _ in range(n)] for _ in range(n)]
 
 
@@ -361,54 +368,49 @@ def warped_product(ws: WarpedSpec, label: str | None = None,
     )
 
 
-def _warped_scale_family(ws: WarpedSpec) -> list[tuple[str, Node]]:
-    """Almost-Einstein-scale candidates A + B|x|^2 + sum c_i x_i (with aB = -bA)."""
-    nb = ws.base.n
-    scales: list[tuple[str, Node]] = []
-    norm2 = signed_norm_sq(nb, ws.base_signs)
-    if ws.a != 0.0:
-        # A = a fixes B = -b A / a = -b
-        sigma0 = expr.add(expr.const(ws.a), expr.mul(expr.const(-ws.b), norm2))
-        scales.append(("radial", expr.simplify(sigma0)))
-    for i in range(nb):
-        scales.append((f"x{i + 1}", expr.var(i)))
-    return scales
+# kind -> (4-dimensional fiber, a, b): at dimension n, the fiber warped by
+# f = a + b|x|^2 over pseudo_euclidean(p - 2, n - p - 2); p is 2 except for
+# product_split, the one family over every signature
+FAMILIES = {
+    "warped_fs": ("fubini_study", 1.0, -1.0),
+    "warped_hfs": ("fubini_study_hyperbolic", 1.0, 1.0),
+    "product_ricci_flat": ("taub_nut", 1.0, 0.0),
+    "product_lorentz": ("pp_wave", 1.0, 0.0),
+    "product_split": ("pp_split", 1.0, 0.0),
+}
+
+
+def family_warp(kind: str, n: int, p: int) -> WarpedSpec:
+    """The warped-product data of a ``FAMILIES`` entry at dimension n >= 5."""
+    if kind not in FAMILIES:
+        raise CatalogueError(f"unknown warped family {kind!r}")
+    if n < 5:
+        raise CatalogueError(f"warped families cover 5 <= n <= {jets.MAX_VARS}, got {n}")
+    _check_dimension(n)
+    if not (2 <= p <= n - p):
+        raise CatalogueError(f"general signature needs 2 <= p <= n - p, got p={p}")
+    fiber, a, b = FAMILIES[kind]
+    return WarpedSpec(pseudo_euclidean(p - 2, n - p - 2), builtin_metric(fiber), a, b)
+
+
+def warped_family(kind: str, n: int, p: int) -> tuple[WarpedSpec, MetricSpec]:
+    """A ``FAMILIES`` entry's warp data and metric; its almost-Einstein scales
+    are a - b|x|^2 (``radial``, or ``const`` when b = 0), the base coordinates
+    and each non-constant fiber scale moved past the base (``fiber_<name>``)."""
+    ws = family_warp(kind, n, p)
+    nb = n - 4
+    # a - b|x|^2 is the warp function with b negated
+    scales = [("radial" if ws.b else "const", warp_function(replace(ws, b=-ws.b)))]
+    scales += [(f"x{i + 1}", expr.var(i)) for i in range(nb)]
+    scales += [(f"fiber_{name}", expr.shift_vars(sigma, nb))
+               for name, sigma in ws.fiber.known_scales if not isinstance(sigma, expr.Const)]
+    label = f"{kind}_n{n}_p{p}" if kind == "product_split" else f"{kind}_n{n}"
+    return ws, warped_product(ws, label=label, known_scales=scales)
 
 
 def warped_catalogue_entry(kind: str, n: int, p: int = 2) -> MetricSpec:
-    """Named warped/product families used by the verifiers (n >= 5)."""
-    if n < 5 or n > 8:
-        raise CatalogueError(f"warped families cover 5 <= n <= 8, got {n}")
-    nb = n - 4
-    if kind == "warped_fs":
-        ws = WarpedSpec(pseudo_euclidean(0, nb), _fubini_study(), 1.0, -1.0)
-        scales = _warped_scale_family(ws)
-        return warped_product(ws, label=f"warped_fs_n{n}", known_scales=scales)
-    if kind == "warped_hfs":
-        ws = WarpedSpec(pseudo_euclidean(0, nb), _fubini_study_hyperbolic(), 1.0, 1.0)
-        scales = _warped_scale_family(ws)
-        return warped_product(ws, label=f"warped_hfs_n{n}", known_scales=scales)
-    if kind == "product_ricci_flat":
-        ws = WarpedSpec(pseudo_euclidean(0, nb), _taub_nut(1.0), 1.0, 0.0)
-        scales = [("const", expr.ONE)]
-        scales += [(f"x{i + 1}", expr.var(i)) for i in range(nb)]
-        return warped_product(ws, label=f"product_ricci_flat_n{n}", known_scales=scales)
-    if kind == "product_lorentz":
-        ws = WarpedSpec(pseudo_euclidean(0, nb), _pp_wave(), 1.0, 0.0)
-        scales = [("const", expr.ONE)]
-        scales += [(f"x{i + 1}", expr.var(i)) for i in range(nb)]
-        scales.append(("fiber_exp_wave", expr.shift_vars(_pp_wave().known_scales[1][1], nb)))
-        return warped_product(ws, label=f"product_lorentz_n{n}", known_scales=scales)
-    if kind == "product_split":
-        if not (2 <= p <= n - p):
-            raise CatalogueError(f"general signature needs 2 <= p <= n - p, got p={p}")
-        ws = WarpedSpec(pseudo_euclidean(p - 2, n - p - 2), _pp_split(), 1.0, 0.0)
-        scales = [("const", expr.ONE)]
-        scales += [(f"x{i + 1}", expr.var(i)) for i in range(nb)]
-        scales.append(("fiber_t", expr.var(nb)))
-        scales.append(("fiber_x", expr.var(nb + 1)))
-        return warped_product(ws, label=f"product_split_n{n}_p{p}", known_scales=scales)
-    raise CatalogueError(f"unknown warped family {kind!r}")
+    """The metric of ``warped_family``; only product_split reads p."""
+    return warped_family(kind, n, p if kind == "product_split" else 2)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +419,7 @@ def warped_catalogue_entry(kind: str, n: int, p: int = 2) -> MetricSpec:
 _FLAT_RE = re.compile(r"flat_(\d+)_(\d+)$")
 FLAT_EXAMPLE = "flat_1_3"
 # families named KIND_nN; product_split also takes _pP
-WARPED_KINDS = ("warped_fs", "warped_hfs", "product_ricci_flat", "product_lorentz")
+WARPED_KINDS = tuple(kind for kind in FAMILIES if kind != "product_split")
 
 
 def _bad_einstein_claim() -> MetricSpec:

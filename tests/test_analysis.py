@@ -272,6 +272,16 @@ def test_verify_riemannian_case_a_n5():
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
 
 
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("theorem, params", [
+    ("t_riem", {"case": "a"}), ("t_riem", {"case": "b"}), ("t_riem", {"case": "c"}),
+    ("t_lorentz", {}),
+])
+def test_family_verifiers_pass_at_the_top_of_the_table(theorem, params, n):
+    report = verify_theorem(theorem, n=n, seed=0, **params)
+    assert report["passed"], [c for c in report["checks"] if not c["passed"]]
+
+
 def test_verify_rflat_pp_wave():
     report = verify_theorem("rflat", metric="pp_wave")
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]

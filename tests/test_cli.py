@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conformal_gap_lab
-from conformal_gap_lab import analysis, curvature, geometry
+from conformal_gap_lab import analysis, curvature, geometry, jets
 from conformal_gap_lab.cli import main
 
 
@@ -205,6 +205,13 @@ def test_nan_param_exits_2(capsys):
     assert "finite" in err
 
 
+def test_repeated_param_exits_2(capsys):
+    # the last value once won silently; metric files already refused this
+    err = usage_error(capsys, "analyze", "taub_nut", "--param", "m=2", "--param", "m=3",
+                      "--point", "1.5,1.0,0.3,0.2")
+    assert err == "error: --param m given twice\n"
+
+
 def test_unknown_param_name_exits_2(capsys):
     err = usage_error(capsys, "analyze", "pp_wave", "--param", "bogus=1")
     assert "'bogus'" in err
@@ -315,6 +322,27 @@ def test_analyze_needs_one_sample(capsys, samples):
 ])
 def test_verifier_parameter_out_of_range_exits_2(capsys, argv):
     usage_error(capsys, *argv)
+
+
+# warpedSol and t_riem at n = 9 are rows of the test above; here they run at
+# a dimension whose base alone exceeds the cap, and at one too large to build
+@pytest.mark.parametrize("argv, dim", [
+    (("dims", "flat_0_9"), 9),
+    (("dims", "nine.metric"), 9),
+    (("verify", "t_gen", "--n", "9"), 9),
+    (("verify", "t_riem", "--n", "13"), 13),
+    (("verify", "warpedSol", "--n", "100000"), 100000),
+    (("dims", "warped_fs_n100000"), 100000),
+    (("dims", "flat_3_99997"), 100000),
+])
+def test_dimension_above_the_jet_cap_is_one_usage_error(tmp_path, capsys, monkeypatch,
+                                                        argv, dim):
+    # the one cap once gave three different messages, and a large n hung
+    monkeypatch.chdir(tmp_path)
+    diagonal = "".join(f"g {i} {i} : 1\n" for i in range(1, 10))
+    (tmp_path / "nine.metric").write_text("dim = 9\nsignature = 0,9\n" + diagonal)
+    err = usage_error(capsys, *argv)
+    assert err == f"error: dimension {dim} exceeds the supported maximum {jets.MAX_VARS}\n"
 
 
 def test_sampling_does_not_import_numpy_random():
