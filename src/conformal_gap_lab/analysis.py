@@ -22,10 +22,10 @@ kernels.  A report is exact when the two sides meet and every rank decision
 survives scaling the tolerance by 10 either way.
 
 Every function here reads curvature from a frame its caller passes: a
-``curvature.CurvatureFrame`` at one point, a slice ``fr[i]`` of a batch, or
-a cut ``fr.truncated(k)``.  Readers of values take a frame of any order at or
-above the one they need.  ``estimate_parallel_dims`` and the family
-verifiers build every frame they use once and hand it down.
+``curvature.CurvatureFrame`` at one point or a slice ``fr[i]`` of a batch.
+Readers take a frame of any order at or above the one they need (witness
+tractors read the ``JET_ORDER`` frame); ``estimate_parallel_dims`` and the
+family verifiers build every frame they use once and hand it down.
 
 Witness checks run on a batch of frames (point axis first): each known
 scale is evaluated once at all check points, as one (S, P, C_2) stack of
@@ -79,8 +79,12 @@ class Subspace:
         return self.basis.shape[1]
 
     def contains(self, v: np.ndarray) -> bool:
-        """Whether v lies in the subspace up to 1e-8 relative to |v| (v = 0 does)."""
+        """Whether v lies in the subspace up to 1e-8 relative to |v| (v = 0 does,
+        a non-finite v does not), checked on v / max |v_i| so no norm overflows."""
         v = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            return False
+        v = v / (np.abs(v).max(initial=0.0) or 1.0)
         proj = self.basis.T @ (self.basis @ v)
         return float(np.linalg.norm(v - proj)) <= 1e-8 * float(np.linalg.norm(v))
 
@@ -376,9 +380,10 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     """Bounds for the dimensions of parallel standard / adjoint tractors.
 
     Upper bounds: the dimensions of ``constraint_kernels`` at the basepoint,
-    read from one ``JET_ORDER`` frame built there, whose order-3 cut gives
-    the witnesses their Einstein tractors.  Lower bounds: independent
-    residual-verified witnesses, which must lie in those kernels.
+    read from one ``JET_ORDER`` frame built there, at which the witnesses'
+    order-3 jets give their Einstein tractors.  Lower bounds: independent
+    residual-verified witnesses, which must lie in those kernels; a verified
+    scale that is not finite at the basepoint raises ``DomainError``.
     ``upper=False`` skips the constraints and reports witness counts against
     the flat-model upper bounds n + 2 and (n + 2)(n + 1)/2.
     """
@@ -438,15 +443,14 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     ranks of their tractors as the lower bounds.
 
     ``base`` is the ``JET_ORDER`` frame at the basepoint, or None when no
-    upper bound was taken; the Einstein tractors read its order-3 cut, or an
-    order-3 frame built there.  The frames at the check points are one
-    order-2 batch.  Each scale is evaluated there once, as a (point, C_2)
-    stack, and the AE residuals of all scales, and the wedge fields and
-    Killing/normality residuals of all pairs of verified scales, come from
-    one batched call each.  The parallel
-    residuals of all scales (at the first check point) and the Einstein
-    tractors of all verified scales (at the basepoint) are one batched
-    ``tractor`` call each, on the scales' order-3 jets there.
+    upper bound was taken (an order-3 frame is then built there).  The frames
+    at the check points are one order-2 batch.  Each scale is evaluated there
+    once, as a (point, C_2) stack; the AE residuals of all scales, and the
+    wedge fields and Killing/normality residuals of all pairs of verified
+    scales, come from one batched call each.  The parallel residuals of all
+    scales (at the first check point) and the Einstein tractors of all
+    verified scales (at the basepoint) are one batched ``tractor`` call each,
+    on the scales' order-3 jets there.
     """
     names = [name for name, _ in spec.known_scales]
     sigmas = [sigma for _, sigma in spec.known_scales]
@@ -469,9 +473,14 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     report.ae_witnesses = [names[i] for i in verified]
     if not len(verified):
         return
-    base_fr = (base.truncated(3) if base is not None
-               else curvature.CurvatureFrame(spec, report.basepoint, 3))
-    at_base = np.stack([base_fr.scalar_jet(sigmas[i]) for i in verified])
+    base_fr = base if base is not None else curvature.CurvatureFrame(spec, report.basepoint, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_base = np.stack([base_fr.scalar_jet(sigmas[i], 3) for i in verified])
+    for i, jet in zip(verified, at_base):
+        if not np.all(np.isfinite(jet)):
+            raise geometry.DomainError(
+                f"scale {names[i]!r} of {spec.label!r} is not finite at the basepoint "
+                f"{geometry.format_point(report.basepoint)}")
     vecs = tractor.einstein_jets(base_fr, at_base)[..., 0]
     _require_inside(standard, vecs, report.ae_witnesses, "standard", spec)
     span = kernel(vecs)
@@ -655,16 +664,14 @@ def _verify_general_family(n: int = 6, p: int = 2, seed: int = 0) -> dict:
     _, spec, checks, fr = _family_checks("product_split", n, p, seed, _uniform)
     wnorm = frobenius(fr.values(fr.weyl)[0])
     _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
-    out = {"label": spec.label, "params": {"n": n, "p": p, "seed": seed},
-           "checks": checks}
     # sharpness: the constraint machinery certifies the bound values
     rep = estimate_parallel_dims(spec, seed=seed)
     _check(checks, "d_ae_exact", rep.d_ae_upper - (n - 1), 0.5,
            passed=(rep.exact_ae and rep.d_ae_upper == n - 1))
     _check(checks, "d_nck_upper", rep.d_nck_upper - nck_dim_bound(spec.signature, n),
            0.5, passed=(rep.d_nck_upper == nck_dim_bound(spec.signature, n)))
-    out["dims"] = rep.as_dict()
-    return out
+    return {"label": spec.label, "params": {"n": n, "p": p, "seed": seed},
+            "checks": checks, "dims": rep.as_dict()}
 
 
 def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dict:
@@ -708,10 +715,8 @@ def _verify_bounds(metric: str = "pp_wave", seed: int = 0) -> dict:
     _check(checks, "nck_witnesses_within_bound",
            report.d_nck_lower - nck_dim_bound(spec.signature, spec.n), 0.5,
            passed=(report.d_nck_lower <= nck_dim_bound(spec.signature, spec.n)))
-    out = {"label": spec.label, "params": {"metric": metric, "seed": seed},
-           "checks": checks}
-    out["dims"] = report.as_dict()
-    return out
+    return {"label": spec.label, "params": {"metric": metric, "seed": seed},
+            "checks": checks, "dims": report.as_dict()}
 
 
 # the family verifiers by theorem id; each takes seed and its own parameters

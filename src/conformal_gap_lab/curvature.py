@@ -18,8 +18,8 @@ here are one :meth:`CurvatureFrame.cov_deriv` away.  A frame built at jet
 order ``K`` holds the metric to order ``K``, its inverse and the Christoffels
 to ``K-1``, and Ricci, Sc, J, Schouten and ``schouten_mixed`` to ``K-2``: what
 the tractor connection jets and their curvature chain read.  The mixed and
-all-down Riemann, Weyl and Cotton tensors (``VALUE_TENSORS``) are held at jet
-order 0, their values, since no reader needs more; Cotton needs ``K >= 3``.
+all-down Riemann, Weyl and Cotton tensors are held at jet order 0, their
+values, since no reader needs more; Cotton needs ``K >= 3``.
 Christoffels are contracted for the index pairs ``a <= b`` only and mirrored,
 and Ricci is summed from the trace rows ``R_rb^r_d`` alone, so no product
 of the build above jet order 0 forms ``n^4`` jets; every array keeps the
@@ -41,16 +41,16 @@ jets are (S, P, C)), and :meth:`CurvatureFrame.cov_deriv` takes such axes
 alike at a frame of one point (a stack of scale gradients is (S, n, C)).
 
 Frames are passed explicitly: a caller builds the frame it needs once and
-hands readers the frame, a batch slice ``frame[i]`` or a cut
-``frame.truncated(k)``.  Readers of values (Weyl, Schouten, Christoffels at
-the point) take a frame of any order at or above the one they need, since a
-higher-order frame holds the same values bit for bit.
+hands readers the frame or a batch slice ``frame[i]``.  Readers of values
+and the scale tractors take a frame of any order at or above theirs and cut
+what they read to their order with :meth:`CurvatureFrame.at`, a prefix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -58,10 +58,6 @@ import numpy as np
 from . import expr, geometry, jets
 from .geometry import MetricSpec, WarpedSpec
 from .jets import contract, conv, partials, truncate_coeffs
-
-
-# frame tensors held at jet order 0, kept whole by CurvatureFrame.truncated
-VALUE_TENSORS = ("riemann_mixed", "riemann", "weyl", "cotton")
 
 
 class ConventionError(RuntimeError):
@@ -170,11 +166,11 @@ class CurvatureFrame:
         self.riemann, self.weyl = self.riemann_and_weyl(0)
         self.cotton = None
         if order >= 3:
-            covP = self.cov_deriv(self.at(P, 1), "dd", 1)  # [a, b, c] = nabla_a P_bc
+            covP = self.cov_deriv(self.at(P, 1), 2, 1)     # [a, b, c] = nabla_a P_bc
             A = _last(covP, 2, 0, 1, 3)
             self.cotton = A - _last(A, 0, 2, 1, 3)        # [c, a, b] = Y_cab
 
-        # batch slices and cuts share these arrays, so nothing may write into them
+        # batch slices and prefixes (at) share these arrays, so nothing may write into them
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -262,50 +258,27 @@ class CurvatureFrame:
              - _last(t, 1, 0, 3, 2, 4) + _last(t, 0, 1, 3, 2, 4))
         return R, W
 
-    def truncated(self, order: int) -> "CurvatureFrame":
-        """This frame at a lower jet order, every jet cut to its prefix.
-
-        Each coefficient of a jet depends only on coefficients of no higher
-        degree, so the cut equals a frame built at that order; nothing is
-        rebuilt (``__init__`` does not run).  The ``VALUE_TENSORS`` stay as
-        they are, except Cotton, which a frame below order 3 does not hold.
-        """
-        if not 2 <= order <= self.order:
-            raise ValueError(f"cannot truncate an order-{self.order} frame to {order}")
-        fr = object.__new__(CurvatureFrame)
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray) and name not in VALUE_TENSORS:
-                m = order - (self.order - jets.order_of(value.shape[-1], self.n))
-                value = np.ascontiguousarray(self.at(value, m))
-                value.flags.writeable = False
-            setattr(fr, name, value)
-        fr.order = order
-        if order < 3:
-            fr.cotton = None
-        return fr
-
-    def cov_deriv(self, T: np.ndarray, variance: str, m: int) -> np.ndarray:
-        """Covariant derivative of a rank-k jet tensor: out[a, ...] = nabla_a T.
+    def cov_deriv(self, T: np.ndarray, rank: int, m: int) -> np.ndarray:
+        """Covariant derivative of a covariant rank-k jet tensor:
+        out[a, ...] = nabla_a T.
 
         The derivative index goes just before T's own indices, so leading
         axes of T batch: a frame's point axis, or a stack of tensors at a
         frame of one point.
         """
-        rank = len(variance)
         out = partials(T, self.n, m, axis=T.ndim - rank - 1)
         G = self.at(self.gamma, m - 1)
         Tm = self.at(T, m - 1)
         rest = (None,) * (rank - 1)                       # the other indices of T
-        for k, var_k in enumerate(variance):
-            # [a, i, r] = Gamma^i_ar (upper index) or Gamma^r_ai (lower index)
-            left = _last(G, 1, 0, 2, 3) if var_k == "u" else _last(G, 1, 2, 0, 3)
-            lx = left[(..., slice(None), slice(None)) + rest + (slice(None), slice(None))]
+        # [a, i, r] = Gamma^r_ai
+        left = _last(G, 1, 2, 0, 3)[(..., slice(None), slice(None)) + rest
+                                    + (slice(None), slice(None))]
+        for k in range(rank):
             # (1, 1, other indices, r, C): T's index k moved next to the coefficients
             others = [i for i in range(rank) if i != k]
             rx = _last(Tm, *others, k, rank)[(..., None, None) + (slice(None),) * (rank + 1)]
-            acc = contract(lx, rx, self.n, m - 1)      # (a, i, other indices, C)
-            acc = _last(acc, 0, *range(2, 2 + k), 1, *range(2 + k, rank + 2))
-            out += acc if var_k == "u" else -acc
+            acc = contract(left, rx, self.n, m - 1)      # (a, i, other indices, C)
+            out -= _last(acc, 0, *range(2, 2 + k), 1, *range(2 + k, rank + 2))
         return out
 
     def scalar_jet(self, node, m: int | None = None) -> np.ndarray:
@@ -433,7 +406,7 @@ def rescale_metric(spec: MetricSpec, omega: expr.Node) -> MetricSpec:
     comps = tuple(
         tuple(expr.mul(w2, e) for e in row) for row in spec.components
     )
-    return spec.with_components(comps, label=f"{spec.label}|rescaled")
+    return replace(spec, components=comps, label=f"{spec.label}|rescaled")
 
 
 def upsilon_jets(spec: MetricSpec, omega: expr.Node, point, order: int = 2):
@@ -499,7 +472,7 @@ def bianchi_check(f: CurvatureFrame) -> float:
     if f.order < 3:
         raise ValueError("the divergence identity check needs a frame of order >= 3")
     _, weyl = f.riemann_and_weyl(f.order - 2)
-    covW = f.cov_deriv(weyl, "dddd", f.order - 2)         # [s, r, c, a, b]
+    covW = f.cov_deriv(weyl, 4, f.order - 2)            # [s, r, c, a, b]
     div = np.einsum("sr,srcab->cab", f.values(f.ginv), covW[..., 0])
     y = f.values(f.cotton)
     return frobenius((f.n - 3) * y - div)

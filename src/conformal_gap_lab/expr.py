@@ -11,7 +11,10 @@ Functions: sin cos tan sinh cosh exp sqrt.  Identifiers resolve to the
 declared coordinate names (x1..xn by default) or to declared parameters, which
 read as their values: a parameter is a constant from the moment it is parsed.
 Anything else is rejected with the offset of the offending token.  Exponents
-are integer literals, optionally signed.
+are integer literals, optionally signed.  The parser and the tree walkers
+recurse, so a formula nests at most ``MAX_DEPTH`` levels, or is refused: that
+many atoms inside one another (each parenthesis, call or unary minus wraps
+one), and that many nodes on a path of its tree (a k-term sum is k deep).
 
 ASTs are immutable; evaluation maps an AST onto coordinate jets (coefficient
 arrays), so every partial derivative of a parsed formula is available through
@@ -34,6 +37,7 @@ import numpy as np
 from . import jets
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "exp", "sqrt")
+MAX_DEPTH = 200     # a level takes up to four Python frames, of the 1000 allowed
 
 
 class ParseError(ValueError):
@@ -143,6 +147,7 @@ class _Parser:
         self.var_index = var_index
         self.params = params
         self.k = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.k] if self.k < len(self.tokens) else None
@@ -196,28 +201,33 @@ class _Parser:
         return sign * int(tok[1])
 
     def parse_atom(self) -> Node:
-        tok = self.next()
-        kind, text, pos = tok
-        if kind == "num":
-            return Const(float(text))
-        if kind == "ident":
-            if text in FUNCTIONS:
-                self.expect_op("(")
+        kind, text, pos = self.next()
+        if self.level == MAX_DEPTH:     # the atoms inside one another
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        self.level += 1
+        try:
+            if kind == "num":
+                return Const(float(text))
+            if kind == "ident":
+                if text in FUNCTIONS:
+                    self.expect_op("(")
+                    inner = self.parse_expr()
+                    self.expect_op(")")
+                    return Call(text, inner)
+                if text in self.var_index:
+                    return Var(self.var_index[text])
+                if text in self.params:
+                    return Const(float(self.params[text]))
+                raise ParseError(f"unknown identifier {text!r}", pos)
+            if text == "(":
                 inner = self.parse_expr()
                 self.expect_op(")")
-                return Call(text, inner)
-            if text in self.var_index:
-                return Var(self.var_index[text])
-            if text in self.params:
-                return Const(float(self.params[text]))
-            raise ParseError(f"unknown identifier {text!r}", pos)
-        if text == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if text == "-":
-            return Neg(self.parse_atom())
-        raise ParseError(f"unexpected token {text!r}", pos)
+                return inner
+            if text == "-":
+                return Neg(self.parse_atom())
+            raise ParseError(f"unexpected token {text!r}", pos)
+        finally:
+            self.level -= 1
 
 
 def parse(source: str, n: int, params=None, var_names=None) -> Node:
@@ -235,7 +245,18 @@ def parse(source: str, n: int, params=None, var_names=None) -> Node:
     node = parser.parse_expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing input {parser.peek()[1]!r}", parser.peek()[2])
+    if _depth(node) > MAX_DEPTH:
+        raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", 0)
     return node
+
+
+def _depth(node: Node) -> int:
+    """Nodes on the longest root-to-leaf path, level by level (no recursion)."""
+    depth, level = 0, [node]
+    while level:
+        depth, level = depth + 1, [c for nd in level for c in vars(nd).values()
+                                   if isinstance(c, Node)]
+    return depth
 
 
 # --- evaluation ---------------------------------------------------------------

@@ -70,20 +70,6 @@ class MetricSpec:
     def names(self) -> tuple[str, ...]:
         return self.coord_names or tuple(f"x{i + 1}" for i in range(self.n))
 
-    def with_components(self, components, label=None) -> "MetricSpec":
-        return MetricSpec(
-            n=self.n,
-            signature=self.signature,
-            components=components,
-            params=self.params,
-            domain=self.domain,
-            label=label or self.label,
-            coord_names=self.coord_names,
-            sample_box=self.sample_box,
-            known_scales=self.known_scales,
-            notes=self.notes,
-        )
-
 
 @dataclass(frozen=True)
 class WarpedSpec:
@@ -424,14 +410,9 @@ WARPED_KINDS = tuple(kind for kind in FAMILIES if kind != "product_split")
 
 def _bad_einstein_claim() -> MetricSpec:
     """Fixture with a deliberately failing scale claim; exercises exit code 1."""
-    flat = pseudo_euclidean(0, 4)
-    return MetricSpec(
-        n=4, signature=(0, 4), components=flat.components,
-        label="bad_einstein_claim",
-        sample_box=flat.sample_box,
-        known_scales=(("bogus", expr.parse("x1^2", 4)),),
-        notes=("test fixture: the claimed scale x1^2 is not almost Einstein",),
-    )
+    return replace(pseudo_euclidean(0, 4), label="bad_einstein_claim",
+                   known_scales=(("bogus", expr.parse("x1^2", 4)),),
+                   notes=("test fixture: the claimed scale x1^2 is not almost Einstein",))
 
 
 def catalogue_names(examples: bool = False) -> list[str]:
@@ -530,36 +511,6 @@ def metric_jets(spec: MetricSpec, points, order: int) -> np.ndarray:
     return G
 
 
-# per number of variables, the inverse steps of the highest order built so
-# far; a degree's steps are the same at every order that holds it, so a lower
-# order takes their prefix
-_top_steps: dict[int, tuple] = {}
-
-
-def _inverse_steps(num_vars: int, order: int):
-    """Per degree d >= 1: product pairs (i, j) with deg i >= 1 landing in degree d.
-
-    Pairs are sorted by target slot; ``starts`` marks where each slot's run
-    begins, and the slots of degree d form the contiguous range ``slots``.
-    """
-    top = _top_steps.get(num_vars, ())
-    if len(top) >= order:
-        return top[:order]
-    t = jets.tables(num_vars, order)
-    degree = np.searchsorted(t.sizes_by_order, np.arange(t.size), side="right")
-    keep = degree[t.mul_i] >= 1
-    by_slot = np.argsort(t.mul_k[keep], kind="stable")
-    i, j, k = (m[keep][by_slot] for m in (t.mul_i, t.mul_j, t.mul_k))
-    steps = []
-    for d in range(1, order + 1):
-        slots = slice(t.sizes_by_order[d - 1], t.sizes_by_order[d])
-        sel = (k >= slots.start) & (k < slots.stop)
-        starts = np.flatnonzero(np.diff(k[sel], prepend=-1))
-        steps.append((i[sel], j[sel], starts, slots))
-    _top_steps[num_vars] = steps = tuple(steps)
-    return steps
-
-
 def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
     """Inverse of an (n, n, C) matrix of jets in n variables; leading axes batch.
 
@@ -575,7 +526,7 @@ def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
         raise SingularMetricError("jet matrix inverse: singular value matrix") from None
     X = np.zeros_like(Gc)
     X[0] = x0
-    for i, j, starts, slots in _inverse_steps(n, jets.order_of(G.shape[-1], n)):
+    for i, j, starts, slots in jets.tables(n, jets.order_of(G.shape[-1], n)).inverse_steps:
         X[slots] = -x0 @ np.add.reduceat(Gc[i] @ X[j], starts, axis=0)
     return np.ascontiguousarray(np.moveaxis(X, 0, -1))
 

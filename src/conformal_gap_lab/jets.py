@@ -71,6 +71,9 @@ class JetTables:
     scatter: np.ndarray | None            # (T, size) dense 0/1 matrix, or None
     diff_src: np.ndarray                  # [var, slot]: source slot in the parent jet
     diff_fac: np.ndarray                  # [var, slot]: multiplier (alpha_var + 1)
+    # geometry.jet_matrix_inverse's steps, per degree d >= 1: the pairs (i, j),
+    # deg i >= 1, landing in degree d sorted by slot, where each slot's run starts, the slots
+    inverse_steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, slice], ...]
 
 
 # per number of variables, the tables of the highest order built so far;
@@ -125,16 +128,25 @@ def _build_tables(num_vars: int, order: int) -> JetTables:
     diff_src = locate(lower @ radix + radix[:, None])
     diff_fac = lower.T + 1.0
 
+    # sorted by target slot, the pairs of one degree are contiguous
+    keep = degrees[mul_i] >= 1
+    i, j, k = (m[keep][np.argsort(mul_k[keep], kind="stable")] for m in (mul_i, mul_j, mul_k))
+    runs = np.searchsorted(k, sizes_by_order)         # where each degree's pairs begin
+    inverse_steps = tuple(
+        (i[lo:hi], j[lo:hi], np.flatnonzero(np.diff(k[lo:hi], prepend=-1)), slice(a, b))
+        for lo, hi, a, b in zip(runs, runs[1:], sizes_by_order, sizes_by_order[1:]))
+
     return _with_scatter(
         num_vars=num_vars, order=order, size=len(E), sizes_by_order=sizes_by_order,
         mul_i=mul_i, mul_j=mul_j, mul_k=mul_k, diff_src=diff_src, diff_fac=diff_fac,
+        inverse_steps=inverse_steps,
     )
 
 
 def _cut_tables(top: JetTables, order: int) -> JetTables:
     """The tables of a lower order, cut from higher-order ones: the graded
-    layout makes every slot array a prefix, and the product pairs are those
-    of total degree <= order, in the same row-major order."""
+    layout makes every slot array and the inverse steps a prefix, and the
+    product pairs are those of total degree <= order, in the same order."""
     size = top.sizes_by_order[order]
     degree = np.searchsorted(top.sizes_by_order, np.arange(top.size), side="right")
     keep = degree[top.mul_i] + degree[top.mul_j] <= order
@@ -144,6 +156,7 @@ def _cut_tables(top: JetTables, order: int) -> JetTables:
         sizes_by_order=top.sizes_by_order[: order + 1],
         mul_i=top.mul_i[keep], mul_j=top.mul_j[keep], mul_k=top.mul_k[keep],
         diff_src=top.diff_src[:, :below].copy(), diff_fac=top.diff_fac[:, :below].copy(),
+        inverse_steps=top.inverse_steps[:order],
     )
 
 

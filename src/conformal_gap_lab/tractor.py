@@ -86,27 +86,28 @@ def tractor_deriv_jets(fr: CurvatureFrame, V: np.ndarray, m: int) -> np.ndarray:
 
 def einstein_jets(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
     """Coefficient arrays (..., n + 2, C_{K-2}) of the scale tractors
-    (sigma, mu^b, rho) of scale jets sig (..., C_K) at a frame of one point;
-    leading axes batch.  A stack of one has the bits of the scale alone."""
+    (sigma, mu^b, rho) of scale jets sig (..., C_K) at a frame of one point,
+    of order K or more; leading axes batch, and a stack of one has the bits."""
     n = fr.n
-    K = fr.order
+    K = jets.order_of(sig.shape[-1], n)
     dsig = partials(sig, n, K, axis=sig.ndim - 1)                      # (..., a, C_{K-1})
-    mu = contract(fr.ginv, dsig[..., None, :, :], n, K - 1)
-    hess = fr.cov_deriv(dsig, "d", K - 1)                              # (..., a, b, C_{K-2})
+    mu = contract(fr.at(fr.ginv, K - 1), dsig[..., None, :, :], n, K - 1)
+    hess = fr.cov_deriv(dsig, 1, K - 1)                                # (..., a, b, C_{K-2})
     ginv2 = fr.at(fr.ginv, K - 2)
     lap = contract(ginv2.reshape(n * n, -1), hess.reshape(hess.shape[:-3] + (n * n, -1)),
                    n, K - 2)
     sig2 = jets.truncate_coeffs(sig, n, K, K - 2)
-    rho = -(lap + conv(fr.j, sig2, n, K - 2)) / n
+    rho = -(lap + conv(fr.at(fr.j, K - 2), sig2, n, K - 2)) / n
     mu2 = jets.truncate_coeffs(mu, n, K - 1, K - 2)
     return np.concatenate([sig2[..., None, :], mu2, rho[..., None, :]], axis=-2)
 
 
 def parallel_values(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
     """Values (S, n, n + 2) of D_a I for the scale tractors I of a stack of
-    scale jets sig (S, C_K) at a frame of one point; they need I only to
-    order 1, which an order-3 frame gives."""
-    return tractor_deriv_jets(fr, einstein_jets(fr, sig), fr.order - 2)[..., 0]
+    scale jets sig (S, C_K) at a frame of one point, of order K or more; they
+    need I only to order 1, which order-3 scale jets give."""
+    K = jets.order_of(sig.shape[-1], fr.n)
+    return tractor_deriv_jets(fr, einstein_jets(fr, sig), K - 2)[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ as one batch of the three, once with this tree's ``src/`` and once with the
 ``src/`` given on the command line (for example an export of the parent
 revision).  Every array a frame holds is dumped, and at single points of
 order 3 and above also the values of ``tractor.curvature_chain`` to order
-``K - 2``.  So are the frames that callers hand to readers: the slices
-``CurvatureFrame(spec, points, K)[i]`` of a batch, and the cuts
-``truncated(3)`` of an order-4 frame and ``truncated(2)`` of that cut.  Both
-trees have these, so either tree's frames can be dumped by this script.
+``K - 2``.  So is what callers hand to readers: the slices
+``CurvatureFrame(spec, points, K)[i]`` of a batch, and the prefixes
+``fr.at(a, m)`` that readers of lower-order jets take of each array ``a`` of
+an order-4 frame, at the order ``m`` that ``a`` has in a frame of order 3 and
+2 (the values, order 0, whole).  Both trees have these, so either tree's
+frames can be dumped by this script.
 Prints each array whose shape, dtype or bytes differ and exits 1 if any do,
 0 otherwise.
 
@@ -70,9 +72,9 @@ def put(arrays: dict, key: str, fr) -> None:
 
 
 def dump_handed(spec, name: str, arrays: dict) -> None:
-    """The batch slices and cuts that callers hand to readers, at points of
-    their own."""
-    from conformal_gap_lab import curvature, geometry
+    """The batch slices and the prefixes that callers hand to readers, at
+    points of their own."""
+    from conformal_gap_lab import curvature, geometry, jets
 
     sliced, cut = (geometry.sample_points(spec, POINTS, seed=SEED + k) for k in (1, 2))
     for order in ORDERS:
@@ -83,8 +85,10 @@ def dump_handed(spec, name: str, arrays: dict) -> None:
         fr = curvature.CurvatureFrame(spec, p, 4)
         put(arrays, f"{name}|o4|cut{i}", fr)
         for order in (3, 2):
-            fr = fr.truncated(order)
-            put(arrays, f"{name}|o{order}|cut{i}", fr)
+            for attr, value in vars(fr).items():
+                if isinstance(value, np.ndarray):
+                    m = max(jets.order_of(value.shape[-1], spec.n) - 4 + order, 0)
+                    arrays[f"{name}|o{order}|cut{i}|{attr}"] = fr.at(value, m)
 
 
 def dump_tree(src: Path, out: Path) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conformal_gap_lab
-from conformal_gap_lab import analysis, curvature, geometry, jets
+from conformal_gap_lab import analysis, curvature, expr, geometry, jets
 from conformal_gap_lab.cli import main
 
 
@@ -159,6 +159,34 @@ def test_metric_file_input(tmp_path, capsys):
     assert data["metric"] == "cone_line"
     # a cone crossed with a line is flat away from the tip
     assert abs(data["points"][0]["scalar_curvature"]) < 1e-10
+
+
+def _nested(shape, levels):
+    """A formula near 1 that nests ``levels`` levels (``expr.MAX_DEPTH``)."""
+    if shape == "sum":          # levels - 1 terms, folded left, the last ones products
+        return "1" + " + 0.001*x1" * (levels - 2)
+    return "(" * (levels - 1) + "1 + 0.001*x1" + ")" * (levels - 1)
+
+
+@pytest.mark.parametrize("shape", ["sum", "parens"])
+def test_nesting_past_the_limit_is_a_usage_error(tmp_path, capsys, shape):
+    # a RecursionError once ended these commands past about 480 terms or 240
+    # parentheses (500 levels here); the limit leaves every command room below it
+    path = tmp_path / "nested.metric"
+    for levels in (expr.MAX_DEPTH, expr.MAX_DEPTH + 1, 500):
+        formula = _nested(shape, levels)
+        path.write_text(f"dim = 4\nsignature = 0,4\ng 1 1 : {formula}\n"
+                        "g 2 2 : 1\ng 3 3 : 1\ng 4 4 : 1\n")
+        runs = [(cmd, str(path)) for cmd in ("dims", "analyze", "kerw")]
+        runs.append(("rescale", "flat_r4", "--omega", formula))
+        for argv in runs:
+            if levels == expr.MAX_DEPTH:
+                code, _, err = run(capsys, *argv)
+                assert code == 0, (argv[0], err)
+                continue
+            err = usage_error(capsys, *argv)
+            where = "" if argv[0] == "rescale" else "line 3: "
+            assert err.startswith(f"error: {where}nesting deeper than {expr.MAX_DEPTH} levels")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -383,6 +411,18 @@ def test_non_finite_point_exits_2(capsys, argv):
     assert "is not finite" in usage_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv, point", [
+    (("dims", "flat_r4", "--base-point", "0,0,0,1e160"), "(0.0, 0.0, 0.0, 1e+160)"),
+    (("dims", "flat_2_2", "--base-point", "1e200,0,0,0"), "(1e+200, 0.0, 0.0, 0.0)"),
+])
+def test_scale_not_finite_at_a_far_basepoint_exits_2(capsys, recwarn, argv, point):
+    # the witness norm_sq overflows there; once a check passed or failed by overflow
+    err = usage_error(capsys, *argv)
+    assert err == (f"error: scale 'norm_sq' of '{geometry.catalogue_metric(argv[1]).label}' "
+                   f"is not finite at the basepoint {point}\n")
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("argv", [
     ("kerw", "pp_split", "--point", "0.2,,0.5,0.1,0.3"),
     ("kerw", "pp_split", "--point", "0.2,0.5,0.1,0.3,,"),
@@ -456,37 +496,30 @@ def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
     assert orders == [3] and not residuals
 
 
-# (jet order, points) of every frame a command builds, in order, and the
-# orders of the cuts it makes
+# (jet order, points) of every frame a command builds, in order
 FRAME_BUILDS = {
     ("rescale", "taub_nut", "--omega", "1 + x1/8", "--point", "1.0,1.2,0.5,0.5"):
-        ([(3, 1), (3, 1)], []),
-    ("verify", "bounds", "--metric", "warped_fs_n6"):
-        ([(2, 10), (2, 6), (3, 1), (3, 1)], []),
-    ("verify", "t_riem", "--case", "b", "--n", "5"): ([(2, 10), (3, 1)], []),
-    ("verify", "warpedSol"): ([(3, 1), (2, 10)], []),
+        [(3, 1), (3, 1)],
+    ("verify", "bounds", "--metric", "warped_fs_n6"): [(2, 10), (2, 6), (3, 1), (3, 1)],
+    ("verify", "t_riem", "--case", "b", "--n", "5"): [(2, 10), (3, 1)],
+    ("verify", "warpedSol"): [(3, 1), (2, 10)],
 }
 
 
 @pytest.mark.parametrize("argv", sorted(FRAME_BUILDS))
 def test_command_builds_each_frame_once(argv, capsys, monkeypatch):
-    builds, cuts = [], []
-    init, truncated = curvature.CurvatureFrame.__init__, curvature.CurvatureFrame.truncated
+    builds = []
+    init = curvature.CurvatureFrame.__init__
 
     def counted_init(self, spec, points, order=4):
         shape = np.shape(points)
         builds.append((order, shape[0] if len(shape) > 1 else 1))
         init(self, spec, points, order)
 
-    def counted_truncated(self, order):
-        cuts.append(order)
-        return truncated(self, order)
-
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted_init)
-    monkeypatch.setattr(curvature.CurvatureFrame, "truncated", counted_truncated)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert (builds, cuts) == FRAME_BUILDS[argv]
+    assert builds == FRAME_BUILDS[argv]
 
 
 def test_verifiers_share_each_option_default(capsys):

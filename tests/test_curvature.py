@@ -314,11 +314,11 @@ def test_warp_quantity_formulas_signed():
 
 
 def test_cached_frame_rejects_in_place_write():
-    # batch slices and cuts share a built frame's arrays, so none is writeable
+    # batch slices share a built frame's arrays, so none is writeable
     spec = builtin_metric("pp_wave")
     points = sample_points(spec, 2, seed=2)
     batch = CurvatureFrame(spec, points, 3)
-    for fr in (CurvatureFrame(spec, points[0], 3), batch, batch[0], batch[0].truncated(2)):
+    for fr in (CurvatureFrame(spec, points[0], 3), batch, batch[0]):
         with pytest.raises(ValueError):
             fr.g[..., 0, 0, 0] = 5.0
 
@@ -354,20 +354,23 @@ FRAME_TENSORS = ("g", "ginv", "gamma", "riemann_mixed", "riemann", "ricci", "sc"
 
 @pytest.mark.parametrize("name", [n for n in geometry.catalogue_names() if "(" not in n])
 def test_truncated_frame_equals_frame_built_at_that_order(name):
+    # each array of an order-4 frame, cut with ``at`` to the jet order it has
+    # in a frame of order 3 or 2, has the bytes of that frame's array: readers
+    # of lower-order jets (the Einstein tractors) take the higher-order frame
     spec = geometry.catalogue_metric(name)
     for pt in sample_points(spec, 3, seed=3):
         top = curvature.CurvatureFrame(spec, pt, 4)
         for order in (3, 2):
-            built, cut = curvature.CurvatureFrame(spec, pt, order), top.truncated(order)
-            assert cut.order == order and cut.point == built.point
-            assert cut.signature == built.signature and cut.det_sign == built.det_sign
+            built = curvature.CurvatureFrame(spec, pt, order)
+            assert top.point == built.point and top.signature == built.signature
             for attr in FRAME_TENSORS:
-                a, b = getattr(built, attr), getattr(cut, attr)
+                a, b = getattr(built, attr), getattr(top, attr)
                 if a is None:
-                    assert b is None
+                    assert attr == "cotton"
                     continue
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), attr
-                assert not b.flags.writeable
+                cut = top.at(b, jets.order_of(a.shape[-1], spec.n))
+                assert a.shape == cut.shape and a.tobytes() == cut.tobytes(), attr
+                assert not cut.flags.writeable
 
 
 @pytest.mark.parametrize("name", geometry.catalogue_names(examples=True))
@@ -398,7 +401,7 @@ def _jet_order_riemann_weyl_cotton(fr):
          - t.transpose(1, 0, 3, 2, 4) + t.transpose(0, 1, 3, 2, 4))
     Y = None
     if fr.order >= 3:
-        covP = fr.cov_deriv(P, "dd", m)                   # [a, b, c] = nabla_a P_bc
+        covP = fr.cov_deriv(P, 2, m)                      # [a, b, c] = nabla_a P_bc
         Y = covP.transpose(2, 0, 1, 3) - covP.transpose(2, 1, 0, 3)
     return R, W, Y
 
@@ -488,15 +491,6 @@ def test_frame_contractions_form_fewer_than_n4_jets(monkeypatch):
                 assert formed and max(formed) < per_point * spec.n ** 4
 
 
-def test_truncated_frame_keeps_value_tensors():
-    spec = builtin_metric("pp_split")
-    top = curvature.CurvatureFrame(spec, sample_points(spec, 1, seed=5)[0], 4)
-    cut3, cut2 = top.truncated(3), top.truncated(2)
-    for attr in curvature.VALUE_TENSORS:
-        assert getattr(cut3, attr) is getattr(top, attr)
-    assert cut2.weyl is top.weyl and cut2.riemann is top.riemann and cut2.cotton is None
-
-
 def _frame_arrays(fr):
     return {name: v for name, v in vars(fr).items() if isinstance(v, np.ndarray)}
 
@@ -551,8 +545,7 @@ def test_frames_builds_every_point_in_one_call(monkeypatch):
     # one build per call, a repeated point included
     assert [np.shape(args[1]) for args in builds] == [(4,), (5, 4)]
     assert batch.batch == (5,)
-    cut = top.truncated(2)
-    assert batch.g[1].tobytes() == cut.g.tobytes()
+    assert batch.g[1].tobytes() == top.at(top.g, 2).tobytes()
     assert batch.gamma[4].tobytes() == batch.gamma[0].tobytes()
     assert CurvatureFrame(spec, points, 2).g.tobytes() == batch.g[:4].tobytes()
     assert len(builds) == 3

@@ -303,10 +303,30 @@ def test_tables_match_pair_loop_reference(num_vars):
             assert t.diff_fac[v].tolist() == [m[v] + 1 for m in lower]
 
 
+def _direct_inverse_steps(mul_i, mul_j, mul_k, degrees, sizes_by_order):
+    """The steps of ``geometry.jet_matrix_inverse`` from the product table,
+    slot by slot: per degree d >= 1, the pairs (i, j) with deg i >= 1 of each
+    slot of degree d in table order, and where each slot's run starts."""
+    by_slot = {}
+    for i, j, k in zip(mul_i.tolist(), mul_j.tolist(), mul_k.tolist()):
+        if degrees[i] >= 1:
+            by_slot.setdefault(k, []).append((i, j))
+    steps = []
+    for d in range(1, len(sizes_by_order)):
+        slots = slice(sizes_by_order[d - 1], sizes_by_order[d])
+        pairs = [by_slot[k] for k in range(slots.start, slots.stop)]
+        flat = [pair for run in pairs for pair in run]
+        starts = np.cumsum([0] + [len(run) for run in pairs[:-1]])
+        steps.append((np.array([i for i, _ in flat], dtype=np.intp),
+                      np.array([j for _, j in flat], dtype=np.intp),
+                      starts.astype(np.intp), slots))
+    return tuple(steps)
+
+
 def _direct_tables(num_vars, order):
     """Every JetTables field but the scatter matrix, built at this order alone:
     multi-indices from ``combinations_with_replacement``, slots located by
-    mixed-radix keys, pairs from a row-major scan."""
+    mixed-radix keys, pairs from a row-major scan, inverse steps slot by slot."""
     multis = [tuple(c.count(v) for v in range(num_vars)) for d in range(order + 1)
               for c in itertools.combinations_with_replacement(range(num_vars), d)]
     E = np.array(multis, dtype=np.intp)
@@ -319,24 +339,35 @@ def _direct_tables(num_vars, order):
         return by_key[np.searchsorted(keys, k, sorter=by_key)]
 
     mul_i, mul_j = np.nonzero(degrees[:, None] + degrees[None, :] <= order)
+    mul_k = locate(keys[mul_i] + keys[mul_j])
+    sizes_by_order = tuple(int(np.sum(degrees <= m)) for m in range(order + 1))
     lower = E[degrees < order]
     return {
         "num_vars": num_vars, "order": order, "size": len(multis),
-        "sizes_by_order": tuple(int(np.sum(degrees <= m)) for m in range(order + 1)),
-        "mul_i": mul_i, "mul_j": mul_j,
-        "mul_k": locate(keys[mul_i] + keys[mul_j]),
+        "sizes_by_order": sizes_by_order, "mul_i": mul_i, "mul_j": mul_j, "mul_k": mul_k,
         "diff_src": locate(lower @ radix + radix[:, None]), "diff_fac": lower.T + 1.0,
+        "inverse_steps": _direct_inverse_steps(mul_i, mul_j, mul_k, degrees.tolist(),
+                                               sizes_by_order),
     }
+
+
+def _assert_same(got, want, name):
+    """Equal values, arrays with equal dtype, shape and bytes, at any nesting
+    of tuples."""
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want), name
+        for g, w in zip(got, want):
+            _assert_same(g, w, name)
+    else:
+        assert got == want, name
 
 
 def _assert_tables_equal(t, want):
     for name, value in want.items():
-        got = getattr(t, name)
-        if isinstance(value, np.ndarray):
-            assert (got.dtype, got.shape) == (value.dtype, value.shape), name
-            assert got.tobytes() == value.tobytes(), name
-        else:
-            assert got == value, name
+        _assert_same(getattr(t, name), value, name)
     pairs = len(want["mul_k"])
     if pairs * want["size"] > jets._DENSE_TABLE_LIMIT:
         assert t.scatter is None
@@ -349,7 +380,8 @@ def _assert_tables_equal(t, want):
 @pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
 def test_tables_equal_the_direct_construction_in_any_request_order(num_vars, monkeypatch):
     # a table is built, or cut from the highest-order one built so far; every
-    # field has the bytes of the table built at its order alone
+    # field, the inverse steps too, has the bytes of the table built at its
+    # order alone
     want = [_direct_tables(num_vars, order) for order in range(jets.MAX_ORDER + 1)]
     top = jets.MAX_ORDER
     for requests in (range(top + 1), range(top, -1, -1), (3, 0, top, 1, 5, 2, 4)):

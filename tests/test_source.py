@@ -45,3 +45,19 @@ def test_every_public_definition_has_a_reader_in_src():
     assert UNREAD_BY_DESIGN <= defined, sorted(UNREAD_BY_DESIGN - defined)
     assert not unread - UNREAD_BY_DESIGN, (
         f"read only outside src/: {sorted(unread - UNREAD_BY_DESIGN)}")
+
+
+# the product-table layout that only ``jets`` reads: every cut of a jet to a
+# lower order, of the tables and of the inverse steps, is made there
+TABLE_LAYOUT = {"mul_i", "mul_j", "mul_k", "sizes_by_order"}
+
+
+def test_only_jets_reads_the_product_table_layout():
+    readers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "jets":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in TABLE_LAYOUT:
+                readers.add(f"{path.stem}: {node.attr}")
+    assert not readers, sorted(readers)
