@@ -293,8 +293,8 @@ def _cmd_rescale(ns) -> tuple[dict, bool]:
         frobenius(hat_pack.weyl - w ** 2 * pack.weyl),
         1e-8 * max(1.0, frobenius(pack.weyl)))
     sigma = expr.add(expr.ONE, expr.var(0))
-    base_res = analysis.ae_residual_matrix(pack.frame, sigma)
-    hat_res = analysis.ae_residual_matrix(hat_pack.frame, expr.mul(omega, sigma))
+    base_res, hat_res = (analysis.ae_residuals(p.frame, p.frame.scalar_jet(s, 2))
+                         for p, s in ((pack, sigma), (hat_pack, expr.mul(omega, sigma))))
     add("ae_operator_invariance",
         frobenius(hat_res - w * base_res),
         1e-8 * max(1.0, frobenius(base_res)))

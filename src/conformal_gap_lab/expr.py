@@ -11,10 +11,11 @@ Functions: sin cos tan sinh cosh exp sqrt.  Identifiers resolve to the
 declared coordinate names (x1..xn by default) or to declared parameters, which
 read as their values: a parameter is a constant from the moment it is parsed.
 Anything else is rejected with the offset of the offending token.  Exponents
-are integer literals, optionally signed.  The parser and the tree walkers
-recurse, so a formula nests at most ``MAX_DEPTH`` levels, or is refused: that
-many atoms inside one another (each parenthesis, call or unary minus wraps
-one), and that many nodes on a path of its tree (a k-term sum is k deep).
+are integer literals, optionally signed.  The parser recurses, so a formula
+nests at most ``MAX_DEPTH`` atoms inside one another (each parenthesis, call
+or unary minus wraps one), or is refused.  Nothing else does: every walk over
+a tree is one iterative bottom-up pass (``_walk``), and node equality and
+hashing do not recurse, so sums and products of any length are accepted.
 
 ASTs are immutable; evaluation maps an AST onto coordinate jets (coefficient
 arrays), so every partial derivative of a parsed formula is available through
@@ -29,8 +30,9 @@ to assemble warped and rescaled metrics, plus the reader for the
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,53 +55,72 @@ class EvalError(ValueError):
 
 # --- AST nodes ---------------------------------------------------------------
 
-def _node(cls):
-    """A frozen dataclass whose hash is computed once per node: ``evaluate``
-    looks each subtree up in its memo, and the generated hash would hash the
-    whole subtree again at every lookup."""
-    cls = dataclass(frozen=True)(cls)
-    fields = cls.__match_args__
+class _Tree:
+    """Equality and hash of the node classes, neither of which recurses: a
+    node's hash is formed when it is built, from the hashes its children
+    already hold, and two trees are compared pair by pair."""
+
+    def __post_init__(self):
+        own = self.__dict__
+        own["kids"] = tuple([own[f] for f in self._kid_fields])
+        own["_hash"] = hash(tuple([own[f] for f in self.__match_args__]))
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(tuple(getattr(self, f) for f in fields))
-        return h
+        return self._hash
 
-    cls.__hash__ = __hash__
-    return cls
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if (a.__class__ is not b.__class__ or a._hash != b._hash
+                        or [getattr(a, f) for f in a._data] != [getattr(b, f) for f in b._data]):
+                    return False
+                pairs += zip(a.kids, b.kids)
+        return True
 
 
-@_node
-class Const:
+def _node(*kids: str):
+    """A frozen node class whose fields ``kids`` hold its subtrees (``nd.kids``)."""
+    def make(cls):
+        cls = dataclass(frozen=True, eq=False)(cls)
+        cls._kid_fields, cls._data = kids, tuple(f for f in cls.__match_args__ if f not in kids)
+        return cls
+    return make
+
+
+@_node()
+class Const(_Tree):
     value: float
 
 
-@_node
-class Var:
+@_node()
+class Var(_Tree):
     index: int
 
 
-@_node
-class Call:
+@_node("arg")
+class Call(_Tree):
     fn: str
     arg: "Node"
 
 
-@_node
-class Neg:
+@_node("arg")
+class Neg(_Tree):
     arg: "Node"
 
 
-@_node
-class Bin:
+@_node("left", "right")
+class Bin(_Tree):
     op: str  # one of + - * /
     left: "Node"
     right: "Node"
 
 
-@_node
-class Pow:
+@_node("base")
+class Pow(_Tree):
     base: "Node"
     exponent: int
 
@@ -245,18 +266,28 @@ def parse(source: str, n: int, params=None, var_names=None) -> Node:
     node = parser.parse_expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing input {parser.peek()[1]!r}", parser.peek()[2])
-    if _depth(node) > MAX_DEPTH:
-        raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", 0)
     return node
 
 
-def _depth(node: Node) -> int:
-    """Nodes on the longest root-to-leaf path, level by level (no recursion)."""
-    depth, level = 0, [node]
-    while level:
-        depth, level = depth + 1, [c for nd in level for c in vars(nd).values()
-                                   if isinstance(c, Node)]
-    return depth
+def _walk(node: Node, leave, known=None):
+    """Bottom-up over a tree without recursion: ``leave(nd, *results)`` gets
+    each node after the results of its subtrees, left to right, and returns
+    the node's result.  A subtree for which ``known`` returns a result other
+    than None takes that result and is not entered."""
+    todo, done = [(node, False)], []
+    while todo:
+        nd, entered = todo.pop()
+        if entered:
+            k = len(done) - len(nd.kids)
+            done[k:] = [leave(nd, *done[k:])]
+        elif known and (result := known(nd)) is not None:
+            done.append(result)
+        elif nd.kids:
+            todo.append((nd, True))
+            todo += [(kid, False) for kid in reversed(nd.kids)]
+        else:
+            done.append(leave(nd))
+    return done[0]
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -281,48 +312,33 @@ def evaluate(node: Node, coord_jets: np.ndarray, memo: dict | None = None) -> np
     def jet_order(a: np.ndarray) -> int:
         return 0 if a.shape[-1] == 1 else order
 
-    def run(nd: Node) -> np.ndarray:
+    def known(nd: Node) -> np.ndarray | None:
+        return memo.get(nd) if nd.__class__ in (Call, Pow, Bin) else None
+
+    def leave(nd: Node, a=None, b=None) -> np.ndarray:
         """A jet, or the order-0 jet (shape (1,)) of a constant subtree."""
         if isinstance(nd, Var):
             return coord_jets[nd.index]
         if isinstance(nd, Const):
             return np.array([nd.value])
         if isinstance(nd, Neg):
-            return -run(nd.arg)
-        out = memo.get(nd)
-        if out is None:
-            out = memo[nd] = expand(nd)
+            return -a
+        try:
+            if isinstance(nd, Call):
+                out = jets.FUNCTIONS[nd.fn](a, n, jet_order(a))
+            elif isinstance(nd, Pow):
+                out = jets.power(a, nd.exponent, n, jet_order(a))
+            elif nd.op in "+-":
+                out = _add(a, b if nd.op == "+" else -b)
+            else:
+                b = jets.reciprocal(b, n, jet_order(b)) if nd.op == "/" else b
+                out = jets.conv(a, b, n, order) if jet_order(a) and jet_order(b) else a * b
+        except jets.JetError as err:
+            raise EvalError(f"{nd.fn}: {err}" if isinstance(nd, Call) else str(err)) from err
+        memo[nd] = out
         return out
 
-    def expand(nd: Call | Pow | Bin) -> np.ndarray:
-        if isinstance(nd, Call):
-            a = run(nd.arg)
-            try:
-                return jets.FUNCTIONS[nd.fn](a, n, jet_order(a))
-            except jets.JetError as err:
-                raise EvalError(f"{nd.fn}: {err}") from err
-        if isinstance(nd, Pow):
-            a = run(nd.base)
-            try:
-                return jets.power(a, nd.exponent, n, jet_order(a))
-            except jets.JetError as err:
-                raise EvalError(str(err)) from err
-        if isinstance(nd, Bin):
-            a = run(nd.left)
-            b = run(nd.right)
-            if nd.op in "+-":
-                return _add(a, b if nd.op == "+" else -b)
-            if nd.op == "/":
-                try:
-                    b = jets.reciprocal(b, n, jet_order(b))
-                except jets.JetError as err:
-                    raise EvalError(str(err)) from err
-            if jet_order(a) and jet_order(b):
-                return jets.conv(a, b, n, order)
-            return a * b
-        raise TypeError(f"unknown node {nd!r}")
-
-    out = run(node)
+    out = _walk(node, leave, known)
     if out.shape[-1] == 1:
         value, out = out, np.zeros(coord_jets.shape[1:])
         out[..., 0] = value[0]
@@ -350,45 +366,33 @@ def evaluate_at(node: Node, point) -> float:
 def _prec(node: Node) -> int:
     if isinstance(node, Bin):
         return 1 if node.op in "+-" else 2
-    if isinstance(node, Neg):
+    if isinstance(node, Neg) or (isinstance(node, Const) and node.value < 0):
         return 1
-    if isinstance(node, Const) and node.value < 0:
-        return 1
-    if isinstance(node, Pow):
-        return 3
-    return 4
+    return 3 if isinstance(node, Pow) else 4
 
 
 def to_source(node: Node, var_names=None) -> str:
     """Canonical printout; re-parsing it reproduces a parse-produced AST."""
 
-    def name(i: int) -> str:
-        return var_names[i] if var_names else f"x{i + 1}"
+    def wrap(child: Node, text: str, parent_prec: int) -> str:
+        return f"({text})" if _prec(child) < parent_prec else text
 
-    def wrap(child: Node, parent_prec: int) -> str:
-        s = pr(child)
-        return f"({s})" if _prec(child) < parent_prec else s
-
-    def pr(nd: Node) -> str:
+    def leave(nd: Node, a: str = "", b: str = "") -> str:
         if isinstance(nd, Const):
             return repr(nd.value) if nd.value >= 0 else f"-{-nd.value!r}"
         if isinstance(nd, Var):
-            return name(nd.index)
+            return var_names[nd.index] if var_names else f"x{nd.index + 1}"
         if isinstance(nd, Neg):
-            return "-" + wrap(nd.arg, 4)
+            return "-" + wrap(nd.arg, a, 4)
         if isinstance(nd, Call):
-            return f"{nd.fn}({pr(nd.arg)})"
+            return f"{nd.fn}({a})"
         if isinstance(nd, Pow):
-            return f"{wrap(nd.base, 4)}^{nd.exponent}"
-        if isinstance(nd, Bin):
-            # right operands of equal precedence get parens so the printed
-            # string re-parses to the same tree under left association
-            left = wrap(nd.left, _prec(nd))
-            right = wrap(nd.right, _prec(nd) + 1)
-            return f"{left} {nd.op} {right}"
-        raise TypeError(f"unknown node {nd!r}")
+            return f"{wrap(nd.base, a, 4)}^{nd.exponent}"
+        # right operands of equal precedence get parens so the printed
+        # string re-parses to the same tree under left association
+        return f"{wrap(nd.left, a, _prec(nd))} {nd.op} {wrap(nd.right, b, _prec(nd) + 1)}"
 
-    return pr(node)
+    return _walk(node, leave)
 
 
 # --- symbolic algebra ----------------------------------------------------------
@@ -403,16 +407,15 @@ def is_one(node: Node) -> bool:
 
 def _rewrite(node: Node, fn) -> Node:
     """Rebuild bottom-up: ``fn`` gets every node once its subtrees are
-    rewritten, and its result takes the node's place."""
-    if isinstance(node, Neg):
-        node = Neg(_rewrite(node.arg, fn))
-    elif isinstance(node, Call):
-        node = Call(node.fn, _rewrite(node.arg, fn))
-    elif isinstance(node, Pow):
-        node = Pow(_rewrite(node.base, fn), node.exponent)
-    elif isinstance(node, Bin):
-        node = Bin(node.op, _rewrite(node.left, fn), _rewrite(node.right, fn))
-    return fn(node)
+    rewritten (the node itself while they are the same objects), and its
+    result takes the node's place."""
+
+    def leave(nd: Node, *kids: Node) -> Node:
+        if any(map(operator.is_not, kids, nd.kids)):
+            nd = replace(nd, **dict(zip(nd._kid_fields, kids)))
+        return fn(nd)
+
+    return _walk(node, leave)
 
 
 def simplify(node: Node) -> Node:
@@ -505,13 +508,7 @@ def shift_vars(node: Node, offset: int) -> Node:
 
 def used_vars(node: Node) -> set[int]:
     found = set()
-
-    def visit(nd: Node) -> Node:
-        if isinstance(nd, Var):
-            found.add(nd.index)
-        return nd
-
-    _rewrite(node, visit)
+    _walk(node, lambda nd, *_: found.add(nd.index) if isinstance(nd, Var) else None)
     return found
 
 

@@ -102,12 +102,11 @@ def einstein_jets(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
     return np.concatenate([sig2[..., None, :], mu2, rho[..., None, :]], axis=-2)
 
 
-def parallel_values(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
-    """Values (S, n, n + 2) of D_a I for the scale tractors I of a stack of
-    scale jets sig (S, C_K) at a frame of one point, of order K or more; they
-    need I only to order 1, which order-3 scale jets give."""
-    K = jets.order_of(sig.shape[-1], fr.n)
-    return tractor_deriv_jets(fr, einstein_jets(fr, sig), K - 2)[..., 0]
+def parallel_values(fr: CurvatureFrame, I: np.ndarray) -> np.ndarray:
+    """Values (S, n, n + 2) of D_a I for a stack of scale tractor jets I
+    (S, n + 2, C_m), m >= 1, as ``einstein_jets`` gives for order-3 scale
+    jets, at a frame of one point."""
+    return tractor_deriv_jets(fr, I, jets.order_of(I.shape[-1], fr.n))[..., 0]
 
 
 # ---------------------------------------------------------------------------

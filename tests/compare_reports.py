@@ -3,9 +3,12 @@
 Runs every ``cgl`` line of the README's command-line block as written,
 ``analyze``, ``dims`` and ``rescale`` on the README's example metric file
 (which declares a parameter), a ``rescale taub_nut --param`` line whose
-``--omega`` reads the parameter, and ``cgl dims NAME --seed S --json`` on
+``--omega`` reads the parameter, ``cgl dims NAME --seed S --json`` on
 every catalogue entry and on the n = 7 and n = 8 family entries at seeds 0
-and 3, once against this tree's ``src/``
+and 3, and ``cgl verify ... --seed S --json`` at seeds 0 and 3 for
+``warpedSol`` (each sc), ``t_riem`` (each case), ``t_lorentz`` and ``t_gen``
+(each p) at n = 5 to 8, ``rflat`` on both its metrics and ``bounds`` on five
+catalogue metrics, once against this tree's ``src/``
 and once against the ``src/`` given on the command line (for example an
 export of the parent revision).  Prints each command whose stdout, stderr or
 exit code differ and exits 1 if any do, 0 otherwise.
@@ -47,6 +50,18 @@ PARAM_COMMANDS = [
 ]
 
 
+def verify_commands() -> list[list[str]]:
+    runs = [["rflat", "--metric", m] for m in ("pp_wave", "pp_split")]
+    runs += [["bounds", "--metric", m] for m in ("pp_wave", "pp_split", "taub_nut",
+                                                 "warped_hfs_n5", "product_lorentz_n6")]
+    for n in range(5, 9):
+        runs += [["warpedSol", "--n", str(n), "--sc", sc] for sc in ("48", "-48", "0")]
+        runs += [["t_riem", "--n", str(n), "--case", case] for case in "abc"]
+        runs += [["t_lorentz", "--n", str(n)]]
+        runs += [["t_gen", "--n", str(n), "--p", str(p)] for p in range(2, n // 2 + 1)]
+    return [["verify", *run, "--seed", str(seed), "--json"] for run in runs for seed in SEEDS]
+
+
 def readme_block(heading: str) -> str:
     """The first fenced block after a README heading."""
     section = (ROOT / "README.md").read_text().split(heading, 1)[1]
@@ -76,7 +91,7 @@ def commands(src: Path, cwd: str) -> list[list[str]]:
         raise SystemExit(f"listing the metric names failed:\n{err}")
     names = json.loads(out)
     dims = [["dims", name, "--seed", str(seed), "--json"] for name in names for seed in SEEDS]
-    return readme_commands() + PARAM_COMMANDS + dims
+    return readme_commands() + PARAM_COMMANDS + dims + verify_commands()
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,7 @@ import pytest
 
 from conformal_gap_lab import analysis, curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.analysis import (
-    AnalysisError, ae_residual_matrix, estimate_parallel_dims, kernel, kernel_of_weyl,
+    AnalysisError, ae_residuals, estimate_parallel_dims, kernel, kernel_of_weyl,
     verify_theorem,
 )
 from conformal_gap_lab.curvature import CurvatureFrame, frobenius
@@ -19,6 +19,11 @@ def field_jets(k_asts, point):
     """Order-1 jets (n, C_1) of the vector field with component formulas k_asts."""
     env = jets.seed_jets(tuple(point), 1)
     return np.stack([expr.evaluate(a, env) for a in k_asts])
+
+
+def ae_matrix(fr, sigma):
+    """The AE residual matrix of one scale formula at a frame of one point."""
+    return ae_residuals(fr, fr.scalar_jet(sigma, 2))
 
 
 def wedge_field(fr, sigma, sigma_bar):
@@ -90,7 +95,7 @@ def test_weyl_kernel_rejects_n3():
 def test_einstein_metrics_have_constant_scale_solution(name):
     spec = builtin_metric(name)
     for pt in sample_points(spec, 5, seed=2):
-        assert frobenius(ae_residual_matrix(CurvatureFrame(spec, pt, 2), expr.ONE)) < 1e-9
+        assert frobenius(ae_matrix(CurvatureFrame(spec, pt, 2), expr.ONE)) < 1e-9
 
 
 def test_pp_wave_two_parameter_family():
@@ -101,13 +106,13 @@ def test_pp_wave_two_parameter_family():
         c0, c1 = rng.uniform(-2, 2, size=2)
         sigma = expr.add(expr.const(c0), expr.mul(expr.const(c1), wave))
         for pt in sample_points(spec, 3, seed=3):
-            assert frobenius(ae_residual_matrix(CurvatureFrame(spec, pt, 2), sigma)) < 1e-8
+            assert frobenius(ae_matrix(CurvatureFrame(spec, pt, 2), sigma)) < 1e-8
 
 
 def test_generic_function_is_not_a_scale():
     spec = builtin_metric("fubini_study")
     pt = sample_points(spec, 1, seed=4)[0]
-    assert frobenius(ae_residual_matrix(CurvatureFrame(spec, pt, 2), expr.var(0))) > 1e-3
+    assert frobenius(ae_matrix(CurvatureFrame(spec, pt, 2), expr.var(0))) > 1e-3
 
 
 def test_lorentz3d_killing_field_full_report():
@@ -236,8 +241,8 @@ def test_ae_operator_conformal_invariance():
     hatted = curvature.rescale_metric(spec, omega)
     sigma = expr.add(expr.ONE, expr.var(1))        # generic non-solution
     for pt in sample_points(spec, 3, seed=13):
-        base = ae_residual_matrix(CurvatureFrame(spec, pt, 2), sigma)
-        lifted = ae_residual_matrix(CurvatureFrame(hatted, pt, 2), expr.mul(omega, sigma))
+        base = ae_matrix(CurvatureFrame(spec, pt, 2), sigma)
+        lifted = ae_matrix(CurvatureFrame(hatted, pt, 2), expr.mul(omega, sigma))
         w = expr.evaluate_at(omega, pt)
         assert np.allclose(lifted, w * base, atol=1e-8 * max(1.0, np.abs(base).max()))
 
@@ -297,7 +302,7 @@ def test_scale_curvature_of_fs_unit_scale():
     pt = sample_points(spec, 1, seed=14)[0]
     # sigma = 1 reproduces the background J and the tractor-norm relation
     fr = CurvatureFrame(spec, pt, 3)
-    j_sigma = analysis.j_of_scale(fr, expr.ONE)
+    j_sigma = analysis.j_of_scale(fr, fr.scalar_jet(expr.ONE, 2))
     assert j_sigma == pytest.approx(8.0, abs=1e-8)
     I = tractor.einstein_jets(fr, fr.scalar_jet(expr.ONE)[None])[0, :, 0]
     g = curvature.curvature_pack(spec, pt).g
@@ -308,10 +313,26 @@ def test_sc_direct_rescale_matches_formula():
     spec = geometry.warped_catalogue_entry("warped_fs", 5)
     sigma = spec.known_scales[0][1]                  # 1 + |x|^2, positive
     pt = sample_points(spec, 1, seed=15)[0]
-    via_formula = analysis.sc_of_scale(CurvatureFrame(spec, pt, 2), sigma)
+    fr = CurvatureFrame(spec, pt, 2)
+    via_formula = analysis.sc_of_scale(fr, fr.scalar_jet(sigma, 2))
     via_rescale = analysis.sc_of_scale_direct(spec, sigma, pt)
     assert via_formula == pytest.approx(via_rescale, rel=1e-8)
     assert via_formula == pytest.approx(5 * 4 * 4.0, abs=1e-7)   # n(n-1) * 4AB
+
+
+@pytest.mark.parametrize("name", ["fubini_study", "pp_split", "warped_hfs_n5",
+                                  "product_lorentz_n6", "product_split_n8_p4"])
+def test_j_of_a_stack_of_scales_equals_j_at_each_point(name):
+    # the family verifiers read J and Sc of all their points at once
+    spec = geometry.catalogue_metric(name)
+    fr = CurvatureFrame(spec, sample_points(spec, 4, seed=21), 2)
+    S = np.stack([fr.scalar_jet(s, 2) for _, s in spec.known_scales])   # (scale, point, C_2)
+    J, Sc = analysis.j_of_scale(fr, S), analysis.sc_of_scale(fr, S)
+    assert J.shape == Sc.shape == S.shape[:2]
+    for k, i in np.ndindex(J.shape):
+        one = analysis.j_of_scale(fr[i], S[k, i])
+        assert J[k, i].tobytes() == one.tobytes()
+        assert Sc[k, i] == 2.0 * (spec.n - 1) * one
 
 
 @pytest.mark.parametrize("seed", [-1, -2])
@@ -354,7 +375,7 @@ def test_tractor_norm_matches_j_formula_on_warped_examples():
             I = tractor.einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
             g = curvature.curvature_pack(spec, pt).g
             lhs = tractor_pairing(I, I, g)
-            rhs = -2.0 / spec.n * analysis.j_of_scale(fr, sigma)
+            rhs = -2.0 / spec.n * analysis.j_of_scale(fr, fr.scalar_jet(sigma, 2))
             assert lhs == pytest.approx(rhs, abs=1e-8 * max(1.0, abs(rhs)))
 
 
@@ -623,7 +644,7 @@ def test_batched_witness_checks_equal_the_single_scale_functions(name):
         R = analysis.ae_residuals(fr, S)
         norms = curvature.norms(R, 2)
         for i, s in enumerate(sigmas):
-            single = ae_residual_matrix(fr, s)
+            single = ae_matrix(fr, s)
             assert analysis.ae_residuals(fr, S[i:i + 1])[0].tobytes() == single.tobytes()
             assert _close(R[i], single) and _close(norms[i], frobenius(single))
 

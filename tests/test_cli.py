@@ -162,27 +162,33 @@ def test_metric_file_input(tmp_path, capsys):
 
 
 def _nested(shape, levels):
-    """A formula near 1 that nests ``levels`` levels (``expr.MAX_DEPTH``)."""
-    if shape == "sum":          # levels - 1 terms, folded left, the last ones products
-        return "1" + " + 0.001*x1" * (levels - 2)
+    """A formula near 1 that nests ``levels`` parentheses, or sums ``levels``
+    terms or multiplies ``levels`` factors, folded left."""
+    if shape == "sum":
+        return "1" + f" + {0.2 / levels!r}*x1" * (levels - 1)
+    if shape == "product":
+        return "*".join([f"(1 + {0.2 / levels!r}*x1)"] * levels)
     return "(" * (levels - 1) + "1 + 0.001*x1" + ")" * (levels - 1)
 
 
-@pytest.mark.parametrize("shape", ["sum", "parens"])
+@pytest.mark.parametrize("shape", ["sum", "product", "parens"])
 def test_nesting_past_the_limit_is_a_usage_error(tmp_path, capsys, shape):
     # a RecursionError once ended these commands past about 480 terms or 240
-    # parentheses (500 levels here); the limit leaves every command room below it
+    # parentheses; the parser's limit leaves every command room below it, and
+    # a sum or product of any length is no deeper for the parser than one term
     path = tmp_path / "nested.metric"
-    for levels in (expr.MAX_DEPTH, expr.MAX_DEPTH + 1, 500):
+    for levels in (expr.MAX_DEPTH, expr.MAX_DEPTH + 1, 500, 5000):
+        if shape != "sum" and levels == 5000:
+            continue
         formula = _nested(shape, levels)
         path.write_text(f"dim = 4\nsignature = 0,4\ng 1 1 : {formula}\n"
                         "g 2 2 : 1\ng 3 3 : 1\ng 4 4 : 1\n")
         runs = [(cmd, str(path)) for cmd in ("dims", "analyze", "kerw")]
         runs.append(("rescale", "flat_r4", "--omega", formula))
         for argv in runs:
-            if levels == expr.MAX_DEPTH:
+            if shape != "parens" or levels == expr.MAX_DEPTH:
                 code, _, err = run(capsys, *argv)
-                assert code == 0, (argv[0], err)
+                assert code == 0 and not err, (argv[0], levels, err)
                 continue
             err = usage_error(capsys, *argv)
             where = "" if argv[0] == "rescale" else "line 3: "
@@ -423,6 +429,37 @@ def test_scale_not_finite_at_a_far_basepoint_exits_2(capsys, recwarn, argv, poin
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("far", ["1e20", "1e100", "1e154"])
+def test_far_basepoint_keeps_the_witness_span(capsys, recwarn, far):
+    # norm_sq's tractor is ~far^2 there: the witness ranks are taken at a check
+    # point, and containment is checked on tractors scaled to a largest entry
+    # of 1, so neither the span collapses (once 1 and 4 at 1e20) nor a wedge
+    # overflows (once exit 1 at 1e154)
+    code, out, err = run(capsys, "dims", "flat_r4", "--base-point", f"0,0,0,{far}", "--json")
+    assert code == 0 and err == "" and not recwarn.list
+    dims = json.loads(out)["dims"]
+    assert [(dims[k]["lower"], dims[k]["upper"], dims[k]["exact"]) for k in ("d_ae", "d_nck")] \
+        == [(6, 6, True), (15, 15, True)]
+
+
+def test_lower_only_reports_witnesses_against_the_flat_model_bounds(capsys):
+    # no jet frame at the basepoint: the upper bounds are n + 2 and
+    # (n + 2)(n + 1)/2, and the witnesses are those of the full report
+    reports = []
+    for extra in ((), ("--lower-only",)):
+        code, out, _ = run(capsys, "dims", "pp_wave", "--json", *extra)
+        assert code == 0
+        reports.append(json.loads(out)["dims"])
+    full, lower = reports
+    assert lower["jet_order"] is None and full["jet_order"] == analysis.JET_ORDER
+    assert lower["d_ae"] == {"lower": 2, "upper": 6, "exact": False}
+    assert lower["d_nck"] == {"lower": 1, "upper": 15, "exact": False}
+    assert lower["constraint_ranks"] == {"standard": 0, "adjoint": 0}
+    for key in ("ae_witnesses", "nck_witnesses", "notes", "marginal"):
+        assert lower[key] == full[key], key
+    assert [full[k]["lower"] for k in ("d_ae", "d_nck")] == [2, 1]
+
+
 @pytest.mark.parametrize("argv", [
     ("kerw", "pp_split", "--point", "0.2,,0.5,0.1,0.3"),
     ("kerw", "pp_split", "--point", "0.2,0.5,0.1,0.3,,"),
@@ -482,18 +519,10 @@ def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
         orders.append(order)
         init(self, spec, points, order)
 
-    residuals = []
-    ae_residual_matrix = analysis.ae_residual_matrix
-
-    def counted_residual(*args):
-        residuals.append(args)
-        return ae_residual_matrix(*args)
-
-    monkeypatch.setattr(analysis, "ae_residual_matrix", counted_residual)
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", counted)
     code, out, _ = run(capsys, "analyze", "pp_wave", "--samples", "10", "--json")
     assert code == 0 and len(json.loads(out)["points"]) == 10
-    assert orders == [3] and not residuals
+    assert orders == [3]
 
 
 # (jet order, points) of every frame a command builds, in order

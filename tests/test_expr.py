@@ -310,3 +310,62 @@ def test_equal_nodes_hash_equal_once_hashed():
     a, b = (parse("sin(x1)^2 + x2*m", n=2, params={"m": 2.0}) for _ in range(2))
     assert a is not b and hash(a) == hash(b) and a == b
     assert len({a, b, a.left, b.left}) == 2
+
+
+def _fold_left(parts, env, combine):
+    """The parts evaluated one at a time, combined left to right."""
+    out = evaluate(parts[0], env)
+    for part in parts[1:]:
+        out = combine(out, evaluate(part, env))
+    return out
+
+
+def _terms(count):
+    return [f"{(k % 7 + 1) / 8!r}*x{k % 2 + 1}" for k in range(count)]
+
+
+def _factors(count):
+    return [f"(1 + {(k % 5 + 1) / 1e4!r}*x{k % 2 + 1})" for k in range(count)]
+
+
+def _conv(a, b):
+    return jets.conv(a, b, 2, 2)
+
+
+@pytest.mark.parametrize("shape", ["sum", "product", "square"])
+def test_long_trees_round_trip_and_evaluate_without_recursion(shape):
+    # each tree is thousands of nodes deep, past the interpreter's recursion
+    # limit; the square's factors are equal but distinct 2,000-term sums, so
+    # evaluation reuses one and equality compares them node by node
+    env = jets.seed_jets((0.3, -0.2), 2)
+    if shape == "sum":
+        parts = _terms(5000)
+        source, want = " + ".join(parts), _fold_left([parse(t, 2) for t in parts], env,
+                                                    np.add)
+    elif shape == "product":
+        parts = _factors(3000)
+        source, want = "*".join(parts), _fold_left([parse(f, 2) for f in parts], env, _conv)
+    else:
+        s = " + ".join(_terms(2000))
+        source = f"({s})*({s})"
+        half = _fold_left([parse(t, 2) for t in _terms(2000)], env, np.add)
+        want = _conv(half, half)
+    node = parse(source, 2)
+    if shape == "square":
+        assert node.left is not node.right and node.left == node.right
+    simple = expr.simplify(node)
+    printed = to_source(simple)
+    back = parse(printed, 2)
+    assert back == simple and back is not simple and to_source(back) == printed
+    assert evaluate(node, env).tobytes() == want.tobytes()
+
+
+def test_equal_subtrees_are_printed_and_simplified_apart():
+    # 0.0 == -0.0, so the two calls are equal nodes with equal hashes, and
+    # evaluation shares one result between them; printing and simplifying
+    # keep each where it was
+    node = expr.simplify(parse("sin(-0.0) + sin(0.0)", 1))
+    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+    assert node.left == node.right and hash(node.left) == hash(node.right)
+    assert to_source(node) == "sin(-0.0) + sin(0.0)"
+    assert to_source(expr.simplify(node)) == "sin(-0.0) + sin(0.0)"

@@ -37,7 +37,8 @@ def einstein_tractor(spec, sigma, point):
 def parallel_residual(spec, sigma, point):
     """Norm of the values of D_a I for the scale tractor I (0 for solutions)."""
     fr = CurvatureFrame(spec, point, 3)
-    return float(np.linalg.norm(tractor.parallel_values(fr, fr.scalar_jet(sigma)[None])[0]))
+    I = tractor.einstein_jets(fr, fr.scalar_jet(sigma)[None])
+    return float(np.linalg.norm(tractor.parallel_values(fr, I)[0]))
 
 
 def tractor_curvature(spec, point):
@@ -109,13 +110,13 @@ def test_einstein_jets_batch_over_a_stack_of_scales(name):
         fr = CurvatureFrame(spec, pt, 3)
         S = np.stack([fr.scalar_jet(sigma) for sigma in sigmas])
         stack = tractor.einstein_jets(fr, S)
-        values = tractor.parallel_values(fr, S)
+        values = tractor.parallel_values(fr, stack)
         assert stack.shape == (len(sigmas), spec.n + 2, jets.tables(spec.n, 1).size)
         for i, sigma in enumerate(sigmas):
             one = tractor.einstein_jets(fr, S[i:i + 1])
             assert one[0].tobytes() == tractor.einstein_jets(fr, S[i]).tobytes()
             assert one[0, :, 0].tobytes() == einstein_tractor(spec, sigma, pt).tobytes()
-            D = tractor.parallel_values(fr, S[i:i + 1])[0]
+            D = tractor.parallel_values(fr, one)[0]
             assert D.tobytes() == tractor.tractor_deriv_jets(fr, one, 1)[0, ..., 0].tobytes()
             assert float(np.linalg.norm(D)) == parallel_residual(
                 spec, sigma, pt)
