@@ -25,7 +25,9 @@ Every function here reads curvature from a frame its caller passes: a
 ``curvature.CurvatureFrame`` at one point or a slice ``fr[i]`` of a batch.
 Readers take a frame of any order at or above the one they need (witness
 tractors read the ``JET_ORDER`` frame); ``estimate_parallel_dims`` and the
-family verifiers build every frame they use once and hand it down.
+family verifiers build every frame they use once and hand it down, and read
+values from it (``float(fr.sc[0])``).  Without an upper bound nothing is
+built or read at the basepoint.
 
 Witness checks run on a batch of frames (point axis first): each known
 scale is evaluated once at all check points, as one (S, P, C_2) stack of
@@ -243,7 +245,8 @@ def sc_of_scale_direct(spec: MetricSpec, sigma: expr.Node, point) -> float:
     """Scalar curvature of sigma^-2 g by actually rescaling (sigma > 0 needed)."""
     omega = expr.div(expr.ONE, sigma)
     hatted = curvature.rescale_metric(spec, omega)
-    return curvature.curvature_pack(hatted, point).scalar
+    fr = curvature.check_conventions(curvature.CurvatureFrame(hatted, point, 3))
+    return float(fr.sc[0])
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +382,8 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     residual-verified witnesses, which must lie in those kernels; a verified
     scale that is not finite at the basepoint raises ``DomainError``.
     ``upper=False`` skips the constraints and reports witness counts against
-    the flat-model upper bounds n + 2 and (n + 2)(n + 1)/2.
+    the flat-model upper bounds n + 2 and (n + 2)(n + 1)/2; it builds no
+    frame at the basepoint, and reads no scale there.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -437,7 +441,7 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     ranks of their tractors as the lower bounds.
 
     ``base`` is the ``JET_ORDER`` frame at the basepoint, or None when no
-    upper bound was taken (an order-3 frame is then built there).  The frames
+    upper bound was taken (nothing is then built or checked there).  The frames
     at the check points are one order-2 batch.  Each scale is evaluated there
     once, as a (point, C_2) stack; the AE residuals of all scales, and the
     wedge fields and Killing/normality residuals of all pairs of verified
@@ -471,17 +475,17 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     report.ae_witnesses = [names[i] for i in verified]
     if not len(verified):
         return
-    base_fr = base if base is not None else curvature.CurvatureFrame(spec, report.basepoint, 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        at_base = np.stack([base_fr.scalar_jet(sigmas[i], 3) for i in verified])
-    for i, jet in zip(verified, at_base):
-        if not np.all(np.isfinite(jet)):
-            raise geometry.DomainError(
-                f"scale {names[i]!r} of {spec.label!r} is not finite at the basepoint "
-                f"{geometry.format_point(report.basepoint)}")
-    base_vecs = tractor.einstein_jets(base_fr, at_base)[..., 0]
-    base_vecs /= np.abs(base_vecs).max(axis=1, keepdims=True)
-    _require_inside(standard, base_vecs, report.ae_witnesses, "standard", spec)
+    if base is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_base = np.stack([base.scalar_jet(sigmas[i], 3) for i in verified])
+        for i, jet in zip(verified, at_base):
+            if not np.all(np.isfinite(jet)):
+                raise geometry.DomainError(
+                    f"scale {names[i]!r} of {spec.label!r} is not finite at the basepoint "
+                    f"{geometry.format_point(report.basepoint)}")
+        base_vecs = tractor.einstein_jets(base, at_base)[..., 0]
+        base_vecs /= np.abs(base_vecs).max(axis=1, keepdims=True)
+        _require_inside(standard, base_vecs, report.ae_witnesses, "standard", spec)
     vecs = at_first[verified, :, 0]
     span = kernel(vecs)
     report.d_ae_lower = span.ambient_dim - span.dim
@@ -506,8 +510,9 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
             report.notes.append(f"wedge {pair} failed Killing/normality verification")
     if kept:
         i, j = np.array(kept).T
-        _require_inside(adjoint, wedge_vector(base_vecs[i], base_vecs[j]),
-                        report.nck_witnesses, "adjoint", spec)
+        if base is not None:
+            _require_inside(adjoint, wedge_vector(base_vecs[i], base_vecs[j]),
+                            report.nck_witnesses, "adjoint", spec)
         span = kernel(wedge_vector(vecs[i], vecs[j]))
         report.d_nck_lower = span.ambient_dim - span.dim
         report.marginal |= span.marginal
@@ -603,7 +608,8 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
     points = geometry.sample_points(spec, 10, seed=seed + 5)
 
     fiber_pt = geometry.default_point(ws.fiber)
-    fiber_sc = curvature.curvature_pack(ws.fiber, fiber_pt).scalar
+    fiber = curvature.check_conventions(curvature.CurvatureFrame(ws.fiber, fiber_pt, 3))
+    fiber_sc = float(fiber.sc[0])
     _check(checks, "fiber_scalar_curvature", fiber_sc - (-48.0 * a * b), 1e-7)
 
     nb = n - 4

@@ -166,20 +166,21 @@ def _cmd_analyze(ns) -> tuple[dict, bool]:
     else:
         points = geometry.sample_points(spec, ns.samples, seed=seed)
 
-    # one order-3 batch; each point's slice is the frame built there alone
-    fr = curvature.CurvatureFrame(spec, points, 3)
+    # one order-3 batch, checked at each point; a point's slice is the frame
+    # built there alone
+    fr = curvature.check_conventions(curvature.CurvatureFrame(spec, points, 3))
     rows = []
     for i, pt in enumerate(points):
-        pack = curvature.CurvaturePack(fr[i])
+        at = fr[i]
         row = {
             "point": list(pt),
-            "scalar_curvature": pack.scalar,
-            "ricci_norm": frobenius(pack.ricci),
-            "weyl_norm": frobenius(pack.weyl),
-            "cotton_norm": frobenius(pack.cotton),
+            "scalar_curvature": float(at.sc[0]),
+            "ricci_norm": frobenius(at.values(at.ricci)),
+            "weyl_norm": frobenius(at.values(at.weyl)),
+            "cotton_norm": frobenius(at.values(at.cotton)),
         }
         if spec.n >= 4:
-            row["kerw_dim"] = analysis.kernel_of_weyl(pack.frame).dim
+            row["kerw_dim"] = analysis.kernel_of_weyl(at).dim
         rows.append(row)
 
     scale_checks = []
@@ -273,8 +274,8 @@ def _cmd_rescale(ns) -> tuple[dict, bool]:
     omega = expr.parse(ns.omega, spec.n, params=dict(spec.params),
                        var_names=spec.names)
     hatted = curvature.rescale_metric(spec, omega)
-    pack = curvature.curvature_pack(spec, pt)
-    hat_pack = curvature.curvature_pack(hatted, pt)
+    base, hat = (curvature.check_conventions(curvature.CurvatureFrame(s, pt, 3))
+                 for s in (spec, hatted))
 
     checks = []
 
@@ -282,19 +283,20 @@ def _cmd_rescale(ns) -> tuple[dict, bool]:
         checks.append({"name": name, "value": value, "tolerance": tol,
                        "passed": bool(abs(value) <= tol)})
 
-    p_expected = curvature.schouten_transform_reference(pack, omega)
+    p_expected = curvature.schouten_transform_reference(base, omega)
     add("schouten_transform",
-        frobenius(hat_pack.schouten - p_expected),
+        frobenius(hat.values(hat.schouten) - p_expected),
         1e-8 * max(1.0, frobenius(p_expected)))
-    j_expected = curvature.j_transform_reference(pack, omega)
-    add("j_transform", hat_pack.j - j_expected, 1e-8 * max(1.0, abs(j_expected)))
+    j_expected = curvature.j_transform_reference(base, omega)
+    add("j_transform", float(hat.j[0]) - j_expected, 1e-8 * max(1.0, abs(j_expected)))
     w = expr.evaluate_at(omega, pt)
+    weyl = base.values(base.weyl)
     add("weyl_covariance",
-        frobenius(hat_pack.weyl - w ** 2 * pack.weyl),
-        1e-8 * max(1.0, frobenius(pack.weyl)))
+        frobenius(hat.values(hat.weyl) - w ** 2 * weyl),
+        1e-8 * max(1.0, frobenius(weyl)))
     sigma = expr.add(expr.ONE, expr.var(0))
-    base_res, hat_res = (analysis.ae_residuals(p.frame, p.frame.scalar_jet(s, 2))
-                         for p, s in ((pack, sigma), (hat_pack, expr.mul(omega, sigma))))
+    base_res, hat_res = (analysis.ae_residuals(f, f.scalar_jet(s, 2))
+                         for f, s in ((base, sigma), (hat, expr.mul(omega, sigma))))
     add("ae_operator_invariance",
         frobenius(hat_res - w * base_res),
         1e-8 * max(1.0, frobenius(base_res)))

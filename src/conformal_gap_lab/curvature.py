@@ -44,6 +44,9 @@ Frames are passed explicitly: a caller builds the frame it needs once and
 hands readers the frame or a batch slice ``frame[i]``.  Readers of values
 and the scale tractors take a frame of any order at or above theirs and cut
 what they read to their order with :meth:`CurvatureFrame.at`, a prefix.
+The frame is the one curvature object: values are read from it
+(``fr.values(fr.weyl)``, ``float(fr.sc[0])``), and :func:`check_conventions`
+runs the convention self-checks at every point of a frame or batch.
 """
 
 from __future__ import annotations
@@ -126,7 +129,6 @@ class CurvatureFrame:
         self.order = order
         n = self.n = spec.n
 
-        self.signature = spec.signature
         self.g, self.ginv = geometry.metric_frame_at(spec, pts, order)
 
         # dg[i, a, b] = d_i g_ab, one jet order lower
@@ -181,11 +183,6 @@ class CurvatureFrame:
     def batch(self) -> tuple:
         """The shape of the point axis: () at one point, (P,) for P points."""
         return self.g.shape[:-3]
-
-    @property
-    def det_sign(self):
-        """sign(det g) at the point (per point for a batch)."""
-        return np.where(np.linalg.det(self.values(self.g)) > 0, 1.0, -1.0)
 
     def __getitem__(self, index) -> "CurvatureFrame":
         """The frame at one point (an int) or at some points (a slice) of a
@@ -299,112 +296,90 @@ def _permutation_symbol(n: int) -> np.ndarray:
     return eps
 
 
-class CurvaturePack:
-    """The values at the frame's point of its tensors, as plain arrays, with
-    convention self-checks; ``eps`` is the volume form."""
+def volume_form(fr: CurvatureFrame) -> np.ndarray:
+    """``eps = sqrt(|det g|) * permutation symbol`` at a frame of one point."""
+    return math.sqrt(abs(np.linalg.det(fr.values(fr.g)))) * _permutation_symbol(fr.n)
 
-    def __init__(self, frame: CurvatureFrame):
-        self.frame = frame
-        self.spec = frame.spec
-        self.point = frame.point
-        self.order = frame.order
-        n = self.n = frame.n
-        self.signature = frame.signature
 
-        v = frame.values
-        self.g = v(frame.g)
-        self.ginv = v(frame.ginv)
-        self.gamma = v(frame.gamma)
-        self.riemann_mixed = v(frame.riemann_mixed)
-        self.riemann = v(frame.riemann)
-        self.ricci = v(frame.ricci)
-        self.scalar = float(frame.sc[0])
-        self.j = float(frame.j[0])
-        self.schouten = v(frame.schouten)
-        self.weyl = v(frame.weyl)
-        self.cotton = v(frame.cotton) if frame.cotton is not None else None
-        self.eps = math.sqrt(abs(np.linalg.det(self.g))) * _permutation_symbol(n)
-        self._validate()
-
-    def _validate(self) -> None:
-        n = self.n
-        g, ginv, R = self.g, self.ginv, self.riemann
-        problems = []
-
-        ric_ref = (n - 2) * self.schouten + self.j * g
-        scale = max(frobenius(self.ricci), 1.0)
-        if frobenius(self.ricci - ric_ref) > 1e-9 * scale:
-            problems.append("Ric != (n-2) P + J g")
-        if abs(self.scalar - 2 * (n - 1) * self.j) > 1e-10 * max(1.0, abs(self.scalar)):
-            problems.append("Sc != 2 (n-1) J")
-
-        rnorm = max(frobenius(R), 1e-30)
-        if frobenius(R + R.transpose(1, 0, 2, 3)) > 1e-9 * rnorm:
-            problems.append("Riemann not antisymmetric in the first pair")
-        if frobenius(R + R.transpose(0, 1, 3, 2)) > 1e-9 * rnorm:
-            problems.append("Riemann not antisymmetric in the last pair")
-        if frobenius(R - R.transpose(2, 3, 0, 1)) > 1e-9 * rnorm:
-            problems.append("Riemann not pair symmetric")
-        cyc = R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)
-        if frobenius(cyc) > 1e-9 * rnorm:
-            problems.append("algebraic Bianchi identity fails")
-
-        # W is computed from R, so its roundoff scales with |R|; in n = 3 it
-        # vanishes identically and is pure roundoff
-        W = self.weyl
-        wnorm = frobenius(W)
-        for axes in ((0, 2), (0, 3), (1, 2), (1, 3)):
-            if frobenius(_trace_pair(W, ginv, axes)) > 1e-9 * max(wnorm, rnorm):
-                problems.append(f"Weyl trace over axes {axes} nonzero")
-                break
-        if n == 3 and wnorm > 1e-9 * rnorm:
-            problems.append("Weyl tensor nonzero in dimension 3")
-
-        # raising the last index repeatedly leaves the index order intact
-        # (tensordot prepends the fresh index each time)
-        eps = eps_up = self.eps
-        for _ in range(n):
-            eps_up = np.tensordot(ginv, eps_up, axes=([1], [n - 1]))
-        total = float(np.tensordot(eps_up, eps, axes=n))
-        if abs(abs(total) - math.factorial(n)) > 1e-9 * math.factorial(n):
-            problems.append(f"eps normalization off: eps.eps = {total}")
-        if abs(total - self.frame.det_sign * math.factorial(n)) > 1e-9 * math.factorial(n):
-            problems.append("eps self-contraction sign does not match sign(det g)")
-
+def check_conventions(fr: CurvatureFrame) -> CurvatureFrame:
+    """Run the convention self-checks at each point of a frame or batch and
+    return the frame; the first point that fails raises ``ConventionError``."""
+    for f in (fr[i] for i in range(fr.batch[0])) if fr.batch else (fr,):
+        problems = _convention_problems(f)
         if problems:
             raise ConventionError(
-                f"curvature self-checks failed for {self.spec.label!r} at "
-                f"{self.point}: " + "; ".join(problems)
+                f"curvature self-checks failed for {f.spec.label!r} at "
+                f"{f.point}: " + "; ".join(problems)
             )
+    return fr
 
 
-def _trace_pair(W: np.ndarray, ginv: np.ndarray, axes) -> np.ndarray:
-    letters = "abcd"
-    sub = letters[: W.ndim]
-    i, j = axes
-    lhs = f"{sub[i]}{sub[j]},{sub}->" + "".join(
-        c for k, c in enumerate(sub) if k not in axes
-    )
-    return np.einsum(lhs, ginv, W)
+def _convention_problems(fr: CurvatureFrame) -> list[str]:
+    """The self-checks that fail at a frame of one point."""
+    n = fr.n
+    g, ginv, R, ricci, W = map(fr.values, (fr.g, fr.ginv, fr.riemann, fr.ricci, fr.weyl))
+    sc, j = float(fr.sc[0]), float(fr.j[0])
+    problems = []
 
+    ric_ref = (n - 2) * fr.values(fr.schouten) + j * g
+    scale = max(frobenius(ricci), 1.0)
+    if frobenius(ricci - ric_ref) > 1e-9 * scale:
+        problems.append("Ric != (n-2) P + J g")
+    if abs(sc - 2 * (n - 1) * j) > 1e-10 * max(1.0, abs(sc)):
+        problems.append("Sc != 2 (n-1) J")
 
-def curvature_pack(spec: MetricSpec, point) -> CurvaturePack:
-    """All curvature tensors at the point, from an order-3 frame, with
-    convention self-checks."""
-    return CurvaturePack(CurvatureFrame(spec, point, 3))
+    rnorm = max(frobenius(R), 1e-30)
+    if frobenius(R + R.transpose(1, 0, 2, 3)) > 1e-9 * rnorm:
+        problems.append("Riemann not antisymmetric in the first pair")
+    if frobenius(R + R.transpose(0, 1, 3, 2)) > 1e-9 * rnorm:
+        problems.append("Riemann not antisymmetric in the last pair")
+    if frobenius(R - R.transpose(2, 3, 0, 1)) > 1e-9 * rnorm:
+        problems.append("Riemann not pair symmetric")
+    cyc = R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)
+    if frobenius(cyc) > 1e-9 * rnorm:
+        problems.append("algebraic Bianchi identity fails")
+
+    # W is computed from R, so its roundoff scales with |R|; in n = 3 it
+    # vanishes identically and is pure roundoff
+    wnorm = frobenius(W)
+    for axes in ((0, 2), (0, 3), (1, 2), (1, 3)):
+        traced = "".join("abcd"[k] for k in axes)
+        rest = "".join(c for c in "abcd" if c not in traced)
+        if frobenius(np.einsum(f"{traced},abcd->{rest}", ginv, W)) > 1e-9 * max(wnorm, rnorm):
+            problems.append(f"Weyl trace over axes {axes} nonzero")
+            break
+    if n == 3 and wnorm > 1e-9 * rnorm:
+        problems.append("Weyl tensor nonzero in dimension 3")
+
+    # raising the last index repeatedly leaves the index order intact
+    # (tensordot prepends the fresh index each time)
+    eps = eps_up = volume_form(fr)
+    for _ in range(n):
+        eps_up = np.tensordot(ginv, eps_up, axes=([1], [n - 1]))
+    total = float(np.tensordot(eps_up, eps, axes=n))
+    det_sign = 1.0 if np.linalg.det(g) > 0 else -1.0
+    if abs(abs(total) - math.factorial(n)) > 1e-9 * math.factorial(n):
+        problems.append(f"eps normalization off: eps.eps = {total}")
+    if abs(total - det_sign * math.factorial(n)) > 1e-9 * math.factorial(n):
+        problems.append("eps self-contraction sign does not match sign(det g)")
+    return problems
 
 
 # ---------------------------------------------------------------------------
 # conformal rescaling
 
 def rescale_metric(spec: MetricSpec, omega: expr.Node) -> MetricSpec:
-    """Same chart with components omega^2 g_ab; omega must be positive."""
-    for pt in geometry.sample_points(spec, 12, seed=20):
-        if expr.evaluate_at(omega, pt) <= 0.0:
+    """Same chart with components omega^2 g_ab; omega must be positive.  omega is
+    evaluated once at all check points, and omega^2 simplified once: the
+    components are simplified already, so each product needs one fold."""
+    pts = geometry.sample_points(spec, 12, seed=20)
+    values = expr.evaluate(omega, jets.seed_jets(pts, 1))[..., 0]
+    for pt, value in zip(pts, values):
+        if value <= 0.0:
             raise ValueError(f"rescale factor is not positive at {geometry.format_point(pt)}")
-    w2 = expr.Pow(omega, 2)
+    w2 = expr.simplify(expr.Pow(omega, 2))
     comps = tuple(
-        tuple(expr.mul(w2, e) for e in row) for row in spec.components
+        tuple(expr.fold(expr.Bin("*", w2, e)) for e in row) for row in spec.components
     )
     return replace(spec, components=comps, label=f"{spec.label}|rescaled")
 
@@ -424,41 +399,43 @@ def upsilon_jets(spec: MetricSpec, omega: expr.Node, point, order: int = 2):
     return w, ups, dups
 
 
-def schouten_transform_reference(pack: CurvaturePack, omega: expr.Node) -> np.ndarray:
-    """Expected Schouten of omega^2 g from the transformation law."""
-    _, ups, dups = upsilon_jets(pack.spec, omega, pack.point, order=2)
-    cov_ups = dups - np.einsum("rab,r->ab", pack.gamma, ups)
-    ups_up = pack.ginv @ ups
+def schouten_transform_reference(fr: CurvatureFrame, omega: expr.Node) -> np.ndarray:
+    """Expected Schouten of omega^2 g from the transformation law, at a frame
+    of one point."""
+    _, ups, dups = upsilon_jets(fr.spec, omega, fr.point, order=2)
+    cov_ups = dups - np.einsum("rab,r->ab", fr.values(fr.gamma), ups)
+    ups_up = fr.values(fr.ginv) @ ups
     return (
-        pack.schouten
+        fr.values(fr.schouten)
         - cov_ups
         + np.outer(ups, ups)
-        - 0.5 * float(ups @ ups_up) * pack.g
+        - 0.5 * float(ups @ ups_up) * fr.values(fr.g)
     )
 
 
-def j_transform_reference(pack: CurvaturePack, omega: expr.Node) -> float:
+def j_transform_reference(fr: CurvatureFrame, omega: expr.Node) -> float:
     """Expected J of omega^2 g; the omega^-2 factor is the weight -2 bookkeeping."""
-    w, ups, dups = upsilon_jets(pack.spec, omega, pack.point, order=2)
-    ginv = pack.ginv
-    cov_ups = dups - np.einsum("rab,r->ab", pack.gamma, ups)
+    w, ups, dups = upsilon_jets(fr.spec, omega, fr.point, order=2)
+    ginv = fr.values(fr.ginv)
+    cov_ups = dups - np.einsum("rab,r->ab", fr.values(fr.gamma), ups)
     div_ups = float(np.einsum("ab,ab->", ginv, cov_ups))
     ups_sq = float(ups @ ginv @ ups)
-    n = pack.n
-    return (pack.j - div_ups - (n / 2 - 1) * ups_sq) / w[0] ** 2
+    n = fr.n
+    return (float(fr.j[0]) - div_ups - (n / 2 - 1) * ups_sq) / w[0] ** 2
 
 
-def dual_cotton_3d(pack: CurvaturePack, orientation: int = 1) -> np.ndarray:
-    """Three-dimensional Cotton dual Y_ars eps^{rs}_b as a (0,2) tensor.
+def dual_cotton_3d(fr: CurvatureFrame, orientation: int = 1) -> np.ndarray:
+    """Three-dimensional Cotton dual Y_ars eps^{rs}_b as a (0,2) tensor, at a
+    frame of one point and order >= 3.
 
     ``orientation=+1`` uses the coordinate-order volume form; ``-1`` flips it.
     """
-    if pack.n != 3:
+    if fr.n != 3:
         raise ValueError("the Cotton dual is a 3-dimensional construction")
-    eps = orientation * pack.eps
-    ginv = pack.ginv
+    eps = orientation * volume_form(fr)
+    ginv = fr.values(fr.ginv)
     eps_mixed = np.einsum("rsb,ri,sj->ijb", eps, ginv, ginv)  # eps^{ij}_b
-    return np.einsum("ars,rsb->ab", pack.cotton, eps_mixed)
+    return np.einsum("ars,rsb->ab", fr.values(fr.cotton), eps_mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +475,14 @@ def warped_ricci_reference(ws: WarpedSpec, point) -> tuple[np.ndarray, float]:
     """Closed-form Ricci and scalar curvature of a pseudo-Euclidean x 4d warp."""
     nb, nf = ws.base.n, ws.fiber.n
     f, df, hess, lap, df_sq, signs = _warp_data(ws, point)
-    fiber_pt = tuple(point[nb:])
-    fiber_pack = curvature_pack(ws.fiber, fiber_pt)
-    gt = fiber_pack.g
-    ric_fiber = fiber_pack.ricci
+    fiber = check_conventions(CurvatureFrame(ws.fiber, tuple(point[nb:]), 3))
+    gt = fiber.values(fiber.g)
+    ric_fiber = fiber.values(fiber.ricci)
 
     ric = np.zeros((nb + nf, nb + nf))
     ric[:nb, :nb] = -nf / f * hess
     ric[nb:, nb:] = ric_fiber - (f * lap + (nf - 1) * df_sq) * gt
-    sc_fiber = fiber_pack.scalar
+    sc_fiber = float(fiber.sc[0])
     sc = sc_fiber / f ** 2 - 2 * nf * lap / f - nf * (nf - 1) * df_sq / f ** 2
     return ric, sc
 
@@ -521,10 +497,9 @@ def warped_nabla_reference(ws: WarpedSpec, point, vector: np.ndarray,
     nb, nf = ws.base.n, ws.fiber.n
     n = nb + nf
     f, df, hess, lap, df_sq, signs = _warp_data(ws, point)
-    fiber_pt = tuple(point[nb:])
-    fiber_pack = curvature_pack(ws.fiber, fiber_pt)
-    gt = fiber_pack.g
-    gamma_t = fiber_pack.gamma
+    fiber = check_conventions(CurvatureFrame(ws.fiber, tuple(point[nb:]), 3))
+    gt = fiber.values(fiber.g)
+    gamma_t = fiber.values(fiber.gamma)
     gbar_inv = np.diag(signs)                   # inverse equals itself for +-1 diagonal
     df_up = gbar_inv @ df
 

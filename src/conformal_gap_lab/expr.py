@@ -56,9 +56,10 @@ class EvalError(ValueError):
 # --- AST nodes ---------------------------------------------------------------
 
 class _Tree:
-    """Equality and hash of the node classes, neither of which recurses: a
-    node's hash is formed when it is built, from the hashes its children
-    already hold, and two trees are compared pair by pair."""
+    """Equality, hash and ``repr`` of the node classes, none of which recurses:
+    a node's hash is formed when it is built, from the hashes its children
+    already hold, two trees are compared pair by pair, and the ``repr`` (the
+    dataclass text) is one ``_walk``."""
 
     def __post_init__(self):
         own = self.__dict__
@@ -81,11 +82,18 @@ class _Tree:
                 pairs += zip(a.kids, b.kids)
         return True
 
+    def __repr__(self) -> str:
+        def leave(nd: Node, *kids: str) -> str:
+            text = dict(zip(nd._kid_fields, kids), **{f: repr(getattr(nd, f)) for f in nd._data})
+            fields = ", ".join(f"{f}={text[f]}" for f in nd.__match_args__)
+            return f"{type(nd).__qualname__}({fields})"
+        return _walk(self, leave)
+
 
 def _node(*kids: str):
     """A frozen node class whose fields ``kids`` hold its subtrees (``nd.kids``)."""
     def make(cls):
-        cls = dataclass(frozen=True, eq=False)(cls)
+        cls = dataclass(frozen=True, eq=False, repr=False)(cls)
         cls._kid_fields, cls._data = kids, tuple(f for f in cls.__match_args__ if f not in kids)
         return cls
     return make
@@ -420,10 +428,10 @@ def _rewrite(node: Node, fn) -> Node:
 
 def simplify(node: Node) -> Node:
     """Constant folding plus the obvious 0/1 identities."""
-    return _rewrite(node, _fold)
+    return _rewrite(node, fold)
 
 
-def _fold(node: Node) -> Node:
+def fold(node: Node) -> Node:
     """The rules of ``simplify`` at one node whose subtrees are simplified."""
     if isinstance(node, Neg):
         a = node.arg
@@ -461,7 +469,7 @@ def _fold(node: Node) -> Node:
             if is_zero(b):
                 return a
             if is_zero(a):
-                return _fold(Neg(b))
+                return fold(Neg(b))
         elif node.op == "*":
             if is_zero(a) or is_zero(b):
                 return ZERO

@@ -3,9 +3,10 @@
 Runs every ``cgl`` line of the README's command-line block as written,
 ``analyze``, ``dims`` and ``rescale`` on the README's example metric file
 (which declares a parameter), a ``rescale taub_nut --param`` line whose
-``--omega`` reads the parameter, ``cgl dims NAME --seed S --json`` on
-every catalogue entry and on the n = 7 and n = 8 family entries at seeds 0
-and 3, and ``cgl verify ... --seed S --json`` at seeds 0 and 3 for
+``--omega`` reads the parameter, ``cgl dims NAME --seed S --json`` and
+``cgl analyze NAME --seed S --json`` on every catalogue entry and on the
+n = 7 and n = 8 family entries at seeds 0 and 3, and
+``cgl verify ... --seed S --json`` at seeds 0 and 3 for
 ``warpedSol`` (each sc), ``t_riem`` (each case), ``t_lorentz`` and ``t_gen``
 (each p) at n = 5 to 8, ``rflat`` on both its metrics and ``bounds`` on five
 catalogue metrics, once against this tree's ``src/``
@@ -90,8 +91,9 @@ def commands(src: Path, cwd: str) -> list[list[str]]:
     if code != 0:
         raise SystemExit(f"listing the metric names failed:\n{err}")
     names = json.loads(out)
-    dims = [["dims", name, "--seed", str(seed), "--json"] for name in names for seed in SEEDS]
-    return readme_commands() + PARAM_COMMANDS + dims + verify_commands()
+    per_name = [[command, name, "--seed", str(seed), "--json"]
+                for command in ("dims", "analyze") for name in names for seed in SEEDS]
+    return readme_commands() + PARAM_COMMANDS + per_name + verify_commands()
 
 
 def main(argv=None) -> int:

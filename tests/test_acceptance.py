@@ -14,10 +14,14 @@ import pytest
 
 from conformal_gap_lab import analysis, curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.cli import main as cli_main
-from conformal_gap_lab.curvature import CurvatureFrame, CurvaturePack, curvature_pack, frobenius
+from conformal_gap_lab.curvature import CurvatureFrame, check_conventions, frobenius
 from conformal_gap_lab.geometry import (
     WarpedSpec, builtin_metric, catalogue_metric, pseudo_euclidean, sample_points,
 )
+
+
+def checked(spec, pt, order=3):
+    return check_conventions(CurvatureFrame(spec, pt, order))
 
 
 @contextmanager
@@ -34,8 +38,8 @@ def test_criterion_01_scalar_curvatures():
         with criterion(1, f"scalar curvature {name} = {target}", 1.0):
             spec = builtin_metric(name)
             for pt in sample_points(spec, 10, seed=101):
-                pack = curvature_pack(spec, pt)
-                assert abs(pack.scalar - target) < 1e-7
+                fr = checked(spec, pt)
+                assert abs(float(fr.sc[0]) - target) < 1e-7
 
 
 def test_criterion_02_ricci_flat_conformally_nonflat():
@@ -43,9 +47,9 @@ def test_criterion_02_ricci_flat_conformally_nonflat():
         for name in ("taub_nut", "pp_wave", "pp_split"):
             spec = builtin_metric(name)
             for pt in sample_points(spec, 10, seed=102):
-                pack = curvature_pack(spec, pt)
-                assert frobenius(pack.ricci) < 1e-8
-                assert frobenius(pack.weyl) > 1e-3
+                fr = checked(spec, pt)
+                assert frobenius(fr.values(fr.ricci)) < 1e-8
+                assert frobenius(fr.values(fr.weyl)) > 1e-3
 
 
 def test_criterion_03_three_dimensional_example():
@@ -56,20 +60,20 @@ def test_criterion_03_three_dimensional_example():
         for h in ("0", "sin(y)"):
             spec = builtin_metric("lorentz3d", {"h": h})
             for pt in sample_points(spec, 5, seed=103):
-                pack = CurvaturePack(CurvatureFrame(spec, pt, 4))
-                ytilde = curvature.dual_cotton_3d(pack)
+                fr = checked(spec, pt, 4)
+                ytilde = curvature.dual_cotton_3d(fr)
                 up_to_sign = min(
                     frobenius(ytilde - expected), frobenius(ytilde + expected)
                 )
                 assert up_to_sign < 1e-8
                 # the field's order-1 jets: constant components
                 kj = np.stack([expr.evaluate(c, jets.seed_jets(pt, 1)) for c in k])
-                nab_up, ck, normal, first = analysis.killing_terms(pack.frame, kj)
+                nab_up, ck, normal, first = analysis.killing_terms(fr, kj)
                 assert ck < 1e-8
                 assert normal < 1e-8
                 assert first < 1e-8
                 assert frobenius(nab_up) < 1e-8                          # parallel
-                assert abs(kj[:, 0] @ pack.g @ kj[:, 0]) < 1e-8          # null
+                assert abs(kj[:, 0] @ fr.values(fr.g) @ kj[:, 0]) < 1e-8  # null
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -143,15 +147,15 @@ def test_criterion_08_warped_oracles():
         spec = geometry.warped_product(ws)
         rng = np.random.default_rng(108)
         for pt in sample_points(spec, 5, seed=108):
-            pack = curvature_pack(spec, pt)
+            fr = checked(spec, pt)
             ric_ref, sc_ref = curvature.warped_ricci_reference(ws, pt)
-            assert frobenius(pack.ricci - ric_ref) < 1e-8 * max(
+            assert frobenius(fr.values(fr.ricci) - ric_ref) < 1e-8 * max(
                 1.0, frobenius(ric_ref))
-            assert abs(pack.scalar - sc_ref) < 1e-8 * max(1.0, abs(sc_ref))
+            assert abs(float(fr.sc[0]) - sc_ref) < 1e-8 * max(1.0, abs(sc_ref))
             vec = rng.normal(size=6)
             cov = rng.normal(size=6)
             nv_ref, np_ref = curvature.warped_nabla_reference(ws, pt, vec, cov)
-            gamma = pack.gamma
+            gamma = fr.values(fr.gamma)
             nv = np.einsum("bac,c->ab", gamma, vec)
             npv = -np.einsum("cab,c->ab", gamma, cov)
             assert frobenius(nv - nv_ref) < 1e-8 * max(1.0, frobenius(nv_ref))
@@ -164,29 +168,29 @@ def test_criterion_09_identity_suite():
         for name in ("taub_nut", "warped_fs_n5"):
             spec = catalogue_metric(name)
             pt = sample_points(spec, 1, seed=109)[0]
-            pack = CurvaturePack(CurvatureFrame(spec, pt, 4))   # self-checks run inside
-            R = pack.riemann
+            fr = checked(spec, pt, 4)
+            R = fr.values(fr.riemann)
             rnorm = max(frobenius(R), 1e-30)
             cyc = R + np.transpose(R, (1, 2, 0, 3)) + np.transpose(R, (2, 0, 1, 3))
             assert frobenius(cyc) < 1e-8 * rnorm
             assert frobenius(R - np.transpose(R, (2, 3, 0, 1))) < 1e-8 * rnorm
-            W = pack.weyl
-            ginv = pack.ginv
-            wnorm = max(frobenius(pack.weyl), 1e-30)
+            W = fr.values(fr.weyl)
+            ginv = fr.values(fr.ginv)
+            wnorm = max(frobenius(fr.values(fr.weyl)), 1e-30)
             for axes in itertools.combinations(range(4), 2):
                 letters = "abcd"
                 sub = (f"{letters[axes[0]]}{letters[axes[1]]},abcd->"
                        + "".join(c for i, c in enumerate(letters) if i not in axes))
                 assert frobenius(np.einsum(sub, ginv, W)) < 1e-8 * wnorm
             # divergence identity (n - 3) Y = div W
-            y = frobenius(pack.cotton)
-            assert curvature.bianchi_check(pack.frame) < 1e-8 * max(1.0, y)
+            y = frobenius(fr.values(fr.cotton))
+            assert curvature.bianchi_check(fr) < 1e-8 * max(1.0, y)
 
         # n = 4 quadratic Weyl identity
-        pack4 = curvature_pack(builtin_metric("taub_nut"),
-                               sample_points(builtin_metric("taub_nut"), 1, seed=110)[0])
-        W = pack4.weyl
-        ginv = pack4.ginv
+        fr4 = checked(builtin_metric("taub_nut"),
+                      sample_points(builtin_metric("taub_nut"), 1, seed=110)[0])
+        W = fr4.values(fr4.weyl)
+        ginv = fr4.values(fr4.ginv)
         Wup = np.einsum("abcd,ar,bs,ct,du->rstu", W, ginv, ginv, ginv, ginv)
         wsq = float(np.einsum("rstu,rstu->", Wup, W))
         delta_id = wsq * np.eye(4) - 4.0 * np.einsum("rsta,rstc->ac", Wup, W)
@@ -196,30 +200,31 @@ def test_criterion_09_identity_suite():
         spec = builtin_metric("pp_split")
         omega = expr.parse("exp(x/7)", 4, var_names=spec.names)
         pt = sample_points(spec, 1, seed=111)[0]
-        pack = curvature_pack(spec, pt)
+        fr = checked(spec, pt)
         hatted = curvature.rescale_metric(spec, omega)
-        hat_pack = curvature_pack(hatted, pt)
-        p_ref = curvature.schouten_transform_reference(pack, omega)
-        assert frobenius(hat_pack.schouten - p_ref) < 1e-8 * max(
+        hat_fr = checked(hatted, pt)
+        p_ref = curvature.schouten_transform_reference(fr, omega)
+        assert frobenius(hat_fr.values(hat_fr.schouten) - p_ref) < 1e-8 * max(
             1.0, frobenius(p_ref))
-        assert abs(hat_pack.j - curvature.j_transform_reference(pack, omega)) < 1e-8
+        assert abs(float(hat_fr.j[0]) - curvature.j_transform_reference(fr, omega)) < 1e-8
         wval = expr.evaluate_at(omega, pt)
-        assert frobenius(hat_pack.weyl
-                         - wval ** 2 * pack.weyl) < 1e-8 * frobenius(pack.weyl)
+        weyl = fr.values(fr.weyl)
+        assert frobenius(hat_fr.values(hat_fr.weyl)
+                         - wval ** 2 * weyl) < 1e-8 * frobenius(weyl)
         sigma = spec.known_scales[1][1]
-        I, I_hat = (tractor.einstein_jets(fr, fr.scalar_jet(s)[None])[0, :, 0]
-                    for fr, s in ((pack.frame, sigma),
-                                  (hat_pack.frame, expr.mul(omega, sigma))))
+        I, I_hat = (tractor.einstein_jets(f, f.scalar_jet(s)[None])[0, :, 0]
+                    for f, s in ((fr, sigma), (hat_fr, expr.mul(omega, sigma))))
         _, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=1)
-        expected = tractor.transform_tractor(I, wval, ups, pack.g)
+        expected = tractor.transform_tractor(I, wval, ups, fr.values(fr.g))
         assert np.linalg.norm(I_hat - expected) < 1e-8
 
         # tractor-metric parallelism: transport preserves the pairing
         a = np.array(sample_points(spec, 1, seed=112)[0])
         b = np.array(sample_points(spec, 1, seed=113)[0])
         M = tractor.transport_matrix(spec, [a, b])
-        Ba = tractor.tractor_metric_matrix(curvature_pack(spec, tuple(a)).g)
-        Bb = tractor.tractor_metric_matrix(curvature_pack(spec, tuple(b)).g)
+        fa, fb = checked(spec, tuple(a)), checked(spec, tuple(b))
+        Ba = tractor.tractor_metric_matrix(fa.values(fa.g))
+        Bb = tractor.tractor_metric_matrix(fb.values(fb.g))
         assert frobenius(M.T @ Bb @ M - Ba) < 1e-8 * max(1.0, frobenius(Ba))
 
 

@@ -15,6 +15,12 @@ from conformal_gap_lab.curvature import CurvatureFrame, frobenius
 from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_points
 
 
+def metric_at(spec, point):
+    """The metric's values at the point, from a self-checked order-3 frame."""
+    fr = curvature.check_conventions(CurvatureFrame(spec, point, 3))
+    return fr.values(fr.g)
+
+
 def field_jets(k_asts, point):
     """Order-1 jets (n, C_1) of the vector field with component formulas k_asts."""
     env = jets.seed_jets(tuple(point), 1)
@@ -171,7 +177,7 @@ def test_pp_split_wedges_span_expected_fields():
         assert np.allclose(v1, [0, 0, 0, 1], atol=1e-10)            # dz dual
         assert np.allclose(v2, [0, 0, 1, 0], atol=1e-10)            # dy dual
         assert np.allclose(v3, [0, 0, tval, -xval], atol=1e-10)     # t dy - x dz
-        g = curvature.curvature_pack(spec, pt).g
+        g = metric_at(spec, pt)
         for v in (v1, v2, v3):
             assert abs(v @ g @ v) < 1e-9                            # all null
 
@@ -305,7 +311,7 @@ def test_scale_curvature_of_fs_unit_scale():
     j_sigma = analysis.j_of_scale(fr, fr.scalar_jet(expr.ONE, 2))
     assert j_sigma == pytest.approx(8.0, abs=1e-8)
     I = tractor.einstein_jets(fr, fr.scalar_jet(expr.ONE)[None])[0, :, 0]
-    g = curvature.curvature_pack(spec, pt).g
+    g = metric_at(spec, pt)
     assert tractor_pairing(I, I, g) == pytest.approx(-2 / 4 * j_sigma, abs=1e-8)
 
 
@@ -373,7 +379,7 @@ def test_tractor_norm_matches_j_formula_on_warped_examples():
                 sigma = expr.add(sigma, expr.mul(expr.const(float(c)), ast))
             fr = CurvatureFrame(spec, pt, 3)
             I = tractor.einstein_jets(fr, fr.scalar_jet(sigma)[None])[0, :, 0]
-            g = curvature.curvature_pack(spec, pt).g
+            g = metric_at(spec, pt)
             lhs = tractor_pairing(I, I, g)
             rhs = -2.0 / spec.n * analysis.j_of_scale(fr, fr.scalar_jet(sigma, 2))
             assert lhs == pytest.approx(rhs, abs=1e-8 * max(1.0, abs(rhs)))
@@ -386,7 +392,7 @@ def test_pp_wedge_fields_are_null():
         for (_, s1), (_, s2) in [(scales[0], scales[1])]:
             for pt in sample_points(spec, 5, seed=17):
                 vals = wedge_field(CurvatureFrame(spec, pt, 2), s1, s2)[:, 0]
-                g = curvature.curvature_pack(spec, pt).g
+                g = metric_at(spec, pt)
                 assert abs(vals @ g @ vals) < 1e-9
 
 

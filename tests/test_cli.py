@@ -460,6 +460,21 @@ def test_lower_only_reports_witnesses_against_the_flat_model_bounds(capsys):
     assert [full[k]["lower"] for k in ("d_ae", "d_nck")] == [2, 1]
 
 
+def test_lower_only_reads_nothing_at_the_basepoint(capsys, recwarn):
+    # the scale norm_sq is not finite at this basepoint, which stops the full
+    # report; without an upper bound nothing is read there
+    reports = []
+    for extra in ((), ("--base-point", "0,0,0,1e160")):
+        code, out, err = run(capsys, "dims", "flat_r4", "--lower-only", "--json", *extra)
+        assert code == 0 and err == "" and not recwarn.list
+        reports.append(json.loads(out)["dims"])
+    default, far = reports
+    assert far["basepoint"] == [0.0, 0.0, 0.0, 1e160]
+    for key in ("ae_witnesses", "nck_witnesses", "d_ae", "d_nck", "notes", "marginal"):
+        assert far[key] == default[key], key
+    assert [default[k]["lower"] for k in ("d_ae", "d_nck")] == [6, 15]
+
+
 @pytest.mark.parametrize("argv", [
     ("kerw", "pp_split", "--point", "0.2,,0.5,0.1,0.3"),
     ("kerw", "pp_split", "--point", "0.2,0.5,0.1,0.3,,"),
@@ -529,7 +544,7 @@ def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
 FRAME_BUILDS = {
     ("rescale", "taub_nut", "--omega", "1 + x1/8", "--point", "1.0,1.2,0.5,0.5"):
         [(3, 1), (3, 1)],
-    ("verify", "bounds", "--metric", "warped_fs_n6"): [(2, 10), (2, 6), (3, 1), (3, 1)],
+    ("verify", "bounds", "--metric", "warped_fs_n6"): [(2, 10), (2, 6), (3, 1)],
     ("verify", "t_riem", "--case", "b", "--n", "5"): [(2, 10), (3, 1)],
     ("verify", "warpedSol"): [(3, 1), (2, 10)],
 }

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conformal_gap_lab import curvature, expr, geometry, jets
 from conformal_gap_lab.curvature import (
-    CurvatureFrame, CurvaturePack, curvature_pack, frobenius, rescale_metric, warped_nabla_reference,
+    CurvatureFrame, check_conventions, frobenius, rescale_metric, warped_nabla_reference,
     warped_ricci_reference,
 )
 from conformal_gap_lab.geometry import (
@@ -19,39 +19,43 @@ from conformal_gap_lab.geometry import (
 )
 
 
-def pack_at(name, seed=1, order=4, params=None):
+def checked(spec, pt, order=3):
+    return check_conventions(CurvatureFrame(spec, pt, order))
+
+
+def frame_at(name, seed=1, order=4, params=None):
     spec = builtin_metric(name, params)
     pt = sample_points(spec, 1, seed=seed)[0]
-    return CurvaturePack(CurvatureFrame(spec, pt, order))
+    return checked(spec, pt, order)
 
 
 def test_flat_curvature_vanishes():
     spec = pseudo_euclidean(2, 2)
-    pack = CurvaturePack(CurvatureFrame(spec, (0.3, -0.2, 0.5, 0.1), 4))
-    assert frobenius(pack.riemann) < 1e-14
-    assert frobenius(pack.weyl) < 1e-14
-    assert abs(pack.scalar) < 1e-14
+    fr = checked(spec, (0.3, -0.2, 0.5, 0.1), 4)
+    assert frobenius(fr.values(fr.riemann)) < 1e-14
+    assert frobenius(fr.values(fr.weyl)) < 1e-14
+    assert abs(float(fr.sc[0])) < 1e-14
 
 
 def test_fubini_study_scalar_curvature_is_48():
     spec = builtin_metric("fubini_study")
     for pt in sample_points(spec, 5, seed=2):
-        pack = curvature_pack(spec, pt)
-        assert pack.scalar == pytest.approx(48.0, abs=1e-8)
+        fr = checked(spec, pt)
+        assert float(fr.sc[0]) == pytest.approx(48.0, abs=1e-8)
 
 
 def test_hyperbolic_dual_scalar_curvature_is_minus_48():
     spec = builtin_metric("fubini_study_hyperbolic")
     for pt in sample_points(spec, 5, seed=2):
-        pack = curvature_pack(spec, pt)
-        assert pack.scalar == pytest.approx(-48.0, abs=1e-8)
+        fr = checked(spec, pt)
+        assert float(fr.sc[0]) == pytest.approx(-48.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("name", ["taub_nut", "pp_wave", "pp_split"])
 def test_ricci_flat_but_not_conformally_flat(name):
-    pack = pack_at(name, seed=4, order=3)
-    assert frobenius(pack.ricci) < 1e-8
-    assert frobenius(pack.weyl) > 1e-3
+    fr = frame_at(name, seed=4, order=3)
+    assert frobenius(fr.values(fr.ricci)) < 1e-8
+    assert frobenius(fr.values(fr.weyl)) > 1e-3
 
 
 def test_lorentz3d_dual_cotton_is_6_dydy_up_to_orientation():
@@ -60,21 +64,21 @@ def test_lorentz3d_dual_cotton_is_6_dydy_up_to_orientation():
     for h in ("0", "sin(y)"):
         spec = builtin_metric("lorentz3d", {"h": h})
         for pt in sample_points(spec, 3, seed=5):
-            pack = CurvaturePack(CurvatureFrame(spec, pt, 4))
-            ytilde = curvature.dual_cotton_3d(pack)
+            fr = checked(spec, pt, 4)
+            ytilde = curvature.dual_cotton_3d(fr)
             expected = np.zeros((3, 3))
             expected[1, 1] = 6.0
             assert np.allclose(ytilde, expected, atol=1e-8)
-            flipped = curvature.dual_cotton_3d(pack, orientation=-1)
+            flipped = curvature.dual_cotton_3d(fr, orientation=-1)
             assert np.allclose(flipped, -expected, atol=1e-8)
 
 
 def test_pp_wave_connection_lines():
     spec = builtin_metric("pp_wave")
     t, x = 0.25, 0.8
-    pack = curvature_pack(spec, (t, x, -0.3, 0.6))
-    gamma = pack.gamma
-    g = pack.g
+    fr = checked(spec, (t, x, -0.3, 0.6))
+    gamma = fr.values(fr.gamma)
+    g = fr.values(fr.g)
     # nabla d(coord mu) as a (0,2) tensor is -Gamma^mu_ab
     nabla_dt = -gamma[0]
     nabla_dx = -gamma[1]
@@ -100,8 +104,8 @@ def test_pp_wave_connection_lines():
 def test_pp_split_connection_lines():
     spec = builtin_metric("pp_split")
     x = -0.7
-    pack = curvature_pack(spec, (0.4, x, 0.2, -0.1))
-    gamma = pack.gamma
+    fr = checked(spec, (0.4, x, 0.2, -0.1))
+    gamma = fr.values(fr.gamma)
     exp_dy = np.zeros((4, 4)); exp_dy[0, 0] = x
     exp_dz = np.zeros((4, 4)); exp_dz[0, 1] = exp_dz[1, 0] = -x
     assert np.allclose(-gamma[2], exp_dy, atol=1e-10)
@@ -114,10 +118,10 @@ def test_pp_split_connection_lines():
     "fubini_study", "fubini_study_hyperbolic", "taub_nut", "pp_wave", "pp_split",
 ])
 def test_weyl_totally_trace_free(name):
-    pack = pack_at(name, seed=6, order=3)
-    W = pack.weyl
-    ginv = pack.ginv
-    wnorm = max(frobenius(pack.weyl), 1e-30)
+    fr = frame_at(name, seed=6, order=3)
+    W = fr.values(fr.weyl)
+    ginv = fr.values(fr.ginv)
+    wnorm = max(frobenius(fr.values(fr.weyl)), 1e-30)
     for axes in itertools.combinations(range(4), 2):
         letters = "abcd"
         spec_str = (
@@ -147,20 +151,20 @@ def test_divergence_identity_rejects_n3():
 @pytest.mark.parametrize("name", ["fubini_study", "taub_nut", "pp_wave", "pp_split"])
 def test_four_dim_weyl_square_identity(name):
     # |W| delta_c^a = 4 W^{rsta} W_{rstc} in dimension 4
-    pack = pack_at(name, seed=8, order=3)
-    W = pack.weyl
-    ginv = pack.ginv
+    fr = frame_at(name, seed=8, order=3)
+    W = fr.values(fr.weyl)
+    ginv = fr.values(fr.ginv)
     Wup = np.einsum("abcd,ar,bs,ct,du->rstu", W, ginv, ginv, ginv, ginv)
     wsq = float(np.einsum("rstu,rstu->", Wup, W))
     rhs = 4.0 * np.einsum("rsta,rstc->ac", Wup, W)
     assert np.allclose(wsq * np.eye(4), rhs, atol=1e-8 * max(abs(wsq), 1.0))
 
 
-def _eh_contraction(pack, rng):
+def _eh_contraction(fr, rng):
     """Antisymmetrized Weyl-delta expression contracted with random vectors."""
-    n = pack.n
-    W = pack.weyl
-    ginv = pack.ginv
+    n = fr.n
+    W = fr.values(fr.weyl)
+    ginv = fr.values(fr.ginv)
     Wmixed = np.einsum("abcd,ar,bs->rscd", W, ginv, ginv)  # W^{ab}_{cd}
     w = [rng.normal(size=n) for _ in range(n - 1)]  # lower the a-slots
     u = [rng.normal(size=n) for _ in range(n - 1)]  # raise the c-slots
@@ -191,32 +195,32 @@ def _perm_sign(perm):
 
 @pytest.mark.parametrize("name,n", [("taub_nut", 4), ("pp_split", 4)])
 def test_edgar_hoglund_contraction_n4(name, n):
-    pack = pack_at(name, seed=9, order=3)
+    fr = frame_at(name, seed=9, order=3)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        val = _eh_contraction(pack, rng)
-        assert abs(val) < 1e-8 * max(frobenius(pack.weyl), 1.0)
+        val = _eh_contraction(fr, rng)
+        assert abs(val) < 1e-8 * max(frobenius(fr.values(fr.weyl)), 1.0)
 
 
 def test_edgar_hoglund_contraction_n5():
     ws = WarpedSpec(pseudo_euclidean(0, 1), builtin_metric("fubini_study"), 1.0, -1.0)
     spec = geometry.warped_product(ws)
     pt = sample_points(spec, 1, seed=10)[0]
-    pack = curvature_pack(spec, pt)
+    fr = checked(spec, pt)
     rng = np.random.default_rng(1)
     for _ in range(2):
-        val = _eh_contraction(pack, rng)
-        assert abs(val) < 1e-8 * max(frobenius(pack.weyl), 1.0)
+        val = _eh_contraction(fr, rng)
+        assert abs(val) < 1e-8 * max(frobenius(fr.values(fr.weyl)), 1.0)
 
 
 def test_rescale_identity_leaves_pack_unchanged():
     spec = builtin_metric("taub_nut")
     same = rescale_metric(spec, expr.ONE)
     pt = sample_points(spec, 1, seed=11)[0]
-    a = curvature_pack(spec, pt)
-    b = curvature_pack(same, pt)
-    assert np.allclose(a.riemann, b.riemann, atol=1e-12)
-    assert a.scalar == pytest.approx(b.scalar, abs=1e-12)
+    a = checked(spec, pt)
+    b = checked(same, pt)
+    assert np.allclose(a.values(a.riemann), b.values(b.riemann), atol=1e-12)
+    assert float(a.sc[0]) == pytest.approx(float(b.sc[0]), abs=1e-12)
 
 
 def test_schouten_transformation_law():
@@ -225,24 +229,25 @@ def test_schouten_transformation_law():
         spec = pseudo_euclidean(0, 4) if name == "flat" else builtin_metric("taub_nut")
         omega = expr.parse("exp(x1)", 4) if name == "flat" else expr.parse("1 + x1/9", 4)
         pt = sample_points(spec, 1, seed=12)[0]
-        pack = curvature_pack(spec, pt)
-        hatted = curvature_pack(rescale_metric(spec, omega), pt)
-        expected = curvature.schouten_transform_reference(pack, omega)
+        fr = checked(spec, pt)
+        hatted = checked(rescale_metric(spec, omega), pt)
+        expected = curvature.schouten_transform_reference(fr, omega)
         scale = max(frobenius(expected), 1.0)
-        assert frobenius(hatted.schouten - expected) < 1e-8 * scale
-        expected_j = curvature.j_transform_reference(pack, omega)
-        assert hatted.j == pytest.approx(expected_j, abs=1e-8 * max(1.0, abs(expected_j)))
+        assert frobenius(hatted.values(hatted.schouten) - expected) < 1e-8 * scale
+        expected_j = curvature.j_transform_reference(fr, omega)
+        assert float(hatted.j[0]) == pytest.approx(expected_j,
+                                                   abs=1e-8 * max(1.0, abs(expected_j)))
 
 
 def test_weyl_conformal_covariance():
     spec = builtin_metric("taub_nut")
     omega = expr.parse("1 + x2/7 + x1/11", 4)
     pt = sample_points(spec, 1, seed=13)[0]
-    pack = curvature_pack(spec, pt)
-    hatted = curvature_pack(rescale_metric(spec, omega), pt)
+    fr = checked(spec, pt)
+    hatted = checked(rescale_metric(spec, omega), pt)
     w = expr.evaluate_at(omega, pt)
-    expected = w ** 2 * pack.weyl
-    assert frobenius(hatted.weyl - expected) < 1e-8 * frobenius(expected)
+    expected = w ** 2 * fr.values(fr.weyl)
+    assert frobenius(hatted.values(hatted.weyl) - expected) < 1e-8 * frobenius(expected)
 
 
 def test_vector_connection_transformation_law():
@@ -250,18 +255,39 @@ def test_vector_connection_transformation_law():
     spec = builtin_metric("pp_split")
     omega = expr.parse("exp(x1/5 + x3/7)", 4)
     pt = sample_points(spec, 1, seed=14)[0]
-    pack = curvature_pack(spec, pt)
-    hatted = curvature_pack(rescale_metric(spec, omega), pt)
+    fr = checked(spec, pt)
+    hatted = checked(rescale_metric(spec, omega), pt)
     _, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=2)
     rng = np.random.default_rng(2)
     mu = rng.normal(size=4)
-    nab = np.einsum("bar,r->ab", pack.gamma, mu)       # nabla_a mu^b for constant mu
-    nab_hat = np.einsum("bar,r->ab", hatted.gamma, mu)
-    mu_low = pack.g @ mu
-    ups_up = pack.ginv @ ups
+    nab = np.einsum("bar,r->ab", fr.values(fr.gamma), mu)   # nabla_a mu^b for constant mu
+    nab_hat = np.einsum("bar,r->ab", hatted.values(hatted.gamma), mu)
+    mu_low = fr.values(fr.g) @ mu
+    ups_up = fr.values(fr.ginv) @ ups
     expected = (nab + np.outer(ups, mu) - np.outer(mu_low, ups_up)
                 + float(mu @ ups) * np.eye(4))
     assert np.allclose(nab_hat, expected, atol=1e-9)
+
+
+def test_rescale_walks_omega_twice(monkeypatch):
+    # omega is evaluated once at all check points and omega^2 simplified once;
+    # a product with each component once simplified omega again (28 walks)
+    spec = geometry.catalogue_metric("flat_0_4")
+    omega = expr.parse("1 + x1/8 + x2^2/9", 4)
+    walk, left = expr._walk, []
+
+    def counted(node, leave, known=None):
+        def counted_leave(nd, *kids):
+            left.extend([nd] if nd is omega else [])
+            return leave(nd, *kids)
+        return walk(node, counted_leave, known)
+
+    monkeypatch.setattr(expr, "_walk", counted)
+    hatted = rescale_metric(spec, omega)
+    assert len(left) == 2
+    monkeypatch.undo()
+    assert hatted.components == tuple(tuple(expr.mul(expr.Pow(omega, 2), e) for e in row)
+                                      for row in spec.components)
 
 
 def test_rescale_rejects_nonpositive_omega():
@@ -276,10 +302,10 @@ def test_warped_ricci_reference_matches_jets():
     ws = WarpedSpec(base, fiber, 1.0, -1.0)
     spec = geometry.warped_product(ws)
     for pt in sample_points(spec, 5, seed=15):
-        pack = curvature_pack(spec, pt)
+        fr = checked(spec, pt)
         ric_ref, sc_ref = warped_ricci_reference(ws, pt)
-        assert frobenius(pack.ricci - ric_ref) < 1e-8 * max(1.0, frobenius(ric_ref))
-        assert pack.scalar == pytest.approx(sc_ref, abs=1e-8 * max(1.0, abs(sc_ref)))
+        assert frobenius(fr.values(fr.ricci) - ric_ref) < 1e-8 * max(1.0, frobenius(ric_ref))
+        assert float(fr.sc[0]) == pytest.approx(sc_ref, abs=1e-8 * max(1.0, abs(sc_ref)))
 
 
 def test_warped_nabla_reference_matches_jets():
@@ -289,11 +315,11 @@ def test_warped_nabla_reference_matches_jets():
     spec = geometry.warped_product(ws)
     rng = np.random.default_rng(3)
     for pt in sample_points(spec, 5, seed=16):
-        pack = curvature_pack(spec, pt)
+        fr = checked(spec, pt)
         vec = rng.normal(size=6)
         cov = rng.normal(size=6)
         nv_ref, np_ref = warped_nabla_reference(ws, pt, vec, cov)
-        gamma = pack.gamma
+        gamma = fr.values(fr.gamma)
         nv = np.einsum("bac,c->ab", gamma, vec)
         npv = -np.einsum("cab,c->ab", gamma, cov)
         assert np.allclose(nv, nv_ref, atol=1e-8 * max(1.0, frobenius(nv_ref)))
@@ -332,8 +358,7 @@ def test_truncated_frame_view_rejects_in_place_write():
 
 def test_lorentz3d_weyl_roundoff_passes_self_checks():
     spec = builtin_metric("lorentz3d")
-    for pt in sample_points(spec, 200, seed=0):
-        CurvaturePack(CurvatureFrame(spec, pt, 4))
+    check_conventions(CurvatureFrame(spec, sample_points(spec, 200, seed=0), 4))
 
 
 @pytest.mark.parametrize("name", ["pp_wave", "lorentz3d"])
@@ -345,7 +370,22 @@ def test_weyl_with_trace_part_rejected(name):
     weyl[..., 0] += np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
     fr.weyl = weyl
     with pytest.raises(curvature.ConventionError, match="Weyl"):
-        curvature.CurvaturePack(fr)
+        check_conventions(fr)
+
+
+def test_batch_self_checks_name_the_failing_point():
+    # every point of a batch is checked, not only the first
+    spec = builtin_metric("pp_wave")
+    points = sample_points(spec, 3, seed=4)
+    fr = copy.copy(CurvatureFrame(spec, points, 3))
+    assert check_conventions(fr) is fr
+    g = fr.values(fr.g)[2]
+    weyl = fr.weyl.copy()
+    weyl[2, ..., 0] += np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
+    fr.weyl = weyl
+    with pytest.raises(curvature.ConventionError, match="Weyl trace") as err:
+        check_conventions(fr)
+    assert f"at {geometry.format_point(points[2])}:" in str(err.value)
 
 
 FRAME_TENSORS = ("g", "ginv", "gamma", "riemann_mixed", "riemann", "ricci", "sc", "j",
@@ -362,7 +402,7 @@ def test_truncated_frame_equals_frame_built_at_that_order(name):
         top = curvature.CurvatureFrame(spec, pt, 4)
         for order in (3, 2):
             built = curvature.CurvatureFrame(spec, pt, order)
-            assert top.point == built.point and top.signature == built.signature
+            assert top.point == built.point and top.spec is built.spec
             for attr in FRAME_TENSORS:
                 a, b = getattr(built, attr), getattr(top, attr)
                 if a is None:

@@ -369,3 +369,24 @@ def test_equal_subtrees_are_printed_and_simplified_apart():
     assert node.left == node.right and hash(node.left) == hash(node.right)
     assert to_source(node) == "sin(-0.0) + sin(0.0)"
     assert to_source(expr.simplify(node)) == "sin(-0.0) + sin(0.0)"
+
+
+def test_repr_keeps_the_dataclass_text():
+    node = parse("-sin(x1)^2/3 + m*cosh(x2 - 1.5)", 2, params={"m": 2.0})
+    assert repr(node) == (
+        "Bin(op='+', left=Bin(op='/', left=Pow(base=Neg(arg=Call(fn='sin', "
+        "arg=Var(index=0))), exponent=2), right=Const(value=3.0)), right=Bin(op='*', "
+        "left=Const(value=2.0), right=Call(fn='cosh', arg=Bin(op='-', left=Var(index=1), "
+        "right=Const(value=1.5)))))")
+
+
+def test_repr_of_long_trees_does_not_recurse():
+    # the dataclass repr recursed, once per level of the tree
+    text = repr(parse(" + ".join(["x1"] * 2000), 1))
+    assert text == "Bin(op='+', left=" * 1999 + "Var(index=0)" + ", right=Var(index=0))" * 1999
+    component = " + ".join(_terms(5000))
+    spec = geometry.load_metric(f"dim = 2\nsignature = 0,2\ng 1 1 : 1 + {component}\n"
+                                "g 2 2 : 1\n")
+    text = repr(spec)
+    assert text.startswith("MetricSpec(n=2, signature=(0, 2), components=((Bin(op='+', ")
+    assert text.count("Var(index=0)") == 2500 and text.count("Var(index=1)") == 2500

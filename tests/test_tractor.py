@@ -12,6 +12,12 @@ from conformal_gap_lab.geometry import builtin_metric, pseudo_euclidean, sample_
 from conformal_gap_lab.tractor import TransportError, transport_matrix
 
 
+def metric_at(spec, point):
+    """The metric's values at the point, from a self-checked order-3 frame."""
+    fr = curvature.check_conventions(CurvatureFrame(spec, point, 3))
+    return fr.values(fr.g)
+
+
 def pairing(u, v, g):
     """<u, v> in the tractor metric at a point where the metric is g."""
     return float(u @ tractor.tractor_metric_matrix(g) @ v)
@@ -139,7 +145,7 @@ def test_fubini_study_tractor_norm_is_minus_4():
     spec = builtin_metric("fubini_study")
     pt = sample_points(spec, 1, seed=4)[0]
     I = einstein_tractor(spec, expr.ONE, pt)
-    g = curvature.curvature_pack(spec, pt).g
+    g = metric_at(spec, pt)
     assert pairing(I, I, g) == pytest.approx(-4.0, abs=1e-8)
 
 
@@ -171,7 +177,7 @@ def test_tractor_metric_compatibility():
     fr = CurvatureFrame(spec, pt, 3)
     du = tractor_derivative(fr, u_fields, direction)
     dv = tractor_derivative(fr, v_fields, direction)
-    g = curvature.curvature_pack(spec, tuple(pt)).g
+    g = metric_at(spec, tuple(pt))
     leibniz = pairing(du, vec_at(v_fields, pt), g) + pairing(vec_at(u_fields, pt), dv, g)
     assert numeric == pytest.approx(leibniz, abs=1e-8 * max(1.0, abs(leibniz)))
 
@@ -187,9 +193,9 @@ def test_tractor_curvature_middle_block_matches_weyl():
     spec = builtin_metric("taub_nut")
     pt = sample_points(spec, 1, seed=6)[0]
     omegas = tractor_curvature(spec, pt)  # block validation runs inside
-    pack = curvature.CurvaturePack(CurvatureFrame(spec, pt, 4))
-    W = pack.weyl
-    ginv = pack.ginv
+    fr = curvature.check_conventions(CurvatureFrame(spec, pt, 4))
+    W = fr.values(fr.weyl)
+    ginv = fr.values(fr.ginv)
     Wmix = np.einsum("ce,abed->abcd", ginv, W)
     for (a, b), endo in omegas.items():
         assert np.allclose(endo[1:-1, 1:-1], Wmix[a, b], atol=1e-8)
@@ -258,8 +264,8 @@ def test_transport_preserves_tractor_pairing():
     a = np.array(sample_points(spec, 1, seed=10)[0])
     b = np.array(sample_points(spec, 1, seed=11)[0])
     M = transport_matrix(spec, [a, b])
-    ga = curvature.curvature_pack(spec, tuple(a)).g
-    gb = curvature.curvature_pack(spec, tuple(b)).g
+    ga = metric_at(spec, tuple(a))
+    gb = metric_at(spec, tuple(b))
     Ba = tractor.tractor_metric_matrix(ga)
     Bb = tractor.tractor_metric_matrix(gb)
     # <MV, MW>_b = <V, W>_a for all V, W
@@ -308,7 +314,7 @@ def test_scale_equivariance_of_scale_tractor():
     hat_sigma = expr.mul(omega, sigma)
     I_hat = einstein_tractor(hat_spec, hat_sigma, pt)
     w, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=1)
-    g = curvature.curvature_pack(spec, pt).g
+    g = metric_at(spec, pt)
     expected = tractor.transform_tractor(I, w[0], ups, g)
     assert np.allclose(I_hat, expected, atol=1e-8)
 
