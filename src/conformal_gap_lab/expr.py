@@ -11,11 +11,11 @@ Functions: sin cos tan sinh cosh exp sqrt.  Identifiers resolve to the
 declared coordinate names (x1..xn by default) or to declared parameters, which
 read as their values: a parameter is a constant from the moment it is parsed.
 Anything else is rejected with the offset of the offending token.  Exponents
-are integer literals, optionally signed.  The parser recurses, so a formula
-nests at most ``MAX_DEPTH`` atoms inside one another (each parenthesis, call
-or unary minus wraps one), or is refused.  Nothing else does: every walk over
-a tree is one iterative bottom-up pass (``_walk``), and node equality and
-hashing do not recurse, so sums and products of any length are accepted.
+are integer literals, optionally signed.  Nothing recurses: the parser is one
+loop over the tokens with an explicit stack, every walk over a tree is one
+iterative bottom-up pass (``_walk``), a node's hash is formed from those its
+children hold and equality compares pair by pair, so formulas of any length
+and nesting are accepted.
 
 ASTs are immutable; evaluation maps an AST onto coordinate jets (coefficient
 arrays), so every partial derivative of a parsed formula is available through
@@ -39,7 +39,6 @@ import numpy as np
 from . import jets
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "exp", "sqrt")
-MAX_DEPTH = 200     # a level takes up to four Python frames, of the 1000 allowed
 
 
 class ParseError(ValueError):
@@ -154,127 +153,102 @@ def _tokenize(source: str):
     pos = 0
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             stripped = source[pos:].lstrip()
             if not stripped:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+            raise ParseError(f"unexpected character {stripped[0]!r}", len(source) - len(stripped))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, source_len: int, var_index: dict, params: dict):
-        self.tokens = tokens
-        self.source_len = source_len
-        self.var_index = var_index
-        self.params = params
-        self.k = 0
-        self.level = 0
-
-    def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.source_len)
-        self.k += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            pos = tok[2] if tok else self.source_len
-            raise ParseError(f"expected {op!r}", pos)
-        self.k += 1
-
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
-            self.k += 1
-            rhs = self.parse_term()
-            node = Bin(tok[1], node, rhs)
-        return node
-
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while (tok := self.peek()) and tok[0] == "op" and tok[1] in "*/":
-            self.k += 1
-            rhs = self.parse_factor()
-            node = Bin(tok[1], node, rhs)
-        return node
-
-    def parse_factor(self) -> Node:
-        node = self.parse_atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.k += 1
-            node = Pow(node, self.parse_int_exponent())
-        return node
-
-    def parse_int_exponent(self) -> int:
-        tok = self.next()
-        sign = 1
-        if tok[0] == "op" and tok[1] == "-":
-            sign = -1
-            tok = self.next()
-        if tok[0] != "num" or not tok[1].isdigit():
-            raise ParseError("exponent must be an integer literal", tok[2])
-        return sign * int(tok[1])
-
-    def parse_atom(self) -> Node:
-        kind, text, pos = self.next()
-        if self.level == MAX_DEPTH:     # the atoms inside one another
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
-        self.level += 1
-        try:
-            if kind == "num":
-                return Const(float(text))
-            if kind == "ident":
-                if text in FUNCTIONS:
-                    self.expect_op("(")
-                    inner = self.parse_expr()
-                    self.expect_op(")")
-                    return Call(text, inner)
-                if text in self.var_index:
-                    return Var(self.var_index[text])
-                if text in self.params:
-                    return Const(float(self.params[text]))
-                raise ParseError(f"unknown identifier {text!r}", pos)
-            if text == "(":
-                inner = self.parse_expr()
-                self.expect_op(")")
-                return inner
-            if text == "-":
-                return Neg(self.parse_atom())
-            raise ParseError(f"unexpected token {text!r}", pos)
-        finally:
-            self.level -= 1
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def parse(source: str, n: int, params=None, var_names=None) -> Node:
     """Parse a formula over n coordinates (named x1..xn unless overridden);
-    ``params`` maps parameter names to the values they read as."""
+    ``params`` maps parameter names to the values they read as.
+
+    One loop over the tokens.  ``stack`` holds what is still open: unary
+    minus signs (``"-"``), groups (``"("``) and calls (the function's name)
+    waiting for ``")"``, and ``(op, left)`` operands waiting for their right
+    operand.  A whole atom closes under the minus signs before it and then
+    takes its exponent; an operator, ``")"`` or the end first folds the
+    operands waiting for it that bind at least as tightly (left association).
+    """
     if not source or not source.strip():
         raise ParseError("empty input", 0)
     if var_names is None:
         var_names = [f"x{i + 1}" for i in range(n)]
     if len(var_names) != n:
         raise ValueError(f"expected {n} variable names, got {len(var_names)}")
-    tokens = _tokenize(source)
-    parser = _Parser(tokens, len(source), {v: i for i, v in enumerate(var_names)},
-                     params or {})
-    node = parser.parse_expr()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input {parser.peek()[1]!r}", parser.peek()[2])
-    return node
+    var_index = {v: i for i, v in enumerate(var_names)}
+    params = params or {}
+    take = iter(_tokenize(source) + [("end", "", len(source))]).__next__
+    stack = []
+
+    def needed():
+        kind, text, pos = take()
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        return kind, text, pos
+
+    def fold(node: Node, binding: int) -> Node:
+        while stack and type(stack[-1]) is tuple and _BINDING[stack[-1][0]] >= binding:
+            op, left = stack.pop()
+            node = Bin(op, left, node)
+        return node
+
+    while True:
+        kind, text, pos = needed()
+        if text in ("-", "("):
+            stack.append(text)
+            continue
+        if text in FUNCTIONS:
+            _, after, at = take()
+            if after != "(":
+                raise ParseError("expected '('", at)
+            stack.append(text)
+            continue
+        if kind == "num":
+            node = Const(float(text))
+        elif kind == "op":
+            raise ParseError(f"unexpected token {text!r}", pos)
+        elif text in var_index:
+            node = Var(var_index[text])
+        elif text in params:
+            node = Const(float(params[text]))
+        else:
+            raise ParseError(f"unknown identifier {text!r}", pos)
+        while True:                 # the atom is whole
+            while stack and stack[-1] == "-":
+                stack.pop()
+                node = Neg(node)
+            kind, text, pos = take()
+            if text == "^":
+                kind, text, pos = needed()
+                sign = -1 if text == "-" else 1
+                if sign < 0:
+                    kind, text, pos = needed()
+                if kind != "num" or not text.isdigit():
+                    raise ParseError("exponent must be an integer literal", pos)
+                node = Pow(node, sign * int(text))
+                kind, text, pos = take()
+            if text in _BINDING:
+                stack.append((text, fold(node, _BINDING[text])))
+                break
+            node = fold(node, 0)
+            if text == ")" and stack:
+                opener = stack.pop()
+                node = node if opener == "(" else Call(opener, node)
+            elif stack:
+                raise ParseError("expected ')'", pos)
+            elif kind == "end":
+                return node
+            else:
+                raise ParseError(f"trailing input {text!r}", pos)
 
 
 def _walk(node: Node, leave, known=None):

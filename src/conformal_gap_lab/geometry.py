@@ -92,23 +92,20 @@ class WarpedSpec:
         return tuple(-1.0 if i < p else 1.0 for i in range(self.base.n))
 
 
-def _sym(matrix: list[list[Node]]) -> tuple[tuple[Node, ...], ...]:
-    return tuple(tuple(expr.simplify(e) for e in row) for row in matrix)
-
-
-def _zeros(n: int) -> list[list[Node]]:
+def _symmetric(n: int, entries: dict) -> tuple[tuple[Node, ...], ...]:
+    """The simplified n x n components: ``entries`` {(i, j): node} at (i, j)
+    and (j, i), 0 elsewhere."""
     _check_dimension(n)
-    return [[expr.ZERO for _ in range(n)] for _ in range(n)]
+    m = [[expr.ZERO] * n for _ in range(n)]
+    for (i, j), node in entries.items():
+        m[i][j] = m[j][i] = node
+    return tuple(tuple(expr.simplify(e) for e in row) for row in m)
 
 
 def _parse_components(n, entries, var_names=None, params=None):
     """entries: {(i, j): source}; symmetric closure, unlisted components 0."""
-    m = _zeros(n)
-    for (i, j), src in entries.items():
-        node = expr.parse(src, n, params=params, var_names=var_names)
-        m[i][j] = node
-        m[j][i] = node
-    return _sym(m)
+    return _symmetric(n, {ij: expr.parse(src, n, params=params, var_names=var_names)
+                          for ij, src in entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +116,7 @@ def pseudo_euclidean(p: int, q: int) -> MetricSpec:
     if p < 0 or q < 0 or p + q < 1:
         raise CatalogueError(f"invalid signature ({p}, {q})")
     n = p + q
-    m = _zeros(n)
-    for i in range(n):
-        m[i][i] = expr.const(-1.0 if i < p else 1.0)
+    components = _symmetric(n, {(i, i): expr.const(-1.0 if i < p else 1.0) for i in range(n)})
     scales: list[tuple[str, Node]] = [("const", expr.ONE)]
     scales += [(f"x{i + 1}", expr.var(i)) for i in range(n)]
     norm2 = signed_norm_sq(n, [-1.0 if i < p else 1.0 for i in range(n)])
@@ -129,7 +124,7 @@ def pseudo_euclidean(p: int, q: int) -> MetricSpec:
     return MetricSpec(
         n=n,
         signature=(p, q),
-        components=_sym(m),
+        components=components,
         label=f"flat_{p}_{q}",
         sample_box=tuple((-1.0, 1.0) for _ in range(n)),
         known_scales=tuple(scales),
@@ -253,12 +248,10 @@ def _lorentz3d(h) -> MetricSpec:
     bad = expr.used_vars(h_ast) - {1}
     if bad:
         raise CatalogueError("lorentz3d takes h as a function of y only")
-    m = _zeros(3)
-    m[0][0] = expr.ONE
-    m[1][1] = expr.add(expr.Pow(expr.var(0), 3), expr.mul(h_ast, expr.var(0)))
-    m[1][2] = m[2][1] = expr.const(0.5)
+    m11 = expr.add(expr.Pow(expr.var(0), 3), expr.mul(h_ast, expr.var(0)))
     return MetricSpec(
-        n=3, signature=(1, 2), components=_sym(m),
+        n=3, signature=(1, 2),
+        components=_symmetric(3, {(0, 0): expr.ONE, (1, 1): m11, (1, 2): expr.const(0.5)}),
         label="lorentz3d", coord_names=names,
         sample_box=tuple((-1.0, 1.0) for _ in range(3)),
     )
@@ -316,14 +309,9 @@ def warped_product(ws: WarpedSpec, label: str | None = None,
     f = warp_function(ws)
     f2 = expr.Pow(f, 2) if not expr.is_one(f) else expr.ONE
 
-    m = _zeros(n)
-    for i in range(nb):
-        for j in range(nb):
-            m[i][j] = ws.base.components[i][j]
-    for i in range(nf):
-        for j in range(nf):
-            comp = expr.shift_vars(ws.fiber.components[i][j], nb)
-            m[nb + i][nb + j] = expr.mul(f2, comp)
+    blocks = {(i, j): ws.base.components[i][j] for i in range(nb) for j in range(i, nb)}
+    blocks |= {(nb + i, nb + j): expr.mul(f2, expr.shift_vars(ws.fiber.components[i][j], nb))
+               for i in range(nf) for j in range(i, nf)}
 
     domain = [expr.shift_vars(d, nb) for d in ws.fiber.domain]
     if not isinstance(f, expr.Const):
@@ -346,7 +334,7 @@ def warped_product(ws: WarpedSpec, label: str | None = None,
     return MetricSpec(
         n=n,
         signature=signature,
-        components=_sym(m),
+        components=_symmetric(n, blocks),
         domain=tuple(domain),
         label=label or f"warped[{ws.base.label}x{ws.fiber.label};a={ws.a},b={ws.b}]",
         sample_box=base_box + fiber_box,
@@ -461,14 +449,10 @@ def load_metric(text: str, label: str = "file") -> MetricSpec:
     """Build a MetricSpec from conformal-metric v1 text."""
     data = expr.parse_metric_source(text)
     n = data["dim"]
-    m = _zeros(n)
-    for (i, j), node in data["components"].items():
-        m[i][j] = node
-        m[j][i] = node
     return MetricSpec(
         n=n,
         signature=data["signature"],
-        components=_sym(m),
+        components=_symmetric(n, data["components"]),
         params=tuple(sorted(data["params"].items())),
         domain=tuple(data["domain"]),
         label=label,

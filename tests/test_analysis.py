@@ -1,5 +1,6 @@
 """Residual checks, Weyl kernels, wedge fields, dimension machinery."""
 
+import functools
 import itertools
 import math
 
@@ -748,3 +749,59 @@ def test_family_verifier_builds_one_order_2_batch_per_point_set(monkeypatch):
     orders = _count_frame_builds(monkeypatch)
     assert verify_theorem("t_gen", n=6)["passed"]
     assert orders.count(2) <= 2
+
+
+def pulled_back(spec, A, x0, flip=False, c=1.7):
+    """``spec`` in the chart x = A y + x0, scaled by c² and, with ``flip``,
+    negated with its signature swapped; the domain and the known scales are
+    carried over, and y samples a ±0.15 box around 0 (the point x0)."""
+    n = spec.n
+
+    def total(terms):
+        return expr.simplify(functools.reduce(lambda a, b: expr.Bin("+", a, b), terms, expr.ZERO))
+
+    x = [total([*(expr.Bin("*", expr.const(A[i, k]), expr.var(k)) for k in range(n)),
+                expr.const(x0[i])]) for i in range(n)]
+
+    def pull(node):
+        return expr._rewrite(node, lambda nd: x[nd.index] if isinstance(nd, expr.Var) else nd)
+
+    g = {(i, j): pull(gij) for i, row in enumerate(spec.components)
+         for j, gij in enumerate(row) if not expr.is_zero(gij)}
+    factor = -c ** 2 if flip else c ** 2
+    components = tuple(tuple(
+        total(expr.Bin("*", expr.const(factor * A[i, k] * A[j, l]), gij) for (i, j), gij in g.items())
+        for l in range(n)) for k in range(n))
+    return geometry.MetricSpec(
+        n=n, signature=spec.signature[::-1] if flip else spec.signature,
+        components=components, params=spec.params,
+        domain=tuple(pull(d) for d in spec.domain), label=spec.label,
+        sample_box=((-0.15, 0.15),) * n,
+        known_scales=tuple((name, pull(sigma)) for name, sigma in spec.known_scales),
+        notes=spec.notes)
+
+
+def _transform(index, n):
+    """A = I + 0.2 R, the same with its columns permuted, or the same with the
+    sign flip, by index mod 3."""
+    rng = np.random.default_rng(index)
+    A = np.eye(n) + 0.2 * rng.uniform(-1.0, 1.0, (n, n))
+    kind = ("generic", "permuted", "flip")[index % 3]
+    return kind, A[:, rng.permutation(n)] if kind == "permuted" else A
+
+
+# every entry but two, whose reports are not exact
+EXACT_ENTRIES = [name for name in geometry.catalogue_names(examples=True)
+                 + geometry.family_names(7) + geometry.family_names(8)
+                 if name not in ("lorentz3d", "bad_einstein_claim")]
+
+
+@pytest.mark.parametrize("index, name", enumerate(EXACT_ENTRIES))
+def test_bounds_are_invariant_under_charts_constant_scales_and_sign(index, name):
+    spec = geometry.catalogue_metric(name)
+    report = estimate_parallel_dims(spec).as_dict()
+    kind, A = _transform(index, spec.n)
+    pulled = pulled_back(spec, A, report["basepoint"], flip=kind == "flip")
+    again = estimate_parallel_dims(pulled).as_dict()
+    assert report["d_ae"]["exact"] and report["d_nck"]["exact"]
+    assert (again["d_ae"], again["d_nck"]) == (report["d_ae"], report["d_nck"]), kind

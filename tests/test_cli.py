@@ -1,18 +1,22 @@
 """CLI surface: subcommands, exit codes, JSON determinism, file input."""
 
+import contextlib
 import inspect
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import conformal_gap_lab
-from conformal_gap_lab import analysis, curvature, expr, geometry, jets
+from conformal_gap_lab import JSON_SCHEMA, analysis, curvature, geometry, jets
 from conformal_gap_lab.cli import main
 
 
@@ -162,23 +166,27 @@ def test_metric_file_input(tmp_path, capsys):
 
 
 def _nested(shape, levels):
-    """A formula near 1 that nests ``levels`` parentheses, or sums ``levels``
-    terms or multiplies ``levels`` factors, folded left."""
+    """A positive formula that nests ``levels`` parentheses, ``cos`` calls or
+    unary minus signs, or sums ``levels`` terms or multiplies ``levels``
+    factors, folded left."""
     if shape == "sum":
         return "1" + f" + {0.2 / levels!r}*x1" * (levels - 1)
     if shape == "product":
         return "*".join([f"(1 + {0.2 / levels!r}*x1)"] * levels)
+    if shape == "call":
+        return "cos(" * levels + "0.001*x1" + ")" * levels
+    if shape == "neg":
+        return "1 + " + "-" * levels + "0.001*x1"
     return "(" * (levels - 1) + "1 + 0.001*x1" + ")" * (levels - 1)
 
 
-@pytest.mark.parametrize("shape", ["sum", "product", "parens"])
-def test_nesting_past_the_limit_is_a_usage_error(tmp_path, capsys, shape):
-    # a RecursionError once ended these commands past about 480 terms or 240
-    # parentheses; the parser's limit leaves every command room below it, and
-    # a sum or product of any length is no deeper for the parser than one term
+@pytest.mark.parametrize("shape", ["sum", "product", "parens", "call", "neg"])
+def test_nesting_of_any_depth_runs(tmp_path, capsys, shape):
+    # neither the parser nor any walk over a tree recurses, so no length or
+    # nesting is refused or ends in a RecursionError
     path = tmp_path / "nested.metric"
-    for levels in (expr.MAX_DEPTH, expr.MAX_DEPTH + 1, 500, 5000):
-        if shape != "sum" and levels == 5000:
+    for levels in (2000,) if shape in ("call", "neg") else (200, 201, 500, 5000):
+        if shape == "product" and levels == 5000:
             continue
         formula = _nested(shape, levels)
         path.write_text(f"dim = 4\nsignature = 0,4\ng 1 1 : {formula}\n"
@@ -186,13 +194,8 @@ def test_nesting_past_the_limit_is_a_usage_error(tmp_path, capsys, shape):
         runs = [(cmd, str(path)) for cmd in ("dims", "analyze", "kerw")]
         runs.append(("rescale", "flat_r4", "--omega", formula))
         for argv in runs:
-            if shape != "parens" or levels == expr.MAX_DEPTH:
-                code, _, err = run(capsys, *argv)
-                assert code == 0 and not err, (argv[0], levels, err)
-                continue
-            err = usage_error(capsys, *argv)
-            where = "" if argv[0] == "rescale" else "line 3: "
-            assert err.startswith(f"error: {where}nesting deeper than {expr.MAX_DEPTH} levels")
+            code, _, err = run(capsys, *argv)
+            assert code == 0 and not err, (argv[0], levels, err)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -580,3 +583,85 @@ def test_verifiers_share_each_option_default(capsys):
     code, out, _ = run(capsys, "verify", "--help")
     assert code == 0
     assert "--metric METRIC default pp_wave; taken by rflat, bounds" in " ".join(out.split())
+
+
+@st.composite
+def _term(draw, n, coefficients):
+    """A small term: a polynomial, exp, trig or sqrt factor of random size,
+    nested in up to 2,000 parentheses or pairs of minus signs, or in a few
+    ``cos`` calls."""
+    def x():
+        return f"x{draw(st.integers(1, n))}"
+    kind = draw(st.sampled_from(["poly", "exp", "trig", "sqrt"]))
+    if kind == "poly":
+        body = "*".join(f"{x()}^{draw(st.integers(1, 3))}"
+                        for _ in range(draw(st.integers(1, 4))))
+    elif kind == "exp":
+        body = f"exp({draw(st.sampled_from(['-1', '0.5', '2']))}*{x()})"
+    elif kind == "trig":
+        body = f"{draw(st.sampled_from(['sin', 'cos', 'tan', 'sinh', 'cosh']))}({x()})"
+    else:
+        body = f"sqrt(1 + {x()}^2)"
+    opener, closer = draw(st.sampled_from([("(", ")"), ("--", ""), ("cos(", ")")]))
+    levels = draw(st.sampled_from([0] * 6 + [1, 7] + [2000] * (opener != "cos(")))
+    return f"{draw(st.sampled_from(coefficients))}*{opener * levels}{body}{closer * levels}"
+
+
+_BAD_HEADERS = {
+    "repeated dim": lambda lines: lines[:1] + lines,
+    "repeated signature": lambda lines: lines[:2] + lines[1:],
+    "last line first": lambda lines: lines[-1:] + lines[:-1],
+    "word for dim": lambda lines: ["dim = three"] + lines[1:],
+    "signature of another sum": lambda lines: [lines[0], lines[1] + "1"] + lines[2:],
+    "no signature": lambda lines: lines[:1] + lines[2:],
+    "unknown line": lambda lines: lines + ["metric = g"],
+}
+
+
+@st.composite
+def _metric_files(draw):
+    """A conformal-metric v1 file: a diagonal of signs (the signature's, in any
+    order) plus small terms, some off-diagonal terms, and optional param and
+    domain lines; some files get a malformed, repeated or misplaced header."""
+    n = draw(st.sampled_from([*range(1, 11), *range(3, 8)]))     # mostly curved dims
+    p = draw(st.integers(0, n))
+    signs = draw(st.permutations(["-1"] * p + ["1"] * (n - p)))
+    coefficients = ["0.01", "0.05", "0.2"]
+    lines = [f"dim = {n}", f"signature = {p},{n - p}"]
+    if draw(st.booleans()):
+        lines.append("param a = 0.03")
+        coefficients.append("a")
+    terms = st.lists(_term(n, coefficients), max_size=draw(st.sampled_from([2] * 5 + [12])))
+    for i, sign in enumerate(signs, 1):
+        lines.append(f"g {i} {i} : " + " + ".join([sign] + draw(terms)))
+    for i, j in sorted(draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2))):
+        if i < j:
+            lines.append(f"g {i} {j} : " + " + ".join(["0"] + draw(terms)))
+    if draw(st.booleans()):
+        lines.append(f"domain : 2 + {draw(_term(n, coefficients))}")
+    bad = draw(st.sampled_from([None] * 14 + sorted(_BAD_HEADERS)))
+    return "\n".join(_BAD_HEADERS[bad](lines) if bad else lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(text=_metric_files())
+@example(text="dim = 8\nsignature = 1,7\n" + "".join(      # the largest dimension supported
+    f"g {i} {i} : {-1 if i == 1 else 1} + 0.05*x{i}^2*sin(x{9 - i})\n" for i in range(1, 9)))
+def test_fuzzed_metric_files_keep_the_exit_contract(tmp_path_factory, text):
+    # every run ends within 5 s with exit 0, 1 or 2: a report with a schema
+    # (or, on exit 1, one `check failed:` line), or one `error:` line
+    path = tmp_path_factory.mktemp("fuzzed") / "fuzzed.metric"
+    path.write_text(text)
+    for argv in (["dims"], ["analyze", "--samples", "3"], ["kerw"]):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:], "--json"])
+        assert time.perf_counter() - start < 5.0, argv
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        if code == 2 or not out:
+            assert out == "" and err.count("\n") == 1, (argv, err)
+            assert err.startswith("error: " if code == 2 else "check failed: "), (argv, err)
+        else:
+            assert json.loads(out)["schema"] == JSON_SCHEMA and err == "", (argv, err)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conformal_gap_lab import expr, geometry, jets
 from conformal_gap_lab.expr import (
-    Bin, Call, Const, EvalError, ParseError, Pow, Var,
+    Bin, Call, Const, EvalError, Neg, ParseError, Pow, Var,
     evaluate, parse, to_source,
 )
 
@@ -51,6 +52,90 @@ def test_empty_input_rejected():
 def test_unbalanced_parenthesis():
     with pytest.raises(ParseError):
         parse("(x1 + 2", n=2)
+
+
+@pytest.mark.parametrize("source, message, offset", [
+    ("", "empty input", 0),
+    ("   ", "empty input", 0),
+    ("x1$", "unexpected character '$'", 2),
+    # the offset of the character itself, not of the whitespace before it
+    ("x1 $", "unexpected character '$'", 3),
+    ("x1+   @", "unexpected character '@'", 6),
+    ("   #x1", "unexpected character '#'", 3),
+    ("x1 +", "unexpected end of input", 4),
+    ("(x1 + ", "unexpected end of input", 6),
+    ("x1^", "unexpected end of input", 3),
+    ("x1^-", "unexpected end of input", 4),
+    ("sin x1", "expected '('", 4),
+    ("sin", "expected '('", 3),
+    ("(x1 x2", "expected ')'", 4),
+    ("((x1)^2^3)", "expected ')'", 7),
+    ("sin(x1", "expected ')'", 6),
+    ("(x1 + 2", "expected ')'", 7),
+    ("x9 + 1", "unknown identifier 'x9'", 0),
+    ("foo(x1)", "unknown identifier 'foo'", 0),
+    ("x1 + *2", "unexpected token '*'", 5),
+    (")", "unexpected token ')'", 0),
+    ("x1^2.0", "exponent must be an integer literal", 3),
+    ("x1^x2", "exponent must be an integer literal", 3),
+    ("x1^-x2", "exponent must be an integer literal", 4),
+    ("x1^--2", "exponent must be an integer literal", 4),
+    ("x1 x2", "trailing input 'x2'", 3),
+    ("x1^2^3", "trailing input '^'", 4),
+    ("x1)", "trailing input ')'", 2),
+])
+def test_parse_errors_name_the_token_and_its_offset(source, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(source, n=2)
+    assert (err.value.message, err.value.position) == (message, offset)
+
+
+def test_parse_binds_as_the_grammar_says():
+    x1, x2, x3 = Var(0), Var(1), Var(2)
+    assert parse("-x1^2", 3) == Pow(Neg(x1), 2)
+    assert parse("--x1^-2", 3) == Pow(Neg(Neg(x1)), -2)
+    assert parse("x1 - x2 - x3", 3) == Bin("-", Bin("-", x1, x2), x3)
+    assert parse("x1 / x2 * x3", 3) == Bin("*", Bin("/", x1, x2), x3)
+    assert parse("x1 + x2 * -x3", 3) == Bin("+", x1, Bin("*", x2, Neg(x3)))
+    assert parse("x1 * x2 + x3 / x1 - x2", 3) == Bin(
+        "-", Bin("+", Bin("*", x1, x2), Bin("/", x3, x1)), x2)
+    assert parse("-(x1 + x2)^3 * sin(-x3)", 3) == Bin(
+        "*", Pow(Neg(Bin("+", x1, x2)), 3), Call("sin", Neg(x3)))
+
+
+_ATOMS = st.one_of(
+    st.sampled_from(["x1", "x2", "x3", "a", "0.5", ".25", "2.", "1e-3", "3E+2"]),
+    st.integers(0, 99).map(str),
+    st.tuples(st.sampled_from(["x1", "a", "7"]), st.integers(-3, 3)).map("{0[0]}^{0[1]}".format),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " + ", " *  "]), inner).map("".join),
+        inner.map("-{}".format),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(expr.FUNCTIONS), inner).map("{0[0]}({0[1]})".format),
+        st.tuples(inner, st.integers(-3, 3)).map("( {0[0]} )^{0[1]}".format),
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.recursive(_ATOMS, _compound, max_leaves=40))
+def test_parse_of_the_printout_is_the_tree(source):
+    tree = parse(source, 3, params={"a": 2.5})
+    assert parse(to_source(tree), 3) == tree
+
+
+def test_parse_nests_without_limit():
+    depth = 100_000
+    assert parse("(" * depth + "x1" + ")" * depth, 1) == Var(0)
+    for source, kind in (("sin(" * depth + "x1" + ")" * depth, Call), ("-" * depth + "x1", Neg)):
+        tree = parse(source, 1)
+        for _ in range(depth):
+            assert type(tree) is kind
+            tree = tree.arg
+        assert tree == Var(0)
 
 
 def test_evaluate_gradient():
