@@ -287,18 +287,26 @@ class CurvatureFrame:
 
 
 @lru_cache(maxsize=None)
-def _permutation_symbol(n: int) -> np.ndarray:
-    """Levi-Civita sign table: eps[perm] = sign(perm), 0 on repeated indices."""
-    perms = np.array(list(itertools.permutations(range(n))))
-    eps = np.zeros((n,) * n)
-    eps[tuple(perms.T)] = np.rint(np.linalg.det(np.eye(n)[perms]))
-    eps.flags.writeable = False
-    return eps
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n! permutations of range(n) as rows, identity first, and their signs."""
+    perms = np.array(list(itertools.permutations(range(n)))).reshape(-1, n)
+    a, b = np.triu_indices(n, 1)
+    signs = 1.0 - 2.0 * ((perms[:, a] > perms[:, b]).sum(axis=1) % 2)
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
+
+
+def _volume_entries(fr: CurvatureFrame) -> np.ndarray:
+    """``eps`` at a frame of one point, at the rows of ``_permutations(n)``."""
+    return math.sqrt(abs(np.linalg.det(fr.values(fr.g)))) * _permutations(fr.n)[1]
 
 
 def volume_form(fr: CurvatureFrame) -> np.ndarray:
-    """``eps = sqrt(|det g|) * permutation symbol`` at a frame of one point."""
-    return math.sqrt(abs(np.linalg.det(fr.values(fr.g)))) * _permutation_symbol(fr.n)
+    """``eps = sqrt(|det g|) * permutation symbol`` at a frame of one point,
+    as the dense n^n array."""
+    eps = np.zeros((fr.n,) * fr.n)
+    eps[tuple(_permutations(fr.n)[0].T)] = _volume_entries(fr)
+    return eps
 
 
 def check_conventions(fr: CurvatureFrame) -> CurvatureFrame:
@@ -351,12 +359,11 @@ def _convention_problems(fr: CurvatureFrame) -> list[str]:
     if n == 3 and wnorm > 1e-9 * rnorm:
         problems.append("Weyl tensor nonzero in dimension 3")
 
-    # raising the last index repeatedly leaves the index order intact
-    # (tensordot prepends the fresh index each time)
-    eps = eps_up = volume_form(fr)
-    for _ in range(n):
-        eps_up = np.tensordot(ginv, eps_up, axes=([1], [n - 1]))
-    total = float(np.tensordot(eps_up, eps, axes=n))
+    # eps^I eps_I over the n! tuples I where eps is nonzero is n! eps^{0..n-1}
+    # eps_{0..n-1} by antisymmetry, with eps^{0..n-1} = sum_J g^{0 J_0}...g^{n-1 J_{n-1}} eps_J
+    eps = _volume_entries(fr)
+    eps_up = np.prod(ginv[np.arange(n), _permutations(n)[0]], axis=1) @ eps
+    total = float(math.factorial(n) * eps_up * eps[0])
     det_sign = 1.0 if np.linalg.det(g) > 0 else -1.0
     if abs(abs(total) - math.factorial(n)) > 1e-9 * math.factorial(n):
         problems.append(f"eps normalization off: eps.eps = {total}")
@@ -373,7 +380,8 @@ def rescale_metric(spec: MetricSpec, omega: expr.Node) -> MetricSpec:
     evaluated once at all check points, and omega^2 simplified once: the
     components are simplified already, so each product needs one fold."""
     pts = geometry.sample_points(spec, 12, seed=20)
-    values = expr.evaluate(omega, jets.seed_jets(pts, 1))[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = expr.evaluate(omega, jets.seed_jets(pts, 1))[..., 0]
     for pt, value in zip(pts, values):
         if value <= 0.0:
             raise ValueError(f"rescale factor is not positive at {geometry.format_point(pt)}")

@@ -58,7 +58,7 @@ class _Tree:
     """Equality, hash and ``repr`` of the node classes, none of which recurses:
     a node's hash is formed when it is built, from the hashes its children
     already hold, two trees are compared pair by pair, and the ``repr`` (the
-    dataclass text) is one ``_walk``."""
+    dataclass text) is written in one pass over the tree and joined once."""
 
     def __post_init__(self):
         own = self.__dict__
@@ -82,11 +82,20 @@ class _Tree:
         return True
 
     def __repr__(self) -> str:
-        def leave(nd: Node, *kids: str) -> str:
-            text = dict(zip(nd._kid_fields, kids), **{f: repr(getattr(nd, f)) for f in nd._data})
-            fields = ", ".join(f"{f}={text[f]}" for f in nd.__match_args__)
-            return f"{type(nd).__qualname__}({fields})"
-        return _walk(self, leave)
+        # the text written so far, and the text and nodes still to write, last first
+        parts, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            else:
+                pieces = [f"{type(item).__qualname__}("]
+                for k, f in enumerate(item.__match_args__):
+                    value = getattr(item, f)
+                    pieces += [", " * (k > 0) + f"{f}=",
+                               value if f in item._kid_fields else repr(value)]
+                todo += reversed(pieces + [")"])
+        return "".join(parts)
 
 
 def _node(*kids: str):

@@ -13,7 +13,9 @@ coordinate order.
 Operations take the jet shape ``(num_vars, order)`` explicitly and reject
 operands whose coefficient axis has the wrong length.  :func:`conv` is the
 product and :func:`contract` the product summed over one index; both scatter
-through one tail.  :func:`partials` gives all first partials in one gather.
+through one tail, over product pairs ordered by the degree they land in, so
+each lower order's tables are prefix views of the highest order's.
+:func:`partials` gives all first partials in one gather.
 Sums, differences and scalar multiples are plain numpy arithmetic.
 Primitives: :func:`reciprocal`, integer :func:`power`, ``sin cos tan sinh cosh
 exp sqrt``.  Division and ``sqrt`` refuse expansion points whose value is
@@ -45,29 +47,23 @@ class JetError(ValueError):
     """Unsupported jet combination or singular expansion point."""
 
 
-def _multi_indices(num_vars: int, order: int) -> np.ndarray:
-    """All exponent vectors with |alpha| <= order as rows, graded-lexicographic
-    (by degree, then as ``combinations_with_replacement`` lists the variables
-    of each monomial)."""
-    # monomials as sorted variable tuples of length order, padded with the
-    # extra symbol num_vars; within a degree these come in that order
-    picks = list(itertools.combinations_with_replacement(range(num_vars + 1), order))
-    picks = np.array(picks, dtype=np.intp).reshape(len(picks), order)
-    E = (picks[:, :, None] == np.arange(num_vars)).sum(axis=1)
-    return E[np.argsort(E.sum(axis=1), kind="stable")]
-
-
 @dataclass(frozen=True)
 class JetTables:
-    """Precomputed index tables for one (num_vars, order) combination."""
+    """Precomputed index tables for one (num_vars, order) combination.
+
+    The product pairs come by the degree of their slot ``mul_k``, and in
+    row-major (i, j) order within a degree, so bincount and the dense scatter
+    sum each slot's pairs in row-major order.  Every array of a lower order
+    is a prefix of the one of a higher order, and the tables of every order
+    up to the highest built are views of its arrays."""
 
     num_vars: int
     order: int
     size: int
     sizes_by_order: tuple[int, ...]       # coefficient count at each truncation order
-    mul_i: np.ndarray
+    mul_i: np.ndarray                     # pair p multiplies slot mul_i[p] by slot mul_j[p]
     mul_j: np.ndarray
-    mul_k: np.ndarray
+    mul_k: np.ndarray                     # and lands in slot mul_k[p]
     scatter: np.ndarray | None            # (T, size) dense 0/1 matrix, or None
     diff_src: np.ndarray                  # [var, slot]: source slot in the parent jet
     diff_fac: np.ndarray                  # [var, slot]: multiplier (alpha_var + 1)
@@ -76,88 +72,74 @@ class JetTables:
     inverse_steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, slice], ...]
 
 
-# per number of variables, the tables of the highest order built so far;
-# tables of a lower order are cut from them
-_top_tables: dict[int, JetTables] = {}
+# the tables by (num_vars, order); building one order registers every lower one
+_tables: dict[tuple[int, int], JetTables] = {}
 
 
-@lru_cache(maxsize=None)
 def tables(num_vars: int, order: int) -> JetTables:
-    if not (1 <= num_vars <= MAX_VARS):
-        raise JetError(f"num_vars must be in 1..{MAX_VARS}, got {num_vars}")
-    if not (0 <= order <= MAX_ORDER):
-        raise JetError(f"order must be in 0..{MAX_ORDER}, got {order}")
-    top = _top_tables.get(num_vars)
-    if top is not None and top.order > order:
-        return _cut_tables(top, order)
-    _top_tables[num_vars] = t = _build_tables(num_vars, order)
-    return t
+    if (num_vars, order) not in _tables:
+        if not (1 <= num_vars <= MAX_VARS):
+            raise JetError(f"num_vars must be in 1..{MAX_VARS}, got {num_vars}")
+        if not (0 <= order <= MAX_ORDER):
+            raise JetError(f"order must be in 0..{MAX_ORDER}, got {order}")
+        _build_tables(num_vars, order)
+    return _tables[num_vars, order]
 
 
-def _with_scatter(**fields) -> JetTables:
-    """JetTables from its index arrays, with the dense scatter matrix where
-    the table is small enough (``_DENSE_TABLE_LIMIT``)."""
-    mul_k, size = fields["mul_k"], fields["size"]
-    scatter = None
-    if len(mul_k) * size <= _DENSE_TABLE_LIMIT:
-        scatter = np.zeros((len(mul_k), size))
-        scatter[np.arange(len(mul_k)), mul_k] = 1.0
-    return JetTables(scatter=scatter, **fields)
-
-
-def _build_tables(num_vars: int, order: int) -> JetTables:
-    E = _multi_indices(num_vars, order)
-    degrees = E.sum(axis=1)
-    sizes_by_order = tuple(int(np.sum(degrees <= m)) for m in range(order + 1))
-
-    # an exponent sum with total degree <= order has every entry <= order, so
-    # the mixed-radix key (base order + 1) of a multi-index locates it
+def _build_tables(num_vars: int, order: int) -> None:
+    """Register the tables of (num_vars, order) in ``_tables``, and those of
+    every lower order as prefix views of the same arrays."""
+    # slots: the monomials of each degree as sorted variable tuples, in the
+    # order combinations_with_replacement lists them.  An exponent sum of total
+    # degree <= order has every entry <= order, so the mixed-radix key (base
+    # order + 1) of a multi-index locates it
     radix = (order + 1) ** np.arange(num_vars - 1, -1, -1)
-    keys = E @ radix
+    keys = np.concatenate([
+        radix[np.array(monomials, dtype=np.intp).reshape(len(monomials), d)].sum(axis=1)
+        for d in range(order + 1)
+        for monomials in [list(itertools.combinations_with_replacement(range(num_vars), d))]])
+    E = keys[:, None] // radix % (order + 1)
+    degree = E.sum(axis=1)
+    sizes_by_order = tuple(np.searchsorted(degree, range(order + 1), side="right").tolist())
+    starts = (0,) + sizes_by_order                    # where each degree's slots begin
     by_key = np.argsort(keys)
 
     def locate(k):
         return by_key[np.searchsorted(keys, k, sorter=by_key)]
 
-    # pairs in row-major (i, j) order: the order in which bincount sums a slot
-    mul_i, mul_j = np.nonzero(degrees[:, None] + degrees[None, :] <= order)
+    # slot i pairs with the slots of degree <= order - deg i, a prefix; the
+    # row-major pairs, stably sorted by the degree they land in
+    reach = np.array(sizes_by_order)[order - degree]
+    mul_i = np.repeat(np.arange(len(keys)), reach)
+    mul_j = np.arange(len(mul_i)) - np.repeat(np.cumsum(reach) - reach, reach)
+    landing = degree[mul_i] + degree[mul_j]
+    by_degree = np.argsort(landing, kind="stable")
+    mul_i, mul_j = mul_i[by_degree], mul_j[by_degree]
     mul_k = locate(keys[mul_i] + keys[mul_j])
+    pairs_by_order = np.searchsorted(landing[by_degree], range(order + 1), side="right")
 
     # d/dx_v of the jet reads slot beta + e_v for every beta below the top degree
-    lower = E[: sizes_by_order[order - 1]] if order >= 1 else E[:0]
-    diff_src = locate(lower @ radix + radix[:, None])
-    diff_fac = lower.T + 1.0
+    diff_src = locate(keys[: starts[order]] + radix[:, None])
+    diff_fac = E[: starts[order]].T + 1.0
 
-    # sorted by target slot, the pairs of one degree are contiguous
-    keep = degrees[mul_i] >= 1
-    i, j, k = (m[keep][np.argsort(mul_k[keep], kind="stable")] for m in (mul_i, mul_j, mul_k))
-    runs = np.searchsorted(k, sizes_by_order)         # where each degree's pairs begin
-    inverse_steps = tuple(
-        (i[lo:hi], j[lo:hi], np.flatnonzero(np.diff(k[lo:hi], prepend=-1)), slice(a, b))
-        for lo, hi, a, b in zip(runs, runs[1:], sizes_by_order, sizes_by_order[1:]))
+    # the pairs with deg i >= 1 landing in degree d, sorted by slot
+    inverse_steps = []
+    for d in range(1, order + 1):
+        run = slice(pairs_by_order[d - 1], pairs_by_order[d])
+        i, j, k = (m[run][mul_i[run] >= 1] for m in (mul_i, mul_j, mul_k))
+        by_slot = np.argsort(k, kind="stable")
+        inverse_steps.append((i[by_slot], j[by_slot],
+                              np.flatnonzero(np.diff(k[by_slot], prepend=-1)),
+                              slice(starts[d], starts[d + 1])))
 
-    return _with_scatter(
-        num_vars=num_vars, order=order, size=len(E), sizes_by_order=sizes_by_order,
-        mul_i=mul_i, mul_j=mul_j, mul_k=mul_k, diff_src=diff_src, diff_fac=diff_fac,
-        inverse_steps=inverse_steps,
-    )
-
-
-def _cut_tables(top: JetTables, order: int) -> JetTables:
-    """The tables of a lower order, cut from higher-order ones: the graded
-    layout makes every slot array and the inverse steps a prefix, and the
-    product pairs are those of total degree <= order, in the same order."""
-    size = top.sizes_by_order[order]
-    degree = np.searchsorted(top.sizes_by_order, np.arange(top.size), side="right")
-    keep = degree[top.mul_i] + degree[top.mul_j] <= order
-    below = top.sizes_by_order[order - 1] if order >= 1 else 0
-    return _with_scatter(
-        num_vars=top.num_vars, order=order, size=size,
-        sizes_by_order=top.sizes_by_order[: order + 1],
-        mul_i=top.mul_i[keep], mul_j=top.mul_j[keep], mul_k=top.mul_k[keep],
-        diff_src=top.diff_src[:, :below].copy(), diff_fac=top.diff_fac[:, :below].copy(),
-        inverse_steps=top.inverse_steps[:order],
-    )
+    for m, size in enumerate(sizes_by_order):
+        pairs, below = pairs_by_order[m], starts[m]
+        _tables[num_vars, m] = JetTables(
+            num_vars=num_vars, order=m, size=size, sizes_by_order=sizes_by_order[: m + 1],
+            mul_i=mul_i[:pairs], mul_j=mul_j[:pairs], mul_k=mul_k[:pairs],
+            scatter=np.eye(size)[mul_k[:pairs]] if pairs * size <= _DENSE_TABLE_LIMIT else None,
+            diff_src=diff_src[:, :below], diff_fac=diff_fac[:, :below],
+            inverse_steps=tuple(inverse_steps[:m]))
 
 
 @lru_cache(maxsize=None)

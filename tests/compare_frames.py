@@ -11,7 +11,10 @@ order 3 and above also the values of ``tractor.curvature_chain`` to order
 ``fr.at(a, m)`` that readers of lower-order jets take of each array ``a`` of
 an order-4 frame, at the order ``m`` that ``a`` has in a frame of order 3 and
 2 (the values, order 0, whole).  Both trees have these, so either tree's
-frames can be dumped by this script.
+frames can be dumped by this script.  So is every ``jets.tables(n, m)``,
+n <= ``MAX_VARS`` and m <= ``MAX_ORDER``, in a form that does not depend on
+the order of the product pairs: each slot's run of pairs (i, j, k) in table
+order, the slot counts, ``diff_src``, ``diff_fac`` and the inverse steps.
 Prints each array whose shape, dtype or bytes differ and exits 1 if any do,
 0 otherwise.
 
@@ -62,7 +65,24 @@ def dump(out: Path) -> None:
                     for level, X in enumerate(tractor.curvature_chain(fr, order - 2)):
                         arrays[f"{key}|chain{level}"] = X
         dump_handed(spec, name, arrays)
+    dump_tables(arrays)
     np.savez(out, **arrays)
+
+
+def dump_tables(arrays: dict) -> None:
+    """Every jet table, its product pairs as the run of each slot: the sums
+    bincount and the dense scatter form depend on these runs alone."""
+    from conformal_gap_lab import jets
+
+    for n in range(1, jets.MAX_VARS + 1):
+        for m in range(jets.MAX_ORDER + 1):
+            t, key = jets.tables(n, m), f"tables|n{n}|o{m}"
+            by_slot = np.argsort(t.mul_k, kind="stable")
+            arrays[f"{key}|runs"] = np.stack([t.mul_i, t.mul_j, t.mul_k])[:, by_slot]
+            arrays[f"{key}|sizes_by_order"] = np.array(t.sizes_by_order)
+            arrays[f"{key}|diff_src"], arrays[f"{key}|diff_fac"] = t.diff_src, t.diff_fac
+            for d, (i, j, starts, slots) in enumerate(t.inverse_steps, 1):
+                arrays[f"{key}|inverse{d}"] = np.concatenate([i, j, starts, [slots.start, slots.stop]])
 
 
 def put(arrays: dict, key: str, fr) -> None:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -643,25 +644,89 @@ def _metric_files(draw):
     return "\n".join(_BAD_HEADERS[bad](lines) if bad else lines) + "\n"
 
 
+def _run_main(*argv):
+    """Exit code, stdout, stderr and seconds of one ``main`` call; a warning
+    counts as a line of stderr, as it does outside pytest."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    lines = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), lines + err.getvalue(), time.perf_counter() - start
+
+
+def _assert_exit_contract(argv, code, out, err, seconds):
+    """Exit 0, 1 or 2 within 5 s: a report with a schema (or, on exit 1, one
+    `check failed:` line), or one `error:` line."""
+    assert seconds < 5.0, argv
+    assert code in (0, 1, 2), argv
+    if code == 2 or not out:
+        assert out == "" and err.count("\n") == 1, (argv, err)
+        assert err.startswith("error: " if code == 2 else "check failed: "), (argv, err)
+    else:
+        assert json.loads(out)["schema"] == JSON_SCHEMA and err == "", (argv, err)
+
+
+# a --omega value: one plus a small term, or a constant, non-positive,
+# singular, overflowing or malformed factor
+_OMEGAS = st.one_of(
+    st.builds("1 + {}".format, _term(3, ["0.01", "0.2", "-2"])),
+    st.sampled_from(["2", "0", "-1", "x1", "1/x1", "sqrt(x1)", "exp(1000*x1)", "1e400",
+                     "nan", "1 +", "1 + y", ""]),
+)
+# a coordinate of a --point or --base-point value: mostly small numbers, some
+# far, non-finite or malformed
+_COORDINATES = st.sampled_from(["0", "0.5", "-1", "2"] * 4 + [
+    "1e20", "-1e200", "1e-300", "nan", "inf", "", "x1", "1,"])
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(text=_metric_files())
+@given(text=_metric_files(), omega=_OMEGAS,
+       coordinates=st.lists(_COORDINATES, min_size=11, max_size=11),
+       count=st.sampled_from(["dim"] * 4 + ["one fewer", "one more"]))
 @example(text="dim = 8\nsignature = 1,7\n" + "".join(      # the largest dimension supported
-    f"g {i} {i} : {-1 if i == 1 else 1} + 0.05*x{i}^2*sin(x{9 - i})\n" for i in range(1, 9)))
-def test_fuzzed_metric_files_keep_the_exit_contract(tmp_path_factory, text):
+    f"g {i} {i} : {-1 if i == 1 else 1} + 0.05*x{i}^2*sin(x{9 - i})\n" for i in range(1, 9)),
+    omega="1 + x1/8", coordinates=["0.5"] * 11, count="dim")
+@example(text="dim = 1\nsignature = 0,1\ng 1 1 : 1\n",     # exp overflows at check points
+         omega="exp(1000*x1)", coordinates=["0"] * 11, count="dim")
+def test_fuzzed_metric_files_keep_the_exit_contract(tmp_path_factory, text, omega,
+                                                    coordinates, count):
     # every run ends within 5 s with exit 0, 1 or 2: a report with a schema
-    # (or, on exit 1, one `check failed:` line), or one `error:` line
+    # (or, on exit 1, one `check failed:` line), or one `error:` line; the
+    # point has the file's dimension, or one coordinate fewer or more, and is
+    # passed as `--point=VALUE`, the form that takes a leading minus sign
     path = tmp_path_factory.mktemp("fuzzed") / "fuzzed.metric"
     path.write_text(text)
-    for argv in (["dims"], ["analyze", "--samples", "3"], ["kerw"]):
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([argv[0], str(path), *argv[1:], "--json"])
-        assert time.perf_counter() - start < 5.0, argv
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2), argv
-        if code == 2 or not out:
-            assert out == "" and err.count("\n") == 1, (argv, err)
-            assert err.startswith("error: " if code == 2 else "check failed: "), (argv, err)
-        else:
-            assert json.loads(out)["schema"] == JSON_SCHEMA and err == "", (argv, err)
+    dim = re.match(r"dim = (\d+)\n", text)
+    n = (int(dim.group(1)) if dim else 4) + {"dim": 0, "one fewer": -1, "one more": 1}[count]
+    point = ",".join(coordinates[:max(n, 1)])
+    for argv in (["dims"], ["analyze", "--samples", "3"], ["kerw"], ["rescale", f"--omega={omega}"],
+                 ["dims", f"--base-point={point}"], ["analyze", f"--point={point}"],
+                 ["kerw", f"--point={point}"], ["rescale", f"--omega={omega}", f"--point={point}"]):
+        _assert_exit_contract(argv, *_run_main(argv[0], str(path), *argv[1:], "--json"))
+
+
+# inputs that break the contract, kept until the program is mended
+_FAR_METRIC = ("dim = 4\nsignature = 1,3\ng 1 1 : -1\ng 2 2 : 1 + 0.05*exp(-1*x1)\ng 3 3 : 1\n"
+               "g 4 4 : 1 + 0.2*cos(x1^2*x3^3*x1^1*x4^3)\n")
+
+
+@pytest.mark.xfail(strict=True, reason="curvature.norms squares the entries, which overflows")
+@pytest.mark.parametrize("argv", [["analyze", "--point=1e20,0,0.5,-1"],
+                                  ["dims", "--base-point=1e20,0,0.5,-1"]])
+def test_far_point_norms_keep_the_exit_contract(tmp_path, argv):
+    # the largest Cotton entry there is about 1e178: finite, but its square
+    # is not, so the sum of squares overflows before the square root
+    path = tmp_path / "far.metric"
+    path.write_text(_FAR_METRIC)
+    _assert_exit_contract(argv, *_run_main(argv[0], str(path), *argv[1:], "--json"))
+
+
+@pytest.mark.xfail(strict=True, reason="argparse reads '-1,0' as an option, not as a value")
+def test_point_with_a_leading_minus_keeps_the_exit_contract(tmp_path):
+    path = tmp_path / "flat.metric"
+    path.write_text("dim = 2\nsignature = 0,2\ng 1 1 : 1\ng 2 2 : 1\n")
+    argv = ["kerw", "--point", "-1,0"]
+    _assert_exit_contract(argv, *_run_main(argv[0], str(path), *argv[1:], "--json"))

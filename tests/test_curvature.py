@@ -388,6 +388,44 @@ def test_batch_self_checks_name_the_failing_point():
     assert f"at {geometry.format_point(points[2])}:" in str(err.value)
 
 
+def test_volume_form_is_the_sign_table_scaled_by_root_det():
+    # the dense form that dual_cotton_3d reads, against a brute-force sign
+    # (the determinant of the permutation matrix)
+    for name in ("lorentz3d", "pp_wave"):
+        fr = frame_at(name, order=2)
+        n = fr.n
+        root = math.sqrt(abs(np.linalg.det(fr.values(fr.g))))
+        want = np.zeros((n,) * n)
+        for perm in itertools.permutations(range(n)):
+            want[perm] = root * round(np.linalg.det(np.eye(n)[list(perm)]))
+        assert curvature.volume_form(fr).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("broken", ["odd signs flipped", "no root det"])
+def test_broken_volume_form_fails_the_self_checks(broken, monkeypatch):
+    # the self-contraction eps^I eps_I is read off the n! nonzero entries; a
+    # form whose odd permutations carry the sign of the even ones, or that
+    # lacks the sqrt|det g| factor, fails as the dense n^n contraction did
+    fr = frame_at("pp_wave", order=2)
+    right = curvature._volume_entries
+    if broken == "odd signs flipped":
+        monkeypatch.setattr(curvature, "_volume_entries", lambda f: np.abs(right(f)))
+    else:
+        monkeypatch.setattr(curvature, "_volume_entries",
+                            lambda f: right(f) / math.sqrt(abs(np.linalg.det(f.values(f.g)))))
+    with pytest.raises(curvature.ConventionError) as err:
+        check_conventions(fr)
+    problems = str(err.value).split(f"{geometry.format_point(fr.point)}: ", 1)[1]
+    sign = "eps self-contraction sign does not match sign(det g)"
+    if broken == "odd signs flipped":
+        assert problems == sign
+    else:
+        # eps is the bare sign table, so eps.eps = 4! det(g^-1)
+        total = float(re.fullmatch(rf"eps normalization off: eps.eps = (\S+); {re.escape(sign)}",
+                                   problems).group(1))
+        assert total == pytest.approx(24 * np.linalg.det(fr.values(fr.ginv)), rel=1e-12)
+
+
 FRAME_TENSORS = ("g", "ginv", "gamma", "riemann_mixed", "riemann", "ricci", "sc", "j",
                  "schouten", "weyl", "schouten_mixed", "cotton")
 

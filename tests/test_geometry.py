@@ -152,11 +152,12 @@ def test_g_times_ginv_is_identity_jets(name):
             assert np.allclose(acc, expected, atol=1e-12)
 
 
-def _inverse_steps_alone(num_vars, order):
-    """The steps of ``jet_matrix_inverse`` at this order, from its product
-    table alone: per degree d >= 1, the pairs (i, j) with deg i >= 1 of each
-    slot of degree d in table order, slot by slot, and where each slot's run
-    starts."""
+def _inverse_steps_alone(num_vars, order, monkeypatch):
+    """The steps of ``jet_matrix_inverse`` from the product table built at
+    this order alone: per degree d >= 1, the pairs (i, j) with deg i >= 1 of
+    each slot of degree d in table order, slot by slot, and where each slot's
+    run starts."""
+    monkeypatch.setattr(jets, "_tables", {})
     t = jets.tables(num_vars, order)
     degree = np.searchsorted(t.sizes_by_order, np.arange(t.size), side="right").tolist()
     by_slot = {}
@@ -178,15 +179,16 @@ def _inverse_steps_alone(num_vars, order):
 @pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
 def test_inverse_steps_equal_the_per_order_construction_in_any_request_order(
         num_vars, monkeypatch):
-    # the steps ride on the jet tables, which are built at the highest order
-    # asked so far and cut for a lower one; every array has the bytes of the
-    # steps read off the product table of that order
+    # the steps ride on the jet tables: a build registers every lower order as
+    # a view of its own; every array has the bytes of the steps read off the
+    # product table built at that order alone
     top = jets.MAX_ORDER
-    want = {order: _inverse_steps_alone(num_vars, order) for order in range(1, top + 1)}
+    want = {order: _inverse_steps_alone(num_vars, order, monkeypatch)
+            for order in range(1, top + 1)}
     for requests in (range(1, top + 1), range(top, 0, -1), (3, 1, top, 2, 5, 4)):
-        monkeypatch.setattr(jets, "_top_tables", {})
+        monkeypatch.setattr(jets, "_tables", {})
         for order in requests:
-            got = jets.tables.__wrapped__(num_vars, order).inverse_steps
+            got = jets.tables(num_vars, order).inverse_steps
             assert len(got) == order
             for step, ref in zip(got, want[order]):
                 for a, b in zip(step[:3], ref[:3]):

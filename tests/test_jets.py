@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,13 +290,19 @@ def test_tables_match_pair_loop_reference(num_vars):
         t = jets.tables(num_vars, order)
         multis = _graded_lex(num_vars, order)
         position = {m: i for i, m in enumerate(multis)}
-        assert jets._multi_indices(num_vars, order).tolist() == [list(m) for m in multis]
+        degrees = [sum(m) for m in multis]
         assert t.size == len(multis)
         pairs = [(i, j, position[tuple(x + y for x, y in zip(a, b))])
                  for i, a in enumerate(multis) for j, b in enumerate(multis)
                  if sum(a) + sum(b) <= order]
-        assert np.array_equal(np.stack([t.mul_i, t.mul_j, t.mul_k], axis=1),
-                              np.array(pairs, dtype=np.intp).reshape(-1, 3))
+        got = np.stack([t.mul_i, t.mul_j, t.mul_k], axis=1).tolist()
+        # bincount and the dense scatter sum each slot's pairs in table order:
+        # row-major, as a loop over (i, j) meets them
+        for k in range(t.size):
+            assert [p for p in got if p[2] == k] == [list(p) for p in pairs if p[2] == k]
+        # and the pairs come by the degree they land in, so that the pairs of
+        # every lower order are a prefix
+        assert got == [list(p) for p in sorted(pairs, key=lambda p: degrees[p[2]])]
         lower = [m for m in multis if sum(m) < order]
         for v in range(num_vars):
             up = [tuple(k + (u == v) for u, k in enumerate(m)) for m in lower]
@@ -326,7 +333,8 @@ def _direct_inverse_steps(mul_i, mul_j, mul_k, degrees, sizes_by_order):
 def _direct_tables(num_vars, order):
     """Every JetTables field but the scatter matrix, built at this order alone:
     multi-indices from ``combinations_with_replacement``, slots located by
-    mixed-radix keys, pairs from a row-major scan, inverse steps slot by slot."""
+    mixed-radix keys, pairs from a row-major scan of the degree mask reordered
+    stably by the degree they land in, inverse steps slot by slot."""
     multis = [tuple(c.count(v) for v in range(num_vars)) for d in range(order + 1)
               for c in itertools.combinations_with_replacement(range(num_vars), d)]
     E = np.array(multis, dtype=np.intp)
@@ -339,6 +347,8 @@ def _direct_tables(num_vars, order):
         return by_key[np.searchsorted(keys, k, sorter=by_key)]
 
     mul_i, mul_j = np.nonzero(degrees[:, None] + degrees[None, :] <= order)
+    by_degree = np.argsort(degrees[mul_i] + degrees[mul_j], kind="stable")
+    mul_i, mul_j = mul_i[by_degree], mul_j[by_degree]
     mul_k = locate(keys[mul_i] + keys[mul_j])
     sizes_by_order = tuple(int(np.sum(degrees <= m)) for m in range(order + 1))
     lower = E[degrees < order]
@@ -377,17 +387,43 @@ def _assert_tables_equal(t, want):
         assert t.scatter.tobytes() == dense.tobytes()
 
 
+def _assert_prefix_view(low, high):
+    """low is a prefix of high along every axis and shares its memory."""
+    assert np.array_equal(low, high[tuple(slice(n) for n in low.shape)])
+    assert low.size == 0 or np.shares_memory(low, high)
+
+
 @pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
 def test_tables_equal_the_direct_construction_in_any_request_order(num_vars, monkeypatch):
-    # a table is built, or cut from the highest-order one built so far; every
-    # field, the inverse steps too, has the bytes of the table built at its
-    # order alone
+    # a build registers every lower order; whatever the order of requests,
+    # every field, the inverse steps too, has the bytes of the table built at
+    # its order alone, and every lower order is a view of the highest built
     want = [_direct_tables(num_vars, order) for order in range(jets.MAX_ORDER + 1)]
     top = jets.MAX_ORDER
     for requests in (range(top + 1), range(top, -1, -1), (3, 0, top, 1, 5, 2, 4)):
-        monkeypatch.setattr(jets, "_top_tables", {})
+        monkeypatch.setattr(jets, "_tables", {})
         for order in requests:
-            _assert_tables_equal(jets.tables.__wrapped__(num_vars, order), want[order])
+            _assert_tables_equal(jets.tables(num_vars, order), want[order])
+        high = jets.tables(num_vars, top)
+        for order in range(top):
+            low = jets.tables(num_vars, order)
+            for name in ("mul_i", "mul_j", "mul_k", "diff_src", "diff_fac"):
+                _assert_prefix_view(getattr(low, name), getattr(high, name))
+            assert len(low.inverse_steps) == order
+            assert all(a is b for a, b in zip(low.inverse_steps, high.inverse_steps))
+
+
+def test_building_the_largest_tables_stays_small(monkeypatch):
+    # the pairs are made per slot from the graded layout, with no (C, C)
+    # temporary: 3,003 slots and 74,613 pairs at (8, 6)
+    monkeypatch.setattr(jets, "_tables", {})
+    tracemalloc.start()
+    try:
+        jets._build_tables(jets.MAX_VARS, jets.MAX_ORDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("num_vars, order", [(4, 2), (6, 3), (6, 4)])
