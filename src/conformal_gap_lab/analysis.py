@@ -442,23 +442,24 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
 
     ``base`` is the ``JET_ORDER`` frame at the basepoint, or None when no
     upper bound was taken (nothing is then built or checked there).  The frames
-    at the check points are one order-2 batch.  Each scale is evaluated there
-    once, as a (point, C_2) stack; the AE residuals of all scales, and the
-    wedge fields and Killing/normality residuals of all pairs of verified
-    scales, come from one batched call each.  The parallel residuals of all
-    scales and the Einstein tractors of the verified ones are batched
-    ``tractor`` calls on the scales' order-3 jets at the first check point,
-    and the lower bounds are the ranks of those tractors and of their wedges:
-    parallel tractors have the same rank at every point, and no scale there
-    is far from 1.  Containment in the constraint kernels is checked on the
-    Einstein tractors at the basepoint, each divided by its largest entry, so
-    neither they nor their wedges overflow however far the basepoint lies.
+    at the check points are one batch, of order 2, or of order 3 at n = 3,
+    where normality reads Cotton.  Each scale is evaluated there once, as a
+    (point, C_2) stack; the AE residuals of all scales, and the wedge fields
+    and Killing/normality residuals of all pairs of verified scales, come
+    from one batched call each.  The parallel residuals of all scales and the
+    Einstein tractors of the verified ones are batched ``tractor`` calls on
+    the scales' order-3 jets at the first check point, and the lower bounds
+    are the ranks of those tractors and of their wedges: parallel tractors
+    have the same rank at every point, and no scale there is far from 1.
+    Containment in the constraint kernels is checked on the Einstein tractors
+    at the basepoint, each divided by its largest entry, so neither they nor
+    their wedges overflow however far the basepoint lies.
     """
     names = [name for name, _ in spec.known_scales]
     sigmas = [sigma for _, sigma in spec.known_scales]
     check_pts = geometry.sample_points(spec, 6, seed=seed + 2)
 
-    fr = curvature.CurvatureFrame(spec, check_pts, 2)
+    fr = curvature.CurvatureFrame(spec, check_pts, 3 if spec.n == 3 else 2)
     S = np.stack([fr.scalar_jet(sigma, 2) for sigma in sigmas])      # (scale, point, C_2)
     res = norms(ae_residuals(fr, S), 2).max(axis=1)
     first_fr = curvature.CurvatureFrame(spec, check_pts[0], 3)
@@ -496,9 +497,8 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
         return
     first, second = np.array(pairs).T
     # Killing/normality at the first three check points
-    kfr = fr[:3] if spec.n >= 4 else curvature.CurvatureFrame(spec, check_pts[:3], 3)
     V = S[verified, :3]
-    _, ck, normal, _ = killing_terms(kfr, wedge_jets(fr[:3], V[first], V[second]))
+    _, ck, normal, _ = killing_terms(fr[:3], wedge_jets(fr[:3], V[first], V[second]))
     worst = np.maximum(ck, normal).max(axis=1)
     kept = []
     for i, j, w in zip(first, second, worst):
@@ -532,8 +532,9 @@ def _require_inside(space: Subspace, vectors, names, bundle: str,
 # ---------------------------------------------------------------------------
 # theorem-level verifiers
 
-def _check(checks: list, name: str, value: float, tolerance: float,
-           passed: bool | None = None) -> None:
+def check(checks: list, name: str, value: float, tolerance: float,
+          passed: bool | None = None) -> None:
+    """Record a check that passes when |value| <= tolerance, or as ``passed`` says."""
     ok = (abs(value) <= tolerance) if passed is None else passed
     checks.append({
         "name": name,
@@ -575,20 +576,20 @@ def _family_checks(kind: str, n: int, p: int, seed: int, draw):
     S = np.stack([fr.scalar_jet(sigma, 2) for _, sigma in family])   # (scale, point, C_2)
     worst = norms(ae_residuals(fr, S), 2).max(axis=1)
     for (name, _), w in zip(family, worst):
-        _check(checks, f"ae_residual[{name}]", w, 1e-7)
+        check(checks, f"ae_residual[{name}]", w, 1e-7)
     # the order-1 prefix of a jet is (value, gradient)
     span = kernel(fr.at(S, 1).reshape(len(family), -1))
     rank = span.ambient_dim - span.dim
     bound = ae_dim_bound(spec.signature, n)
-    _check(checks, "family_rank", rank - bound, 0.5,
-           passed=(rank == bound and not span.marginal))
+    check(checks, "family_rank", rank - bound, 0.5,
+          passed=(rank == bound and not span.marginal))
     # the first scale is a - b|x|^2, then the base coordinates
     coeffs = draw(geometry.SeededRng(seed), len(family))
     k = coeffs[0]
     _, expected_sc = scale_law(n, k * ws.a, -k * ws.b, coeffs[1:n - 3], ws.base_signs)
     sc = sc_of_scale(fr, fr.scalar_jet(_member(family, coeffs), 2))
-    _check(checks, "sc_of_scale_law", np.abs(sc - expected_sc).max(),
-           1e-7 * max(1.0, abs(expected_sc)))
+    check(checks, "sc_of_scale_law", np.abs(sc - expected_sc).max(),
+          1e-7 * max(1.0, abs(expected_sc)))
     return ws, spec, checks, fr
 
 
@@ -610,7 +611,7 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
     fiber_pt = geometry.default_point(ws.fiber)
     fiber = curvature.check_conventions(curvature.CurvatureFrame(ws.fiber, fiber_pt, 3))
     fiber_sc = float(fiber.sc[0])
-    _check(checks, "fiber_scalar_curvature", fiber_sc - (-48.0 * a * b), 1e-7)
+    check(checks, "fiber_scalar_curvature", fiber_sc - (-48.0 * a * b), 1e-7)
 
     nb = n - 4
     fr = curvature.CurvatureFrame(spec, points, 2)
@@ -625,15 +626,15 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
         for i in range(nb):
             sigma = expr.add(sigma, expr.mul(expr.const(float(c[i])), expr.var(i)))
         s = fr.scalar_jet(sigma, 2)
-        _check(checks, f"ae_residual[trial{trial}]", norms(ae_residuals(fr, s), 2).max(), 1e-7)
+        check(checks, f"ae_residual[trial{trial}]", norms(ae_residuals(fr, s), 2).max(), 1e-7)
         expected_j, expected_sc = scale_law(n, A, B, c, ws.base_signs)
-        _check(checks, f"j_of_scale[trial{trial}]", np.abs(j_of_scale(fr, s) - expected_j).max(),
-               1e-7 * max(1.0, abs(expected_j)))
+        check(checks, f"j_of_scale[trial{trial}]", np.abs(j_of_scale(fr, s) - expected_j).max(),
+              1e-7 * max(1.0, abs(expected_j)))
         sc_err = abs(sc_of_scale(fr, s)[0] - expected_sc)
-        _check(checks, f"sc_of_scale[trial{trial}]", sc_err,
-               1e-7 * max(1.0, abs(expected_sc)))
+        check(checks, f"sc_of_scale[trial{trial}]", sc_err,
+              1e-7 * max(1.0, abs(expected_sc)))
     wnorm = frobenius(fr.values(fr.weyl)[0])
-    _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
+    check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     return {"label": spec.label, "params": {"n": n, "sc": sc, "seed": seed},
             "checks": checks}
 
@@ -647,9 +648,9 @@ def _verify_riemannian_family(case: str = "a", n: int = 6, seed: int = 0) -> dic
         np.concatenate([[1.0], rng.uniform(-0.7, 0.7, size=size - 1)])))
     _, expected = scale_law(n, ws.a, -ws.b, (), ())
     direct = abs(sc_of_scale_direct(spec, spec.known_scales[0][1], fr.point[0]) - expected)
-    _check(checks, "sc_direct_rescale", direct, 1e-6 * n * n * 4)
+    check(checks, "sc_direct_rescale", direct, 1e-6 * n * n * 4)
     wnorm = min(frobenius(w) for w in fr.values(fr.weyl)[:3])
-    _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
+    check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     return {"label": spec.label, "params": {"case": case, "n": n, "seed": seed},
             "checks": checks}
 
@@ -657,20 +658,20 @@ def _verify_riemannian_family(case: str = "a", n: int = 6, seed: int = 0) -> dic
 def _verify_lorentzian_family(n: int = 6, seed: int = 0) -> dict:
     _, spec, checks, fr = _family_checks("product_lorentz", n, 2, seed, _uniform)
     wnorm = frobenius(fr.values(fr.weyl)[0])
-    _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
+    check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     return {"label": spec.label, "params": {"n": n, "seed": seed}, "checks": checks}
 
 
 def _verify_general_family(n: int = 6, p: int = 2, seed: int = 0) -> dict:
     _, spec, checks, fr = _family_checks("product_split", n, p, seed, _uniform)
     wnorm = frobenius(fr.values(fr.weyl)[0])
-    _check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
+    check(checks, "conformally_nonflat", wnorm, 1e-4, passed=(wnorm > 1e-4))
     # sharpness: the constraint machinery certifies the bound values
     rep = estimate_parallel_dims(spec, seed=seed)
-    _check(checks, "d_ae_exact", rep.d_ae_upper - (n - 1), 0.5,
-           passed=(rep.exact_ae and rep.d_ae_upper == n - 1))
-    _check(checks, "d_nck_upper", rep.d_nck_upper - nck_dim_bound(spec.signature, n),
-           0.5, passed=(rep.d_nck_upper == nck_dim_bound(spec.signature, n)))
+    check(checks, "d_ae_exact", rep.d_ae_upper - (n - 1), 0.5,
+          passed=(rep.exact_ae and rep.d_ae_upper == n - 1))
+    check(checks, "d_nck_upper", rep.d_nck_upper - nck_dim_bound(spec.signature, n),
+          0.5, passed=(rep.d_nck_upper == nck_dim_bound(spec.signature, n)))
     return {"label": spec.label, "params": {"n": n, "p": p, "seed": seed},
             "checks": checks, "dims": rep.as_dict()}
 
@@ -687,11 +688,11 @@ def _verify_ricci_flat_properties(metric: str = "pp_wave", seed: int = 0) -> dic
         _, grad, hess = _scale_terms(fr, fr.scalar_jet(tau, 2))
         lap = np.einsum("pab,pab->p", ginv, hess)
         null = np.einsum("pa,pab,pb->p", grad, ginv, grad)
-        _check(checks, f"laplacian[{name}]", np.abs(lap).max(), 1e-8)
-        _check(checks, f"null_gradient[{name}]", np.abs(null).max(), 1e-8)
+        check(checks, f"laplacian[{name}]", np.abs(lap).max(), 1e-8)
+        check(checks, f"null_gradient[{name}]", np.abs(null).max(), 1e-8)
     family = spec.known_scales
     sigma = _member(family, _uniform(geometry.SeededRng(seed), len(family)))
-    _check(checks, "j_of_scale_zero", np.abs(j_of_scale(fr, fr.scalar_jet(sigma, 2))).max(), 1e-8)
+    check(checks, "j_of_scale_zero", np.abs(j_of_scale(fr, fr.scalar_jet(sigma, 2))).max(), 1e-8)
     return {"label": spec.label, "params": {"metric": metric, "seed": seed},
             "checks": checks}
 
@@ -705,16 +706,16 @@ def _verify_bounds(metric: str = "pp_wave", seed: int = 0) -> dict:
     worst_kerw = max(kernel_of_weyl(fr[i]).dim for i in range(len(points)))
     wmin = norms(fr.values(fr.weyl), 4).min()
     bound = weyl_kernel_bound(spec.signature, spec.n)
-    _check(checks, "weyl_kernel_bound", worst_kerw - bound, 0.5,
-           passed=(worst_kerw <= bound))
-    _check(checks, "conformally_nonflat", wmin, 1e-6, passed=(wmin > 1e-6))
+    check(checks, "weyl_kernel_bound", worst_kerw - bound, 0.5,
+          passed=(worst_kerw <= bound))
+    check(checks, "conformally_nonflat", wmin, 1e-6, passed=(wmin > 1e-6))
     report = estimate_parallel_dims(spec, seed=seed, upper=False)
-    _check(checks, "ae_witnesses_within_bound",
-           report.d_ae_lower - ae_dim_bound(spec.signature, spec.n), 0.5,
-           passed=(report.d_ae_lower <= ae_dim_bound(spec.signature, spec.n)))
-    _check(checks, "nck_witnesses_within_bound",
-           report.d_nck_lower - nck_dim_bound(spec.signature, spec.n), 0.5,
-           passed=(report.d_nck_lower <= nck_dim_bound(spec.signature, spec.n)))
+    check(checks, "ae_witnesses_within_bound",
+          report.d_ae_lower - ae_dim_bound(spec.signature, spec.n), 0.5,
+          passed=(report.d_ae_lower <= ae_dim_bound(spec.signature, spec.n)))
+    check(checks, "nck_witnesses_within_bound",
+          report.d_nck_lower - nck_dim_bound(spec.signature, spec.n), 0.5,
+          passed=(report.d_nck_lower <= nck_dim_bound(spec.signature, spec.n)))
     return {"label": spec.label, "params": {"metric": metric, "seed": seed},
             "checks": checks, "dims": report.as_dict()}
 

@@ -277,29 +277,23 @@ def _cmd_rescale(ns) -> tuple[dict, bool]:
     base, hat = (curvature.check_conventions(curvature.CurvatureFrame(s, pt, 3))
                  for s in (spec, hatted))
 
-    checks = []
-
-    def add(name, value, tol):
-        checks.append({"name": name, "value": value, "tolerance": tol,
-                       "passed": bool(abs(value) <= tol)})
-
-    p_expected = curvature.schouten_transform_reference(base, omega)
-    add("schouten_transform",
-        frobenius(hat.values(hat.schouten) - p_expected),
-        1e-8 * max(1.0, frobenius(p_expected)))
-    j_expected = curvature.j_transform_reference(base, omega)
-    add("j_transform", float(hat.j[0]) - j_expected, 1e-8 * max(1.0, abs(j_expected)))
-    w = expr.evaluate_at(omega, pt)
+    checks: list = []
+    w, p_expected, j_expected = curvature.transform_reference(base, omega)
+    analysis.check(checks, "schouten_transform",
+                   frobenius(hat.values(hat.schouten) - p_expected),
+                   1e-8 * max(1.0, frobenius(p_expected)))
+    analysis.check(checks, "j_transform", float(hat.j[0]) - j_expected,
+                   1e-8 * max(1.0, abs(j_expected)))
     weyl = base.values(base.weyl)
-    add("weyl_covariance",
-        frobenius(hat.values(hat.weyl) - w ** 2 * weyl),
-        1e-8 * max(1.0, frobenius(weyl)))
+    analysis.check(checks, "weyl_covariance",
+                   frobenius(hat.values(hat.weyl) - w ** 2 * weyl),
+                   1e-8 * max(1.0, frobenius(weyl)))
     sigma = expr.add(expr.ONE, expr.var(0))
     base_res, hat_res = (analysis.ae_residuals(f, f.scalar_jet(s, 2))
                          for f, s in ((base, sigma), (hat, expr.mul(omega, sigma))))
-    add("ae_operator_invariance",
-        frobenius(hat_res - w * base_res),
-        1e-8 * max(1.0, frobenius(base_res)))
+    analysis.check(checks, "ae_operator_invariance",
+                   frobenius(hat_res - w * base_res),
+                   1e-8 * max(1.0, frobenius(base_res)))
 
     ok = all(c["passed"] for c in checks)
     report = {
@@ -382,10 +376,23 @@ COMMANDS = {
 }
 
 
+def _join_signed_values(argv: list) -> list:
+    """argv with ``--point -1,0`` passed on as ``--point=-1,0`` (likewise
+    ``--base-point`` and ``--omega``): argparse reads -1,0 as an option."""
+    out = []
+    for arg in argv:
+        signed = arg.startswith("-") and not arg.startswith("--")
+        if signed and out and out[-1] in ("--point", "--base-point", "--omega"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 2

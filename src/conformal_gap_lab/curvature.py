@@ -68,9 +68,19 @@ class ConventionError(RuntimeError):
 
 
 def norms(arr, k: int) -> np.ndarray:
-    """Frobenius norms over the last k axes of arr; leading axes batch."""
-    sq = np.asarray(arr, dtype=float) ** 2
-    return np.sqrt(np.sum(sq, axis=tuple(range(sq.ndim - k, sq.ndim))))
+    """Frobenius norms over the last k axes of arr; leading axes batch.  A finite
+    block whose squares overflow is summed divided by its largest |entry|, so
+    only a norm above the largest float is infinite; no other norm changes."""
+    a = np.asarray(arr, dtype=float)
+    axes = tuple(range(a.ndim - k, a.ndim))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.sqrt(np.sum(a ** 2, axis=axes))
+        over = np.isinf(out)
+        if over.any():
+            over &= np.all(np.isfinite(a), axis=axes)
+            top = np.abs(a).max(axis=axes, keepdims=True)
+            out = np.where(over, top.reshape(over.shape) * norms(a / top, k), out)
+    return out
 
 
 def frobenius(arr) -> float:
@@ -392,44 +402,25 @@ def rescale_metric(spec: MetricSpec, omega: expr.Node) -> MetricSpec:
     return replace(spec, components=comps, label=f"{spec.label}|rescaled")
 
 
-def upsilon_jets(spec: MetricSpec, omega: expr.Node, point, order: int = 2):
-    """Jet of log-derivative data for a rescale factor: returns (omega_jet, Upsilon, dUpsilon).
-
-    Upsilon_a = d_a log omega; dUpsilon[a, b] = d_a d_b log omega (plain partials).
-    """
-    env = jets.seed_jets(point, order)
-    w = expr.evaluate(omega, env)
-    val = w[0]
-    ups = jets.gradient(w, spec.n) / val
-    dups = None
-    if order >= 2:
-        dups = jets.hessian(w, spec.n) / val - np.outer(ups, ups)
-    return w, ups, dups
-
-
-def schouten_transform_reference(fr: CurvatureFrame, omega: expr.Node) -> np.ndarray:
-    """Expected Schouten of omega^2 g from the transformation law, at a frame
-    of one point."""
-    _, ups, dups = upsilon_jets(fr.spec, omega, fr.point, order=2)
-    cov_ups = dups - np.einsum("rab,r->ab", fr.values(fr.gamma), ups)
-    ups_up = fr.values(fr.ginv) @ ups
-    return (
-        fr.values(fr.schouten)
-        - cov_ups
-        + np.outer(ups, ups)
-        - 0.5 * float(ups @ ups_up) * fr.values(fr.g)
-    )
-
-
-def j_transform_reference(fr: CurvatureFrame, omega: expr.Node) -> float:
-    """Expected J of omega^2 g; the omega^-2 factor is the weight -2 bookkeeping."""
-    w, ups, dups = upsilon_jets(fr.spec, omega, fr.point, order=2)
-    ginv = fr.values(fr.ginv)
-    cov_ups = dups - np.einsum("rab,r->ab", fr.values(fr.gamma), ups)
-    div_ups = float(np.einsum("ab,ab->", ginv, cov_ups))
-    ups_sq = float(ups @ ginv @ ups)
+def transform_reference(fr: CurvatureFrame, omega: expr.Node) -> tuple[float, np.ndarray, float]:
+    """omega's value, and the Schouten tensor and J of omega^2 g by the
+    transformation laws, at a frame of one point: with Upsilon = d log omega,
+    P-hat = P - nabla Upsilon + Upsilon Upsilon - |Upsilon|^2 g / 2 and
+    J-hat = (J - div Upsilon - (n/2 - 1) |Upsilon|^2) / omega^2."""
     n = fr.n
-    return (float(fr.j[0]) - div_ups - (n / 2 - 1) * ups_sq) / w[0] ** 2
+    w = fr.scalar_jet(omega, 2)
+    ups = jets.gradient(w, n) / w[0]
+    g, ginv = fr.values(fr.g), fr.values(fr.ginv)
+    # nabla_a Upsilon_b = d_a d_b log omega - Gamma^r_ab Upsilon_r
+    cov_ups = (jets.hessian(w, n) / w[0] - np.outer(ups, ups)
+               - np.einsum("rab,r->ab", fr.values(fr.gamma), ups))
+    # |Upsilon|^2 is summed over g^ab Upsilon_b for P-hat and over Upsilon_a g^ab
+    # for J-hat; the two orders differ in the last bits, and reports keep both
+    p_hat = (fr.values(fr.schouten) - cov_ups + np.outer(ups, ups)
+             - 0.5 * float(ups @ (ginv @ ups)) * g)
+    div_ups = float(np.einsum("ab,ab->", ginv, cov_ups))
+    j_hat = (float(fr.j[0]) - div_ups - (n / 2 - 1) * float(ups @ ginv @ ups)) / w[0] ** 2
+    return float(w[0]), p_hat, j_hat
 
 
 def dual_cotton_3d(fr: CurvatureFrame, orientation: int = 1) -> np.ndarray:

@@ -238,7 +238,7 @@ def seed_jets(point, order: int) -> np.ndarray:
 def gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
     """First partials (degree-1 block of the graded layout), last axis the variable."""
     if a.shape[-1] == 1:
-        return np.zeros(a.shape[:-1] + (num_vars,))
+        raise JetError("gradient needs jet order >= 1")
     return a[..., 1 : num_vars + 1].copy()
 
 

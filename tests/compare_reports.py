@@ -3,9 +3,12 @@
 Runs every ``cgl`` line of the README's command-line block as written,
 ``analyze``, ``dims`` and ``rescale`` on the README's example metric file
 (which declares a parameter), a ``rescale taub_nut --param`` line whose
-``--omega`` reads the parameter, ``cgl dims NAME --seed S --json`` and
+``--omega`` reads the parameter, ``rescale`` lines whose ω is an exp, a sqrt,
+a reciprocal and a negative power, ``cgl dims NAME --seed S --json`` and
 ``cgl analyze NAME --seed S --json`` on every catalogue entry and on the
-n = 7 and n = 8 family entries at seeds 0 and 3, and
+n = 7 and n = 8 family entries at seeds 0 and 3, ``cgl dims`` on the n = 3
+metrics ``flat_1_2`` and ``flat_0_3`` (whose witnesses read Cotton) at
+seeds 0 and 3, and
 ``cgl verify ... --seed S --json`` at seeds 0 and 3 for
 ``warpedSol`` (each sc), ``t_riem`` (each case), ``t_lorentz`` and ``t_gen``
 (each p) at n = 5 to 8, ``rflat`` on both its metrics and ``bounds`` on five
@@ -49,6 +52,15 @@ PARAM_COMMANDS = [
     ["rescale", "taub_nut", "--param", "m=2.0", "--omega", "1 + x1/(8*m)",
      "--point", "1.0,1.2,0.5,0.5", "--json"],
 ]
+OMEGA_COMMANDS = [
+    ["rescale", "pp_wave", "--omega", "exp(x/6 - t/9)", "--json"],
+    ["rescale", "taub_nut", "--omega", "sqrt(2 + x2)", "--point", "1.0,1.2,0.5,0.5", "--json"],
+    ["rescale", "fubini_study", "--omega", "1/(2 + x1)", "--json"],
+    ["rescale", "pp_split", "--omega", "(2 + x)^-2", "--json"],
+    ["rescale", "flat_1_2", "--omega", "(3 + x1 - x3)^-3", "--json"],
+    ["rescale", "warped_hfs_n5", "--omega", "exp(-x1/4)*sqrt(3 + x5)", "--json"],
+]
+THREE_DIMS = ("flat_1_2", "flat_0_3")
 
 
 def verify_commands() -> list[list[str]]:
@@ -93,7 +105,9 @@ def commands(src: Path, cwd: str) -> list[list[str]]:
     names = json.loads(out)
     per_name = [[command, name, "--seed", str(seed), "--json"]
                 for command in ("dims", "analyze") for name in names for seed in SEEDS]
-    return readme_commands() + PARAM_COMMANDS + per_name + verify_commands()
+    three = [["dims", name, "--seed", str(seed), "--json"] for name in THREE_DIMS for seed in SEEDS]
+    return (readme_commands() + PARAM_COMMANDS + OMEGA_COMMANDS + per_name + three
+            + verify_commands())
 
 
 def main(argv=None) -> int:

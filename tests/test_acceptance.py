@@ -203,19 +203,19 @@ def test_criterion_09_identity_suite():
         fr = checked(spec, pt)
         hatted = curvature.rescale_metric(spec, omega)
         hat_fr = checked(hatted, pt)
-        p_ref = curvature.schouten_transform_reference(fr, omega)
+        wval, p_ref, j_ref = curvature.transform_reference(fr, omega)
         assert frobenius(hat_fr.values(hat_fr.schouten) - p_ref) < 1e-8 * max(
             1.0, frobenius(p_ref))
-        assert abs(float(hat_fr.j[0]) - curvature.j_transform_reference(fr, omega)) < 1e-8
-        wval = expr.evaluate_at(omega, pt)
+        assert abs(float(hat_fr.j[0]) - j_ref) < 1e-8
         weyl = fr.values(fr.weyl)
         assert frobenius(hat_fr.values(hat_fr.weyl)
                          - wval ** 2 * weyl) < 1e-8 * frobenius(weyl)
         sigma = spec.known_scales[1][1]
         I, I_hat = (tractor.einstein_jets(f, f.scalar_jet(s)[None])[0, :, 0]
                     for f, s in ((fr, sigma), (hat_fr, expr.mul(omega, sigma))))
-        _, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=1)
-        expected = tractor.transform_tractor(I, wval, ups, fr.values(fr.g))
+        w = fr.scalar_jet(omega, 1)
+        expected = tractor.transform_tractor(I, wval, jets.gradient(w, 4) / w[0],
+                                             fr.values(fr.g))
         assert np.linalg.norm(I_hat - expected) < 1e-8
 
         # tractor-metric parallelism: transport preserves the pairing

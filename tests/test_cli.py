@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import conformal_gap_lab
-from conformal_gap_lab import JSON_SCHEMA, analysis, curvature, geometry, jets
+from conformal_gap_lab import JSON_SCHEMA, analysis, curvature, expr, geometry, jets
 from conformal_gap_lab.cli import main
 
 
@@ -546,6 +546,8 @@ def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
 
 # (jet order, points) of every frame a command builds, in order
 FRAME_BUILDS = {
+    # n = 3: the check points take one order-3 batch, as normality reads Cotton
+    ("dims", "flat_1_2"): [(4, 1), (3, 6), (3, 1)],
     ("rescale", "taub_nut", "--omega", "1 + x1/8", "--point", "1.0,1.2,0.5,0.5"):
         [(3, 1), (3, 1)],
     ("verify", "bounds", "--metric", "warped_fs_n6"): [(2, 10), (2, 6), (3, 1)],
@@ -568,6 +570,27 @@ def test_command_builds_each_frame_once(argv, capsys, monkeypatch):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert builds == FRAME_BUILDS[argv]
+
+
+def test_rescale_evaluates_omega_once_per_input(capsys, monkeypatch):
+    # once at the 12 positivity check points, and once as order-2 jets at the
+    # point, whose value and derivatives serve every transformation law
+    argv = ("rescale", "taub_nut", "--omega", "1 + x1/8", "--point", "1.0,1.2,0.5,0.5")
+    spec = geometry.catalogue_metric("taub_nut")
+    omega = expr.parse("1 + x1/8", spec.n, params=dict(spec.params), var_names=spec.names)
+    shapes = []
+    evaluate = expr.evaluate
+
+    def counted(node, *args, **kwargs):
+        out = evaluate(node, *args, **kwargs)
+        if node == omega:
+            shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(expr, "evaluate", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert shapes == [(12, jets.tables(4, 1).size), (jets.tables(4, 2).size,)]
 
 
 def test_verifiers_share_each_option_default(capsys):
@@ -696,37 +719,90 @@ def test_fuzzed_metric_files_keep_the_exit_contract(tmp_path_factory, text, omeg
     # every run ends within 5 s with exit 0, 1 or 2: a report with a schema
     # (or, on exit 1, one `check failed:` line), or one `error:` line; the
     # point has the file's dimension, or one coordinate fewer or more, and is
-    # passed as `--point=VALUE`, the form that takes a leading minus sign
+    # passed as `--point VALUE`, a leading minus sign included
     path = tmp_path_factory.mktemp("fuzzed") / "fuzzed.metric"
     path.write_text(text)
     dim = re.match(r"dim = (\d+)\n", text)
     n = (int(dim.group(1)) if dim else 4) + {"dim": 0, "one fewer": -1, "one more": 1}[count]
     point = ",".join(coordinates[:max(n, 1)])
     for argv in (["dims"], ["analyze", "--samples", "3"], ["kerw"], ["rescale", f"--omega={omega}"],
-                 ["dims", f"--base-point={point}"], ["analyze", f"--point={point}"],
-                 ["kerw", f"--point={point}"], ["rescale", f"--omega={omega}", f"--point={point}"]):
+                 ["dims", "--base-point", point], ["analyze", "--point", point],
+                 ["kerw", "--point", point], ["rescale", f"--omega={omega}", "--point", point]):
         _assert_exit_contract(argv, *_run_main(argv[0], str(path), *argv[1:], "--json"))
 
 
-# inputs that break the contract, kept until the program is mended
+# a far point, where a Cotton entry is finite but its square is not
 _FAR_METRIC = ("dim = 4\nsignature = 1,3\ng 1 1 : -1\ng 2 2 : 1 + 0.05*exp(-1*x1)\ng 3 3 : 1\n"
                "g 4 4 : 1 + 0.2*cos(x1^2*x3^3*x1^1*x4^3)\n")
 
 
-@pytest.mark.xfail(strict=True, reason="curvature.norms squares the entries, which overflows")
 @pytest.mark.parametrize("argv", [["analyze", "--point=1e20,0,0.5,-1"],
                                   ["dims", "--base-point=1e20,0,0.5,-1"]])
 def test_far_point_norms_keep_the_exit_contract(tmp_path, argv):
     # the largest Cotton entry there is about 1e178: finite, but its square
-    # is not, so the sum of squares overflows before the square root
+    # is not, so its norm is summed divided by that entry
     path = tmp_path / "far.metric"
     path.write_text(_FAR_METRIC)
-    _assert_exit_contract(argv, *_run_main(argv[0], str(path), *argv[1:], "--json"))
+    code, out, err, seconds = _run_main(argv[0], str(path), *argv[1:], "--json")
+    _assert_exit_contract(argv, code, out, err, seconds)
+    assert code == 0 and "Infinity" not in out
 
 
-@pytest.mark.xfail(strict=True, reason="argparse reads '-1,0' as an option, not as a value")
 def test_point_with_a_leading_minus_keeps_the_exit_contract(tmp_path):
     path = tmp_path / "flat.metric"
     path.write_text("dim = 2\nsignature = 0,2\ng 1 1 : 1\ng 2 2 : 1\n")
     argv = ["kerw", "--point", "-1,0"]
     _assert_exit_contract(argv, *_run_main(argv[0], str(path), *argv[1:], "--json"))
+
+
+@pytest.mark.parametrize("head, option, value, key, expected", [
+    (["kerw", "flat_r4"], "--point", "-1,0,0,0.5", "point", [-1.0, 0.0, 0.0, 0.5]),
+    (["dims", "flat_r4", "--lower-only"], "--base-point", "-0.5,0,0,0", "basepoint",
+     [-0.5, 0.0, 0.0, 0.0]),
+    (["rescale", "taub_nut"], "--omega", "-x1+3", "omega", "-x1+3"),
+])
+def test_values_with_a_leading_minus_are_read_as_values(capsys, head, option, value, key,
+                                                        expected):
+    code, out, err = run(capsys, *head, option, value, "--json")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data.get("dims", data)[key] == expected
+    # the form with `=` reads the same report
+    assert run(capsys, *head, f"{option}={value}", "--json") == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [["kerw", "flat_r4", "--point"],
+                                  ["kerw", "flat_r4", "--point", "--json"],
+                                  ["rescale", "flat_r4", "--omega"]])
+def test_an_option_without_its_value_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "expected one argument" in err
+
+
+def _exceed_upper_bound(spec, base, seed, standard, adjoint, report):
+    report.d_ae_lower = report.d_ae_upper + 1
+
+
+# a failed check forced in each module that raises one: (argv, the patch,
+# the message's start after `check failed: `)
+_FAILED_CHECKS = {
+    "weyl kernel bound": (["kerw", "pp_wave"], (analysis, "weyl_kernel_bound", lambda sig, n: 0),
+                          "Weyl kernel dimension 1 exceeds the signature bound 0"),
+    "inconsistent bounds": (["dims", "pp_wave"], (analysis, "_witnesses", _exceed_upper_bound),
+                            "inconsistent bounds for 'pp_wave': aE [3, 2]"),
+    "witness outside": (["dims", "flat_r4"], (analysis.Subspace, "contains", lambda self, v: False),
+                        "witness const of 'flat_0_4' lies outside the standard constraint kernel"),
+    "conventions": (["analyze", "pp_wave", "--samples", "1"],
+                    (curvature, "_convention_problems", lambda fr: ["forced"]),
+                    "curvature self-checks failed for 'pp_wave'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILED_CHECKS))
+def test_a_failed_check_exits_1_with_one_line(monkeypatch, case):
+    argv, (owner, name, patch), message = _FAILED_CHECKS[case]
+    monkeypatch.setattr(owner, name, patch)
+    code, out, err, seconds = _run_main(*argv, "--json")
+    _assert_exit_contract(argv, code, out, err, seconds)
+    assert code == 1 and out == ""
+    assert err.startswith(f"check failed: {message}"), err

@@ -223,6 +223,21 @@ def test_rescale_identity_leaves_pack_unchanged():
     assert float(a.sc[0]) == pytest.approx(float(b.sc[0]), abs=1e-12)
 
 
+def test_norms_scale_only_the_blocks_that_overflow():
+    # every finite norm keeps the bits of the plain sum of squares; a finite
+    # block whose squares overflow is summed divided by its largest entry
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 3, 3))
+    a[1] *= 1e200
+    a[2, 0, 0] = np.inf
+    got = curvature.norms(a, 2)
+    assert got[[0, 3]].tobytes() == np.sqrt(np.sum(a[[0, 3]] ** 2, axis=(1, 2))).tobytes()
+    assert got[1] == pytest.approx(1e200 * np.sqrt(np.sum((a[1] / 1e200) ** 2)), rel=1e-15)
+    assert got[2] == np.inf
+    assert frobenius(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert frobenius(np.array([1.7e308, 1.7e308])) == np.inf     # above the largest float
+
+
 def test_schouten_transformation_law():
     # omega = e^{x1} on flat R^4 and on taub_nut
     for name in ("flat", "taub_nut"):
@@ -231,10 +246,10 @@ def test_schouten_transformation_law():
         pt = sample_points(spec, 1, seed=12)[0]
         fr = checked(spec, pt)
         hatted = checked(rescale_metric(spec, omega), pt)
-        expected = curvature.schouten_transform_reference(fr, omega)
+        w, expected, expected_j = curvature.transform_reference(fr, omega)
+        assert w == expr.evaluate_at(omega, pt)
         scale = max(frobenius(expected), 1.0)
         assert frobenius(hatted.values(hatted.schouten) - expected) < 1e-8 * scale
-        expected_j = curvature.j_transform_reference(fr, omega)
         assert float(hatted.j[0]) == pytest.approx(expected_j,
                                                    abs=1e-8 * max(1.0, abs(expected_j)))
 
@@ -257,7 +272,8 @@ def test_vector_connection_transformation_law():
     pt = sample_points(spec, 1, seed=14)[0]
     fr = checked(spec, pt)
     hatted = checked(rescale_metric(spec, omega), pt)
-    _, ups, _ = curvature.upsilon_jets(spec, omega, pt, order=2)
+    w = fr.scalar_jet(omega, 1)
+    ups = jets.gradient(w, 4) / w[0]                # Upsilon_a = d_a log omega
     rng = np.random.default_rng(2)
     mu = rng.normal(size=4)
     nab = np.einsum("bar,r->ab", fr.values(fr.gamma), mu)   # nabla_a mu^b for constant mu

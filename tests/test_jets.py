@@ -108,6 +108,10 @@ def test_partial_order_exceeding_jet_order_rejected():
     (x,) = seed_jets((1.0,), order=1)
     with pytest.raises(JetError):
         jets.hessian(x, 1)
+    # an order-0 jet (its value alone) has no first partials, not zero ones
+    with pytest.raises(JetError, match="gradient needs jet order >= 1"):
+        jets.gradient(x[..., :1], 1)
+    assert jets.gradient(x, 1).tolist() == [1.0]
 
 
 def test_mixed_shapes_rejected():
