@@ -448,9 +448,10 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     and Killing/normality residuals of all pairs of verified scales, come
     from one batched call each.  The parallel residuals of all scales and the
     Einstein tractors of the verified ones are batched ``tractor`` calls on
-    the scales' order-3 jets at the first check point, and the lower bounds
-    are the ranks of those tractors and of their wedges: parallel tractors
-    have the same rank at every point, and no scale there is far from 1.
+    the scales' order-3 jets at the first check point (at n = 3 the batch's
+    first frame), and the lower bounds are the ranks of those tractors and
+    of their wedges: parallel tractors have the same rank at every point,
+    and no scale there is far from 1.
     Containment in the constraint kernels is checked on the Einstein tractors
     at the basepoint, each divided by its largest entry, so neither they nor
     their wedges overflow however far the basepoint lies.
@@ -462,7 +463,7 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     fr = curvature.CurvatureFrame(spec, check_pts, 3 if spec.n == 3 else 2)
     S = np.stack([fr.scalar_jet(sigma, 2) for sigma in sigmas])      # (scale, point, C_2)
     res = norms(ae_residuals(fr, S), 2).max(axis=1)
-    first_fr = curvature.CurvatureFrame(spec, check_pts[0], 3)
+    first_fr = fr[0] if fr.order == 3 else curvature.CurvatureFrame(spec, check_pts[0], 3)
     at_first = tractor.einstein_jets(first_fr, np.stack([first_fr.scalar_jet(s) for s in sigmas]))
     par = norms(tractor.parallel_values(first_fr, at_first), 2)
     ok = (res < RESIDUAL_TOL) & (par < 10 * RESIDUAL_TOL)

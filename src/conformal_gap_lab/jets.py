@@ -15,6 +15,23 @@ operands whose coefficient axis has the wrong length.  :func:`conv` is the
 product and :func:`contract` the product summed over one index; both scatter
 through one tail, over product pairs ordered by the degree they land in, so
 each lower order's tables are prefix views of the highest order's.
+
+Both multiply only the live pairs of a large product.  A pair (i, j) is live
+when slot i of ``a`` and slot j of ``b`` each hold a nonzero entry in some jet
+of the batch; at the paper's (warped) products of a flat base with a
+4-dimensional example most slots of g, its inverse and the Christoffels are
+zero in every component, and the order-3 Christoffel contraction at n = 6 has
+2 live pairs of 455.  A product that forms at least ``_LIVE_PAIR_MIN`` pair
+products (pairs x jets, 20,000) of jets of order >= 1 (an order-0 product has
+one pair), has a pair that is not live, and has finite operands gathers and
+multiplies the live pairs alone (``contract`` sums over its index with the
+same ``einsum``) and scatters them with ``bincount`` in table order; any
+other product takes the full path.  No bit moves: each dropped term is an
+exact +-0 (a zero times a finite number), every slot is summed in table order
+from +0.0 (bincount; the dense scatter while the BLAS sums in index order),
+and a sum that starts at +0.0 never holds -0.0, which is the one value an
+added +-0 could change.  An operand holding inf or NaN takes the full path,
+so 0 * inf still gives NaN.
 :func:`partials` gives all first partials in one gather.
 Sums, differences and scalar multiples are plain numpy arithmetic.
 Primitives: :func:`reciprocal`, integer :func:`power`, ``sin cos tan sinh cosh
@@ -41,6 +58,17 @@ SINGULAR_VALUE = 1e-12
 # scatter is faster up to (6, 3) = 38,220 entries and even with bincount at
 # (5, 4) = 126,126; for one (6, 4) product bincount takes 13 us against 121 us
 _DENSE_TABLE_LIMIT = 40_000
+
+# products forming at least this many pair products (table pairs x broadcast
+# jets) multiply only their live pairs.  Finding them takes about ten numpy
+# calls: 8-10 us warm, up to about 60 us in the fresh process each `cgl`
+# command runs in.  Time spent in conv and contract by one
+# estimate_parallel_dims call or README command in a fresh process, median of
+# 15 on a 2-vCPU AMD EPYC VM, against the full path: with no cut the n = 4
+# dims ops took 1.45-1.72 times as long and the README commands 2.1-2.2 times;
+# at 5,000 the n = 4 ops took 1.12-1.13; at 20,000 they take 1.02,
+# product_split_n6 0.60 and the README commands 0.97-1.07
+_LIVE_PAIR_MIN = 20_000
 
 
 class JetError(ValueError):
@@ -164,26 +192,56 @@ def _sized(a, t: JetTables) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # structural operations
 
-def _scatter(prods: np.ndarray, t: JetTables) -> np.ndarray:
+def _scatter(prods: np.ndarray, t: JetTables, slots: np.ndarray | None = None) -> np.ndarray:
     """Sum per-pair products (..., T) into their coefficient slots (..., size).
 
-    One row goes through ``bincount`` like an unbatched product: BLAS may sum
-    a one-row product in another order, and a batch of one must give the
-    bits of the unbatched product.  Larger batches agree with it to rounding.
+    ``slots`` names the slot of each product when they are not the table's
+    whole pair list (the live pairs of :func:`_live_pairs`); such products
+    always go through ``bincount``.  One row goes through ``bincount`` like
+    an unbatched product: BLAS may sum a one-row product in another order,
+    and a batch of one must give the bits of the unbatched product.  Larger
+    batches agree with it to rounding.
     """
     lead = prods.shape[:-1]
     rows = math.prod(lead)
-    if rows > 1 and t.scatter is not None:
-        return prods @ t.scatter
-    slots = t.mul_k if rows == 1 else (np.arange(rows)[:, None] * t.size + t.mul_k).ravel()
+    if slots is None:
+        if rows > 1 and t.scatter is not None:
+            return prods @ t.scatter
+        slots = t.mul_k
+    if not slots.size:  # bincount of no weights is int64
+        return np.zeros(lead + (t.size,))
+    if rows > 1:
+        slots = (np.arange(rows)[:, None] * t.size + slots).ravel()
     out = np.bincount(slots, weights=prods.ravel(), minlength=rows * t.size)
     return out.reshape(lead + (t.size,))
+
+
+def _live_pairs(a: np.ndarray, b: np.ndarray, t: JetTables):
+    """The pairs (i, j) a product of a and b multiplies, and the slots that
+    ``_scatter`` takes: the table's whole pair list and None, or the live
+    pairs and their slots (see the module docstring)."""
+    pairs, size = len(t.mul_k), t.size
+    if not t.order or pairs * (a.size // size) * (b.size // size) < _LIVE_PAIR_MIN:
+        return t.mul_i, t.mul_j, None
+    # the broadcast jet count; neither operand is empty here
+    jets = math.prod(map(max, itertools.zip_longest(a.shape[-2::-1], b.shape[-2::-1],
+                                                    fillvalue=1)))
+    if pairs * jets < _LIVE_PAIR_MIN:
+        return t.mul_i, t.mul_j, None
+    live = (a.any(axis=tuple(range(a.ndim - 1)))[t.mul_i]
+            & b.any(axis=tuple(range(b.ndim - 1)))[t.mul_j])
+    if live.all() or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return t.mul_i, t.mul_j, None
+    live = np.flatnonzero(live)
+    return t.mul_i[live], t.mul_j[live], t.mul_k[live]
 
 
 def conv(a: np.ndarray, b: np.ndarray, num_vars: int, order: int) -> np.ndarray:
     """Truncated-series product of coefficient arrays, broadcasting leading axes."""
     t = tables(num_vars, order)
-    return _scatter(_sized(a, t)[..., t.mul_i] * _sized(b, t)[..., t.mul_j], t)
+    a, b = _sized(a, t), _sized(b, t)
+    i, j, slots = _live_pairs(a, b, t)
+    return _scatter(a[..., i] * b[..., j], t, slots)
 
 
 def contract(a: np.ndarray, b: np.ndarray, num_vars: int, order: int) -> np.ndarray:
@@ -193,8 +251,9 @@ def contract(a: np.ndarray, b: np.ndarray, num_vars: int, order: int) -> np.ndar
     the pair axis are contracted before the one scatter.
     """
     t = tables(num_vars, order)
-    a, b = _sized(a, t)[..., t.mul_i], _sized(b, t)[..., t.mul_j]
-    return _scatter(np.einsum("...rt,...rt->...t", a, b), t)
+    a, b = _sized(a, t), _sized(b, t)
+    i, j, slots = _live_pairs(a, b, t)
+    return _scatter(np.einsum("...rt,...rt->...t", a[..., i], b[..., j]), t, slots)
 
 
 def partials(a: np.ndarray, num_vars: int, order: int, axis: int = 0) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Compare the curvature frames of this tree with those of another ``src/``.
 
 Builds ``CurvatureFrame`` at orders 2, 3 and 4 for every catalogue entry and
-every n = 7 and n = 8 family entry, at three sample points one at a time and
-as one batch of the three, once with this tree's ``src/`` and once with the
+every n = 7 and n = 8 family entry, and at order 5 for the entries of
+dimension at most 6, at three sample points one at a time and as one batch
+of the three, once with this tree's ``src/`` and once with the
 ``src/`` given on the command line (for example an export of the parent
 revision).  Every array a frame holds is dumped, and at single points of
 order 3 and above also the values of ``tractor.curvature_chain`` to order
@@ -10,7 +11,10 @@ order 3 and above also the values of ``tractor.curvature_chain`` to order
 ``CurvatureFrame(spec, points, K)[i]`` of a batch, and the prefixes
 ``fr.at(a, m)`` that readers of lower-order jets take of each array ``a`` of
 an order-4 frame, at the order ``m`` that ``a`` has in a frame of order 3 and
-2 (the values, order 0, whole).  Both trees have these, so either tree's
+2 (the values, order 0, whole).  At order 5 every entry forms products large
+enough to take the live-pair path of ``jets`` (``lorentz3d``, at n = 3, in
+its batches only); the order-5 frames of n = 7 and 8 would take the dump of
+each tree from about 0.3 to 0.7 GB.  Both trees have these, so either tree's
 frames can be dumped by this script.  So is every ``jets.tables(n, m)``,
 n <= ``MAX_VARS`` and m <= ``MAX_ORDER``, in a form that does not depend on
 the order of the product pairs: each slot's run of pairs (i, j, k) in table
@@ -42,6 +46,7 @@ import numpy as np
 SCRIPT = Path(__file__).resolve()
 ROOT = SCRIPT.parents[1]
 ORDERS = (2, 3, 4)
+ORDER_5_MAX_DIM = 6
 POINTS, SEED = 3, 3
 
 
@@ -55,7 +60,7 @@ def dump(out: Path) -> None:
     for name in names:
         spec = geometry.catalogue_metric(name)
         points = geometry.sample_points(spec, POINTS, seed=SEED)
-        for order in ORDERS:
+        for order in orders(spec):
             built = [(f"p{i}", p) for i, p in enumerate(points)] + [("batch", points)]
             for where, pts in built:
                 key = f"{name}|o{order}|{where}"
@@ -67,6 +72,10 @@ def dump(out: Path) -> None:
         dump_handed(spec, name, arrays)
     dump_tables(arrays)
     np.savez(out, **arrays)
+
+
+def orders(spec) -> tuple:
+    return ORDERS + (5,) * (spec.n <= ORDER_5_MAX_DIM)
 
 
 def dump_tables(arrays: dict) -> None:
@@ -97,7 +106,7 @@ def dump_handed(spec, name: str, arrays: dict) -> None:
     from conformal_gap_lab import curvature, geometry, jets
 
     sliced, cut = (geometry.sample_points(spec, POINTS, seed=SEED + k) for k in (1, 2))
-    for order in ORDERS:
+    for order in orders(spec):
         batch = curvature.CurvatureFrame(spec, sliced, order)
         for i in range(len(sliced)):
             put(arrays, f"{name}|o{order}|slice{i}", batch[i])

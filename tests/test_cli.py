@@ -546,8 +546,9 @@ def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
 
 # (jet order, points) of every frame a command builds, in order
 FRAME_BUILDS = {
-    # n = 3: the check points take one order-3 batch, as normality reads Cotton
-    ("dims", "flat_1_2"): [(4, 1), (3, 6), (3, 1)],
+    # n = 3: the check points take one order-3 batch, as normality reads Cotton,
+    # and its first frame serves the Einstein tractors
+    ("dims", "flat_1_2"): [(4, 1), (3, 6)],
     ("rescale", "taub_nut", "--omega", "1 + x1/8", "--point", "1.0,1.2,0.5,0.5"):
         [(3, 1), (3, 1)],
     ("verify", "bounds", "--metric", "warped_fs_n6"): [(2, 10), (2, 6), (3, 1)],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conformal_gap_lab import curvature, expr, geometry, jets
+from conformal_gap_lab import curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.curvature import (
     CurvatureFrame, check_conventions, frobenius, rescale_metric, warped_nabla_reference,
     warped_ricci_reference,
@@ -691,3 +691,33 @@ def test_batched_frame_equals_per_point_frames_in_the_box(name):
         _assert_batch_is_per_point_frames(batch, spec, points, order)
 
     check()
+
+
+# a file whose every component depends on every coordinate: no jet slot of g
+# is zero, so no pair of the metric's own products is dropped
+DENSE_METRIC = "dim = 5\nsignature = 1,4\n" + "".join(
+    f"g {i} {j} : {(i == j) * (-1 if i == 1 else 1)} + 0.05*sin("
+    + " + ".join(f"{(i * j + k) % 4 + 1}*x{k}" for k in range(1, 6)) + ")\n"
+    for i in range(1, 6) for j in range(i, 6))
+
+
+@pytest.mark.parametrize("name", ["product_split_n8_p4", "warped_fs_n8", "taub_nut", "dense"])
+def test_live_pair_products_keep_every_frame_bit(name, monkeypatch):
+    # every frame array and chain value is built once with every product on
+    # the full path and once with every product of finite operands on the
+    # live-pair path, at one point and as a batch of three
+    spec = (geometry.load_metric(DENSE_METRIC, label="dense") if name == "dense"
+            else geometry.catalogue_metric(name))
+    points = sample_points(spec, 3, seed=17)
+    built = []
+    for cut in (math.inf, 0):
+        monkeypatch.setattr(jets, "_LIVE_PAIR_MIN", cut)
+        single = CurvatureFrame(spec, points[0], 4)
+        chain = tractor.curvature_chain(single, 2)
+        built.append((_frame_arrays(single), _frame_arrays(CurvatureFrame(spec, points, 4)),
+                      {f"chain{k}": x for k, x in enumerate(chain)}))
+    for full, live in zip(*built):
+        assert set(full) == set(live)
+        for key, value in full.items():
+            assert value.shape == live[key].shape, key
+            assert value.tobytes() == live[key].tobytes(), key

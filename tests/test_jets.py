@@ -237,16 +237,20 @@ def test_batched_conv_matches_scalar():
     assert np.allclose(batched, conv(a, b, 2, 3), atol=1e-14)
 
 
-@pytest.mark.parametrize("num_vars, order", [(3, 2), (3, 3), (4, 2), (6, 2)])
+@pytest.mark.parametrize("num_vars, order", [(3, 2), (3, 3), (4, 2), (6, 2), (6, 4)])
 def test_products_do_not_depend_on_the_batch(num_vars, order):
     # small tables scatter batches of several rows through a dense BLAS
     # matrix product and single rows through bincount: a one-row batch gives
     # the bits of the unbatched product whatever the BLAS, and a larger batch
     # agrees to the rounding of a reordered sum (bit for bit only while the
-    # BLAS sums the product's inner axis in index order)
+    # BLAS sums the product's inner axis in index order).  b's last slot is
+    # zero, so the 20-row batch of (6, 4), which forms more than
+    # _LIVE_PAIR_MIN pair products, takes the live-pair path and its rows the
+    # full one
     rng = np.random.default_rng(8)
     a = _random_jet(rng, num_vars, order, (20,))
     b = _random_jet(rng, num_vars, order)
+    b[-1] = 0.0
     single = np.stack([conv(r, b, num_vars, order) for r in a])
     for r in range(len(a)):
         assert conv(a[r:r + 1], b, num_vars, order)[0].tobytes() == single[r].tobytes()
@@ -430,14 +434,17 @@ def test_building_the_largest_tables_stays_small(monkeypatch):
     assert peak < 10 * 2**20
 
 
-@pytest.mark.parametrize("num_vars, order", [(4, 2), (6, 3), (6, 4)])
+@pytest.mark.parametrize("num_vars, order", [(4, 2), (6, 3), (6, 4), (8, 3)])
 def test_contract_matches_conv_sum(num_vars, order):
-    # (4, 2) and (6, 3) have the dense scatter, (6, 4) only bincount; an
-    # unbatched result takes bincount on every table
-    assert (jets.tables(num_vars, order).scatter is None) == (order == 4)
+    # (4, 2) and (6, 3) have the dense scatter, (6, 4) and (8, 3) only
+    # bincount; an unbatched result takes bincount on every table.  b's last
+    # slot is zero, so the batches of all but (4, 2), which form more than
+    # _LIVE_PAIR_MIN pair products, take the live-pair path
+    assert (jets.tables(num_vars, order).scatter is None) == (order * num_vars >= 24)
     rng = np.random.default_rng(7)
     a = _random_jet(rng, num_vars, order, (3, 1, 5))
     b = _random_jet(rng, num_vars, order, (1, 4, 5))
+    b[..., -1] = 0.0
     got = jets.contract(a, b, num_vars, order)
     assert got.shape == (3, 4, a.shape[-1])
     assert np.allclose(got, conv(a, b, num_vars, order).sum(axis=-2), atol=1e-12)
@@ -447,3 +454,113 @@ def test_contract_matches_conv_sum(num_vars, order):
         jets.contract(a[..., :-1], b[..., :-1], num_vars, order)
 
 
+def _both_paths(monkeypatch, product, a, b, num_vars, order):
+    """The product of a and b on the full path and on the live-pair path,
+    each forced through the size cut; asserts that the cut chose them."""
+    taken = []
+    live_pairs = jets._live_pairs
+
+    def spied(*args):
+        pairs = live_pairs(*args)
+        taken.append(pairs[2] is not None)
+        return pairs
+
+    monkeypatch.setattr(jets, "_live_pairs", spied)
+    results = []
+    for cut in (math.inf, 0):
+        monkeypatch.setattr(jets, "_LIVE_PAIR_MIN", cut)
+        results.append(product(a, b, num_vars, order))
+    assert taken == [False, np.isfinite(a).all() and np.isfinite(b).all()]
+    return results
+
+
+def _assert_same_bits(full, live, shape):
+    assert full.shape == live.shape == shape
+    assert full.dtype == live.dtype == np.float64
+    assert full.tobytes() == live.tobytes()
+
+
+# (num_vars, order, leading shape of a, of b): single jets, batches of the
+# two scatters, broadcast batches, and a summed axis of length one for contract
+LIVE_CASES = [(4, 2, (), ()), (4, 2, (6,), (6,)), (6, 3, (3, 1, 5), (1, 4, 5)),
+              (6, 4, (2, 3), (3,)), (5, 3, (7, 1), (1, 1)), (3, 4, (4, 2), (4, 2))]
+PRODUCTS = {"conv": conv, "contract": jets.contract}
+
+
+@pytest.mark.parametrize("product", sorted(PRODUCTS))
+@pytest.mark.parametrize("num_vars, order, lead_a, lead_b", LIVE_CASES)
+def test_live_pairs_keep_the_bits_of_the_full_product(product, num_vars, order, lead_a,
+                                                      lead_b, monkeypatch):
+    # slots zero in every jet of the batch, slots zero in some jets only, and
+    # zeros of both signs: every pair dropped adds an exact zero to a sum
+    # that starts at +0.0
+    if product == "contract" and not lead_a:
+        lead_a, lead_b = (1,), (1,)
+    rng = np.random.default_rng(num_vars * 10 + order)
+    size = jets.tables(num_vars, order).size
+    shape = np.broadcast_shapes(lead_a, lead_b)
+    shape = shape[:-1] if product == "contract" else shape
+    for trial in range(20):
+        a = _random_jet(rng, num_vars, order, lead_a)
+        b = _random_jet(rng, num_vars, order, lead_b)
+        for x in (a, b):
+            x[..., rng.random(size) < 0.7] = 0.0
+            x[rng.random(x.shape) < 0.2] = 0.0
+            x[rng.random(x.shape) < 0.3] *= -1.0
+        full, live = _both_paths(monkeypatch, PRODUCTS[product], a, b, num_vars, order)
+        _assert_same_bits(full, live, shape + (size,))
+
+
+@pytest.mark.parametrize("product", sorted(PRODUCTS))
+def test_one_live_pair_keeps_the_bits_of_the_full_product(product, monkeypatch):
+    # the gathered pair axis has length one, so the operands of contract's
+    # einsum change their layout; generic values at random slots and shapes
+    rng = np.random.default_rng(11)
+    for trial in range(100):
+        num_vars, order = (3, 4) if trial % 2 else (6, 3)
+        t = jets.tables(num_vars, order)
+        p = rng.integers(len(t.mul_k))
+        lead = tuple(rng.integers(1, 4, rng.integers(1, 4)))
+        a = np.zeros(lead + (t.size,))
+        b = np.zeros(lead[-1:] + (t.size,))
+        a[..., t.mul_i[p]] = rng.uniform(-2.0, 2.0, lead)
+        b[..., t.mul_j[p]] = rng.uniform(-2.0, 2.0, lead[-1:])
+        full, live = _both_paths(monkeypatch, PRODUCTS[product], a, b, num_vars, order)
+        out = lead[:-1] if product == "contract" else lead
+        _assert_same_bits(full, live, out + (t.size,))
+
+
+@pytest.mark.parametrize("product", sorted(PRODUCTS))
+def test_no_live_pair_gives_float_zeros(product, monkeypatch):
+    # a nonzero only at the top degree and b only above degree 0: every pair
+    # with a nonzero factor on both sides lands above the order
+    num_vars, order = 4, 3
+    t = jets.tables(num_vars, order)
+    rng = np.random.default_rng(12)
+    a = np.zeros((2, 3, t.size))
+    b = np.zeros((3, t.size))
+    a[..., t.sizes_by_order[-2]:] = rng.uniform(-2.0, 2.0, (2, 3, t.size - t.sizes_by_order[-2]))
+    b[..., 1:] = -rng.uniform(0.5, 2.0, (3, t.size - 1))
+    full, live = _both_paths(monkeypatch, PRODUCTS[product], a, b, num_vars, order)
+    shape = (2,) if product == "contract" else (2, 3)
+    _assert_same_bits(full, live, shape + (t.size,))
+    assert not live.any() and not np.signbit(live).any()
+
+
+@pytest.mark.parametrize("product", sorted(PRODUCTS))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_operand_takes_the_full_product(product, bad, monkeypatch):
+    # 0 * inf is NaN: a slot of b that is zero in every jet must still meet
+    # the infinite slot of a, so the product keeps the NaN
+    num_vars, order = 4, 3
+    t = jets.tables(num_vars, order)
+    rng = np.random.default_rng(13)
+    a = _random_jet(rng, num_vars, order, (3, 4))
+    b = _random_jet(rng, num_vars, order, (3, 4))
+    a[1, 2, 2] = bad                     # slot x2
+    b[..., 1] = 0.0                      # slot x1, so slot x1 x2 meets 0 * bad
+    with np.errstate(invalid="ignore"):
+        full, live = _both_paths(monkeypatch, PRODUCTS[product], a, b, num_vars, order)
+    assert full.tobytes() == live.tobytes()
+    x1x2 = t.mul_k[(t.mul_i == 2) & (t.mul_j == 1)][0]
+    assert np.isnan(live[1, ..., x1x2] if product == "contract" else live[1, 2, x1x2])
