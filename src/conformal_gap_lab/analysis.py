@@ -80,15 +80,19 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.basis.shape[1]
 
-    def contains(self, v: np.ndarray) -> bool:
+    def contains(self, v: np.ndarray):
         """Whether v lies in the subspace up to 1e-8 relative to |v| (v = 0 does,
-        a non-finite v does not), checked on v / max |v_i| so no norm overflows."""
+        a non-finite v does not), checked on v / max |v_i| so no norm overflows.
+        A stack (..., ambient) of vectors gives one bool per vector, from one
+        projection."""
         v = np.asarray(v, dtype=float)
-        if not np.all(np.isfinite(v)):
-            return False
-        v = v / (np.abs(v).max(initial=0.0) or 1.0)
-        proj = self.basis.T @ (self.basis @ v)
-        return float(np.linalg.norm(v - proj)) <= 1e-8 * float(np.linalg.norm(v))
+        finite = np.isfinite(v).all(axis=-1)
+        v = np.where(finite[..., None], v, 0.0)      # a non-finite vector is outside
+        top = np.abs(v).max(axis=-1, initial=0.0)
+        v = v / np.where(top > 0.0, top, 1.0)[..., None]
+        off = v - (v @ self.basis.T) @ self.basis
+        inside = finite & (norms(off, 1) <= 1e-8 * norms(v, 1))
+        return inside if inside.ndim else bool(inside)
 
 
 def kernel(matrix) -> Subspace:
@@ -253,7 +257,7 @@ def sc_of_scale_direct(spec: MetricSpec, sigma: expr.Node, point) -> float:
 # induced actions on the adjoint (two-form) tractor bundle
 
 # two-vectors are stored by their components A[i, j], i < j, row by row
-# (the order of np.triu_indices)
+# (the order of curvature.upper_pairs)
 
 def derived_lambda2(X: np.ndarray) -> np.ndarray:
     """Algebra-level action on two-vectors, X.(u^v) = Xu^v + u^Xv, batched.
@@ -261,7 +265,7 @@ def derived_lambda2(X: np.ndarray) -> np.ndarray:
     Column (k, l) is the action on e_k^e_l, read off at the pairs (i, j):
     X_ik d_jl - X_il d_jk + d_ik X_jl - d_il X_jk.
     """
-    rows, cols = np.triu_indices(X.shape[-1], 1)
+    rows, cols = curvature.upper_pairs(X.shape[-1], 1)
     i, j = rows[:, None], cols[:, None]
     k, l = rows[None, :], cols[None, :]
     d = np.eye(X.shape[-1])
@@ -272,7 +276,7 @@ def derived_lambda2(X: np.ndarray) -> np.ndarray:
 def wedge_vector(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The two-vector u^v, batched over leading axes of u and v."""
     A = u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
-    return A[(...,) + np.triu_indices(u.shape[-1], 1)]
+    return A[(...,) + curvature.upper_pairs(u.shape[-1], 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +457,10 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     of their wedges: parallel tractors have the same rank at every point,
     and no scale there is far from 1.
     Containment in the constraint kernels is checked on the Einstein tractors
-    at the basepoint, each divided by its largest entry, so neither they nor
-    their wedges overflow however far the basepoint lies.
+    at the basepoint (their values, from the order-2 prefix of the scales'
+    order-3 jets there), each divided by its largest entry, so neither they
+    nor their wedges overflow however far the basepoint lies; all tractors of
+    a bundle in one projection.
     """
     names = [name for name, _ in spec.known_scales]
     sigmas = [sigma for _, sigma in spec.known_scales]
@@ -485,7 +491,7 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
                 raise geometry.DomainError(
                     f"scale {names[i]!r} of {spec.label!r} is not finite at the basepoint "
                     f"{geometry.format_point(report.basepoint)}")
-        base_vecs = tractor.einstein_jets(base, at_base)[..., 0]
+        base_vecs = tractor.einstein_jets(base, base.at(at_base, 2))[..., 0]
         base_vecs /= np.abs(base_vecs).max(axis=1, keepdims=True)
         _require_inside(standard, base_vecs, report.ae_witnesses, "standard", spec)
     vecs = at_first[verified, :, 0]
@@ -521,13 +527,14 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
 
 def _require_inside(space: Subspace, vectors, names, bundle: str,
                     spec: MetricSpec) -> None:
-    """A verified witness outside the constraint kernel refutes the certificate."""
-    for name, v in zip(names, vectors):
-        if not space.contains(v):
-            raise AnalysisError(
-                f"witness {name} of {spec.label!r} lies outside the {bundle} "
-                f"constraint kernel"
-            )
+    """A verified witness outside the constraint kernel refutes the certificate;
+    the first one outside is named."""
+    outside = np.flatnonzero(~space.contains(vectors))
+    if len(outside):
+        raise AnalysisError(
+            f"witness {names[outside[0]]} of {spec.label!r} lies outside the {bundle} "
+            f"constraint kernel"
+        )
 
 
 # ---------------------------------------------------------------------------

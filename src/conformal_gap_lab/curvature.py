@@ -19,7 +19,10 @@ order ``K`` holds the metric to order ``K``, its inverse and the Christoffels
 to ``K-1``, and Ricci, Sc, J, Schouten and ``schouten_mixed`` to ``K-2``: what
 the tractor connection jets and their curvature chain read.  The mixed and
 all-down Riemann, Weyl and Cotton tensors are held at jet order 0, their
-values, since no reader needs more; Cotton needs ``K >= 3``.
+values, since no reader needs more, and are made on first read: a frame
+whose readers read none of them (the Einstein tractors') computes none.  A
+frame of order 2 forms the mixed Riemann value as it is built, since Ricci
+is its trace there.  Cotton needs ``K >= 3`` and is None below.
 Christoffels are contracted for the index pairs ``a <= b`` only and mirrored,
 and Ricci is summed from the trace rows ``R_rb^r_d`` alone, so no product
 of the build above jet order 0 forms ``n^4`` jets; every array keeps the
@@ -35,7 +38,9 @@ one point has (n, n, C).  Every product then keeps the trailing tensor and
 coefficient blocks of the one-point frame, and each point's slice has the
 bits of the frame built there alone (as long as the BLAS sums a dense
 product in index order, see ``jets._scatter``).  Indexing a batch
-(``frame[i]``, ``frame[:3]``) gives the frame at those points as views.  Data
+(``frame[i]``, ``frame[:3]``) gives the frame at those points as views; a
+slice reads a tensor made on first read from its batch, which makes it
+once, so every array of a slice stays a view of the batch's.  Data
 that a batch reads carries its own leading axes before the point axis (scale
 jets are (S, P, C)), and :meth:`CurvatureFrame.cov_deriv` takes such axes
 alike at a frame of one point (a stack of scale gradients is (S, n, C)).
@@ -54,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,10 +99,21 @@ def _last(arr: np.ndarray, *axes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def upper_pairs(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j), j >= i + k, as two read-only arrays in the
+    order of ``np.triu_indices(n, k)`` (row by row), built from aranges."""
+    counts = np.maximum(n - k - np.arange(n), 0)
+    rows = np.repeat(np.arange(n), counts)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts) + rows + k
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+@lru_cache(maxsize=None)
 def _symmetric_pairs(n: int):
-    """The index pairs a <= b as two arrays (``triu_indices`` order), and the
+    """The index pairs a <= b as two arrays (``upper_pairs`` order), and the
     (n, n) map from (a, b) to the position of its pair."""
-    upper = np.triu_indices(n)
+    upper = upper_pairs(n)
     mirror = np.empty((n, n), dtype=np.intp)
     mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
     return upper, mirror
@@ -110,7 +126,8 @@ def _trace_partials(n: int, order: int):
     tuple over the (c, a, b, coefficient) axes and the factors, the slots and
     factors that ``jets.partials`` reads."""
     t = jets.tables(n, order)
-    r, b, d = (i[..., None] for i in np.ogrid[:n, :n, :n])
+    i = np.arange(n)
+    r, b, d = i[:, None, None, None], i[None, :, None, None], i[None, None, :, None]
     src, fac = t.diff_src, t.diff_fac
     return (((r, b, d, src[:, None, None, :]), fac[:, None, None, :]),
             ((r, r, d, src[None, :, None, :]), fac[None, :, None, :]))
@@ -120,6 +137,23 @@ def _trace_partials(n: int, order: int):
 def _last_axes(ndim: int, axes: tuple) -> tuple:
     lead = ndim - len(axes)
     return tuple(range(lead)) + tuple(lead + a for a in axes)
+
+
+def _on_first_read(build):
+    """A frame tensor that ``build`` makes on its first read and the frame
+    keeps, read-only; a batch slice reads it from its batch, as a view of the
+    batch's array."""
+    def read(fr):
+        if fr._source is None:
+            value = build(fr)
+            if value is not None:
+                value.flags.writeable = False
+            return value
+        batch, index = fr._source
+        value = getattr(batch, build.__name__)
+        return None if value is None else value[index]
+    read.__doc__ = build.__doc__
+    return cached_property(read)
 
 
 class CurvatureFrame:
@@ -138,6 +172,7 @@ class CurvatureFrame:
         self.point = tuple(map(tuple, pts.tolist())) if pts.ndim > 1 else tuple(pts.tolist())
         self.order = order
         n = self.n = spec.n
+        self._source = None                 # (batch, index) at a batch slice
 
         self.g, self.ginv = geometry.metric_frame_at(spec, pts, order)
 
@@ -159,9 +194,8 @@ class CurvatureFrame:
         # Ricci is the trace of the mixed Riemann tensor over its first and
         # third indices; the frame holds that tensor's value, which at jet
         # order 2 is the whole jet, and above that forms only the trace rows
-        self.riemann_mixed = rm = self.riemann_mixed_jets(0)
         if m2 == 0:
-            self.ricci = ricci = np.einsum("...rbrdk->...bdk", rm)
+            self.ricci = ricci = np.einsum("...rbrdk->...bdk", self.riemann_mixed)
         else:
             self.ricci = ricci = np.einsum("...rbdk->...bdk", self._ricci_rows(m2))
         lead = self.batch
@@ -174,18 +208,35 @@ class CurvatureFrame:
         self.schouten_mixed = contract(P[..., :, None, :, :], ginv2[..., None, :, :, :],
                                        n, m2)             # [a, b] = P_a^b
 
-        # no reader needs more than the values of these three
-        self.riemann, self.weyl = self.riemann_and_weyl(0)
-        self.cotton = None
-        if order >= 3:
-            covP = self.cov_deriv(self.at(P, 1), 2, 1)     # [a, b, c] = nabla_a P_bc
-            A = _last(covP, 2, 0, 1, 3)
-            self.cotton = A - _last(A, 0, 2, 1, 3)        # [c, a, b] = Y_cab
-
         # batch slices and prefixes (at) share these arrays, so nothing may write into them
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    # the values of these, made on first read; no reader needs their jets
+    @_on_first_read
+    def riemann_mixed(self) -> np.ndarray:
+        """R_ab^c_d (built with the frame at jet order 2, where Ricci is its trace)."""
+        return self.riemann_mixed_jets(0)
+
+    @_on_first_read
+    def riemann(self) -> np.ndarray:
+        """R_abcd."""
+        return self._riemann_jets(0)
+
+    @_on_first_read
+    def weyl(self) -> np.ndarray:
+        """W_abcd."""
+        return self._weyl_jets(self.riemann, 0)
+
+    @_on_first_read
+    def cotton(self) -> np.ndarray | None:
+        """Y_cab, at frames of order 3 and above; None below."""
+        if self.order < 3:
+            return None
+        covP = self.cov_deriv(self.at(self.schouten, 1), 2, 1)   # [a, b, c] = nabla_a P_bc
+        A = _last(covP, 2, 0, 1, 3)
+        return A - _last(A, 0, 2, 1, 3)                         # [c, a, b] = Y_cab
 
     # helpers ----------------------------------------------------------------
 
@@ -203,6 +254,7 @@ class CurvatureFrame:
         for name, value in vars(self).items():
             setattr(fr, name, value[index] if isinstance(value, np.ndarray) else value)
         fr.point = self.point[index]
+        fr._source = (self, index)
         return fr
 
     def at(self, arr: np.ndarray, m: int) -> np.ndarray:
@@ -251,19 +303,23 @@ class CurvatureFrame:
 
     def riemann_and_weyl(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Jets to order m (at most order - 2) of R_abcd and of the Weyl tensor."""
-        n = self.n
-        rm = self.riemann_mixed if m == 0 else self.riemann_mixed_jets(m)
-        g, P = self.at(self.g, m), self.at(self.schouten, m)
+        R = self._riemann_jets(m)
+        return R, self._weyl_jets(R, m)
+
+    def _riemann_jets(self, m: int) -> np.ndarray:
         # R_abcd = g_ce R_ab^e_d
-        R = contract(g[..., None, None, :, None, :, :],
-                     _last(rm, 0, 1, 3, 2, 4)[..., :, :, None, :, :, :], n, m)
+        rm = self.riemann_mixed if m == 0 else self.riemann_mixed_jets(m)
+        return contract(self.at(self.g, m)[..., None, None, :, None, :, :],
+                        _last(rm, 0, 1, 3, 2, 4)[..., :, :, None, :, :, :], self.n, m)
+
+    def _weyl_jets(self, R: np.ndarray, m: int) -> np.ndarray:
         # R = W + g_ca P_bd - g_cb P_ad + g_db P_ac - g_da P_bc; with
         # t[a, b, c, d] = g_ac P_bd and g symmetric the last three terms are
         # transposes of the first
-        t = conv(g[..., :, None, :, None, :], P[..., None, :, None, :, :], n, m)
-        W = (R - t + _last(t, 1, 0, 2, 3, 4)
-             - _last(t, 1, 0, 3, 2, 4) + _last(t, 0, 1, 3, 2, 4))
-        return R, W
+        g, P = self.at(self.g, m), self.at(self.schouten, m)
+        t = conv(g[..., :, None, :, None, :], P[..., None, :, None, :, :], self.n, m)
+        return (R - t + _last(t, 1, 0, 2, 3, 4)
+                - _last(t, 1, 0, 3, 2, 4) + _last(t, 0, 1, 3, 2, 4))
 
     def cov_deriv(self, T: np.ndarray, rank: int, m: int) -> np.ndarray:
         """Covariant derivative of a covariant rank-k jet tensor:
@@ -300,7 +356,7 @@ class CurvatureFrame:
 def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n! permutations of range(n) as rows, identity first, and their signs."""
     perms = np.array(list(itertools.permutations(range(n)))).reshape(-1, n)
-    a, b = np.triu_indices(n, 1)
+    a, b = upper_pairs(n, 1)
     signs = 1.0 - 2.0 * ((perms[:, a] > perms[:, b]).sum(axis=1) % 2)
     perms.flags.writeable = signs.flags.writeable = False
     return perms, signs

@@ -510,13 +510,15 @@ def jet_matrix_inverse(G: np.ndarray) -> np.ndarray:
         raise SingularMetricError("jet matrix inverse: singular value matrix") from None
     X = np.zeros_like(Gc)
     X[0] = x0
-    for i, j, starts, slots in jets.tables(n, jets.order_of(G.shape[-1], n)).inverse_steps:
+    for d in range(1, jets.order_of(G.shape[-1], n) + 1):
+        i, j, starts, slots = jets.inverse_step(n, d)
         X[slots] = -x0 @ np.add.reduceat(Gc[i] @ X[j], starts, axis=0)
     return np.ascontiguousarray(np.moveaxis(X, 0, -1))
 
 
 def _eigenvalues(values: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(0.5 * (values + values.T))
+    """Eigenvalues of the symmetric part of each (n, n) matrix; leading axes batch."""
+    return np.linalg.eigvalsh(0.5 * (values + np.swapaxes(values, -1, -2)))
 
 
 def _signs(eigs: np.ndarray) -> tuple[int, int]:
@@ -543,7 +545,7 @@ def require_point(spec: MetricSpec, point) -> None:
         )
 
 
-def _check_values(spec: MetricSpec, point, G: np.ndarray) -> None:
+def _check_point(spec: MetricSpec, point, G: np.ndarray) -> None:
     """Raise unless the metric jets G at the point are finite, nondegenerate
     and of the declared signature."""
     if not np.all(np.isfinite(G)):
@@ -560,6 +562,21 @@ def _check_values(spec: MetricSpec, point, G: np.ndarray) -> None:
         raise SingularMetricError(
             f"{spec.label!r}: computed signature {sig} != declared {spec.signature}"
         )
+
+
+def _check_values(spec: MetricSpec, points: np.ndarray, G: np.ndarray) -> None:
+    """``_check_point`` at each of the (P, n) points, G the (P, n, n, C) jets
+    there, from one stacked eigvalsh; only when some point fails does it run
+    point by point, so the first failing point raises what it raises alone."""
+    if np.isfinite(G).all():
+        eigs = _eigenvalues(G[..., 0])
+        size = np.abs(eigs)
+        p, q = spec.signature
+        if ((size.min(axis=-1) > DEGENERACY_RATIO * size.max(axis=-1)).all()
+                and ((eigs < 0).sum(axis=-1) == p).all() and ((eigs > 0).sum(axis=-1) == q).all()):
+            return
+    for point, g in zip(points, G):
+        _check_point(spec, point, g)
 
 
 def metric_frame_at(spec: MetricSpec, points, order: int):
@@ -581,8 +598,7 @@ def metric_frame_at(spec: MetricSpec, points, order: int):
             require_point(spec, p)
         with np.errstate(over="ignore", invalid="ignore"):
             G = metric_jets(spec, pts, order)
-        for p, g in zip(stack, G.reshape((-1,) + G.shape[-3:])):
-            _check_values(spec, p, g)
+        _check_values(spec, stack, G.reshape((-1,) + G.shape[-3:]))
         G1 = jets.truncate_coeffs(G, spec.n, order, order - 1)
         return G, jet_matrix_inverse(G1)
     except (DomainError, SingularMetricError, expr.EvalError):

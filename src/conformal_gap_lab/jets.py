@@ -14,7 +14,11 @@ Operations take the jet shape ``(num_vars, order)`` explicitly and reject
 operands whose coefficient axis has the wrong length.  :func:`conv` is the
 product and :func:`contract` the product summed over one index; both scatter
 through one tail, over product pairs ordered by the degree they land in, so
-each lower order's tables are prefix views of the highest order's.
+each lower order's tables are prefix views of the highest order's.  What
+only some callers read is made on first use and kept: the dense 0/1 scatter
+matrix of a table (:func:`dense_scatter`) and the jet matrix inverse's step
+of one degree (:func:`inverse_step`), so a process pays only for the
+scatters its batched products and the degrees its inverses read.
 
 Both multiply only the live pairs of a large product.  A pair (i, j) is live
 when slot i of ``a`` and slot j of ``b`` each hold a nonzero entry in some jet
@@ -83,7 +87,9 @@ class JetTables:
     row-major (i, j) order within a degree, so bincount and the dense scatter
     sum each slot's pairs in row-major order.  Every array of a lower order
     is a prefix of the one of a higher order, and the tables of every order
-    up to the highest built are views of its arrays."""
+    up to the highest built are views of its arrays.  The dense scatter and
+    the inverse steps are not fields: :func:`dense_scatter` and
+    :func:`inverse_step` make them from these arrays on first use."""
 
     num_vars: int
     order: int
@@ -92,16 +98,16 @@ class JetTables:
     mul_i: np.ndarray                     # pair p multiplies slot mul_i[p] by slot mul_j[p]
     mul_j: np.ndarray
     mul_k: np.ndarray                     # and lands in slot mul_k[p]
-    scatter: np.ndarray | None            # (T, size) dense 0/1 matrix, or None
     diff_src: np.ndarray                  # [var, slot]: source slot in the parent jet
     diff_fac: np.ndarray                  # [var, slot]: multiplier (alpha_var + 1)
-    # geometry.jet_matrix_inverse's steps, per degree d >= 1: the pairs (i, j),
-    # deg i >= 1, landing in degree d sorted by slot, where each slot's run starts, the slots
-    inverse_steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, slice], ...]
 
 
 # the tables by (num_vars, order); building one order registers every lower one
 _tables: dict[tuple[int, int], JetTables] = {}
+# made on first use: the dense scatter matrices by (num_vars, order), and
+# geometry.jet_matrix_inverse's steps by (num_vars, degree)
+_scatters: dict[tuple[int, int], np.ndarray] = {}
+_inverse_steps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray, slice]] = {}
 
 
 def tables(num_vars: int, order: int) -> JetTables:
@@ -150,24 +156,42 @@ def _build_tables(num_vars: int, order: int) -> None:
     diff_src = locate(keys[: starts[order]] + radix[:, None])
     diff_fac = E[: starts[order]].T + 1.0
 
-    # the pairs with deg i >= 1 landing in degree d, sorted by slot
-    inverse_steps = []
-    for d in range(1, order + 1):
-        run = slice(pairs_by_order[d - 1], pairs_by_order[d])
-        i, j, k = (m[run][mul_i[run] >= 1] for m in (mul_i, mul_j, mul_k))
-        by_slot = np.argsort(k, kind="stable")
-        inverse_steps.append((i[by_slot], j[by_slot],
-                              np.flatnonzero(np.diff(k[by_slot], prepend=-1)),
-                              slice(starts[d], starts[d + 1])))
-
     for m, size in enumerate(sizes_by_order):
         pairs, below = pairs_by_order[m], starts[m]
         _tables[num_vars, m] = JetTables(
             num_vars=num_vars, order=m, size=size, sizes_by_order=sizes_by_order[: m + 1],
             mul_i=mul_i[:pairs], mul_j=mul_j[:pairs], mul_k=mul_k[:pairs],
-            scatter=np.eye(size)[mul_k[:pairs]] if pairs * size <= _DENSE_TABLE_LIMIT else None,
-            diff_src=diff_src[:, :below], diff_fac=diff_fac[:, :below],
-            inverse_steps=tuple(inverse_steps[:m]))
+            diff_src=diff_src[:, :below], diff_fac=diff_fac[:, :below])
+
+
+def dense_scatter(t: JetTables) -> np.ndarray | None:
+    """The (T, size) dense 0/1 scatter matrix of a table with at most
+    ``_DENSE_TABLE_LIMIT`` (pair, slot) entries, made on first use; None for
+    a larger table."""
+    if len(t.mul_k) * t.size > _DENSE_TABLE_LIMIT:
+        return None
+    key = t.num_vars, t.order
+    if key not in _scatters:
+        _scatters[key] = np.eye(t.size)[t.mul_k]
+    return _scatters[key]
+
+
+def inverse_step(num_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, slice]:
+    """``geometry.jet_matrix_inverse``'s step for one degree d >= 1, made on
+    first use: the pairs (i, j), deg i >= 1, landing in degree d, sorted by
+    slot and in table order within a slot; where each slot's run starts; and
+    the slots of degree d.  The pairs landing in degree d are the last run
+    of the order-d table's pairs."""
+    key = num_vars, degree
+    if key not in _inverse_steps:
+        t = tables(num_vars, degree)
+        run = slice(len(tables(num_vars, degree - 1).mul_k), None)
+        i, j, k = (m[run][t.mul_i[run] >= 1] for m in (t.mul_i, t.mul_j, t.mul_k))
+        by_slot = np.argsort(k, kind="stable")
+        _inverse_steps[key] = (i[by_slot], j[by_slot],
+                               np.flatnonzero(np.diff(k[by_slot], prepend=-1)),
+                               slice(*t.sizes_by_order[-2:]))
+    return _inverse_steps[key]
 
 
 @lru_cache(maxsize=None)
@@ -205,8 +229,8 @@ def _scatter(prods: np.ndarray, t: JetTables, slots: np.ndarray | None = None) -
     lead = prods.shape[:-1]
     rows = math.prod(lead)
     if slots is None:
-        if rows > 1 and t.scatter is not None:
-            return prods @ t.scatter
+        if rows > 1 and (scatter := dense_scatter(t)) is not None:
+            return prods @ scatter
         slots = t.mul_k
     if not slots.size:  # bincount of no weights is int64
         return np.zeros(lead + (t.size,))

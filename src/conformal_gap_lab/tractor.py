@@ -24,12 +24,10 @@ one batch of frames per step count, at the grid points new to it.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import geometry, jets
-from .curvature import ConventionError, CurvatureFrame, frobenius, norms
+from .curvature import ConventionError, CurvatureFrame, frobenius, norms, upper_pairs
 from .geometry import MetricSpec
 from .jets import contract, conv, partials
 
@@ -91,15 +89,14 @@ def einstein_jets(fr: CurvatureFrame, sig: np.ndarray) -> np.ndarray:
     n = fr.n
     K = jets.order_of(sig.shape[-1], n)
     dsig = partials(sig, n, K, axis=sig.ndim - 1)                      # (..., a, C_{K-1})
-    mu = contract(fr.at(fr.ginv, K - 1), dsig[..., None, :, :], n, K - 1)
-    hess = fr.cov_deriv(dsig, 1, K - 1)                                # (..., a, b, C_{K-2})
     ginv2 = fr.at(fr.ginv, K - 2)
+    mu = contract(ginv2, jets.truncate_coeffs(dsig, n, K - 1, K - 2)[..., None, :, :], n, K - 2)
+    hess = fr.cov_deriv(dsig, 1, K - 1)                                # (..., a, b, C_{K-2})
     lap = contract(ginv2.reshape(n * n, -1), hess.reshape(hess.shape[:-3] + (n * n, -1)),
                    n, K - 2)
     sig2 = jets.truncate_coeffs(sig, n, K, K - 2)
     rho = -(lap + conv(fr.at(fr.j, K - 2), sig2, n, K - 2)) / n
-    mu2 = jets.truncate_coeffs(mu, n, K - 1, K - 2)
-    return np.concatenate([sig2[..., None, :], mu2, rho[..., None, :]], axis=-2)
+    return np.concatenate([sig2[..., None, :], mu, rho[..., None, :]], axis=-2)
 
 
 def parallel_values(fr: CurvatureFrame, I: np.ndarray) -> np.ndarray:
@@ -126,7 +123,7 @@ def curvature_chain(fr: CurvatureFrame, m: int) -> list[np.ndarray]:
     n = fr.n
     nb = n + 2
     A = connection_jets(fr, m)
-    a, b = np.array(list(itertools.combinations(range(n), 2))).T
+    a, b = upper_pairs(n, 1)
     dA = partials(A, n, m)                                           # [c, a] = d_c A_a
     A1 = jets.truncate_coeffs(A, n, m, m - 1)
     X = dA[a, b] - dA[b, a] + _jet_bracket(A1[a], A1[b], n, m - 1)

@@ -18,9 +18,13 @@ each tree from about 0.3 to 0.7 GB.  Both trees have these, so either tree's
 frames can be dumped by this script.  So is every ``jets.tables(n, m)``,
 n <= ``MAX_VARS`` and m <= ``MAX_ORDER``, in a form that does not depend on
 the order of the product pairs: each slot's run of pairs (i, j, k) in table
-order, the slot counts, ``diff_src``, ``diff_fac`` and the inverse steps.
-Prints each array whose shape, dtype or bytes differ and exits 1 if any do,
-0 otherwise.
+order, the slot counts, ``diff_src``, ``diff_fac`` and the inverse steps
+(read through ``jets.inverse_step``, or the ``inverse_steps`` field of the
+tables in trees that keep them there).  Frame arrays are read by name, so
+the tensors a frame makes on first read are dumped too.  Prints each array
+whose shape, dtype or bytes differ and exits 1 if any do, 0 otherwise; the
+two dumps are compared one array at a time, so no more than two arrays are
+loaded at once.
 
     python tests/compare_frames.py PATH/TO/OTHER/src [--prefix ginv]
 
@@ -48,6 +52,9 @@ ROOT = SCRIPT.parents[1]
 ORDERS = (2, 3, 4)
 ORDER_5_MAX_DIM = 6
 POINTS, SEED = 3, 3
+# every tensor a frame holds; cotton is None below order 3
+TENSORS = ("g", "ginv", "gamma", "riemann_mixed", "riemann", "ricci", "sc", "j",
+           "schouten", "schouten_mixed", "weyl", "cotton")
 
 
 def dump(out: Path) -> None:
@@ -90,14 +97,20 @@ def dump_tables(arrays: dict) -> None:
             arrays[f"{key}|runs"] = np.stack([t.mul_i, t.mul_j, t.mul_k])[:, by_slot]
             arrays[f"{key}|sizes_by_order"] = np.array(t.sizes_by_order)
             arrays[f"{key}|diff_src"], arrays[f"{key}|diff_fac"] = t.diff_src, t.diff_fac
-            for d, (i, j, starts, slots) in enumerate(t.inverse_steps, 1):
+            for d in range(1, m + 1):
+                i, j, starts, slots = (jets.inverse_step(n, d) if hasattr(jets, "inverse_step")
+                                       else t.inverse_steps[d - 1])
                 arrays[f"{key}|inverse{d}"] = np.concatenate([i, j, starts, [slots.start, slots.stop]])
 
 
+def tensors(fr):
+    """The frame's arrays by name."""
+    return {attr: value for attr in TENSORS if (value := getattr(fr, attr)) is not None}
+
+
 def put(arrays: dict, key: str, fr) -> None:
-    for attr, value in vars(fr).items():
-        if isinstance(value, np.ndarray):
-            arrays[f"{key}|{attr}"] = value
+    for attr, value in tensors(fr).items():
+        arrays[f"{key}|{attr}"] = value
 
 
 def dump_handed(spec, name: str, arrays: dict) -> None:
@@ -114,10 +127,9 @@ def dump_handed(spec, name: str, arrays: dict) -> None:
         fr = curvature.CurvatureFrame(spec, p, 4)
         put(arrays, f"{name}|o4|cut{i}", fr)
         for order in (3, 2):
-            for attr, value in vars(fr).items():
-                if isinstance(value, np.ndarray):
-                    m = max(jets.order_of(value.shape[-1], spec.n) - 4 + order, 0)
-                    arrays[f"{name}|o{order}|cut{i}|{attr}"] = fr.at(value, m)
+            for attr, value in tensors(fr).items():
+                m = max(jets.order_of(value.shape[-1], spec.n) - 4 + order, 0)
+                arrays[f"{name}|o{order}|cut{i}|{attr}"] = fr.at(value, m)
 
 
 def dump_tree(src: Path, out: Path) -> None:
@@ -141,6 +153,22 @@ def differs(name: str, mine: np.ndarray, theirs: np.ndarray, prefixed: set) -> s
     return None
 
 
+def compare(mine, theirs, prefixed: set) -> tuple[int, int]:
+    """Print each array of two open dumps that differs, reading one pair at a
+    time; the count of those that differ and of all names."""
+    here, there = set(mine.files), set(theirs.files)
+    differ = 0
+    for name in sorted(here | there):
+        if name not in here or name not in there:
+            why = f"only in {'this tree' if name in here else 'the other tree'}"
+        else:
+            why = differs(name, mine[name], theirs[name], prefixed)
+        if why:
+            differ += 1
+            print(f"{name}: {why}")
+    return differ, len(here | there)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_src", type=Path, nargs="?",
@@ -161,19 +189,8 @@ def main(argv=None) -> int:
         here_file, other_file = Path(tmp, "here.npz"), Path(tmp, "other.npz")
         dump_tree(ROOT / "src", here_file)
         dump_tree(other, other_file)
-        with np.load(here_file) as here_npz, np.load(other_file) as other_npz:
-            mine, theirs = dict(here_npz), dict(other_npz)
-    prefixed = set(ns.prefix)
-    differ = 0
-    for name in sorted(mine.keys() | theirs.keys()):
-        if name not in mine or name not in theirs:
-            why = f"only in {'this tree' if name in mine else 'the other tree'}"
-        else:
-            why = differs(name, mine[name], theirs[name], prefixed)
-        if why:
-            differ += 1
-            print(f"{name}: {why}")
-    total = len(mine.keys() | theirs.keys())
+        with np.load(here_file) as mine, np.load(other_file) as theirs:
+            differ, total = compare(mine, theirs, set(ns.prefix))
     print(f"{total - differ} of {total} arrays identical", file=sys.stderr)
     return 1 if differ else 0
 

@@ -599,6 +599,38 @@ def test_subspace_contains_holds_at_any_scale():
         assert not line.contains(np.array(bad))
 
 
+def _contains_one(basis, v):
+    """Subspace.contains of one vector, written out on its own."""
+    if not np.all(np.isfinite(v)):
+        return False
+    v = v / (np.abs(v).max(initial=0.0) or 1.0)
+    return float(np.linalg.norm(v - basis.T @ (basis @ v))) <= 1e-8 * float(np.linalg.norm(v))
+
+
+def test_subspace_contains_a_stack_as_it_contains_each_vector():
+    # one projection of a stack decides each vector as it is decided alone:
+    # the zero vector, non-finite entries, entries near 1e300 and 1e-300
+    rng = np.random.default_rng(12)
+    basis = np.linalg.qr(rng.normal(size=(7, 3)))[0].T           # 3 orthonormal rows
+    space = analysis.Subspace(basis)
+    inside = rng.normal(size=(4, 3)) @ basis
+    off = rng.normal(size=(4, 7))
+    nonfinite = inside.copy()
+    nonfinite[0, 1], nonfinite[1, 6], nonfinite[2, 0] = np.inf, -np.inf, np.nan
+    vectors = np.concatenate([
+        inside, inside + 1e-12 * off, inside + 1e-6 * off, np.zeros((1, 7)), nonfinite[:3],
+        1e300 * inside, 1e300 * (inside + 1e-6 * off), inside / np.abs(inside).max() * 1.7e308,
+        1e-300 * inside, 1e-300 * off])
+    want = [_contains_one(basis, v) for v in vectors]
+    assert want == [True] * 8 + [False] * 4 + [True] + [False] * 3 + [True] * 4 + [False] * 4 \
+        + [True] * 8 + [False] * 4
+    got = space.contains(vectors)
+    assert got.dtype == bool and got.tolist() == want
+    assert [space.contains(v) for v in vectors] == want
+    assert space.contains(vectors.reshape(3, -1, 7)).tolist() == np.reshape(want, (3, -1)).tolist()
+    assert space.contains(vectors[:0]).shape == (0,)
+
+
 @pytest.mark.parametrize("name, point", [("flat_r4", (0, 0, 0, 1e160)),
                                          ("flat_2_2", (1e200, 0, 0, 0))])
 def test_scale_not_finite_at_the_basepoint_is_a_domain_error(name, point, recwarn):

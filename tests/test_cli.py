@@ -573,6 +573,38 @@ def test_command_builds_each_frame_once(argv, capsys, monkeypatch):
     assert builds == FRAME_BUILDS[argv]
 
 
+# (num_vars, jet order) of every dense scatter matrix and (num_vars, degree)
+# of every inverse step a fresh `cgl dims` makes: the order-4 basepoint frame
+# inverts to degree 3 and multiplies through dense scatters only at orders 0-2
+DIMS_WORK = {
+    "pp_wave": ([(4, 0), (4, 1), (4, 2)], [(4, 1), (4, 2), (4, 3)]),
+    "product_split_n6": ([(6, 0), (6, 1), (6, 2)], [(6, 1), (6, 2), (6, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIMS_WORK))
+def test_dims_makes_only_what_it_reads(name, capsys, monkeypatch):
+    # the jet caches start empty, as in a fresh process; the first check
+    # point's order-3 frame serves the Einstein tractors alone, which read no
+    # Riemann, Weyl or Cotton value, so none is computed there
+    for cache in ("_tables", "_scatters", "_inverse_steps"):
+        monkeypatch.setattr(jets, cache, {})
+    frames = []
+    init = curvature.CurvatureFrame.__init__
+
+    def kept_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        frames.append(self)
+
+    monkeypatch.setattr(curvature.CurvatureFrame, "__init__", kept_init)
+    code, _, _ = run(capsys, "dims", name)
+    assert code == 0
+    assert (sorted(jets._scatters), sorted(jets._inverse_steps)) == DIMS_WORK[name]
+    first = [fr for fr in frames if fr.order == 3]
+    assert len(first) == 1 and first[0].batch == ()
+    assert not {"riemann_mixed", "riemann", "weyl", "cotton"} & set(vars(first[0]))
+
+
 def test_rescale_evaluates_omega_once_per_input(capsys, monkeypatch):
     # once at the 12 positivity check points, and once as order-2 jets at the
     # point, whose value and derivatives serve every transformation law
@@ -791,7 +823,9 @@ _FAILED_CHECKS = {
                           "Weyl kernel dimension 1 exceeds the signature bound 0"),
     "inconsistent bounds": (["dims", "pp_wave"], (analysis, "_witnesses", _exceed_upper_bound),
                             "inconsistent bounds for 'pp_wave': aE [3, 2]"),
-    "witness outside": (["dims", "flat_r4"], (analysis.Subspace, "contains", lambda self, v: False),
+    "witness outside": (["dims", "flat_r4"],
+                        (analysis.Subspace, "contains",
+                         lambda self, v: np.zeros(len(v), dtype=bool)),
                         "witness const of 'flat_0_4' lies outside the standard constraint kernel"),
     "conventions": (["analyze", "pp_wave", "--samples", "1"],
                     (curvature, "_convention_problems", lambda fr: ["forced"]),

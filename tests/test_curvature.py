@@ -586,7 +586,9 @@ def test_frame_contractions_form_fewer_than_n4_jets(monkeypatch):
 
 
 def _frame_arrays(fr):
-    return {name: v for name, v in vars(fr).items() if isinstance(v, np.ndarray)}
+    """Every tensor of a frame, read by name: those made on first read too."""
+    assert {k for k, v in vars(fr).items() if isinstance(v, np.ndarray)} <= set(FRAME_TENSORS)
+    return {name: value for name in FRAME_TENSORS if (value := getattr(fr, name)) is not None}
 
 
 def _assert_batch_is_per_point_frames(batch, spec, points, order):
@@ -621,6 +623,37 @@ def test_frames_batch_equals_the_per_point_frames(name):
                 assert np.shares_memory(value, getattr(batch, name_)), name_
                 assert value.tobytes() == getattr(batch, name_)[i].tobytes(), name_
                 assert not value.flags.writeable
+
+
+FIRST_READ = ("riemann_mixed", "riemann", "weyl", "cotton")
+
+
+@pytest.mark.parametrize("name", ["lorentz3d", "pp_wave", "product_split_n6"])
+def test_a_tensor_read_on_a_slice_is_a_view_of_the_batch(name):
+    # slices taken before anything is read, a slice of a slice read first:
+    # each tensor made on first read is made once, by the batch, and every
+    # slice holds a read-only view of it with the bytes of the frame built
+    # at its point alone
+    spec = geometry.catalogue_metric(name)
+    points = sample_points(spec, 3, seed=44)
+    for order in (2, 3, 4):
+        batch = CurvatureFrame(spec, points, order)
+        assert not set(FIRST_READ[order == 2:]) & set(vars(batch))
+        rest = batch[1:]
+        slices = ((rest[1], 2), (batch[0], 0), (rest, slice(1, None)))
+        for attr in FIRST_READ:
+            for fr, index in slices:
+                got = getattr(fr, attr)
+                want = getattr(batch, attr)
+                if want is None:
+                    assert got is None and attr == "cotton" and order == 2
+                    continue
+                assert np.shares_memory(got, want) and not got.flags.writeable, attr
+                assert got.shape == want[index].shape and got.tobytes() == want[index].tobytes()
+        for fr, index in slices[:2]:
+            alone = _frame_arrays(CurvatureFrame(spec, points[index], order))
+            for attr, value in _frame_arrays(fr).items():
+                assert value.tobytes() == alone[attr].tobytes(), attr
 
 
 def test_frames_builds_every_point_in_one_call(monkeypatch):

@@ -179,21 +179,88 @@ def _inverse_steps_alone(num_vars, order, monkeypatch):
 @pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
 def test_inverse_steps_equal_the_per_order_construction_in_any_request_order(
         num_vars, monkeypatch):
-    # the steps ride on the jet tables: a build registers every lower order as
-    # a view of its own; every array has the bytes of the steps read off the
+    # each degree's step is made on first use from the jet tables, which a
+    # build of any higher order registers as views of its own; whatever the
+    # order of requests, every array has the bytes of the steps read off the
     # product table built at that order alone
     top = jets.MAX_ORDER
     want = {order: _inverse_steps_alone(num_vars, order, monkeypatch)
             for order in range(1, top + 1)}
     for requests in (range(1, top + 1), range(top, 0, -1), (3, 1, top, 2, 5, 4)):
         monkeypatch.setattr(jets, "_tables", {})
+        monkeypatch.setattr(jets, "_inverse_steps", {})
         for order in requests:
-            got = jets.tables(num_vars, order).inverse_steps
-            assert len(got) == order
+            jets.tables(num_vars, order)
+            got = [jets.inverse_step(num_vars, d) for d in range(order, 0, -1)][::-1]
+            assert len(got) == len(want[order]) == order
             for step, ref in zip(got, want[order]):
                 for a, b in zip(step[:3], ref[:3]):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert step[3] == ref[3]
+
+
+def _bad_values_metric():
+    # degenerate at x1 = 0, of signature (1, 2) for x1 < 0, and not finite
+    # for x2 near 1
+    return geometry.load_metric("dim = 3\nsignature = 0,3\ng 1 1 : x1\n"
+                                "g 2 2 : exp(1000*x2^3)\ng 3 3 : 1\n", label="bad")
+
+
+BAD_VALUES = {
+    "non-finite": (0.5, 1.0, 0.0),
+    "degenerate": (0.0, 0.0, 0.0),
+    "signature": (-0.5, 0.0, 0.0),
+}
+# what each bad point raises alone
+BAD_VALUE_ERRORS = {
+    "non-finite": (DomainError, "'bad': metric not finite at (0.5, 1.0, 0.0)"),
+    "degenerate": (SingularMetricError, "'bad' degenerate at (0.0, 0.0, 0.0) (eigenvalues "
+                                        "0.00e+00 to 1.00e+00 in absolute value)"),
+    "signature": (SingularMetricError, "'bad': computed signature (1, 2) != declared (0, 3)"),
+}
+GOOD_POINTS = [(0.5, 0.1, 0.2), (0.7, 0.2, 0.3), (0.9, -0.05, 0.1)]
+METRIC_ERRORS = (DomainError, SingularMetricError)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("bad", sorted(BAD_VALUES))
+def test_a_batch_with_bad_metric_values_raises_what_its_failing_point_raises(bad, order):
+    # one stacked eigvalsh checks the values at every point; a batch whose
+    # second point fails raises that point's error alone, type and message,
+    # whatever fails after it, from the stacked check itself too
+    spec = _bad_values_metric()
+    with pytest.raises(METRIC_ERRORS) as alone:
+        metric_frame_at(spec, BAD_VALUES[bad], order)
+    want = (type(alone.value), str(alone.value))
+    assert want == BAD_VALUE_ERRORS[bad]
+    later = [p for name, p in sorted(BAD_VALUES.items()) if name != bad]
+    for points in (GOOD_POINTS[:1] + [BAD_VALUES[bad]] + GOOD_POINTS[1:],
+                   GOOD_POINTS[:1] + [BAD_VALUES[bad]] + later):
+        with pytest.raises(METRIC_ERRORS) as batch:
+            metric_frame_at(spec, points, order)
+        assert (type(batch.value), str(batch.value)) == want
+        stack = np.array(points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = geometry.metric_jets(spec, stack, order)
+        with pytest.raises(METRIC_ERRORS) as checked:
+            geometry._check_values(spec, stack, G)
+        assert (type(checked.value), str(checked.value)) == want
+
+
+def test_a_good_batch_is_checked_by_one_stacked_eigvalsh(monkeypatch):
+    spec = _bad_values_metric()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    G, _ = metric_frame_at(spec, GOOD_POINTS, 3)
+    assert calls == [(3, 3, 3)]
+    for i, p in enumerate(GOOD_POINTS):
+        assert G[i].tobytes() == metric_frame_at(spec, p, 3)[0].tobytes()
 
 
 def test_warped_product_plain_product_when_b_zero():

@@ -265,7 +265,7 @@ def test_conv_kernels_agree(num_vars, order):
     # take the dense scatter or the offset bincount, single jets the plain
     # bincount, and both must match a dense reference built from the table
     t = jets.tables(num_vars, order)
-    assert (t.scatter is not None) == ((num_vars, order) == (4, 2))
+    assert (jets.dense_scatter(t) is not None) == ((num_vars, order) == (4, 2))
     rng = np.random.default_rng(5)
     a = _random_jet(rng, num_vars, order, (3,))
     b = _random_jet(rng, num_vars, order, (3,))
@@ -339,10 +339,11 @@ def _direct_inverse_steps(mul_i, mul_j, mul_k, degrees, sizes_by_order):
 
 
 def _direct_tables(num_vars, order):
-    """Every JetTables field but the scatter matrix, built at this order alone:
-    multi-indices from ``combinations_with_replacement``, slots located by
-    mixed-radix keys, pairs from a row-major scan of the degree mask reordered
-    stably by the degree they land in, inverse steps slot by slot."""
+    """Every JetTables field, and the inverse steps of degrees 1..order, built
+    at this order alone: multi-indices from ``combinations_with_replacement``,
+    slots located by mixed-radix keys, pairs from a row-major scan of the
+    degree mask reordered stably by the degree they land in, inverse steps
+    slot by slot."""
     multis = [tuple(c.count(v) for v in range(num_vars)) for d in range(order + 1)
               for c in itertools.combinations_with_replacement(range(num_vars), d)]
     E = np.array(multis, dtype=np.intp)
@@ -384,15 +385,20 @@ def _assert_same(got, want, name):
 
 
 def _assert_tables_equal(t, want):
+    """The table's fields, and its dense scatter and the inverse steps to its
+    order as their accessors make them, equal the direct construction."""
     for name, value in want.items():
-        _assert_same(getattr(t, name), value, name)
+        if name != "inverse_steps":
+            _assert_same(getattr(t, name), value, name)
+    steps = tuple(jets.inverse_step(t.num_vars, d) for d in range(1, t.order + 1))
+    _assert_same(steps, want["inverse_steps"], "inverse_steps")
     pairs = len(want["mul_k"])
     if pairs * want["size"] > jets._DENSE_TABLE_LIMIT:
-        assert t.scatter is None
+        assert jets.dense_scatter(t) is None
     else:
         dense = np.zeros((pairs, want["size"]))
         dense[np.arange(pairs), want["mul_k"]] = 1.0
-        assert t.scatter.tobytes() == dense.tobytes()
+        assert jets.dense_scatter(t).tobytes() == dense.tobytes()
 
 
 def _assert_prefix_view(low, high):
@@ -404,12 +410,14 @@ def _assert_prefix_view(low, high):
 @pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
 def test_tables_equal_the_direct_construction_in_any_request_order(num_vars, monkeypatch):
     # a build registers every lower order; whatever the order of requests,
-    # every field, the inverse steps too, has the bytes of the table built at
-    # its order alone, and every lower order is a view of the highest built
+    # every field, the dense scatter and the inverse steps too, has the bytes
+    # of the table built at its order alone, every lower order is a view of
+    # the highest built, and each scatter and step is made once
     want = [_direct_tables(num_vars, order) for order in range(jets.MAX_ORDER + 1)]
     top = jets.MAX_ORDER
     for requests in (range(top + 1), range(top, -1, -1), (3, 0, top, 1, 5, 2, 4)):
-        monkeypatch.setattr(jets, "_tables", {})
+        for cache in ("_tables", "_scatters", "_inverse_steps"):
+            monkeypatch.setattr(jets, cache, {})
         for order in requests:
             _assert_tables_equal(jets.tables(num_vars, order), want[order])
         high = jets.tables(num_vars, top)
@@ -417,8 +425,13 @@ def test_tables_equal_the_direct_construction_in_any_request_order(num_vars, mon
             low = jets.tables(num_vars, order)
             for name in ("mul_i", "mul_j", "mul_k", "diff_src", "diff_fac"):
                 _assert_prefix_view(getattr(low, name), getattr(high, name))
-            assert len(low.inverse_steps) == order
-            assert all(a is b for a, b in zip(low.inverse_steps, high.inverse_steps))
+        assert sorted(jets._inverse_steps) == [(num_vars, d) for d in range(1, top + 1)]
+        assert all(jets.inverse_step(*key) is step for key, step in jets._inverse_steps.items())
+        dense = [m for m in range(top + 1)
+                 if jets.dense_scatter(jets.tables(num_vars, m)) is not None]
+        assert sorted(jets._scatters) == [(num_vars, m) for m in dense]
+        assert all(jets.dense_scatter(jets.tables(*key)) is matrix
+                   for key, matrix in jets._scatters.items())
 
 
 def test_building_the_largest_tables_stays_small(monkeypatch):
@@ -440,7 +453,7 @@ def test_contract_matches_conv_sum(num_vars, order):
     # bincount; an unbatched result takes bincount on every table.  b's last
     # slot is zero, so the batches of all but (4, 2), which form more than
     # _LIVE_PAIR_MIN pair products, take the live-pair path
-    assert (jets.tables(num_vars, order).scatter is None) == (order * num_vars >= 24)
+    assert (jets.dense_scatter(jets.tables(num_vars, order)) is None) == (order * num_vars >= 24)
     rng = np.random.default_rng(7)
     a = _random_jet(rng, num_vars, order, (3, 1, 5))
     b = _random_jet(rng, num_vars, order, (1, 4, 5))
