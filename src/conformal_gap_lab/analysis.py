@@ -41,7 +41,7 @@ J and Sc of their rescaled metrics, the same way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -611,8 +611,8 @@ def _verify_warped_solution(n: int = 6, sc: int = 48, seed: int = 0) -> dict:
     # the family's base and fiber with a generic warp: any with fiber_sc = -48ab
     a = float(rng.uniform(0.6, 1.6))
     b = -sc / 48.0 / a
-    ws = replace(geometry.family_warp(kind[sc], n, 2), a=a, b=b)
-    spec = geometry.warped_product(ws, label=f"warpedSol_n{n}_sc{sc}")
+    ws, spec = geometry.product_over(geometry.builtin_metric(geometry.FAMILIES[kind[sc]][0]),
+                                     0, n - 4, a, b, label=f"warpedSol_n{n}_sc{sc}")
     checks: list = []
     points = geometry.sample_points(spec, 10, seed=seed + 5)
 

@@ -1,9 +1,13 @@
-"""Metric catalogue, pseudo-Euclidean factories, and warped products.
+"""Metric catalogue, pseudo-Euclidean factories, and the paper's products.
 
 Every metric is a :class:`MetricSpec`: closed-form component expressions on a
 single chart, a declared signature, a positivity-style domain predicate, and a
 box to sample admissible points from.  Catalogue entries also carry the known
 almost-Einstein-scale candidates used as lower-bound witnesses elsewhere.
+Every example with n >= 5 comes from :func:`product_over`, a 4-dimensional
+fiber over a pseudo-Euclidean base warped by a + b|x|^2, whose scale
+candidates it lifts from the fiber's; ``FAMILIES`` names the fibers of the
+catalogue's families.
 
 Signature convention: ``(p, q)`` counts (negative, positive) eigenvalues, so
 Riemannian is ``(0, n)`` and Lorentzian ``(1, n-1)``.  Coordinates are ordered
@@ -301,44 +305,56 @@ def warp_function(ws: WarpedSpec) -> Node:
     return expr.simplify(f)
 
 
-def warped_product(ws: WarpedSpec, label: str | None = None,
-                   known_scales=()) -> MetricSpec:
-    """Block metric base (+) f^2 * fiber, base coordinates first."""
+def product_over(fiber: MetricSpec, p: int, q: int, a: float, b: float,
+                 label: str | None = None) -> tuple[WarpedSpec, MetricSpec]:
+    """The paper's product of pseudo_euclidean(p, q) with a 4-dimensional
+    fiber warped by f = a + b|x|^2: the warp data and the block metric
+    base (+) f^2 * fiber, base coordinates first.
+
+    Its scale candidates are a - b|x|^2 (``radial``, or ``const`` when
+    b = 0), the base coordinates, and each non-constant fiber scale moved
+    past the base (``fiber_<name>``); they are candidates only, which
+    ``estimate_parallel_dims`` verifies.
+    """
+    _check_dimension(p + q + 4)
+    ws = WarpedSpec(pseudo_euclidean(p, q), fiber, a, b)
     nb, nf = ws.base.n, ws.fiber.n
     n = nb + nf
     f = warp_function(ws)
     f2 = expr.Pow(f, 2) if not expr.is_one(f) else expr.ONE
 
     blocks = {(i, j): ws.base.components[i][j] for i in range(nb) for j in range(i, nb)}
-    blocks |= {(nb + i, nb + j): expr.mul(f2, expr.shift_vars(ws.fiber.components[i][j], nb))
+    blocks |= {(nb + i, nb + j): expr.mul(f2, expr.shift_vars(fiber.components[i][j], nb))
                for i in range(nf) for j in range(i, nf)}
 
-    domain = [expr.shift_vars(d, nb) for d in ws.fiber.domain]
+    domain = [expr.shift_vars(d, nb) for d in fiber.domain]
     if not isinstance(f, expr.Const):
         domain.append(expr.sub(f, expr.const(0.05)))
     elif f.value < 0:
         raise CatalogueError("constant warp lies in the excluded sign region")
 
-    # f enters squared, so the block signature is the same on either side of f = 0
-    pb, qb = ws.base.signature
-    pf, qf = ws.fiber.signature
-    signature = (pb + pf, qb + qf)
-
-    base_box = ws.base.sample_box or tuple((-1.0, 1.0) for _ in range(nb))
-    if ws.b != 0.0:
+    base_box = ws.base.sample_box
+    if b != 0.0:
         # keep |x|^2 comfortably below 0.95 so f = a + b|x|^2 stays past the margin
-        half = 0.9 / math.sqrt(ws.base.n) / math.sqrt(2.0)
+        half = 0.9 / math.sqrt(nb) / math.sqrt(2.0)
         base_box = tuple((-half, half) for _ in range(nb))
-    fiber_box = ws.fiber.sample_box or tuple((-1.0, 1.0) for _ in range(nf))
+    fiber_box = fiber.sample_box or tuple((-1.0, 1.0) for _ in range(nf))
 
-    return MetricSpec(
+    # a - b|x|^2 is the warp function with b negated
+    scales = [("radial" if b else "const", warp_function(replace(ws, b=-b)))]
+    scales += [(f"x{i + 1}", expr.var(i)) for i in range(nb)]
+    scales += [(f"fiber_{name}", expr.shift_vars(sigma, nb))
+               for name, sigma in fiber.known_scales if not isinstance(sigma, expr.Const)]
+
+    # f enters squared, so the block signature is the same on either side of f = 0
+    return ws, MetricSpec(
         n=n,
-        signature=signature,
+        signature=(p + fiber.signature[0], q + fiber.signature[1]),
         components=_symmetric(n, blocks),
         domain=tuple(domain),
-        label=label or f"warped[{ws.base.label}x{ws.fiber.label};a={ws.a},b={ws.b}]",
+        label=label or f"warped[{ws.base.label}x{fiber.label};a={a},b={b}]",
         sample_box=base_box + fiber_box,
-        known_scales=tuple(known_scales),
+        known_scales=tuple(scales),
     )
 
 
@@ -354,8 +370,8 @@ FAMILIES = {
 }
 
 
-def family_warp(kind: str, n: int, p: int) -> WarpedSpec:
-    """The warped-product data of a ``FAMILIES`` entry at dimension n >= 5."""
+def warped_family(kind: str, n: int, p: int) -> tuple[WarpedSpec, MetricSpec]:
+    """A ``FAMILIES`` entry at dimension n >= 5: ``product_over`` of its row."""
     if kind not in FAMILIES:
         raise CatalogueError(f"unknown warped family {kind!r}")
     if n < 5:
@@ -364,27 +380,8 @@ def family_warp(kind: str, n: int, p: int) -> WarpedSpec:
     if not (2 <= p <= n - p):
         raise CatalogueError(f"general signature needs 2 <= p <= n - p, got p={p}")
     fiber, a, b = FAMILIES[kind]
-    return WarpedSpec(pseudo_euclidean(p - 2, n - p - 2), builtin_metric(fiber), a, b)
-
-
-def warped_family(kind: str, n: int, p: int) -> tuple[WarpedSpec, MetricSpec]:
-    """A ``FAMILIES`` entry's warp data and metric; its almost-Einstein scales
-    are a - b|x|^2 (``radial``, or ``const`` when b = 0), the base coordinates
-    and each non-constant fiber scale moved past the base (``fiber_<name>``)."""
-    ws = family_warp(kind, n, p)
-    nb = n - 4
-    # a - b|x|^2 is the warp function with b negated
-    scales = [("radial" if ws.b else "const", warp_function(replace(ws, b=-ws.b)))]
-    scales += [(f"x{i + 1}", expr.var(i)) for i in range(nb)]
-    scales += [(f"fiber_{name}", expr.shift_vars(sigma, nb))
-               for name, sigma in ws.fiber.known_scales if not isinstance(sigma, expr.Const)]
     label = f"{kind}_n{n}_p{p}" if kind == "product_split" else f"{kind}_n{n}"
-    return ws, warped_product(ws, label=label, known_scales=scales)
-
-
-def warped_catalogue_entry(kind: str, n: int, p: int = 2) -> MetricSpec:
-    """The metric of ``warped_family``; only product_split reads p."""
-    return warped_family(kind, n, p if kind == "product_split" else 2)[1]
+    return product_over(builtin_metric(fiber), p - 2, n - p - 2, a, b, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +432,9 @@ def _family_metric(name: str) -> MetricSpec:
     if m := _FLAT_RE.match(name):
         return pseudo_euclidean(int(m.group(1)), int(m.group(2)))
     if m := re.match(rf"({'|'.join(WARPED_KINDS)})_n(\d+)$", name):
-        return warped_catalogue_entry(m.group(1), int(m.group(2)))
+        return warped_family(m.group(1), int(m.group(2)), 2)[1]
     if m := re.match(r"product_split_n(\d+)(?:_p(\d+))?$", name):
-        return warped_catalogue_entry(
-            "product_split", int(m.group(1)), int(m.group(2) or 2)
-        )
+        return warped_family("product_split", int(m.group(1)), int(m.group(2) or 2))[1]
     if name == "bad_einstein_claim":
         return _bad_einstein_claim()
     raise CatalogueError(f"unknown metric {name!r}; see `cgl catalogue`")
@@ -521,10 +516,6 @@ def _eigenvalues(values: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (values + np.swapaxes(values, -1, -2)))
 
 
-def _signs(eigs: np.ndarray) -> tuple[int, int]:
-    return int(np.sum(eigs < 0)), int(np.sum(eigs > 0))
-
-
 def format_point(point) -> str:
     """A point as a tuple of plain floats, for messages."""
     return str(tuple(float(c) for c in point))
@@ -545,38 +536,33 @@ def require_point(spec: MetricSpec, point) -> None:
         )
 
 
-def _check_point(spec: MetricSpec, point, G: np.ndarray) -> None:
-    """Raise unless the metric jets G at the point are finite, nondegenerate
-    and of the declared signature."""
-    if not np.all(np.isfinite(G)):
-        raise DomainError(f"{spec.label!r}: metric not finite at {format_point(point)}")
-    eigs = _eigenvalues(G[..., 0])
-    size = np.abs(eigs)
-    if size.min() <= DEGENERACY_RATIO * size.max():
-        raise SingularMetricError(
-            f"{spec.label!r} degenerate at {format_point(point)} (eigenvalues "
-            f"{size.min():.2e} to {size.max():.2e} in absolute value)"
-        )
-    sig = _signs(eigs)
-    if sig != spec.signature:
-        raise SingularMetricError(
-            f"{spec.label!r}: computed signature {sig} != declared {spec.signature}"
-        )
-
-
 def _check_values(spec: MetricSpec, points: np.ndarray, G: np.ndarray) -> None:
-    """``_check_point`` at each of the (P, n) points, G the (P, n, n, C) jets
-    there, from one stacked eigvalsh; only when some point fails does it run
-    point by point, so the first failing point raises what it raises alone."""
-    if np.isfinite(G).all():
-        eigs = _eigenvalues(G[..., 0])
-        size = np.abs(eigs)
-        p, q = spec.signature
-        if ((size.min(axis=-1) > DEGENERACY_RATIO * size.max(axis=-1)).all()
-                and ((eigs < 0).sum(axis=-1) == p).all() and ((eigs > 0).sum(axis=-1) == q).all()):
-            return
-    for point, g in zip(points, G):
-        _check_point(spec, point, g)
+    """Raise unless the metric jets G (P, n, n, C) at the (P, n) points are
+    finite, nondegenerate and of the declared signature at every point, from
+    one isfinite and one stacked eigvalsh: the first failing point's error."""
+    finite = np.isfinite(G).all(axis=(-3, -2, -1))
+    values = G[..., 0] if finite.all() else np.where(finite[:, None, None], G[..., 0], 0.0)
+    eigs = _eigenvalues(values)
+    size = np.abs(eigs)
+    degenerate = size.min(axis=-1) <= DEGENERACY_RATIO * size.max(axis=-1)
+    negative, positive = (eigs < 0).sum(axis=-1), (eigs > 0).sum(axis=-1)
+    p, q = spec.signature
+    failing = ~finite | degenerate | (negative != p) | (positive != q)
+    if not failing.any():
+        return
+    i = int(failing.argmax())
+    at = format_point(points[i])
+    if not finite[i]:
+        raise DomainError(f"{spec.label!r}: metric not finite at {at}")
+    if degenerate[i]:
+        raise SingularMetricError(
+            f"{spec.label!r} degenerate at {at} (eigenvalues "
+            f"{size[i].min():.2e} to {size[i].max():.2e} in absolute value)"
+        )
+    raise SingularMetricError(
+        f"{spec.label!r}: computed signature "
+        f"{(int(negative[i]), int(positive[i]))} != declared {spec.signature}"
+    )
 
 
 def metric_frame_at(spec: MetricSpec, points, order: int):

@@ -232,7 +232,7 @@ def _scatter(prods: np.ndarray, t: JetTables, slots: np.ndarray | None = None) -
         if rows > 1 and (scatter := dense_scatter(t)) is not None:
             return prods @ scatter
         slots = t.mul_k
-    if not slots.size:  # bincount of no weights is int64
+    if not (rows and slots.size):  # no products: bincount gives int64 or refuses the slots
         return np.zeros(lead + (t.size,))
     if rows > 1:
         slots = (np.arange(rows)[:, None] * t.size + slots).ravel()

@@ -19,12 +19,12 @@ frames can be dumped by this script.  So is every ``jets.tables(n, m)``,
 n <= ``MAX_VARS`` and m <= ``MAX_ORDER``, in a form that does not depend on
 the order of the product pairs: each slot's run of pairs (i, j, k) in table
 order, the slot counts, ``diff_src``, ``diff_fac`` and the inverse steps
-(read through ``jets.inverse_step``, or the ``inverse_steps`` field of the
-tables in trees that keep them there).  Frame arrays are read by name, so
-the tensors a frame makes on first read are dumped too.  Prints each array
-whose shape, dtype or bytes differ and exits 1 if any do, 0 otherwise; the
-two dumps are compared one array at a time, so no more than two arrays are
-loaded at once.
+(read through ``jets.inverse_step``).  Frame arrays are read by name, so
+the tensors a frame makes on first read are dumped too.  Each array is
+written into the dump as it is made, not gathered first, and the two dumps
+are compared one array at a time, so no more than two arrays are loaded at
+once.  Prints each array whose shape, dtype or bytes differ and exits 1 if
+any do, 0 otherwise.
 
     python tests/compare_frames.py PATH/TO/OTHER/src [--prefix ginv]
 
@@ -43,6 +43,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -58,34 +59,38 @@ TENSORS = ("g", "ginv", "gamma", "riemann_mixed", "riemann", "ricci", "sc", "j",
 
 
 def dump(out: Path) -> None:
-    """Write every frame array and chain value of the imported tree to out."""
+    """Write every frame array and chain value of the imported tree to out,
+    an archive that ``np.load`` reads as it reads one of ``np.savez``."""
     from conformal_gap_lab import curvature, geometry, tractor
 
     names = (geometry.catalogue_names(examples=True)
              + geometry.family_names(7) + geometry.family_names(8))
-    arrays = {}
-    for name in names:
-        spec = geometry.catalogue_metric(name)
-        points = geometry.sample_points(spec, POINTS, seed=SEED)
-        for order in orders(spec):
-            built = [(f"p{i}", p) for i, p in enumerate(points)] + [("batch", points)]
-            for where, pts in built:
-                key = f"{name}|o{order}|{where}"
-                fr = curvature.CurvatureFrame(spec, pts, order)
-                put(arrays, key, fr)
-                if where != "batch" and order >= 3:
-                    for level, X in enumerate(tractor.curvature_chain(fr, order - 2)):
-                        arrays[f"{key}|chain{level}"] = X
-        dump_handed(spec, name, arrays)
-    dump_tables(arrays)
-    np.savez(out, **arrays)
+    with zipfile.ZipFile(out, "w", allowZip64=True) as archive:
+        def save(key: str, array: np.ndarray) -> None:
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, np.asanyarray(array), allow_pickle=False)
+
+        for name in names:
+            spec = geometry.catalogue_metric(name)
+            points = geometry.sample_points(spec, POINTS, seed=SEED)
+            for order in orders(spec):
+                built = [(f"p{i}", p) for i, p in enumerate(points)] + [("batch", points)]
+                for where, pts in built:
+                    key = f"{name}|o{order}|{where}"
+                    fr = curvature.CurvatureFrame(spec, pts, order)
+                    put(save, key, fr)
+                    if where != "batch" and order >= 3:
+                        for level, X in enumerate(tractor.curvature_chain(fr, order - 2)):
+                            save(f"{key}|chain{level}", X)
+            dump_handed(spec, name, save)
+        dump_tables(save)
 
 
 def orders(spec) -> tuple:
     return ORDERS + (5,) * (spec.n <= ORDER_5_MAX_DIM)
 
 
-def dump_tables(arrays: dict) -> None:
+def dump_tables(save) -> None:
     """Every jet table, its product pairs as the run of each slot: the sums
     bincount and the dense scatter form depend on these runs alone."""
     from conformal_gap_lab import jets
@@ -94,13 +99,13 @@ def dump_tables(arrays: dict) -> None:
         for m in range(jets.MAX_ORDER + 1):
             t, key = jets.tables(n, m), f"tables|n{n}|o{m}"
             by_slot = np.argsort(t.mul_k, kind="stable")
-            arrays[f"{key}|runs"] = np.stack([t.mul_i, t.mul_j, t.mul_k])[:, by_slot]
-            arrays[f"{key}|sizes_by_order"] = np.array(t.sizes_by_order)
-            arrays[f"{key}|diff_src"], arrays[f"{key}|diff_fac"] = t.diff_src, t.diff_fac
+            save(f"{key}|runs", np.stack([t.mul_i, t.mul_j, t.mul_k])[:, by_slot])
+            save(f"{key}|sizes_by_order", np.array(t.sizes_by_order))
+            save(f"{key}|diff_src", t.diff_src)
+            save(f"{key}|diff_fac", t.diff_fac)
             for d in range(1, m + 1):
-                i, j, starts, slots = (jets.inverse_step(n, d) if hasattr(jets, "inverse_step")
-                                       else t.inverse_steps[d - 1])
-                arrays[f"{key}|inverse{d}"] = np.concatenate([i, j, starts, [slots.start, slots.stop]])
+                i, j, starts, slots = jets.inverse_step(n, d)
+                save(f"{key}|inverse{d}", np.concatenate([i, j, starts, [slots.start, slots.stop]]))
 
 
 def tensors(fr):
@@ -108,12 +113,12 @@ def tensors(fr):
     return {attr: value for attr in TENSORS if (value := getattr(fr, attr)) is not None}
 
 
-def put(arrays: dict, key: str, fr) -> None:
+def put(save, key: str, fr) -> None:
     for attr, value in tensors(fr).items():
-        arrays[f"{key}|{attr}"] = value
+        save(f"{key}|{attr}", value)
 
 
-def dump_handed(spec, name: str, arrays: dict) -> None:
+def dump_handed(spec, name: str, save) -> None:
     """The batch slices and the prefixes that callers hand to readers, at
     points of their own."""
     from conformal_gap_lab import curvature, geometry, jets
@@ -122,14 +127,14 @@ def dump_handed(spec, name: str, arrays: dict) -> None:
     for order in orders(spec):
         batch = curvature.CurvatureFrame(spec, sliced, order)
         for i in range(len(sliced)):
-            put(arrays, f"{name}|o{order}|slice{i}", batch[i])
+            put(save, f"{name}|o{order}|slice{i}", batch[i])
     for i, p in enumerate(cut):
         fr = curvature.CurvatureFrame(spec, p, 4)
-        put(arrays, f"{name}|o4|cut{i}", fr)
+        put(save, f"{name}|o4|cut{i}", fr)
         for order in (3, 2):
             for attr, value in tensors(fr).items():
                 m = max(jets.order_of(value.shape[-1], spec.n) - 4 + order, 0)
-                arrays[f"{name}|o{order}|cut{i}|{attr}"] = fr.at(value, m)
+                save(f"{name}|o{order}|cut{i}|{attr}", fr.at(value, m))
 
 
 def dump_tree(src: Path, out: Path) -> None:

@@ -15,9 +15,7 @@ import pytest
 from conformal_gap_lab import analysis, curvature, expr, geometry, jets, tractor
 from conformal_gap_lab.cli import main as cli_main
 from conformal_gap_lab.curvature import CurvatureFrame, check_conventions, frobenius
-from conformal_gap_lab.geometry import (
-    WarpedSpec, builtin_metric, catalogue_metric, pseudo_euclidean, sample_points,
-)
+from conformal_gap_lab.geometry import builtin_metric, catalogue_metric, sample_points
 
 
 def checked(spec, pt, order=3):
@@ -142,9 +140,7 @@ def test_criterion_07_warped_families():
 
 def test_criterion_08_warped_oracles():
     with criterion(8, "AD vs closed-form warped Ricci and connection", 5.0):
-        ws = WarpedSpec(pseudo_euclidean(0, 2), builtin_metric("fubini_study"),
-                        1.0, -1.0)
-        spec = geometry.warped_product(ws)
+        ws, spec = geometry.product_over(builtin_metric("fubini_study"), 0, 2, 1.0, -1.0)
         rng = np.random.default_rng(108)
         for pt in sample_points(spec, 5, seed=108):
             fr = checked(spec, pt)

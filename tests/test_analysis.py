@@ -317,7 +317,7 @@ def test_scale_curvature_of_fs_unit_scale():
 
 
 def test_sc_direct_rescale_matches_formula():
-    spec = geometry.warped_catalogue_entry("warped_fs", 5)
+    spec = geometry.catalogue_metric("warped_fs_n5")
     sigma = spec.known_scales[0][1]                  # 1 + |x|^2, positive
     pt = sample_points(spec, 1, seed=15)[0]
     fr = CurvatureFrame(spec, pt, 2)

@@ -203,8 +203,7 @@ def test_edgar_hoglund_contraction_n4(name, n):
 
 
 def test_edgar_hoglund_contraction_n5():
-    ws = WarpedSpec(pseudo_euclidean(0, 1), builtin_metric("fubini_study"), 1.0, -1.0)
-    spec = geometry.warped_product(ws)
+    _, spec = geometry.product_over(builtin_metric("fubini_study"), 0, 1, 1.0, -1.0)
     pt = sample_points(spec, 1, seed=10)[0]
     fr = checked(spec, pt)
     rng = np.random.default_rng(1)
@@ -313,10 +312,7 @@ def test_rescale_rejects_nonpositive_omega():
 
 
 def test_warped_ricci_reference_matches_jets():
-    base = pseudo_euclidean(0, 2)
-    fiber = builtin_metric("fubini_study")
-    ws = WarpedSpec(base, fiber, 1.0, -1.0)
-    spec = geometry.warped_product(ws)
+    ws, spec = geometry.product_over(builtin_metric("fubini_study"), 0, 2, 1.0, -1.0)
     for pt in sample_points(spec, 5, seed=15):
         fr = checked(spec, pt)
         ric_ref, sc_ref = warped_ricci_reference(ws, pt)
@@ -325,10 +321,7 @@ def test_warped_ricci_reference_matches_jets():
 
 
 def test_warped_nabla_reference_matches_jets():
-    base = pseudo_euclidean(1, 1)
-    fiber = builtin_metric("taub_nut")
-    ws = WarpedSpec(base, fiber, 1.0, -0.5)
-    spec = geometry.warped_product(ws)
+    ws, spec = geometry.product_over(builtin_metric("taub_nut"), 1, 1, 1.0, -0.5)
     rng = np.random.default_rng(3)
     for pt in sample_points(spec, 5, seed=16):
         fr = checked(spec, pt)

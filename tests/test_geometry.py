@@ -9,8 +9,9 @@ from conformal_gap_lab import analysis, curvature, expr, geometry, jets
 from conformal_gap_lab.geometry import (
     CatalogueError, DomainError, MetricSpec, SingularMetricError, WarpedSpec,
     builtin_metric, catalogue_metric, metric_frame_at, pseudo_euclidean,
-    sample_points, warped_product,
+    product_over, sample_points,
 )
+from metric_generators import vacuum_wave
 
 
 def values_of(Gjets):
@@ -152,53 +153,6 @@ def test_g_times_ginv_is_identity_jets(name):
             assert np.allclose(acc, expected, atol=1e-12)
 
 
-def _inverse_steps_alone(num_vars, order, monkeypatch):
-    """The steps of ``jet_matrix_inverse`` from the product table built at
-    this order alone: per degree d >= 1, the pairs (i, j) with deg i >= 1 of
-    each slot of degree d in table order, slot by slot, and where each slot's
-    run starts."""
-    monkeypatch.setattr(jets, "_tables", {})
-    t = jets.tables(num_vars, order)
-    degree = np.searchsorted(t.sizes_by_order, np.arange(t.size), side="right").tolist()
-    by_slot = {}
-    for i, j, k in zip(t.mul_i.tolist(), t.mul_j.tolist(), t.mul_k.tolist()):
-        if degree[i] >= 1:
-            by_slot.setdefault(k, []).append((i, j))
-    steps = []
-    for d in range(1, order + 1):
-        slots = slice(t.sizes_by_order[d - 1], t.sizes_by_order[d])
-        pairs = [by_slot[k] for k in range(slots.start, slots.stop)]
-        flat = [pair for run in pairs for pair in run]
-        starts = np.cumsum([0] + [len(run) for run in pairs[:-1]])
-        steps.append((np.array([i for i, _ in flat], dtype=np.intp),
-                      np.array([j for _, j in flat], dtype=np.intp),
-                      starts.astype(np.intp), slots))
-    return steps
-
-
-@pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
-def test_inverse_steps_equal_the_per_order_construction_in_any_request_order(
-        num_vars, monkeypatch):
-    # each degree's step is made on first use from the jet tables, which a
-    # build of any higher order registers as views of its own; whatever the
-    # order of requests, every array has the bytes of the steps read off the
-    # product table built at that order alone
-    top = jets.MAX_ORDER
-    want = {order: _inverse_steps_alone(num_vars, order, monkeypatch)
-            for order in range(1, top + 1)}
-    for requests in (range(1, top + 1), range(top, 0, -1), (3, 1, top, 2, 5, 4)):
-        monkeypatch.setattr(jets, "_tables", {})
-        monkeypatch.setattr(jets, "_inverse_steps", {})
-        for order in requests:
-            jets.tables(num_vars, order)
-            got = [jets.inverse_step(num_vars, d) for d in range(order, 0, -1)][::-1]
-            assert len(got) == len(want[order]) == order
-            for step, ref in zip(got, want[order]):
-                for a, b in zip(step[:3], ref[:3]):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                assert step[3] == ref[3]
-
-
 def _bad_values_metric():
     # degenerate at x1 = 0, of signature (1, 2) for x1 < 0, and not finite
     # for x2 near 1
@@ -264,8 +218,7 @@ def test_a_good_batch_is_checked_by_one_stacked_eigvalsh(monkeypatch):
 
 
 def test_warped_product_plain_product_when_b_zero():
-    ws = WarpedSpec(pseudo_euclidean(0, 2), builtin_metric("pp_wave"), 1.0, 0.0)
-    spec = warped_product(ws)
+    _, spec = product_over(builtin_metric("pp_wave"), 0, 2, 1.0, 0.0)
     assert spec.n == 6
     assert spec.signature == (1, 5)
     G = values_of(geometry.metric_jets(spec, (0.3, -0.2, 0.1, 0.5, 0.0, 0.2), 1))
@@ -274,8 +227,7 @@ def test_warped_product_plain_product_when_b_zero():
 
 
 def test_warped_product_domain_excludes_zero_warp():
-    ws = WarpedSpec(pseudo_euclidean(0, 1), builtin_metric("fubini_study"), 1.0, -1.0)
-    spec = warped_product(ws)
+    _, spec = product_over(builtin_metric("fubini_study"), 0, 1, 1.0, -1.0)
     assert spec.n == 5
     fiber_pt = geometry.default_point(builtin_metric("fubini_study"))
     ok = (0.3,) + fiber_pt
@@ -284,6 +236,26 @@ def test_warped_product_domain_excludes_zero_warp():
     assert not geometry.domain_ok(spec, bad)
     with pytest.raises(DomainError):
         metric_frame_at(spec, bad, 2)
+
+
+# the Lorentzian bounds (n - 2, (n - 3)(n - 2)/2) at n = 4 + k
+WAVE_PRODUCT_BOUNDS = {1: (3, 3), 2: (4, 6), 3: (5, 10), 4: (6, 15)}
+
+
+@pytest.mark.parametrize("k", sorted(WAVE_PRODUCT_BOUNDS))
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.5, 0.8), (-0.7, 0.3)])
+def test_products_over_a_vacuum_wave_are_exact_at_the_lorentzian_bound(a, b, k):
+    # a fiber outside FAMILIES: its scales 1 and x1 lift to 1, the k base
+    # coordinates and fiber_x1, which dims certifies against its upper bound
+    ws, spec = product_over(vacuum_wave(a, b), 0, k, 1.0, 0.0)
+    assert (ws.base.signature, spec.signature) == ((0, k), (1, k + 3))
+    assert [name for name, _ in spec.known_scales] == (
+        ["const"] + [f"x{i + 1}" for i in range(k)] + ["fiber_x1"])
+    rep = analysis.estimate_parallel_dims(spec)
+    assert rep.exact_ae and rep.exact_nck
+    assert (rep.d_ae_lower, rep.d_nck_lower) == WAVE_PRODUCT_BOUNDS[k] == (
+        analysis.ae_dim_bound(spec.signature, spec.n),
+        analysis.nck_dim_bound(spec.signature, spec.n))
 
 
 def test_degenerate_warp_rejected():

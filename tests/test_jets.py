@@ -384,14 +384,17 @@ def _assert_same(got, want, name):
         assert got == want, name
 
 
-def _assert_tables_equal(t, want):
+def _assert_tables_equal(t, want, down):
     """The table's fields, and its dense scatter and the inverse steps to its
-    order as their accessors make them, equal the direct construction."""
+    order as their accessors make them, the steps read from the highest
+    degree down if ``down``, equal the direct construction."""
     for name, value in want.items():
         if name != "inverse_steps":
             _assert_same(getattr(t, name), value, name)
-    steps = tuple(jets.inverse_step(t.num_vars, d) for d in range(1, t.order + 1))
-    _assert_same(steps, want["inverse_steps"], "inverse_steps")
+    degrees = range(t.order, 0, -1) if down else range(1, t.order + 1)
+    steps = {d: jets.inverse_step(t.num_vars, d) for d in degrees}
+    _assert_same(tuple(steps[d] for d in range(1, t.order + 1)), want["inverse_steps"],
+                 "inverse_steps")
     pairs = len(want["mul_k"])
     if pairs * want["size"] > jets._DENSE_TABLE_LIMIT:
         assert jets.dense_scatter(t) is None
@@ -412,14 +415,16 @@ def test_tables_equal_the_direct_construction_in_any_request_order(num_vars, mon
     # a build registers every lower order; whatever the order of requests,
     # every field, the dense scatter and the inverse steps too, has the bytes
     # of the table built at its order alone, every lower order is a view of
-    # the highest built, and each scatter and step is made once
+    # the highest built, and each scatter and step is made once.  Requests
+    # from the top read each table's steps from its highest degree down
     want = [_direct_tables(num_vars, order) for order in range(jets.MAX_ORDER + 1)]
     top = jets.MAX_ORDER
-    for requests in (range(top + 1), range(top, -1, -1), (3, 0, top, 1, 5, 2, 4)):
+    for requests, down in ((range(top + 1), False), (range(top, -1, -1), True),
+                           ((3, 0, top, 1, 5, 2, 4), False)):
         for cache in ("_tables", "_scatters", "_inverse_steps"):
             monkeypatch.setattr(jets, cache, {})
         for order in requests:
-            _assert_tables_equal(jets.tables(num_vars, order), want[order])
+            _assert_tables_equal(jets.tables(num_vars, order), want[order], down)
         high = jets.tables(num_vars, top)
         for order in range(top):
             low = jets.tables(num_vars, order)
@@ -558,6 +563,20 @@ def test_no_live_pair_gives_float_zeros(product, monkeypatch):
     shape = (2,) if product == "contract" else (2, 3)
     _assert_same_bits(full, live, shape + (t.size,))
     assert not live.any() and not np.signbit(live).any()
+
+
+@pytest.mark.parametrize("product", sorted(PRODUCTS))
+@pytest.mark.parametrize("lead_a, lead_b", [((0, 2), (0, 2)), ((3, 1, 2), (0, 2))])
+def test_an_empty_stack_gives_float_zeros_of_the_broadcast_shape(product, lead_a, lead_b):
+    # a leading axis of length 0, and a broadcast axis of length 0; contract
+    # sums over the last leading axis
+    num_vars, order = 4, 2
+    size = jets.tables(num_vars, order).size
+    out = PRODUCTS[product](np.ones(lead_a + (size,)), np.ones(lead_b + (size,)),
+                            num_vars, order)
+    shape = np.broadcast_shapes(lead_a, lead_b)
+    shape = shape[:-1] if product == "contract" else shape
+    assert out.dtype == np.float64 and out.shape == shape + (size,) and out.size == 0
 
 
 @pytest.mark.parametrize("product", sorted(PRODUCTS))
