@@ -153,6 +153,53 @@ def test_g_times_ginv_is_identity_jets(name):
             assert np.allclose(acc, expected, atol=1e-12)
 
 
+def _inverse_steps_alone(num_vars, order, monkeypatch):
+    """The steps of ``jet_matrix_inverse`` from the product table built at
+    this order alone: per degree d >= 1, the pairs (i, j) with deg i >= 1 of
+    each slot of degree d in table order, slot by slot, and where each slot's
+    run starts."""
+    monkeypatch.setattr(jets, "_tables", {})
+    t = jets.tables(num_vars, order)
+    degree = np.searchsorted(t.sizes_by_order, np.arange(t.size), side="right").tolist()
+    by_slot = {}
+    for i, j, k in zip(t.mul_i.tolist(), t.mul_j.tolist(), t.mul_k.tolist()):
+        if degree[i] >= 1:
+            by_slot.setdefault(k, []).append((i, j))
+    steps = []
+    for d in range(1, order + 1):
+        slots = slice(t.sizes_by_order[d - 1], t.sizes_by_order[d])
+        pairs = [by_slot[k] for k in range(slots.start, slots.stop)]
+        flat = [pair for run in pairs for pair in run]
+        starts = np.cumsum([0] + [len(run) for run in pairs[:-1]])
+        steps.append((np.array([i for i, _ in flat], dtype=np.intp),
+                      np.array([j for _, j in flat], dtype=np.intp),
+                      starts.astype(np.intp), slots))
+    return steps
+
+
+@pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
+def test_inverse_steps_equal_the_per_order_construction_in_any_request_order(
+        num_vars, monkeypatch):
+    # each degree's step is made on first use from the jet tables, which a
+    # build of any higher order registers as views of its own; whatever the
+    # order of requests, every array has the bytes of the steps read off the
+    # product table built at that order alone
+    top = jets.MAX_ORDER
+    want = {order: _inverse_steps_alone(num_vars, order, monkeypatch)
+            for order in range(1, top + 1)}
+    for requests in (range(1, top + 1), range(top, 0, -1), (3, 1, top, 2, 5, 4)):
+        monkeypatch.setattr(jets, "_tables", {})
+        monkeypatch.setattr(jets, "_inverse_steps", {})
+        for order in requests:
+            jets.tables(num_vars, order)
+            got = [jets.inverse_step(num_vars, d) for d in range(order, 0, -1)][::-1]
+            assert len(got) == len(want[order]) == order
+            for step, ref in zip(got, want[order]):
+                for a, b in zip(step[:3], ref[:3]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert step[3] == ref[3]
+
+
 def _bad_values_metric():
     # degenerate at x1 = 0, of signature (1, 2) for x1 < 0, and not finite
     # for x2 near 1
