@@ -350,6 +350,7 @@ def constraint_kernels(fr: curvature.CurvatureFrame) -> tuple[Subspace, Subspace
     """Joint kernels of the holonomy constraints on the standard fiber and on
     its two-vectors (the derived action).
 
+    Chain values or a cancel size that are not finite raise ``DomainError``.
     When every constraint is at most ``FLAT_RATIO`` times the terms that
     cancel to form it, both kernels are the whole space: the flat-model
     bounds.  Otherwise one ``kernel`` of the (count, (n + 2)^2) chain values,
@@ -364,7 +365,12 @@ def constraint_kernels(fr: curvature.CurvatureFrame) -> tuple[Subspace, Subspace
     """
     nb = fr.n + 2
     pairs = nb * (nb - 1) // 2
-    X, cancel = holonomy_constraints(fr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, cancel = holonomy_constraints(fr)
+    if not (np.isfinite(X).all() and np.isfinite(cancel)):
+        raise geometry.DomainError(
+            f"curvature chain of {fr.spec.label!r} is not finite at the basepoint "
+            f"{geometry.format_point(fr.point)}")
     if np.abs(X).max() <= FLAT_RATIO * cancel:
         return Subspace(np.eye(nb)), Subspace(np.eye(pairs))
     algebra = kernel(X.reshape(len(X), nb * nb))
@@ -383,8 +389,9 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     Upper bounds: the dimensions of ``constraint_kernels`` at the basepoint,
     read from one ``JET_ORDER`` frame built there, at which the witnesses'
     order-3 jets give their Einstein tractors.  Lower bounds: independent
-    residual-verified witnesses, which must lie in those kernels; a verified
-    scale that is not finite at the basepoint raises ``DomainError``.
+    residual-verified witnesses, which must lie in those kernels; a curvature
+    chain or a verified scale that is not finite at the basepoint raises
+    ``DomainError``.
     ``upper=False`` skips the constraints and reports witness counts against
     the flat-model upper bounds n + 2 and (n + 2)(n + 1)/2; it builds no
     frame at the basepoint, and reads no scale there.
@@ -408,7 +415,8 @@ def estimate_parallel_dims(spec: MetricSpec, basepoint=None, *, seed: int = 0,
     base = None
     if upper:
         report.jet_order = JET_ORDER
-        base = curvature.CurvatureFrame(spec, basepoint, JET_ORDER)
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = curvature.CurvatureFrame(spec, basepoint, JET_ORDER)
         standard, adjoint = constraint_kernels(base)
         if standard.dim == nb:      # a nonzero constraint has rank >= 1
             report.notes.append("curvature vanishes to roundoff at the basepoint; "

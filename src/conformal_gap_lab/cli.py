@@ -183,10 +183,17 @@ def _cmd_analyze(ns) -> tuple[dict, bool]:
             row["kerw_dim"] = analysis.kernel_of_weyl(at).dim
         rows.append(row)
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = [fr.scalar_jet(sigma, 2) for _, sigma in spec.known_scales]
+    for i, pt in enumerate(points):
+        for (name, _), s in zip(spec.known_scales, scales):
+            if not np.isfinite(s[i]).all():
+                raise geometry.DomainError(f"scale {name!r} of {spec.label!r} is not finite "
+                                           f"at the point {geometry.format_point(pt)}")
     scale_checks = []
     ok = True
-    for name, sigma in spec.known_scales:
-        worst = float(norms(analysis.ae_residuals(fr, fr.scalar_jet(sigma, 2)), 2).max())
+    for (name, sigma), s in zip(spec.known_scales, scales):
+        worst = float(norms(analysis.ae_residuals(fr, s), 2).max())
         passed = worst < analysis.RESIDUAL_TOL
         ok &= passed
         scale_checks.append({

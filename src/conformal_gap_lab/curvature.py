@@ -36,8 +36,7 @@ one ``CurvatureFrame`` call; at a stack every array carries the point axis
 first, before the tensor indices, so ``g`` is (P, n, n, C) where a frame at
 one point has (n, n, C).  Every product then keeps the trailing tensor and
 coefficient blocks of the one-point frame, and each point's slice has the
-bits of the frame built there alone (as long as the BLAS sums a dense
-product in index order, see ``jets._scatter``).  Indexing a batch
+bits of the frame built there alone.  Indexing a batch
 (``frame[i]``, ``frame[:3]``) gives the frame at those points as views; a
 slice reads a tensor made on first read from its batch, which makes it
 once, so every array of a slice stays a view of the batch's.  Data

@@ -14,11 +14,14 @@ Operations take the jet shape ``(num_vars, order)`` explicitly and reject
 operands whose coefficient axis has the wrong length.  :func:`conv` is the
 product and :func:`contract` the product summed over one index; both scatter
 through one tail, over product pairs ordered by the degree they land in, so
-each lower order's tables are prefix views of the highest order's.  What
-only some callers read is made on first use and kept: the dense 0/1 scatter
-matrix of a table (:func:`dense_scatter`) and the jet matrix inverse's step
-of one degree (:func:`inverse_step`), so a process pays only for the
-scatters its batched products and the degrees its inverses read.
+each lower order's tables are prefix views of the highest order's.  The
+scatter is one ``bincount`` over every row of a batch, each row's slots
+offset by its index, so each slot of each row is summed in table order from
++0.0 and every row of a batch has the bits of the product formed alone; an
+order-0 product (one pair, into the one slot) is added to +0.0 and skips it.
+The jet matrix inverse's step of one degree (:func:`inverse_step`) is made
+on first use and kept, so a process pays only for the degrees its inverses
+read.
 
 Both multiply only the live pairs of a large product.  A pair (i, j) is live
 when slot i of ``a`` and slot j of ``b`` each hold a nonzero entry in some jet
@@ -32,10 +35,9 @@ multiplies the live pairs alone (``contract`` sums over its index with the
 same ``einsum``) and scatters them with ``bincount`` in table order; any
 other product takes the full path.  No bit moves: each dropped term is an
 exact +-0 (a zero times a finite number), every slot is summed in table order
-from +0.0 (bincount; the dense scatter while the BLAS sums in index order),
-and a sum that starts at +0.0 never holds -0.0, which is the one value an
-added +-0 could change.  An operand holding inf or NaN takes the full path,
-so 0 * inf still gives NaN.
+from +0.0, and a sum that starts at +0.0 never holds -0.0, which is the one
+value an added +-0 could change.  An operand holding inf or NaN takes the
+full path, so 0 * inf still gives NaN.
 :func:`partials` gives all first partials in one gather.
 Sums, differences and scalar multiples are plain numpy arithmetic.
 Primitives: :func:`reciprocal`, integer :func:`power`, ``sin cos tan sinh cosh
@@ -55,13 +57,6 @@ import numpy as np
 MAX_VARS = 8
 MAX_ORDER = 6
 SINGULAR_VALUE = 1e-12
-
-# batched products over product tables with at most this many (pair, slot)
-# entries use a dense 0/1 scatter matrix; larger tables and single jets use
-# np.bincount.  Measured on a 2-core Xeon, batches of 16-216 jets: the dense
-# scatter is faster up to (6, 3) = 38,220 entries and even with bincount at
-# (5, 4) = 126,126; for one (6, 4) product bincount takes 13 us against 121 us
-_DENSE_TABLE_LIMIT = 40_000
 
 # products forming at least this many pair products (table pairs x broadcast
 # jets) multiply only their live pairs.  Finding them takes about ten numpy
@@ -84,12 +79,11 @@ class JetTables:
     """Precomputed index tables for one (num_vars, order) combination.
 
     The product pairs come by the degree of their slot ``mul_k``, and in
-    row-major (i, j) order within a degree, so bincount and the dense scatter
-    sum each slot's pairs in row-major order.  Every array of a lower order
-    is a prefix of the one of a higher order, and the tables of every order
-    up to the highest built are views of its arrays.  The dense scatter and
-    the inverse steps are not fields: :func:`dense_scatter` and
-    :func:`inverse_step` make them from these arrays on first use."""
+    row-major (i, j) order within a degree, so bincount sums each slot's
+    pairs in row-major order.  Every array of a lower order is a prefix of
+    the one of a higher order, and the tables of every order up to the
+    highest built are views of its arrays.  The inverse steps are not
+    fields: :func:`inverse_step` makes them from these arrays on first use."""
 
     num_vars: int
     order: int
@@ -104,9 +98,7 @@ class JetTables:
 
 # the tables by (num_vars, order); building one order registers every lower one
 _tables: dict[tuple[int, int], JetTables] = {}
-# made on first use: the dense scatter matrices by (num_vars, order), and
-# geometry.jet_matrix_inverse's steps by (num_vars, degree)
-_scatters: dict[tuple[int, int], np.ndarray] = {}
+# made on first use: geometry.jet_matrix_inverse's steps by (num_vars, degree)
 _inverse_steps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray, slice]] = {}
 
 
@@ -164,18 +156,6 @@ def _build_tables(num_vars: int, order: int) -> None:
             diff_src=diff_src[:, :below], diff_fac=diff_fac[:, :below])
 
 
-def dense_scatter(t: JetTables) -> np.ndarray | None:
-    """The (T, size) dense 0/1 scatter matrix of a table with at most
-    ``_DENSE_TABLE_LIMIT`` (pair, slot) entries, made on first use; None for
-    a larger table."""
-    if len(t.mul_k) * t.size > _DENSE_TABLE_LIMIT:
-        return None
-    key = t.num_vars, t.order
-    if key not in _scatters:
-        _scatters[key] = np.eye(t.size)[t.mul_k]
-    return _scatters[key]
-
-
 def inverse_step(num_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, slice]:
     """``geometry.jet_matrix_inverse``'s step for one degree d >= 1, made on
     first use: the pairs (i, j), deg i >= 1, landing in degree d, sorted by
@@ -216,46 +196,36 @@ def _sized(a, t: JetTables) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # structural operations
 
-def _scatter(prods: np.ndarray, t: JetTables, slots: np.ndarray | None = None) -> np.ndarray:
-    """Sum per-pair products (..., T) into their coefficient slots (..., size).
-
-    ``slots`` names the slot of each product when they are not the table's
-    whole pair list (the live pairs of :func:`_live_pairs`); such products
-    always go through ``bincount``.  One row goes through ``bincount`` like
-    an unbatched product: BLAS may sum a one-row product in another order,
-    and a batch of one must give the bits of the unbatched product.  Larger
-    batches agree with it to rounding.
-    """
+def _scatter(prods: np.ndarray, t: JetTables, slots: np.ndarray) -> np.ndarray:
+    """Sum per-pair products (..., T) into their coefficient slots (..., size),
+    ``slots`` naming the slot of each product: the table's ``mul_k``, or the
+    slots of the live pairs of :func:`_live_pairs`."""
+    if not t.order:  # one pair into the one slot: bincount adds it to +0.0
+        return prods + 0.0
     lead = prods.shape[:-1]
     rows = math.prod(lead)
-    if slots is None:
-        if rows > 1 and (scatter := dense_scatter(t)) is not None:
-            return prods @ scatter
-        slots = t.mul_k
     if not (rows and slots.size):  # no products: bincount gives int64 or refuses the slots
         return np.zeros(lead + (t.size,))
-    if rows > 1:
-        slots = (np.arange(rows)[:, None] * t.size + slots).ravel()
+    slots = (np.arange(rows)[:, None] * t.size + slots).ravel()
     out = np.bincount(slots, weights=prods.ravel(), minlength=rows * t.size)
     return out.reshape(lead + (t.size,))
 
 
 def _live_pairs(a: np.ndarray, b: np.ndarray, t: JetTables):
-    """The pairs (i, j) a product of a and b multiplies, and the slots that
-    ``_scatter`` takes: the table's whole pair list and None, or the live
-    pairs and their slots (see the module docstring)."""
+    """The pairs (i, j) a product of a and b multiplies and their slots: the
+    table's whole pair list, or the live pairs (see the module docstring)."""
     pairs, size = len(t.mul_k), t.size
     if not t.order or pairs * (a.size // size) * (b.size // size) < _LIVE_PAIR_MIN:
-        return t.mul_i, t.mul_j, None
+        return t.mul_i, t.mul_j, t.mul_k
     # the broadcast jet count; neither operand is empty here
     jets = math.prod(map(max, itertools.zip_longest(a.shape[-2::-1], b.shape[-2::-1],
                                                     fillvalue=1)))
     if pairs * jets < _LIVE_PAIR_MIN:
-        return t.mul_i, t.mul_j, None
+        return t.mul_i, t.mul_j, t.mul_k
     live = (a.any(axis=tuple(range(a.ndim - 1)))[t.mul_i]
             & b.any(axis=tuple(range(b.ndim - 1)))[t.mul_j])
     if live.all() or not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return t.mul_i, t.mul_j, None
+        return t.mul_i, t.mul_j, t.mul_k
     live = np.flatnonzero(live)
     return t.mul_i[live], t.mul_j[live], t.mul_k[live]
 

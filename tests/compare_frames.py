@@ -92,7 +92,7 @@ def orders(spec) -> tuple:
 
 def dump_tables(save) -> None:
     """Every jet table, its product pairs as the run of each slot: the sums
-    bincount and the dense scatter form depend on these runs alone."""
+    bincount forms depend on these runs alone."""
     from conformal_gap_lab import jets
 
     for n in range(1, jets.MAX_VARS + 1):

@@ -664,8 +664,9 @@ def test_constraint_kernels_survive_transport(name):
 
 
 def _close(batched, single):
-    # a batch of several scales scatters its jet products through a BLAS
-    # matrix product, which may sum in another order than the one-scale path
+    # a batch of several scales contracts its tensors with einsum and matmul
+    # over its leading axes, which may sum in another order than the
+    # one-scale path
     return np.allclose(batched, single, rtol=1e-12, atol=1e-12)
 
 

@@ -433,6 +433,27 @@ def test_scale_not_finite_at_a_far_basepoint_exits_2(capsys, recwarn, argv, poin
     assert not recwarn.list
 
 
+def test_curvature_chain_not_finite_at_the_basepoint_exits_2(tmp_path, capsys, recwarn):
+    # g_11 has the second derivative 2e300 there, and the chain's products
+    # overflow; once two RuntimeWarnings came first, then the kernel's message
+    path = tmp_path / "steep.metric"
+    path.write_text("dim = 4\nsignature = 0,4\ng 1 1 : 1e300*x1^2 + 1\n"
+                    "g 2 2 : 1\ng 3 3 : 1\ng 4 4 : 1\n")
+    err = usage_error(capsys, "dims", str(path), "--json")
+    assert err == ("error: curvature chain of 'steep' is not finite at the basepoint "
+                   "(0.0, 0.0, 0.0, 0.0)\n")
+    assert not recwarn.list
+
+
+def test_scale_not_finite_at_an_analyze_point_exits_2(capsys, recwarn):
+    # the scale norm_sq overflows there; once three RuntimeWarnings came first
+    # and the report held a NaN residual, which strict JSON refuses
+    err = usage_error(capsys, "analyze", "flat_r4", "--point", "1e200,0,0,0", "--json")
+    assert err == ("error: scale 'norm_sq' of 'flat_0_4' is not finite at the point "
+                   "(1e+200, 0.0, 0.0, 0.0)\n")
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("far", ["1e20", "1e100", "1e154"])
 def test_far_basepoint_keeps_the_witness_span(capsys, recwarn, far):
     # norm_sq's tractor is ~far^2 there: the witness ranks are taken at a check
@@ -573,12 +594,11 @@ def test_command_builds_each_frame_once(argv, capsys, monkeypatch):
     assert builds == FRAME_BUILDS[argv]
 
 
-# (num_vars, jet order) of every dense scatter matrix and (num_vars, degree)
-# of every inverse step a fresh `cgl dims` makes: the order-4 basepoint frame
-# inverts to degree 3 and multiplies through dense scatters only at orders 0-2
+# (num_vars, degree) of every inverse step a fresh `cgl dims` makes: the
+# order-4 basepoint frame inverts to degree 3
 DIMS_WORK = {
-    "pp_wave": ([(4, 0), (4, 1), (4, 2)], [(4, 1), (4, 2), (4, 3)]),
-    "product_split_n6": ([(6, 0), (6, 1), (6, 2)], [(6, 1), (6, 2), (6, 3)]),
+    "pp_wave": [(4, 1), (4, 2), (4, 3)],
+    "product_split_n6": [(6, 1), (6, 2), (6, 3)],
 }
 
 
@@ -587,7 +607,7 @@ def test_dims_makes_only_what_it_reads(name, capsys, monkeypatch):
     # the jet caches start empty, as in a fresh process; the first check
     # point's order-3 frame serves the Einstein tractors alone, which read no
     # Riemann, Weyl or Cotton value, so none is computed there
-    for cache in ("_tables", "_scatters", "_inverse_steps"):
+    for cache in ("_tables", "_inverse_steps"):
         monkeypatch.setattr(jets, cache, {})
     frames = []
     init = curvature.CurvatureFrame.__init__
@@ -599,7 +619,7 @@ def test_dims_makes_only_what_it_reads(name, capsys, monkeypatch):
     monkeypatch.setattr(curvature.CurvatureFrame, "__init__", kept_init)
     code, _, _ = run(capsys, "dims", name)
     assert code == 0
-    assert (sorted(jets._scatters), sorted(jets._inverse_steps)) == DIMS_WORK[name]
+    assert sorted(jets._inverse_steps) == DIMS_WORK[name]
     first = [fr for fr in frames if fr.order == 3]
     assert len(first) == 1 and first[0].batch == ()
     assert not {"riemann_mixed", "riemann", "weyl", "cotton"} & set(vars(first[0]))

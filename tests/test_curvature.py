@@ -586,9 +586,7 @@ def _frame_arrays(fr):
 
 def _assert_batch_is_per_point_frames(batch, spec, points, order):
     """Every array of the batch, at each point, has the bits of the frame
-    built there alone.  A batch scatters some products through a dense BLAS
-    product where one point uses bincount (``jets._scatter``); they agree bit
-    for bit while the BLAS sums in index order, as OpenBLAS does."""
+    built there alone."""
     assert batch.batch == (len(points),) and batch.point == tuple(map(tuple, points))
     for i, pt in enumerate(points):
         single = curvature.CurvatureFrame(spec, pt, order)

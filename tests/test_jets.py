@@ -239,33 +239,30 @@ def test_batched_conv_matches_scalar():
 
 @pytest.mark.parametrize("num_vars, order", [(3, 2), (3, 3), (4, 2), (6, 2), (6, 4)])
 def test_products_do_not_depend_on_the_batch(num_vars, order):
-    # small tables scatter batches of several rows through a dense BLAS
-    # matrix product and single rows through bincount: a one-row batch gives
-    # the bits of the unbatched product whatever the BLAS, and a larger batch
-    # agrees to the rounding of a reordered sum (bit for bit only while the
-    # BLAS sums the product's inner axis in index order).  b's last slot is
-    # zero, so the 20-row batch of (6, 4), which forms more than
-    # _LIVE_PAIR_MIN pair products, takes the live-pair path and its rows the
-    # full one
+    # every row of a batch goes through the one offset bincount, so it has
+    # the bytes of its product formed alone, and so has a batch of one.  b's
+    # last slot is zero, so the batches of (6, 4), which form more than
+    # _LIVE_PAIR_MIN pair products, take the live-pair path and the products
+    # alone the full one
     rng = np.random.default_rng(8)
-    a = _random_jet(rng, num_vars, order, (20,))
-    b = _random_jet(rng, num_vars, order)
-    b[-1] = 0.0
-    single = np.stack([conv(r, b, num_vars, order) for r in a])
-    for r in range(len(a)):
-        assert conv(a[r:r + 1], b, num_vars, order)[0].tobytes() == single[r].tobytes()
-    terms = conv(np.abs(a), np.abs(b), num_vars, order)
-    eps = np.finfo(float).eps
-    assert (np.abs(conv(a, b, num_vars, order) - single) <= 16 * eps * terms).all()
+    for name, product in sorted(PRODUCTS.items()):
+        lead = (20, 3) if name == "contract" else (20,)
+        a = _random_jet(rng, num_vars, order, lead)
+        b = _random_jet(rng, num_vars, order, lead[1:])
+        b[..., -1] = 0.0
+        batch = product(a, b, num_vars, order)
+        for r in range(len(a)):
+            alone = product(a[r], b, num_vars, order)
+            assert batch[r].tobytes() == alone.tobytes(), name
+            assert product(a[r:r + 1], b, num_vars, order)[0].tobytes() == alone.tobytes(), name
 
 
 @pytest.mark.parametrize("num_vars, order", [(4, 2), (6, 4)])
 def test_conv_kernels_agree(num_vars, order):
-    # (4, 2) sits below the dense cut and (6, 4) above it; batched products
-    # take the dense scatter or the offset bincount, single jets the plain
-    # bincount, and both must match a dense reference built from the table
+    # batched products take the offset bincount, single jets the same
+    # bincount over one row, and both must match a dense reference built
+    # from the table
     t = jets.tables(num_vars, order)
-    assert (jets.dense_scatter(t) is not None) == ((num_vars, order) == (4, 2))
     rng = np.random.default_rng(5)
     a = _random_jet(rng, num_vars, order, (3,))
     b = _random_jet(rng, num_vars, order, (3,))
@@ -385,9 +382,9 @@ def _assert_same(got, want, name):
 
 
 def _assert_tables_equal(t, want, down):
-    """The table's fields, and its dense scatter and the inverse steps to its
-    order as their accessors make them, the steps read from the highest
-    degree down if ``down``, equal the direct construction."""
+    """The table's fields, and the inverse steps to its order as their
+    accessor makes them, read from the highest degree down if ``down``,
+    equal the direct construction."""
     for name, value in want.items():
         if name != "inverse_steps":
             _assert_same(getattr(t, name), value, name)
@@ -395,13 +392,6 @@ def _assert_tables_equal(t, want, down):
     steps = {d: jets.inverse_step(t.num_vars, d) for d in degrees}
     _assert_same(tuple(steps[d] for d in range(1, t.order + 1)), want["inverse_steps"],
                  "inverse_steps")
-    pairs = len(want["mul_k"])
-    if pairs * want["size"] > jets._DENSE_TABLE_LIMIT:
-        assert jets.dense_scatter(t) is None
-    else:
-        dense = np.zeros((pairs, want["size"]))
-        dense[np.arange(pairs), want["mul_k"]] = 1.0
-        assert jets.dense_scatter(t).tobytes() == dense.tobytes()
 
 
 def _assert_prefix_view(low, high):
@@ -413,15 +403,15 @@ def _assert_prefix_view(low, high):
 @pytest.mark.parametrize("num_vars", range(1, jets.MAX_VARS + 1))
 def test_tables_equal_the_direct_construction_in_any_request_order(num_vars, monkeypatch):
     # a build registers every lower order; whatever the order of requests,
-    # every field, the dense scatter and the inverse steps too, has the bytes
-    # of the table built at its order alone, every lower order is a view of
-    # the highest built, and each scatter and step is made once.  Requests
-    # from the top read each table's steps from its highest degree down
+    # every field, the inverse steps too, has the bytes of the table built at
+    # its order alone, every lower order is a view of the highest built, and
+    # each step is made once.  Requests from the top read each table's steps
+    # from its highest degree down
     want = [_direct_tables(num_vars, order) for order in range(jets.MAX_ORDER + 1)]
     top = jets.MAX_ORDER
     for requests, down in ((range(top + 1), False), (range(top, -1, -1), True),
                            ((3, 0, top, 1, 5, 2, 4), False)):
-        for cache in ("_tables", "_scatters", "_inverse_steps"):
+        for cache in ("_tables", "_inverse_steps"):
             monkeypatch.setattr(jets, cache, {})
         for order in requests:
             _assert_tables_equal(jets.tables(num_vars, order), want[order], down)
@@ -432,11 +422,6 @@ def test_tables_equal_the_direct_construction_in_any_request_order(num_vars, mon
                 _assert_prefix_view(getattr(low, name), getattr(high, name))
         assert sorted(jets._inverse_steps) == [(num_vars, d) for d in range(1, top + 1)]
         assert all(jets.inverse_step(*key) is step for key, step in jets._inverse_steps.items())
-        dense = [m for m in range(top + 1)
-                 if jets.dense_scatter(jets.tables(num_vars, m)) is not None]
-        assert sorted(jets._scatters) == [(num_vars, m) for m in dense]
-        assert all(jets.dense_scatter(jets.tables(*key)) is matrix
-                   for key, matrix in jets._scatters.items())
 
 
 def test_building_the_largest_tables_stays_small(monkeypatch):
@@ -454,11 +439,8 @@ def test_building_the_largest_tables_stays_small(monkeypatch):
 
 @pytest.mark.parametrize("num_vars, order", [(4, 2), (6, 3), (6, 4), (8, 3)])
 def test_contract_matches_conv_sum(num_vars, order):
-    # (4, 2) and (6, 3) have the dense scatter, (6, 4) and (8, 3) only
-    # bincount; an unbatched result takes bincount on every table.  b's last
-    # slot is zero, so the batches of all but (4, 2), which form more than
-    # _LIVE_PAIR_MIN pair products, take the live-pair path
-    assert (jets.dense_scatter(jets.tables(num_vars, order)) is None) == (order * num_vars >= 24)
+    # b's last slot is zero, so the batches of all but (4, 2), which form
+    # more than _LIVE_PAIR_MIN pair products, take the live-pair path
     rng = np.random.default_rng(7)
     a = _random_jet(rng, num_vars, order, (3, 1, 5))
     b = _random_jet(rng, num_vars, order, (1, 4, 5))
@@ -478,9 +460,9 @@ def _both_paths(monkeypatch, product, a, b, num_vars, order):
     taken = []
     live_pairs = jets._live_pairs
 
-    def spied(*args):
-        pairs = live_pairs(*args)
-        taken.append(pairs[2] is not None)
+    def spied(a, b, t):
+        pairs = live_pairs(a, b, t)
+        taken.append(len(pairs[2]) < len(t.mul_k))
         return pairs
 
     monkeypatch.setattr(jets, "_live_pairs", spied)
@@ -498,8 +480,9 @@ def _assert_same_bits(full, live, shape):
     assert full.tobytes() == live.tobytes()
 
 
-# (num_vars, order, leading shape of a, of b): single jets, batches of the
-# two scatters, broadcast batches, and a summed axis of length one for contract
+# (num_vars, order, leading shape of a, of b): single jets, batches of small
+# and large tables, broadcast batches, and a summed axis of length one for
+# contract
 LIVE_CASES = [(4, 2, (), ()), (4, 2, (6,), (6,)), (6, 3, (3, 1, 5), (1, 4, 5)),
               (6, 4, (2, 3), (3,)), (5, 3, (7, 1), (1, 1)), (3, 4, (4, 2), (4, 2))]
 PRODUCTS = {"conv": conv, "contract": jets.contract}
