@@ -22,7 +22,7 @@ kernels.  A report is exact when the two sides meet and every rank decision
 survives scaling the tolerance by 10 either way.
 
 Every function here reads curvature from a frame its caller passes: a
-``curvature.CurvatureFrame`` at one point or a slice ``fr[i]`` of a batch.
+``curvature.CurvatureFrame`` at one point or at a batch of points.
 Readers take a frame of any order at or above the one they need (witness
 tractors read the ``JET_ORDER`` frame); ``estimate_parallel_dims`` and the
 family verifiers build every frame they use once and hand it down, and read
@@ -141,22 +141,26 @@ def nck_dim_bound(sig: tuple[int, int], n: int) -> int:
 # ---------------------------------------------------------------------------
 # pointwise residuals
 
-def kernel_of_weyl(fr: curvature.CurvatureFrame) -> Subspace:
-    """Null space of W_abcr v^r at a frame of one point; enforces the
-    signature bound when W != 0."""
-    spec = fr.spec
-    if spec.n < 4:
+def kernel_of_weyl(fr: curvature.CurvatureFrame) -> Subspace | list[Subspace]:
+    """Null space of W_abcr v^r at each point of a frame: one ``Subspace`` at
+    a frame of one point, a list of them, point by point, at a batch.
+    Enforces the signature bound where W != 0; the first point that
+    violates it raises."""
+    spec, n = fr.spec, fr.n
+    if n < 4:
         raise ValueError("the Weyl kernel is defined for n >= 4")
-    W = fr.values(fr.weyl)
-    ksp = kernel(W.reshape(spec.n ** 3, spec.n))
-    if frobenius(W) > 1e-6:
-        bound = weyl_kernel_bound(spec.signature, spec.n)
-        if ksp.dim > bound:
+    W = fr.values(fr.weyl).reshape(-1, n ** 3, n)
+    bound = weyl_kernel_bound(spec.signature, n)
+    spaces = []
+    for w, point, size in zip(W, fr.point if fr.batch else (fr.point,), norms(W, 2)):
+        ksp = kernel(w)
+        if size > 1e-6 and ksp.dim > bound:
             raise AnalysisError(
                 f"Weyl kernel dimension {ksp.dim} exceeds the signature bound "
-                f"{bound} for {spec.label!r} at {geometry.format_point(fr.point)}"
+                f"{bound} for {spec.label!r} at {geometry.format_point(point)}"
             )
-    return ksp
+        spaces.append(ksp)
+    return spaces if fr.batch else spaces[0]
 
 
 def _scale_terms(fr: curvature.CurvatureFrame, s: np.ndarray):
@@ -457,13 +461,13 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     at the check points are one batch, of order 2, or of order 3 at n = 3,
     where normality reads Cotton.  Each scale is evaluated there once, as a
     (point, C_2) stack; the AE residuals of all scales, and the wedge fields
-    and Killing/normality residuals of all pairs of verified scales, come
-    from one batched call each.  The parallel residuals of all scales and the
-    Einstein tractors of the verified ones are batched ``tractor`` calls on
-    the scales' order-3 jets at the first check point (at n = 3 the batch's
-    first frame), and the lower bounds are the ranks of those tractors and
-    of their wedges: parallel tractors have the same rank at every point,
-    and no scale there is far from 1.
+    and Killing/normality residuals of all pairs of verified scales at every
+    check point, come from one batched call each.  The parallel residuals of
+    all scales and the Einstein tractors of the verified ones are batched
+    ``tractor`` calls on the scales' order-3 jets at an order-3 frame built
+    at the first check point, and the lower bounds are the ranks of those
+    tractors and of their wedges: parallel tractors have the same rank at
+    every point, and no scale there is far from 1.
     Containment in the constraint kernels is checked on the Einstein tractors
     at the basepoint (their values, from the order-2 prefix of the scales'
     order-3 jets there), each divided by its largest entry, so neither they
@@ -477,7 +481,7 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     fr = curvature.CurvatureFrame(spec, check_pts, 3 if spec.n == 3 else 2)
     S = np.stack([fr.scalar_jet(sigma, 2) for sigma in sigmas])      # (scale, point, C_2)
     res = norms(ae_residuals(fr, S), 2).max(axis=1)
-    first_fr = fr[0] if fr.order == 3 else curvature.CurvatureFrame(spec, check_pts[0], 3)
+    first_fr = curvature.CurvatureFrame(spec, check_pts[0], 3)
     at_first = tractor.einstein_jets(first_fr, np.stack([first_fr.scalar_jet(s) for s in sigmas]))
     par = norms(tractor.parallel_values(first_fr, at_first), 2)
     ok = (res < RESIDUAL_TOL) & (par < 10 * RESIDUAL_TOL)
@@ -511,9 +515,8 @@ def _witnesses(spec: MetricSpec, base: curvature.CurvatureFrame | None, seed: in
     if not pairs:
         return
     first, second = np.array(pairs).T
-    # Killing/normality at the first three check points
-    V = S[verified, :3]
-    _, ck, normal, _ = killing_terms(fr[:3], wedge_jets(fr[:3], V[first], V[second]))
+    V = S[verified]
+    _, ck, normal, _ = killing_terms(fr, wedge_jets(fr, V[first], V[second]))
     worst = np.maximum(ck, normal).max(axis=1)
     kept = []
     for i, j, w in zip(first, second, worst):
@@ -719,7 +722,7 @@ def _verify_bounds(metric: str = "pp_wave", seed: int = 0) -> dict:
     points = geometry.sample_points(spec, 10, seed=seed)
     fr = curvature.CurvatureFrame(spec, points, 2)
     # kernel_of_weyl raises on a bound violation
-    worst_kerw = max(kernel_of_weyl(fr[i]).dim for i in range(len(points)))
+    worst_kerw = max(ksp.dim for ksp in kernel_of_weyl(fr))
     wmin = norms(fr.values(fr.weyl), 4).min()
     bound = weyl_kernel_bound(spec.signature, spec.n)
     check(checks, "weyl_kernel_bound", worst_kerw - bound, 0.5,

@@ -35,22 +35,19 @@ Point axis: a frame is built at one point or at a (P, n) stack of points in
 one ``CurvatureFrame`` call; at a stack every array carries the point axis
 first, before the tensor indices, so ``g`` is (P, n, n, C) where a frame at
 one point has (n, n, C).  Every product then keeps the trailing tensor and
-coefficient blocks of the one-point frame, and each point's slice has the
-bits of the frame built there alone.  Indexing a batch
-(``frame[i]``, ``frame[:3]``) gives the frame at those points as views; a
-slice reads a tensor made on first read from its batch, which makes it
-once, so every array of a slice stays a view of the batch's.  Data
-that a batch reads carries its own leading axes before the point axis (scale
-jets are (S, P, C)), and :meth:`CurvatureFrame.cov_deriv` takes such axes
-alike at a frame of one point (a stack of scale gradients is (S, n, C)).
+coefficient blocks of the one-point frame, and each point's row has the
+bits of the frame built there alone.  Data that a batch reads carries its
+own leading axes before the point axis (scale jets are (S, P, C)), and
+:meth:`CurvatureFrame.cov_deriv` takes such axes alike at a frame of one
+point (a stack of scale gradients is (S, n, C)).
 
 Frames are passed explicitly: a caller builds the frame it needs once and
-hands readers the frame or a batch slice ``frame[i]``.  Readers of values
-and the scale tractors take a frame of any order at or above theirs and cut
-what they read to their order with :meth:`CurvatureFrame.at`, a prefix.
-The frame is the one curvature object: values are read from it
+hands it to the readers, which read the batch where they take one.  Readers
+of values and the scale tractors take a frame of any order at or above
+theirs and cut what they read to their order with :meth:`CurvatureFrame.at`,
+a prefix.  The frame is the one curvature object: values are read from it
 (``fr.values(fr.weyl)``, ``float(fr.sc[0])``), and :func:`check_conventions`
-runs the convention self-checks at every point of a frame or batch.
+runs the convention self-checks at every point of a frame or batch at once.
 """
 
 from __future__ import annotations
@@ -140,17 +137,12 @@ def _last_axes(ndim: int, axes: tuple) -> tuple:
 
 def _on_first_read(build):
     """A frame tensor that ``build`` makes on its first read and the frame
-    keeps, read-only; a batch slice reads it from its batch, as a view of the
-    batch's array."""
+    keeps, read-only."""
     def read(fr):
-        if fr._source is None:
-            value = build(fr)
-            if value is not None:
-                value.flags.writeable = False
-            return value
-        batch, index = fr._source
-        value = getattr(batch, build.__name__)
-        return None if value is None else value[index]
+        value = build(fr)
+        if value is not None:
+            value.flags.writeable = False
+        return value
     read.__doc__ = build.__doc__
     return cached_property(read)
 
@@ -171,7 +163,6 @@ class CurvatureFrame:
         self.point = tuple(map(tuple, pts.tolist())) if pts.ndim > 1 else tuple(pts.tolist())
         self.order = order
         n = self.n = spec.n
-        self._source = None                 # (batch, index) at a batch slice
 
         self.g, self.ginv = geometry.metric_frame_at(spec, pts, order)
 
@@ -207,7 +198,7 @@ class CurvatureFrame:
         self.schouten_mixed = contract(P[..., :, None, :, :], ginv2[..., None, :, :, :],
                                        n, m2)             # [a, b] = P_a^b
 
-        # batch slices and prefixes (at) share these arrays, so nothing may write into them
+        # prefixes (at) share these arrays, so nothing may write into them
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -243,18 +234,6 @@ class CurvatureFrame:
     def batch(self) -> tuple:
         """The shape of the point axis: () at one point, (P,) for P points."""
         return self.g.shape[:-3]
-
-    def __getitem__(self, index) -> "CurvatureFrame":
-        """The frame at one point (an int) or at some points (a slice) of a
-        batch; its arrays are views of the batch's (``__init__`` does not run)."""
-        if not self.batch:
-            raise TypeError("a frame at one point has no point axis")
-        fr = object.__new__(CurvatureFrame)
-        for name, value in vars(self).items():
-            setattr(fr, name, value[index] if isinstance(value, np.ndarray) else value)
-        fr.point = self.point[index]
-        fr._source = (self, index)
-        return fr
 
     def at(self, arr: np.ndarray, m: int) -> np.ndarray:
         """Truncate a coefficient array from this frame to jet order m."""
@@ -362,8 +341,10 @@ def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _volume_entries(fr: CurvatureFrame) -> np.ndarray:
-    """``eps`` at a frame of one point, at the rows of ``_permutations(n)``."""
-    return math.sqrt(abs(np.linalg.det(fr.values(fr.g)))) * _permutations(fr.n)[1]
+    """``eps`` at the rows of ``_permutations(n)``: (n!,) at a frame of one
+    point, (P, n!) at a batch."""
+    root = np.sqrt(np.abs(np.linalg.det(fr.values(fr.g))))
+    return root[..., None] * _permutations(fr.n)[1]
 
 
 def volume_form(fr: CurvatureFrame) -> np.ndarray:
@@ -375,66 +356,63 @@ def volume_form(fr: CurvatureFrame) -> np.ndarray:
 
 
 def check_conventions(fr: CurvatureFrame) -> CurvatureFrame:
-    """Run the convention self-checks at each point of a frame or batch and
-    return the frame; the first point that fails raises ``ConventionError``."""
-    for f in (fr[i] for i in range(fr.batch[0])) if fr.batch else (fr,):
-        problems = _convention_problems(f)
-        if problems:
-            raise ConventionError(
-                f"curvature self-checks failed for {f.spec.label!r} at "
-                f"{f.point}: " + "; ".join(problems)
-            )
-    return fr
-
-
-def _convention_problems(fr: CurvatureFrame) -> list[str]:
-    """The self-checks that fail at a frame of one point."""
-    n = fr.n
+    """Run the convention self-checks at every point of a frame or batch, as
+    one (point, check) table, and return the frame; the first point that
+    fails raises ``ConventionError`` naming the checks it fails."""
+    n, nfac = fr.n, math.factorial(fr.n)
     g, ginv, R, ricci, W = map(fr.values, (fr.g, fr.ginv, fr.riemann, fr.ricci, fr.weyl))
-    sc, j = float(fr.sc[0]), float(fr.j[0])
-    problems = []
-
-    ric_ref = (n - 2) * fr.values(fr.schouten) + j * g
-    scale = max(frobenius(ricci), 1.0)
-    if frobenius(ricci - ric_ref) > 1e-9 * scale:
-        problems.append("Ric != (n-2) P + J g")
-    if abs(sc - 2 * (n - 1) * j) > 1e-10 * max(1.0, abs(sc)):
-        problems.append("Sc != 2 (n-1) J")
-
-    rnorm = max(frobenius(R), 1e-30)
-    if frobenius(R + R.transpose(1, 0, 2, 3)) > 1e-9 * rnorm:
-        problems.append("Riemann not antisymmetric in the first pair")
-    if frobenius(R + R.transpose(0, 1, 3, 2)) > 1e-9 * rnorm:
-        problems.append("Riemann not antisymmetric in the last pair")
-    if frobenius(R - R.transpose(2, 3, 0, 1)) > 1e-9 * rnorm:
-        problems.append("Riemann not pair symmetric")
-    cyc = R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)
-    if frobenius(cyc) > 1e-9 * rnorm:
-        problems.append("algebraic Bianchi identity fails")
-
+    sc, j = fr.sc[..., 0], fr.j[..., 0]
+    ric_ref = (n - 2) * fr.values(fr.schouten) + j[..., None, None] * g
+    rnorm = np.maximum(norms(R, 4), 1e-30)
     # W is computed from R, so its roundoff scales with |R|; in n = 3 it
     # vanishes identically and is pure roundoff
-    wnorm = frobenius(W)
-    for axes in ((0, 2), (0, 3), (1, 2), (1, 3)):
+    wnorm = norms(W, 4)
+    trace_axes = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+    def trace(axes):
         traced = "".join("abcd"[k] for k in axes)
         rest = "".join(c for c in "abcd" if c not in traced)
-        if frobenius(np.einsum(f"{traced},abcd->{rest}", ginv, W)) > 1e-9 * max(wnorm, rnorm):
-            problems.append(f"Weyl trace over axes {axes} nonzero")
-            break
-    if n == 3 and wnorm > 1e-9 * rnorm:
-        problems.append("Weyl tensor nonzero in dimension 3")
+        return norms(np.einsum(f"...{traced},...abcd->...{rest}", ginv, W), 2)
 
+    traces = (np.stack([trace(axes) for axes in trace_axes], axis=-1)
+              > 1e-9 * np.maximum(wnorm, rnorm)[..., None])
     # eps^I eps_I over the n! tuples I where eps is nonzero is n! eps^{0..n-1}
     # eps_{0..n-1} by antisymmetry, with eps^{0..n-1} = sum_J g^{0 J_0}...g^{n-1 J_{n-1}} eps_J
-    eps = _volume_entries(fr)
-    eps_up = np.prod(ginv[np.arange(n), _permutations(n)[0]], axis=1) @ eps
-    total = float(math.factorial(n) * eps_up * eps[0])
-    det_sign = 1.0 if np.linalg.det(g) > 0 else -1.0
-    if abs(abs(total) - math.factorial(n)) > 1e-9 * math.factorial(n):
-        problems.append(f"eps normalization off: eps.eps = {total}")
-    if abs(total - det_sign * math.factorial(n)) > 1e-9 * math.factorial(n):
-        problems.append("eps self-contraction sign does not match sign(det g)")
-    return problems
+    # (a point at a time: the n! x n gather of all points at once grows as P n! n)
+    eps = _volume_entries(fr).reshape(-1, nfac)
+    perms = _permutations(n)[0]
+    eps_up = [np.prod(gi[np.arange(n), perms], axis=1) @ e
+              for gi, e in zip(ginv.reshape(-1, n, n), eps)]
+    total = (nfac * np.array(eps_up) * eps[:, 0]).reshape(fr.batch)
+    det_sign = np.where(np.linalg.det(g) > 0, 1.0, -1.0)
+    checks = (
+        ("Ric != (n-2) P + J g",
+         norms(ricci - ric_ref, 2) > 1e-9 * np.maximum(norms(ricci, 2), 1.0)),
+        ("Sc != 2 (n-1) J", np.abs(sc - 2 * (n - 1) * j) > 1e-10 * np.maximum(1.0, np.abs(sc))),
+        ("Riemann not antisymmetric in the first pair",
+         norms(R + _last(R, 1, 0, 2, 3), 4) > 1e-9 * rnorm),
+        ("Riemann not antisymmetric in the last pair",
+         norms(R + _last(R, 0, 1, 3, 2), 4) > 1e-9 * rnorm),
+        ("Riemann not pair symmetric", norms(R - _last(R, 2, 3, 0, 1), 4) > 1e-9 * rnorm),
+        ("algebraic Bianchi identity fails",
+         norms(R + _last(R, 1, 2, 0, 3) + _last(R, 2, 0, 1, 3), 4) > 1e-9 * rnorm),
+        ("Weyl trace over axes {axes} nonzero", traces.any(axis=-1)),
+        ("Weyl tensor nonzero in dimension 3", (n == 3) & (wnorm > 1e-9 * rnorm)),
+        ("eps normalization off: eps.eps = {total}", np.abs(np.abs(total) - nfac) > 1e-9 * nfac),
+        ("eps self-contraction sign does not match sign(det g)",
+         np.abs(total - det_sign * nfac) > 1e-9 * nfac),
+    )
+    failed = np.stack([bad for _, bad in checks], axis=-1).reshape(-1, len(checks))
+    if failed.any():
+        i = int(np.flatnonzero(failed.any(axis=1))[0])
+        at = {"axes": trace_axes[int(np.argmax(traces.reshape(-1, 4)[i]))],
+              "total": float(total.reshape(-1)[i])}
+        raise ConventionError(
+            f"curvature self-checks failed for {fr.spec.label!r} at "
+            f"{(fr.point if fr.batch else (fr.point,))[i]}: "
+            + "; ".join(what.format(**at) for (what, _), bad in zip(checks, failed[i]) if bad)
+        )
+    return fr
 
 
 # ---------------------------------------------------------------------------

@@ -51,17 +51,18 @@ def tractor_metric_matrix(g_values: np.ndarray) -> np.ndarray:
 def connection_jets(fr: CurvatureFrame, m: int) -> np.ndarray:
     """Jets of the connection matrices: D_a V = d_a V + A[a] V, to order m.
 
-    Returns an (n, n + 2, n + 2, C_m) array; m may be at most fr.order - 2,
-    the order of the Schouten tensor.  This is the one place that writes the
-    block layout of the connection.
+    Returns an (n, n + 2, n + 2, C_m) array at a frame of one point and a
+    (P, n, n + 2, n + 2, C_m) array at a batch, the point axis first; m may
+    be at most fr.order - 2, the order of the Schouten tensor.  This is the
+    one place that writes the block layout of the connection.
     """
     n = fr.n
-    A = np.zeros((n, n + 2, n + 2, jets.tables(n, m).size))
-    A[:, 0, 1:-1] = -fr.at(fr.g, m)
-    A[:, 1:-1, 0] = fr.at(fr.schouten_mixed, m)
-    A[:, 1:-1, 1:-1] = fr.at(fr.gamma, m).transpose(1, 0, 2, 3)   # [a, b, r] = Gamma^b_ar
-    A[np.arange(n), 1 + np.arange(n), -1, 0] = 1.0
-    A[:, -1, 1:-1] = -fr.at(fr.schouten, m)
+    A = np.zeros(fr.batch + (n, n + 2, n + 2, jets.tables(n, m).size))
+    A[..., 0, 1:-1, :] = -fr.at(fr.g, m)
+    A[..., 1:-1, 0, :] = fr.at(fr.schouten_mixed, m)
+    A[..., 1:-1, 1:-1, :] = np.swapaxes(fr.at(fr.gamma, m), -4, -3)   # [a, b, r] = Gamma^b_ar
+    A[..., np.arange(n), 1 + np.arange(n), -1, 0] = 1.0
+    A[..., -1, 1:-1, :] = -fr.at(fr.schouten, m)
     return A
 
 
@@ -190,9 +191,8 @@ def _segment_transport(spec: MetricSpec, p: np.ndarray, q: np.ndarray) -> np.nda
 
     def matrices(ts: np.ndarray) -> np.ndarray:
         """-A(direction) at the points p + t direction, from one order-2 batch."""
-        fr = CurvatureFrame(spec, p + ts[:, None] * direction, 2)
-        return np.stack([-np.einsum("a,aij->ij", direction, connection_jets(fr[i], 0)[..., 0])
-                         for i in range(len(ts))])
+        A = connection_jets(CurvatureFrame(spec, p + ts[:, None] * direction, 2), 0)
+        return -np.einsum("a,taij->tij", direction, A[..., 0])
 
     def integrate(R: np.ndarray, steps: int) -> np.ndarray:
         # R holds the matrices at t_j = j / (2 steps): step k reads j = 2k, 2k + 1, 2k + 2

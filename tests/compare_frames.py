@@ -7,8 +7,8 @@ of the three, once with this tree's ``src/`` and once with the
 ``src/`` given on the command line (for example an export of the parent
 revision).  Every array a frame holds is dumped, and at single points of
 order 3 and above also the values of ``tractor.curvature_chain`` to order
-``K - 2``.  So is what callers hand to readers: the slices
-``CurvatureFrame(spec, points, K)[i]`` of a batch, and the prefixes
+``K - 2``.  So is what callers hand to readers: the row of each point in
+every array of a batch ``CurvatureFrame(spec, points, K)``, and the prefixes
 ``fr.at(a, m)`` that readers of lower-order jets take of each array ``a`` of
 an order-4 frame, at the order ``m`` that ``a`` has in a frame of order 3 and
 2 (the values, order 0, whole).  At order 5 every entry forms products large
@@ -119,15 +119,16 @@ def put(save, key: str, fr) -> None:
 
 
 def dump_handed(spec, name: str, save) -> None:
-    """The batch slices and the prefixes that callers hand to readers, at
-    points of their own."""
+    """Each point's row of a batch's arrays, and the prefixes that callers
+    hand to readers, at points of their own."""
     from conformal_gap_lab import curvature, geometry, jets
 
     sliced, cut = (geometry.sample_points(spec, POINTS, seed=SEED + k) for k in (1, 2))
     for order in orders(spec):
-        batch = curvature.CurvatureFrame(spec, sliced, order)
+        batch = tensors(curvature.CurvatureFrame(spec, sliced, order))
         for i in range(len(sliced)):
-            put(save, f"{name}|o{order}|slice{i}", batch[i])
+            for attr, value in batch.items():
+                save(f"{name}|o{order}|slice{i}|{attr}", value[i])
     for i, p in enumerate(cut):
         fr = curvature.CurvatureFrame(spec, p, 4)
         put(save, f"{name}|o4|cut{i}", fr)

@@ -336,8 +336,9 @@ def test_j_of_a_stack_of_scales_equals_j_at_each_point(name):
     S = np.stack([fr.scalar_jet(s, 2) for _, s in spec.known_scales])   # (scale, point, C_2)
     J, Sc = analysis.j_of_scale(fr, S), analysis.sc_of_scale(fr, S)
     assert J.shape == Sc.shape == S.shape[:2]
+    frames = [CurvatureFrame(spec, p, 2) for p in fr.point]
     for k, i in np.ndindex(J.shape):
-        one = analysis.j_of_scale(fr[i], S[k, i])
+        one = analysis.j_of_scale(frames[i], S[k, i])
         assert J[k, i].tobytes() == one.tobytes()
         assert Sc[k, i] == 2.0 * (spec.n - 1) * one
 
@@ -763,18 +764,20 @@ def test_dims_call_makes_two_batched_einstein_tractor_calls(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["pp_wave", "product_split_n6"])
 def test_kernel_of_weyl_reads_the_cached_higher_order_frame(name, monkeypatch):
-    # the slices of an order-3 batch (as in cgl analyze) serve it with no
-    # order-2 frame built; the Weyl value is the one an order-2 frame holds
+    # an order-3 batch (as in cgl analyze) serves it with no order-2 frame
+    # built, one kernel per point; the Weyl value is the one an order-2
+    # frame holds, and each kernel is the one-point frame's
     spec = geometry.catalogue_metric(name)
     points = sample_points(spec, 4, seed=53)
     want = [kernel(curvature.CurvatureFrame(spec, p, 2).weyl[..., 0].reshape(spec.n ** 3, spec.n))
             for p in points]
+    alone = [kernel_of_weyl(curvature.CurvatureFrame(spec, p, 2)) for p in points]
     orders = _count_frame_builds(monkeypatch)
-    batch = curvature.CurvatureFrame(spec, points, 3)
-    got = [kernel_of_weyl(batch[i]) for i in range(len(points))]
-    assert orders == [3]
-    for g, w in zip(got, want):
-        assert g.basis.tobytes() == w.basis.tobytes()
+    got = kernel_of_weyl(curvature.CurvatureFrame(spec, points, 3))
+    assert orders == [3] and len(got) == len(points)
+    for g, w, one in zip(got, want, alone):
+        assert g.basis.tobytes() == w.basis.tobytes() == one.basis.tobytes()
+        assert g.marginal == one.marginal
 
 
 def test_family_verifier_builds_one_order_2_batch_per_point_set(monkeypatch):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import conformal_gap_lab
-from conformal_gap_lab import JSON_SCHEMA, analysis, curvature, expr, geometry, jets
+from conformal_gap_lab import JSON_SCHEMA, analysis, cli, curvature, expr, geometry, jets
 from conformal_gap_lab.cli import main
 
 
@@ -352,6 +352,23 @@ def test_analyze_needs_one_sample(capsys, samples):
     assert "--samples must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [("--samples", "101"), ("--samples", "200000", "--json"),
+                                  ("--samples", "101", "--point", "0,0,0,0,0,0,0,0")])
+def test_analyze_samples_above_the_maximum_exit_2(capsys, monkeypatch, argv):
+    # checked with the minimum, before any point is sampled or frame built
+    built = []
+    monkeypatch.setattr(geometry, "sample_points", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(curvature.CurvatureFrame, "__init__", lambda *a, **k: built.append(a))
+    err = usage_error(capsys, "analyze", "warped_fs_n8", *argv)
+    assert err == f"error: --samples must be at most {cli.MAX_SAMPLES}, got {argv[1]}\n"
+    assert built == []
+
+
+def test_analyze_takes_the_maximum_samples(capsys):
+    code, out, _ = run(capsys, "analyze", "pp_split", "--samples", str(cli.MAX_SAMPLES), "--json")
+    assert code == 0 and len(json.loads(out)["points"]) == cli.MAX_SAMPLES
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "warpedSol", "--n", "9"),
     ("verify", "warpedSol", "--n", "4"),
@@ -568,8 +585,8 @@ def test_analyze_samples_take_one_frame_batch(capsys, monkeypatch):
 # (jet order, points) of every frame a command builds, in order
 FRAME_BUILDS = {
     # n = 3: the check points take one order-3 batch, as normality reads Cotton,
-    # and its first frame serves the Einstein tractors
-    ("dims", "flat_1_2"): [(4, 1), (3, 6)],
+    # and an order-3 frame at the first of them serves the Einstein tractors
+    ("dims", "flat_1_2"): [(4, 1), (3, 6), (3, 1)],
     ("rescale", "taub_nut", "--omega", "1 + x1/8", "--point", "1.0,1.2,0.5,0.5"):
         [(3, 1), (3, 1)],
     ("verify", "bounds", "--metric", "warped_fs_n6"): [(2, 10), (2, 6), (3, 1)],
@@ -848,7 +865,8 @@ _FAILED_CHECKS = {
                          lambda self, v: np.zeros(len(v), dtype=bool)),
                         "witness const of 'flat_0_4' lies outside the standard constraint kernel"),
     "conventions": (["analyze", "pp_wave", "--samples", "1"],
-                    (curvature, "_convention_problems", lambda fr: ["forced"]),
+                    (curvature, "_volume_entries",
+                     lambda fr, right=curvature._volume_entries: np.abs(right(fr))),
                     "curvature self-checks failed for 'pp_wave'"),
 }
 

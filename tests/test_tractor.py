@@ -202,6 +202,22 @@ def test_tractor_curvature_middle_block_matches_weyl():
     assert any(frobenius(endo) > 1e-3 for endo in omegas.values())
 
 
+@pytest.mark.parametrize("name", ["pp_wave", "lorentz3d", "product_split_n6"])
+def test_connection_jets_of_a_batch_are_the_per_point_jets(name):
+    # the point axis comes first, and each point's row has the bytes of the
+    # connection jets of the frame built there alone
+    spec = geometry.catalogue_metric(name)
+    points = sample_points(spec, 3, seed=61)
+    batch = CurvatureFrame(spec, points, 4)
+    frames = [CurvatureFrame(spec, p, 4) for p in points]
+    for m in (0, 1, 2):
+        A = tractor.connection_jets(batch, m)
+        assert A.shape == (len(points), spec.n, spec.n + 2, spec.n + 2, jets.tables(spec.n, m).size)
+        for row, fr in zip(A, frames):
+            alone = tractor.connection_jets(fr, m)
+            assert row.shape == alone.shape and row.tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("name", ["pp_wave", "taub_nut", "product_split_n6", "lorentz3d"])
 def test_curvature_chain_matches_finite_differences(name):
     # X_1 = d_c Omega + [A_c, Omega], with d_c Omega by central differences
