@@ -143,7 +143,7 @@ def _parse_params(items):
 
 def _resolve_metric(name: str, params: dict) -> geometry.MetricSpec:
     path = Path(name)
-    if path.suffix in (".metric", ".txt") or path.exists():
+    if path.suffix in (".metric", ".txt") or path.is_file():
         if params:
             raise geometry.CatalogueError(
                 "--param applies to catalogue metrics; a metric file declares its own")

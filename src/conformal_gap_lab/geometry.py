@@ -1,13 +1,15 @@
-"""Metric catalogue, pseudo-Euclidean factories, and the paper's products.
+"""Metric catalogue: the paper's 4-dimensional examples and its products.
 
 Every metric is a :class:`MetricSpec`: closed-form component expressions on a
 single chart, a declared signature, a positivity-style domain predicate, and a
 box to sample admissible points from.  Catalogue entries also carry the known
 almost-Einstein-scale candidates used as lower-bound witnesses elsewhere.
-Every example with n >= 5 comes from :func:`product_over`, a 4-dimensional
-fiber over a pseudo-Euclidean base warped by a + b|x|^2, whose scale
-candidates it lifts from the fiber's; ``FAMILIES`` names the fibers of the
-catalogue's families.
+The paper's 4-dimensional examples are rows of formulas in one table, which
+one builder parses; only ``pseudo_euclidean`` and ``lorentz3d`` (whose h may
+be an expression) are built in code.  Every example with n >= 5 comes from
+:func:`product_over`, a 4-dimensional fiber over a pseudo-Euclidean base
+warped by a + b|x|^2, whose scale candidates it lifts from the fiber's;
+``FAMILIES`` names the fibers of the catalogue's families.
 
 Signature convention: ``(p, q)`` counts (negative, positive) eigenvalues, so
 Riemannian is ``(0, n)`` and Lorentzian ``(1, n-1)``.  Coordinates are ordered
@@ -20,6 +22,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -106,14 +110,8 @@ def _symmetric(n: int, entries: dict) -> tuple[tuple[Node, ...], ...]:
     return tuple(tuple(expr.simplify(e) for e in row) for row in m)
 
 
-def _parse_components(n, entries, var_names=None, params=None):
-    """entries: {(i, j): source}; symmetric closure, unlisted components 0."""
-    return _symmetric(n, {ij: expr.parse(src, n, params=params, var_names=var_names)
-                          for ij, src in entries.items()})
-
-
 # ---------------------------------------------------------------------------
-# factories
+# catalogue entries
 
 def pseudo_euclidean(p: int, q: int) -> MetricSpec:
     """Flat diagonal metric: p entries -1, then q entries +1."""
@@ -143,101 +141,80 @@ def signed_norm_sq(n: int, signs) -> Node:
     return expr.simplify(out)
 
 
-def _fubini_study() -> MetricSpec:
-    comps = _parse_components(4, {
+class _Example(NamedTuple):
+    """A 4-dimensional example as formulas in its coordinate names (x1..x4
+    unless given) and parameters; ``check`` raises on bad parameter values."""
+
+    signature: tuple[int, int]
+    components: dict                        # {(i, j): formula}, the others 0
+    box: tuple[tuple[float, float], ...]
+    names: tuple[str, ...] = ()
+    domain: tuple[str, ...] = ()
+    scales: dict = {"const": "1"}           # {name: formula}
+    notes: tuple[str, ...] = ()
+    params: dict = {}                       # {name: default}
+    check: Callable[..., None] | None = None
+
+
+def _taub_nut_mass(m) -> None:
+    if not isinstance(m, (int, float)) or not 0 < m < math.inf:
+        raise CatalogueError(f"taub_nut needs a finite number m > 0, got {m!r}")
+
+
+_FS = (0.1, math.pi / 2 - 0.1)       # the fubini_study range of x1 and x3
+_PP = ("t", "x", "y", "z")
+
+# the paper's 4-dimensional examples, the fibers of every FAMILIES entry
+_TABLE = {
+    "fubini_study": _Example((0, 4), {
         (0, 0): "1/2",
         (1, 1): "1/2*cos(x1)^2*sin(x1)^2",
         (1, 3): "-1/2*cos(x1)^2*sin(x1)^2*sin(x3)^2",
         (2, 2): "1/2*cos(x1)^2",
         (3, 3): "1/2*cos(x1)^2*(sin(x1)^2*sin(x3)^4 + cos(x3)^2*sin(x3)^2)",
-    })
-    margin = [expr.parse(s, 4) for s in
-              ("sin(x1) - 0.05", "cos(x1) - 0.05", "sin(x3) - 0.05", "cos(x3) - 0.05")]
-    lo, hi = 0.1, math.pi / 2 - 0.1
-    return MetricSpec(
-        n=4, signature=(0, 4), components=comps,
-        domain=tuple(margin), label="fubini_study",
-        sample_box=((lo, hi), (0.0, 1.0), (lo, hi), (0.0, 1.0)),
-        known_scales=(("const", expr.ONE),),
-    )
-
-
-def _fubini_study_hyperbolic() -> MetricSpec:
-    comps = _parse_components(4, {
+    }, (_FS, (0.0, 1.0), _FS, (0.0, 1.0)),
+        domain=("sin(x1) - 0.05", "cos(x1) - 0.05", "sin(x3) - 0.05", "cos(x3) - 0.05")),
+    "fubini_study_hyperbolic": _Example((0, 4), {
         (0, 0): "1/2",
         (1, 1): "1/2*cosh(x1)^2*sinh(x1)^2",
         (1, 3): "1/2*cosh(x1)^2*sinh(x1)^2*sinh(x3)^2",
         (2, 2): "1/2*cosh(x1)^2",
         (3, 3): "1/2*cosh(x1)^2*(sinh(x1)^2*sinh(x3)^4 + cosh(x3)^2*sinh(x3)^2)",
-    })
-    margin = [expr.parse(s, 4) for s in ("sinh(x1) - 0.05", "sinh(x3) - 0.05")]
-    return MetricSpec(
-        n=4, signature=(0, 4), components=comps,
-        domain=tuple(margin), label="fubini_study_hyperbolic",
-        sample_box=((0.15, 1.2), (0.0, 1.0), (0.15, 1.2), (0.0, 1.0)),
-        known_scales=(("const", expr.ONE),),
-    )
-
-
-def _taub_nut(m: float) -> MetricSpec:
-    if not isinstance(m, (int, float)) or not 0 < m < math.inf:
-        raise CatalogueError(f"taub_nut needs a finite number m > 0, got {m!r}")
-    comps = _parse_components(4, {
+    }, ((0.15, 1.2), (0.0, 1.0), (0.15, 1.2), (0.0, 1.0)),
+        domain=("sinh(x1) - 0.05", "sinh(x3) - 0.05")),
+    "taub_nut": _Example((0, 4), {
         (0, 0): "1 + m/x1",
         (1, 1): "(1 + m/x1)*x1^2",
         (2, 2): "(1 + m/x1)*x1^2*sin(x2)^2 + m^2*cos(x2)^2/(1 + m/x1)",
         (2, 3): "m*cos(x2)/(1 + m/x1)",
         (3, 3): "1/(1 + m/x1)",
-    }, params={"m": m})
-    margin = [expr.parse(s, 4) for s in ("x1 - 0.2", "sin(x2) - 0.05")]
-    return MetricSpec(
-        n=4, signature=(0, 4), components=comps, params=(("m", float(m)),),
-        domain=tuple(margin), label="taub_nut",
-        sample_box=((0.5, 3.0), (0.3, math.pi - 0.3), (0.0, 1.0), (0.0, 1.0)),
-        known_scales=(("const", expr.ONE),),
-    )
-
-
-def _pp_wave() -> MetricSpec:
-    names = ("t", "x", "y", "z")
-    comps = _parse_components(4, {
+    }, ((0.5, 3.0), (0.3, math.pi - 0.3), (0.0, 1.0), (0.0, 1.0)),
+        domain=("x1 - 0.2", "sin(x2) - 0.05"), params={"m": 1.0}, check=_taub_nut_mass),
+    "pp_wave": _Example((1, 3), {
         (0, 0): "x^2*exp(-sqrt(2)*t)",
         (0, 3): "exp(-sqrt(2)*t)",
         (1, 1): "exp(-sqrt(2)*t)",
         (2, 2): "exp(-sqrt(2)*t)",
-    }, var_names=names)
-    return MetricSpec(
-        n=4, signature=(1, 3), components=comps,
-        label="pp_wave", coord_names=names,
-        sample_box=tuple((-0.8, 0.8) for _ in range(4)),
-        known_scales=(
-            ("const", expr.ONE),
-            ("exp_wave", expr.parse("exp(-sqrt(2)*t)", 4, var_names=names)),
-        ),
-    )
+    }, ((-0.8, 0.8),) * 4, _PP, scales={"const": "1", "exp_wave": "exp(-sqrt(2)*t)"}),
+    "pp_split": _Example((2, 2), {(0, 0): "x^2", (0, 3): "1", (1, 2): "1"},
+                         ((-1.0, 1.0),) * 4, _PP, scales={"const": "1", "t": "t", "x": "x"},
+                         notes=("normal-Killing count: the wedge construction certifies 3 "
+                                "independent fields here while the commonly quoted count for "
+                                "this example is 2; reports carry the brute-force value",)),
+}
 
 
-def _pp_split() -> MetricSpec:
-    names = ("t", "x", "y", "z")
-    comps = _parse_components(4, {
-        (0, 0): "x^2",
-        (0, 3): "1",
-        (1, 2): "1",
-    }, var_names=names)
+def _example(name: str, row: _Example, values: dict) -> MetricSpec:
+    """The MetricSpec of a ``_TABLE`` row at the parameter ``values``."""
+    if row.check:
+        row.check(**values)
+    parse = partial(expr.parse, n=4, params=values, var_names=row.names or None)
     return MetricSpec(
-        n=4, signature=(2, 2), components=comps,
-        label="pp_split", coord_names=names,
-        sample_box=tuple((-1.0, 1.0) for _ in range(4)),
-        known_scales=(
-            ("const", expr.ONE),
-            ("t", expr.var(0)),
-            ("x", expr.var(1)),
-        ),
-        notes=(
-            "normal-Killing count: the wedge construction certifies 3 "
-            "independent fields here while the commonly quoted count for this "
-            "example is 2; reports carry the brute-force value",
-        ),
+        n=4, signature=row.signature, label=name, coord_names=row.names, notes=row.notes,
+        components=_symmetric(4, {ij: parse(src) for ij, src in row.components.items()}),
+        params=tuple((key, float(value)) for key, value in values.items()),
+        domain=tuple(map(parse, row.domain)), sample_box=row.box,
+        known_scales=tuple((key, parse(src)) for key, src in row.scales.items()),
     )
 
 
@@ -261,15 +238,7 @@ def _lorentz3d(h) -> MetricSpec:
     )
 
 
-# name -> (factory, default of each parameter it takes)
-_BUILTINS = {
-    "fubini_study": (_fubini_study, {}),
-    "fubini_study_hyperbolic": (_fubini_study_hyperbolic, {}),
-    "taub_nut": (_taub_nut, {"m": 1.0}),
-    "pp_wave": (_pp_wave, {}),
-    "pp_split": (_pp_split, {}),
-    "lorentz3d": (_lorentz3d, {"h": 0.0}),
-}
+BUILTINS = sorted([*_TABLE, "lorentz3d"])
 
 
 def _check_params(name: str, params: dict, takes) -> None:
@@ -281,16 +250,16 @@ def _check_params(name: str, params: dict, takes) -> None:
 def builtin_metric(name: str, params: dict | None = None) -> MetricSpec:
     """One of the explicitly tabulated metrics, by name."""
     params = params or {}
-    if name not in _BUILTINS:
-        raise CatalogueError(
-            f"unknown metric {name!r}; builtins: {sorted(_BUILTINS)}"
-        )
-    factory, defaults = _BUILTINS[name]
+    if name not in BUILTINS:
+        raise CatalogueError(f"unknown metric {name!r}; builtins: {BUILTINS}")
+    row = _TABLE.get(name)
+    defaults = row.params if row else {"h": 0.0}
     _check_params(name, params, defaults)
     for key, value in params.items():
         if isinstance(value, (int, float)) and not math.isfinite(value):
             raise CatalogueError(f"{name} parameter {key} must be finite, got {value!r}")
-    return factory(**{**defaults, **params})
+    values = {**defaults, **params}
+    return _example(name, row, values) if row else _lorentz3d(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +372,7 @@ def _bad_einstein_claim() -> MetricSpec:
 def catalogue_names(examples: bool = False) -> list[str]:
     """Catalogue entries as ``cgl catalogue`` lists them; with ``examples`` the
     flat_p_q pattern is given by its example, so every name resolves."""
-    names = sorted(_BUILTINS)
+    names = list(BUILTINS)
     names += ["flat_r4", FLAT_EXAMPLE if examples else f"flat_p_q (e.g. {FLAT_EXAMPLE})"]
     for n in (5, 6):
         names += [f"{kind}_n{n}" for kind in WARPED_KINDS]
@@ -419,7 +388,7 @@ def family_names(n: int) -> list[str]:
 
 def catalogue_metric(name: str, params: dict | None = None) -> MetricSpec:
     """Resolve any catalogue name (builtins, flat_p_q, warped families)."""
-    if name in _BUILTINS:
+    if name in BUILTINS:
         return builtin_metric(name, params)
     spec = _family_metric(name)
     _check_params(name, params or {}, ())

@@ -13,8 +13,8 @@ and the bundle metric is ``<U, V> = mu_a nu^a + sigma pi + rho tau``.  The
 connection is written once, as the jets of its matrices ``A_a``
 (:func:`connection_jets`, ``D_a = d_a + A_a``); section derivatives, the
 curvature ``Omega_ab = d_a A_b - d_b A_a + [A_a, A_b]`` and its covariant
-derivatives (:func:`curvature_chain`, whose values at a point span the
-infinitesimal holonomy algebra there) and the value-level matrices of RK4
+derivatives (:func:`curvature_chain`, at every point of a frame, whose
+values at a point span the infinitesimal holonomy algebra there) and the value-level matrices of RK4
 transport are all derived from it.  The curvature is cross-checked against
 its expected Weyl/Cotton block structure, so no sign convention for the
 Cotton block is hard-coded.  Every reader takes the curvature frame its
@@ -37,11 +37,11 @@ class TransportError(RuntimeError):
 
 
 def tractor_metric_matrix(g_values: np.ndarray) -> np.ndarray:
-    """Block form ((0,0,1),(0,g,0),(1,0,0)) of the bundle metric."""
-    n = g_values.shape[0]
-    B = np.zeros((n + 2, n + 2))
-    B[0, -1] = B[-1, 0] = 1.0
-    B[1:-1, 1:-1] = g_values
+    """Block form ((0,0,1),(0,g,0),(1,0,0)) of the bundle metric; leading axes batch."""
+    n = g_values.shape[-1]
+    B = np.zeros(g_values.shape[:-2] + (n + 2, n + 2))
+    B[..., 0, -1] = B[..., -1, 0] = 1.0
+    B[..., 1:-1, 1:-1] = g_values
     return B
 
 
@@ -111,65 +111,67 @@ def parallel_values(fr: CurvatureFrame, I: np.ndarray) -> np.ndarray:
 # curvature and its covariant derivatives
 
 def curvature_chain(fr: CurvatureFrame, m: int) -> list[np.ndarray]:
-    """Values at the frame's point of X_0 = Omega_ab (a < b) and of
+    """Values at the frame's points of X_0 = Omega_ab (a < b) and of
     X_{k+1} = d_c X_k + [A_c, X_k], from the connection jets to order m.
 
     Omega_ab = d_a A_b - d_b A_a + [A_a, A_b] = [D_a, D_b].  Level k is an
-    array (count, n + 2, n + 2); there are m levels, the last from jets of
-    order 0.  Each X annihilates every parallel tractor at the point, and the
-    levels span the same space as Omega and its covariant derivatives up to
-    order m - 1, so they lie in the holonomy algebra.  Level 0 is checked
-    against its Weyl/Cotton block structure.
+    array (..., count, n + 2, n + 2), a batch's point axis first; there are
+    m levels, the last from jets of order 0.  Each X annihilates every
+    parallel tractor at its point, and the levels span the same space as
+    Omega and its covariant derivatives up to order m - 1, so they lie in
+    the holonomy algebra.  Level 0 is checked against its Weyl/Cotton block
+    structure.
     """
     n = fr.n
     nb = n + 2
     A = connection_jets(fr, m)
     a, b = upper_pairs(n, 1)
-    dA = partials(A, n, m)                                           # [c, a] = d_c A_a
+    dA = fr.partials(A, m)                                           # [c, a] = d_c A_a
     A1 = jets.truncate_coeffs(A, n, m, m - 1)
-    X = dA[a, b] - dA[b, a] + _jet_bracket(A1[a], A1[b], n, m - 1)
+    X = (dA[..., a, b, :, :, :] - dA[..., b, a, :, :, :]
+         + _jet_bracket(A1[..., a, :, :, :], A1[..., b, :, :, :], n, m - 1))
     _validate_tractor_curvature(fr, a, b, X[..., 0])
     levels = [X[..., 0]]
     for k in range(m - 1, 0, -1):
-        Ak = jets.truncate_coeffs(A, n, m, k - 1)[:, None]
-        Xk = jets.truncate_coeffs(X, n, k, k - 1)[None]
-        X = partials(X, n, k) + _jet_bracket(Ak, Xk, n, k - 1)
-        X = X.reshape(-1, nb, nb, X.shape[-1])
+        Ak = jets.truncate_coeffs(A, n, m, k - 1)[..., :, None, :, :, :]
+        Xk = jets.truncate_coeffs(X, n, k, k - 1)[..., None, :, :, :, :]
+        X = fr.partials(X, k) + _jet_bracket(Ak, Xk, n, k - 1)
+        X = X.reshape(fr.batch + (-1, nb, nb, X.shape[-1]))
         levels.append(X[..., 0])
     return levels
 
 
 def _validate_tractor_curvature(fr: CurvatureFrame, first, second, omegas) -> None:
-    """Check every Omega_ab (pairs, n + 2, n + 2) at once against its block
-    structure; the error lists the problems of the first failing pair."""
-    gv = fr.values(fr.g)
-    ginv = fr.values(fr.ginv)
-    W = fr.values(fr.weyl)
-    Y = fr.values(fr.cotton)
-    Wmix = np.einsum("ce,abed->abcd", ginv, W)      # W_ab^c_d
-    Ymix = np.einsum("ce,eab->abc", ginv, Y)        # Y^c_ab, pair first
-    tol = 1e-8 * max(frobenius(W), frobenius(Y), 1.0)
-    B = tractor_metric_matrix(gv)
+    """Check every Omega_ab (..., pairs, n + 2, n + 2) at once against its
+    block structure, with tolerances per point; the error lists the problems
+    of the first failing pair at the first failing point."""
+    gv, ginv, W, Y = map(fr.values, (fr.g, fr.ginv, fr.weyl, fr.cotton))
+    Wmix = np.einsum("...ce,...abed->...abcd", ginv, W)[..., first, second, :, :]  # W_ab^c_d
+    Ymix = np.einsum("...ce,...eab->...abc", ginv, Y)[..., first, second, :]      # Y^c_ab
+    tol = 1e-8 * np.maximum(np.maximum(norms(W, 4), norms(Y, 3)), 1.0)[..., None]
+    B = tractor_metric_matrix(gv)[..., None, :, :]
     M = np.asarray(omegas)
     skew = np.swapaxes(M, -1, -2) @ B + B @ M
     checks = (
-        ("has a nonzero top row", np.abs(M[:, 0, :]).max(axis=1) > tol),
-        ("middle block differs from Weyl", norms(M[:, 1:-1, 1:-1] - Wmix[first, second], 2) > tol),
-        ("sigma column differs from Cotton", norms(M[:, 1:-1, 0] - Ymix[first, second], 1) > tol),
+        ("has a nonzero top row", np.abs(M[..., 0, :]).max(axis=-1) > tol),
+        ("middle block differs from Weyl", norms(M[..., 1:-1, 1:-1] - Wmix, 2) > tol),
+        ("sigma column differs from Cotton", norms(M[..., 1:-1, 0] - Ymix, 1) > tol),
         ("bottom row differs from Cotton",
-         norms(M[:, -1, 1:-1] + Y[:, first, second].T, 1) > tol),
-        ("has corner entries", (np.abs(M[:, -1, 0]) > tol) | (np.abs(M[:, 0, -1]) > tol)),
+         norms(M[..., -1, 1:-1] + np.swapaxes(Y[..., :, first, second], -1, -2), 1) > tol),
+        ("has corner entries", (np.abs(M[..., -1, 0]) > tol) | (np.abs(M[..., 0, -1]) > tol)),
         ("not skew for the tractor metric",
-         norms(skew, 2) > 1e-9 * np.maximum(norms(M, 2) * frobenius(B), 1.0)),
+         norms(skew, 2) > 1e-9 * np.maximum(norms(M, 2) * norms(B, 2), 1.0)),
     )
-    failed = np.stack([bad for _, bad in checks], axis=1)       # (pair, check)
+    failed = np.stack([bad for _, bad in checks], axis=-1)       # (..., pair, check)
+    failed = failed.reshape((-1,) + failed.shape[-2:])
     if failed.any():
-        i = int(np.flatnonzero(failed.any(axis=1))[0])
+        p, i = np.argwhere(failed.any(axis=-1))[0]               # point first, then pair
         a, b = first[i], second[i]
         raise ConventionError(
             f"tractor curvature checks failed for {fr.spec.label!r} at "
-            f"{fr.point}: " + "; ".join(f"Omega_{a}{b} {what}"
-                                        for (what, _), bad in zip(checks, failed[i]) if bad)
+            f"{(fr.point if fr.batch else (fr.point,))[p]}: "
+            + "; ".join(f"Omega_{a}{b} {what}"
+                        for (what, _), bad in zip(checks, failed[p, i]) if bad)
         )
 
 

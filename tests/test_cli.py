@@ -222,6 +222,17 @@ def test_missing_metric_file_exits_2(tmp_path, capsys):
     assert "absent.metric" in err
 
 
+def test_directory_does_not_shadow_a_catalogue_name(tmp_path, monkeypatch, capsys):
+    # only a file is read as a metric file; a name with a metric-file suffix
+    # is still read as one, and a missing one is a usage error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pp_wave").mkdir()
+    code, out, err = run(capsys, "dims", "pp_wave", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["dims"]["label"] == "pp_wave"
+    assert "No such file" in usage_error(capsys, "dims", "missing.metric")
+
+
 def test_unreadable_metric_file_exits_2(tmp_path, capsys):
     folder = tmp_path / "folder.metric"
     folder.mkdir()

@@ -1,6 +1,8 @@
 """Catalogue metrics, warped products, frame evaluation, sampling."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +90,27 @@ def test_non_finite_params_rejected():
         builtin_metric("lorentz3d", {"h": float("nan")})
     with pytest.raises(CatalogueError, match="finite"):
         builtin_metric("lorentz3d", {"h": float("inf")})
+
+
+@pytest.mark.parametrize("m, message", [
+    (0.0, "taub_nut needs a finite number m > 0, got 0.0"),
+    (-1.0, "taub_nut needs a finite number m > 0, got -1.0"),
+    (math.inf, "taub_nut parameter m must be finite, got inf"),
+])
+def test_taub_nut_mass_errors(m, message):
+    with pytest.raises(CatalogueError) as err:
+        builtin_metric("taub_nut", {"m": m})
+    assert str(err.value) == message
+
+
+def test_readme_catalogue_gives_every_builtin_its_signature():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Metric catalogue\n", 1)[1].split("\n## ", 1)[0]
+    rows = {name: (int(p), int(q))
+            for name, p, q in re.findall(r"^\| `(\w+)` \| \((\d+),(\d+)\) \|", table, re.M)}
+    assert geometry.BUILTINS
+    for name in geometry.BUILTINS:
+        assert rows.get(name) == builtin_metric(name).signature, name
 
 
 def test_non_finite_metric_rejected_at_the_point():

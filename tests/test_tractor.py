@@ -218,6 +218,22 @@ def test_connection_jets_of_a_batch_are_the_per_point_jets(name):
             assert row.shape == alone.shape and row.tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("name", ["pp_wave", "lorentz3d", "product_split_n6"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_curvature_chain_of_a_batch_is_the_per_point_chain(name, m):
+    # every level puts the point axis first, and each point's row has the
+    # bytes of the chain of the frame built there alone
+    spec = geometry.catalogue_metric(name)
+    points = sample_points(spec, 3, seed=61)
+    levels = tractor.curvature_chain(CurvatureFrame(spec, points, 4), m)
+    chains = [tractor.curvature_chain(CurvatureFrame(spec, p, 4), m) for p in points]
+    assert len(levels) == m
+    for k, X in enumerate(levels):
+        assert X.shape[0] == len(points)
+        for row, alone in zip(X, chains):
+            assert row.shape == alone[k].shape and row.tobytes() == alone[k].tobytes()
+
+
 @pytest.mark.parametrize("name", ["pp_wave", "taub_nut", "product_split_n6", "lorentz3d"])
 def test_curvature_chain_matches_finite_differences(name):
     # X_1 = d_c Omega + [A_c, Omega], with d_c Omega by central differences
@@ -347,3 +363,14 @@ def test_corrupted_tractor_curvature_is_rejected():
     with pytest.raises(ConventionError, match="Omega_13 has a nonzero top row") as err:
         tractor._validate_tractor_curvature(fr, first, second, bad)
     assert "Omega_23" not in str(err.value)
+    # at a batch of two points whose second is corrupted, the error names
+    # that point and the first failing pair there
+    points = sample_points(spec, 2, seed=3)
+    batch = CurvatureFrame(spec, points, 4)
+    omegas = tractor.curvature_chain(batch, 1)[0]
+    bad = omegas.copy()
+    bad[1, 5, -1, 0] = 1.0
+    with pytest.raises(ConventionError, match="Omega_23 has corner entries") as err:
+        tractor._validate_tractor_curvature(batch, first, second, bad)
+    at = [geometry.format_point(p) for p in points]
+    assert f"at {at[1]}: " in str(err.value) and at[0] not in str(err.value)
