@@ -14,12 +14,13 @@ connection is written once, as the jets of its matrices ``A_a``
 (:func:`connection_jets`, ``D_a = d_a + A_a``); section derivatives, the
 curvature ``Omega_ab = d_a A_b - d_b A_a + [A_a, A_b]`` and its covariant
 derivatives (:func:`curvature_chain`, at every point of a frame, whose
-values at a point span the infinitesimal holonomy algebra there) and the value-level matrices of RK4
-transport are all derived from it.  The curvature is cross-checked against
-its expected Weyl/Cotton block structure, so no sign convention for the
-Cotton block is hard-coded.  Every reader takes the curvature frame its
-caller built; transport, kept as an independent oracle for the tests, builds
-one batch of frames per step count, at the grid points new to it.
+values at a point span the infinitesimal holonomy algebra there) and the
+value-level matrices of RK4 transport are all derived from it.  The
+curvature is cross-checked against its expected Weyl/Cotton block
+structure, so no sign convention for the Cotton block is hard-coded.
+Every reader takes the curvature frame its caller built; transport, kept as
+an independent oracle for the tests, builds one batch of frames per step
+count, at the grid points new to it.
 """
 
 from __future__ import annotations
